@@ -1,21 +1,18 @@
-//! Front-end vs direct-manager admission throughput.
+//! Front-end vs direct service admission throughput.
 //!
-//! Measures the cost of the unified service stack: the same
-//! admit+release round-trip batch executed (a) directly against a
-//! `ResourceManager`'s ticket API, (b) through its `AdmissionService`
-//! implementation, and (c) submitted through the async `FrontEnd` event
-//! loop (queued, decided by the worker pool, completion-waited). The
-//! deltas are the prices of the trait dispatch and of queue + wakeup,
-//! respectively.
+//! Measures the cost of queueing in front of the service stack: the same
+//! admit+release round-trip batch executed (a) through a one-group
+//! `FleetManager`'s `AdmissionService` implementation and (b) submitted
+//! through the async `FrontEnd` event loop (queued, decided by the worker
+//! pool, completion-waited). The delta is the price of queue + wakeup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use platform::{Application, Mapping, NodeId, SystemSpec};
+use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    AdmissionRequest, AdmissionService, Completion, FrontEnd, FrontEndConfig, QueueMode,
-    ResourceManager, ResourceManagerConfig,
+    AdmissionRequest, AdmissionService, Completion, FleetConfig, FleetManager, FrontEnd,
+    FrontEndConfig, RoutingPolicy,
 };
 use sdf::figure2_graphs;
-use std::time::Duration;
 
 const OPS_PER_SAMPLE: usize = 64;
 
@@ -29,46 +26,26 @@ fn spec() -> SystemSpec {
         .expect("valid spec")
 }
 
-fn manager() -> ResourceManager {
-    // Capacity covers a whole sample: the front-end case queues every
-    // admission of a batch before the first release is submitted.
-    let manager = ResourceManager::new(ResourceManagerConfig {
-        shards: 1,
-        capacity_per_shard: OPS_PER_SAMPLE,
-        queue_mode: QueueMode::Fifo,
-        admit_timeout: Some(Duration::from_secs(5)),
-    });
-    manager.bind_workload(spec());
-    manager
+fn fleet() -> FleetManager {
+    // One group of one shard whose capacity covers a whole sample: the
+    // front-end case queues every admission of a batch before the first
+    // release is submitted.
+    FleetManager::new(
+        spec(),
+        FleetConfig::uniform(1, 1, OPS_PER_SAMPLE, RoutingPolicy::LeastUtilised),
+    )
+    .expect("valid fleet")
 }
 
 fn bench_front_end_vs_direct(c: &mut Criterion) {
-    println!("\n===== Front-end vs direct-manager admission throughput =====");
+    println!("\n===== Front-end vs direct service admission throughput =====");
     println!("{OPS_PER_SAMPLE} admit+release round-trips per sample:");
 
     let mut group = c.benchmark_group("frontend");
     group.sample_size(15);
 
-    // (a) Direct ticket API — the baseline.
-    let direct = manager();
-    let (graph_a, _) = figure2_graphs();
-    let nodes = [NodeId(0), NodeId(1), NodeId(2)];
-    group.bench_function(BenchmarkId::new("direct_manager", "tickets"), |b| {
-        let app = Application::new("bench", graph_a.clone()).expect("valid graph");
-        b.iter(|| {
-            for _ in 0..OPS_PER_SAMPLE {
-                let ticket = direct
-                    .admit(0, app.clone(), &nodes, None)
-                    .expect("no analysis error")
-                    .ticket()
-                    .expect("no contract set");
-                ticket.release();
-            }
-        });
-    });
-
-    // (b) The same manager through the AdmissionService trait.
-    let service = manager();
+    // (a) The fleet through the AdmissionService trait — the baseline.
+    let service = fleet();
     group.bench_function(BenchmarkId::new("service_trait", "decisions"), |b| {
         b.iter(|| {
             for _ in 0..OPS_PER_SAMPLE {
@@ -80,10 +57,10 @@ fn bench_front_end_vs_direct(c: &mut Criterion) {
         });
     });
 
-    // (c) Queued through the async front-end, batched submissions.
+    // (b) Queued through the async front-end, batched submissions.
     for workers in [1usize, 4] {
         let front = FrontEnd::new(
-            Box::new(manager()),
+            Box::new(fleet()),
             FrontEndConfig {
                 workers,
                 queue_capacity: OPS_PER_SAMPLE * 2,

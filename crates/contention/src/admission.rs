@@ -59,9 +59,11 @@
 //! [`remove`](AdmissionController::remove)); it is `Send + Sync` and
 //! `Clone`, so concurrent front-ends wrap it in their own locking and take
 //! cheap snapshots for read-only analysis. The `runtime` crate's
-//! `ResourceManager` does exactly that: sharded controllers behind mutexes
-//! with ticket-based admit/release, bounded waiting and an estimate cache —
-//! the "run-time manager" deployment the paper's conclusions sketch.
+//! `FleetManager` does exactly that: each platform group holds one
+//! controller per shard behind a mutex and answers every request at once
+//! (admit, reject on a violated contract, or saturate when the shard is
+//! full) — the "run-time manager" deployment the paper's conclusions
+//! sketch.
 
 use crate::compose::Composite;
 use crate::load::ActorLoad;
@@ -152,16 +154,6 @@ impl fmt::Display for AdmissionOutcome {
 }
 
 impl AdmissionOutcome {
-    /// `true` iff the application was admitted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "divergent per-type helper; convert to the shared \
-                `runtime::AdmissionDecision` (or match the variant directly)"
-    )]
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmissionOutcome::Admitted { .. })
-    }
-
     /// The assigned id, if admitted.
     pub fn admitted_id(&self) -> Option<AppId> {
         match self {

@@ -1,8 +1,9 @@
 //! Multi-platform fleet management: routing, rebalancing, journaling.
 //!
 //! A [`FleetManager`] serves admissions for **one workload spec across many
-//! named platform groups** — heterogeneous node groups, each a sharded
-//! [`ResourceManager`] with its own capacity. Requests are routed by a
+//! named platform groups** — heterogeneous node groups, each a set of
+//! admission shards (one [`contention::AdmissionController`] per shard,
+//! behind its own lock) with its own capacity. Requests are routed by a
 //! pluggable [`RoutingPolicy`] (least-utilised, round-robin,
 //! affinity-by-use-case), residents can be [moved](FleetManager::move_resident)
 //! between groups by a [`rebalance`](FleetManager::rebalance) pass, and
@@ -15,7 +16,8 @@
 //! [`FleetAdmission::Saturated`] immediately instead of queueing, which
 //! keeps every decision a pure function of the group's resident mix at its
 //! journal position — the property deterministic replay rests on. Callers
-//! wanting bounded waiting use a [`ResourceManager`] directly.
+//! wanting to queue submit through a [`FrontEnd`](crate::FrontEnd), which
+//! queues submissions, never decisions.
 //!
 //! # Example
 //!
@@ -51,20 +53,16 @@ use crate::journal::{
     DecisionEvent, Journal, JournalError, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome,
     ScaleRefusal,
 };
-use crate::manager::{
-    Admission, AdmitError, QueueMode, ResourceManager, ResourceManagerConfig, Ticket,
-};
 use crate::telemetry::TraceRecorder;
 use crate::wal::{CheckpointGroup, CheckpointResident, FleetCheckpoint};
-use contention::Violation;
-use platform::{Application, NodeId, SystemSpec};
+use contention::{AdmissionController, AdmissionOutcome, ContentionError, Violation};
+use platform::{AppId, Application, NodeId, SystemSpec};
 use sdf::Rational;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Duration;
 
 /// How the fleet picks a group for an incoming admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -261,8 +259,12 @@ pub enum FleetError {
         /// Number of violated requirements.
         violations: usize,
     },
-    /// The underlying admission machinery failed.
-    Admit(AdmitError),
+    /// The fleet was [stopped](FleetManager::stop) before a decision was
+    /// made.
+    Stopped,
+    /// The contention analysis failed; no decision was made (see the
+    /// admission module's rejection-versus-error contract).
+    Analysis(ContentionError),
     /// A checkpointed resident could not be restored into the fleet —
     /// the shape differs from the recording, or the snapshot is stale.
     Restore {
@@ -289,7 +291,8 @@ impl fmt::Display for FleetError {
                     "target group {to} rejected the move ({violations} violations)"
                 )
             }
-            FleetError::Admit(e) => write!(f, "admission failure: {e}"),
+            FleetError::Stopped => write!(f, "fleet is stopped"),
+            FleetError::Analysis(e) => write!(f, "analysis failure: {e}"),
             FleetError::Restore { resident, reason } => {
                 write!(f, "cannot restore resident #{resident}: {reason}")
             }
@@ -300,21 +303,14 @@ impl fmt::Display for FleetError {
 impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FleetError::Admit(e) => Some(e),
+            FleetError::Analysis(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<AdmitError> for FleetError {
-    fn from(e: AdmitError) -> Self {
-        FleetError::Admit(e)
-    }
-}
-
-/// Decision of a fleet admission attempt. Unlike
-/// [`Admission`], saturation (no free capacity on the
-/// routed group) is a decision here, not a timeout: fleet admissions never
+/// Decision of a fleet admission attempt. Saturation (no free capacity on
+/// the routed group) is a decision, not an error: fleet admissions never
 /// wait.
 #[derive(Debug)]
 pub enum FleetAdmission {
@@ -335,16 +331,6 @@ pub enum FleetAdmission {
 }
 
 impl FleetAdmission {
-    /// `true` iff admitted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "divergent per-type helper; use `ticket()`, match the variant, \
-                or convert to the shared `AdmissionDecision` via `From`"
-    )]
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, FleetAdmission::Admitted(_))
-    }
-
     /// The ticket, if admitted.
     pub fn ticket(self) -> Option<FleetTicket> {
         match self {
@@ -362,10 +348,12 @@ impl FleetAdmission {
     }
 }
 
-/// A live resident held by the fleet.
+/// A live resident held by the fleet, and where it lives: the shard of
+/// its group and the id that shard's controller gave it.
 struct ResidentEntry {
     group: usize,
-    ticket: Ticket,
+    shard: usize,
+    app: AppId,
     app_index: usize,
     required_throughput: Option<Rational>,
     /// Journal sequence number of the admission that created the resident
@@ -382,9 +370,30 @@ struct GroupCounters {
     saturated: AtomicU64,
 }
 
+/// What one shard decided for one admission.
+enum ShardDecision {
+    /// Admitted on `shard` under the controller-assigned `app` id.
+    Admitted {
+        shard: usize,
+        app: AppId,
+        predicted_period: Rational,
+    },
+    /// Rejected by throughput contracts; nothing changed.
+    Rejected(Vec<Violation>),
+    /// The shard was at capacity; the controller never ran.
+    Full,
+}
+
 struct GroupRuntime {
     config: GroupConfig,
-    manager: ResourceManager,
+    /// One admission controller per shard, each behind its own lock, so
+    /// the shards of a group decide in parallel.
+    shards: Vec<Mutex<AdmissionController>>,
+    /// Live per-shard capacity: starts at `config.capacity_per_shard` and
+    /// moves with elastic grow/shrink. Decisions read it at decision time,
+    /// so a shrink evicts nobody — an over-full shard refuses admissions
+    /// until it drains below the new bound.
+    capacity_per_shard: AtomicUsize,
     /// Serializes decision + journal append, so the journal order is a
     /// valid serialization of this group's decision order.
     order: Mutex<()>,
@@ -402,12 +411,10 @@ struct GroupRuntime {
 impl GroupRuntime {
     fn from_config(config: GroupConfig, added_after_header: bool) -> GroupRuntime {
         GroupRuntime {
-            manager: ResourceManager::new(ResourceManagerConfig {
-                shards: config.shards,
-                capacity_per_shard: config.capacity_per_shard,
-                queue_mode: QueueMode::Fifo,
-                admit_timeout: Some(Duration::ZERO),
-            }),
+            shards: (0..config.shards.max(1))
+                .map(|_| Mutex::new(AdmissionController::new()))
+                .collect(),
+            capacity_per_shard: AtomicUsize::new(config.capacity_per_shard.max(1)),
             config,
             order: Mutex::new(()),
             counters: GroupCounters::default(),
@@ -425,8 +432,78 @@ impl GroupRuntime {
         if self.is_retired() {
             0
         } else {
-            self.manager.capacity()
+            self.shards.len() * self.capacity_per_shard()
         }
+    }
+
+    fn capacity_per_shard(&self) -> usize {
+        self.capacity_per_shard.load(Ordering::Acquire)
+    }
+
+    /// Moves the per-shard capacity to `capacity` (clamped to ≥ 1).
+    fn set_capacity_per_shard(&self, capacity: usize) {
+        self.capacity_per_shard
+            .store(capacity.max(1), Ordering::Release);
+    }
+
+    /// The shard hosting application `app_index`. It must be a pure
+    /// function of journal-visible data so replay rebuilds the same
+    /// per-shard mixes; one RNG step spreads sequential indices.
+    fn shard_for(&self, app_index: usize) -> usize {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        StdRng::seed_from_u64(app_index as u64).next_u64() as usize % self.shards.len()
+    }
+
+    /// Resident count of every shard, in shard order.
+    fn shard_occupancy(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| lock(s).resident_count())
+            .collect()
+    }
+
+    /// Live residents across the group's shards (mid-move duplicates
+    /// included).
+    fn resident_count(&self) -> usize {
+        self.shards.iter().map(|s| lock(s).resident_count()).sum()
+    }
+
+    /// Decides one admission of `app` (an instance of the spec's
+    /// application `app_index`) on its shard without waiting: a shard at
+    /// capacity answers [`ShardDecision::Full`] before the analysis runs.
+    fn decide(
+        &self,
+        app_index: usize,
+        app: Application,
+        assignment: &[NodeId],
+        required_throughput: Option<Rational>,
+    ) -> Result<ShardDecision, ContentionError> {
+        let shard = self.shard_for(app_index);
+        let mut ctrl = lock(&self.shards[shard]);
+        if ctrl.resident_count() >= self.capacity_per_shard() {
+            return Ok(ShardDecision::Full);
+        }
+        Ok(match ctrl.admit(app, assignment, required_throughput)? {
+            AdmissionOutcome::Admitted {
+                id,
+                predicted_periods,
+            } => ShardDecision::Admitted {
+                shard,
+                app: id,
+                predicted_period: predicted_periods
+                    .get(&id)
+                    .copied()
+                    .unwrap_or(Rational::ZERO),
+            },
+            AdmissionOutcome::Rejected { violations } => ShardDecision::Rejected(violations),
+        })
+    }
+
+    /// Removes a resident from the shard that admitted it.
+    fn release(&self, shard: usize, app: AppId) {
+        // The id came from this shard's controller and each resident is
+        // released once, so the removal cannot miss.
+        let _ = lock(&self.shards[shard]).remove(app);
     }
 }
 
@@ -442,6 +519,8 @@ struct FleetInner {
     rebalances: AtomicU64,
     resizes: AtomicU64,
     resize_refusals: AtomicU64,
+    /// Set by [`FleetManager::stop`]: decisions fail, releases still work.
+    stopped: AtomicBool,
     /// Optional flight recorder for fleet-level decision spans
     /// (see [`FleetManager::attach_trace`]).
     trace: OnceLock<Arc<TraceRecorder>>,
@@ -572,6 +651,7 @@ impl FleetManager {
                 rebalances: AtomicU64::new(0),
                 resizes: AtomicU64::new(0),
                 resize_refusals: AtomicU64::new(0),
+                stopped: AtomicBool::new(false),
                 trace: OnceLock::new(),
             }),
         })
@@ -649,14 +729,14 @@ impl FleetManager {
         lock(&self.inner.residents).len()
     }
 
-    /// Live residents on one group (via its manager, so the number also
-    /// counts admissions made around the fleet, e.g. mid-move duplicates).
+    /// Live residents on one group, counted on its shards (so a resident
+    /// mid-move briefly counts on both groups).
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownGroup`] if out of range.
     pub fn resident_count_of(&self, group: usize) -> Result<usize, FleetError> {
-        Ok(self.group(group)?.manager.resident_count())
+        Ok(self.group(group)?.resident_count())
     }
 
     /// Group a live resident currently lives on (rebalancing moves it).
@@ -702,7 +782,7 @@ impl FleetManager {
     pub fn group_shape(&self, group: usize) -> Result<crate::journal::GroupShape, FleetError> {
         let g = self.group(group)?;
         let mut shape = g.config.to_shape();
-        shape.capacity_per_shard = g.manager.capacity_per_shard() as u64;
+        shape.capacity_per_shard = g.capacity_per_shard() as u64;
         Ok(shape)
     }
 
@@ -744,7 +824,8 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Admit`] on analysis failures (no decision was made,
+    /// [`FleetError::Stopped`] after [`stop`](Self::stop) and
+    /// [`FleetError::Analysis`] on analysis failures (no decision was made,
     /// nothing is journaled).
     pub fn admit(
         &self,
@@ -762,7 +843,8 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownGroup`] / [`FleetError::Admit`].
+    /// [`FleetError::UnknownGroup`] / [`FleetError::Stopped`] /
+    /// [`FleetError::Analysis`].
     pub fn admit_to(
         &self,
         group: usize,
@@ -779,7 +861,8 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownGroup`] / [`FleetError::Admit`].
+    /// [`FleetError::UnknownGroup`] / [`FleetError::Stopped`] /
+    /// [`FleetError::Analysis`].
     pub fn admit_to_with_affinity(
         &self,
         group: usize,
@@ -789,22 +872,14 @@ impl FleetManager {
     ) -> Result<FleetAdmission, FleetError> {
         let g = self.group(group)?;
         let app_index = app_index % self.inner.spec.application_count();
-        let (app, assignment) = self.instantiate(app_index);
-        // Shard choice must be a pure function of journal-visible data so
-        // replay reproduces the same per-shard mixes.
-        let shard = g.manager.shard_for(app_index as u64);
-
         let _order = lock(&g.order);
-        match g.manager.admit_within(
-            shard,
-            app,
-            &assignment,
-            required_throughput,
-            Some(Duration::ZERO),
-        ) {
-            Ok(Admission::Admitted(ticket)) => {
+        match self.decide(&g, app_index, required_throughput)? {
+            ShardDecision::Admitted {
+                shard,
+                app,
+                predicted_period,
+            } => {
                 let resident = self.inner.next_resident.fetch_add(1, Ordering::Relaxed);
-                let predicted_period = ticket.predicted_period().unwrap_or(Rational::ZERO);
                 // Journal first: the resident entry records its admission's
                 // sequence number (snapshot checkpoints fold it). Both steps
                 // happen under the group's order lock, and a checkpoint
@@ -824,7 +899,8 @@ impl FleetManager {
                     resident,
                     ResidentEntry {
                         group,
-                        ticket,
+                        shard,
+                        app,
                         app_index,
                         required_throughput,
                         admitted_seq,
@@ -838,7 +914,7 @@ impl FleetManager {
                     predicted_period,
                 }))
             }
-            Ok(Admission::Rejected { violations }) => {
+            ShardDecision::Rejected(violations) => {
                 g.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 self.inner.journal.append(DecisionEvent::Admit {
                     group: group as u64,
@@ -851,7 +927,7 @@ impl FleetManager {
                 });
                 Ok(FleetAdmission::Rejected { group, violations })
             }
-            Err(AdmitError::Timeout) => {
+            ShardDecision::Full => {
                 g.counters.saturated.fetch_add(1, Ordering::Relaxed);
                 self.inner.journal.append(DecisionEvent::Admit {
                     group: group as u64,
@@ -862,8 +938,45 @@ impl FleetManager {
                 });
                 Ok(FleetAdmission::Saturated { group })
             }
-            Err(e) => Err(FleetError::Admit(e)),
         }
+    }
+
+    /// Decides one admission of the spec's application `app_index`
+    /// (already reduced modulo the app count) on group `g`, without
+    /// waiting. A stopped fleet refuses before capacity is checked.
+    fn decide(
+        &self,
+        g: &GroupRuntime,
+        app_index: usize,
+        required_throughput: Option<Rational>,
+    ) -> Result<ShardDecision, FleetError> {
+        if self.inner.stopped.load(Ordering::Acquire) {
+            return Err(FleetError::Stopped);
+        }
+        let (app, assignment) = self.instantiate(app_index);
+        g.decide(app_index, app, &assignment, required_throughput)
+            .map_err(FleetError::Analysis)
+    }
+
+    /// Points a live resident at its new placement (`group`, `shard`,
+    /// controller id `app`) and returns its old `(shard, app)`, for the
+    /// caller to free on the source group.
+    fn relocate(
+        &self,
+        resident: u64,
+        group: usize,
+        shard: usize,
+        app: AppId,
+    ) -> Result<(usize, AppId), FleetError> {
+        let mut residents = lock(&self.inner.residents);
+        let entry = residents
+            .get_mut(&resident)
+            .ok_or(FleetError::UnknownResident(resident))?;
+        entry.group = group;
+        Ok((
+            std::mem::replace(&mut entry.shard, shard),
+            std::mem::replace(&mut entry.app, app),
+        ))
     }
 
     /// Moves a live resident to another group: admit on the target (same
@@ -878,8 +991,9 @@ impl FleetManager {
     ///
     /// [`FleetError::UnknownResident`] / [`FleetError::UnknownGroup`] /
     /// [`FleetError::SameGroup`] / [`FleetError::MoveSaturated`] /
-    /// [`FleetError::MoveRejected`] / [`FleetError::Admit`]. Failed moves
-    /// change nothing and journal nothing.
+    /// [`FleetError::MoveRejected`] / [`FleetError::Stopped`] /
+    /// [`FleetError::Analysis`]. Failed moves change nothing and journal
+    /// nothing.
     pub fn move_resident(&self, resident: u64, to: usize) -> Result<Rational, FleetError> {
         if to >= self.group_count() {
             return Err(FleetError::UnknownGroup(to));
@@ -898,11 +1012,14 @@ impl FleetManager {
             if from == to {
                 return Err(FleetError::SameGroup { group: from });
             }
-            let (lo, hi) = (from.min(to), from.max(to));
-            let g_lo = self.group(lo)?;
-            let g_hi = self.group(hi)?;
-            let _order_lo = lock(&g_lo.order);
-            let _order_hi = lock(&g_hi.order);
+            let (source, target) = (self.group(from)?, self.group(to)?);
+            let (first, second) = if from < to {
+                (&source, &target)
+            } else {
+                (&target, &source)
+            };
+            let _order_first = lock(&first.order);
+            let _order_second = lock(&second.order);
             {
                 let residents = lock(&self.inner.residents);
                 match residents.get(&resident) {
@@ -912,27 +1029,15 @@ impl FleetManager {
                 }
             }
 
-            let target = self.group(to)?;
-            let (app, assignment) = self.instantiate(app_index);
-            let shard = target.manager.shard_for(app_index as u64);
-            return match target.manager.admit_within(
-                shard,
-                app,
-                &assignment,
-                required,
-                Some(Duration::ZERO),
-            ) {
-                Ok(Admission::Admitted(new_ticket)) => {
-                    let predicted_period = new_ticket.predicted_period().unwrap_or(Rational::ZERO);
-                    let old_ticket = {
-                        let mut residents = lock(&self.inner.residents);
-                        let entry = residents
-                            .get_mut(&resident)
-                            .expect("verified live under group locks");
-                        entry.group = to;
-                        std::mem::replace(&mut entry.ticket, new_ticket)
-                    };
-                    old_ticket.release();
+            return match self.decide(&target, app_index, required)? {
+                ShardDecision::Admitted {
+                    shard,
+                    app,
+                    predicted_period,
+                } => {
+                    // Verified live under both group locks.
+                    let (old_shard, old_app) = self.relocate(resident, to, shard, app)?;
+                    source.release(old_shard, old_app);
                     self.inner.rebalances.fetch_add(1, Ordering::Relaxed);
                     self.inner.journal.append(DecisionEvent::Rebalance {
                         resident,
@@ -942,12 +1047,11 @@ impl FleetManager {
                     });
                     Ok(predicted_period)
                 }
-                Ok(Admission::Rejected { violations }) => Err(FleetError::MoveRejected {
+                ShardDecision::Rejected(violations) => Err(FleetError::MoveRejected {
                     to,
                     violations: violations.len(),
                 }),
-                Err(AdmitError::Timeout) => Err(FleetError::MoveSaturated { to }),
-                Err(e) => Err(FleetError::Admit(e)),
+                ShardDecision::Full => Err(FleetError::MoveSaturated { to }),
             };
         }
     }
@@ -965,7 +1069,7 @@ impl FleetManager {
             .collect();
         let loads: Vec<(usize, usize)> = indices
             .iter()
-            .map(|&i| (groups[i].manager.resident_count(), groups[i].capacity()))
+            .map(|&i| (groups[i].resident_count(), groups[i].capacity()))
             .collect();
         let from_pos = max_utilised(&loads)?;
         let to_pos = min_utilised(&loads)?;
@@ -1001,7 +1105,7 @@ impl FleetManager {
             .groups_snapshot()
             .iter()
             .map(|g| {
-                let residents = g.manager.resident_count();
+                let residents = g.resident_count();
                 let capacity = g.capacity();
                 GroupSnapshot {
                     name: g.config.name.clone(),
@@ -1075,7 +1179,7 @@ impl FleetManager {
             .iter()
             .enumerate()
             .filter_map(|(i, g)| {
-                let capacity = g.manager.capacity_per_shard();
+                let capacity = g.capacity_per_shard();
                 let resized = capacity != g.config.capacity_per_shard;
                 let retired = g.is_retired();
                 if !(resized || retired || g.added_after_header) {
@@ -1127,13 +1231,12 @@ impl FleetManager {
     ///
     /// [`FleetError::Restore`] when the resident id is already live or the
     /// (hypothetical) shape rejects the re-admission;
-    /// [`FleetError::UnknownGroup`] / [`FleetError::Admit`].
+    /// [`FleetError::UnknownGroup`] / [`FleetError::Stopped`] /
+    /// [`FleetError::Analysis`].
     pub fn restore_resident(&self, restored: &CheckpointResident) -> Result<(), FleetError> {
         let group_index = restored.group as usize;
         let g = self.group(group_index)?;
         let app_index = (restored.app_index as usize) % self.inner.spec.application_count();
-        let (app, assignment) = self.instantiate(app_index);
-        let shard = g.manager.shard_for(app_index as u64);
         let _order = lock(&g.order);
         if lock(&self.inner.residents).contains_key(&restored.resident) {
             return Err(FleetError::Restore {
@@ -1141,19 +1244,14 @@ impl FleetManager {
                 reason: "resident id already live".to_string(),
             });
         }
-        match g.manager.admit_within(
-            shard,
-            app,
-            &assignment,
-            restored.required_throughput,
-            Some(Duration::ZERO),
-        ) {
-            Ok(Admission::Admitted(ticket)) => {
+        match self.decide(&g, app_index, restored.required_throughput)? {
+            ShardDecision::Admitted { shard, app, .. } => {
                 lock(&self.inner.residents).insert(
                     restored.resident,
                     ResidentEntry {
                         group: group_index,
-                        ticket,
+                        shard,
+                        app,
                         app_index,
                         required_throughput: restored.required_throughput,
                         admitted_seq: restored.admitted_seq,
@@ -1165,15 +1263,14 @@ impl FleetManager {
                     .fetch_max(restored.resident + 1, Ordering::Relaxed);
                 Ok(())
             }
-            Ok(Admission::Rejected { violations }) => Err(FleetError::Restore {
+            ShardDecision::Rejected(violations) => Err(FleetError::Restore {
                 resident: restored.resident,
                 reason: format!("re-admission rejected ({} violations)", violations.len()),
             }),
-            Err(AdmitError::Timeout) => Err(FleetError::Restore {
+            ShardDecision::Full => Err(FleetError::Restore {
                 resident: restored.resident,
                 reason: format!("group {group_index} is full"),
             }),
-            Err(e) => Err(FleetError::Admit(e)),
         }
     }
 
@@ -1208,7 +1305,7 @@ impl FleetManager {
                     ),
                 })?;
                 if let Some(capacity) = shape.capacity_per_shard {
-                    g.manager.set_capacity_per_shard(capacity as usize);
+                    g.set_capacity_per_shard(capacity as usize);
                 }
                 if shape.retired {
                     g.retired.store(true, Ordering::Release);
@@ -1295,57 +1392,43 @@ impl FleetManager {
     /// Releases a resident without journaling — recovery re-applies
     /// recorded releases whose entries are already in the journal.
     fn release_unjournaled(&self, resident: u64) -> bool {
-        let entry = lock(&self.inner.residents).remove(&resident);
-        match entry {
-            Some(entry) => {
-                entry.ticket.release();
-                true
-            }
-            None => false,
+        let Some(entry) = lock(&self.inner.residents).remove(&resident) else {
+            return false;
+        };
+        if let Ok(g) = self.group(entry.group) {
+            g.release(entry.shard, entry.app);
         }
+        true
     }
 
     /// Moves a resident without journaling — recovery re-applies recorded
     /// rebalances whose entries are already in the journal.
     fn move_unjournaled(&self, resident: u64, to: usize) -> Result<(), FleetError> {
-        let (app_index, required) = {
+        let (from, app_index, required) = {
             let residents = lock(&self.inner.residents);
             let entry = residents
                 .get(&resident)
                 .ok_or(FleetError::UnknownResident(resident))?;
-            (entry.app_index, entry.required_throughput)
+            (entry.group, entry.app_index, entry.required_throughput)
         };
-        let target = self.group(to)?;
-        let (app, assignment) = self.instantiate(app_index);
-        let shard = target.manager.shard_for(app_index as u64);
-        match target
-            .manager
-            .admit_within(shard, app, &assignment, required, Some(Duration::ZERO))
-        {
-            Ok(Admission::Admitted(new_ticket)) => {
-                let old_ticket = {
-                    let mut residents = lock(&self.inner.residents);
-                    let entry = residents
-                        .get_mut(&resident)
-                        .ok_or(FleetError::UnknownResident(resident))?;
-                    entry.group = to;
-                    std::mem::replace(&mut entry.ticket, new_ticket)
-                };
-                old_ticket.release();
+        let (source, target) = (self.group(from)?, self.group(to)?);
+        match self.decide(&target, app_index, required)? {
+            ShardDecision::Admitted { shard, app, .. } => {
+                let (old_shard, old_app) = self.relocate(resident, to, shard, app)?;
+                source.release(old_shard, old_app);
                 Ok(())
             }
-            Ok(Admission::Rejected { violations }) => Err(FleetError::Restore {
+            ShardDecision::Rejected(violations) => Err(FleetError::Restore {
                 resident,
                 reason: format!(
                     "recorded rebalance to group {to} rejected ({} violations)",
                     violations.len()
                 ),
             }),
-            Err(AdmitError::Timeout) => Err(FleetError::Restore {
+            ShardDecision::Full => Err(FleetError::Restore {
                 resident,
                 reason: format!("recorded rebalance target group {to} is full"),
             }),
-            Err(e) => Err(FleetError::Admit(e)),
         }
     }
 
@@ -1493,7 +1576,7 @@ impl FleetManager {
             return ScaleOutcome::Refused { reason };
         }
         if is_shrink {
-            let occupancy = g.manager.shard_occupancy();
+            let occupancy = g.shard_occupancy();
             if let Some((shard, residents)) = occupancy
                 .iter()
                 .enumerate()
@@ -1514,7 +1597,7 @@ impl FleetManager {
                 return ScaleOutcome::Refused { reason };
             }
         }
-        g.manager.set_capacity_per_shard(capacity_per_shard);
+        g.set_capacity_per_shard(capacity_per_shard);
         self.append_resize(action, ScaleOutcome::Applied);
         ScaleOutcome::Applied
     }
@@ -1575,7 +1658,7 @@ impl FleetManager {
         let placements = {
             let residents = lock(&self.inner.residents);
             let mut occupancy: Vec<Vec<usize>> =
-                groups.iter().map(|g| g.manager.shard_occupancy()).collect();
+                groups.iter().map(|g| g.shard_occupancy()).collect();
             let mut placements: Vec<(u64, usize)> = Vec::new();
             for (&id, entry) in residents.iter().filter(|(_, e)| e.group == group) {
                 let mut placed = false;
@@ -1583,8 +1666,8 @@ impl FleetManager {
                     if i == group || candidate.is_retired() {
                         continue;
                     }
-                    let shard = candidate.manager.shard_for(entry.app_index as u64);
-                    if occupancy[i][shard] < candidate.manager.capacity_per_shard() {
+                    let shard = candidate.shard_for(entry.app_index);
+                    if occupancy[i][shard] < candidate.capacity_per_shard() {
                         occupancy[i][shard] += 1;
                         placements.push((id, i));
                         placed = true;
@@ -1658,8 +1741,7 @@ impl FleetManager {
                 capacity_per_shard,
             } => {
                 let g = self.group(*group as usize)?;
-                g.manager
-                    .set_capacity_per_shard(*capacity_per_shard as usize);
+                g.set_capacity_per_shard(*capacity_per_shard as usize);
             }
             ScaleAction::AddGroup { group, shape } => {
                 self.apply_add_group(*group as usize, GroupConfig::from_shape(shape))?;
@@ -1689,11 +1771,11 @@ impl FleetManager {
         Ok(())
     }
 
-    /// Stops every group's manager (new admissions fail, residents drain).
+    /// Stops the fleet: every later admission, move or restore fails with
+    /// [`FleetError::Stopped`] and journals nothing, while live residents
+    /// still release (by id or by dropping their tickets) so load drains.
     pub fn stop(&self) {
-        for g in self.inner.groups_snapshot() {
-            g.manager.stop();
-        }
+        self.inner.stopped.store(true, Ordering::Release);
     }
 
     fn group(&self, index: usize) -> Result<Arc<GroupRuntime>, FleetError> {
@@ -1733,7 +1815,7 @@ impl FleetInner {
                 }
             };
             if let Some(entry) = entry {
-                entry.ticket.release();
+                g.release(entry.shard, entry.app);
                 self.released.fetch_add(1, Ordering::Relaxed);
                 self.journal.append(DecisionEvent::Release { resident });
                 return true;
@@ -1753,7 +1835,7 @@ fn least_utilised(groups: &[Arc<GroupRuntime>], eligible: impl Fn(&GroupRuntime)
         if g.is_retired() || !eligible(g) {
             continue;
         }
-        let key = (g.manager.resident_count(), g.capacity());
+        let key = (g.resident_count(), g.capacity());
         let better = match best_key {
             None => true,
             // r_i / c_i < r_best / c_best  ⇔  r_i · c_best < r_best · c_i
@@ -2081,6 +2163,64 @@ mod tests {
             assert_eq!(policy.to_string().parse::<RoutingPolicy>(), Ok(policy));
         }
         assert!("bogus".parse::<RoutingPolicy>().is_err());
+    }
+
+    #[test]
+    fn stopped_fleet_refuses_decisions_and_drains() {
+        use crate::{AdmissionRequest, AdmissionService, ServiceError};
+        let f = fleet(2, 4, RoutingPolicy::LeastUtilised);
+        let ticket = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
+        let by_id = AdmissionService::admit(&f, &AdmissionRequest::new(1).on(0))
+            .unwrap()
+            .resident()
+            .unwrap();
+        f.stop();
+        assert_eq!(f.admit(0, None, None).unwrap_err(), FleetError::Stopped);
+        assert_eq!(
+            AdmissionService::admit(&f, &AdmissionRequest::new(0)).unwrap_err(),
+            ServiceError::Stopped
+        );
+        assert_eq!(f.move_resident(by_id, 1).unwrap_err(), FleetError::Stopped);
+        // The refused calls journaled nothing beyond the two admissions.
+        assert_eq!(f.journal().len(), 2);
+        // Residents still release, by id and by dropping the ticket, each
+        // journaling one release.
+        assert!(f.release_resident(by_id));
+        drop(ticket);
+        assert_eq!(f.resident_count(), 0);
+        assert_eq!(f.resident_count_of(0).unwrap(), 0);
+        assert!(matches!(
+            f.journal().events().as_slice(),
+            [
+                DecisionEvent::Admit { .. },
+                DecisionEvent::Admit { .. },
+                DecisionEvent::Release { .. },
+                DecisionEvent::Release { .. },
+            ]
+        ));
+    }
+
+    #[test]
+    fn shard_placement_is_pinned_and_shards_fill_independently() {
+        // Recorded journals of multi-shard fleets replay only while the
+        // placement hash stays exactly this.
+        let f = FleetManager::new(
+            spec(),
+            FleetConfig::uniform(1, 4, 1, RoutingPolicy::LeastUtilised),
+        )
+        .unwrap();
+        let g = f.group(0).unwrap();
+        let placement: Vec<usize> = (0..10).map(|app_index| g.shard_for(app_index)).collect();
+        assert_eq!(placement, [3, 1, 2, 1, 2, 2, 0, 3, 2, 0]);
+        // App 0 fills shard 3: a second instance saturates there though
+        // the group has free shards, while app 1 still lands on shard 1.
+        let _a = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
+        assert!(matches!(
+            f.admit_to(0, 0, None).unwrap(),
+            FleetAdmission::Saturated { group: 0 }
+        ));
+        let _b = f.admit_to(0, 1, None).unwrap().ticket().unwrap();
+        assert_eq!(g.shard_occupancy(), [0, 1, 0, 1]);
     }
 
     #[test]

@@ -5,26 +5,22 @@
 //! implements that controller single-threaded; this crate turns it into an
 //! online service able to serve heavy concurrent traffic:
 //!
-//! * [`ResourceManager`] — sharded, thread-safe admission front-end with
-//!   ticket-based admit/release, FIFO/LIFO bounded waiting, timeouts and
-//!   graceful [`stop`](ResourceManager::stop);
+//! * [`FleetManager`] — the one admission path: admissions routed across
+//!   many named platform groups ([`RoutingPolicy`]: least-utilised,
+//!   round-robin, affinity-by-use-case), each a set of sharded
+//!   admission controllers deciding admit, reject or saturate without
+//!   waiting, with cross-group rebalancing, elastic resizing and
+//!   fleet-wide metrics;
 //! * [`EstimateCache`] — LRU memoization of [`contention::estimate`]
 //!   results keyed by (spec fingerprint, use-case mask, method), with
 //!   observable hit/miss counters;
-//! * [`BatchExecutor`] — a worker-thread-pool request drain reporting
-//!   throughput, per-class latency order statistics and rejection counts
-//!   (the engine behind `probcon serve-bench`);
-//! * [`FleetManager`] — admissions routed across many named platform
-//!   groups ([`RoutingPolicy`]: least-utilised, round-robin,
-//!   affinity-by-use-case) with cross-group rebalancing and fleet-wide
-//!   metrics;
 //! * [`Journal`] — an append-only, checksummed log of every
 //!   admit/reject/release/rebalance decision, with [`JournalReplayer`]
 //!   verifying that re-executing a journal against a fresh fleet
 //!   reproduces every outcome (the engine behind `probcon fleet-bench` /
 //!   `probcon replay`);
-//! * [`AdmissionService`] — the unified service trait both managers
-//!   implement, with composable middleware layers [`Cached`],
+//! * [`AdmissionService`] — the unified service trait the fleet
+//!   implements, with composable middleware layers [`Cached`],
 //!   [`Journaled`] and [`Metered`] (see [`service`]);
 //! * [`FrontEnd`] — the async event-loop front-end multiplexing thousands
 //!   of queued admissions over a small worker pool, delivering decisions
@@ -36,10 +32,10 @@
 //!   [`remote`]);
 //! * [`Traced`] / [`TraceRecorder`] / [`TelemetrySnapshot`] — the
 //!   telemetry subsystem: a fixed-capacity flight recorder of structured
-//!   decision events, bounded HDR-style [`LatencyHistogram`]s replacing
-//!   unbounded sample vectors, and a wire-exposed live-metrics surface
-//!   with Prometheus-style rendering (see [`telemetry`], the engine
-//!   behind `probcon top` / `probcon trace`);
+//!   decision events, bounded HDR-style [`LatencyHistogram`]s, and a
+//!   wire-exposed live-metrics surface with Prometheus-style rendering
+//!   (see [`telemetry`], the engine behind `probcon top` /
+//!   `probcon trace`);
 //! * [`PlanRun`] / [`PlanSweep`] — the offline capacity planner: replay
 //!   any recorded journal against hypothetical [`FleetShape`]s (scaled
 //!   capacities, added groups, swapped policies) and report which
@@ -50,32 +46,37 @@
 //! # Example
 //!
 //! ```
-//! use platform::{Application, NodeId};
-//! use runtime::{Admission, ResourceManager, ResourceManagerConfig};
-//! use sdf::{figure2_graphs, Rational};
-//!
-//! let manager = ResourceManager::new(ResourceManagerConfig {
-//!     shards: 1,
-//!     capacity_per_shard: 8,
-//!     ..ResourceManagerConfig::default()
-//! });
+//! use platform::{AppId, Application, Mapping, SystemSpec};
+//! use runtime::{
+//!     AdmissionDecision, AdmissionRequest, AdmissionService, FleetConfig, FleetManager,
+//!     RoutingPolicy,
+//! };
+//! use sdf::figure2_graphs;
 //!
 //! let (a, b) = figure2_graphs();
-//! let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+//! let spec = SystemSpec::builder()
+//!     .application(Application::new("A", a)?)
+//!     .application(Application::new("B", b)?)
+//!     .mapping(Mapping::by_actor_index(3))
+//!     .build()?;
+//! // One group of one shard holding up to 8 residents.
+//! let fleet = FleetManager::new(
+//!     spec.clone(),
+//!     FleetConfig::uniform(1, 1, 8, RoutingPolicy::LeastUtilised),
+//! )?;
 //!
 //! // Admit A; it insists on its full isolation throughput of 1/300.
-//! let ticket = manager
-//!     .admit(0, Application::new("A", a)?, &nodes, Some(Rational::new(1, 300)))?
-//!     .ticket()
-//!     .expect("first admission fits");
+//! let iso = spec.application(AppId(0)).isolation_throughput();
+//! let first = AdmissionService::admit(&fleet, &AdmissionRequest::new(0).with_contract(iso))?;
+//! let resident = first.resident().expect("first admission fits");
 //!
 //! // B would slow A below its contract: rejected, no capacity consumed.
-//! let outcome = manager.admit(0, Application::new("B", b)?, &nodes, None)?;
-//! assert!(outcome.ticket().is_none());
-//! assert_eq!(manager.resident_count(), 1);
+//! let second = AdmissionService::admit(&fleet, &AdmissionRequest::new(1))?;
+//! assert!(matches!(second, AdmissionDecision::Rejected { .. }));
+//! assert_eq!(fleet.resident_count(), 1);
 //!
-//! ticket.release(); // frees the shard for the next request
-//! assert_eq!(manager.resident_count(), 0);
+//! fleet.release(resident)?; // frees the group for the next request
+//! assert_eq!(fleet.resident_count(), 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -83,13 +84,10 @@
 
 pub mod autoscaler;
 pub mod cache;
-pub mod executor;
 pub mod fleet;
 pub mod fleet_bench;
 pub mod frontend;
 pub mod journal;
-pub mod manager;
-pub mod metrics;
 pub mod planner;
 pub mod remote;
 pub mod service;
@@ -101,7 +99,6 @@ pub use autoscaler::{
     GroupObservation, Observation, ScaleDecision, ScalePolicy, TargetPolicy,
 };
 pub use cache::{CacheKey, EstimateCache};
-pub use executor::{seeded_requests, BatchExecutor, BatchReport, Request};
 pub use fleet::{
     FleetAdmission, FleetConfig, FleetError, FleetManager, FleetSnapshot, FleetTicket, GroupConfig,
     GroupSnapshot, RebalanceMove, RoutingPolicy,
@@ -117,16 +114,10 @@ pub use journal::{
     JournalError, JournalHeader, JournalOutcome, JournalPage, JournalReplayer, ReplayReport,
     ScaleAction, ScaleOutcome, ScaleRefusal, JOURNAL_CHECKPOINT_VERSION, JOURNAL_VERSION,
 };
-pub use manager::{
-    Admission, AdmitError, QueueMode, ResourceManager, ResourceManagerConfig, Ticket,
-};
-pub use metrics::{LatencySummary, RuntimeMetrics};
 pub use planner::{
     FleetShape, Flip, FlipKind, GroupUsage, OutcomeTotals, PlanError, PlanReport, PlanRun,
     PlanSweep, PolicyDecision, RouteMode, SaturationWindow, SweepReport,
 };
-#[allow(deprecated)]
-pub use remote::RemoteAddr;
 pub use remote::{
     BinaryCodec, ClientConfig, Endpoint, JournalSource, JsonLinesCodec, RemoteClient,
     RemoteClientStats, RemoteServer, RemoteServerConfig, RemoteServerStats, WireCodec, WireMode,

@@ -545,8 +545,8 @@ impl RemoteClient {
         self.shared.wire
     }
 
-    /// Admission domains (fleet groups / manager shards) the server
-    /// advertised at handshake.
+    /// Admission domains (fleet groups) the server advertised at
+    /// handshake.
     pub fn domains(&self) -> usize {
         self.shared.domains as usize
     }

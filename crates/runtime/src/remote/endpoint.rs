@@ -63,11 +63,6 @@ impl std::str::FromStr for Endpoint {
     }
 }
 
-/// The pre-PR 9 name of [`Endpoint`], kept so downstream code migrates on
-/// its own schedule.
-#[deprecated(note = "renamed to `Endpoint`; the type is identical")]
-pub type RemoteAddr = Endpoint;
-
 /// One accepted or dialed byte stream, TCP or UDS.
 #[derive(Debug)]
 pub(crate) enum Conn {
@@ -249,12 +244,5 @@ mod tests {
                 "error must quote the offending input, got: {err}"
             );
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn remote_addr_alias_still_parses() {
-        let addr: RemoteAddr = "tcp:127.0.0.1:0".parse().unwrap();
-        assert_eq!(addr, Endpoint::Tcp("127.0.0.1:0".to_string()));
     }
 }

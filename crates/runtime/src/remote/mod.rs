@@ -11,9 +11,8 @@
 //!   and drives any `Arc<dyn AdmissionService>`, so a stack like
 //!   `Journaled<Cached<FleetManager>>` serves over the wire unchanged;
 //! * [`RemoteClient`] *implements* the trait, so the
-//!   [`FrontEnd`](crate::FrontEnd), [`BatchExecutor`](crate::BatchExecutor)
-//!   and every existing bench/driver work against a remote fleet with zero
-//!   changes.
+//!   [`FrontEnd`](crate::FrontEnd) and every existing bench/driver work
+//!   against a remote fleet with zero changes.
 //!
 //! # Wire format (protocol v4)
 //!
@@ -108,8 +107,6 @@ mod server;
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
 pub use codec::{BinaryCodec, JsonLinesCodec, WireCodec, WireMode, MAX_FRAME};
 pub use endpoint::Endpoint;
-#[allow(deprecated)]
-pub use endpoint::RemoteAddr;
 pub use server::{JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy};
 
 use crate::journal::JournalPage;
@@ -174,8 +171,8 @@ pub struct ServerHello {
     /// spec-relative requests (and drivers can seed request streams)
     /// without out-of-band configuration. `None` on refusal.
     pub workload: Option<SystemSpec>,
-    /// Admission domains of the served stack (fleet groups / manager
-    /// shards), for drivers that spread requests across domains.
+    /// Admission domains of the served stack (fleet groups), for drivers
+    /// that spread requests across domains.
     pub domains: u64,
     /// Granted [`WireMode`] taking effect after this frame, protocol ≥ 4.
     /// Omitted when the negotiated version predates codecs (always JSON).

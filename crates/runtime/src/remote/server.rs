@@ -286,10 +286,9 @@ struct ServerShared {
 
 impl ServerShared {
     fn handshake_domains(&self) -> u64 {
-        let snapshot = self.service.snapshot();
-        snapshot
+        self.service
+            .snapshot()
             .counter("fleet", "groups")
-            .or_else(|| snapshot.counter("manager", "shards"))
             .unwrap_or(1)
     }
 

@@ -1,13 +1,9 @@
 //! The unified, layered admission-service API.
 //!
-//! Every online surface of this crate used to expose its own
-//! request/response shape: [`ResourceManager`] returned tickets, the
-//! [`FleetManager`] its own admission enum, caching and journaling were
-//! bolted on *beside* the managers. This module turns them into **one
-//! protocol with many channels**: a typed [`AdmissionRequest`] /
-//! [`AdmissionDecision`] vocabulary and an [`AdmissionService`] trait that
-//! both managers implement, plus tower-style middleware that composes via
-//! generics:
+//! Every online surface of this crate speaks **one protocol with many
+//! channels**: a typed [`AdmissionRequest`] / [`AdmissionDecision`]
+//! vocabulary and an [`AdmissionService`] trait that the [`FleetManager`]
+//! implements, plus tower-style middleware that composes via generics:
 //!
 //! * [`Cached<S>`] — serves [`estimate`](AdmissionService::estimate)
 //!   requests from an LRU [`EstimateCache`], with per-layer hit/miss
@@ -60,8 +56,6 @@
 use crate::cache::{lock, CacheKey, EstimateCache};
 use crate::fleet::{FleetAdmission, FleetError, FleetManager};
 use crate::journal::{DecisionEvent, Journal, JournalHeader, JournalOutcome};
-use crate::manager::{Admission, AdmitError, ResourceManager, Ticket};
-use crate::metrics::LatencySummary;
 use crate::telemetry::{
     HistogramRecorder, LatencyHistogram, SpanContext, SpanScope, TelemetrySnapshot, TraceEvent,
     TraceKind, TraceRecorder,
@@ -71,7 +65,6 @@ use experiments::signoff::SignOffReport;
 use platform::{AppId, Application, NodeId, SystemSpec, UseCase};
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -80,9 +73,9 @@ use std::time::{Duration, Instant};
 /// One admission request, phrased against the service's workload spec.
 ///
 /// Requests are *spec-relative*: they name the application by index, so the
-/// same request stream can drive any [`AdmissionService`] — a single
-/// manager, a fleet, or a middleware stack — without knowing how the
-/// service instantiates and maps the application.
+/// same request stream can drive any [`AdmissionService`] — a fleet, a
+/// remote client, or a middleware stack — without knowing how the service
+/// instantiates and maps the application.
 ///
 /// Serializable: the [`remote`](crate::remote) transport ships requests
 /// between processes exactly as drivers phrase them.
@@ -96,8 +89,8 @@ pub struct AdmissionRequest {
     /// Affinity tag steering tag-aware routing (ignored by services without
     /// affinity routing).
     pub affinity: Option<String>,
-    /// Explicit admission domain (fleet group / manager shard) bypassing
-    /// the service's routing; `None` lets the service route.
+    /// Explicit admission domain (fleet group) bypassing the service's
+    /// routing; `None` lets the service route.
     pub target: Option<usize>,
     /// Causal span context minted at the outermost layer that saw the
     /// request (remote client / front-end); layers derive child spans
@@ -149,11 +142,10 @@ impl AdmissionRequest {
 
 /// The shared decision vocabulary: what any [`AdmissionService`] answers.
 ///
-/// This is the one decision enum the crate's previously divergent shapes
-/// (`contention::AdmissionOutcome`, `runtime::Admission`,
-/// `runtime::FleetAdmission`) convert into — see the `From` conversions —
-/// and the only shape middleware layers and the
-/// [`FrontEnd`](crate::FrontEnd) ever see.
+/// This is the one decision enum the crate's other decision shapes
+/// (`contention::AdmissionOutcome`, `runtime::FleetAdmission`) convert
+/// into — see the `From` conversions — and the only shape middleware
+/// layers and the [`FrontEnd`](crate::FrontEnd) ever see.
 ///
 /// Serializable: decisions cross the [`remote`](crate::remote) wire with
 /// exact rational periods and full violation lists.
@@ -164,7 +156,7 @@ pub enum AdmissionDecision {
     Admitted {
         /// Service-scoped resident id keying the later release.
         resident: u64,
-        /// Admission domain (fleet group / manager shard) that decided.
+        /// Admission domain (fleet group) that decided.
         domain: usize,
         /// Period predicted for the new resident at admission time.
         predicted_period: Rational,
@@ -274,8 +266,8 @@ impl From<&FleetAdmission> for AdmissionDecision {
 /// rejection or saturation — those are [`AdmissionDecision`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The service has no workload spec bound
-    /// (see [`ResourceManager::bind_workload`]).
+    /// The service has no workload spec bound (see
+    /// [`AdmissionService::workload`]).
     NoWorkload,
     /// The resident id is not (or no longer) live on this service.
     UnknownResident(u64),
@@ -354,8 +346,8 @@ pub struct OpRate {
 /// [`AdmissionService::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerMetrics {
-    /// Layer name (`"manager"`, `"fleet"`, `"cached"`, `"journaled"`,
-    /// `"metered"`, `"traced"`, `"front-end"`).
+    /// Layer name (`"fleet"`, `"cached"`, `"journaled"`, `"metered"`,
+    /// `"traced"`, `"front-end"`).
     pub layer: String,
     /// Ordered `(metric, value)` counters.
     pub counters: Vec<(String, u64)>,
@@ -431,8 +423,8 @@ impl ServiceSnapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Renders the consistent per-layer metrics table shared by
-    /// `probcon serve-bench` and `probcon fleet-bench`.
+    /// Renders the per-layer metrics table printed by
+    /// `probcon fleet-bench`.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -785,17 +777,8 @@ impl<T> Drop for Completer<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Base implementations: ResourceManager, FleetManager.
+// Base implementation: FleetManager.
 // ---------------------------------------------------------------------------
-
-/// Per-manager service bookkeeping: the bound workload spec and the
-/// resident registry keying service releases.
-#[derive(Debug, Default)]
-pub(crate) struct ServiceState {
-    pub(crate) spec: OnceLock<SystemSpec>,
-    pub(crate) residents: Mutex<BTreeMap<u64, Ticket>>,
-    pub(crate) next_resident: AtomicU64,
-}
 
 /// Fresh instance + node assignment of the spec's application `app_index`
 /// (reduced modulo the application count).
@@ -810,91 +793,10 @@ pub(crate) fn instantiate(spec: &SystemSpec, app_index: usize) -> (Application, 
     (app, assignment)
 }
 
-impl AdmissionService for ResourceManager {
-    /// Admissions are routed to `request.target` (a shard index) or the
-    /// least-loaded shard (a deterministic function of the resident mix, so
-    /// all shards fill evenly and journaled decisions stay replayable), and
-    /// never wait: a full shard answers [`AdmissionDecision::Saturated`].
-    fn admit(&self, request: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
-        let state = self.service_state();
-        let spec = state.spec.get().ok_or(ServiceError::NoWorkload)?;
-        let app_index = request.app_index % spec.application_count();
-        let (app, assignment) = instantiate(spec, app_index);
-        let shard = match request.target {
-            Some(shard) if shard >= self.shard_count() => {
-                return Err(ServiceError::UnknownDomain(shard))
-            }
-            Some(shard) => shard,
-            None => self.least_loaded_shard(),
-        };
-        match self.admit_within(
-            shard,
-            app,
-            &assignment,
-            request.required_throughput,
-            Some(Duration::ZERO),
-        ) {
-            Ok(Admission::Admitted(ticket)) => {
-                let resident = state.next_resident.fetch_add(1, Ordering::Relaxed);
-                let predicted_period = ticket.predicted_period().unwrap_or(Rational::ZERO);
-                lock(&state.residents).insert(resident, ticket);
-                Ok(AdmissionDecision::Admitted {
-                    resident,
-                    domain: shard,
-                    predicted_period,
-                })
-            }
-            Ok(Admission::Rejected { violations }) => Ok(AdmissionDecision::Rejected {
-                domain: shard,
-                violations,
-            }),
-            Err(AdmitError::Timeout) => Ok(AdmissionDecision::Saturated { domain: shard }),
-            Err(AdmitError::Stopped) => Err(ServiceError::Stopped),
-            Err(AdmitError::InvalidShard(s)) => Err(ServiceError::UnknownDomain(s)),
-            Err(AdmitError::Analysis(e)) => Err(ServiceError::Analysis(e)),
-        }
-    }
-
-    fn release(&self, resident: u64) -> Result<(), ServiceError> {
-        let ticket = lock(&self.service_state().residents).remove(&resident);
-        match ticket {
-            Some(ticket) => {
-                ticket.release();
-                Ok(())
-            }
-            None => Err(ServiceError::UnknownResident(resident)),
-        }
-    }
-
-    fn snapshot(&self) -> ServiceSnapshot {
-        let metrics = self.metrics();
-        ServiceSnapshot {
-            residents: self.resident_count(),
-            capacity: self.capacity(),
-            admitted: metrics.admitted(),
-            rejected: metrics.rejected(),
-            saturated: metrics.timeouts(),
-            released: metrics.released(),
-            layers: vec![LayerMetrics::new("manager")
-                .counter("shards", self.shard_count() as u64)
-                .counter("stopped_rejections", metrics.stopped_rejections())
-                .counter("analysis_errors", metrics.analysis_errors())
-                .counter(
-                    "mean_queue_wait_us",
-                    metrics.mean_queue_wait().as_micros() as u64,
-                )],
-        }
-    }
-
-    fn workload(&self) -> Option<&SystemSpec> {
-        self.service_state().spec.get()
-    }
-}
-
 impl AdmissionService for FleetManager {
     /// Admissions go through the fleet's routing policy (or
     /// `request.target` as an explicit group) and are journaled by the
-    /// fleet exactly like ticket-based admissions. When a flight recorder
+    /// fleet exactly like [`FleetManager::admit`]. When a flight recorder
     /// is [attached](FleetManager::attach_trace) and the request is
     /// traced, the decision is also recorded as the innermost
     /// [`TraceKind::FleetAdmit`] span.
@@ -939,8 +841,8 @@ impl AdmissionService for FleetManager {
                 Ok(decision)
             }
             Err(FleetError::UnknownGroup(g)) => Err(ServiceError::UnknownDomain(g)),
-            Err(FleetError::Admit(AdmitError::Stopped)) => Err(ServiceError::Stopped),
-            Err(FleetError::Admit(AdmitError::Analysis(e))) => Err(ServiceError::Analysis(e)),
+            Err(FleetError::Stopped) => Err(ServiceError::Stopped),
+            Err(FleetError::Analysis(e)) => Err(ServiceError::Analysis(e)),
             Err(e) => Err(ServiceError::Config(e.to_string())),
         }
     }
@@ -1341,11 +1243,9 @@ impl ServiceOp {
 
 /// Latency/throughput middleware: samples the wall-clock latency of every
 /// operation against the wrapped service into bounded
-/// [`LatencyHistogram`]s and surfaces order
-/// statistics (count, mean, p50…p999, max) per class — the counters
-/// previously re-implemented by both `BatchExecutor` and the fleet bench
-/// driver. Memory stays flat no matter how many operations are recorded
-/// (the layer used to keep every raw sample forever).
+/// [`LatencyHistogram`]s and surfaces order statistics (count, mean,
+/// p50…p999, max) per class. Memory stays flat no matter how many
+/// operations are recorded.
 #[derive(Debug)]
 pub struct Metered<S> {
     inner: S,
@@ -1373,14 +1273,9 @@ impl<S: AdmissionService> Metered<S> {
         &self.inner
     }
 
-    /// Latency order statistics for one operation class, derived from the
-    /// class's bounded histogram (quantiles carry ≤ 1/16 relative error;
-    /// count, mean and max are exact).
-    pub fn latency(&self, op: ServiceOp) -> LatencySummary {
-        self.histogram(op).summary()
-    }
-
-    /// The full bounded latency distribution for one operation class.
+    /// The bounded latency distribution for one operation class
+    /// (quantiles carry ≤ 1/16 relative error; count, mean and max are
+    /// exact).
     pub fn histogram(&self, op: ServiceOp) -> LatencyHistogram {
         self.stats[op.index()].snapshot()
     }
@@ -1506,7 +1401,6 @@ impl<S: AdmissionService> AdmissionService for Metered<S> {
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
-    use crate::manager::{QueueMode, ResourceManagerConfig};
     use platform::{Application, Mapping};
     use sdf::figure2_graphs;
 
@@ -1518,17 +1412,6 @@ mod tests {
             .mapping(Mapping::by_actor_index(3))
             .build()
             .unwrap()
-    }
-
-    fn bound_manager(shards: usize, capacity: usize) -> ResourceManager {
-        let manager = ResourceManager::new(ResourceManagerConfig {
-            shards,
-            capacity_per_shard: capacity,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_millis(50)),
-        });
-        assert!(manager.bind_workload(spec()));
-        manager
     }
 
     fn fleet(groups: usize, capacity: usize) -> FleetManager {
@@ -1549,66 +1432,6 @@ mod tests {
         assert_eq!(request.required_throughput, Some(Rational::new(1, 400)));
         assert_eq!(request.affinity.as_deref(), Some("uc1"));
         assert_eq!(request.target, Some(2));
-    }
-
-    #[test]
-    fn manager_service_roundtrip() {
-        let manager = bound_manager(1, 2);
-        let decision = AdmissionService::admit(&manager, &AdmissionRequest::new(0)).unwrap();
-        let AdmissionDecision::Admitted {
-            resident,
-            domain,
-            predicted_period,
-        } = decision
-        else {
-            panic!("first admission fits");
-        };
-        assert_eq!(domain, 0);
-        assert!(predicted_period.is_positive());
-        assert_eq!(manager.resident_count(), 1);
-        manager.release(resident).unwrap();
-        assert_eq!(manager.resident_count(), 0);
-        assert_eq!(
-            manager.release(resident).unwrap_err(),
-            ServiceError::UnknownResident(resident)
-        );
-    }
-
-    #[test]
-    fn manager_service_saturates_and_validates_domain() {
-        let manager = bound_manager(1, 1);
-        let first = AdmissionService::admit(&manager, &AdmissionRequest::new(0).on(0)).unwrap();
-        assert!(first.is_admitted());
-        // Full shard: a service admission saturates instead of waiting.
-        let second = AdmissionService::admit(&manager, &AdmissionRequest::new(1).on(0)).unwrap();
-        assert_eq!(second, AdmissionDecision::Saturated { domain: 0 });
-        assert_eq!(
-            AdmissionService::admit(&manager, &AdmissionRequest::new(0).on(9)).unwrap_err(),
-            ServiceError::UnknownDomain(9)
-        );
-        let snapshot = AdmissionService::snapshot(&manager);
-        assert_eq!(snapshot.residents, 1);
-        assert_eq!(snapshot.capacity, 1);
-        assert_eq!(snapshot.admitted, 1);
-        assert_eq!(snapshot.saturated, 1);
-        assert_eq!(snapshot.counter("manager", "shards"), Some(1));
-    }
-
-    #[test]
-    fn unbound_manager_requires_workload() {
-        let manager = ResourceManager::new(ResourceManagerConfig::default());
-        assert_eq!(
-            AdmissionService::admit(&manager, &AdmissionRequest::new(0)).unwrap_err(),
-            ServiceError::NoWorkload
-        );
-        assert!(manager.workload().is_none());
-        assert!(manager
-            .estimate(UseCase::full(2), Method::SECOND_ORDER)
-            .is_err());
-        // The first bind wins; rebinding is refused.
-        assert!(manager.bind_workload(spec()));
-        assert!(!manager.bind_workload(spec()));
-        assert!(manager.workload().is_some());
     }
 
     #[test]
@@ -1634,6 +1457,11 @@ mod tests {
             rejected,
             AdmissionDecision::Rejected { domain: 1, .. }
         ));
+        // An out-of-range target is an unknown domain, decided nowhere.
+        assert_eq!(
+            AdmissionService::admit(&f, &AdmissionRequest::new(0).on(99)).unwrap_err(),
+            ServiceError::UnknownDomain(99)
+        );
 
         f.release(resident).unwrap();
         assert_eq!(f.resident_count(), 0);
@@ -1748,17 +1576,17 @@ mod tests {
 
     #[test]
     fn metered_layer_samples_every_class() {
-        let metered = Metered::new(Cached::new(bound_manager(2, 4), 8));
+        let metered = Metered::new(Cached::new(fleet(2, 4), 8));
         let decision = metered.admit(&AdmissionRequest::new(0)).unwrap();
         metered
             .estimate(UseCase::full(2), Method::Composability)
             .unwrap();
         let _probe = metered.snapshot();
         metered.release(decision.resident().unwrap()).unwrap();
-        assert_eq!(metered.latency(ServiceOp::Admit).count, 1);
-        assert_eq!(metered.latency(ServiceOp::Estimate).count, 1);
-        assert_eq!(metered.latency(ServiceOp::Release).count, 1);
-        assert!(metered.latency(ServiceOp::Snapshot).count >= 1);
+        assert_eq!(metered.histogram(ServiceOp::Admit).count(), 1);
+        assert_eq!(metered.histogram(ServiceOp::Estimate).count(), 1);
+        assert_eq!(metered.histogram(ServiceOp::Release).count(), 1);
+        assert!(metered.histogram(ServiceOp::Snapshot).count() >= 1);
         assert!(metered.operations() >= 4);
         assert!(!metered.histogram(ServiceOp::Admit).is_empty());
         let snapshot = metered.snapshot();
@@ -1882,8 +1710,7 @@ metered      admit             120       40      210      300      480     1200 
 
     #[test]
     fn default_submit_completes_synchronously() {
-        let manager = bound_manager(1, 2);
-        let completion = manager.submit(AdmissionRequest::new(0));
+        let completion = fleet(1, 2).submit(AdmissionRequest::new(0));
         assert!(completion.is_ready());
         assert!(completion.wait().unwrap().is_admitted());
     }

@@ -36,7 +36,6 @@ use platform::{SystemSpec, UseCase};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::ClientScope;
-use crate::metrics::LatencySummary;
 use crate::service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, LayerMetrics, OpRate, ServiceError,
     ServiceSnapshot,
@@ -227,22 +226,6 @@ impl LatencyHistogram {
     /// 99.9th percentile, in microseconds.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
-    }
-
-    /// Order-statistics view of the histogram, for call sites that
-    /// render a [`LatencySummary`] table.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count,
-            min: Duration::from_micros(self.min_micros()),
-            mean: Duration::from_micros(self.mean_micros()),
-            p50: Duration::from_micros(self.p50()),
-            p90: Duration::from_micros(self.p90()),
-            p95: Duration::from_micros(self.quantile(0.95)),
-            p99: Duration::from_micros(self.p99()),
-            p999: Duration::from_micros(self.p999()),
-            max: Duration::from_micros(self.max_micros()),
-        }
     }
 }
 

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== affinity routing with throughput contracts ==");
     // Admissions go through the unified AdmissionService vocabulary — the
-    // same requests could drive a single manager or a whole middleware
+    // same requests could drive a remote client or a whole middleware
     // stack unchanged.
     let contract = spec.application(AppId(0)).isolation_throughput() * Rational::new(3, 5);
     let mut residents = Vec::new();

@@ -5,7 +5,6 @@
 //! probcon analyze  <graph.json>
 //! probcon estimate --seed 2007 --apps 10 --use-case 1023 [--method order-2]
 //! probcon simulate --seed 2007 --apps 10 --use-case 1023 [--horizon 500000]
-//! probcon serve-bench --threads 4 --requests 1000 [--apps N] [--shards S]
 //! probcon fleet-bench --requests 1000 [--groups 4] [--journal fleet.jsonl]
 //! probcon serve    --listen unix:/tmp/probcon.sock [--once] [--wire json|binary]
 //! probcon fleet-bench --connect unix:/tmp/probcon.sock --requests 1000 [--connections 64]
@@ -53,16 +52,6 @@ USAGE:
 
   probcon signoff --seed <u64> --apps <n> [--method <m>]
       Per-application worst/best predicted period over ALL 2^n - 1 use-cases.
-
-  probcon serve-bench --threads <n> --requests <m> [--seed <u64>] [--apps <n>]
-                      [--actors <n>] [--shards <n>] [--capacity <n>]
-                      [--front-end <workers>]
-      Hammer the admission-service stack (estimate cache over the sharded
-      resource manager, optionally multiplexed through the async front-end)
-      with a seeded stream of admit/release/query/estimate requests and
-      print a throughput/latency/rejection metrics table with per-layer
-      service metrics. Service admissions never wait for capacity (a full
-      shard saturates); bounded FIFO/LIFO waiting is the ticket API's.
 
   probcon fleet-bench --requests <m> [--threads <n>] [--seed <u64>] [--apps <n>]
                       [--actors <n>] [--groups <n>] [--shards <n>] [--capacity <n>]
@@ -299,7 +288,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "estimate" => done(cmd_estimate(&options)),
         "simulate" => done(cmd_simulate(&options)),
         "signoff" => done(cmd_signoff(&options)),
-        "serve-bench" => done(cmd_serve_bench(&options)),
         "fleet-bench" => done(cmd_fleet_bench(&options)),
         "serve" => done(cmd_serve(&options)),
         "top" => done(cmd_top(&options)),
@@ -463,74 +451,6 @@ fn cmd_signoff(options: &HashMap<&str, &str>) -> Result<(), String> {
     let report = experiments::signoff::sign_off(&spec, method, None).map_err(|e| e.to_string())?;
     println!("{}", report.render());
     println!("({:?} total)", start.elapsed());
-    Ok(())
-}
-
-fn cmd_serve_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
-    use runtime::{
-        seeded_requests, AdmissionService, BatchExecutor, Cached, FrontEnd, FrontEndConfig,
-        QueueMode, ResourceManager, ResourceManagerConfig,
-    };
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let threads = require_u64(options, "threads")? as usize;
-    let requests = require_u64(options, "requests")? as usize;
-    if threads == 0 || requests == 0 {
-        return Err("--threads and --requests must be positive".into());
-    }
-    let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let apps = opt_u64(options, "apps")?.unwrap_or(6) as usize;
-    if apps == 0 || apps > 20 {
-        return Err("--apps must be in 1..=20".into());
-    }
-    let actors = opt_u64(options, "actors")?.unwrap_or(5) as usize;
-    let shards = opt_u64(options, "shards")?.unwrap_or(4) as usize;
-    let capacity = opt_u64(options, "capacity")?.unwrap_or(8) as usize;
-    let front_end_workers = opt_u64(options, "front-end")?.map(|w| w as usize);
-    if front_end_workers == Some(0) {
-        return Err("--front-end workers must be positive".into());
-    }
-
-    let spec = workload_with(seed, apps, &GeneratorConfig::with_actors(actors))
-        .map_err(|e| e.to_string())?;
-    // Queue mode / admit timeout only govern the direct ticket API's
-    // bounded waiting; the service path decides without waiting.
-    let manager = ResourceManager::new(ResourceManagerConfig {
-        shards,
-        capacity_per_shard: capacity,
-        queue_mode: QueueMode::Fifo,
-        admit_timeout: Some(Duration::from_millis(100)),
-    });
-    manager.bind_workload(spec.clone());
-
-    // The service stack: estimate caching over the sharded manager, with
-    // the async front-end multiplexing on top when requested.
-    let stack: Arc<dyn AdmissionService> = Arc::new(Cached::new(manager.clone(), 256));
-    let stack: Arc<dyn AdmissionService> = match front_end_workers {
-        Some(workers) => Arc::new(FrontEnd::new(
-            Box::new(stack),
-            FrontEndConfig {
-                workers,
-                queue_capacity: requests.max(1),
-            },
-        )),
-        None => stack,
-    };
-    let executor = BatchExecutor::new(stack);
-    let stream = seeded_requests(&spec, requests, seed);
-
-    println!(
-        "serve-bench: {apps} applications × {actors} actors, {shards} shards × \
-         capacity {capacity}{}",
-        match front_end_workers {
-            Some(workers) => format!(", front-end with {workers} workers"),
-            None => String::new(),
-        }
-    );
-    let report = executor.run(stream, threads);
-    print!("{}", report.render());
-    manager.stop();
     Ok(())
 }
 

@@ -19,13 +19,14 @@
 //! * [`experiments`] — runners regenerating Figure 5, Table 1, Figure 6 and
 //!   the timing comparison.
 //! * [`runtime`] — the concurrent online resource manager: one unified
-//!   `AdmissionService` trait implemented by the sharded ticket-based
-//!   `ResourceManager` and the multi-platform `FleetManager`, composable
-//!   middleware layers (`Cached` estimate memoization with sign-off
-//!   warming, `Journaled` decision recording with deterministic replay,
-//!   `Metered` latency/throughput counters), and the async `FrontEnd`
-//!   event loop multiplexing thousands of queued admissions over a small
-//!   worker pool (`probcon serve-bench` / `fleet-bench` / `replay`).
+//!   `AdmissionService` trait implemented by the multi-platform
+//!   `FleetManager` (sharded admission controllers per platform group,
+//!   deciding without waiting), composable middleware layers (`Cached`
+//!   estimate memoization with sign-off warming, `Journaled` decision
+//!   recording with deterministic replay, `Metered` latency/throughput
+//!   counters), and the async `FrontEnd` event loop multiplexing
+//!   thousands of queued admissions over a small worker pool
+//!   (`probcon serve` / `fleet-bench` / `replay`).
 //!
 //! # Example
 //!

@@ -112,64 +112,6 @@ fn estimate_validates_inputs() {
 }
 
 #[test]
-fn serve_bench_prints_metrics_table() {
-    let out = probcon(&[
-        "serve-bench",
-        "--threads",
-        "2",
-        "--requests",
-        "150",
-        "--apps",
-        "3",
-        "--actors",
-        "4",
-    ]);
-    assert!(out.status.success(), "{:?}", out);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in [
-        "serve-bench",
-        "req/s",
-        "admit",
-        "p95",
-        "admitted",
-        "rejected",
-        "estimate cache",
-        "hit rate",
-    ] {
-        assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
-    }
-}
-
-#[test]
-fn serve_bench_front_end_reports_queue_metrics() {
-    let out = probcon(&[
-        "serve-bench",
-        "--threads",
-        "4",
-        "--requests",
-        "120",
-        "--apps",
-        "3",
-        "--actors",
-        "4",
-        "--front-end",
-        "2",
-    ]);
-    assert!(out.status.success(), "{:?}", out);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in [
-        "front-end with 2 workers",
-        "front-end",
-        "queue_depth",
-        "submitted",
-        "completed",
-        "cached",
-    ] {
-        assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
-    }
-}
-
-#[test]
 fn fleet_bench_warm_cache_reports_warm_vs_cold_hit_rates() {
     let out = probcon(&[
         "fleet-bench",
@@ -209,28 +151,6 @@ fn fleet_bench_warm_cache_reports_warm_vs_cold_hit_rates() {
         "--warm-cache",
     ]);
     assert!(!out.status.success(), "{:?}", out);
-}
-
-#[test]
-fn serve_bench_validates_inputs() {
-    for bad in [
-        vec!["serve-bench", "--threads", "0", "--requests", "10"],
-        vec!["serve-bench", "--threads", "2", "--requests", "0"],
-        vec!["serve-bench", "--threads", "2"],
-        vec!["serve-bench", "--requests", "10"],
-        vec![
-            "serve-bench",
-            "--threads",
-            "2",
-            "--requests",
-            "10",
-            "--apps",
-            "0",
-        ],
-    ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
-    }
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Multi-threaded stress tests of the `runtime` subsystem: N client
-//! threads × M mixed operations against a shared `ResourceManager` and
+//! threads × M mixed operations against a shared `FleetManager` and
 //! `EstimateCache`, with invariants checked throughout and a watchdog
 //! asserting the whole run completes (no deadlock).
 
 use contention::Method;
-use platform::{Application, NodeId, SystemSpec, UseCase};
+use platform::{AppId, Application, SystemSpec, UseCase};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use runtime::{
-    seeded_requests, Admission, AdmitError, BatchExecutor, EstimateCache, QueueMode,
-    ResourceManager, ResourceManagerConfig,
+    EstimateCache, FleetAdmission, FleetConfig, FleetError, FleetManager, JournalReplayer,
+    RoutingPolicy,
 };
 use sdf::figure2_graphs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +42,22 @@ fn two_app_spec() -> SystemSpec {
         .expect("valid spec")
 }
 
+/// Figure-2 applications A, B, A, B. On a two-shard group app indices 0,
+/// 1 and 3 hash to one shard and 2 to the other, so both shards decide.
+fn four_app_spec() -> SystemSpec {
+    let (a, b) = figure2_graphs();
+    let mut builder = SystemSpec::builder();
+    for i in 0..2 {
+        builder = builder
+            .application(Application::new(format!("A{i}"), a.clone()).expect("valid"))
+            .application(Application::new(format!("B{i}"), b.clone()).expect("valid"));
+    }
+    builder
+        .mapping(platform::Mapping::by_actor_index(3))
+        .build()
+        .expect("valid spec")
+}
+
 /// Per-thread deterministic operation stream.
 fn next(rng: &mut StdRng) -> u64 {
     rng.next_u64()
@@ -50,28 +66,17 @@ fn next(rng: &mut StdRng) -> u64 {
 #[test]
 fn manager_survives_concurrent_admit_release_query() {
     with_watchdog(|| {
-        let manager = ResourceManager::new(ResourceManagerConfig {
-            shards: 2,
-            capacity_per_shard: 4,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_millis(200)),
-        });
+        let spec = four_app_spec();
+        let config = FleetConfig::uniform(1, 2, 4, RoutingPolicy::LeastUtilised);
+        let fleet = FleetManager::new(spec.clone(), config.clone()).expect("valid fleet");
         let capacity_total = 2 * 4;
-        let (graph_a, graph_b) = figure2_graphs();
-        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
         let decisions = AtomicU64::new(0);
 
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let manager = manager.clone();
-                let graph = if t % 2 == 0 {
-                    graph_a.clone()
-                } else {
-                    graph_b.clone()
-                };
+                let fleet = fleet.clone();
                 let decisions = &decisions;
                 scope.spawn(move || {
-                    let app = Application::new(format!("stress-{t}"), graph).expect("valid graph");
                     let mut rng = StdRng::seed_from_u64(0x5EED_0000 + t as u64);
                     let mut tickets = Vec::new();
                     for _ in 0..OPS_PER_THREAD {
@@ -79,23 +84,23 @@ fn manager_survives_concurrent_admit_release_query() {
                             // Admit, sometimes with a contract tight enough
                             // to be rejected under load.
                             0..=49 => {
+                                let app_index = (next(&mut rng) % 4) as usize;
                                 let required = if next(&mut rng).is_multiple_of(3) {
+                                    let app = fleet.spec().application(AppId(app_index));
                                     Some(app.isolation_throughput() * sdf::Rational::new(4, 5))
                                 } else {
                                     None
                                 };
-                                let shard =
-                                    manager.shard_for(next(&mut rng)) % manager.shard_count();
-                                match manager.admit(shard, app.clone(), &nodes, required) {
-                                    Ok(Admission::Admitted(ticket)) => {
+                                match fleet.admit_to(0, app_index, required) {
+                                    Ok(FleetAdmission::Admitted(ticket)) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
                                         tickets.push(ticket);
                                     }
-                                    Ok(Admission::Rejected { violations }) => {
+                                    Ok(FleetAdmission::Rejected { violations, .. }) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
                                         assert!(!violations.is_empty());
                                     }
-                                    Err(AdmitError::Timeout) => {}
+                                    Ok(FleetAdmission::Saturated { .. }) => {}
                                     Err(e) => panic!("unexpected admit error: {e}"),
                                 }
                             }
@@ -105,18 +110,15 @@ fn manager_survives_concurrent_admit_release_query() {
                                     tickets.remove(0).release();
                                 }
                             }
-                            // Query a held ticket under the live mix.
+                            // Query a held resident.
                             75..=89 => {
                                 if let Some(ticket) = tickets.last() {
-                                    let period = ticket
-                                        .predicted_period_now()
-                                        .expect("resident while ticket held");
-                                    assert!(period.is_positive());
+                                    assert_eq!(fleet.group_of(ticket.resident_id()), Ok(0));
                                 }
                             }
                             // Global invariant probe.
                             _ => {
-                                assert!(manager.resident_count() <= capacity_total);
+                                assert!(fleet.resident_count() <= capacity_total);
                             }
                         }
                     }
@@ -126,20 +128,17 @@ fn manager_survives_concurrent_admit_release_query() {
         });
 
         assert!(decisions.load(Ordering::Relaxed) > 0, "no decisions made");
-        // Every ticket was dropped: the manager must be fully drained and
+        // Every ticket was dropped: both shards must be fully drained and
         // the books must balance.
-        assert_eq!(manager.resident_count(), 0);
-        let m = manager.metrics();
-        assert_eq!(m.admitted(), m.released(), "ticket leak");
-        for shard in 0..manager.shard_count() {
-            assert_eq!(
-                manager
-                    .snapshot(shard)
-                    .expect("valid shard")
-                    .resident_count(),
-                0
-            );
-        }
+        assert_eq!(fleet.resident_count(), 0);
+        assert_eq!(fleet.resident_count_of(0), Ok(0));
+        let snapshot = fleet.snapshot();
+        assert_eq!(snapshot.admitted, snapshot.released, "ticket leak");
+        // The racing two-shard recording replays decision for decision.
+        let (report, _) = JournalReplayer::new(&spec)
+            .replay(fleet.journal(), config)
+            .expect("replay");
+        assert!(report.is_equivalent(), "{}", report.render());
     });
 }
 
@@ -186,48 +185,10 @@ fn estimate_cache_is_consistent_under_concurrency() {
 }
 
 #[test]
-fn batch_executor_stress_preserves_invariants() {
-    use runtime::{AdmissionService, Cached};
-
-    with_watchdog(|| {
-        let spec = two_app_spec();
-        let manager = ResourceManager::new(ResourceManagerConfig {
-            shards: 2,
-            capacity_per_shard: 3,
-            queue_mode: QueueMode::Lifo,
-            admit_timeout: Some(Duration::from_millis(50)),
-        });
-        manager.bind_workload(spec.clone());
-        let stack = Arc::new(Cached::new(manager.clone(), 16));
-        let executor = BatchExecutor::new(stack.clone());
-
-        let report = executor.run(seeded_requests(&spec, 600, 2026), THREADS);
-        assert_eq!(report.requests, 600);
-        assert!(report.admitted > 0);
-        assert_eq!(
-            report.cache_hits + report.cache_misses,
-            stack.cache().hits() + stack.cache().misses()
-        );
-        // All residents drained after the batch.
-        assert_eq!(manager.resident_count(), 0);
-        let m = manager.metrics();
-        assert_eq!(m.admitted(), m.released());
-        // Throughput/latency stats are populated (from the Metered layer).
-        assert!(report.throughput() > 0.0);
-        assert!(report.admit_latency().count >= report.admitted);
-        // The per-layer table surfaced the cache counters.
-        assert_eq!(
-            AdmissionService::snapshot(&*stack).counter("cached", "hits"),
-            Some(stack.cache().hits())
-        );
-    });
-}
-
-#[test]
 fn front_end_multiplexes_a_thousand_queued_admissions() {
     use runtime::{
-        AdmissionRequest, AdmissionService, Completion, FleetConfig, FleetManager, FrontEnd,
-        FrontEndConfig, Metered, RoutingPolicy, ServiceError,
+        AdmissionRequest, AdmissionService, Completion, FrontEnd, FrontEndConfig, Metered,
+        ServiceError,
     };
 
     const QUEUED: usize = 1200;
@@ -318,7 +279,7 @@ fn front_end_multiplexes_a_thousand_queued_admissions() {
 
 #[test]
 fn fleet_survives_concurrent_admits_with_rebalancer() {
-    use runtime::{DecisionEvent, FleetAdmission, FleetConfig, FleetManager, RoutingPolicy};
+    use runtime::DecisionEvent;
     use std::sync::atomic::AtomicBool;
 
     with_watchdog(|| {
@@ -459,54 +420,43 @@ fn fleet_survives_concurrent_admits_with_rebalancer() {
 #[test]
 fn stop_under_load_drains_cleanly() {
     with_watchdog(|| {
-        let manager = ResourceManager::new(ResourceManagerConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_secs(30)),
-        });
-        let (graph_a, _) = figure2_graphs();
-        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+        let fleet = FleetManager::new(
+            two_app_spec(),
+            FleetConfig::uniform(2, 1, 2, RoutingPolicy::LeastUtilised),
+        )
+        .expect("valid fleet");
+        let a = fleet.admit(0, None, None).unwrap().ticket().unwrap();
+        let b = fleet.admit(1, None, None).unwrap().ticket().unwrap();
 
         std::thread::scope(|scope| {
-            // Saturate capacity, then pile waiters behind it.
-            let a = manager
-                .admit(
-                    0,
-                    Application::new("a", graph_a.clone()).unwrap(),
-                    &nodes,
-                    None,
-                )
-                .unwrap()
-                .ticket()
-                .unwrap();
-            let b = manager
-                .admit(
-                    0,
-                    Application::new("b", graph_a.clone()).unwrap(),
-                    &nodes,
-                    None,
-                )
-                .unwrap()
-                .ticket()
-                .unwrap();
             for t in 0..4 {
-                let manager = manager.clone();
-                let graph = graph_a.clone();
+                let fleet = fleet.clone();
                 scope.spawn(move || {
-                    let app = Application::new(format!("w{t}"), graph).unwrap();
-                    // Waiters must resolve to Stopped, never hang.
-                    let result = manager.admit(0, app, &nodes, None);
-                    assert!(matches!(result, Err(AdmitError::Stopped)));
+                    // Admissions decide until the stop lands, then every
+                    // one fails with Stopped — never a hang.
+                    loop {
+                        match fleet.admit(t, None, None) {
+                            Ok(admission) => drop(admission), // releases at once
+                            Err(FleetError::Stopped) => break,
+                            Err(e) => panic!("unexpected fleet error: {e}"),
+                        }
+                    }
                 });
             }
             std::thread::sleep(Duration::from_millis(50));
-            manager.stop();
-            // Residents drain gracefully after stop.
-            a.release();
-            b.release();
+            fleet.stop();
         });
-        assert_eq!(manager.resident_count(), 0);
-        assert_eq!(manager.metrics().stopped_rejections(), 4);
+
+        // Stopped: nothing decides and nothing is journaled ...
+        let journaled = fleet.journal().len();
+        assert_eq!(fleet.admit(0, None, None).unwrap_err(), FleetError::Stopped);
+        assert_eq!(fleet.journal().len(), journaled);
+        // ... but the residents drain gracefully.
+        a.release();
+        b.release();
+        assert_eq!(fleet.resident_count(), 0);
+        assert_eq!(fleet.journal().len(), journaled + 2);
+        let snapshot = fleet.snapshot();
+        assert_eq!(snapshot.admitted, snapshot.released);
     });
 }
