@@ -15,8 +15,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    evaluate, Autoscaler, ControllerState, FleetConfig, FleetManager, GroupObservation,
-    Observation, RoutingPolicy, ScaleAction, ScalePolicy, TargetPolicy,
+    evaluate, AdmissionRequest, AdmissionService, Autoscaler, ControllerState, FleetConfig,
+    FleetManager, GroupObservation, Observation, RoutingPolicy, ScaleAction, ScalePolicy,
+    TargetPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -79,9 +80,7 @@ fn bench_tick(c: &mut Criterion) {
     // Park residents at half capacity so the target band holds and every
     // tick is a no-action sample — the steady-state serve overhead.
     for i in 0..8 {
-        if let Ok(runtime::FleetAdmission::Admitted(ticket)) = fleet.admit(i, None, None) {
-            ticket.forget();
-        }
+        let _ = fleet.admit(&AdmissionRequest::new(i));
     }
     let controller = Autoscaler::new(
         Arc::new(fleet),

@@ -9,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    run_fleet_requests, seeded_fleet_requests, FleetConfig, FleetManager, JournalReplayer,
-    RoutingPolicy,
+    run_requests, seeded_fleet_requests, AdmissionRequest, AdmissionService, FleetConfig,
+    FleetManager, JournalReplayer, RoutingPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -48,12 +48,11 @@ fn bench_routed_admission(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for i in 0..OPS_PER_SAMPLE {
-                        let affinity = format!("uc{}", i % GROUPS);
-                        let admission = fleet
-                            .admit(i, None, Some(&affinity))
-                            .expect("no analysis error");
-                        if let Some(ticket) = admission.ticket() {
-                            ticket.release();
+                        let request =
+                            AdmissionRequest::new(i).with_affinity(format!("uc{}", i % GROUPS));
+                        let decision = fleet.admit(&request).expect("no analysis error");
+                        if let Some(resident) = decision.resident() {
+                            fleet.release(resident).expect("live resident");
                         }
                     }
                 });
@@ -74,7 +73,7 @@ fn bench_journal_replay(c: &mut Criterion) {
     )
     .expect("valid fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, 200, 2026);
-    run_fleet_requests(&fleet, stream, 1);
+    run_requests(&fleet, Some(&fleet), stream, 1, None, None);
     let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
     println!(
         "replaying {} recorded decisions per iteration:",

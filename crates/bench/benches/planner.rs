@@ -9,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    run_fleet_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape, Journal,
-    PlanRun, PlanSweep, RoutingPolicy,
+    run_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape, Journal, PlanRun,
+    PlanSweep, RoutingPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -35,7 +35,7 @@ fn recorded_journal(spec: &SystemSpec) -> Journal {
     )
     .expect("valid fleet");
     let stream = seeded_fleet_requests(spec, GROUPS, REQUESTS, 2026);
-    run_fleet_requests(&fleet, stream, 1);
+    run_requests(&fleet, Some(&fleet), stream, 1, None, None);
     Journal::parse(&fleet.journal().render()).expect("round-trips")
 }
 

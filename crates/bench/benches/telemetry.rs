@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    run_fleet_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, HistogramRecorder,
+    run_requests, seeded_fleet_requests, Cached, FleetConfig, FleetManager, HistogramRecorder,
     LatencyHistogram, Metered, RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
 };
 use sdf::figure2_graphs;
@@ -52,7 +52,14 @@ fn bench_traced_overhead(c: &mut Criterion) {
     group.bench_function("untraced_8threads", |b| {
         b.iter(|| {
             let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, 7);
-            black_box(run_fleet_stack(&untraced, &untraced_fleet, stream, THREADS));
+            black_box(run_requests(
+                &untraced,
+                Some(&untraced_fleet),
+                stream,
+                THREADS,
+                None,
+                None,
+            ));
         });
     });
 
@@ -61,7 +68,14 @@ fn bench_traced_overhead(c: &mut Criterion) {
     group.bench_function("traced_8threads", |b| {
         b.iter(|| {
             let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, 7);
-            black_box(run_fleet_stack(&traced, &traced_fleet, stream, THREADS));
+            black_box(run_requests(
+                &traced,
+                Some(&traced_fleet),
+                stream,
+                THREADS,
+                None,
+                None,
+            ));
         });
     });
     group.finish();

@@ -835,11 +835,11 @@ mod tests {
         let spec = workload_with(7, 5, &GeneratorConfig::with_actors(4)).expect("workload");
         let config = FleetConfig::uniform(2, 2, 2, RoutingPolicy::LeastUtilised);
         let fleet = Arc::new(FleetManager::new(spec, config).expect("fleet"));
-        // Load group 0 (forget tickets so the residents stay live).
+        // Load group 0; the residents stay live until released by id.
         let mut admitted = 0;
         for i in 0..16 {
-            if let Ok(crate::fleet::FleetAdmission::Admitted(ticket)) = fleet.admit_to(0, i, None) {
-                ticket.forget();
+            let request = crate::AdmissionRequest::new(i).on(0);
+            if crate::AdmissionService::admit(&fleet, &request).is_ok_and(|d| d.is_admitted()) {
                 admitted += 1;
             }
         }

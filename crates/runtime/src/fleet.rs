@@ -12,8 +12,10 @@
 //! [`JournalReplayer`](crate::JournalReplayer) re-executes to verify
 //! outcome-for-outcome equivalence.
 //!
-//! Fleet admissions are **non-blocking**: a full group answers
-//! [`FleetAdmission::Saturated`] immediately instead of queueing, which
+//! Admissions go through the fleet's
+//! [`AdmissionService`](crate::AdmissionService) implementation and are
+//! **non-blocking**: a full group answers
+//! [`AdmissionDecision::Saturated`] immediately instead of queueing, which
 //! keeps every decision a pure function of the group's resident mix at its
 //! journal position — the property deterministic replay rests on. Callers
 //! wanting to queue submit through a [`FrontEnd`](crate::FrontEnd), which
@@ -23,7 +25,7 @@
 //!
 //! ```
 //! use platform::{Application, Mapping, SystemSpec};
-//! use runtime::{FleetConfig, FleetManager, RoutingPolicy};
+//! use runtime::{AdmissionRequest, AdmissionService, FleetConfig, FleetManager, RoutingPolicy};
 //! use sdf::figure2_graphs;
 //!
 //! let (a, b) = figure2_graphs();
@@ -40,9 +42,10 @@
 //!
 //! // Admissions spread across the emptier group; every decision lands in
 //! // the journal.
-//! let t0 = fleet.admit(0, None, None)?.ticket().expect("fits");
-//! let t1 = fleet.admit(1, None, None)?.ticket().expect("fits");
-//! assert_ne!(t0.group(), t1.group());
+//! let first = fleet.admit(&AdmissionRequest::new(0))?;
+//! let second = fleet.admit(&AdmissionRequest::new(1))?;
+//! assert!(first.is_admitted() && second.is_admitted());
+//! assert_ne!(first.domain(), second.domain());
 //! assert_eq!(fleet.resident_count(), 2);
 //! assert_eq!(fleet.journal().len(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -53,6 +56,7 @@ use crate::journal::{
     DecisionEvent, Journal, JournalError, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome,
     ScaleRefusal,
 };
+use crate::service::AdmissionDecision;
 use crate::telemetry::TraceRecorder;
 use crate::wal::{CheckpointGroup, CheckpointResident, FleetCheckpoint};
 use contention::{AdmissionController, AdmissionOutcome, ContentionError, Violation};
@@ -168,7 +172,7 @@ impl GroupConfig {
 pub struct FleetConfig {
     /// The platform groups (≥ 1).
     pub groups: Vec<GroupConfig>,
-    /// Routing policy for [`FleetManager::admit`].
+    /// Routing policy for admissions that name no target group.
     pub policy: RoutingPolicy,
 }
 
@@ -232,7 +236,7 @@ impl Default for FleetConfig {
 }
 
 /// Why a fleet operation failed outright (as opposed to deciding a
-/// rejection — see [`FleetAdmission`]).
+/// rejection or saturation — see [`AdmissionDecision`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
     /// The configuration is unusable (no groups, unknown policy name, …).
@@ -305,45 +309,6 @@ impl std::error::Error for FleetError {
         match self {
             FleetError::Analysis(e) => Some(e),
             _ => None,
-        }
-    }
-}
-
-/// Decision of a fleet admission attempt. Saturation (no free capacity on
-/// the routed group) is a decision, not an error: fleet admissions never
-/// wait.
-#[derive(Debug)]
-pub enum FleetAdmission {
-    /// Admitted: the ticket owns the reserved capacity.
-    Admitted(FleetTicket),
-    /// Rejected by throughput contracts on the routed group.
-    Rejected {
-        /// The rejecting group.
-        group: usize,
-        /// Every violated requirement.
-        violations: Vec<Violation>,
-    },
-    /// The routed group had no free capacity.
-    Saturated {
-        /// The full group.
-        group: usize,
-    },
-}
-
-impl FleetAdmission {
-    /// The ticket, if admitted.
-    pub fn ticket(self) -> Option<FleetTicket> {
-        match self {
-            FleetAdmission::Admitted(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The group that decided (routed group for all three outcomes).
-    pub fn group(&self) -> usize {
-        match self {
-            FleetAdmission::Admitted(t) => t.group(),
-            FleetAdmission::Rejected { group, .. } | FleetAdmission::Saturated { group } => *group,
         }
     }
 }
@@ -816,60 +781,25 @@ impl FleetManager {
         }
     }
 
-    /// Routes and attempts to admit an instance of the spec's application
-    /// `app_index` (mapped per the spec), optionally demanding a throughput
-    /// floor; `affinity` steers [`RoutingPolicy::Affinity`]. Never blocks:
-    /// a full group answers [`FleetAdmission::Saturated`]. The decision —
-    /// whatever it is — is appended to the journal.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Stopped`] after [`stop`](Self::stop) and
-    /// [`FleetError::Analysis`] on analysis failures (no decision was made,
-    /// nothing is journaled).
-    pub fn admit(
-        &self,
-        app_index: usize,
-        required_throughput: Option<Rational>,
-        affinity: Option<&str>,
-    ) -> Result<FleetAdmission, FleetError> {
-        let group = self.route(affinity);
-        self.admit_to_with_affinity(group, app_index, required_throughput, affinity)
-    }
-
-    /// [`admit`](Self::admit) with an explicit target group, bypassing the
-    /// routing policy — the entry point deterministic replay uses (the
-    /// journal records the routed group).
+    /// Decides one admission of the spec's application `app_index` on
+    /// `group` without waiting — the body of the fleet's
+    /// [`AdmissionService::admit`](crate::AdmissionService::admit), whose
+    /// router picks `group` when the request names none. Whatever the
+    /// decision, it is journaled with `affinity`: the tag does not steer
+    /// this decision (`group` does), but re-routed replays
+    /// (`RouteMode::Replan`) re-run the affinity policy from it.
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownGroup`] / [`FleetError::Stopped`] /
-    /// [`FleetError::Analysis`].
-    pub fn admit_to(
-        &self,
-        group: usize,
-        app_index: usize,
-        required_throughput: Option<Rational>,
-    ) -> Result<FleetAdmission, FleetError> {
-        self.admit_to_with_affinity(group, app_index, required_throughput, None)
-    }
-
-    /// [`admit_to`](Self::admit_to) that also records the request's
-    /// affinity tag in the journaled decision, so re-routed replays
-    /// (`RouteMode::Replan`) can re-run the affinity policy faithfully.
-    /// The tag does not influence which group decides — `group` does.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownGroup`] / [`FleetError::Stopped`] /
-    /// [`FleetError::Analysis`].
-    pub fn admit_to_with_affinity(
+    /// [`FleetError::Analysis`]; nothing is journaled.
+    pub(crate) fn admit_on(
         &self,
         group: usize,
         app_index: usize,
         required_throughput: Option<Rational>,
         affinity: Option<&str>,
-    ) -> Result<FleetAdmission, FleetError> {
+    ) -> Result<AdmissionDecision, FleetError> {
         let g = self.group(group)?;
         let app_index = app_index % self.inner.spec.application_count();
         let _order = lock(&g.order);
@@ -907,12 +837,11 @@ impl FleetManager {
                     },
                 );
                 g.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(FleetAdmission::Admitted(FleetTicket {
-                    inner: Arc::clone(&self.inner),
-                    resident: Some(resident),
-                    group,
+                Ok(AdmissionDecision::Admitted {
+                    resident,
+                    domain: group,
                     predicted_period,
-                }))
+                })
             }
             ShardDecision::Rejected(violations) => {
                 g.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -925,7 +854,10 @@ impl FleetManager {
                     },
                     affinity: affinity.map(str::to_string),
                 });
-                Ok(FleetAdmission::Rejected { group, violations })
+                Ok(AdmissionDecision::Rejected {
+                    domain: group,
+                    violations,
+                })
             }
             ShardDecision::Full => {
                 g.counters.saturated.fetch_add(1, Ordering::Relaxed);
@@ -936,7 +868,7 @@ impl FleetManager {
                     outcome: JournalOutcome::Saturated,
                     affinity: affinity.map(str::to_string),
                 });
-                Ok(FleetAdmission::Saturated { group })
+                Ok(AdmissionDecision::Saturated { domain: group })
             }
         }
     }
@@ -1134,11 +1066,40 @@ impl FleetManager {
 
     /// Releases a live resident **by id**, journaling the release and
     /// returning whether it was live — the
-    /// [`AdmissionService`](crate::AdmissionService) release path.
-    /// [`FleetTicket`]s remain the RAII path; a ticket whose resident was
-    /// already released this way becomes a no-op on drop.
+    /// [`AdmissionService`](crate::AdmissionService) release path. Safe
+    /// against concurrent moves: retries until the resident's group is
+    /// stable under that group's lock.
     pub fn release_resident(&self, resident: u64) -> bool {
-        self.inner.release_resident(resident)
+        loop {
+            let group = {
+                let residents = lock(&self.inner.residents);
+                match residents.get(&resident) {
+                    Some(entry) => entry.group,
+                    None => return false, // already released
+                }
+            };
+            let Ok(g) = self.group(group) else {
+                return false;
+            };
+            let _order = lock(&g.order);
+            let entry = {
+                let mut residents = lock(&self.inner.residents);
+                match residents.get(&resident) {
+                    Some(entry) if entry.group == group => residents.remove(&resident),
+                    Some(_) => continue, // moved meanwhile; retry
+                    None => return false,
+                }
+            };
+            if let Some(entry) = entry {
+                g.release(entry.shard, entry.app);
+                self.inner.released.fetch_add(1, Ordering::Relaxed);
+                self.inner
+                    .journal
+                    .append(DecisionEvent::Release { resident });
+                return true;
+            }
+            return false;
+        }
     }
 
     /// Folds the fleet's live-resident state into a snapshot checkpoint.
@@ -1773,7 +1734,7 @@ impl FleetManager {
 
     /// Stops the fleet: every later admission, move or restore fails with
     /// [`FleetError::Stopped`] and journals nothing, while live residents
-    /// still release (by id or by dropping their tickets) so load drains.
+    /// still release by id so load drains.
     pub fn stop(&self) {
         self.inner.stopped.store(true, Ordering::Release);
     }
@@ -1786,42 +1747,6 @@ impl FleetManager {
     /// `app_index` (callers reduce the index modulo the app count).
     fn instantiate(&self, app_index: usize) -> (Application, Vec<NodeId>) {
         crate::service::instantiate(&self.inner.spec, app_index)
-    }
-}
-
-impl FleetInner {
-    /// Releases a live resident, journaling the release and returning
-    /// whether it was live. Safe against concurrent moves: retries until
-    /// the group snapshot is stable under the group lock.
-    fn release_resident(&self, resident: u64) -> bool {
-        loop {
-            let group = {
-                let residents = lock(&self.residents);
-                match residents.get(&resident) {
-                    Some(entry) => entry.group,
-                    None => return false, // already released
-                }
-            };
-            let Ok(g) = self.group(group) else {
-                return false;
-            };
-            let _order = lock(&g.order);
-            let entry = {
-                let mut residents = lock(&self.residents);
-                match residents.get(&resident) {
-                    Some(entry) if entry.group == group => residents.remove(&resident),
-                    Some(_) => continue, // moved meanwhile; retry
-                    None => return false,
-                }
-            };
-            if let Some(entry) = entry {
-                g.release(entry.shard, entry.app);
-                self.released.fetch_add(1, Ordering::Relaxed);
-                self.journal.append(DecisionEvent::Release { resident });
-                return true;
-            }
-            return false;
-        }
     }
 }
 
@@ -1879,76 +1804,10 @@ pub struct RebalanceMove {
     pub predicted_period: Rational,
 }
 
-/// Owned fleet admission. Dropping the ticket releases the resident (and
-/// journals the release); the resident may have been rebalanced to a
-/// different group than it was admitted on.
-pub struct FleetTicket {
-    inner: Arc<FleetInner>,
-    resident: Option<u64>,
-    group: usize,
-    predicted_period: Rational,
-}
-
-impl fmt::Debug for FleetTicket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FleetTicket")
-            .field("resident", &self.resident)
-            .field("admitted_on_group", &self.group)
-            .field("predicted_period", &self.predicted_period)
-            .finish()
-    }
-}
-
-impl FleetTicket {
-    /// Fleet-wide id of the resident.
-    ///
-    /// # Panics
-    ///
-    /// Never panics while the ticket is live (the id is only taken on
-    /// release).
-    pub fn resident_id(&self) -> u64 {
-        self.resident.expect("live ticket has a resident id")
-    }
-
-    /// Group the resident was **admitted** on (rebalancing may have moved
-    /// it since; see [`FleetManager::move_resident`]).
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
-    /// Period predicted at admission time.
-    pub fn predicted_period(&self) -> Rational {
-        self.predicted_period
-    }
-
-    /// Releases the resident now (equivalent to dropping the ticket).
-    pub fn release(mut self) {
-        self.release_inner();
-    }
-
-    /// Disowns the ticket **without** releasing the resident: the capacity
-    /// stays held by the fleet. Used by the replayer to leave a replayed
-    /// fleet in the recording's final state.
-    pub fn forget(mut self) {
-        self.resident = None;
-    }
-
-    fn release_inner(&mut self) {
-        if let Some(resident) = self.resident.take() {
-            self.inner.release_resident(resident);
-        }
-    }
-}
-
-impl Drop for FleetTicket {
-    fn drop(&mut self) {
-        self.release_inner();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AdmissionRequest, AdmissionService, ServiceError};
     use platform::{AppId, Application, Mapping};
     use sdf::figure2_graphs;
 
@@ -1964,6 +1823,11 @@ mod tests {
 
     fn fleet(groups: usize, capacity: usize, policy: RoutingPolicy) -> FleetManager {
         FleetManager::new(spec(), FleetConfig::uniform(groups, 1, capacity, policy)).unwrap()
+    }
+
+    /// Admits `request` and returns the resident id, which must exist.
+    fn admitted(f: &FleetManager, request: AdmissionRequest) -> u64 {
+        f.admit(&request).unwrap().resident().expect("request fits")
     }
 
     #[test]
@@ -1982,10 +1846,14 @@ mod tests {
     #[test]
     fn least_utilised_spreads_admissions() {
         let f = fleet(3, 4, RoutingPolicy::LeastUtilised);
-        let t0 = f.admit(0, None, None).unwrap().ticket().unwrap();
-        let t1 = f.admit(1, None, None).unwrap().ticket().unwrap();
-        let t2 = f.admit(0, None, None).unwrap().ticket().unwrap();
-        let mut groups = [t0.group(), t1.group(), t2.group()];
+        let mut groups: Vec<usize> = [0, 1, 0]
+            .iter()
+            .map(|&app| {
+                let decision = f.admit(&AdmissionRequest::new(app)).unwrap();
+                assert!(decision.is_admitted());
+                decision.domain()
+            })
+            .collect();
         groups.sort_unstable();
         assert_eq!(groups, [0, 1, 2]);
         assert_eq!(f.resident_count(), 3);
@@ -2015,7 +1883,7 @@ mod tests {
         assert_eq!(f.route(Some("audio")), 1);
         assert_eq!(f.route(Some("video")), 0);
         // Unknown tags and missing tags fall back to least-utilised.
-        let _t = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
+        admitted(&f, AdmissionRequest::new(0).on(0));
         assert_eq!(f.route(Some("haptics")), 1);
         assert_eq!(f.route(None), 1);
     }
@@ -2023,9 +1891,12 @@ mod tests {
     #[test]
     fn saturation_is_a_decision_not_an_error() {
         let f = fleet(1, 1, RoutingPolicy::LeastUtilised);
-        let _t = f.admit(0, None, None).unwrap().ticket().unwrap();
-        let outcome = f.admit(1, None, None).unwrap();
-        assert!(matches!(outcome, FleetAdmission::Saturated { group: 0 }));
+        admitted(&f, AdmissionRequest::new(0));
+        let outcome = f.admit(&AdmissionRequest::new(1)).unwrap();
+        assert!(matches!(
+            outcome,
+            AdmissionDecision::Saturated { domain: 0 }
+        ));
         assert_eq!(f.snapshot().saturated, 1);
         // Both decisions journaled.
         assert_eq!(f.journal().len(), 2);
@@ -2035,12 +1906,12 @@ mod tests {
     fn contract_rejection_journaled() {
         let f = fleet(1, 4, RoutingPolicy::LeastUtilised);
         let iso = spec().application(AppId(0)).isolation_throughput();
-        let _t = f.admit(0, Some(iso), None).unwrap().ticket().unwrap();
-        let outcome = f.admit(1, None, None).unwrap();
-        let FleetAdmission::Rejected { group, violations } = outcome else {
+        admitted(&f, AdmissionRequest::new(0).with_contract(iso));
+        let outcome = f.admit(&AdmissionRequest::new(1)).unwrap();
+        let AdmissionDecision::Rejected { domain, violations } = outcome else {
             panic!("tight contract must reject the second admission");
         };
-        assert_eq!(group, 0);
+        assert_eq!(domain, 0);
         assert!(!violations.is_empty());
         let events = f.journal().events();
         assert!(matches!(
@@ -2053,13 +1924,14 @@ mod tests {
     }
 
     #[test]
-    fn ticket_drop_releases_and_journals() {
+    fn release_by_id_frees_and_journals() {
         let f = fleet(2, 4, RoutingPolicy::LeastUtilised);
-        {
-            let _t = f.admit(0, None, None).unwrap().ticket().unwrap();
-            assert_eq!(f.resident_count(), 1);
-        }
+        let resident = admitted(&f, AdmissionRequest::new(0));
+        assert_eq!(f.resident_count(), 1);
+        assert!(f.release_resident(resident));
         assert_eq!(f.resident_count(), 0);
+        // A second release of the same id is refused and journals nothing.
+        assert!(!f.release_resident(resident));
         let events = f.journal().events();
         assert_eq!(events.len(), 2);
         assert!(matches!(events[1], DecisionEvent::Release { resident: 0 }));
@@ -2069,14 +1941,13 @@ mod tests {
     #[test]
     fn move_resident_crosses_groups_and_survives() {
         let f = fleet(2, 4, RoutingPolicy::LeastUtilised);
-        let t = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
-        let id = t.resident_id();
+        let id = admitted(&f, AdmissionRequest::new(0).on(0));
         let period = f.move_resident(id, 1).unwrap();
         assert_eq!(period, Rational::integer(300)); // alone on the target
         assert_eq!(f.resident_count_of(0).unwrap(), 0);
         assert_eq!(f.resident_count_of(1).unwrap(), 1);
-        // The ticket still releases the moved resident.
-        t.release();
+        // The id still releases the moved resident.
+        assert!(f.release_resident(id));
         assert_eq!(f.resident_count(), 0);
         assert!(matches!(
             f.journal().events().as_slice(),
@@ -2095,9 +1966,8 @@ mod tests {
     #[test]
     fn move_errors() {
         let f = fleet(2, 1, RoutingPolicy::LeastUtilised);
-        let t0 = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
-        let _t1 = f.admit_to(1, 1, None).unwrap().ticket().unwrap();
-        let id = t0.resident_id();
+        let id = admitted(&f, AdmissionRequest::new(0).on(0));
+        admitted(&f, AdmissionRequest::new(1).on(1));
         assert_eq!(
             f.move_resident(id, 0).unwrap_err(),
             FleetError::SameGroup { group: 0 }
@@ -2121,9 +1991,9 @@ mod tests {
     #[test]
     fn rebalance_moves_toward_balance_and_converges() {
         let f = fleet(2, 4, RoutingPolicy::LeastUtilised);
-        let _tickets: Vec<FleetTicket> = (0..3)
-            .map(|i| f.admit_to(0, i, None).unwrap().ticket().unwrap())
-            .collect();
+        for app in 0..3 {
+            admitted(&f, AdmissionRequest::new(app).on(0));
+        }
         assert_eq!(f.resident_count_of(0).unwrap(), 3);
         let mv = f.rebalance().expect("imbalanced fleet must move");
         assert_eq!((mv.from, mv.to), (0, 1));
@@ -2137,9 +2007,9 @@ mod tests {
     #[test]
     fn snapshot_totals_match_groups() {
         let f = fleet(2, 2, RoutingPolicy::RoundRobin);
-        let _a = f.admit(0, None, None).unwrap().ticket().unwrap();
-        let _b = f.admit(1, None, None).unwrap().ticket().unwrap();
-        let snap = f.snapshot();
+        admitted(&f, AdmissionRequest::new(0));
+        admitted(&f, AdmissionRequest::new(1));
+        let snap = FleetManager::snapshot(&f);
         assert_eq!(snap.residents, 2);
         assert_eq!(snap.capacity, 4);
         assert_eq!(snap.admitted, 2);
@@ -2167,26 +2037,24 @@ mod tests {
 
     #[test]
     fn stopped_fleet_refuses_decisions_and_drains() {
-        use crate::{AdmissionRequest, AdmissionService, ServiceError};
         let f = fleet(2, 4, RoutingPolicy::LeastUtilised);
-        let ticket = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
-        let by_id = AdmissionService::admit(&f, &AdmissionRequest::new(1).on(0))
-            .unwrap()
-            .resident()
-            .unwrap();
+        let first = admitted(&f, AdmissionRequest::new(0).on(0));
+        let second = admitted(&f, AdmissionRequest::new(1).on(0));
         f.stop();
-        assert_eq!(f.admit(0, None, None).unwrap_err(), FleetError::Stopped);
         assert_eq!(
-            AdmissionService::admit(&f, &AdmissionRequest::new(0)).unwrap_err(),
+            f.admit_on(0, 0, None, None).unwrap_err(),
+            FleetError::Stopped
+        );
+        assert_eq!(
+            f.admit(&AdmissionRequest::new(0)).unwrap_err(),
             ServiceError::Stopped
         );
-        assert_eq!(f.move_resident(by_id, 1).unwrap_err(), FleetError::Stopped);
+        assert_eq!(f.move_resident(second, 1).unwrap_err(), FleetError::Stopped);
         // The refused calls journaled nothing beyond the two admissions.
         assert_eq!(f.journal().len(), 2);
-        // Residents still release, by id and by dropping the ticket, each
-        // journaling one release.
-        assert!(f.release_resident(by_id));
-        drop(ticket);
+        // Residents still release by id, each journaling one release.
+        assert!(f.release_resident(second));
+        assert!(f.release_resident(first));
         assert_eq!(f.resident_count(), 0);
         assert_eq!(f.resident_count_of(0).unwrap(), 0);
         assert!(matches!(
@@ -2214,12 +2082,12 @@ mod tests {
         assert_eq!(placement, [3, 1, 2, 1, 2, 2, 0, 3, 2, 0]);
         // App 0 fills shard 3: a second instance saturates there though
         // the group has free shards, while app 1 still lands on shard 1.
-        let _a = f.admit_to(0, 0, None).unwrap().ticket().unwrap();
+        admitted(&f, AdmissionRequest::new(0).on(0));
         assert!(matches!(
-            f.admit_to(0, 0, None).unwrap(),
-            FleetAdmission::Saturated { group: 0 }
+            f.admit(&AdmissionRequest::new(0).on(0)).unwrap(),
+            AdmissionDecision::Saturated { domain: 0 }
         ));
-        let _b = f.admit_to(0, 1, None).unwrap().ticket().unwrap();
+        admitted(&f, AdmissionRequest::new(1).on(0));
         assert_eq!(g.shard_occupancy(), [0, 1, 0, 1]);
     }
 
@@ -2227,8 +2095,6 @@ mod tests {
     fn fleet_is_send_sync() {
         fn check<T: Send + Sync + Clone>() {}
         check::<FleetManager>();
-        fn check_ticket<T: Send>() {}
-        check_ticket::<FleetTicket>();
     }
 }
 

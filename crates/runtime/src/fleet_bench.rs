@@ -2,14 +2,14 @@
 //! and the deterministic-replay integration tests.
 //!
 //! [`seeded_fleet_requests`] produces a deterministic
-//! admit/release/rebalance/estimate stream for a workload spec;
-//! [`run_fleet_stack`] drains it through **any**
-//! [`AdmissionService`] stack layered over a [`FleetManager`] on a worker
-//! pool (single-threaded runs are fully deterministic, which is what the
-//! replay tests record), and [`run_fleet_requests`] is the bare-fleet
-//! convenience. Every decision the run makes lands in the fleet's journal,
-//! including the final drain of still-held residents, so a recorded
-//! journal always ends on an empty fleet.
+//! admit/release/rebalance/estimate stream for a workload spec, and
+//! [`run_requests`] — the one driver — drains it through **any**
+//! [`AdmissionService`] stack on a worker pool: a bare or layered local
+//! [`FleetManager`], or a remote client whose fleet lives in another
+//! process. Single-threaded runs are fully deterministic, which is what
+//! the replay tests record. Every decision the run makes lands in the
+//! fleet's journal, including the final drain of still-held residents, so
+//! a recorded journal always ends on an empty fleet.
 
 use crate::cache::lock;
 use crate::fleet::{FleetManager, FleetSnapshot};
@@ -123,8 +123,8 @@ pub struct FleetBenchReport {
     /// another process and shows up in [`stack`](Self::stack) instead.
     pub snapshot: Option<FleetSnapshot>,
     /// Final service-stack snapshot with per-layer metrics (cache hits,
-    /// journal appends, latency counters, queue depth — whatever the
-    /// layers in the driven stack surface).
+    /// journal length, latency rows, queue depth — whatever the layers in
+    /// the driven stack surface).
     pub stack: ServiceSnapshot,
     /// Journal entries recorded by the run.
     pub journal_len: usize,
@@ -180,8 +180,10 @@ pub struct TelemetryPoint {
     pub saturated: u64,
     /// Residents released so far.
     pub released: u64,
-    /// Median admit latency (µs) over the whole run so far; 0 without a
-    /// [`Metered`](crate::Metered) layer in the driven stack.
+    /// Median admit latency (µs) over the whole run so far, as the
+    /// outermost [`Metered`](crate::Metered) layer of the driven stack saw
+    /// it — over `--connect` that is the client's layer, not the served
+    /// stack's; 0 without a `Metered` layer.
     pub admit_p50_us: u64,
     /// 99th-percentile admit latency (µs) so far.
     pub admit_p99_us: u64,
@@ -224,7 +226,16 @@ impl TelemetryPoint {
     ) -> TelemetryPoint {
         let telemetry = service.telemetry();
         let service = &telemetry.service;
-        let admit = telemetry.histogram("metered", "admit");
+        // Layers push their histograms innermost first, so the last
+        // `metered` one is the driven stack's outermost — a served
+        // stack's own `Metered` layer would understate what a remote
+        // driver observed.
+        let admit = telemetry
+            .histograms
+            .iter()
+            .rev()
+            .find(|h| h.layer == "metered" && h.op == "admit")
+            .map(|h| &h.histogram);
         TelemetryPoint {
             t_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
             residents: service.residents as u64,
@@ -240,106 +251,33 @@ impl TelemetryPoint {
     }
 }
 
-/// [`run_fleet_stack`] over the bare fleet (no middleware): admissions are
-/// dispatched through the fleet's own [`AdmissionService`] implementation.
-pub fn run_fleet_requests(
-    fleet: &FleetManager,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-) -> FleetBenchReport {
-    run_fleet_stack(fleet, fleet, requests, threads)
-}
-
-/// [`run_fleet_stack`] with a telemetry sampler: a side thread snapshots
-/// the stack's live telemetry every `sample_every` while the workers
-/// drain, closing the trajectory with one final post-drain point. The
-/// sampler reads the same [`telemetry`](AdmissionService::telemetry)
-/// surface `probcon top` polls, so the trajectory shows exactly what a
-/// live observer would have seen.
-pub fn run_fleet_stack_sampled(
-    service: &dyn AdmissionService,
-    fleet: &FleetManager,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-    sample_every: Duration,
-) -> (FleetBenchReport, Vec<TelemetryPoint>) {
-    run_stack_inner(
-        service,
-        Some(fleet),
-        requests,
-        threads,
-        Some(sample_every),
-        None,
-    )
-}
-
-/// [`run_service_requests`] with a telemetry sampler — the fleetless
-/// (e.g. [`RemoteClient`](crate::RemoteClient)) counterpart of
-/// [`run_fleet_stack_sampled`].
-pub fn run_service_requests_sampled(
-    service: &dyn AdmissionService,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-    sample_every: Duration,
-) -> (FleetBenchReport, Vec<TelemetryPoint>) {
-    run_stack_inner(service, None, requests, threads, Some(sample_every), None)
-}
-
-/// [`run_service_requests_sampled`] with a per-connection fan-in
-/// sampler: each trajectory point additionally carries one
-/// [`ConnectionPoint`] per client connection, read through
-/// `connections` — the engine behind
-/// `probcon fleet-bench --connect --connections N --telemetry`.
-pub fn run_service_requests_sampled_with(
-    service: &dyn AdmissionService,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-    sample_every: Duration,
-    connections: Option<ConnectionSampler<'_>>,
-) -> (FleetBenchReport, Vec<TelemetryPoint>) {
-    run_stack_inner(
-        service,
-        None,
-        requests,
-        threads,
-        Some(sample_every),
-        connections,
-    )
-}
-
-/// [`run_fleet_stack`] for a service with **no local fleet** — a
-/// [`RemoteClient`](crate::RemoteClient) or any other stack whose fleet
-/// lives elsewhere. [`FleetRequest::Rebalance`] passes become snapshot
-/// probes (rebalancing is a fleet operation the wire does not carry), and
-/// the report's [`snapshot`](FleetBenchReport::snapshot) is `None`; the
-/// fleet's own counters still arrive through the stack snapshot's layers.
-pub fn run_service_requests(
-    service: &dyn AdmissionService,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-) -> FleetBenchReport {
-    run_stack_inner(service, None, requests, threads, None, None).0
-}
-
-/// Executes `requests` against `service` — any [`AdmissionService`] stack
-/// layered over `fleet` — on `threads` workers and reports the run's
-/// metrics. Admissions, releases and estimates go through the stack;
-/// rebalance passes go to the fleet directly (rebalancing is a fleet
-/// operation, not a service one). Residents admitted during the run are
-/// held in a shared pool (drained oldest-first by `Release` requests) and
-/// all released when the run ends, so the journal closes on an empty
-/// fleet. With `threads == 1` the run — and therefore the journal — is
-/// fully deterministic.
-pub fn run_fleet_stack(
-    service: &dyn AdmissionService,
-    fleet: &FleetManager,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-) -> FleetBenchReport {
-    run_stack_inner(service, Some(fleet), requests, threads, None, None).0
-}
-
-fn run_stack_inner(
+/// Executes `requests` against `service` on `threads` workers and
+/// reports the run's metrics — the one driver behind every fleet bench.
+///
+/// Admissions, releases and estimates go through the stack. Residents
+/// admitted during the run are held in a shared pool (drained
+/// oldest-first by `Release` requests) and all released when the run
+/// ends, so the journal closes on an empty fleet. With `threads == 1` the
+/// run — and therefore the journal — is fully deterministic.
+///
+/// * `fleet` is the [`FleetManager`] the stack is layered over, when it
+///   lives in this process: rebalance passes go to it directly
+///   (rebalancing is a fleet operation, not a service one) and the report
+///   carries its [`snapshot`](FleetBenchReport::snapshot). With `None` —
+///   a [`RemoteClient`](crate::RemoteClient) or any other stack whose
+///   fleet lives elsewhere — rebalance passes become snapshot probes, the
+///   report's snapshot is `None`, and the journal length is read from the
+///   stack's `fleet` layer.
+/// * `sample_every` runs a side thread that samples the stack's live
+///   [`telemetry`](AdmissionService::telemetry) — the surface
+///   `probcon top` polls — into [`TelemetryPoint`]s at that interval,
+///   closing the trajectory with one point on the executed stream's end
+///   state (before the drain). With `None` the returned trajectory is
+///   empty.
+/// * `connections` adds one [`ConnectionPoint`] per client connection to
+///   every sample — the engine behind
+///   `probcon fleet-bench --connect --connections N --telemetry`.
+pub fn run_requests(
     service: &dyn AdmissionService,
     fleet: Option<&FleetManager>,
     requests: Vec<FleetRequest>,
@@ -456,12 +394,9 @@ fn run_stack_inner(
     let stack = service.snapshot();
     let journal_len = match fleet {
         Some(fleet) => fleet.journal().len(),
-        // Remote/fleetless stacks surface their journal length (if any)
-        // through a layer counter instead.
-        None => stack
-            .counter("fleet", "journal_entries")
-            .or_else(|| stack.counter("journaled", "entries"))
-            .unwrap_or(0) as usize,
+        // Remote stacks surface the served fleet's journal length through
+        // its layer counter instead.
+        None => stack.counter("fleet", "journal_entries").unwrap_or(0) as usize,
     };
     let report = FleetBenchReport {
         requests: total,
@@ -535,7 +470,15 @@ mod tests {
             FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
         )
         .unwrap();
-        let report = run_fleet_requests(&fleet, seeded_fleet_requests(&spec, 2, 120, 5), 1);
+        let (report, points) = run_requests(
+            &fleet,
+            Some(&fleet),
+            seeded_fleet_requests(&spec, 2, 120, 5),
+            1,
+            None,
+            None,
+        );
+        assert!(points.is_empty(), "no sampler without an interval");
         assert_eq!(report.requests, 120);
         assert!(
             report.snapshot.as_ref().is_some_and(|s| s.admitted > 0),
@@ -561,12 +504,13 @@ mod tests {
         )
         .unwrap();
         let stack = Metered::new(Cached::new(fleet.clone(), 32));
-        let (report, points) = run_fleet_stack_sampled(
+        let (report, points) = run_requests(
             &stack,
-            &fleet,
+            Some(&fleet),
             seeded_fleet_requests(&spec, 2, 400, 5),
             2,
-            Duration::from_millis(1),
+            Some(Duration::from_millis(1)),
+            None,
         );
         assert_eq!(report.requests, 400);
         // At least the closing point lands, and time never runs backwards.
@@ -594,7 +538,7 @@ mod tests {
             FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
         )
         .unwrap();
-        let _ = run_fleet_requests(&bare, requests.clone(), 1);
+        let _ = run_requests(&bare, Some(&bare), requests.clone(), 1, None, None);
 
         let fleet = FleetManager::new(
             spec.clone(),
@@ -602,7 +546,7 @@ mod tests {
         )
         .unwrap();
         let stack = Metered::new(Cached::new(fleet.clone(), 32));
-        let report = run_fleet_stack(&stack, &fleet, requests, 1);
+        let (report, _) = run_requests(&stack, Some(&fleet), requests, 1, None, None);
 
         // Middleware is decision-transparent: the journals agree event for
         // event with the bare run.

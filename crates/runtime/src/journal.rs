@@ -546,18 +546,17 @@ std::thread_local! {
 /// identity through every `AdmissionService` signature: when decision and
 /// append happen synchronously on the deciding thread, a
 /// [`RemoteServer`](crate::RemoteServer) connection handler enters one
-/// scope after the handshake and every decision that connection drives —
-/// whether recorded by a [`Journaled`](crate::Journaled) layer or by a
-/// [`FleetManager`]'s internal journal — carries the
-/// [`ClientHello`](crate::remote::ClientHello)'s client id. Scopes nest;
-/// dropping restores the previous one.
+/// scope after the handshake and every decision that connection drives
+/// carries the [`ClientHello`](crate::remote::ClientHello)'s client id in
+/// the [`FleetManager`]'s journal. Scopes nest; dropping restores the
+/// previous one.
 ///
 /// **Limit:** the scope is thread-local, so it does not survive a hop to
 /// another thread. A served stack that decides *off* the calling thread —
 /// e.g. a [`FrontEnd`](crate::FrontEnd), whose worker pool drains the
 /// submission queue — journals those decisions unattributed (`client:
-/// None`). Serve the journaling layers *below* any front-end (the usual
-/// stack order) to keep attribution.
+/// None`). Serve the fleet *below* any front-end (the usual stack order)
+/// to keep attribution.
 #[derive(Debug)]
 pub struct ClientScope {
     previous: Option<String>,

@@ -14,22 +14,23 @@
 //! * [`EstimateCache`] — LRU memoization of [`contention::estimate`]
 //!   results keyed by (spec fingerprint, use-case mask, method), with
 //!   observable hit/miss counters;
-//! * [`Journal`] — an append-only, checksummed log of every
-//!   admit/reject/release/rebalance decision, with [`JournalReplayer`]
-//!   verifying that re-executing a journal against a fresh fleet
-//!   reproduces every outcome (the engine behind `probcon fleet-bench` /
-//!   `probcon replay`);
+//! * [`Journal`] — the fleet's own append-only, checksummed log of every
+//!   admit/reject/release/rebalance decision, in memory or in a [`wal`]
+//!   directory, with [`JournalReplayer`] verifying that re-executing a
+//!   journal against a fresh fleet reproduces every outcome (the engine
+//!   behind `probcon fleet-bench` / `probcon replay`);
 //! * [`AdmissionService`] — the unified service trait the fleet
-//!   implements, with composable middleware layers [`Cached`],
-//!   [`Journaled`] and [`Metered`] (see [`service`]);
+//!   implements, whose [`admit`](AdmissionService::admit) is the only way
+//!   to decide, with composable middleware layers [`Cached`] and
+//!   [`Metered`] (see [`service`]);
 //! * [`FrontEnd`] — the async event-loop front-end multiplexing thousands
 //!   of queued admissions over a small worker pool, delivering decisions
 //!   through [`Completion`] tickets (see [`frontend`]);
-//! * [`RemoteServer`] / [`RemoteClient`] — the remote transport: a
-//!   length-prefixed JSON-lines protocol over TCP or Unix domain sockets
-//!   whose both ends are just [`AdmissionService`]s, so a fleet spans
-//!   processes and every existing driver works against it unchanged (see
-//!   [`remote`]);
+//! * [`RemoteServer`] / [`RemoteClient`] — the remote transport: one
+//!   protocol version of length-prefixed binary frames (JSON lines as the
+//!   debug codec) over TCP or Unix domain sockets, whose both ends are
+//!   just [`AdmissionService`]s, so a fleet spans processes and every
+//!   existing driver works against it unchanged (see [`remote`]);
 //! * [`Traced`] / [`TraceRecorder`] / [`TelemetrySnapshot`] — the
 //!   telemetry subsystem: a fixed-capacity flight recorder of structured
 //!   decision events, bounded HDR-style [`LatencyHistogram`]s, and a
@@ -100,13 +101,12 @@ pub use autoscaler::{
 };
 pub use cache::{CacheKey, EstimateCache};
 pub use fleet::{
-    FleetAdmission, FleetConfig, FleetError, FleetManager, FleetSnapshot, FleetTicket, GroupConfig,
-    GroupSnapshot, RebalanceMove, RoutingPolicy,
+    FleetConfig, FleetError, FleetManager, FleetSnapshot, GroupConfig, GroupSnapshot,
+    RebalanceMove, RoutingPolicy,
 };
 pub use fleet_bench::{
-    run_fleet_requests, run_fleet_stack, run_fleet_stack_sampled, run_service_requests,
-    run_service_requests_sampled, run_service_requests_sampled_with, seeded_fleet_requests,
-    ConnectionPoint, ConnectionSampler, FleetBenchReport, FleetRequest, TelemetryPoint,
+    run_requests, seeded_fleet_requests, ConnectionPoint, ConnectionSampler, FleetBenchReport,
+    FleetRequest, TelemetryPoint,
 };
 pub use frontend::{FrontEnd, FrontEndConfig};
 pub use journal::{
@@ -121,11 +121,11 @@ pub use planner::{
 pub use remote::{
     BinaryCodec, ClientConfig, Endpoint, JournalSource, JsonLinesCodec, RemoteClient,
     RemoteClientStats, RemoteServer, RemoteServerConfig, RemoteServerStats, WireCodec, WireMode,
-    WirePolicy, MAX_FRAME, REMOTE_PROTOCOL_MIN_VERSION, REMOTE_PROTOCOL_VERSION,
+    WirePolicy, MAX_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completer, Completion,
-    Journaled, LayerMetrics, Metered, OpRate, ServiceError, ServiceOp, ServiceSnapshot,
+    LayerMetrics, Metered, OpRate, ServiceError, ServiceOp, ServiceSnapshot,
 };
 pub use telemetry::{
     build_span_trees, render_chrome_trace, ConnectionStats, EventLoopStats, HistogramRecorder,

@@ -39,7 +39,10 @@
 //!
 //! ```
 //! use platform::{Application, Mapping, SystemSpec};
-//! use runtime::{FleetConfig, FleetManager, FleetShape, PlanRun, RoutingPolicy};
+//! use runtime::{
+//!     AdmissionRequest, AdmissionService, FleetConfig, FleetManager, FleetShape, PlanRun,
+//!     RoutingPolicy,
+//! };
 //! use sdf::figure2_graphs;
 //!
 //! let (a, b) = figure2_graphs();
@@ -54,8 +57,8 @@
 //!     spec.clone(),
 //!     FleetConfig::uniform(1, 1, 2, RoutingPolicy::LeastUtilised),
 //! )?;
-//! let _t0 = fleet.admit(0, None, None)?.ticket().expect("fits");
-//! let _t1 = fleet.admit(1, None, None)?.ticket().expect("fits");
+//! assert!(fleet.admit(&AdmissionRequest::new(0))?.is_admitted());
+//! assert!(fleet.admit(&AdmissionRequest::new(1))?.is_admitted());
 //!
 //! // What if the same traffic had hit a fleet with HALF the capacity?
 //! let recorded = FleetShape::from_header(fleet.journal().header());
@@ -1551,13 +1554,14 @@ mod tests {
         )
         .unwrap();
         // Real traffic: admits (some denied), releases, a rebalance.
-        let t0 = fleet.admit(0, None, None).unwrap().ticket().unwrap();
-        let _t1 = fleet.admit(1, None, None).unwrap().ticket().unwrap();
-        let _t2 = fleet.admit(0, None, None).unwrap().ticket().unwrap();
-        let _t3 = fleet.admit(1, None, None).unwrap().ticket().unwrap();
-        let _denied = fleet.admit(0, None, None).unwrap(); // saturated
-        t0.release();
-        let _t4 = fleet.admit(1, None, None).unwrap().ticket().unwrap();
+        let admit = |app: usize| fleet.admit(&AdmissionRequest::new(app)).unwrap();
+        let first = admit(0).resident().unwrap();
+        for app in [1, 0, 1] {
+            assert!(admit(app).is_admitted());
+        }
+        let _denied = admit(0); // saturated
+        assert!(fleet.release_resident(first));
+        assert!(admit(1).is_admitted());
 
         let shape = FleetShape::from_header(fleet.journal().header());
         let report = PlanRun::new(&spec, fleet.journal(), &shape)
@@ -1635,9 +1639,12 @@ mod tests {
         )
         .unwrap();
         let iso = spec.application(platform::AppId(0)).isolation_throughput();
-        let _t0 = fleet.admit(0, Some(iso), None).unwrap().ticket().unwrap();
-        let denied = fleet.admit(1, None, None).unwrap();
-        assert!(denied.ticket().is_none(), "second admission must reject");
+        let first = fleet
+            .admit(&AdmissionRequest::new(0).with_contract(iso))
+            .unwrap();
+        assert!(first.is_admitted());
+        let denied = fleet.admit(&AdmissionRequest::new(1)).unwrap();
+        assert!(!denied.is_admitted(), "second admission must reject");
 
         // What if a second group had existed? Group counts differ, so Auto
         // re-routes: the rejected admission lands alone on the new group.

@@ -1,17 +1,17 @@
 //! The pipelined remote client: one writer, one reader thread, correlated
 //! completions.
 //!
-//! The client speaks the negotiated [`WireMode`] after a JSON handshake
-//! (see the [module docs](super)). It defaults to requesting binary
-//! frames and transparently reconnects at protocol v3 (JSON-only) when
-//! the far end is an older server, so one binary-preferring client binary
-//! interoperates with every deployed server generation.
+//! The client speaks the granted [`WireMode`] after a JSON handshake (see
+//! the [module docs](super)). It requests binary frames by default and
+//! JSON lines — the debug codec — on request. A server naming any
+//! protocol version but [`REMOTE_PROTOCOL_VERSION`] fails the connect
+//! with a typed error naming both versions.
 
 use super::codec::{decode_message, write_frame, FrameEvent, FrameReader, WireCodec, WireMode};
 use super::endpoint::{Conn, Endpoint};
 use super::{
     ClientHello, ServerHello, WireBody, WireOp, WireRequest, WireResponse, MAGIC,
-    REMOTE_PROTOCOL_MIN_VERSION, REMOTE_PROTOCOL_VERSION,
+    REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
 use crate::journal::{Journal, JournalError, JournalPage};
@@ -43,9 +43,9 @@ pub struct ClientConfig {
     /// Client identity stamped into the server-side journal's provenance
     /// for every decision this connection drives.
     pub client: Option<String>,
-    /// Which framing to request at handshake. The server grants it only
-    /// when both ends speak protocol v4 and its policy allows; the
-    /// granted mode is readable via [`RemoteClient::wire_mode`].
+    /// Which framing to request at handshake. The server grants it when
+    /// its [`WirePolicy`](super::WirePolicy) allows; the granted mode is
+    /// readable via [`RemoteClient::wire_mode`].
     pub wire: WireMode,
 }
 
@@ -67,7 +67,6 @@ enum PendingOp {
     Release(Completer<()>),
     Snapshot(Completer<ServiceSnapshot>),
     Estimate(Completer<Arc<Estimate>>),
-    Journal(Completer<String>),
     JournalPage(Completer<JournalPage>),
     Telemetry(Completer<TelemetrySnapshot>),
     Trace(Completer<Vec<TraceEvent>>),
@@ -80,7 +79,6 @@ impl PendingOp {
             PendingOp::Release(c) => c.complete(Err(error)),
             PendingOp::Snapshot(c) => c.complete(Err(error)),
             PendingOp::Estimate(c) => c.complete(Err(error)),
-            PendingOp::Journal(c) => c.complete(Err(error)),
             PendingOp::JournalPage(c) => c.complete(Err(error)),
             PendingOp::Telemetry(c) => c.complete(Err(error)),
             PendingOp::Trace(c) => c.complete(Err(error)),
@@ -101,7 +99,6 @@ impl PendingOp {
             (PendingOp::Estimate(c), WireBody::Estimate(estimate)) => {
                 c.complete(Ok(Arc::new(estimate)));
             }
-            (PendingOp::Journal(c), WireBody::Journal(text)) => c.complete(Ok(text)),
             (PendingOp::JournalPage(c), WireBody::JournalPage(page)) => c.complete(Ok(page)),
             (PendingOp::Telemetry(c), WireBody::Telemetry(telemetry)) => {
                 c.complete(Ok(*telemetry));
@@ -285,22 +282,6 @@ pub struct RemoteClientStats {
     pub pending: u64,
 }
 
-/// What one handshake attempt concluded.
-enum Handshake {
-    /// Connected; carries everything the running client needs.
-    Done {
-        writer: Conn,
-        shutdown_handle: Conn,
-        reader: FrameReader<Conn>,
-        hello: Box<ServerHello>,
-        mode: WireMode,
-    },
-    /// The server answered with a lower version it does speak; reconnect
-    /// fresh at that version (the server closed this connection after
-    /// refusing).
-    Downgrade(u64),
-}
-
 /// An [`AdmissionService`] whose decisions are made by a [`RemoteServer`]
 /// in another process (see the [module docs](super)).
 ///
@@ -323,8 +304,7 @@ impl fmt::Debug for RemoteClient {
 
 impl RemoteClient {
     /// Connects and handshakes with the server at `addr`, requesting
-    /// binary framing (granted when the server speaks v4 and allows it;
-    /// JSON otherwise).
+    /// binary framing (granted unless the server's policy forces JSON).
     ///
     /// # Errors
     ///
@@ -394,19 +374,8 @@ impl RemoteClient {
         config: ClientConfig,
     ) -> Result<RemoteClient, ServiceError> {
         let transport = ServiceError::Transport;
-        let mut version = REMOTE_PROTOCOL_VERSION;
-        let (writer, shutdown_handle, mut reader, hello, mode) = loop {
-            match RemoteClient::attempt(addr, &config, version)? {
-                Handshake::Done {
-                    writer,
-                    shutdown_handle,
-                    reader,
-                    hello,
-                    mode,
-                } => break (writer, shutdown_handle, reader, hello, mode),
-                Handshake::Downgrade(older) => version = older,
-            }
-        };
+        let (writer, shutdown_handle, mut reader, hello, mode) =
+            RemoteClient::handshake(addr, &config)?;
         // Handshake done. Without a response deadline the reader blocks
         // until the server answers; with one, it polls so the deadline can
         // be enforced between frames.
@@ -451,13 +420,13 @@ impl RemoteClient {
         })
     }
 
-    /// One connection + hello exchange at `version`. Hellos are always
-    /// JSON-framed, whatever `config.wire` asks for.
-    fn attempt(
+    /// Connects and exchanges hellos: the writer, a shutdown handle, the
+    /// reader and the accepted server hello with its granted mode. Hellos
+    /// are always JSON-framed, whatever `config.wire` asks for.
+    fn handshake(
         addr: &Endpoint,
         config: &ClientConfig,
-        version: u64,
-    ) -> Result<Handshake, ServiceError> {
+    ) -> Result<(Conn, Conn, FrameReader<Conn>, ServerHello, WireMode), ServiceError> {
         let transport = ServiceError::Transport;
         let conn = Conn::connect(addr).map_err(|e| transport(format!("connect {addr}: {e}")))?;
         conn.set_read_timeout(Some(
@@ -475,11 +444,9 @@ impl RemoteClient {
             &super::codec::JsonLinesCodec,
             &ClientHello {
                 magic: MAGIC.to_string(),
-                version,
+                version: REMOTE_PROTOCOL_VERSION,
                 client: config.client.clone(),
-                // Only a v4 hello may carry a wire request — a v3 server
-                // ignores unknown fields anyway, but stay byte-compatible.
-                wire: (version >= 4).then(|| config.wire.name().to_string()),
+                wire: Some(config.wire.name().to_string()),
             },
         )
         .map_err(transport)?;
@@ -500,36 +467,20 @@ impl RemoteClient {
                 hello.magic
             )));
         }
-        if hello.version == version {
-            // Agreement. The granted mode is whatever the server said —
-            // absent or unparseable grants (v3 servers) mean JSON.
-            let mode = if version >= 4 {
-                hello
-                    .wire
-                    .as_deref()
-                    .and_then(|w| w.parse().ok())
-                    .unwrap_or(WireMode::Json)
-            } else {
-                WireMode::Json
-            };
-            return Ok(Handshake::Done {
-                writer,
-                shutdown_handle,
-                reader,
-                hello: Box::new(hello),
-                mode,
-            });
+        if hello.version != REMOTE_PROTOCOL_VERSION {
+            return Err(transport(format!(
+                "protocol version mismatch: client {REMOTE_PROTOCOL_VERSION}, server {}",
+                hello.version
+            )));
         }
-        if hello.version < version && hello.version >= REMOTE_PROTOCOL_MIN_VERSION {
-            // An older server names the newest version it speaks while
-            // refusing; reconnect fresh at that version (the refusal
-            // closed this connection).
-            return Ok(Handshake::Downgrade(hello.version));
-        }
-        Err(transport(format!(
-            "protocol version mismatch: client {version}, server {}",
-            hello.version
-        )))
+        // The granted mode is whatever the server said; an absent or
+        // unparseable grant means JSON lines.
+        let mode = hello
+            .wire
+            .as_deref()
+            .and_then(|w| w.parse().ok())
+            .unwrap_or(WireMode::Json);
+        Ok((writer, shutdown_handle, reader, hello, mode))
     }
 
     /// The server's address.
@@ -537,10 +488,9 @@ impl RemoteClient {
         &self.shared.peer
     }
 
-    /// The framing negotiated at handshake — [`WireMode::Binary`] against
-    /// a v4 server granting the default request, [`WireMode::Json`]
-    /// against v3 servers, JSON-only policies, or an explicit
-    /// [`ClientConfig::wire`] of JSON.
+    /// The framing granted at handshake — [`WireMode::Binary`] for the
+    /// default request, [`WireMode::Json`] under a JSON-only server policy
+    /// or an explicit [`ClientConfig::wire`] of JSON.
     pub fn wire_mode(&self) -> WireMode {
         self.shared.wire
     }
@@ -644,24 +594,6 @@ impl RemoteClient {
         }
         Journal::parse(&text)
             .map_err(|e: JournalError| ServiceError::Config(format!("fetched journal: {e}")))
-    }
-
-    /// Fetches the server-side journal rendered as one JSON-lines string,
-    /// in a single response frame ([`WireOp::Journal`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Transport`] on connection failure,
-    /// [`ServiceError::Config`] when the server records no journal.
-    #[deprecated(
-        note = "single-frame fetch caps at the transport's maximum frame size; \
-                use the paged `fetch_journal` (and `Journal::render` for text)"
-    )]
-    pub fn fetch_journal_text(&self) -> Result<String, ServiceError> {
-        let (completer, completion) = Completion::pending();
-        self.shared
-            .send(WireOp::Journal, PendingOp::Journal(completer));
-        completion.wait()
     }
 
     /// Closes the connection: the socket is shut down through a handle

@@ -3,10 +3,10 @@
 //! The transport is codec-agnostic: both ends speak [`Value`] trees and a
 //! [`WireCodec`] turns them into frames. Two codecs exist —
 //!
-//! * [`JsonLinesCodec`] — the protocol-v3 format, kept as the debug/interop
-//!   mode: `LEN JSON\n` with an ASCII decimal length prefix. Greppable,
-//!   `nc`-able, and what every v3 peer speaks.
-//! * [`BinaryCodec`] — the protocol-v4 compact format: a 4-byte
+//! * [`JsonLinesCodec`] — the debug codec: `LEN JSON\n` with an ASCII
+//!   decimal length prefix. Greppable and `nc`-able; every frame carries
+//!   exactly the value tree a binary frame would.
+//! * [`BinaryCodec`] — the default compact format: a 4-byte
 //!   little-endian payload length, then a per-frame key table and a tagged
 //!   value tree with varint integers. Object keys are interned per frame
 //!   (a telemetry snapshot repeats `"count"`/`"bucket"` hundreds of
@@ -32,8 +32,8 @@ const MAX_DEPTH: usize = 256;
 /// The negotiated framing of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireMode {
-    /// Length-prefixed JSON lines (`LEN JSON\n`) — debug/interop mode and
-    /// the only mode protocol-v3 peers speak.
+    /// Length-prefixed JSON lines (`LEN JSON\n`) — the debug mode, and
+    /// what a hello naming no mode is granted.
     Json,
     /// Compact length-prefixed binary frames with per-frame key interning.
     Binary,
@@ -140,7 +140,7 @@ pub fn decode_message<T: Deserialize>(value: &Value) -> Result<T, String> {
 // JSON lines: `LEN JSON\n`.
 // ---------------------------------------------------------------------------
 
-/// The protocol-v3 debug/interop codec: ASCII decimal payload length, one
+/// The debug codec: ASCII decimal payload length, one
 /// space, a single-line JSON document, one `\n`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonLinesCodec;
@@ -225,7 +225,7 @@ mod tag {
     pub const OBJECT: u8 = 7;
 }
 
-/// The protocol-v4 compact codec.
+/// The default compact codec.
 ///
 /// Frame layout (all integers little-endian / LEB128 varints):
 ///

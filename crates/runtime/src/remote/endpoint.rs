@@ -167,12 +167,31 @@ impl Listener {
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => {
-                // A stale socket file from a crashed server would make bind
-                // fail with AddrInUse even though nobody is listening.
-                if path.exists() && UnixStream::connect(path).is_err() {
+                // A live server keeps its path; a stale socket file from a
+                // crashed one would make bind fail even though nobody is
+                // listening.
+                if path.exists() {
+                    if UnixStream::connect(path).is_ok() {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::AddrInUse,
+                            format!("{} is served by a live server", path.display()),
+                        ));
+                    }
                     let _ = std::fs::remove_file(path);
                 }
-                let listener = UnixListener::bind(path)?;
+                // Bind and listen at a sibling path, then rename the socket
+                // into place: the path appears only once it accepts, so a
+                // driver waiting for the file never connects into the gap
+                // between bind and listen.
+                let mut staging = path.clone().into_os_string();
+                staging.push("~");
+                let staging = std::path::PathBuf::from(staging);
+                let _ = std::fs::remove_file(&staging);
+                let listener = UnixListener::bind(&staging)?;
+                if let Err(e) = std::fs::rename(&staging, path) {
+                    let _ = std::fs::remove_file(&staging);
+                    return Err(e);
+                }
                 listener.set_nonblocking(true)?;
                 Ok((Listener::Unix(listener), Endpoint::Unix(path.clone())))
             }

@@ -9,31 +9,31 @@
 //!
 //! * [`RemoteServer`] accepts connections over TCP or Unix domain sockets
 //!   and drives any `Arc<dyn AdmissionService>`, so a stack like
-//!   `Journaled<Cached<FleetManager>>` serves over the wire unchanged;
+//!   `Traced<Metered<Cached<FleetManager>>>` serves over the wire
+//!   unchanged;
 //! * [`RemoteClient`] *implements* the trait, so the
 //!   [`FrontEnd`](crate::FrontEnd) and every existing bench/driver work
 //!   against a remote fleet with zero changes.
 //!
 //! # Wire format (protocol v4)
 //!
-//! Frames are laid out by a negotiated [`WireCodec`]: either compact
-//! length-prefixed **binary** frames ([`BinaryCodec`], the default between
-//! v4 peers) or length-prefixed **JSON lines** ([`JsonLinesCodec`], the
-//! debug/interop mode and everything a v3 peer speaks). See [`codec`] for
-//! both layouts.
+//! Frames are laid out by the [`WireCodec`] granted at handshake: either
+//! compact length-prefixed **binary** frames ([`BinaryCodec`], the
+//! default) or length-prefixed **JSON lines** ([`JsonLinesCodec`], the
+//! greppable debug codec). See [`codec`] for both layouts.
 //!
-//! A connection opens with a version handshake ([`ClientHello`] →
-//! [`ServerHello`]), **always JSON-framed** so negotiation works before
-//! any agreement exists. The client names the newest protocol version it
-//! speaks and its preferred [`WireMode`]; the server answers with the
-//! highest version both sides share (down to
-//! [`REMOTE_PROTOCOL_MIN_VERSION`]) and the granted mode, and the
-//! negotiated codec takes over from the next frame on. A v3 peer on
-//! either side — an old client dialing a new server, or a new client
-//! dialing an old server — converses in JSON transparently, with zero
-//! protocol errors. The server hello also carries the served stack's
-//! workload spec, so drivers can phrase spec-relative requests without
-//! out-of-band configuration.
+//! A connection opens with a hello exchange ([`ClientHello`] →
+//! [`ServerHello`]), **always JSON-framed** so it works before any codec
+//! is agreed. There is one protocol version,
+//! [`REMOTE_PROTOCOL_VERSION`]: the client names it with its preferred
+//! [`WireMode`], and the server answers with the same version and the
+//! granted mode (JSON when the hello names none, or when the server's
+//! [`WirePolicy`] is JSON-only); the granted codec takes over from the
+//! next frame on. A hello naming any other version is refused: the
+//! server answers with its own version and no workload, then closes, and
+//! the client fails with a typed error naming both versions. The server
+//! hello also carries the served stack's workload spec, so drivers can
+//! phrase spec-relative requests without out-of-band configuration.
 //!
 //! After the handshake, requests carry a client-assigned correlation id
 //! and may be **pipelined**: many admissions can be in flight on one
@@ -116,17 +116,10 @@ use contention::{Estimate, Method};
 use platform::SystemSpec;
 use serde::{Deserialize, Serialize};
 
-/// Newest remote-protocol version this build speaks. Version 2 added the
-/// `Telemetry` and `Trace` operations; version 3 the paged `JournalPage`
-/// operation; version 4 negotiated wire codecs (compact binary frames)
-/// and the readiness-loop server. Peers agree on the highest version both
-/// sides share, down to [`REMOTE_PROTOCOL_MIN_VERSION`].
+/// The remote-protocol version this build speaks — the only one. Both
+/// ends must name it in their hellos; a server refuses any other version
+/// and a client fails its connect on one.
 pub const REMOTE_PROTOCOL_VERSION: u64 = 4;
-
-/// Oldest protocol version this build still interoperates with: v3 peers
-/// (JSON-lines only, no `wire` hello fields) are served — and dialed —
-/// transparently.
-pub const REMOTE_PROTOCOL_MIN_VERSION: u64 = 3;
 
 /// Handshake magic identifying this protocol on the wire.
 pub(crate) const MAGIC: &str = "probcon-remote";
@@ -140,32 +133,29 @@ pub(crate) const MAGIC: &str = "probcon-remote";
 pub struct ClientHello {
     /// Protocol magic (`"probcon-remote"`).
     pub magic: String,
-    /// Newest protocol version the client speaks.
+    /// The protocol version the client speaks.
     pub version: u64,
     /// Optional client identity
     /// ([`RemoteClient::connect_as`] / `fleet-bench --client`): the server
     /// enters a [`ClientScope`](crate::ClientScope) for the connection, so
     /// every journaled decision this connection drives carries the id —
     /// the provenance `probcon journal split` separates recordings by.
-    /// Absent from hellos sent by older builds, which still parse
-    /// (optional fields deserialize as `None` when missing).
     pub client: Option<String>,
-    /// Requested [`WireMode`] (`"json"` / `"binary"`), protocol ≥ 4.
-    /// Omitted by v3 peers — those connections are always JSON-lines.
+    /// Requested [`WireMode`] (`"json"` / `"binary"`). A hello without it
+    /// is granted JSON lines.
     #[serde(skip_none)]
     pub wire: Option<String>,
 }
 
 /// Handshake reply, server → client — always JSON-framed. On a version
 /// mismatch the server still answers (naming its own version, omitting
-/// the workload) and then closes, so the client can produce a precise
-/// typed error — or reconnect at the advertised version if it speaks it.
+/// the workload and the wire grant) and then closes, so the client can
+/// produce a precise typed error.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerHello {
     /// Protocol magic (`"probcon-remote"`).
     pub magic: String,
-    /// Negotiated protocol version: the highest both peers speak (a v3
-    /// client is answered with 3), or the server's own version on refusal.
+    /// The server's protocol version, on acceptance and on refusal alike.
     pub version: u64,
     /// The served stack's workload spec, so clients can phrase
     /// spec-relative requests (and drivers can seed request streams)
@@ -174,8 +164,8 @@ pub struct ServerHello {
     /// Admission domains of the served stack (fleet groups), for drivers
     /// that spread requests across domains.
     pub domains: u64,
-    /// Granted [`WireMode`] taking effect after this frame, protocol ≥ 4.
-    /// Omitted when the negotiated version predates codecs (always JSON).
+    /// Granted [`WireMode`] taking effect after this frame. Omitted on
+    /// refusal.
     #[serde(skip_none)]
     pub wire: Option<String>,
 }
@@ -206,10 +196,6 @@ pub enum WireOp {
         /// Estimation method.
         method: Method,
     },
-    /// Fetch the server-side decision journal, rendered as JSON lines in
-    /// one frame. Prefer [`WireOp::JournalPage`] for WAL-backed journals —
-    /// a single frame caps out at the transport's maximum frame size.
-    Journal,
     /// Fetch one bounded page of the server-side decision journal,
     /// starting at the given entry sequence number (page 0 carries the
     /// header/checkpoint prologue). The response's
@@ -251,9 +237,6 @@ pub enum WireBody {
     Snapshot(ServiceSnapshot),
     /// The computed estimate.
     Estimate(Estimate),
-    /// The server-side journal, rendered as JSON lines
-    /// ([`Journal::render`](crate::Journal::render)).
-    Journal(String),
     /// One bounded page of the server-side journal
     /// ([`Journal::render_page`](crate::Journal::render_page)).
     JournalPage(JournalPage),
@@ -327,7 +310,7 @@ mod tests {
     use super::codec::{decode_message, write_frame, FrameEvent, FrameReader, JsonLinesCodec};
     use super::*;
     use crate::fleet::{FleetConfig, FleetManager, RoutingPolicy};
-    use crate::service::{AdmissionService, Cached, Completion, Journaled};
+    use crate::service::{AdmissionService, Cached, Completion};
     use platform::{Application, Mapping, UseCase};
     use sdf::figure2_graphs;
     use std::io::Read;
@@ -432,25 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn hellos_without_wire_fields_still_parse() {
-        // The exact frame a v3 peer sends: no `wire` key at all.
-        let hello: ClientHello =
-            serde_json::from_str(r#"{"magic":"probcon-remote","version":3,"client":null}"#)
-                .unwrap();
-        assert_eq!(hello.version, 3);
-        assert_eq!(hello.wire, None);
-        // ... and a v4 hello omits the key when the mode is unset, so v3
-        // peers never even see it.
-        let v4 = ClientHello {
-            magic: MAGIC.to_string(),
-            version: 4,
-            client: None,
-            wire: None,
-        };
-        assert!(!serde_json::to_string(&v4).unwrap().contains("wire"));
-    }
-
-    #[test]
     fn tcp_roundtrip_admit_release_estimate_snapshot() {
         let server = RemoteServer::bind(
             &"tcp:127.0.0.1:0".parse().unwrap(),
@@ -460,7 +424,7 @@ mod tests {
         let client = RemoteClient::connect(server.local_addr()).unwrap();
 
         // The handshake delivered the workload spec, domain count, and the
-        // negotiated wire mode (binary is the v4 default).
+        // granted wire mode (binary is the default).
         assert_eq!(client.workload().unwrap().application_count(), 2);
         assert_eq!(client.domains(), 2);
         assert_eq!(client.wire_mode(), WireMode::Binary);
@@ -489,35 +453,33 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    #[allow(deprecated)]
     fn uds_roundtrip_and_journal_fetch() {
         let addr = uds_addr("roundtrip");
-        let stack = Arc::new(Journaled::new(Cached::new(fleet(1, 2), 8)));
-        let journal_stack = Arc::clone(&stack);
+        let fleet = fleet(1, 2);
+        let pages = fleet.clone();
         let server = RemoteServer::bind_with(
             &addr,
-            stack,
+            Arc::new(Cached::new(fleet.clone(), 8)),
             // Page size 1 forces the client's fetch loop through one
-            // page per entry — the paged and one-shot renders must agree.
+            // page per entry.
             Some(Box::new(move |from| {
-                journal_stack.journal().render_page(from, 1).ok()
+                pages.journal().render_page(from, 1).ok()
             })),
             RemoteServerConfig::default(),
         )
         .unwrap();
+        // A second server cannot take a live server's socket path.
+        assert!(RemoteServer::bind(&addr, Arc::new(fleet.clone())).is_err());
         let client = RemoteClient::connect(server.local_addr()).unwrap();
         let decision = client.admit(&AdmissionRequest::new(0)).unwrap();
         client.release(decision.resident().unwrap()).unwrap();
 
-        // The journal fetched over the wire verifies and matches.
+        // The journal fetched over the wire verifies, and its pages
+        // concatenate to the server fleet's own render byte for byte.
         let journal = client.fetch_journal().unwrap();
         assert_eq!(journal.len(), 2);
         journal.verify().unwrap();
-
-        // The legacy one-shot fetch chains the same pages server-side:
-        // its text is byte-identical to the paged client's concatenation.
-        let text = client.fetch_journal_text().unwrap();
-        assert_eq!(text, journal.render());
+        assert_eq!(journal.render(), fleet.journal().render());
 
         client.close();
         server.shutdown();
@@ -691,101 +653,46 @@ mod tests {
         let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
             panic!("tcp addr");
         };
-        // A raw client speaking a future protocol version.
-        let mut conn = TcpStream::connect(hostport.as_str()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(
-            &mut conn,
-            &JsonLinesCodec,
-            &ClientHello {
-                magic: MAGIC.to_string(),
-                version: REMOTE_PROTOCOL_VERSION + 1,
-                client: None,
-                wire: None,
-            },
-        )
-        .unwrap();
-        let mut reader = FrameReader::new(conn.try_clone().unwrap(), &JsonLinesCodec, 100);
-        let FrameEvent::Frame(value) = reader.read_frame().unwrap() else {
-            panic!("server answers the hello");
-        };
-        let hello: ServerHello = decode_message(&value).unwrap();
-        assert_eq!(hello.version, REMOTE_PROTOCOL_VERSION);
-        assert!(hello.workload.is_none(), "no spec for refused clients");
-        // ... and then closes the connection.
-        assert!(matches!(
-            reader.read_frame(),
-            Ok(FrameEvent::Closed) | Err(_)
-        ));
+        // Raw clients speaking an older and a future protocol version:
+        // there is one version, so both are refused alike.
+        let versions = [3, REMOTE_PROTOCOL_VERSION + 1];
+        for version in versions {
+            let mut conn = TcpStream::connect(hostport.as_str()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            write_frame(
+                &mut conn,
+                &JsonLinesCodec,
+                &ClientHello {
+                    magic: MAGIC.to_string(),
+                    version,
+                    client: None,
+                    wire: Some("binary".to_string()),
+                },
+            )
+            .unwrap();
+            let mut reader = FrameReader::new(conn.try_clone().unwrap(), &JsonLinesCodec, 100);
+            let FrameEvent::Frame(value) = reader.read_frame().unwrap() else {
+                panic!("server answers the v{version} hello");
+            };
+            let hello: ServerHello = decode_message(&value).unwrap();
+            assert_eq!(hello.version, REMOTE_PROTOCOL_VERSION);
+            assert!(hello.workload.is_none(), "no spec for refused clients");
+            assert_eq!(hello.wire, None, "no codec grant for refused clients");
+            // ... and then closes the connection.
+            assert!(matches!(
+                reader.read_frame(),
+                Ok(FrameEvent::Closed) | Err(_)
+            ));
+        }
         loop {
-            // The reject is counted when the loop reaps the connection,
+            // A reject is counted when the loop reaps the connection,
             // which races this assertion by one poll tick.
-            if server.stats().handshake_rejects == 1 {
+            if server.stats().handshake_rejects == versions.len() as u64 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn v3_json_client_interops_with_v4_server_without_protocol_errors() {
-        let server =
-            RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), Arc::new(fleet(1, 2))).unwrap();
-        let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
-            panic!("tcp addr");
-        };
-        // A raw v3 peer: version 3, no `wire` field, JSON frames only.
-        let mut conn = TcpStream::connect(hostport.as_str()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(
-            &mut conn,
-            &JsonLinesCodec,
-            &ClientHello {
-                magic: MAGIC.to_string(),
-                version: 3,
-                client: None,
-                wire: None,
-            },
-        )
-        .unwrap();
-        let mut reader = FrameReader::new(conn.try_clone().unwrap(), &JsonLinesCodec, 100);
-        let FrameEvent::Frame(value) = reader.read_frame().unwrap() else {
-            panic!("server answers the hello");
-        };
-        let hello: ServerHello = decode_message(&value).unwrap();
-        assert_eq!(hello.version, 3, "negotiated down to the v3 peer");
-        assert!(
-            hello.workload.is_some(),
-            "v3 clients are served, not refused"
-        );
-        assert_eq!(hello.wire, None, "no codec talk with a v3 peer");
-
-        // The whole request/response conversation stays JSON-lines.
-        write_frame(
-            &mut conn,
-            &JsonLinesCodec,
-            &WireRequest {
-                id: 1,
-                op: WireOp::Admit(AdmissionRequest::new(0)),
-            },
-        )
-        .unwrap();
-        let FrameEvent::Frame(value) = reader.read_frame().unwrap() else {
-            panic!("server answers the admit");
-        };
-        let response: WireResponse = decode_message(&value).unwrap();
-        assert_eq!(response.id, 1);
-        let WireBody::Decision(decision) = response.body else {
-            panic!("decision body, got {:?}", response.body);
-        };
-        assert!(decision.is_admitted());
-        drop(conn);
-        drop(reader);
-        server.shutdown();
-        assert_eq!(server.stats().protocol_errors, 0);
-        assert_eq!(server.stats().handshake_rejects, 0);
-        assert_eq!(server.stats().requests, 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use super::codec::{
 use super::endpoint::{is_timeout, Conn, Endpoint, Listener};
 use super::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse, MAGIC,
-    REMOTE_PROTOCOL_MIN_VERSION, REMOTE_PROTOCOL_VERSION,
+    REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
 use crate::frontend::{FrontEnd, FrontEndConfig};
@@ -43,20 +43,19 @@ use std::time::{Duration, Instant};
 /// cannot be read). Called with the first entry sequence number wanted;
 /// page 0 carries the header/checkpoint prologue. The closure bridges the
 /// gap between the type-erased `Arc<dyn AdmissionService>` and the
-/// concrete stack that owns the [`Journal`](crate::Journal) — capture the
-/// stack and call `journal().render_page(from_seq, n).ok()`. Legacy
-/// [`WireOp::Journal`] requests are served by chaining pages server-side.
+/// concrete fleet that owns the [`Journal`](crate::Journal) — capture the
+/// fleet and call `journal().render_page(from_seq, n).ok()`.
 pub type JournalSource = Box<dyn Fn(u64) -> Option<JournalPage> + Send + Sync>;
 
 /// Which [`WireMode`]s a server grants at handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WirePolicy {
-    /// Grant each v4 client its requested mode — binary-capable clients
-    /// get compact frames, v3 peers and explicit JSON requesters get
-    /// JSON lines. The default.
+    /// Grant each client its requested mode — binary requesters get
+    /// compact frames, explicit JSON requesters and hellos naming no mode
+    /// get JSON lines. The default.
     #[default]
     Auto,
-    /// Force JSON lines for every connection — the debug/interop mode
+    /// Force JSON lines for every connection — the debug mode
     /// (`probcon serve --wire json`): every frame on every connection is
     /// greppable text, regardless of what clients ask for.
     JsonOnly,
@@ -326,39 +325,6 @@ impl ServerShared {
                     Err(e) => WireBody::Error(WireFault::from(&e)),
                 }
             }
-            WireOp::Journal => match self.journal_source.as_ref() {
-                // The one-frame fetch is served by chaining pages: the
-                // source is bounded per call, the concatenation is the
-                // exact `Journal::render` text.
-                Some(source) => {
-                    let mut text = String::new();
-                    let mut from = 0u64;
-                    loop {
-                        match source(from) {
-                            Some(page) => {
-                                text.push_str(&page.text);
-                                match page.next_seq {
-                                    // A page that does not advance would
-                                    // loop forever; treat it as the end.
-                                    Some(next) if next > from => from = next,
-                                    Some(_) | None => break WireBody::Journal(text),
-                                }
-                            }
-                            None if text.is_empty() => {
-                                break WireBody::Error(WireFault::Config(
-                                    "server records no journal".to_string(),
-                                ))
-                            }
-                            None => {
-                                break WireBody::Error(WireFault::Config(
-                                    "journal page read failed mid-stream".to_string(),
-                                ))
-                            }
-                        }
-                    }
-                }
-                None => WireBody::Error(WireFault::Config("server records no journal".to_string())),
-            },
             WireOp::JournalPage { from_seq } => {
                 match self
                     .journal_source
@@ -885,30 +851,21 @@ impl EventLoop {
         };
         let domains = self.shared.handshake_domains();
         match hello {
-            Ok(hello)
-                if hello.magic == MAGIC
-                    && (REMOTE_PROTOCOL_MIN_VERSION..=REMOTE_PROTOCOL_VERSION)
-                        .contains(&hello.version) =>
-            {
-                let negotiated = hello.version.min(REMOTE_PROTOCOL_VERSION);
-                let granted = if negotiated >= 4 {
-                    match self.shared.config.wire {
-                        WirePolicy::JsonOnly => WireMode::Json,
-                        WirePolicy::Auto => hello
-                            .wire
-                            .as_deref()
-                            .and_then(|w| w.parse().ok())
-                            .unwrap_or(WireMode::Json),
-                    }
-                } else {
-                    WireMode::Json
+            Ok(hello) if hello.magic == MAGIC && hello.version == REMOTE_PROTOCOL_VERSION => {
+                let granted = match self.shared.config.wire {
+                    WirePolicy::JsonOnly => WireMode::Json,
+                    WirePolicy::Auto => hello
+                        .wire
+                        .as_deref()
+                        .and_then(|w| w.parse().ok())
+                        .unwrap_or(WireMode::Json),
                 };
                 conn.push_response_hello(&ServerHello {
                     magic: MAGIC.to_string(),
-                    version: negotiated,
+                    version: REMOTE_PROTOCOL_VERSION,
                     workload: self.shared.service.workload().cloned(),
                     domains,
-                    wire: (negotiated >= 4).then(|| granted.name().to_string()),
+                    wire: Some(granted.name().to_string()),
                 });
                 // The granted codec takes over from the next frame on.
                 conn.codec = granted.codec();

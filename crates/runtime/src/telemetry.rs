@@ -13,8 +13,8 @@
 //! * [`TraceRecorder`] / [`TraceEvent`] — a fixed-capacity ring-buffer
 //!   flight recorder of structured decision events, fed by the
 //!   [`Traced`] middleware (which composes like
-//!   [`Cached`](crate::Cached) / [`Journaled`](crate::Journaled) /
-//!   [`Metered`](crate::Metered)) and by instrumentation points in
+//!   [`Cached`](crate::Cached) / [`Metered`](crate::Metered)) and by
+//!   instrumentation points in
 //!   [`FrontEnd`](crate::FrontEnd) and the remote transport.
 //! * [`TelemetrySnapshot`] — the exposition surface aggregating the
 //!   [`ServiceSnapshot`] of every layer plus full latency distributions
@@ -508,7 +508,7 @@ pub struct TraceEvent {
     pub app_index: u64,
     /// Domain / group index that decided (0 when not applicable).
     pub domain: u64,
-    /// Resident ticket granted or released, if any.
+    /// Resident id granted or released, if any.
     pub resident: Option<u64>,
     /// Time the traced operation took, in microseconds.
     pub duration_micros: u64,
@@ -568,7 +568,7 @@ impl TraceEvent {
         self
     }
 
-    /// Sets the resident ticket.
+    /// Sets the resident id.
     #[must_use]
     pub fn resident(mut self, resident: u64) -> TraceEvent {
         self.resident = Some(resident);
@@ -1108,10 +1108,10 @@ pub fn render_chrome_trace(events: &[TraceEvent], anchor_micros: u64) -> String 
 /// Tracing middleware: records every decision flowing through the
 /// wrapped service into a shared [`TraceRecorder`].
 ///
-/// Composes like [`Cached`](crate::Cached) /
-/// [`Journaled`](crate::Journaled) / [`Metered`](crate::Metered) and is
-/// decision-transparent: it never changes an outcome, only observes it
-/// (see the byte-identical-journal test in `tests/telemetry.rs`).
+/// Composes like [`Cached`](crate::Cached) / [`Metered`](crate::Metered)
+/// and is decision-transparent: it never changes an outcome, only
+/// observes it (see the byte-identical-journal test in
+/// `tests/telemetry.rs`).
 #[derive(Debug)]
 pub struct Traced<S> {
     inner: S,
@@ -1441,43 +1441,14 @@ impl TelemetrySnapshot {
             .map(|h| &h.histogram)
     }
 
-    /// Human-readable multi-table rendering: the layered service table,
-    /// one latency row per recorded distribution, and flight-recorder
-    /// stats.
+    /// Human-readable multi-table rendering: the layered service table
+    /// (whose per-op rows carry every layer's count, mean and quantiles),
+    /// flight-recorder stats, the autoscaler line, the per-tenant table and
+    /// the transport view. The full [`histograms`](Self::histograms) are
+    /// rendered only by [`render_prometheus`](Self::render_prometheus), so
+    /// no latency fact is printed twice.
     pub fn render(&self) -> String {
         let mut out = self.service.render();
-        if !self.histograms.is_empty() {
-            out.push('\n');
-            let _ = writeln!(
-                out,
-                "{:<14} {:<12} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                "layer",
-                "op",
-                "count",
-                "mean_us",
-                "p50_us",
-                "p90_us",
-                "p99_us",
-                "p999_us",
-                "max_us"
-            );
-            for entry in &self.histograms {
-                let h = &entry.histogram;
-                let _ = writeln!(
-                    out,
-                    "{:<14} {:<12} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                    entry.layer,
-                    entry.op,
-                    h.count(),
-                    h.mean_micros(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.p999(),
-                    h.max_micros()
-                );
-            }
-        }
         if self.trace.capacity > 0 {
             let _ = writeln!(
                 out,
@@ -1786,6 +1757,7 @@ pub fn op_rate(op: &str, histogram: &LatencyHistogram, elapsed: Duration) -> OpR
         op: op.to_string(),
         count: histogram.count(),
         ops_per_sec: rate,
+        mean_us: histogram.mean_micros(),
         p50_us: histogram.p50(),
         p90_us: histogram.p90(),
         p99_us: histogram.p99(),

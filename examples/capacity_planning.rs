@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example capacity_planning`
 
 use runtime::{
-    run_fleet_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape, FlipKind,
-    PlanRun, PlanSweep, RoutingPolicy,
+    run_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape, FlipKind, PlanRun,
+    PlanSweep, RoutingPolicy,
 };
 use sdf::GeneratorConfig;
 
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
     )?;
     let stream = seeded_fleet_requests(&spec, 2, 300, 2007);
-    run_fleet_requests(&fleet, stream, 1);
+    run_requests(&fleet, Some(&fleet), stream, 1, None, None);
     let journal = fleet.journal();
     println!(
         "== recorded {} decisions on a {} fleet ==\n",

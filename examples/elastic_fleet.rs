@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    Autoscaler, FleetAdmission, FleetConfig, FleetManager, JournalReplayer, RoutingPolicy,
-    ScalePolicy, TargetPolicy,
+    AdmissionRequest, AdmissionService, Autoscaler, FleetConfig, FleetManager, JournalReplayer,
+    RoutingPolicy, ScalePolicy, TargetPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -46,12 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let controller = Autoscaler::new(Arc::clone(&fleet), ScalePolicy::Target(policy));
 
-    // Saturate the fleet: park residents (forgetting the RAII tickets so
-    // they stay resident) until both groups are full.
+    // Saturate the fleet: park residents (they stay resident until
+    // released by id) until both groups are full.
     let mut parked = 0;
     for i in 0..4 {
-        if let FleetAdmission::Admitted(ticket) = fleet.admit(i, None, None)? {
-            ticket.forget();
+        if fleet.admit(&AdmissionRequest::new(i))?.is_admitted() {
             parked += 1;
         }
     }
@@ -67,7 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("tick {tick}: {action:?} -> {outcome:?}");
         }
     }
-    let snapshot = fleet.snapshot();
+    // The fleet's own snapshot, called by path: on an `Arc<FleetManager>`
+    // the in-scope trait's `snapshot` would resolve first.
+    let snapshot = FleetManager::snapshot(&fleet);
     println!(
         "fleet grew to capacity {} ({} resizes journaled)",
         snapshot.groups.iter().map(|g| g.capacity).sum::<usize>(),
@@ -86,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fleet.grow_group(0, 5)?;
     let outcome = fleet.drain_group(1)?;
     println!("after growing group 0: drain group 1 -> {outcome:?}");
-    print!("{}", fleet.snapshot().render());
+    print!("{}", FleetManager::snapshot(&fleet).render());
 
     println!("\n== the autoscaled run replays outcome-for-outcome ==");
     let journal = runtime::Journal::parse(&fleet.journal().render())?;

@@ -1,14 +1,14 @@
 //! A fleet spanning processes: `runtime::remote` serving a
-//! `Journaled<Cached<FleetManager>>` stack over a loopback socket, driven
-//! by a `RemoteClient` that is itself just another `AdmissionService` —
-//! and a server-side journal that replays deterministically.
+//! `Cached<FleetManager>` stack over a loopback socket, driven by a
+//! `RemoteClient` that is itself just another `AdmissionService` — and the
+//! fleet's server-side journal, which replays deterministically.
 //!
 //! Run with: `cargo run --release --example remote_fleet`
 
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
     AdmissionRequest, AdmissionService, Cached, Completion, Endpoint, FleetConfig, FleetManager,
-    JournalReplayer, Journaled, RemoteClient, RemoteServer, RoutingPolicy,
+    JournalReplayer, RemoteClient, RemoteServer, RoutingPolicy,
 };
 use sdf::figure2_graphs;
 use std::sync::Arc;
@@ -21,15 +21,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .mapping(Mapping::by_actor_index(3))
         .build()?;
 
-    // The served stack: journal recording and estimate caching layered
-    // over a two-group fleet. The server drives it as a plain
+    // The served stack: estimate caching layered over a two-group fleet
+    // that journals its own decisions. The server drives it as a plain
     // `Arc<dyn AdmissionService>` — the layers are invisible to the wire.
     let fleet = FleetManager::new(
         spec.clone(),
         FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
     )?;
     let fleet_config = FleetConfig::from_header(fleet.journal().header())?;
-    let stack = Arc::new(Journaled::new(Cached::new(fleet, 32)));
+    let stack = Arc::new(Cached::new(fleet.clone(), 32));
 
     // Loopback socket: a Unix domain socket where available, TCP otherwise
     // (port 0 = the OS picks an ephemeral port).
@@ -39,12 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         "tcp:127.0.0.1:0".parse()?
     };
-    let journal_stack = Arc::clone(&stack);
+    let journal_fleet = fleet.clone();
     let server = RemoteServer::bind_with(
         &addr,
-        Arc::clone(&stack) as Arc<dyn AdmissionService>,
+        stack as Arc<dyn AdmissionService>,
         Some(Box::new(move |from_seq| {
-            journal_stack.journal().render_page(from_seq, 4096).ok()
+            journal_fleet.journal().render_page(from_seq, 4096).ok()
         })),
         runtime::RemoteServerConfig::default(),
     )?;
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.shutdown();
 
     println!("\n== deterministic replay of the wire-recorded journal ==");
-    let journal = runtime::Journal::parse(&stack.journal().render())?;
+    let journal = runtime::Journal::parse(&fleet.journal().render())?;
     let (report, _replayed) = JournalReplayer::new(&spec).replay(&journal, fleet_config)?;
     print!("{}", report.render());
     assert!(

@@ -1,7 +1,8 @@
 //! The layered admission-service stack, end to end: one `AdmissionService`
-//! trait, composable middleware (`Metered<Cached<Journaled<FleetManager>>>`),
-//! sign-off cache warming, and the async `FrontEnd` multiplexing hundreds
-//! of queued admissions over a four-thread worker pool.
+//! trait, composable middleware (`Metered<Cached<FleetManager>>`) over a
+//! fleet that journals every decision, sign-off cache warming, and the
+//! async `FrontEnd` multiplexing hundreds of queued admissions over a
+//! four-thread worker pool.
 //!
 //! Run with: `cargo run --release --example service_stack`
 
@@ -11,7 +12,7 @@ use experiments::workload::workload_with;
 use platform::UseCase;
 use runtime::{
     AdmissionRequest, AdmissionService, Cached, Completion, FleetConfig, FleetManager, FrontEnd,
-    FrontEndConfig, JournalReplayer, Journaled, Metered, RoutingPolicy,
+    FrontEndConfig, JournalReplayer, Metered, RoutingPolicy,
 };
 use sdf::GeneratorConfig;
 use std::sync::Arc;
@@ -19,18 +20,14 @@ use std::sync::Arc;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = workload_with(2007, 4, &GeneratorConfig::with_actors(4))?;
 
-    // One fleet, three middleware layers, one front-end — all the same
-    // AdmissionService, so each layer wraps any other. The layers we want
-    // to inspect later are held behind Arcs.
+    // One fleet, two middleware layers, one front-end — all the same
+    // AdmissionService, so each layer wraps any other. The layer we want
+    // to inspect later is held behind an Arc.
     let fleet = FleetManager::new(
         spec.clone(),
         FleetConfig::uniform(3, 1, 4, RoutingPolicy::LeastUtilised),
     )?;
-    let journaled = Arc::new(Journaled::with_header(
-        fleet.clone(),
-        fleet.journal().header().clone(),
-    ));
-    let cached = Arc::new(Cached::new(Arc::clone(&journaled), 64));
+    let cached = Arc::new(Cached::new(fleet.clone(), 64));
 
     println!("== cache warming from the sign-off artefact ==");
     let report = sign_off(&spec, Method::Composability, None)?;
@@ -88,8 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", AdmissionService::snapshot(&front).render());
     front.shutdown();
 
-    println!("\n== the middleware journal replays outcome for outcome ==");
-    let journal = runtime::Journal::parse(&journaled.journal().render())?;
+    println!("\n== the fleet's journal replays outcome for outcome ==");
+    let journal = runtime::Journal::parse(&fleet.journal().render())?;
     let (replay, _fleet) = JournalReplayer::new(&spec).replay(
         &journal,
         FleetConfig::uniform(3, 1, 4, RoutingPolicy::LeastUtilised),

@@ -1,5 +1,5 @@
 //! The fully-instrumented admission stack:
-//! `Traced<Metered<Cached<Journaled<FleetManager>>>>` under concurrent
+//! `Traced<Metered<Cached<FleetManager>>>` under concurrent
 //! load, with the flight recorder shared between the `Traced` shell and
 //! the cache layer (which owns estimate hit/miss events), a manual
 //! rebalance span, Prometheus exposition of every layer's bounded
@@ -9,8 +9,8 @@
 
 use experiments::workload::workload_with;
 use runtime::{
-    run_fleet_stack, seeded_fleet_requests, AdmissionService, Cached, FleetConfig, FleetManager,
-    Journaled, Metered, RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
+    run_requests, seeded_fleet_requests, AdmissionService, Cached, FleetConfig, FleetManager,
+    Metered, RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
 };
 use sdf::GeneratorConfig;
 use std::sync::Arc;
@@ -27,13 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cache layer records estimate spans with hit/miss flags, everything
     // else is recorded by the outermost `Traced` shell.
     let recorder = Arc::new(TraceRecorder::new(2048));
-    let cached = Cached::new(Journaled::new(fleet.clone()), 64);
+    let cached = Cached::new(fleet.clone(), 64);
     cached.attach_trace(Arc::clone(&recorder));
     let stack = Traced::with_recorder(Metered::new(cached), Arc::clone(&recorder));
 
-    println!("== 600 admissions through four instrumented layers, 4 threads ==");
+    println!("== 600 admissions through three instrumented layers, 4 threads ==");
     let stream = seeded_fleet_requests(&spec, 3, 600, 2007);
-    let report = run_fleet_stack(&stack, &fleet, stream, 4);
+    let (report, _) = run_requests(&stack, Some(&fleet), stream, 4, None, None);
     print!("{}", report.render());
 
     // Cross-group rebalancing is driven outside the service trait, so the
@@ -68,10 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.recorded, stats.dropped, stats.capacity
     );
 
-    // The journal four layers down saw every decision the tracer saw.
+    // The fleet's journal three layers down saw every decision the
+    // tracer saw.
     let journal = stack.inner().inner().inner().journal();
     println!(
-        "journal four layers down: {} events",
+        "fleet journal three layers down: {} events",
         journal.events().len()
     );
     assert!(stats.recorded > 0 && !journal.events().is_empty());

@@ -90,8 +90,8 @@ USAGE:
       so the recording replays and plans like any other. Local only — a
       remote fleet's shape is the server's to scale. --wire picks the
       frame encoding requested at handshake (default binary; json for
-      greppable frames or pre-v4 servers — either way the negotiated mode
-      is printed). --connections opens <n> client connections to the one
+      greppable debug frames — either way the granted mode is printed).
+      --connections opens <n> client connections to the one
       server and round-robins the request stream across them — the fan-in
       shape the readiness-loop server serves at flat memory.
 
@@ -127,9 +127,9 @@ USAGE:
       groups when configured), and journals every resize as a first-class
       decision — an autoscaled run replays outcome-for-outcome and
       `probcon top --connect` shows the controller's live status line.
-      --wire json forces greppable JSON-lines frames on every connection;
-      the default negotiates compact binary frames with any v4 client
-      that requests them (v3 clients always get JSON).
+      --wire json forces greppable JSON-lines debug frames on every
+      connection; the default grants each client the frames it requests
+      (compact binary unless it asks for JSON).
 
   probcon top [--connect tcp:HOST:PORT|unix:PATH] [--watch <secs>] [--prometheus]
               [--connections] [--wire json|binary]
@@ -456,8 +456,8 @@ fn cmd_signoff(options: &HashMap<&str, &str>) -> Result<(), String> {
 
 fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
-        run_fleet_stack, run_fleet_stack_sampled, seeded_fleet_requests, Cached, FleetConfig,
-        FleetManager, FleetRequest, JournalHeader, Metered, RoutingPolicy, JOURNAL_VERSION,
+        run_requests, seeded_fleet_requests, Cached, FleetConfig, FleetManager, FleetRequest,
+        JournalHeader, Metered, RoutingPolicy, JOURNAL_VERSION,
     };
 
     if let Some(&addr) = options.get("connect") {
@@ -625,10 +625,8 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
         .len() as u64;
 
     let stack = Metered::new(cached);
-    let (report, points) = match telemetry_interval(options)? {
-        Some(interval) => run_fleet_stack_sampled(&stack, &fleet, stream, threads, interval),
-        None => (run_fleet_stack(&stack, &fleet, stream, threads), Vec::new()),
-    };
+    let interval = telemetry_interval(options)?;
+    let (report, points) = run_requests(&stack, Some(&fleet), stream, threads, interval, None);
     if let Some((controller, handle)) = autoscaler {
         handle.stop();
         println!("{}", controller.status().render());
@@ -781,8 +779,8 @@ impl runtime::AdmissionService for FanInClient {
 
 fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
-        run_service_requests, run_service_requests_sampled_with, seeded_fleet_requests,
-        AdmissionService, ClientConfig, ConnectionPoint, Endpoint, Metered, RemoteClient, WireMode,
+        run_requests, seeded_fleet_requests, AdmissionService, ClientConfig, ConnectionPoint,
+        Endpoint, Metered, RemoteClient, WireMode,
     };
 
     // Fleet shape, workload and journal durability are the server's to
@@ -880,12 +878,8 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
                 .collect()
         }
     };
-    let (report, points) = match telemetry_interval(options)? {
-        Some(interval) => {
-            run_service_requests_sampled_with(&stack, stream, threads, interval, Some(&sampler))
-        }
-        None => (run_service_requests(&stack, stream, threads), Vec::new()),
-    };
+    let interval = telemetry_interval(options)?;
+    let (report, points) = run_requests(&stack, None, stream, threads, interval, Some(&sampler));
     print!("{}", report.render());
     write_telemetry(options, &points)?;
 
@@ -1177,7 +1171,7 @@ fn demo_telemetry_stack(
     options: &HashMap<&str, &str>,
 ) -> Result<runtime::Traced<runtime::Metered<runtime::Cached<runtime::FleetManager>>>, String> {
     use runtime::{
-        run_fleet_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, Metered,
+        run_requests, seeded_fleet_requests, Cached, FleetConfig, FleetManager, Metered,
         RoutingPolicy, TraceRecorder, Traced,
     };
     use std::sync::Arc;
@@ -1199,7 +1193,7 @@ fn demo_telemetry_stack(
     cached.attach_trace(Arc::clone(&recorder));
     let stack = Traced::with_recorder(Metered::new(cached), recorder);
     let stream = seeded_fleet_requests(&spec, 2, requests, seed);
-    let _ = run_fleet_stack(&stack, &fleet, stream, 2);
+    let _ = run_requests(&stack, Some(&fleet), stream, 2, None, None);
     Ok(stack)
 }
 

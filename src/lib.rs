@@ -21,12 +21,13 @@
 //! * [`runtime`] — the concurrent online resource manager: one unified
 //!   `AdmissionService` trait implemented by the multi-platform
 //!   `FleetManager` (sharded admission controllers per platform group,
-//!   deciding without waiting), composable middleware layers (`Cached`
-//!   estimate memoization with sign-off warming, `Journaled` decision
-//!   recording with deterministic replay, `Metered` latency/throughput
-//!   counters), and the async `FrontEnd` event loop multiplexing
-//!   thousands of queued admissions over a small worker pool
-//!   (`probcon serve` / `fleet-bench` / `replay`).
+//!   deciding without waiting and journaling every decision for
+//!   deterministic replay), composable middleware layers (`Cached`
+//!   estimate memoization with sign-off warming, `Metered`
+//!   latency/throughput rows), the async `FrontEnd` event loop
+//!   multiplexing thousands of queued admissions over a small worker
+//!   pool, and a one-version remote protocol (`probcon serve` /
+//!   `fleet-bench` / `replay`).
 //!
 //! # Example
 //!

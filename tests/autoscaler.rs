@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use experiments::workload::workload_with;
 use runtime::{
-    Autoscaler, DecisionEvent, FleetAdmission, FleetConfig, FleetManager, FleetShape,
-    JournalHeader, JournalReplayer, PlanRun, RoutingPolicy, ScaleAction, ScaleOutcome, ScalePolicy,
-    ScaleRefusal, TargetPolicy, JOURNAL_VERSION,
+    AdmissionDecision, AdmissionRequest, AdmissionService, Autoscaler, DecisionEvent, FleetConfig,
+    FleetManager, FleetShape, JournalHeader, JournalReplayer, PlanRun, RoutingPolicy, ScaleAction,
+    ScaleOutcome, ScalePolicy, ScaleRefusal, TargetPolicy, JOURNAL_VERSION,
 };
 use sdf::GeneratorConfig;
 
@@ -45,16 +45,16 @@ fn fleet(groups: usize, shards: usize, capacity: usize) -> FleetManager {
     .expect("fleet")
 }
 
-/// Parks `count` residents on `group`, forgetting the RAII tickets so
-/// they stay resident for the test's duration.
+/// Parks `count` residents on `group`; they stay resident for the test's
+/// duration (nothing releases them).
 fn park(fleet: &FleetManager, group: usize, count: usize) -> Vec<u64> {
     let mut residents = Vec::new();
     for i in 0..count {
-        match fleet.admit_to(group, i, None).expect("admits") {
-            FleetAdmission::Admitted(ticket) => {
-                residents.push(ticket.resident_id());
-                ticket.forget();
-            }
+        match fleet
+            .admit(&AdmissionRequest::new(i).on(group))
+            .expect("admits")
+        {
+            AdmissionDecision::Admitted { resident, .. } => residents.push(resident),
             other => panic!("parking admission bounced: {other:?}"),
         }
     }
@@ -297,7 +297,9 @@ fn planner_evaluates_a_policy_file_against_a_recorded_run() {
     for i in 0..4 {
         // Saturated admissions: recorded rejections the policy will see
         // as sustained pressure.
-        let _ = fleet.admit_to(i % 2, i, None).expect("decides");
+        let _ = fleet
+            .admit(&AdmissionRequest::new(i).on(i % 2))
+            .expect("decides");
     }
     let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
 

@@ -419,7 +419,10 @@ fn replay_divergence_details_land_on_stderr_before_exit() {
 #[test]
 fn journal_split_and_merge_roundtrip_via_cli() {
     use probcon::platform::SystemSpec;
-    use probcon::runtime::{ClientScope, FleetConfig, FleetManager, JournalHeader, RoutingPolicy};
+    use probcon::runtime::{
+        AdmissionRequest, AdmissionService, ClientScope, FleetConfig, FleetManager, JournalHeader,
+        RoutingPolicy,
+    };
     use probcon::sdf::GeneratorConfig;
 
     let dir = std::env::temp_dir().join("probcon-cli-test").join("split");
@@ -443,21 +446,28 @@ fn journal_split_and_merge_roundtrip_via_cli() {
         header.clone(),
     )
     .expect("fleet builds");
-    let t0 = {
-        let _alpha = ClientScope::enter("alpha");
-        fleet.admit(0, None, None).unwrap().ticket().unwrap()
+    let admit = |app: usize| {
+        fleet
+            .admit(&AdmissionRequest::new(app))
+            .unwrap()
+            .resident()
+            .unwrap()
     };
-    let t1 = {
+    let r0 = {
+        let _alpha = ClientScope::enter("alpha");
+        admit(0)
+    };
+    let r1 = {
         let _beta = ClientScope::enter("beta");
-        fleet.admit(1, None, None).unwrap().ticket().unwrap()
+        admit(1)
     };
     {
         let _alpha = ClientScope::enter("alpha");
-        t0.release();
+        fleet.release(r0).unwrap();
     }
     {
         let _beta = ClientScope::enter("beta");
-        t1.release();
+        fleet.release(r1).unwrap();
     }
     let recording = dir.join("two-clients.jsonl");
     fleet.journal().write_to(&recording).expect("writes");

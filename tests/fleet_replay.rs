@@ -7,9 +7,8 @@
 
 use experiments::workload::workload_with;
 use runtime::{
-    run_fleet_requests, seeded_fleet_requests, AdmissionRequest, AdmissionService, DecisionEvent,
-    FleetConfig, FleetManager, FleetRequest, Journal, JournalHeader, JournalOutcome,
-    JournalReplayer, Journaled, ReplayReport, RoutingPolicy, JOURNAL_VERSION,
+    run_requests, seeded_fleet_requests, DecisionEvent, FleetConfig, FleetManager, Journal,
+    JournalHeader, JournalOutcome, JournalReplayer, ReplayReport, RoutingPolicy, JOURNAL_VERSION,
 };
 use sdf::GeneratorConfig;
 
@@ -46,7 +45,7 @@ fn record() -> Journal {
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED);
-    let report = run_fleet_requests(&fleet, stream, 1);
+    let (report, _) = run_requests(&fleet, Some(&fleet), stream, 1, None, None);
     let snapshot = report.snapshot.as_ref().expect("local fleet run");
     assert!(snapshot.admitted > 0, "workload admits: {report:?}");
     assert!(
@@ -152,7 +151,7 @@ fn concurrent_recording_still_replays_equivalently() {
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED + 1);
-    run_fleet_requests(&fleet, stream, 8);
+    run_requests(&fleet, Some(&fleet), stream, 8, None, None);
     let journal = Journal::parse(&fleet.journal().render()).expect("round-trips");
 
     let (report, _) = JournalReplayer::new(&spec)
@@ -160,72 +159,6 @@ fn concurrent_recording_still_replays_equivalently() {
         .expect("replay");
     assert!(report.is_equivalent(), "{}", report.render());
     assert_eq!(report.events, journal.len());
-}
-
-#[test]
-fn journaled_middleware_recording_replays_equivalently() {
-    // The middleware path of the replay oracle: record admissions and
-    // releases through a `Journaled<FleetManager>` service stack (NOT the
-    // fleet's internal journal), then replay the middleware journal with
-    // the standard `JournalReplayer`. The stack journals the same decision
-    // vocabulary, so the journal must replay outcome for outcome.
-    let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
-    let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
-    let stack = Journaled::with_header(fleet.clone(), header());
-
-    // Drive the seeded stream through the stack (admits/releases only —
-    // rebalances are a fleet operation and would bypass the middleware
-    // journal, making it incomplete).
-    let mut held: Vec<u64> = Vec::new();
-    let mut outcomes = (0u64, 0u64, 0u64); // admitted, rejected+saturated, released
-    for request in seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED) {
-        match request {
-            FleetRequest::Admit {
-                app_index,
-                required_throughput,
-                affinity,
-            } => {
-                let request = AdmissionRequest {
-                    app_index,
-                    required_throughput,
-                    affinity,
-                    target: None,
-                    span: None,
-                };
-                let decision = stack.admit(&request).expect("no analysis errors");
-                match decision.resident() {
-                    Some(resident) => {
-                        held.push(resident);
-                        outcomes.0 += 1;
-                    }
-                    None => outcomes.1 += 1,
-                }
-            }
-            FleetRequest::Release => {
-                if !held.is_empty() {
-                    stack.release(held.remove(0)).expect("held resident");
-                    outcomes.2 += 1;
-                }
-            }
-            // Skipped: see above.
-            FleetRequest::Rebalance | FleetRequest::Estimate { .. } => {}
-        }
-    }
-    for resident in held {
-        stack.release(resident).expect("held resident");
-    }
-    assert!(outcomes.0 > 0 && outcomes.1 > 0, "{outcomes:?}");
-
-    // The middleware journal round-trips and replays equivalently.
-    let journal = Journal::parse(&stack.journal().render()).expect("round-trips");
-    assert_eq!(journal.len(), stack.journal().len());
-    let (report, replayed) = JournalReplayer::new(&spec)
-        .replay(&journal, config())
-        .expect("replay");
-    assert!(report.is_equivalent(), "{}", report.render());
-    assert_eq!(report.events, journal.len());
-    assert_eq!(report.residents_at_end, 0);
-    assert_eq!(replayed.resident_count(), 0);
 }
 
 #[test]
@@ -365,11 +298,8 @@ fn record_wal(name: &str) -> (std::path::PathBuf, Vec<String>, usize) {
     )
     .expect("fresh WAL");
     let fleet = FleetManager::with_journal(spec.clone(), config(), journal).expect("fleet");
-    run_fleet_requests(
-        &fleet,
-        seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED),
-        1,
-    );
+    let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED);
+    run_requests(&fleet, Some(&fleet), stream, 1, None, None);
     fleet.journal().sync().expect("sync");
     assert_eq!(fleet.journal().io_errors(), 0, "no append may fail");
     let outcomes = outcome_sequence(fleet.journal());

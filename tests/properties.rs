@@ -278,7 +278,7 @@ proptest! {
         ops in prop::collection::vec((0u64..100, 0usize..6), 1..25)
     ) {
         use platform::Application;
-        use runtime::{FleetConfig, FleetManager, RoutingPolicy};
+        use runtime::{AdmissionRequest, AdmissionService, FleetConfig, FleetManager, RoutingPolicy};
         use sdf::figure2_graphs;
 
         let (a, b) = figure2_graphs();
@@ -294,22 +294,20 @@ proptest! {
         )
         .expect("valid fleet");
 
-        let mut tickets = Vec::new();
+        let mut residents = Vec::new();
         for &(roll, pick) in &ops {
             if roll < 50 {
-                let contract = if roll % 2 == 0 {
-                    Some(Rational::new(1, 500))
-                } else {
-                    None
-                };
-                if let Ok(admission) = fleet.admit(pick % 2, contract, None) {
-                    if let Some(ticket) = admission.ticket() {
-                        tickets.push(ticket);
-                    }
+                let mut request = AdmissionRequest::new(pick % 2);
+                if roll % 2 == 0 {
+                    request = request.with_contract(Rational::new(1, 500));
+                }
+                if let Ok(decision) = fleet.admit(&request) {
+                    residents.extend(decision.resident());
                 }
             } else if roll < 80 {
-                if !tickets.is_empty() {
-                    tickets.remove(pick % tickets.len()).release();
+                if !residents.is_empty() {
+                    let resident = residents.remove(pick % residents.len());
+                    prop_assert!(fleet.release_resident(resident));
                 }
             } else {
                 fleet.rebalance();
@@ -332,8 +330,11 @@ proptest! {
             }
         }
 
-        // Dropping every ticket drains the fleet and balances the books.
-        drop(tickets);
+        // Releasing every held resident drains the fleet and balances the
+        // books.
+        for resident in residents {
+            prop_assert!(fleet.release_resident(resident));
+        }
         prop_assert_eq!(fleet.resident_count(), 0);
         let snapshot = fleet.snapshot();
         prop_assert_eq!(snapshot.admitted, snapshot.released);
@@ -364,10 +365,10 @@ proptest! {
     // Each case drives real admissions; keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The middleware-composition satellite: `Cached<Journaled<S>>` and
-    // `Journaled<Cached<S>>` produce identical decisions against the bare
-    // service, identical journals between each other, and the same holds
-    // when the stream is submitted concurrently (queued in bulk through a
+    // The middleware-composition satellite: `Cached<Metered<S>>` and
+    // `Metered<Cached<S>>` produce identical decisions against the bare
+    // service and leave identical fleet journals, and the same holds when
+    // the stream is submitted concurrently (queued in bulk through a
     // single-worker `FrontEnd`, which drains the MPSC queue in submission
     // order — so the decision sequence stays comparable).
     #[test]
@@ -379,7 +380,7 @@ proptest! {
         use platform::Application;
         use runtime::{
             AdmissionService, Cached, Completion, FleetConfig, FleetManager, FrontEnd,
-            FrontEndConfig, Journaled, RoutingPolicy,
+            FrontEndConfig, Metered, RoutingPolicy,
         };
         use sdf::figure2_graphs;
 
@@ -407,21 +408,24 @@ proptest! {
             .collect();
 
         let bare = fleet(spec());
-        let cached_outer = Cached::new(Journaled::new(fleet(spec())), 8);
-        let journaled_outer = Journaled::new(Cached::new(fleet(spec()), 8));
+        let cached_outer = Cached::new(Metered::new(fleet(spec())), 8);
+        let metered_outer = Metered::new(Cached::new(fleet(spec()), 8));
 
         // Sequential application: identical decision for every request.
         for request in &requests {
             let expected = AdmissionService::admit(&bare, request).unwrap();
             prop_assert_eq!(&cached_outer.admit(request).unwrap(), &expected);
-            prop_assert_eq!(&journaled_outer.admit(request).unwrap(), &expected);
+            prop_assert_eq!(&metered_outer.admit(request).unwrap(), &expected);
         }
-        // Both Journaled layers recorded the identical decision stream.
+        // Both stacks' fleets recorded the bare fleet's decision stream.
+        let cached_journal = cached_outer.inner().inner().journal();
+        prop_assert_eq!(cached_journal.events(), bare.journal().events());
         prop_assert_eq!(
-            cached_outer.inner().journal().events(),
-            journaled_outer.journal().events()
+            metered_outer.inner().inner().journal().events(),
+            bare.journal().events()
         );
-        cached_outer.inner().journal().verify()
+        cached_journal
+            .verify()
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
 
         // Concurrent submission: queue the whole stream through a
@@ -434,9 +438,9 @@ proptest! {
             .map(|r| AdmissionService::admit(&bare2, r).unwrap())
             .collect();
         for stack in [
-            Box::new(Cached::new(Journaled::new(fleet(spec())), 8))
+            Box::new(Cached::new(Metered::new(fleet(spec())), 8))
                 as Box<dyn AdmissionService>,
-            Box::new(Journaled::new(Cached::new(fleet(spec()), 8))),
+            Box::new(Metered::new(Cached::new(fleet(spec()), 8))),
         ] {
             let front = FrontEnd::new(stack, FrontEndConfig {
                 workers: 1,
@@ -474,7 +478,7 @@ proptest! {
     ) {
         use platform::Application;
         use runtime::{
-            run_fleet_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape,
+            run_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape,
             PlanRun, RoutingPolicy,
         };
         use sdf::figure2_graphs;
@@ -498,7 +502,8 @@ proptest! {
         .expect("valid fleet");
         // Single-threaded seeded run: admits (with contracts/affinities),
         // releases, rebalances — all journaled deterministically.
-        run_fleet_requests(&fleet, seeded_fleet_requests(&spec, groups, count, seed), 1);
+        let requests = seeded_fleet_requests(&spec, groups, count, seed);
+        run_requests(&fleet, Some(&fleet), requests, 1, None, None);
 
         let shape = FleetShape::from_header(fleet.journal().header());
         let report = PlanRun::new(&spec, fleet.journal(), &shape)

@@ -8,7 +8,7 @@
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
     AdmissionRequest, AdmissionService, Completion, Endpoint, FleetConfig, FleetManager,
-    RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError, WireMode,
+    RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError,
     REMOTE_PROTOCOL_VERSION,
 };
 use sdf::figure2_graphs;
@@ -244,25 +244,40 @@ fn client_fails_pending_on_malformed_response() {
 #[test]
 fn client_rejects_future_server_version_naming_both() {
     with_watchdog(|| {
-        let future = REMOTE_PROTOCOL_VERSION + 41;
-        let addr = fake_server(move |mut conn| {
-            consume_client_hello(&mut conn);
-            let hello = format!(
-                "{{\"magic\":\"probcon-remote\",\"version\":{future},\
-                 \"workload\":null,\"domains\":1}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
-        });
-        match RemoteClient::connect(&addr) {
-            Err(ServiceError::Transport(msg)) => {
-                assert!(
-                    msg.contains("version mismatch")
-                        && msg.contains(&REMOTE_PROTOCOL_VERSION.to_string())
-                        && msg.contains(&future.to_string()),
-                    "mismatch error must name both versions: {msg}"
+        // There is one protocol version: an older server and a future one
+        // fail the connect alike, and the client never redials at the
+        // server's version.
+        for server_version in [3, REMOTE_PROTOCOL_VERSION + 41] {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("fake server binds");
+            let addr = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+            let fake = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().expect("first connection");
+                consume_client_hello(&mut conn);
+                let hello = format!(
+                    "{{\"magic\":\"probcon-remote\",\"version\":{server_version},\
+                     \"workload\":null,\"domains\":1}}"
                 );
+                writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+                listener
+            });
+            match RemoteClient::connect(&addr) {
+                Err(ServiceError::Transport(msg)) => {
+                    assert!(
+                        msg.contains("version mismatch")
+                            && msg.contains(&format!("client {REMOTE_PROTOCOL_VERSION}"))
+                            && msg.contains(&format!("server {server_version}")),
+                        "mismatch error must name both versions: {msg}"
+                    );
+                }
+                other => panic!("expected transport error, got {other:?}"),
             }
-            other => panic!("expected transport error, got {other:?}"),
+            // The listener is still open, yet no second connection waits.
+            let listener = fake.join().expect("fake server");
+            listener.set_nonblocking(true).expect("non-blocking accept");
+            assert!(
+                matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+                "the client redialed a v{server_version} server"
+            );
         }
     });
 }
@@ -443,56 +458,6 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
             }
         }
         assert!(client.broken().is_some());
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Version downgrade against older servers.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v4_client_downgrades_to_v3_server_transparently() {
-    with_watchdog(|| {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            // A v3 server refuses the v4 hello by naming the version it
-            // does speak, then closes.
-            let (mut conn, _) = listener.accept().expect("first connection");
-            consume_client_hello(&mut conn);
-            let refusal =
-                "{\"magic\":\"probcon-remote\",\"version\":3,\"workload\":null,\"domains\":1}";
-            writeln!(conn, "{} {refusal}", refusal.len()).expect("refusal hello");
-            drop(conn);
-            // The client reconnects fresh, speaking v3 this time.
-            let (mut conn, _) = listener.accept().expect("second connection");
-            conn.set_read_timeout(Some(Duration::from_secs(10)))
-                .expect("timeout");
-            let hello = read_one_frame(&mut conn).expect("v3 client hello");
-            tx.send(hello).expect("hello forwarded");
-            let reply =
-                "{\"magic\":\"probcon-remote\",\"version\":3,\"workload\":null,\"domains\":1}";
-            writeln!(conn, "{} {reply}", reply.len()).expect("v3 accept");
-            // Stay connected until the client hangs up.
-            let mut sink = [0u8; 256];
-            while matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
-        });
-        let client = RemoteClient::connect(&addr).expect("downgrade handshake succeeds");
-        // Downgraded connections always speak JSON lines.
-        assert_eq!(client.wire_mode(), WireMode::Json);
-        let hello = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("second hello");
-        assert!(
-            hello.contains("\"version\":3"),
-            "reconnect must speak the server's version: {hello}"
-        );
-        assert!(
-            !hello.contains("wire"),
-            "a v3 hello must not request a codec: {hello}"
-        );
-        client.close();
     });
 }
 

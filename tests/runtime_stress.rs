@@ -7,8 +7,8 @@ use contention::Method;
 use platform::{AppId, Application, SystemSpec, UseCase};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use runtime::{
-    EstimateCache, FleetAdmission, FleetConfig, FleetError, FleetManager, JournalReplayer,
-    RoutingPolicy,
+    AdmissionDecision, AdmissionRequest, AdmissionService, EstimateCache, FleetConfig,
+    FleetManager, JournalReplayer, RoutingPolicy, ServiceError,
 };
 use sdf::figure2_graphs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,42 +78,43 @@ fn manager_survives_concurrent_admit_release_query() {
                 let decisions = &decisions;
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0x5EED_0000 + t as u64);
-                    let mut tickets = Vec::new();
+                    let mut residents = Vec::new();
                     for _ in 0..OPS_PER_THREAD {
                         match next(&mut rng) % 100 {
                             // Admit, sometimes with a contract tight enough
                             // to be rejected under load.
                             0..=49 => {
                                 let app_index = (next(&mut rng) % 4) as usize;
-                                let required = if next(&mut rng).is_multiple_of(3) {
+                                let mut request = AdmissionRequest::new(app_index).on(0);
+                                if next(&mut rng).is_multiple_of(3) {
                                     let app = fleet.spec().application(AppId(app_index));
-                                    Some(app.isolation_throughput() * sdf::Rational::new(4, 5))
-                                } else {
-                                    None
-                                };
-                                match fleet.admit_to(0, app_index, required) {
-                                    Ok(FleetAdmission::Admitted(ticket)) => {
+                                    request = request.with_contract(
+                                        app.isolation_throughput() * sdf::Rational::new(4, 5),
+                                    );
+                                }
+                                match fleet.admit(&request) {
+                                    Ok(AdmissionDecision::Admitted { resident, .. }) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
-                                        tickets.push(ticket);
+                                        residents.push(resident);
                                     }
-                                    Ok(FleetAdmission::Rejected { violations, .. }) => {
+                                    Ok(AdmissionDecision::Rejected { violations, .. }) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
                                         assert!(!violations.is_empty());
                                     }
-                                    Ok(FleetAdmission::Saturated { .. }) => {}
+                                    Ok(AdmissionDecision::Saturated { .. }) => {}
                                     Err(e) => panic!("unexpected admit error: {e}"),
                                 }
                             }
-                            // Release the oldest held ticket.
+                            // Release the oldest held resident.
                             50..=74 => {
-                                if !tickets.is_empty() {
-                                    tickets.remove(0).release();
+                                if !residents.is_empty() {
+                                    fleet.release(residents.remove(0)).expect("held resident");
                                 }
                             }
                             // Query a held resident.
                             75..=89 => {
-                                if let Some(ticket) = tickets.last() {
-                                    assert_eq!(fleet.group_of(ticket.resident_id()), Ok(0));
+                                if let Some(&resident) = residents.last() {
+                                    assert_eq!(fleet.group_of(resident), Ok(0));
                                 }
                             }
                             // Global invariant probe.
@@ -122,18 +123,21 @@ fn manager_survives_concurrent_admit_release_query() {
                             }
                         }
                     }
-                    // Tickets drop here, releasing their capacity.
+                    // Release every still-held resident.
+                    for resident in residents {
+                        fleet.release(resident).expect("held resident");
+                    }
                 });
             }
         });
 
         assert!(decisions.load(Ordering::Relaxed) > 0, "no decisions made");
-        // Every ticket was dropped: both shards must be fully drained and
-        // the books must balance.
+        // Every resident was released: both shards must be fully drained
+        // and the books must balance.
         assert_eq!(fleet.resident_count(), 0);
         assert_eq!(fleet.resident_count_of(0), Ok(0));
         let snapshot = fleet.snapshot();
-        assert_eq!(snapshot.admitted, snapshot.released, "ticket leak");
+        assert_eq!(snapshot.admitted, snapshot.released, "resident leak");
         // The racing two-shard recording replays decision for decision.
         let (report, _) = JournalReplayer::new(&spec)
             .replay(fleet.journal(), config)
@@ -317,50 +321,50 @@ fn fleet_survives_concurrent_admits_with_rebalancer() {
                 let decisions = &decisions;
                 clients.push(scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xF1EE7 + t as u64);
-                    let mut tickets = Vec::new();
+                    let mut residents = Vec::new();
                     for _ in 0..OPS_PER_THREAD {
                         match next(&mut rng) % 100 {
                             // Admit across the whole fleet, sometimes with a
                             // contract tight enough to reject under load.
                             0..=54 => {
                                 let app_index = next(&mut rng) as usize;
-                                let contract = if next(&mut rng).is_multiple_of(3) {
-                                    Some(sdf::Rational::new(1, 400))
-                                } else {
-                                    None
-                                };
-                                let affinity = format!("uc{}", next(&mut rng) % 4);
-                                match fleet.admit(app_index, contract, Some(&affinity)) {
-                                    Ok(FleetAdmission::Admitted(ticket)) => {
+                                let mut request = AdmissionRequest::new(app_index);
+                                if next(&mut rng).is_multiple_of(3) {
+                                    request = request.with_contract(sdf::Rational::new(1, 400));
+                                }
+                                let request =
+                                    request.with_affinity(format!("uc{}", next(&mut rng) % 4));
+                                match fleet.admit(&request) {
+                                    Ok(AdmissionDecision::Admitted { resident, .. }) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
-                                        tickets.push(ticket);
+                                        residents.push(resident);
                                     }
-                                    Ok(FleetAdmission::Rejected { violations, .. }) => {
+                                    Ok(AdmissionDecision::Rejected { violations, .. }) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
                                         assert!(!violations.is_empty());
                                     }
-                                    Ok(FleetAdmission::Saturated { group }) => {
+                                    Ok(AdmissionDecision::Saturated { domain }) => {
                                         decisions.fetch_add(1, Ordering::Relaxed);
-                                        assert!(group < fleet.group_count());
+                                        assert!(domain < fleet.group_count());
                                     }
                                     Err(e) => panic!("unexpected fleet error: {e}"),
                                 }
                             }
-                            // Release the oldest held ticket (it may have
+                            // Release the oldest held resident (it may have
                             // been rebalanced to another group meanwhile).
                             55..=84 => {
-                                if !tickets.is_empty() {
-                                    tickets.remove(0).release();
+                                if !residents.is_empty() {
+                                    fleet.release(residents.remove(0)).expect("held resident");
                                 }
                             }
                             // Explicit cross-group move of a held resident.
                             85..=92 => {
-                                if let Some(ticket) = tickets.last() {
+                                if let Some(&resident) = residents.last() {
                                     let to = next(&mut rng) as usize % fleet.group_count();
                                     // Saturated/same-group failures are
                                     // expected under load; moves must never
                                     // error structurally or lose residents.
-                                    let _ = fleet.move_resident(ticket.resident_id(), to);
+                                    let _ = fleet.move_resident(resident, to);
                                 }
                             }
                             // Global invariant probe.
@@ -382,7 +386,10 @@ fn fleet_survives_concurrent_admits_with_rebalancer() {
                             }
                         }
                     }
-                    // Tickets drop here, releasing their residents.
+                    // Release every still-held resident.
+                    for resident in residents {
+                        fleet.release(resident).expect("held resident");
+                    }
                 }));
             }
             // Keep the rebalancer racing until every client is done, then
@@ -425,8 +432,9 @@ fn stop_under_load_drains_cleanly() {
             FleetConfig::uniform(2, 1, 2, RoutingPolicy::LeastUtilised),
         )
         .expect("valid fleet");
-        let a = fleet.admit(0, None, None).unwrap().ticket().unwrap();
-        let b = fleet.admit(1, None, None).unwrap().ticket().unwrap();
+        let admit = |app: usize| fleet.admit(&AdmissionRequest::new(app));
+        let a = admit(0).unwrap().resident().unwrap();
+        let b = admit(1).unwrap().resident().unwrap();
 
         std::thread::scope(|scope| {
             for t in 0..4 {
@@ -435,9 +443,14 @@ fn stop_under_load_drains_cleanly() {
                     // Admissions decide until the stop lands, then every
                     // one fails with Stopped — never a hang.
                     loop {
-                        match fleet.admit(t, None, None) {
-                            Ok(admission) => drop(admission), // releases at once
-                            Err(FleetError::Stopped) => break,
+                        match fleet.admit(&AdmissionRequest::new(t)) {
+                            Ok(decision) => {
+                                // Release at once.
+                                if let Some(resident) = decision.resident() {
+                                    fleet.release(resident).expect("just admitted");
+                                }
+                            }
+                            Err(ServiceError::Stopped) => break,
                             Err(e) => panic!("unexpected fleet error: {e}"),
                         }
                     }
@@ -449,11 +462,11 @@ fn stop_under_load_drains_cleanly() {
 
         // Stopped: nothing decides and nothing is journaled ...
         let journaled = fleet.journal().len();
-        assert_eq!(fleet.admit(0, None, None).unwrap_err(), FleetError::Stopped);
+        assert_eq!(admit(0).unwrap_err(), ServiceError::Stopped);
         assert_eq!(fleet.journal().len(), journaled);
         // ... but the residents drain gracefully.
-        a.release();
-        b.release();
+        fleet.release(a).expect("live resident");
+        fleet.release(b).expect("live resident");
         assert_eq!(fleet.resident_count(), 0);
         assert_eq!(fleet.journal().len(), journaled + 2);
         let snapshot = fleet.snapshot();

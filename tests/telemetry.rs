@@ -7,10 +7,10 @@ use platform::{Application, Mapping, SystemSpec};
 use proptest::prelude::*;
 use runtime::telemetry::BUCKET_COUNT;
 use runtime::{
-    build_span_trees, run_fleet_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService,
-    FleetConfig, FleetManager, FrontEnd, FrontEndConfig, HistogramRecorder, Journal, Journaled,
-    LatencyHistogram, Metered, RoutingPolicy, ServiceOp, SpanContext, SpanNode, TraceEvent,
-    TraceKind, TraceRecorder, Traced,
+    build_span_trees, run_requests, seeded_fleet_requests, AdmissionRequest, AdmissionService,
+    Cached, FleetConfig, FleetManager, FrontEnd, FrontEndConfig, HistogramRecorder, Journal,
+    LatencyHistogram, Metered, RemoteClient, RemoteServer, RoutingPolicy, ServiceOp, SpanContext,
+    SpanNode, TraceEvent, TraceKind, TraceRecorder, Traced,
 };
 use sdf::figure2_graphs;
 use std::sync::Arc;
@@ -105,7 +105,7 @@ fn metered_memory_stays_flat_over_a_million_operations() {
 
 fn drive(stack: &dyn AdmissionService, fleet: &FleetManager) {
     let stream = seeded_fleet_requests(&spec(), 2, 250, 17);
-    let _ = run_fleet_stack(stack, fleet, stream, 1);
+    let _ = run_requests(stack, Some(fleet), stream, 1, None, None);
 }
 
 /// Renders a journal's entries with timestamps zeroed — the only field
@@ -124,31 +124,85 @@ fn rendered_without_timestamps(journal: &Journal) -> Vec<String> {
     })
 }
 
-/// Wrapping a journaling stack in `Traced` changes nothing the journal
-/// records: same events, same checksums, byte-identical rendering modulo
-/// wall-clock timestamps.
+/// Wrapping a fleet in `Traced` changes nothing its journal records: same
+/// events, same checksums, byte-identical rendering modulo wall-clock
+/// timestamps.
 #[test]
 fn traced_layer_is_journal_transparent() {
-    let plain_fleet = fleet();
-    let plain = Journaled::new(plain_fleet.clone());
-    drive(&plain, &plain_fleet);
+    let plain = fleet();
+    drive(&plain, &plain);
 
     let traced_fleet = fleet();
-    let traced = Traced::new(Journaled::new(traced_fleet.clone()), 1024);
+    let traced = Traced::new(traced_fleet.clone(), 1024);
     drive(&traced, &traced_fleet);
 
     assert_eq!(
         rendered_without_timestamps(plain.journal()),
-        rendered_without_timestamps(traced.inner().journal()),
+        rendered_without_timestamps(traced_fleet.journal()),
     );
     // The single-threaded seeded run is deterministic end to end, so the
-    // two fleets' internal journals agree event-for-event too.
-    assert_eq!(
-        plain_fleet.journal().events(),
-        traced_fleet.journal().events()
-    );
+    // two fleets' journals agree event-for-event too.
+    assert_eq!(plain.journal().events(), traced_fleet.journal().events());
     // ... and the recorder actually saw the run it did not perturb.
     assert!(traced.recorder().recorded() > 0);
+}
+
+/// `probcon top` renders each `Metered` operation once: one row per op in
+/// the layered table, carrying the mean and the tail quantiles, and no
+/// second table repeating the same histograms.
+#[test]
+fn telemetry_render_shows_one_row_per_metered_op() {
+    let fleet = fleet();
+    let stack = Traced::new(Metered::new(Cached::new(fleet.clone(), 16)), 256);
+    drive(&stack, &fleet);
+    let text = stack.telemetry().render();
+    for op in ["admit", "release", "estimate", "snapshot"] {
+        let rows = text
+            .lines()
+            .filter(|line| {
+                let mut words = line.split_whitespace();
+                words.next() == Some("metered") && words.next() == Some(op)
+            })
+            .count();
+        assert_eq!(rows, 1, "one `metered {op}` row expected in:\n{text}");
+    }
+    for column in ["mean_us", "p999_us"] {
+        assert!(text.contains(column), "missing {column} in:\n{text}");
+    }
+}
+
+/// Over a connection, a sampled run's admit quantiles are what the driving
+/// client observed — not the served stack's own `Metered` layer, whose
+/// histogram rides the same telemetry snapshot further in.
+#[test]
+fn remote_trajectory_reports_client_observed_admit_latency() {
+    let fleet = fleet();
+    let server = RemoteServer::bind(
+        &"tcp:127.0.0.1:0".parse().expect("endpoint"),
+        Arc::new(Metered::new(fleet)),
+    )
+    .expect("server binds");
+    let client = Metered::new(RemoteClient::connect(server.local_addr()).expect("connects"));
+    let stream = seeded_fleet_requests(&spec(), 2, 200, 17);
+    let (_, points) = run_requests(
+        &client,
+        None,
+        stream,
+        1,
+        Some(Duration::from_millis(5)),
+        None,
+    );
+    // The closing point is taken once every request ran; only releases
+    // follow it, so the client's admit histogram is final there.
+    let last = points.last().expect("closing point");
+    let admit = client.histogram(ServiceOp::Admit);
+    assert!(admit.count() > 0);
+    assert_eq!(
+        (last.admit_p50_us, last.admit_p99_us, last.admit_p999_us),
+        (admit.p50(), admit.p99(), admit.p999())
+    );
+    client.inner().close();
+    server.shutdown();
 }
 
 /// The lock-free recorder's snapshot matches a directly-recorded histogram

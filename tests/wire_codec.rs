@@ -13,8 +13,8 @@ use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
 };
 use runtime::{
-    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Journaled, Metered,
-    RoutingPolicy, TraceRecorder, Traced,
+    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Metered, RoutingPolicy,
+    TraceRecorder, Traced,
 };
 use sdf::{figure2_graphs, Rational};
 use serde::{Deserialize, Serialize};
@@ -95,7 +95,6 @@ fn every_wire_op_variant_crosses_both_codecs_identically() {
             mask: 0b11,
             method: "order-2".parse().expect("method"),
         },
-        WireOp::Journal,
         WireOp::JournalPage { from_seq: 4096 },
         WireOp::Telemetry,
         WireOp::Trace { tail: 1_000_000 },
@@ -118,7 +117,7 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
     .expect("valid fleet");
     let recorder = Arc::new(TraceRecorder::new(64));
     let stack = Traced::with_recorder(
-        Metered::new(Journaled::new(Cached::new(fleet, 16))),
+        Metered::new(Cached::new(fleet.clone(), 16)),
         Arc::clone(&recorder),
     );
     let decision = stack.admit(&AdmissionRequest::new(0)).expect("admits");
@@ -127,7 +126,7 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
         .estimate(UseCase::from_mask(0b11), "exact".parse().expect("method"))
         .expect("estimates");
     stack.release(resident).expect("releases");
-    let journal = stack.inner().inner().journal();
+    let journal = fleet.journal();
     let page = journal.render_page(0, 2).expect("page");
     let mut telemetry = stack.telemetry();
     // The trailing-Option field, populated: an elastic controller's
@@ -150,7 +149,6 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
         WireBody::Released,
         WireBody::Snapshot(stack.snapshot()),
         WireBody::Estimate((*estimate).clone()),
-        WireBody::Journal(journal.render()),
         WireBody::JournalPage(page),
         WireBody::Telemetry(Box::new(telemetry)),
         WireBody::Telemetry(Box::new(stack.telemetry())),
@@ -248,8 +246,8 @@ proptest! {
 
 /// The `span` field of [`AdmissionRequest`] is trailing and skip-none: a
 /// peer that predates spans ships frames without the key, and those
-/// frames round-trip unchanged on both codecs — span propagation can
-/// never break interop with v3/v4 peers.
+/// frames round-trip unchanged on both codecs — span propagation never
+/// changes the bytes of an untraced request.
 #[test]
 fn span_context_field_is_wire_backward_compatible() {
     use runtime::SpanContext;
