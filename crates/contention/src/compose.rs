@@ -17,6 +17,26 @@
 //! or removing an application updates the analysis incrementally in `O(n)`
 //! instead of recomputing `O(n²)` from scratch.
 //!
+//! # Representation
+//!
+//! A [`Composite`] holds `P` and `W` as `i128` counts of `1/L`, where
+//! `L = ` [`crate::waiting::LATTICE`], the lattice every result snaps to.
+//! With `a`, `b` the operands' `P` counts, `Wx`, `Wy` their `W` counts and
+//! `⌊n/d⌉` rounding half up, the four equations become closed-form integer
+//! expressions with one division each:
+//!
+//! ```text
+//! compose    P = ⌊(aL + bL − ab) / L⌉
+//!            W = ⌊(Wx(2L + b) + Wy(2L + a)) / 2L⌉
+//! decompose  r = ⌊(a − b)L / (L − b)⌉              (b ≠ L)
+//!            W = ⌊(2L·Wx − Wy(2L + r)) / (2L + b)⌉
+//! ```
+//!
+//! These are bit for bit the exact-rational equations snapped to the
+//! lattice, at a fraction of the cost of `gcd`-normalised rationals.
+//! Lattice-aligned loads (see [`Composite`]) enter exactly; other loads are
+//! snapped to the nearest lattice point by [`Composite::from_actor`].
+//!
 //! # Examples
 //!
 //! ```
@@ -40,20 +60,62 @@
 //! ```
 
 use crate::load::ActorLoad;
+use crate::waiting::LATTICE;
 use crate::ContentionError;
 use sdf::Rational;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+const OVERFLOW: &str = "composite arithmetic overflowed i128";
 
 /// The composition of zero or more actor loads under `⊕`/`⊗`.
 ///
 /// Stores the combined blocking probability `P` and the combined expected
 /// waiting `W = µ·P` (the paper keeps `µ·P` as one quantity — `⊗` operates
-/// on it directly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// on it directly), each as an integer count of `1/LATTICE` (see
+/// [`crate::waiting::LATTICE`] and the [module documentation](self) for the
+/// equations over those counts).
+///
+/// The algebra is exact for lattice-aligned loads: a probability that is a
+/// multiple of `1/2520` and a blocking time that is a multiple of `1/5040`
+/// (every load quantised to [`crate::estimator::PROBABILITY_GRID`] is) give
+/// a `W` whose denominator divides `LATTICE`. [`Composite::from_actor`]
+/// snaps any other load to the nearest lattice point.
+///
+/// Arithmetic that would overflow `i128` (an expected waiting beyond
+/// roughly `10¹⁷` time units) panics in every build profile, as
+/// [`Rational`]'s operators do; it never wraps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Composite {
-    p: Rational,
-    w: Rational,
+    /// `P·LATTICE`, at most `LATTICE`: no operation takes `P` above 1
+    /// (Equations 6 and 8 keep it there), so `2L + p` never overflows.
+    p: i128,
+    /// `W·LATTICE`.
+    w: i128,
+}
+
+/// `x` as a count of `1/LATTICE`, rounded half up to the nearest step.
+fn lattice_count(x: Rational) -> i128 {
+    let q = x.quantize(LATTICE);
+    q.numer().checked_mul(LATTICE / q.denom()).expect(OVERFLOW)
+}
+
+/// `⌊n/d⌉`: `n/d` rounded half up to an integer (`d ≠ 0`), the rounding
+/// [`Rational::quantize`] applies. `None` on `i128` overflow.
+///
+/// `d` is negative only in Equation 9 when `other` is not a member of the
+/// composition (a composite with `P < −2`, left by removing a load from a
+/// node that never held it).
+fn round_div(n: i128, d: i128) -> Option<i128> {
+    let (n, d) = if d < 0 {
+        (n.checked_neg()?, -d)
+    } else {
+        (n, d)
+    };
+    Some(
+        n.checked_mul(2)?
+            .checked_add(d)?
+            .div_euclid(d.checked_mul(2)?),
+    )
 }
 
 impl Composite {
@@ -68,17 +130,20 @@ impl Composite {
     /// assert_eq!(id.compose(id), id);
     /// ```
     pub fn identity() -> Composite {
-        Composite {
-            p: Rational::ZERO,
-            w: Rational::ZERO,
-        }
+        Composite { p: 0, w: 0 }
     }
 
-    /// Lifts a single actor load into the algebra.
+    /// Lifts a single actor load into the algebra: its `P` and `µ·P`,
+    /// each snapped to the nearest lattice step (exact for lattice-aligned
+    /// loads).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `µ·P·LATTICE` overflows `i128`.
     pub fn from_actor(load: ActorLoad) -> Composite {
         Composite {
-            p: load.probability(),
-            w: load.expected_waiting(),
+            p: lattice_count(load.probability()),
+            w: lattice_count(load.expected_waiting()),
         }
     }
 
@@ -105,13 +170,13 @@ impl Composite {
 
     /// Combined blocking probability `P`.
     pub fn probability(&self) -> Rational {
-        self.p
+        Rational::new(self.p, LATTICE)
     }
 
     /// Combined expected waiting `W = µ·P` — the waiting time an arriving
     /// actor suffers from everything composed so far.
     pub fn expected_waiting(&self) -> Rational {
-        self.w
+        Rational::new(self.w, LATTICE)
     }
 
     /// Equations 6 and 7: `self ⊕/⊗ other`.
@@ -119,16 +184,30 @@ impl Composite {
     /// Results are snapped to the [`crate::waiting::LATTICE`] lattice so
     /// that arbitrarily long compose chains (an admission controller running
     /// for months) never overflow; lattice-aligned inputs compose exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `i128` overflow (see [`Composite`]).
     #[must_use]
     pub fn compose(self, other: Composite) -> Composite {
-        let half = Rational::new(1, 2);
-        let lattice = crate::waiting::LATTICE;
-        Composite {
-            p: (self.p + other.p - self.p * other.p).quantize(lattice),
-            w: (self.w * (Rational::ONE + half * other.p)
-                + other.w * (Rational::ONE + half * self.p))
-                .quantize(lattice),
-        }
+        let (a, b) = (self.p, other.p);
+        let compose = || {
+            // Equation 6 over counts: (aL + bL − ab) / L.
+            let p = a
+                .checked_add(b)?
+                .checked_mul(LATTICE)?
+                .checked_sub(a.checked_mul(b)?)?;
+            // Equation 7 over counts: (Wx(2L + b) + Wy(2L + a)) / 2L.
+            let w = self
+                .w
+                .checked_mul(2 * LATTICE + b)?
+                .checked_add(other.w.checked_mul(2 * LATTICE + a)?)?;
+            Some(Composite {
+                p: round_div(p, LATTICE)?,
+                w: round_div(w, 2 * LATTICE)?,
+            })
+        };
+        compose().expect(OVERFLOW)
     }
 
     /// Equations 8 and 9: removes `other` from the composition, recovering
@@ -138,6 +217,10 @@ impl Composite {
     ///
     /// Returns [`ContentionError::SaturatedInverse`] when
     /// `other.probability() == 1` (the paper's side condition `P_b ≠ 1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on `i128` overflow (see [`Composite`]).
     ///
     /// # Examples
     ///
@@ -152,26 +235,31 @@ impl Composite {
     /// # Ok::<(), contention::ContentionError>(())
     /// ```
     pub fn decompose(self, other: Composite) -> Result<Composite, ContentionError> {
-        if other.p == Rational::ONE {
+        let (a, b) = (self.p, other.p);
+        if b == LATTICE {
             return Err(ContentionError::SaturatedInverse);
         }
-        let half = Rational::new(1, 2);
-        let lattice = crate::waiting::LATTICE;
-        // Equation 8: P_rest = (P_all − P_b) / (1 − P_b).
-        let p_rest = ((self.p - other.p) / (Rational::ONE - other.p)).quantize(lattice);
-        // Equation 9: W_rest = (W_all − W_b(1 + P_rest/2)) / (1 + P_b/2).
-        let w_rest = ((self.w - other.w * (Rational::ONE + half * p_rest))
-            / (Rational::ONE + half * other.p))
-            .quantize(lattice);
-        Ok(Composite {
-            p: p_rest,
-            w: w_rest,
-        })
+        let decompose = || {
+            // Equation 8 over counts: r = (a − b)L / (L − b).
+            let r = round_div(
+                a.checked_sub(b)?.checked_mul(LATTICE)?,
+                LATTICE.checked_sub(b)?,
+            )?;
+            // Equation 9 over counts: (2L·Wx − Wy(2L + r)) / (2L + b).
+            let w = (2 * LATTICE)
+                .checked_mul(self.w)?
+                .checked_sub(other.w.checked_mul(2 * LATTICE + r)?)?;
+            Some(Composite {
+                p: r,
+                w: round_div(w, 2 * LATTICE + b)?,
+            })
+        };
+        Ok(decompose().expect(OVERFLOW))
     }
 
     /// Whether the composition is the identity (empty node).
     pub fn is_identity(&self) -> bool {
-        self.p.is_zero() && self.w.is_zero()
+        self.p == 0 && self.w == 0
     }
 }
 
@@ -183,7 +271,7 @@ impl Default for Composite {
 
 impl fmt::Display for Composite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "P={}, W={}", self.p, self.w)
+        write!(f, "P={}, W={}", self.probability(), self.expected_waiting())
     }
 }
 
@@ -311,6 +399,14 @@ mod tests {
             assert!(c.probability() <= Rational::ONE);
             assert!(!c.probability().is_negative());
         }
+    }
+
+    #[test]
+    fn off_lattice_load_snaps_to_nearest_lattice_point() {
+        let c = Composite::from_actor(load(r(1, 7919), Rational::integer(3)));
+        let lattice = crate::waiting::LATTICE;
+        assert_eq!(c.probability(), r(1, 7919).quantize(lattice));
+        assert_eq!(c.expected_waiting(), r(3, 7919).quantize(lattice));
     }
 
     #[test]

@@ -48,7 +48,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Quantisation lattice for all intermediate values of the waiting-time
-/// formulae: `2520³ = (2³·3²·5·7)³ ≈ 1.6·10¹⁰`.
+/// formulae and the composability algebra: `2520³ = (2³·3²·5·7)³ ≈
+/// 1.6·10¹⁰`.
 ///
 /// Exact `i128` rationals cannot hold products of dozens of arbitrary
 /// probabilities (Equation 4 multiplies up to `n−1` of them), so every
@@ -57,6 +58,12 @@ use std::fmt;
 /// paper's worked examples (halves, thirds, quarters, …) — pass through
 /// exactly; everything else carries an error around ten orders of magnitude
 /// below the model's own accuracy.
+///
+/// A load quantised to [`crate::estimator::PROBABILITY_GRID`] is on this
+/// lattice: `P` is a multiple of `1/2520` and `W = µ·P` of `1/2520²`, so
+/// both are whole multiples of `1/LATTICE`. That is what lets
+/// [`crate::Composite`] store `P` and `W` as integer counts of
+/// `1/LATTICE` and stay exact.
 pub const LATTICE: i128 = 2520 * 2520 * 2520;
 
 /// Selects how many queueing terms of Equation 4 are kept.

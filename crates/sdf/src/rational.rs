@@ -218,14 +218,36 @@ impl Rational {
         }
     }
 
-    /// Checked addition, `None` on `i128` overflow.
+    /// Checked addition, `None` when the sum does not fit `i128`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sdf::Rational;
+    /// let tiny = Rational::new(1, 1 << 100);
+    /// assert_eq!(tiny.checked_add(tiny), Some(Rational::new(1, 1 << 99)));
+    /// assert_eq!(Rational::integer(i128::MAX).checked_add(Rational::ONE), None);
+    /// ```
     pub fn checked_add(self, rhs: Self) -> Option<Self> {
+        // lcm-based addition keeps intermediates as small as possible.
+        let g = gcd(self.denom, rhs.denom);
+        let (ls, rs) = (self.denom / g, rhs.denom / g);
+        let fits_i64 = |x: i128| x == i128::from(x as i64);
+        if [self.numer, self.denom, rhs.numer, rhs.denom]
+            .into_iter()
+            .all(fits_i64)
+        {
+            // Products of i64 values and their sum cannot overflow i128.
+            return Some(Rational::new(
+                self.numer * rs + rhs.numer * ls,
+                ls * rhs.denom,
+            ));
+        }
         let n = self
             .numer
-            .checked_mul(rhs.denom)?
-            .checked_add(rhs.numer.checked_mul(self.denom)?)?;
-        let d = self.denom.checked_mul(rhs.denom)?;
-        Some(Rational::new(n, d))
+            .checked_mul(rs)?
+            .checked_add(rhs.numer.checked_mul(ls)?)?;
+        Some(Rational::new(n, ls.checked_mul(rhs.denom)?))
     }
 
     /// Checked multiplication, `None` on `i128` overflow.
@@ -354,11 +376,8 @@ impl From<i32> for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Self) -> Self {
-        // lcm-based addition keeps intermediates as small as possible.
-        let g = gcd(self.denom, rhs.denom);
-        let n = self.numer * (rhs.denom / g) + rhs.numer * (self.denom / g);
-        let d = (self.denom / g) * rhs.denom;
-        Rational::new(n, d)
+        self.checked_add(rhs)
+            .expect("rational addition overflowed i128")
     }
 }
 
@@ -543,6 +562,18 @@ mod tests {
         assert!(Rational::integer(i128::MAX)
             .checked_add(Rational::integer(i128::MAX))
             .is_none());
+        // A sum that fits is found even when the product of the
+        // denominators would not.
+        assert_eq!(
+            Rational::new(1, 1 << 100).checked_add(Rational::new(1, 1 << 100)),
+            Some(Rational::new(1, 1 << 99))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rational addition overflowed i128")]
+    fn addition_overflow_panics() {
+        let _ = Rational::integer(1 << 126) + Rational::integer(1 << 126);
     }
 
     #[test]

@@ -187,6 +187,139 @@ proptest! {
     }
 }
 
+/// Equations 6–9 over exact rationals, each result snapped to the lattice:
+/// the reference `Composite`'s integer formulas must reproduce bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RationalComposite {
+    p: Rational,
+    w: Rational,
+}
+
+impl RationalComposite {
+    const IDENTITY: RationalComposite = RationalComposite {
+        p: Rational::ZERO,
+        w: Rational::ZERO,
+    };
+
+    fn from_actor(load: ActorLoad) -> RationalComposite {
+        RationalComposite {
+            p: load.probability(),
+            w: load.expected_waiting(),
+        }
+    }
+
+    fn compose(self, other: RationalComposite) -> RationalComposite {
+        let half = Rational::new(1, 2);
+        let lattice = contention::waiting::LATTICE;
+        RationalComposite {
+            p: (self.p + other.p - self.p * other.p).quantize(lattice),
+            w: (self.w * (Rational::ONE + half * other.p)
+                + other.w * (Rational::ONE + half * self.p))
+                .quantize(lattice),
+        }
+    }
+
+    fn decompose(
+        self,
+        other: RationalComposite,
+    ) -> Result<RationalComposite, contention::ContentionError> {
+        if other.p == Rational::ONE {
+            return Err(contention::ContentionError::SaturatedInverse);
+        }
+        let half = Rational::new(1, 2);
+        let lattice = contention::waiting::LATTICE;
+        let p = ((self.p - other.p) / (Rational::ONE - other.p)).quantize(lattice);
+        let w = ((self.w - other.w * (Rational::ONE + half * p))
+            / (Rational::ONE + half * other.p))
+            .quantize(lattice);
+        Ok(RationalComposite { p, w })
+    }
+}
+
+/// Strategy: a load on the lattice the estimator and admission controller
+/// feed the algebra — `P` a multiple of 1/2520 (one in fifteen saturating,
+/// so the inverse's side condition is exercised) and `µ` a multiple of
+/// 1/2520 or 1/5040, from below 1 up to 10⁶.
+fn lattice_load() -> impl Strategy<Value = ActorLoad> {
+    (
+        0i128..=2700,
+        1i128..=2,
+        0u32..=6,
+        0i128..=i128::from(i64::MAX),
+    )
+        .prop_map(|(p, half_steps, digits, raw)| {
+            let grid = 2520 * half_steps;
+            let mu = raw % (grid * 10i128.pow(digits) + 1);
+            ActorLoad::new(Rational::new(p.min(2520), 2520), Rational::new(mu, grid))
+                .expect("valid")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn integer_composites_equal_rational_formulas(
+        loads in prop::collection::vec(lattice_load(), 0..=12)
+    ) {
+        let check = |c: &Composite, r: &RationalComposite| {
+            prop_assert!(
+                r.p == c.probability() && r.w == c.expected_waiting(),
+                "integer {} vs rational {:?}",
+                c,
+                r
+            );
+            Ok(())
+        };
+        let decompose = |(c, r): (Composite, RationalComposite),
+                         (cm, rm): (Composite, RationalComposite)| {
+            match (c.decompose(cm), r.decompose(rm)) {
+                (Ok(cd), Ok(rd)) => {
+                    check(&cd, &rd)?;
+                    Ok(Some((cd, rd)))
+                }
+                (cd, rd) => {
+                    prop_assert_eq!(cd.err(), rd.err());
+                    Ok(None)
+                }
+            }
+        };
+        // Every compose of the chain, from the identity.
+        let identity = (Composite::identity(), RationalComposite::IDENTITY);
+        let mut all = identity;
+        let mut members = Vec::new();
+        for &load in &loads {
+            let m = (Composite::from_actor(load), RationalComposite::from_actor(load));
+            check(&m.0, &m.1)?;
+            members.push(m);
+            all = (all.0.compose(m.0), all.1.compose(m.1));
+            check(&all.0, &all.1)?;
+        }
+        prop_assert_eq!(Composite::from_actors(loads.iter().copied()), all.0);
+        for &m in &members {
+            decompose(all, m)?;
+            // A member removed from an empty node leaves a negative
+            // probability; removing that in turn takes Equation 9 through a
+            // negative denominator (or, at P = −2, a zero one, where both
+            // sides divide by zero).
+            if let Some(negative) = decompose(identity, m)? {
+                if negative.1.p != Rational::integer(-2) {
+                    decompose(all, negative)?;
+                }
+            }
+        }
+        // The chain peeled one member at a time, each step's rounding
+        // residue carried into the next.
+        let mut rest = all;
+        for &m in &members {
+            match decompose(rest, m)? {
+                Some(next) => rest = next,
+                None => break,
+            }
+        }
+    }
+}
+
 /// Strategy: one arbitrary journal decision event (all variants, all
 /// outcome kinds, exact rational periods).
 fn journal_event() -> impl Strategy<Value = runtime::DecisionEvent> {
