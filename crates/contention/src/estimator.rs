@@ -10,10 +10,8 @@
 //! 4. recomputes the application's period on the inflated graph via the
 //!    exact state-space analysis (step 11).
 //!
-//! The paper performs a single pass (probabilities are derived from the
-//! *isolation* periods); [`EstimatorOptions::iterations`] optionally
-//! re-derives probabilities from the estimated periods and repeats — a
-//! fixed-point extension evaluated as an ablation in the `bench` crate.
+//! Like the paper, the estimator makes a single pass: blocking
+//! probabilities are derived from the *isolation* periods.
 //!
 //! # Examples
 //!
@@ -75,9 +73,9 @@ pub enum Method {
     /// Equation 4 in full (evaluated in `O(n²)` via symmetric-polynomial
     /// deconvolution, see [`crate::symmetric`]).
     Exact,
-    /// m-th order truncation (Equation 5); the paper's "Probabilistic
-    /// Second Order" is `Order(2)`, "Probabilistic Fourth Order" is
-    /// `Order(4)`.
+    /// m-th order truncation (Equation 5), `m ≥ 1`; the paper's
+    /// "Probabilistic Second Order" is `Order(2)`, "Probabilistic Fourth
+    /// Order" is `Order(4)`.
     Order(u32),
     /// The composability algebra of Section 4.2 (Equations 6/7, with the
     /// `O(n)` inverse-based per-actor extraction of Equations 8/9).
@@ -121,10 +119,10 @@ impl fmt::Display for Method {
 impl std::str::FromStr for Method {
     type Err = String;
 
-    /// Parses the [`Display`](fmt::Display) names (`exact`, `order-N`,
-    /// `composability`, `worst-case-rr`, `worst-case-tdma`) — the round-trip
-    /// the `probcon` CLI and serialized artefacts (e.g. sign-off reports)
-    /// rely on.
+    /// Parses the [`Display`](fmt::Display) names (`exact`, `order-N` with
+    /// `N ≥ 1`, `composability`, `worst-case-rr`, `worst-case-tdma`) — the
+    /// round-trip the `probcon` CLI and serialized artefacts (e.g. sign-off
+    /// reports) rely on.
     fn from_str(s: &str) -> Result<Method, String> {
         Ok(match s {
             "exact" => Method::Exact,
@@ -133,32 +131,15 @@ impl std::str::FromStr for Method {
             "worst-case-tdma" => Method::WorstCaseTdma,
             other => {
                 if let Some(m) = other.strip_prefix("order-") {
-                    Method::Order(m.parse().map_err(|_| format!("bad order '{other}'"))?)
+                    match m.parse() {
+                        Ok(m) if m >= 1 => Method::Order(m),
+                        _ => return Err(format!("bad order '{other}': expected N ≥ 1")),
+                    }
                 } else {
                     return Err(format!("unknown method '{other}'"));
                 }
             }
         })
-    }
-}
-
-/// Options for [`estimate_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EstimatorOptions {
-    /// Number of estimation passes. `1` (default) is the paper's algorithm;
-    /// larger values re-derive blocking probabilities from the previous
-    /// pass's periods (fixed-point refinement, an extension).
-    pub iterations: usize,
-    /// Step budget for each state-space period computation.
-    pub analysis: sdf::AnalysisOptions,
-}
-
-impl Default for EstimatorOptions {
-    fn default() -> Self {
-        EstimatorOptions {
-            iterations: 1,
-            analysis: sdf::AnalysisOptions::default(),
-        }
     }
 }
 
@@ -205,7 +186,7 @@ impl Estimate {
         &self.periods
     }
 
-    /// Estimated waiting time of one actor (last pass).
+    /// Estimated waiting time of one actor.
     pub fn waiting_time(&self, app: AppId, actor: ActorId) -> Option<Rational> {
         self.waiting_times.get(&(app, actor)).copied()
     }
@@ -216,10 +197,11 @@ impl Estimate {
     }
 }
 
-/// Runs the Figure 4 algorithm with default options (single pass).
+/// Runs the Figure 4 algorithm.
 ///
 /// # Errors
 ///
+/// * [`ContentionError::ZeroOrder`] for `Method::Order(0)`;
 /// * [`ContentionError::Platform`] if `use_case` references unknown
 ///   applications;
 /// * [`ContentionError::Graph`] if a period recomputation fails (e.g. the
@@ -235,126 +217,104 @@ pub fn estimate(
     use_case: UseCase,
     method: Method,
 ) -> Result<Estimate, ContentionError> {
-    estimate_with(spec, use_case, method, &EstimatorOptions::default())
-}
-
-/// Runs the Figure 4 algorithm with explicit [`EstimatorOptions`].
-///
-/// # Errors
-///
-/// See [`estimate`].
-pub fn estimate_with(
-    spec: &SystemSpec,
-    use_case: UseCase,
-    method: Method,
-    options: &EstimatorOptions,
-) -> Result<Estimate, ContentionError> {
+    if method == Method::Order(0) {
+        return Err(ContentionError::ZeroOrder);
+    }
     spec.validate_use_case(use_case)
         .map_err(ContentionError::Platform)?;
-    assert!(options.iterations >= 1, "at least one pass required");
 
     let active: Vec<AppId> = use_case.app_ids().collect();
 
-    // Current period per app; starts at the isolation period (Figure 4 uses
-    // Per(Ai) of the unloaded graphs).
-    let mut periods: BTreeMap<AppId, Rational> = active
-        .iter()
-        .map(|&a| (a, spec.application(a).isolation_period()))
-        .collect();
+    // Steps 2-4: blocking probabilities (and µ) for every actor, from the
+    // isolation period Per(Ai) of the unloaded graph.
+    let mut node_members: BTreeMap<NodeId, Vec<(AppId, ActorId, ActorLoad, Rational)>> =
+        BTreeMap::new();
+    for &app_id in &active {
+        let app = spec.application(app_id);
+        let per = app.isolation_period();
+        for actor in app.graph().actor_ids() {
+            let tau = app.graph().execution_time(actor);
+            let q = app.repetition_vector().get(actor);
+            let load = ActorLoad::from_constant_time(tau, q, per)?.quantized(PROBABILITY_GRID)?;
+            let node = spec.node_of(app_id, actor);
+            node_members
+                .entry(node)
+                .or_default()
+                .push((app_id, actor, load, tau));
+        }
+    }
+
+    // Steps 6-10: waiting time per actor, execution-time inflation.
     let mut waiting_times: BTreeMap<(AppId, ActorId), Rational> = BTreeMap::new();
+    for members in node_members.values() {
+        // Composability fast path: fold the whole node once, then
+        // extract each actor's "others" via the inverse (Equations 8/9).
+        let node_composite = if method == Method::Composability {
+            Some(Composite::from_actors(members.iter().map(|m| m.2)))
+        } else {
+            None
+        };
 
-    for _pass in 0..options.iterations {
-        // Steps 2-4: blocking probabilities (and µ) for every actor.
-        let mut node_members: BTreeMap<NodeId, Vec<(AppId, ActorId, ActorLoad, Rational)>> =
-            BTreeMap::new();
-        for &app_id in &active {
-            let app = spec.application(app_id);
-            let per = periods[&app_id];
-            for actor in app.graph().actor_ids() {
-                let tau = app.graph().execution_time(actor);
-                let q = app.repetition_vector().get(actor);
-                let load =
-                    ActorLoad::from_constant_time(tau, q, per)?.quantized(PROBABILITY_GRID)?;
-                let node = spec.node_of(app_id, actor);
-                node_members
-                    .entry(node)
-                    .or_default()
-                    .push((app_id, actor, load, tau));
-            }
-        }
-
-        // Steps 6-10: waiting time per actor, execution-time inflation.
-        waiting_times.clear();
-        for members in node_members.values() {
-            // Composability fast path: fold the whole node once, then
-            // extract each actor's "others" via the inverse (Equations 8/9).
-            let node_composite = if method == Method::Composability {
-                Some(Composite::from_actors(members.iter().map(|m| m.2)))
-            } else {
-                None
+        for (i, &(app_id, actor, load, tau)) in members.iter().enumerate() {
+            let twait = match method {
+                Method::Exact => {
+                    let others = collect_others(members, i);
+                    waiting_time(&others, Order::Exact)
+                }
+                Method::Order(m) => {
+                    let others = collect_others(members, i);
+                    waiting_time(&others, Order::Truncated(m))
+                }
+                Method::Composability => {
+                    let all = node_composite.expect("composite computed above");
+                    match all.decompose(Composite::from_actor(load)) {
+                        Ok(rest) => rest.expected_waiting(),
+                        // P = 1 blocks the inverse; fall back to the
+                        // direct O(n) fold over the others.
+                        Err(ContentionError::SaturatedInverse) => Composite::from_actors(
+                            members
+                                .iter()
+                                .enumerate()
+                                .filter(|(k, _)| *k != i)
+                                .map(|(_, m)| m.2),
+                        )
+                        .expected_waiting(),
+                        Err(e) => return Err(e),
+                    }
+                }
+                Method::WorstCaseRoundRobin => {
+                    let taus: Vec<Rational> = members
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| *k != i)
+                        .map(|(_, m)| m.3)
+                        .collect();
+                    round_robin_waiting_time(&taus)
+                }
+                Method::WorstCaseTdma => tdma_waiting_time(tau, members.len() - 1),
             };
-
-            for (i, &(app_id, actor, load, tau)) in members.iter().enumerate() {
-                let twait = match method {
-                    Method::Exact => {
-                        let others = collect_others(members, i);
-                        waiting_time(&others, Order::Exact)
-                    }
-                    Method::Order(m) => {
-                        let others = collect_others(members, i);
-                        waiting_time(&others, Order::Truncated(m))
-                    }
-                    Method::Composability => {
-                        let all = node_composite.expect("composite computed above");
-                        match all.decompose(Composite::from_actor(load)) {
-                            Ok(rest) => rest.expected_waiting(),
-                            // P = 1 blocks the inverse; fall back to the
-                            // direct O(n) fold over the others.
-                            Err(ContentionError::SaturatedInverse) => Composite::from_actors(
-                                members
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(k, _)| *k != i)
-                                    .map(|(_, m)| m.2),
-                            )
-                            .expected_waiting(),
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Method::WorstCaseRoundRobin => {
-                        let taus: Vec<Rational> = members
-                            .iter()
-                            .enumerate()
-                            .filter(|(k, _)| *k != i)
-                            .map(|(_, m)| m.3)
-                            .collect();
-                        round_robin_waiting_time(&taus)
-                    }
-                    Method::WorstCaseTdma => tdma_waiting_time(tau, members.len() - 1),
-                };
-                waiting_times.insert((app_id, actor), twait.quantize(WAITING_TIME_GRID));
-            }
+            waiting_times.insert((app_id, actor), twait.quantize(WAITING_TIME_GRID));
         }
+    }
 
-        // Step 11: new period per application on the inflated graph.
-        for &app_id in &active {
-            let app = spec.application(app_id);
-            let times: Vec<Rational> = app
-                .graph()
-                .actor_ids()
-                .map(|actor| {
-                    app.graph().execution_time(actor)
-                        + waiting_times
-                            .get(&(app_id, actor))
-                            .copied()
-                            .unwrap_or(Rational::ZERO)
-                })
-                .collect();
-            let inflated = app.graph().with_execution_times(&times);
-            let analysis = sdf::analyze_period_with(&inflated, options.analysis)
-                .map_err(ContentionError::Graph)?;
-            periods.insert(app_id, analysis.period);
-        }
+    // Step 11: new period per application on the inflated graph.
+    let mut periods: BTreeMap<AppId, Rational> = BTreeMap::new();
+    for &app_id in &active {
+        let app = spec.application(app_id);
+        let times: Vec<Rational> = app
+            .graph()
+            .actor_ids()
+            .map(|actor| {
+                app.graph().execution_time(actor)
+                    + waiting_times
+                        .get(&(app_id, actor))
+                        .copied()
+                        .unwrap_or(Rational::ZERO)
+            })
+            .collect();
+        let inflated = app.graph().with_execution_times(&times);
+        let analysis = sdf::analyze_period(&inflated).map_err(ContentionError::Graph)?;
+        periods.insert(app_id, analysis.period);
     }
 
     Ok(Estimate {
@@ -483,23 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn fixed_point_iterations_reduce_probabilities() {
+    fn zeroth_order_rejected() {
         let spec = figure2_spec();
-        let one = estimate(&spec, UseCase::full(2), Method::Exact).unwrap();
-        let two = estimate_with(
-            &spec,
-            UseCase::full(2),
-            Method::Exact,
-            &EstimatorOptions {
-                iterations: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Second pass derives P from the larger period 1075/3 → smaller
-        // probabilities → smaller waiting → a (slightly) smaller period.
-        assert!(two.period(AppId(0)) < one.period(AppId(0)));
-        assert!(two.period(AppId(0)) > Rational::integer(300));
+        let err = estimate(&spec, UseCase::full(2), Method::Order(0)).unwrap_err();
+        assert_eq!(err, ContentionError::ZeroOrder);
+        assert!(estimate(&spec, UseCase::full(2), Method::Order(1)).is_ok());
     }
 
     #[test]
@@ -538,5 +486,6 @@ mod tests {
         }
         assert!("bogus".parse::<Method>().is_err());
         assert!("order-x".parse::<Method>().is_err());
+        assert!("order-0".parse::<Method>().is_err());
     }
 }

@@ -53,7 +53,7 @@ pub mod worst_case;
 
 pub use admission::{AdmissionController, AdmissionOutcome, Violation};
 pub use compose::{composability_waiting_time, Composite};
-pub use estimator::{estimate, estimate_with, Estimate, EstimatorOptions, Method};
+pub use estimator::{estimate, Estimate, Method};
 pub use load::ActorLoad;
 pub use stochastic::ExecutionTime;
 pub use waiting::{fourth_order_waiting_time, second_order_waiting_time, waiting_time, Order};
@@ -76,6 +76,9 @@ pub enum ContentionError {
     SaturatedInverse,
     /// A stochastic execution-time distribution was malformed.
     InvalidDistribution(&'static str),
+    /// [`Method::Order`] with `m = 0`: Equation 5 truncates at an order of
+    /// at least 1, so a zeroth-order truncation is meaningless.
+    ZeroOrder,
     /// An application id was not known to the admission controller.
     UnknownApplication(AppId),
     /// A platform-level error (unknown use-case member, mapping issues).
@@ -99,6 +102,9 @@ impl fmt::Display for ContentionError {
             }
             ContentionError::InvalidDistribution(msg) => {
                 write!(f, "invalid execution-time distribution: {msg}")
+            }
+            ContentionError::ZeroOrder => {
+                write!(f, "truncation order must be at least 1 (got order-0)")
             }
             ContentionError::UnknownApplication(a) => write!(f, "unknown application {a}"),
             ContentionError::Platform(e) => write!(f, "platform error: {e}"),

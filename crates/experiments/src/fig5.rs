@@ -7,7 +7,7 @@
 //! the analytical estimates, the simulated average, the worst case observed
 //! in simulation, and the original (≡ 1 by construction).
 
-use crate::runner::{EvalOptions, Evaluation, UseCaseEval};
+use crate::runner::Evaluation;
 use contention::Method;
 use platform::{AppId, SystemSpec, UseCase};
 use serde::{Deserialize, Serialize};
@@ -39,42 +39,6 @@ pub struct Fig5Row {
 pub fn figure5_from_eval(spec: &SystemSpec, eval: &Evaluation) -> Option<Vec<Fig5Row>> {
     let full = UseCase::full(spec.application_count());
     let case = eval.cases.iter().find(|c| c.use_case == full)?;
-    Some(rows_from_case(spec, case))
-}
-
-/// Runs the full-contention use-case with `options` and builds Figure 5
-/// directly.
-///
-/// # Errors
-///
-/// Propagates evaluation failures.
-///
-/// # Examples
-///
-/// ```
-/// use experiments::{fig5::figure5, runner::EvalOptions, workload::paper_workload};
-/// use mpsoc_sim::SimConfig;
-///
-/// let spec = paper_workload(experiments::workload::DEFAULT_SEED)?;
-/// let mut opts = EvalOptions::default();
-/// opts.sim = SimConfig::with_horizon(20_000); // short horizon for the doctest
-/// let rows = figure5(&spec, &opts)?;
-/// assert_eq!(rows.len(), 10);
-/// assert!(rows.iter().all(|r| r.original == 1.0));
-/// // Contention can only slow applications down.
-/// assert!(rows.iter().all(|r| r.simulated >= 1.0));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn figure5(
-    spec: &SystemSpec,
-    options: &EvalOptions,
-) -> Result<Vec<Fig5Row>, Box<dyn std::error::Error>> {
-    let full = UseCase::full(spec.application_count());
-    let eval = crate::runner::evaluate(spec, &[full], options)?;
-    Ok(rows_from_case(spec, &eval.cases[0]))
-}
-
-fn rows_from_case(spec: &SystemSpec, case: &UseCaseEval) -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for (app_id, app) in spec.iter() {
         let Some(stats) = case.simulated.get(&app_id) else {
@@ -97,7 +61,7 @@ fn rows_from_case(spec: &SystemSpec, case: &UseCaseEval) -> Vec<Fig5Row> {
             estimates,
         });
     }
-    rows
+    Some(rows)
 }
 
 /// Convenience: the default Figure 5 method set (the paper's four plus the
@@ -115,20 +79,22 @@ pub fn figure5_methods() -> Vec<Method> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{evaluate, EvalOptions};
     use crate::workload::{workload_with, DEFAULT_SEED};
     use mpsoc_sim::SimConfig;
     use sdf::GeneratorConfig;
 
     #[test]
     fn figure5_shape_small_workload() {
-        // 3 applications for test speed; the full 10-app figure runs in the
-        // bench harness.
+        // 3 applications for test speed; `probcon paper` renders the full
+        // 10-app figure.
         let spec = workload_with(DEFAULT_SEED, 3, &GeneratorConfig::default()).unwrap();
         let opts = EvalOptions {
             methods: figure5_methods(),
             sim: SimConfig::with_horizon(30_000),
         };
-        let rows = figure5(&spec, &opts).unwrap();
+        let eval = evaluate(&spec, &[UseCase::full(3)], &opts).unwrap();
+        let rows = figure5_from_eval(&spec, &eval).unwrap();
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert_eq!(row.original, 1.0);
@@ -154,7 +120,7 @@ mod tests {
             methods: vec![Method::SECOND_ORDER],
             sim: SimConfig::with_horizon(20_000),
         };
-        let eval = crate::runner::evaluate(&spec, &[UseCase::single(AppId(0))], &opts).unwrap();
+        let eval = evaluate(&spec, &[UseCase::single(AppId(0))], &opts).unwrap();
         assert!(figure5_from_eval(&spec, &eval).is_none());
     }
 }

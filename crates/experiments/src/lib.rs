@@ -10,13 +10,13 @@
 //! | Timing (§5) | [`timing`] | analysis is orders of magnitude faster than exhaustive simulation |
 //!
 //! Beyond the paper's artefacts: [`validation`] (predicted vs observed
-//! waiting times and node utilisation), [`ablation`] (fixed-point and
-//! arbitration-policy sensitivity) and [`signoff`] (per-application
+//! waiting times and node utilisation) and [`signoff`] (per-application
 //! guarantees over all use-cases — the introduction's motivating workflow).
 //!
 //! The workload ([`workload`]) substitutes the paper's SDF³-generated graphs
-//! with this repository's seeded generator and the POOSL simulator with
-//! `mpsoc-sim` (see DESIGN.md for the substitution argument).
+//! with this repository's seeded generator, and the POOSL simulator with
+//! `mpsoc-sim`, which arbitrates each node first-come-first-served and
+//! non-preemptively as the paper's platform model prescribes.
 //!
 //! # Quick start
 //!
@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ablation;
 pub mod fig5;
 pub mod fig6;
 pub mod metrics;
@@ -51,8 +50,7 @@ pub mod timing;
 pub mod validation;
 pub mod workload;
 
-pub use ablation::{arbitration_sensitivity, fixed_point_sweep};
-pub use fig5::{figure5, figure5_from_eval, Fig5Row};
+pub use fig5::{figure5_from_eval, Fig5Row};
 pub use fig6::{figure6, Fig6Point};
 pub use runner::{evaluate, EvalOptions, Evaluation, SimStats, UseCaseEval};
 pub use signoff::{sign_off, AppSignOff, SignOffReport};

@@ -45,7 +45,7 @@ pub fn paper_workload(seed: u64) -> Result<SystemSpec, PlatformError> {
 }
 
 /// Builds a workload of `count` applications with an explicit generator
-/// configuration (used by the scaling ablations).
+/// configuration (the CLI's `--apps`/`--actors` workloads).
 ///
 /// Applications are mapped with [`Mapping::by_actor_index`] over
 /// `max_actors` nodes, the paper's setup.

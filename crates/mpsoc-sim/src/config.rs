@@ -2,23 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Arbitration policy of a processing node.
-///
-/// The paper's platform model is non-preemptive with no imposed order
-/// ("actors are allowed to execute with least contention on their own"),
-/// which a first-come-first-served queue realises; a static-priority variant
-/// is provided for the sensitivity ablation in the `bench` crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum ArbitrationPolicy {
-    /// Non-preemptive first-come-first-served (default; the paper's model).
-    #[default]
-    Fcfs,
-    /// Non-preemptive static priority: among queued requests, the actor with
-    /// the lowest `(application, actor)` pair wins.
-    StaticPriority,
-}
-
 /// Options of one simulation run.
+///
+/// Nodes arbitrate first-come-first-served and non-preemptively: the
+/// paper's platform model imposes no order ("actors are allowed to execute
+/// with least contention on their own").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Simulated time horizon (time units). The paper simulates each
@@ -27,8 +15,6 @@ pub struct SimConfig {
     /// Fraction of *completed iterations* discarded as warm-up before the
     /// average period is measured (self-timed executions have a transient).
     pub warmup_fraction: f64,
-    /// Node arbitration policy.
-    pub policy: ArbitrationPolicy,
     /// Record a full execution trace ([`crate::trace::TraceEvent`] per
     /// request/start/completion). Off by default — paper-scale runs process
     /// millions of firings.
@@ -60,7 +46,6 @@ impl Default for SimConfig {
         SimConfig {
             horizon: 500_000,
             warmup_fraction: 0.25,
-            policy: ArbitrationPolicy::Fcfs,
             trace: false,
             jitter: None,
         }
@@ -93,7 +78,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = SimConfig::default();
         assert_eq!(c.horizon, 500_000);
-        assert_eq!(c.policy, ArbitrationPolicy::Fcfs);
         assert!(c.warmup_fraction > 0.0 && c.warmup_fraction < 1.0);
     }
 

@@ -6,16 +6,16 @@
 //! 1. when every incoming channel holds enough tokens (and the actor has no
 //!    firing in flight — auto-concurrency is additionally bounded by the
 //!    graphs' own self-loops), the actor *requests* its node;
-//! 2. requests queue at the node; when the node is free the arbiter picks
-//!    one ([`ArbitrationPolicy`]), the firing *consumes* its input tokens
-//!    and occupies the node for the actor's execution time;
+//! 2. requests queue at the node; when the node is free it grants the
+//!    oldest request (first-come-first-served), the firing *consumes* its
+//!    input tokens and occupies the node for the actor's execution time;
 //! 3. on completion the firing *produces* its output tokens, releases the
 //!    node, and newly enabled actors issue requests.
 //!
-//! Arrival order is tracked with a monotonic sequence number, making runs
-//! fully deterministic.
+//! Completions at the same time are ordered by a monotonic sequence
+//! number, making runs fully deterministic.
 
-use crate::config::{ArbitrationPolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::metrics::{ActorStats, AppMetrics, NodeStats, SimResult};
 use crate::trace::{TraceEvent, TraceKind};
 use platform::{AppId, NodeId, SystemSpec, UseCase};
@@ -73,7 +73,7 @@ enum ActorState {
 
 struct NodeState {
     busy: bool,
-    queue: VecDeque<(u64, u64, Slot)>, // (arrival time, seq, slot) — FCFS order
+    queue: VecDeque<(u64, Slot)>, // (arrival time, slot) — FCFS order
 }
 
 /// One actor instance in the flattened simulation state.
@@ -238,42 +238,16 @@ impl<'a> Simulation<'a> {
         if self.actors[slot].state == ActorState::Idle && self.actor_enabled(slot) {
             self.actors[slot].state = ActorState::Queued;
             let node = self.actors[slot].node.index();
-            let seq = self.seq;
-            self.seq += 1;
-            self.nodes[node].queue.push_back((self.now, seq, slot));
+            self.nodes[node].queue.push_back((self.now, slot));
             self.record(slot, TraceKind::Request);
         }
-    }
-
-    /// Pops the next request of `node` per policy, returning `(arrival
-    /// time, slot)` so the grant can account the time spent queued.
-    fn pick_next(&mut self, node: usize) -> Option<(u64, Slot)> {
-        let queue = &mut self.nodes[node].queue;
-        if queue.is_empty() {
-            return None;
-        }
-        let idx = match self.config.policy {
-            ArbitrationPolicy::Fcfs => 0,
-            ArbitrationPolicy::StaticPriority => {
-                let mut best = 0;
-                for i in 1..queue.len() {
-                    let a = &self.actors[queue[i].2];
-                    let b = &self.actors[queue[best].2];
-                    if (a.app, a.actor) < (b.app, b.actor) {
-                        best = i;
-                    }
-                }
-                best
-            }
-        };
-        queue.remove(idx).map(|(arrived, _, slot)| (arrived, slot))
     }
 
     fn grant(&mut self, node: usize) {
         if self.nodes[node].busy {
             return;
         }
-        if let Some((arrived, slot)) = self.pick_next(node) {
+        if let Some((arrived, slot)) = self.nodes[node].queue.pop_front() {
             // Consume input tokens at firing start.
             let app_idx = self.app_index(self.actors[slot].app);
             {
@@ -500,25 +474,6 @@ mod tests {
         let err =
             Simulation::new(&spec, UseCase::single(AppId(0)), SimConfig::default()).unwrap_err();
         assert!(matches!(err, SimError::NonIntegerExecutionTime { .. }));
-    }
-
-    #[test]
-    fn static_priority_policy_runs() {
-        let spec = figure2_spec();
-        let cfg = SimConfig {
-            horizon: 50_000,
-            policy: ArbitrationPolicy::StaticPriority,
-            ..Default::default()
-        };
-        let result = Simulation::new(&spec, UseCase::full(2), cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        // Under static priority, app A (lower ids) is favoured: its period
-        // must not exceed app B's.
-        let pa = result.app(AppId(0)).unwrap().average_period().unwrap();
-        let pb = result.app(AppId(1)).unwrap().average_period().unwrap();
-        assert!(pa <= pb + 1e-9);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod engine;
 pub mod metrics;
 pub mod trace;
 
-pub use config::{ArbitrationPolicy, JitterConfig, SimConfig};
+pub use config::{JitterConfig, SimConfig};
 pub use engine::{SimError, Simulation};
 pub use metrics::{ActorStats, AppMetrics, NodeStats, SimResult};
 

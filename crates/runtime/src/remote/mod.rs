@@ -435,6 +435,15 @@ mod tests {
             .estimate(UseCase::full(2), Method::SECOND_ORDER)
             .unwrap();
         assert!(!estimate.periods().is_empty());
+        // The wire decodes `Method` without parsing it, so `Order(0)`
+        // reaches the estimator: it answers with a typed error, not a
+        // caught panic, and the connection keeps serving.
+        let err = client
+            .estimate(UseCase::full(2), Method::Order(0))
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Config(_)), "{err}");
+        assert!(!err.to_string().contains("panicked"), "{err}");
+        assert!(err.to_string().contains("order"), "{err}");
         let snapshot = AdmissionService::snapshot(&client);
         assert_eq!(snapshot.admitted, 1);
         assert_eq!(snapshot.counter("fleet", "groups"), Some(2));

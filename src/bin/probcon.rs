@@ -307,6 +307,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_generate(options: &HashMap<&str, &str>) -> Result<(), String> {
     let seed = require_u64(options, "seed")?;
     let config = match opt_u64(options, "actors")? {
+        Some(0) => return Err("--actors must be at least 1".into()),
         Some(n) => GeneratorConfig::with_actors(n as usize),
         None => GeneratorConfig::default(),
     };
@@ -371,13 +372,33 @@ fn cmd_analyze(path: Option<&str>, _options: &HashMap<&str, &str>) -> Result<(),
     Ok(())
 }
 
-fn workload_from(options: &HashMap<&str, &str>) -> Result<platform::SystemSpec, String> {
-    let seed = require_u64(options, "seed")?;
-    let apps = require_u64(options, "apps")? as usize;
+/// Builds the seeded workload of `apps` generated applications mapped by
+/// actor index: `actors` actors each, or the generator's default range for
+/// `None`. Commands that read these parameters from flags or from a
+/// journal header build the workload here, so all of them reject the same
+/// out-of-range values.
+fn seeded_workload(
+    seed: u64,
+    apps: u64,
+    actors: Option<u64>,
+) -> Result<platform::SystemSpec, String> {
     if apps == 0 || apps > 20 {
-        return Err("--apps must be in 1..=20".into());
+        return Err(format!("the workload needs 1..=20 apps, got {apps}"));
     }
-    workload_with(seed, apps, &GeneratorConfig::default()).map_err(|e| e.to_string())
+    let config = match actors {
+        Some(0) => return Err("the workload needs at least 1 actor per app, got 0".into()),
+        Some(n) => GeneratorConfig::with_actors(n as usize),
+        None => GeneratorConfig::default(),
+    };
+    workload_with(seed, apps as usize, &config).map_err(|e| e.to_string())
+}
+
+fn workload_from(options: &HashMap<&str, &str>) -> Result<platform::SystemSpec, String> {
+    seeded_workload(
+        require_u64(options, "seed")?,
+        require_u64(options, "apps")?,
+        None,
+    )
 }
 
 fn use_case_from(options: &HashMap<&str, &str>, apps: usize) -> Result<UseCase, String> {
@@ -487,11 +508,9 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
         return Err("--threads must be positive".into());
     }
     let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let apps = opt_u64(options, "apps")?.unwrap_or(6) as usize;
-    if apps == 0 || apps > 20 {
-        return Err("--apps must be in 1..=20".into());
-    }
-    let actors = opt_u64(options, "actors")?.unwrap_or(5) as usize;
+    let apps = opt_u64(options, "apps")?.unwrap_or(6);
+    let actors = opt_u64(options, "actors")?.unwrap_or(5);
+    let spec = seeded_workload(seed, apps, Some(actors))?;
     let groups = opt_u64(options, "groups")?.unwrap_or(4) as usize;
     if groups == 0 {
         return Err("--groups must be positive".into());
@@ -504,13 +523,11 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
         .unwrap_or("least-utilised")
         .parse::<RoutingPolicy>()?;
 
-    let spec = workload_with(seed, apps, &GeneratorConfig::with_actors(actors))
-        .map_err(|e| e.to_string())?;
     let header = JournalHeader {
         version: JOURNAL_VERSION,
         seed,
-        apps: apps as u64,
-        actors: actors as u64,
+        apps,
+        actors,
         groups: groups as u64,
         shards_per_group: shards as u64,
         capacity_per_shard: capacity as u64,
@@ -922,11 +939,9 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         None => WirePolicy::Auto,
     };
     let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let apps = opt_u64(options, "apps")?.unwrap_or(6) as usize;
-    if apps == 0 || apps > 20 {
-        return Err("--apps must be in 1..=20".into());
-    }
-    let actors = opt_u64(options, "actors")?.unwrap_or(5) as usize;
+    let apps = opt_u64(options, "apps")?.unwrap_or(6);
+    let actors = opt_u64(options, "actors")?.unwrap_or(5);
+    let spec = seeded_workload(seed, apps, Some(actors))?;
     let groups = opt_u64(options, "groups")?.unwrap_or(4) as usize;
     if groups == 0 {
         return Err("--groups must be positive".into());
@@ -977,15 +992,13 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         return Err("--checkpoint-every must be positive".into());
     }
 
-    let spec = workload_with(seed, apps, &GeneratorConfig::with_actors(actors))
-        .map_err(|e| e.to_string())?;
     // Stamp the workload parameters so the served journal is
     // self-contained: any client can fetch it and `probcon replay` it.
     let header = JournalHeader {
         version: JOURNAL_VERSION,
         seed,
-        apps: apps as u64,
-        actors: actors as u64,
+        apps,
+        actors,
         groups: groups as u64,
         shards_per_group: shards as u64,
         capacity_per_shard: capacity as u64,
@@ -1411,12 +1424,8 @@ fn journal_with_spec(path: &str) -> Result<(runtime::Journal, platform::SystemSp
              runtime API against the original spec instead"
         ));
     }
-    let spec = workload_with(
-        header.seed,
-        header.apps as usize,
-        &GeneratorConfig::with_actors(header.actors as usize),
-    )
-    .map_err(|e| e.to_string())?;
+    let spec = seeded_workload(header.seed, header.apps, Some(header.actors))
+        .map_err(|e| format!("journal {path} header: {e}"))?;
     Ok((journal, spec))
 }
 

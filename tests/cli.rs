@@ -9,6 +9,23 @@ fn probcon(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// Asserts that `args` is rejected as a usage error: exit code 1 with an
+/// `error:` line on stderr. A panic exits 101 and does not count.
+fn assert_rejected(args: &[&str]) {
+    let out = probcon(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "should reject {args:?}:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+    assert!(
+        stderr.contains("error:"),
+        "{args:?} gave no message:\n{stderr}"
+    );
+}
+
 #[test]
 fn help_prints_usage() {
     let out = probcon(&["help"]);
@@ -105,9 +122,24 @@ fn estimate_validates_inputs() {
             "--method",
             "bogus",
         ],
+        // A zeroth-order truncation is not a method.
+        vec![
+            "estimate",
+            "--seed",
+            "1",
+            "--apps",
+            "2",
+            "--use-case",
+            "1",
+            "--method",
+            "order-0",
+        ],
+        vec![
+            "signoff", "--seed", "1", "--apps", "2", "--method", "order-0",
+        ],
+        vec!["generate", "--seed", "1", "--actors", "0"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
 
@@ -211,6 +243,23 @@ fn fleet_bench_records_journal_and_replay_verifies_it() {
 
 #[test]
 fn fleet_bench_and_replay_validate_inputs() {
+    let recorded = record_plan_journal("zero-actors.jsonl");
+    let text = std::fs::read_to_string(&recorded).expect("journal written");
+    assert!(text.contains("\"actors\":4"), "{text}");
+    let zero_actors = recorded.with_file_name("zero-actors-edited.jsonl");
+    std::fs::write(
+        &zero_actors,
+        text.replacen("\"actors\":4", "\"actors\":0", 1),
+    )
+    .expect("written");
+    let zero_actors = zero_actors.to_str().expect("utf8 path").to_string();
+    let never_bound = format!(
+        "unix:{}",
+        std::env::temp_dir()
+            .join("probcon-cli-test")
+            .join("never-bound.sock")
+            .display()
+    );
     for bad in [
         vec!["fleet-bench"],
         vec!["fleet-bench", "--requests", "0"],
@@ -225,11 +274,15 @@ fn fleet_bench_and_replay_validate_inputs() {
         // --connect there is no wire to shape.
         vec!["fleet-bench", "--requests", "10", "--wire", "binary"],
         vec!["fleet-bench", "--requests", "10", "--connections", "4"],
+        vec!["fleet-bench", "--requests", "10", "--actors", "0"],
+        vec!["serve", "--listen", &never_bound, "--actors", "0"],
         vec!["replay"],
         vec!["replay", "/nonexistent/journal.jsonl"],
+        // A journal header naming a workload no generator can build.
+        vec!["replay", &zero_actors],
+        vec!["plan", &zero_actors],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
 
@@ -357,8 +410,7 @@ fn plan_validates_inputs() {
         vec!["plan", journal, "--workers", "4"],
         vec!["plan", journal, "--sweep", "--workers", "0"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
 
@@ -528,8 +580,7 @@ fn journal_split_and_merge_roundtrip_via_cli() {
         vec!["journal", "split"],
         vec!["journal", "merge", "a.jsonl"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
 
@@ -706,8 +757,7 @@ fn fleet_bench_connect_rejects_local_fleet_flags_and_dead_endpoints() {
         vec!["serve", "--listen", "bogus-address"],
         vec!["serve", "--listen", "tcp:127.0.0.1:0", "--wire", "bogus"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
 
@@ -958,8 +1008,7 @@ fn plan_policy_file_reports_the_policy_decision_timeline() {
         vec!["plan", journal, "--policy-every", "4"],
         vec!["plan", journal, "--policy-file", "/nonexistent/policy.json"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 
     let _ = std::fs::remove_dir_all(&root);
@@ -1002,8 +1051,7 @@ fn autoscale_flags_validate_inputs() {
         // journal compact --keep must be positive.
         vec!["journal", "compact", "/tmp", "--keep", "0"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
 
@@ -1024,7 +1072,6 @@ fn wal_flags_validate_inputs() {
         vec!["journal", "compact"],
         vec!["journal", "compact", "/nonexistent/wal-dir"],
     ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
+        assert_rejected(&bad);
     }
 }
