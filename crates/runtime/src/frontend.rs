@@ -88,14 +88,9 @@ impl Default for FrontEndConfig {
     }
 }
 
-/// An arbitrary unit of work run on a worker thread against the wrapped
-/// service — the hook the remote server's event loop dispatches through.
-type TaskFn = Box<dyn FnOnce(&dyn AdmissionService) + Send>;
-
 enum Op {
     Admit(AdmissionRequest, Completer<AdmissionDecision>),
     Release(u64, Completer<()>),
-    Task(TaskFn),
 }
 
 struct Job {
@@ -180,11 +175,6 @@ impl FrontEndInner {
                     self.dwell.record_duration(dwell.elapsed());
                     self.completed.fetch_add(1, Ordering::Relaxed);
                     completer.complete(result);
-                }
-                Op::Task(task) => {
-                    task(&*self.service);
-                    self.dwell.record_duration(dwell.elapsed());
-                    self.completed.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -352,28 +342,6 @@ impl FrontEnd {
             return Completion::ready(Err(e));
         }
         completion
-    }
-
-    /// Queues an arbitrary task to run on a worker thread with a reference
-    /// to the wrapped service — the dispatch path of the remote server's
-    /// readiness loop, which decodes a frame on the event loop and defers
-    /// the decision (plus response encoding) to this pool. The task itself
-    /// must deliver its result (e.g. append a response frame and wake the
-    /// loop); the queue only guarantees it runs, or that this call returns
-    /// an error and it never will.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::QueueFull`] / [`ServiceError::Stopped`] when the
-    /// task was refused (and will never run).
-    pub fn submit_task(
-        &self,
-        task: impl FnOnce(&dyn AdmissionService) + Send + 'static,
-    ) -> Result<(), ServiceError> {
-        self.enqueue(Job {
-            op: Op::Task(Box::new(task)),
-            enqueued: Instant::now(),
-        })
     }
 
     /// Stops the front-end: new submissions are refused, queued work is

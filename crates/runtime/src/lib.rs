@@ -30,7 +30,9 @@
 //!   protocol version of length-prefixed binary frames (JSON lines as the
 //!   debug codec) over TCP or Unix domain sockets, whose both ends are
 //!   just [`AdmissionService`]s, so a fleet spans processes and every
-//!   existing driver works against it unchanged (see [`remote`]);
+//!   existing driver works against it unchanged; the server's few
+//!   readiness loops each decide every frame on the thread that read it
+//!   (see [`remote`]);
 //! * [`Traced`] / [`TraceRecorder`] / [`TelemetrySnapshot`] — the
 //!   telemetry subsystem: a fixed-capacity flight recorder of structured
 //!   decision events, bounded HDR-style [`LatencyHistogram`]s, and a
@@ -121,7 +123,7 @@ pub use planner::{
 pub use remote::{
     BinaryCodec, ClientConfig, Endpoint, JournalSource, JsonLinesCodec, RemoteClient,
     RemoteClientStats, RemoteServer, RemoteServerConfig, RemoteServerStats, WireCodec, WireMode,
-    WirePolicy, MAX_FRAME, REMOTE_PROTOCOL_VERSION,
+    WirePolicy, MAX_FRAME, MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completer, Completion,

@@ -25,6 +25,13 @@ use std::io::Read;
 /// anything bigger is a corrupt length prefix).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// Hard cap on a server-bound frame's payload. Every hello and request is
+/// under 1 KiB; only client-bound frames (telemetry, journal pages, the
+/// server hello carrying the workload) need [`MAX_FRAME`]. A server refuses
+/// a longer length prefix before buffering its payload, so one hostile
+/// frame cannot make it buffer and decode megabytes.
+pub const MAX_REQUEST_FRAME: usize = 64 * 1024;
+
 /// Nesting depth cap while decoding binary values — bounds stack use on
 /// adversarial input.
 const MAX_DEPTH: usize = 256;
@@ -98,9 +105,12 @@ pub trait WireCodec: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// A malformed frame (bad prefix, oversized length, undecodable
-    /// payload); the connection is beyond recovery.
-    fn decode_value(&self, buf: &[u8]) -> Result<Option<(Value, usize)>, String>;
+    /// A malformed frame (bad prefix, a declared length over `max_len`,
+    /// undecodable payload); the connection is beyond recovery. Callers
+    /// pass [`MAX_FRAME`], or [`MAX_REQUEST_FRAME`] for server-bound
+    /// frames; an over-long prefix fails as soon as it is read, before its
+    /// payload arrives.
+    fn decode_value(&self, buf: &[u8], max_len: usize) -> Result<Option<(Value, usize)>, String>;
 }
 
 /// Serializes `msg` and appends one frame in `codec`'s layout.
@@ -163,7 +173,7 @@ impl WireCodec for JsonLinesCodec {
         Ok(())
     }
 
-    fn decode_value(&self, buf: &[u8]) -> Result<Option<(Value, usize)>, String> {
+    fn decode_value(&self, buf: &[u8], max_len: usize) -> Result<Option<(Value, usize)>, String> {
         if buf.is_empty() {
             return Ok(None);
         }
@@ -191,7 +201,7 @@ impl WireCodec for JsonLinesCodec {
                 _ => return Err("malformed frame: bad length prefix".to_string()),
             }
         }
-        if len > MAX_FRAME {
+        if len > max_len {
             return Err(format!("malformed frame: {len} bytes exceeds maximum"));
         }
         let total = i + len + 1;
@@ -275,12 +285,12 @@ impl WireCodec for BinaryCodec {
         Ok(())
     }
 
-    fn decode_value(&self, buf: &[u8]) -> Result<Option<(Value, usize)>, String> {
+    fn decode_value(&self, buf: &[u8], max_len: usize) -> Result<Option<(Value, usize)>, String> {
         if buf.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if len > MAX_FRAME {
+        if len > max_len {
             return Err(format!("malformed frame: {len} bytes exceeds maximum"));
         }
         if buf.len() < 4 + len {
@@ -521,9 +531,14 @@ impl FrameBuffer {
         self.buf.len() - self.start
     }
 
-    /// Peels one complete frame off the front, if present.
-    pub(crate) fn take_frame(&mut self, codec: &dyn WireCodec) -> Result<Option<Value>, String> {
-        match codec.decode_value(&self.buf[self.start..])? {
+    /// Peels one complete frame of at most `max_len` payload bytes off
+    /// the front, if present.
+    pub(crate) fn take_frame(
+        &mut self,
+        codec: &dyn WireCodec,
+        max_len: usize,
+    ) -> Result<Option<Value>, String> {
+        match codec.decode_value(&self.buf[self.start..], max_len)? {
             Some((value, consumed)) => {
                 self.start += consumed;
                 if self.start == self.buf.len() {
@@ -581,7 +596,7 @@ impl<R: Read> FrameReader<R> {
         let mut stalls = 0usize;
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(value) = self.buffer.take_frame(self.codec)? {
+            if let Some(value) = self.buffer.take_frame(self.codec, MAX_FRAME)? {
                 return Ok(FrameEvent::Frame(value));
             }
             match self.src.read(&mut chunk) {
@@ -631,7 +646,10 @@ mod tests {
     fn roundtrip(codec: &dyn WireCodec, value: &Value) -> Value {
         let mut out = Vec::new();
         codec.encode_value(value, &mut out).unwrap();
-        let (back, consumed) = codec.decode_value(&out).unwrap().expect("complete frame");
+        let (back, consumed) = codec
+            .decode_value(&out, MAX_FRAME)
+            .unwrap()
+            .expect("complete frame");
         assert_eq!(consumed, out.len(), "whole frame consumed");
         back
     }
@@ -699,14 +717,20 @@ mod tests {
         BinaryCodec.encode_value(&sample(), &mut out).unwrap();
         for cut in 0..out.len() {
             assert!(
-                BinaryCodec.decode_value(&out[..cut]).unwrap().is_none(),
+                BinaryCodec
+                    .decode_value(&out[..cut], MAX_FRAME)
+                    .unwrap()
+                    .is_none(),
                 "prefix of {cut} bytes must be incomplete, not an error"
             );
         }
         let mut out = Vec::new();
         JsonLinesCodec.encode_value(&sample(), &mut out).unwrap();
         for cut in 0..out.len() {
-            assert!(JsonLinesCodec.decode_value(&out[..cut]).unwrap().is_none());
+            assert!(JsonLinesCodec
+                .decode_value(&out[..cut], MAX_FRAME)
+                .unwrap()
+                .is_none());
         }
     }
 
@@ -715,11 +739,11 @@ mod tests {
         // Oversized declared length.
         let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0; 16]);
-        assert!(BinaryCodec.decode_value(&buf).is_err());
+        assert!(BinaryCodec.decode_value(&buf, MAX_FRAME).is_err());
         // Unknown tag.
         let mut buf = 2u32.to_le_bytes().to_vec();
         buf.extend_from_slice(&[0, 99]);
-        assert!(BinaryCodec.decode_value(&buf).is_err());
+        assert!(BinaryCodec.decode_value(&buf, MAX_FRAME).is_err());
         // Key index out of range.
         let mut payload = vec![0u8]; // zero keys
         payload.push(tag::OBJECT);
@@ -728,7 +752,7 @@ mod tests {
         payload.push(tag::NULL);
         let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
         buf.extend_from_slice(&payload);
-        assert!(BinaryCodec.decode_value(&buf).is_err());
+        assert!(BinaryCodec.decode_value(&buf, MAX_FRAME).is_err());
         // Truncation inside the payload declared length is impossible by
         // construction (decode waits for the whole payload), but trailing
         // garbage after the value is rejected.
@@ -737,17 +761,44 @@ mod tests {
         let len = out.len();
         out.extend_from_slice(&[0]);
         out[0..4].copy_from_slice(&((len - 4 + 1) as u32).to_le_bytes());
-        assert!(BinaryCodec.decode_value(&out).is_err());
+        assert!(BinaryCodec.decode_value(&out, MAX_FRAME).is_err());
     }
 
     #[test]
     fn json_codec_rejects_garbage_prefixes() {
-        assert!(JsonLinesCodec.decode_value(b"xx {}\n").is_err());
-        assert!(JsonLinesCodec.decode_value(b"2 {}x").is_err());
-        assert!(JsonLinesCodec.decode_value(b"99999999 x").is_err());
+        assert!(JsonLinesCodec.decode_value(b"xx {}\n", MAX_FRAME).is_err());
+        assert!(JsonLinesCodec.decode_value(b"2 {}x", MAX_FRAME).is_err());
+        assert!(JsonLinesCodec
+            .decode_value(b"99999999 x", MAX_FRAME)
+            .is_err());
         // Length lies beyond the payload: incomplete, the reader's
         // EOF/stall handling turns it into a truncation.
-        assert!(JsonLinesCodec.decode_value(b"10 {}\n").unwrap().is_none());
+        assert!(JsonLinesCodec
+            .decode_value(b"10 {}\n", MAX_FRAME)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn both_codecs_refuse_a_length_over_the_cap_from_its_prefix_alone() {
+        // Only the length prefix has arrived: a declared length at the cap
+        // waits for its payload, one byte over fails at once.
+        let cap = MAX_REQUEST_FRAME;
+        let at = (cap as u32).to_le_bytes();
+        assert!(BinaryCodec.decode_value(&at, cap).unwrap().is_none());
+        let over = (cap as u32 + 1).to_le_bytes();
+        let err = BinaryCodec.decode_value(&over, cap).unwrap_err();
+        assert!(err.contains("exceeds maximum"), "{err}");
+        let at = format!("{cap} ");
+        assert!(JsonLinesCodec
+            .decode_value(at.as_bytes(), cap)
+            .unwrap()
+            .is_none());
+        let over = format!("{} ", cap + 1);
+        let err = JsonLinesCodec
+            .decode_value(over.as_bytes(), cap)
+            .unwrap_err();
+        assert!(err.contains("exceeds maximum"), "{err}");
     }
 
     #[test]
@@ -762,7 +813,7 @@ mod tests {
         let mut seen = Vec::new();
         for byte in wire {
             buffer.extend(&[byte]);
-            while let Some(value) = buffer.take_frame(&BinaryCodec).unwrap() {
+            while let Some(value) = buffer.take_frame(&BinaryCodec, MAX_FRAME).unwrap() {
                 seen.push(value.get_field("seq").unwrap().clone());
             }
         }

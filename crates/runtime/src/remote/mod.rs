@@ -43,16 +43,24 @@
 //!
 //! # One server, thousands of connections
 //!
-//! The server is a **non-blocking readiness loop**, not a thread per
-//! connection: one event-loop thread polls every registered socket, reads
-//! into per-connection frame buffers, and defers each decoded request to
-//! a [`FrontEnd`](crate::FrontEnd) worker pool; workers append the
-//! encoded response to the connection's output buffer and wake the loop,
-//! which keeps write interest registered until the buffer drains. A
-//! connection whose peer stops reading (or floods requests faster than
-//! they are decided) is paused — bounded buffers, not unbounded queues,
-//! are the backpressure — so thousands of in-flight connections cost one
-//! loop thread plus the worker pool, at flat memory.
+//! The server runs a few **non-blocking readiness loops**
+//! ([`RemoteServerConfig::workers`], default 4), not a thread per
+//! connection. An acceptor thread, which never decides, places each new
+//! connection on the loop with the fewest live connections. Each loop
+//! polls its own sockets, reads into per-connection frame buffers, and
+//! decodes, decides, encodes and writes every frame on its own thread,
+//! with no hand-off to another thread between the socket read and the
+//! socket write. One connection's frames are decided one at a time, in
+//! arrival order: pipelining saves round trips, not decision time, so a
+//! client that wants decisions made in parallel opens several
+//! connections. A slow decision holds up only the connections on its own
+//! loop; accepts and the other loops carry on. A connection whose peer
+//! stops reading is paused once its output buffer passes
+//! [`max_buffered`](RemoteServerConfig::max_buffered), and a server-bound
+//! frame longer than [`MAX_REQUEST_FRAME`] is refused from its length
+//! prefix — bounded buffers, not unbounded queues, are the backpressure —
+//! so thousands of connections cost the fixed set of server threads, at
+//! flat memory.
 //!
 //! Failures are typed, never panics: disconnects, malformed frames,
 //! version mismatches and mid-flight shutdowns all surface as
@@ -61,9 +69,9 @@
 //! # Shutdown ordering
 //!
 //! [`RemoteServer::shutdown`] first stops accepting new connections, then
-//! lets every live connection drain: frames already dispatched are
-//! decided and answered before the connection closes. Accepts always stop
-//! before the first connection is cut.
+//! lets every live connection drain: answers to frames already decided
+//! are flushed before the connection closes. Accepts always stop before
+//! the first connection is cut.
 //!
 //! # Example
 //!
@@ -105,7 +113,7 @@ mod endpoint;
 mod server;
 
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
-pub use codec::{BinaryCodec, JsonLinesCodec, WireCodec, WireMode, MAX_FRAME};
+pub use codec::{BinaryCodec, JsonLinesCodec, WireCodec, WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
 pub use endpoint::Endpoint;
 pub use server::{JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy};
 
@@ -601,6 +609,39 @@ mod tests {
         }
         client.close();
         server.shutdown();
+    }
+
+    #[test]
+    fn one_loop_serves_every_connection() {
+        let server = RemoteServer::bind_with(
+            &"tcp:127.0.0.1:0".parse().unwrap(),
+            Arc::new(fleet(2, 16)),
+            None,
+            RemoteServerConfig {
+                workers: 1,
+                ..RemoteServerConfig::default()
+            },
+        )
+        .unwrap();
+        let clients: Vec<RemoteClient> = (0..3)
+            .map(|_| RemoteClient::connect(server.local_addr()).unwrap())
+            .collect();
+        // A pipelined burst on every connection at once, all on loop 0.
+        let completions: Vec<Completion> = clients
+            .iter()
+            .flat_map(|client| {
+                (0..4).map(move |i| AdmissionService::submit(client, AdmissionRequest::new(i)))
+            })
+            .collect();
+        for completion in completions {
+            assert!(completion.wait().unwrap().is_admitted());
+        }
+        for client in &clients {
+            client.close();
+        }
+        server.shutdown();
+        assert_eq!(server.stats().connections, 3);
+        assert_eq!(server.stats().requests, 12);
     }
 
     #[test]

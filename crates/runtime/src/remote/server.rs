@@ -1,18 +1,29 @@
-//! The readiness-loop server: one thread, thousands of connections.
+//! The readiness-loop server: a few threads, thousands of connections.
 //!
-//! One event-loop thread owns the listener and every accepted socket. It
-//! polls them all for readiness, reads whatever bytes are available into
-//! per-connection [`FrameBuffer`]s, and defers each decoded request to a
-//! [`FrontEnd`] worker pool; workers append the encoded response to the
-//! connection's output buffer and wake the loop through a self-pipe, and
-//! the loop keeps write interest registered until the buffer drains.
+//! [`RemoteServerConfig::workers`] readiness loops serve every connection.
+//! Loop 0 starts the other loops and one more thread, the acceptor, which
+//! owns the listener and never decides: it accepts each connection and
+//! places it on the loop with the fewest live connections (ties to the
+//! lowest index, so a lone client stays on loop 0), handing it over
+//! through that loop's inbox and self-pipe waker. From
+//! then on one loop owns the connection: it polls the socket for
+//! readiness, reads bytes into the connection's [`FrameBuffer`], and
+//! decodes, decides, encodes and writes back every complete frame on its
+//! own thread, one frame at a time in arrival order. No other thread
+//! touches a request between the socket read and the socket write.
+//!
 //! Nothing blocks on any single peer: a connection whose peer stops
-//! reading (bounded output buffer) or floods requests (bounded in-flight
-//! count) is paused until it drains — backpressure by bounded buffers,
-//! not unbounded queues or threads.
+//! reading is paused once its output buffer passes a bound, and a frame
+//! declaring more than [`MAX_REQUEST_FRAME`] bytes is refused from its
+//! length prefix — backpressure by bounded buffers, not unbounded queues
+//! or threads. A slow decision stalls only the connections on the loop
+//! deciding it, a new connection placed there included; accepts and every
+//! other loop carry on. Stall and handshake timers measure from the loop's
+//! last poll, so bytes that arrive while a loop decides are not a stall.
 
 use super::codec::{
-    decode_message, encode_frame, FrameBuffer, JsonLinesCodec, WireCodec, WireMode,
+    decode_message, encode_message, FrameBuffer, JsonLinesCodec, WireCodec, WireMode,
+    MAX_REQUEST_FRAME,
 };
 use super::endpoint::{is_timeout, Conn, Endpoint, Listener};
 use super::{
@@ -20,8 +31,7 @@ use super::{
     REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
-use crate::frontend::{FrontEnd, FrontEndConfig};
-use crate::journal::JournalPage;
+use crate::journal::{ClientScope, JournalPage};
 use crate::service::{AdmissionService, LayerMetrics, ServiceError};
 use crate::telemetry::{
     op_rate, ConnectionStats, EventLoopStats, HistogramRecorder, SpanScope, TraceEvent, TraceKind,
@@ -33,7 +43,7 @@ use std::fmt;
 use std::io::{Read, Write};
 #[cfg(unix)]
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,13 +77,13 @@ pub struct RemoteServerConfig {
     /// Maximum simultaneously served connections; further accepts are
     /// closed immediately.
     pub max_connections: usize,
-    /// Poll granularity of the event loop — the latency with which
-    /// timers (handshake deadlines, stalls, shutdown) are observed.
-    /// Readiness itself is event-driven, not bounded by this.
+    /// Poll granularity of the event loops and the acceptor — the latency
+    /// with which timers (handshake deadlines, stalls, shutdown) are
+    /// observed. Readiness itself is event-driven, not bounded by this.
     pub poll_interval: Duration,
     /// How long a peer may stall *inside* a frame before the connection
-    /// is declared truncated and cut; also the budget for draining
-    /// in-flight work at shutdown.
+    /// is declared truncated and cut; also the budget for flushing
+    /// answers at shutdown.
     pub stall_timeout: Duration,
     /// How long a fresh connection may take to complete the handshake.
     pub handshake_timeout: Duration,
@@ -83,19 +93,15 @@ pub struct RemoteServerConfig {
     pub once: bool,
     /// Which wire modes the handshake grants.
     pub wire: WirePolicy,
-    /// Worker threads deciding admissions (the [`FrontEnd`] pool behind
-    /// the event loop).
+    /// Readiness loops (≥ 1), each a thread that reads, decides and
+    /// answers the frames of the connections placed on it, one frame at a
+    /// time. The acceptor thread places each connection on the loop with
+    /// the fewest live connections.
     pub workers: usize,
-    /// Maximum queued decisions across all connections; beyond it,
-    /// requests are answered with a typed `QueueFull` fault immediately.
-    pub queue_capacity: usize,
     /// Pause reading from a connection whose un-flushed output exceeds
-    /// this many bytes — a peer that stops reading cannot grow server
-    /// memory beyond its bounded buffers.
+    /// this many bytes — the server's backpressure: a peer that stops
+    /// reading cannot grow server memory beyond its bounded buffers.
     pub max_buffered: usize,
-    /// Pause reading from a connection with this many undecided requests
-    /// in flight — one flooding pipeliner cannot monopolize the pool.
-    pub max_in_flight: u64,
 }
 
 impl Default for RemoteServerConfig {
@@ -108,9 +114,7 @@ impl Default for RemoteServerConfig {
             once: false,
             wire: WirePolicy::Auto,
             workers: 4,
-            queue_capacity: 4096,
             max_buffered: 4 * 1024 * 1024,
-            max_in_flight: 1024,
         }
     }
 }
@@ -180,8 +184,9 @@ mod poller {
         n > 0
     }
 
-    /// A self-pipe (socketpair) the worker pool writes one byte into to
-    /// wake the event loop out of `poll`.
+    /// A self-pipe (socketpair) written one byte into to wake a thread
+    /// out of `poll`: the acceptor handing a loop a connection, or a
+    /// shutdown.
     pub struct Waker {
         tx: UnixStream,
         rx: UnixStream,
@@ -195,9 +200,9 @@ mod poller {
             Ok(Waker { tx, rx })
         }
 
-        /// One byte is enough: coalesced wakes are fine, the loop drains
-        /// the whole dirty list per tick. A full pipe means a wake is
-        /// already pending — equally fine.
+        /// One byte is enough: coalesced wakes are fine, a loop empties
+        /// its whole inbox per tick. A full pipe means a wake is already
+        /// pending — equally fine.
         pub fn wake(&self) {
             let _ = (&self.tx).write(&[1]);
         }
@@ -214,29 +219,21 @@ mod poller {
     }
 }
 
-/// Wakes the event loop when workers finish responses (or shutdown is
-/// requested), carrying the tokens whose output buffers gained bytes.
-struct Notifier {
-    dirty: Mutex<Vec<u64>>,
+/// The cross-thread face of one readiness loop: the acceptor places
+/// accepted connections in its inbox and wakes it.
+struct LoopSlot {
+    inbox: Mutex<Vec<Connection>>,
+    /// Connections placed on this loop and not yet reaped — the placement
+    /// key.
+    live: AtomicUsize,
     #[cfg(unix)]
     waker: poller::Waker,
 }
 
-impl Notifier {
-    fn push(&self, token: u64) {
-        lock(&self.dirty).push(token);
-        self.wake();
-    }
-
+impl LoopSlot {
     fn wake(&self) {
         #[cfg(unix)]
         self.waker.wake();
-    }
-
-    fn drain(&self) -> Vec<u64> {
-        #[cfg(unix)]
-        self.waker.drain();
-        std::mem::take(&mut *lock(&self.dirty))
     }
 }
 
@@ -258,17 +255,26 @@ struct ServerShared {
     /// records nothing.
     trace: Option<Arc<TraceRecorder>>,
     /// Live per-connection counters, keyed by token; shared with each
-    /// [`Connection`] so telemetry requests (decided on worker threads)
-    /// can read them without touching event-loop state.
+    /// [`Connection`] so a telemetry request decided on any loop can read
+    /// every loop's connections.
     conn_stats: Mutex<BTreeMap<u64, Arc<ConnTelemetry>>>,
-    /// Event-loop iterations completed.
+    /// Event-loop iterations completed, summed over the loops.
     poll_ticks: AtomicU64,
     /// Time spent *processing* per tick (readiness wait excluded).
     tick_hist: HistogramRecorder,
     /// Ready-set size per tick (a histogram of counts, not of times).
     ready_hist: HistogramRecorder,
-    notifier: Notifier,
+    /// One slot per readiness loop, loop 0 first.
+    loops: Vec<LoopSlot>,
+    /// Wakes the acceptor out of its poll when shutdown is requested.
+    #[cfg(unix)]
+    accept_waker: poller::Waker,
+    /// Shutdown was requested ([`RemoteServer::shutdown`] or once mode).
     stopping: AtomicBool,
+    /// The acceptor has closed the listener, so every loop now drains its
+    /// connections and exits. Set only after the last accept: accepts
+    /// stop before the first connection is cut.
+    draining: AtomicBool,
     connections: AtomicU64,
     /// Connections that completed the handshake — only these arm `once`
     /// mode (liveness probes and the UDS stale-socket check connect and
@@ -284,6 +290,14 @@ struct ServerShared {
 }
 
 impl ServerShared {
+    /// Requests shutdown: the acceptor closes the listener, then wakes
+    /// the loops to drain.
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::Release);
+        #[cfg(unix)]
+        self.accept_waker.wake();
+    }
+
     fn handshake_domains(&self) -> u64 {
         self.service
             .snapshot()
@@ -293,7 +307,7 @@ impl ServerShared {
 
     /// Decides one operation, converting a panicking service (an analysis
     /// edge case, a poisoned layer) into a typed error instead of a dead
-    /// worker — remote clients always get an answer.
+    /// loop — remote clients always get an answer.
     fn dispatch(&self, op: WireOp) -> WireBody {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch_inner(op)))
             .unwrap_or_else(|panic| {
@@ -367,15 +381,15 @@ impl ServerShared {
                 frames_out: telem.frames_out.load(Ordering::Relaxed),
                 bytes_in: telem.bytes_in.load(Ordering::Relaxed),
                 bytes_out: telem.bytes_out.load(Ordering::Relaxed),
-                write_buffered: lock(&telem.out).pending() as u64,
-                in_flight: telem.in_flight.load(Ordering::Acquire),
+                write_buffered: telem.write_buffered.load(Ordering::Relaxed),
+                in_flight: telem.in_flight.load(Ordering::Relaxed),
                 backpressure_pauses: telem.pauses.load(Ordering::Relaxed),
             })
             .collect()
     }
 
-    /// The event loop's own health: tick count, per-tick processing time
-    /// and ready-set size distributions.
+    /// The event loops' own health: tick count, per-tick processing time
+    /// and ready-set size distributions, over every loop.
     fn event_loop_stats(&self) -> EventLoopStats {
         EventLoopStats {
             poll_ticks: self.poll_ticks.load(Ordering::Relaxed),
@@ -419,8 +433,7 @@ impl ServerShared {
 // Per-connection state.
 // ---------------------------------------------------------------------------
 
-/// Encoded-but-unflushed response bytes of one connection. Workers append
-/// under the mutex; only the event loop drains.
+/// Encoded-but-unflushed response bytes of one connection.
 #[derive(Default)]
 struct OutBuf {
     buf: Vec<u8>,
@@ -433,10 +446,9 @@ impl OutBuf {
     }
 }
 
-/// Live counters of one served connection, shared between the event
-/// loop (which owns the [`Connection`]) and worker threads answering
-/// telemetry requests — the source of
-/// [`ConnectionStats`](crate::telemetry::ConnectionStats).
+/// Live counters of one served connection, written by the loop that owns
+/// the [`Connection`] and read by telemetry requests on any loop — the
+/// source of [`ConnectionStats`](crate::telemetry::ConnectionStats).
 struct ConnTelemetry {
     token: u64,
     /// Identity the peer announced at handshake, if any.
@@ -447,14 +459,13 @@ struct ConnTelemetry {
     frames_out: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
-    /// False→true backpressure transitions (output or in-flight
-    /// saturation paused reads).
+    /// Un-flushed output bytes.
+    write_buffered: AtomicU64,
+    /// Requests being decided (decoded, not yet answered).
+    in_flight: AtomicU64,
+    /// False→true backpressure transitions (output saturation paused
+    /// reads).
     pauses: AtomicU64,
-    /// Second handle on the connection's output buffer, for the
-    /// `write_buffered` gauge.
-    out: Arc<Mutex<OutBuf>>,
-    /// Second handle on the connection's in-flight count.
-    in_flight: Arc<AtomicU64>,
 }
 
 struct Connection {
@@ -462,9 +473,7 @@ struct Connection {
     inbuf: FrameBuffer,
     /// JSON until the handshake negotiates otherwise.
     codec: &'static dyn WireCodec,
-    out: Arc<Mutex<OutBuf>>,
-    /// Requests dispatched to the worker pool, not yet appended to `out`.
-    in_flight: Arc<AtomicU64>,
+    out: OutBuf,
     telemetry: Arc<ConnTelemetry>,
     /// Pause state at the last timer check — edge detection for the
     /// `pauses` counter.
@@ -475,9 +484,9 @@ struct Connection {
     /// Advances on every byte read and every frame decoded — the
     /// reference point for the mid-frame stall timer.
     last_progress: Instant,
-    /// Peer sent EOF; answer what is in flight, flush, then close.
+    /// Peer sent EOF; answer the frames already read, flush, then close.
     peer_closed: bool,
-    /// Close once `out` is flushed and nothing is in flight.
+    /// Close once `out` is flushed.
     closing: bool,
     /// Handshake refusal — counted in `handshake_rejects` when reaped.
     refused: bool,
@@ -490,27 +499,23 @@ struct Connection {
 impl Connection {
     fn new(conn: Conn, token: u64, handshake_timeout: Duration) -> Connection {
         let now = Instant::now();
-        let out = Arc::new(Mutex::new(OutBuf::default()));
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let telemetry = Arc::new(ConnTelemetry {
-            token,
-            client: Mutex::new(None),
-            wire: Mutex::new(WireMode::Json.name().to_string()),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            pauses: AtomicU64::new(0),
-            out: Arc::clone(&out),
-            in_flight: Arc::clone(&in_flight),
-        });
         Connection {
             conn,
             inbuf: FrameBuffer::new(),
             codec: &JsonLinesCodec,
-            out,
-            in_flight,
-            telemetry,
+            out: OutBuf::default(),
+            telemetry: Arc::new(ConnTelemetry {
+                token,
+                client: Mutex::new(None),
+                wire: Mutex::new(WireMode::Json.name().to_string()),
+                frames_in: AtomicU64::new(0),
+                frames_out: AtomicU64::new(0),
+                bytes_in: AtomicU64::new(0),
+                bytes_out: AtomicU64::new(0),
+                write_buffered: AtomicU64::new(0),
+                in_flight: AtomicU64::new(0),
+                pauses: AtomicU64::new(0),
+            }),
             was_paused: false,
             handshaken: false,
             client: None,
@@ -524,36 +529,302 @@ impl Connection {
         }
     }
 
-    fn out_pending(&self) -> usize {
-        lock(&self.out).pending()
-    }
-
-    /// Backpressure: stop consuming this peer's bytes while its output or
-    /// in-flight work is saturated.
+    /// Backpressure: stop consuming this peer's bytes while its output is
+    /// saturated.
     fn paused(&self, config: &RemoteServerConfig) -> bool {
-        self.out_pending() > config.max_buffered
-            || self.in_flight.load(Ordering::Acquire) > config.max_in_flight
+        self.out.pending() > config.max_buffered
     }
 
-    /// Appends a response frame directly (event-loop side).
-    fn push_response(&self, response: &WireResponse) {
-        if let Ok(frame) = encode_frame(self.codec, response) {
-            lock(&self.out).buf.extend_from_slice(&frame);
+    /// Whether the loop should read this peer's bytes now.
+    fn wants_input(&self, config: &RemoteServerConfig) -> bool {
+        !self.dead && !self.closing && !self.peer_closed && !self.paused(config)
+    }
+
+    /// Finished: dead, or closing/EOF with every answer flushed.
+    fn finished(&self) -> bool {
+        self.dead || ((self.closing || self.peer_closed) && self.out.pending() == 0)
+    }
+
+    /// One tick of work on a ready connection: flush, read one chunk,
+    /// decide every complete frame, and flush the answers.
+    fn serve(&mut self, shared: &ServerShared, readable: bool, writable: bool) {
+        if writable {
+            self.flush();
+        }
+        if readable && self.wants_input(&shared.config) {
+            self.read();
+        }
+        if self.inbuf.buffered() > 0 {
+            self.process_frames(shared);
+        }
+        self.flush();
+    }
+
+    fn read(&mut self) {
+        let mut chunk = [0u8; 16 * 1024];
+        match self.conn.read(&mut chunk) {
+            Ok(0) => self.peer_closed = true,
+            Ok(n) => {
+                self.inbuf.extend(&chunk[..n]);
+                self.telemetry
+                    .bytes_in
+                    .fetch_add(n as u64, Ordering::Relaxed);
+                self.last_progress = Instant::now();
+            }
+            Err(e) if is_timeout(&e) || e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => self.dead = true,
+        }
+    }
+
+    fn process_frames(&mut self, shared: &ServerShared) {
+        while !self.dead && !self.closing && !self.paused(&shared.config) {
+            // The frame-decode span times the whole decode: bytes → value
+            // tree → request.
+            let decode_started = Instant::now();
+            match self.inbuf.take_frame(self.codec, MAX_REQUEST_FRAME) {
+                Ok(Some(value)) => {
+                    self.last_progress = decode_started;
+                    self.telemetry.frames_in.fetch_add(1, Ordering::Relaxed);
+                    if self.handshaken {
+                        self.handle_request(shared, &value, decode_started);
+                    } else {
+                        self.handle_hello(shared, &value);
+                    }
+                }
+                Ok(None) => return,
+                Err(msg) => {
+                    self.fail(msg);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn handle_hello(&mut self, shared: &ServerShared, value: &serde::Value) {
+        let hello: Result<ClientHello, _> = decode_message(value);
+        let domains = shared.handshake_domains();
+        match hello {
+            Ok(hello) if hello.magic == MAGIC && hello.version == REMOTE_PROTOCOL_VERSION => {
+                let granted = match shared.config.wire {
+                    WirePolicy::JsonOnly => WireMode::Json,
+                    WirePolicy::Auto => hello
+                        .wire
+                        .as_deref()
+                        .and_then(|w| w.parse().ok())
+                        .unwrap_or(WireMode::Json),
+                };
+                self.push_hello(&ServerHello {
+                    magic: MAGIC.to_string(),
+                    version: REMOTE_PROTOCOL_VERSION,
+                    workload: shared.service.workload().cloned(),
+                    domains,
+                    wire: Some(granted.name().to_string()),
+                });
+                // The granted codec takes over from the next frame on.
+                self.codec = granted.codec();
+                self.handshaken = true;
+                *lock(&self.telemetry.client) = hello.client.clone();
+                *lock(&self.telemetry.wire) = granted.name().to_string();
+                self.client = hello.client;
+                shared.handshaken.fetch_add(1, Ordering::Release);
+                match granted {
+                    WireMode::Json => &shared.json_connections,
+                    WireMode::Binary => &shared.binary_connections,
+                }
+                .fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(_) | Err(_) => {
+                self.push_hello(&ServerHello {
+                    magic: MAGIC.to_string(),
+                    version: REMOTE_PROTOCOL_VERSION,
+                    workload: None,
+                    domains,
+                    wire: None,
+                });
+                self.refused = true;
+                self.closing = true;
+            }
+        }
+    }
+
+    /// Decides one request frame and buffers its answer.
+    fn handle_request(
+        &mut self,
+        shared: &ServerShared,
+        value: &serde::Value,
+        decode_started: Instant,
+    ) {
+        let request: WireRequest = match decode_message(value) {
+            Ok(request) => request,
+            Err(e) => {
+                self.fail(format!("malformed request: {e}"));
+                return;
+            }
+        };
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.in_flight.fetch_add(1, Ordering::Relaxed);
+
+        // Server-side span chain, recorded only when the served stack
+        // exposes a flight recorder AND the admission carries a
+        // client-minted span — untraced requests pay nothing. The decode
+        // span is a child of the client's request span, pinned to this
+        // connection's track; the dispatch span, the decision on this
+        // loop's thread track, is the decode span's child.
+        let dispatch_span = match (&shared.trace, &request.op) {
+            (Some(trace), WireOp::Admit(admission)) => admission.span.map(|context| {
+                let decode = context.child();
+                trace.record(
+                    TraceEvent::new(TraceKind::FrameDecode)
+                        .app(admission.app_index)
+                        .duration(decode_started.elapsed())
+                        .span(decode)
+                        .track(format!("conn{}", self.telemetry.token)),
+                );
+                decode.child()
+            }),
+            _ => None,
+        };
+        // Attribute every decision this connection drives to the client
+        // id it announced, and parent every event the layers below record
+        // (admit, fleet-admit) under the dispatch span.
+        let _client_scope = self.client.clone().map(ClientScope::enter);
+        let _span_scope = dispatch_span.map(SpanScope::enter);
+        let started = Instant::now();
+        let body = shared.dispatch(request.op);
+        let decided = started.elapsed();
+        shared.frame_latency.record_duration(decided);
+        if let (Some(trace), Some(span)) = (&shared.trace, dispatch_span) {
+            trace.record(
+                TraceEvent::new(TraceKind::Dispatch)
+                    .duration(decided)
+                    .span(span),
+            );
+        }
+        self.push_response(&WireResponse {
+            id: request.id,
+            body,
+        });
+        self.telemetry.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Answers a protocol fault with a best-effort uncorrelated error,
+    /// then closes once it is flushed.
+    fn fail(&mut self, msg: String) {
+        self.push_response(&WireResponse {
+            id: 0,
+            body: WireBody::Error(WireFault::Transport(msg)),
+        });
+        self.errored = true;
+        self.closing = true;
+    }
+
+    /// Buffers one response frame in the negotiated codec. An answer too
+    /// large for a frame is replaced by a typed error, so the caller's
+    /// completion still resolves.
+    fn push_response(&mut self, response: &WireResponse) {
+        let encoded = encode_message(self.codec, response, &mut self.out.buf).or_else(|e| {
+            let error = WireResponse {
+                id: response.id,
+                body: WireBody::Error(WireFault::Transport(format!("encode response: {e}"))),
+            };
+            encode_message(self.codec, &error, &mut self.out.buf)
+        });
+        if encoded.is_ok() {
             self.telemetry.frames_out.fetch_add(1, Ordering::Relaxed);
+        }
+        self.sync_buffered();
+    }
+
+    /// Hello replies are always JSON-framed, whatever was (or will be)
+    /// negotiated.
+    fn push_hello(&mut self, hello: &ServerHello) {
+        let _ = encode_message(&JsonLinesCodec, hello, &mut self.out.buf);
+        self.sync_buffered();
+    }
+
+    fn sync_buffered(&self) {
+        self.telemetry
+            .write_buffered
+            .store(self.out.pending() as u64, Ordering::Relaxed);
+    }
+
+    /// Writes as much of the buffered output as the socket accepts.
+    fn flush(&mut self) {
+        if self.dead || self.out.pending() == 0 {
+            return;
+        }
+        let out = &mut self.out;
+        while out.pending() > 0 {
+            match self.conn.write(&out.buf[out.start..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => {
+                    out.start += n;
+                    self.telemetry
+                        .bytes_out
+                        .fetch_add(n as u64, Ordering::Relaxed);
+                }
+                Err(e) if is_timeout(&e) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        if out.pending() == 0 {
+            out.buf.clear();
+            out.start = 0;
+        } else if out.start > 64 * 1024 {
+            out.buf.drain(..out.start);
+            out.start = 0;
+        }
+        self.sync_buffered();
+    }
+
+    /// Handshake deadline, stall detection and backpressure accounting, as
+    /// of `now`: the loop's last poll.
+    fn check_timers(&mut self, config: &RemoteServerConfig, now: Instant) {
+        if self.dead || self.closing {
+            return;
+        }
+        // Edge-detect backpressure pauses once per tick: a false→true
+        // transition is one pause episode, however long it lasts.
+        let paused = self.paused(config);
+        if paused && !self.was_paused {
+            self.telemetry.pauses.fetch_add(1, Ordering::Relaxed);
+        }
+        self.was_paused = paused;
+        if !self.handshaken {
+            if now >= self.handshake_deadline {
+                self.refused = true;
+                self.dead = true;
+            }
+            return;
+        }
+        // A partial frame sitting un-grown past the stall budget is a
+        // truncation — unless the connection is paused (backpressure,
+        // not a peer fault).
+        if self.inbuf.buffered() > 0
+            && !paused
+            && now.saturating_duration_since(self.last_progress) > config.stall_timeout
+        {
+            self.fail("truncated frame: peer stalled mid-frame".to_string());
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The event loop.
+// The event loops.
 // ---------------------------------------------------------------------------
 
 struct EventLoop {
     shared: Arc<ServerShared>,
-    listener: Option<Listener>,
-    front: FrontEnd,
+    /// Position in [`ServerShared::loops`].
+    index: usize,
     conns: HashMap<u64, Connection>,
-    next_token: u64,
 }
 
 /// Readiness of one connection in one tick.
@@ -564,130 +835,114 @@ struct Ready {
 }
 
 impl EventLoop {
-    fn new(shared: Arc<ServerShared>, listener: Listener) -> EventLoop {
-        let front = FrontEnd::new(
-            Box::new(Arc::clone(&shared.service)),
-            FrontEndConfig {
-                workers: shared.config.workers.max(1),
-                queue_capacity: shared.config.queue_capacity.max(1),
-            },
-        );
+    fn new(shared: Arc<ServerShared>, index: usize) -> EventLoop {
         EventLoop {
             shared,
-            listener: Some(listener),
-            front,
+            index,
             conns: HashMap::new(),
-            next_token: 1,
+        }
+    }
+
+    fn slot(&self) -> &LoopSlot {
+        &self.shared.loops[self.index]
+    }
+
+    /// Loop 0: spawns the peer loops and the acceptor, serves, then joins
+    /// them. Loop 0 allocates before any other server thread exists, so a
+    /// lone client's working set lands in the same malloc arena in every
+    /// server a process starts; with the threads racing to allocate first,
+    /// repeated set-ups spread peak RSS over several arenas.
+    fn run_first(self, acceptor: Acceptor) {
+        let mut threads: Vec<JoinHandle<()>> = (1..self.shared.loops.len())
+            .map(|index| {
+                let shared = Arc::clone(&self.shared);
+                spawn_named(format!("loop{index}"), move || {
+                    EventLoop::new(shared, index).run()
+                })
+                .expect("spawn event loop")
+            })
+            .collect();
+        threads.push(
+            spawn_named("accept".to_string(), move || acceptor.run()).expect("spawn acceptor"),
+        );
+        self.run();
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 
     fn run(mut self) {
         let mut drain_deadline: Option<Instant> = None;
         loop {
-            let stopping = self.shared.stopping.load(Ordering::Acquire);
-            if stopping {
-                // Accepts stop before the first connection is cut.
-                self.listener = None;
+            // Read the flag before emptying the inbox: once draining is
+            // seen, every placement on this loop is already in it.
+            let draining = self.shared.draining.load(Ordering::Acquire);
+            let placed = std::mem::take(&mut *lock(&self.slot().inbox));
+            for conn in placed {
+                self.conns.insert(conn.telemetry.token, conn);
+            }
+            if draining {
                 let deadline = *drain_deadline
                     .get_or_insert_with(|| Instant::now() + self.shared.config.stall_timeout);
+                let expired = Instant::now() >= deadline;
                 for conn in self.conns.values_mut() {
                     conn.closing = true;
-                    if Instant::now() >= deadline {
-                        conn.dead = true;
-                    }
+                    conn.dead |= expired;
                 }
                 self.reap();
                 if self.conns.is_empty() {
-                    break;
+                    return;
                 }
             } else if self.shared.config.once
+                && !self.shared.stopping.load(Ordering::Acquire)
                 && self.shared.handshaken.load(Ordering::Acquire) > 0
-                && self.conns.is_empty()
+                && self.shared.active.load(Ordering::Acquire) == 0
             {
-                self.shared.stopping.store(true, Ordering::Release);
-                continue;
+                self.shared.stop();
             }
 
-            let (accept_ready, ready) = self.wait_ready(stopping);
-            let tick_started = Instant::now();
+            let ready = self.wait_ready();
+            // Timers measure from this poll, not from the end of the tick:
+            // bytes that arrive while this loop decides are not a stall.
+            let polled = Instant::now();
             self.shared.poll_ticks.fetch_add(1, Ordering::Relaxed);
             self.shared.ready_hist.record(ready.len() as u64);
-
-            // Output first: responses finished since the last tick (the
-            // dirty list) and sockets whose send buffers freed up.
-            for token in self.shared.notifier.drain() {
-                self.try_write(token);
-            }
             for r in &ready {
-                if r.writable {
-                    self.try_write(r.token);
+                if let Some(conn) = self.conns.get_mut(&r.token) {
+                    conn.serve(&self.shared, r.readable, r.writable);
                 }
             }
-            if !stopping {
-                for r in &ready {
-                    if r.readable {
-                        self.read_conn(r.token);
-                    }
-                }
-                if accept_ready {
-                    self.accept_all();
-                }
+            for conn in self.conns.values_mut() {
+                conn.check_timers(&self.shared.config, polled);
             }
-            self.check_timers();
             self.reap();
-            self.shared
-                .tick_hist
-                .record_duration(tick_started.elapsed());
+            self.shared.tick_hist.record_duration(polled.elapsed());
         }
-        // Drain budget spent (or nothing left): cut whatever remains and
-        // join the worker pool.
-        for conn in self.conns.values() {
-            conn.conn.shutdown();
-        }
-        self.conns.clear();
-        self.front.shutdown();
     }
 
-    /// One readiness wait: poll(2) over the waker, the listener, and every
-    /// connection that currently wants bytes in or out.
+    /// One readiness wait: poll(2) over the waker and every connection
+    /// that currently wants bytes in or out.
     #[cfg(unix)]
-    fn wait_ready(&mut self, stopping: bool) -> (bool, Vec<Ready>) {
+    fn wait_ready(&mut self) -> Vec<Ready> {
         use poller::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
+        let config = &self.shared.config;
         let mut fds = vec![PollFd {
-            fd: self.shared.notifier.waker.fd(),
+            fd: self.slot().waker.fd(),
             events: POLLIN,
             revents: 0,
         }];
-        let accept_idx = match &self.listener {
-            Some(listener)
-                if !stopping && self.conns.len() < self.shared.config.max_connections =>
-            {
-                fds.push(PollFd {
-                    fd: listener.as_raw_fd(),
-                    events: POLLIN,
-                    revents: 0,
-                });
-                Some(fds.len() - 1)
-            }
-            _ => None,
-        };
         let mut tokens = Vec::new();
         for (&token, conn) in &self.conns {
             let mut events = 0i16;
-            if !stopping
-                && !conn.dead
-                && !conn.closing
-                && !conn.peer_closed
-                && !conn.paused(&self.shared.config)
-            {
+            if conn.wants_input(config) {
                 events |= POLLIN;
             }
-            if conn.out_pending() > 0 {
+            if conn.out.pending() > 0 {
                 events |= POLLOUT;
             }
             if events == 0 {
-                continue; // woken by the notifier when work completes
+                continue;
             }
             fds.push(PollFd {
                 fd: conn.conn.as_raw_fd(),
@@ -696,428 +951,178 @@ impl EventLoop {
             });
             tokens.push(token);
         }
-        poller::wait(&mut fds, self.shared.config.poll_interval);
-        let accept_ready = accept_idx.is_some_and(|i| fds[i].revents != 0);
-        let ready = tokens
+        poller::wait(&mut fds, config.poll_interval);
+        if fds[0].revents != 0 {
+            self.slot().waker.drain();
+        }
+        tokens
             .iter()
-            .enumerate()
-            .filter_map(|(i, &token)| {
-                let revents = fds[i + 2 - usize::from(accept_idx.is_none())].revents;
-                (revents != 0).then_some(Ready {
-                    token,
-                    // HUP/ERR surface through read()/write() results.
-                    readable: revents & (POLLIN | POLLHUP | POLLERR) != 0,
-                    writable: revents & (POLLOUT | POLLHUP | POLLERR) != 0,
-                })
+            .zip(&fds[1..])
+            .filter(|(_, fd)| fd.revents != 0)
+            .map(|(&token, fd)| Ready {
+                token,
+                // HUP/ERR surface through read()/write() results.
+                readable: fd.revents & (POLLIN | POLLHUP | POLLERR) != 0,
+                writable: fd.revents & (POLLOUT | POLLHUP | POLLERR) != 0,
             })
-            .collect();
-        (accept_ready, ready)
+            .collect()
     }
 
     /// Portable fallback: sleep one poll interval and treat everything as
     /// ready — correctness over efficiency where poll(2) is unavailable.
     #[cfg(not(unix))]
-    fn wait_ready(&mut self, stopping: bool) -> (bool, Vec<Ready>) {
+    fn wait_ready(&mut self) -> Vec<Ready> {
         std::thread::sleep(self.shared.config.poll_interval);
-        let ready = self
-            .conns
+        self.conns
             .iter()
             .map(|(&token, conn)| Ready {
                 token,
-                readable: !stopping
-                    && !conn.dead
-                    && !conn.closing
-                    && !conn.peer_closed
-                    && !conn.paused(&self.shared.config),
-                writable: conn.out_pending() > 0,
+                readable: conn.wants_input(&self.shared.config),
+                writable: conn.out.pending() > 0,
             })
-            .collect();
-        (
-            self.listener.is_some()
-                && !stopping
-                && self.conns.len() < self.shared.config.max_connections,
-            ready,
-        )
+            .collect()
     }
 
-    fn accept_all(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok(conn) => {
-                    if self.conns.len() >= self.shared.config.max_connections {
-                        conn.shutdown();
-                        continue;
-                    }
-                    self.shared.connections.fetch_add(1, Ordering::Release);
-                    self.shared.active.fetch_add(1, Ordering::Release);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let connection =
-                        Connection::new(conn, token, self.shared.config.handshake_timeout);
-                    lock(&self.shared.conn_stats).insert(token, Arc::clone(&connection.telemetry));
-                    self.conns.insert(token, connection);
-                }
-                Err(e) if is_timeout(&e) => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Drains the socket's receive buffer into the frame buffer and
-    /// processes every complete frame.
-    fn read_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if conn.paused(&self.shared.config) {
-                break;
-            }
-            match conn.conn.read(&mut chunk) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend(&chunk[..n]);
-                    conn.telemetry
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    conn.last_progress = Instant::now();
-                }
-                Err(e) if is_timeout(&e) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
-        }
-        self.process_frames(token);
-    }
-
-    fn process_frames(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.dead || conn.closing || conn.paused(&self.shared.config) {
-                return;
-            }
-            match conn.inbuf.take_frame(conn.codec) {
-                Ok(Some(value)) => {
-                    conn.last_progress = Instant::now();
-                    conn.telemetry.frames_in.fetch_add(1, Ordering::Relaxed);
-                    if conn.handshaken {
-                        self.handle_request(token, &value);
-                    } else {
-                        self.handle_hello(token, &value);
-                    }
-                }
-                Ok(None) => return,
-                Err(msg) => {
-                    // Best-effort uncorrelated error, then cut.
-                    conn.push_response(&WireResponse {
-                        id: 0,
-                        body: WireBody::Error(WireFault::Transport(msg)),
-                    });
-                    conn.errored = true;
-                    conn.closing = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn handle_hello(&mut self, token: u64, value: &serde::Value) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let hello: Result<ClientHello, _> = decode_message(value);
-        let refusal = |conn: &mut Connection, domains: u64| {
-            conn.push_response_hello(&ServerHello {
-                magic: MAGIC.to_string(),
-                version: REMOTE_PROTOCOL_VERSION,
-                workload: None,
-                domains,
-                wire: None,
-            });
-            conn.refused = true;
-            conn.closing = true;
-        };
-        let domains = self.shared.handshake_domains();
-        match hello {
-            Ok(hello) if hello.magic == MAGIC && hello.version == REMOTE_PROTOCOL_VERSION => {
-                let granted = match self.shared.config.wire {
-                    WirePolicy::JsonOnly => WireMode::Json,
-                    WirePolicy::Auto => hello
-                        .wire
-                        .as_deref()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or(WireMode::Json),
-                };
-                conn.push_response_hello(&ServerHello {
-                    magic: MAGIC.to_string(),
-                    version: REMOTE_PROTOCOL_VERSION,
-                    workload: self.shared.service.workload().cloned(),
-                    domains,
-                    wire: Some(granted.name().to_string()),
-                });
-                // The granted codec takes over from the next frame on.
-                conn.codec = granted.codec();
-                conn.handshaken = true;
-                *lock(&conn.telemetry.client) = hello.client.clone();
-                *lock(&conn.telemetry.wire) = granted.name().to_string();
-                conn.client = hello.client;
-                self.shared.handshaken.fetch_add(1, Ordering::Release);
-                match granted {
-                    WireMode::Json => &self.shared.json_connections,
-                    WireMode::Binary => &self.shared.binary_connections,
-                }
-                .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(_) | Err(_) => refusal(conn, domains),
-        }
-        self.shared.notifier.wake();
-    }
-
-    fn handle_request(&mut self, token: u64, value: &serde::Value) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let decode_started = Instant::now();
-        let request: WireRequest = match decode_message(value) {
-            Ok(request) => request,
-            Err(e) => {
-                conn.push_response(&WireResponse {
-                    id: 0,
-                    body: WireBody::Error(WireFault::Transport(format!("malformed request: {e}"))),
-                });
-                conn.errored = true;
-                conn.closing = true;
-                return;
-            }
-        };
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        conn.in_flight.fetch_add(1, Ordering::Release);
-
-        // Server-side span chain, recorded only when the served stack
-        // exposes a flight recorder AND the admission carries a
-        // client-minted span — old peers and untraced requests pay
-        // nothing. The decode span is a child of the client's request
-        // span, pinned to this connection's track; the worker-side
-        // dispatch span (recorded in the task below, its duration the
-        // queue dwell) is the decode span's child.
-        let dispatch_parent = match (&self.shared.trace, &request.op) {
-            (Some(trace), WireOp::Admit(admission)) => admission.span.map(|context| {
-                let decode = context.child();
-                trace.record(
-                    TraceEvent::new(TraceKind::FrameDecode)
-                        .app(admission.app_index)
-                        .duration(decode_started.elapsed())
-                        .span(decode)
-                        .track(format!("conn{token}")),
-                );
-                decode
-            }),
-            _ => None,
-        };
-        let dispatched = Instant::now();
-
-        let shared = Arc::clone(&self.shared);
-        let out = Arc::clone(&conn.out);
-        let in_flight = Arc::clone(&conn.in_flight);
-        let telemetry = Arc::clone(&conn.telemetry);
-        let codec = conn.codec;
-        let client = conn.client.clone();
-        let id = request.id;
-        let op = request.op;
-        let submitted = self.front.submit_task(move |_service| {
-            // Attribute every decision this connection drives to the
-            // client id it announced — entered per task because the
-            // scope is thread-local and tasks hop across the pool.
-            let _scope = client.map(crate::journal::ClientScope::enter);
-            // Enter the dispatch span so every event the layers below
-            // record (admit, fleet-admit) parents under it.
-            let _span_scope = dispatch_parent.map(|decode| {
-                let worker = decode.child();
-                if let Some(trace) = &shared.trace {
-                    trace.record(
-                        TraceEvent::new(TraceKind::Dispatch)
-                            .duration(dispatched.elapsed())
-                            .span(worker),
-                    );
-                }
-                SpanScope::enter(worker)
-            });
-            let started = Instant::now();
-            let body = shared.dispatch(op);
-            shared.frame_latency.record_duration(started.elapsed());
-            let response = WireResponse { id, body };
-            let frame = encode_frame(codec, &response).unwrap_or_else(|e| {
-                encode_frame(
-                    codec,
-                    &WireResponse {
-                        id,
-                        body: WireBody::Error(WireFault::Transport(format!(
-                            "encode response: {e}"
-                        ))),
-                    },
-                )
-                .expect("error response encodes")
-            });
-            lock(&out).buf.extend_from_slice(&frame);
-            telemetry.frames_out.fetch_add(1, Ordering::Relaxed);
-            in_flight.fetch_sub(1, Ordering::Release);
-            shared.notifier.push(token);
-        });
-        if let Err(e) = submitted {
-            // Queue saturated or stopping: answer typed, immediately —
-            // the client's completion resolves either way.
-            conn.in_flight.fetch_sub(1, Ordering::Release);
-            conn.push_response(&WireResponse {
-                id,
-                body: WireBody::Error(WireFault::from(&e)),
-            });
-            self.shared.notifier.wake();
-        }
-    }
-
-    /// Flushes as much of the connection's output as the socket accepts.
-    fn try_write(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.dead {
-            return;
-        }
-        let mut out = lock(&conn.out);
-        while out.pending() > 0 {
-            let start = out.start;
-            match conn.conn.write(&out.buf[start..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    out.start += n;
-                    conn.telemetry
-                        .bytes_out
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(e) if is_timeout(&e) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
-        }
-        if out.pending() == 0 {
-            out.buf.clear();
-            out.start = 0;
-        } else if out.start > 64 * 1024 {
-            let start = out.start;
-            out.buf.drain(..start);
-            out.start = 0;
-        }
-    }
-
-    fn check_timers(&mut self) {
-        let now = Instant::now();
-        let stall = self.shared.config.stall_timeout;
-        for conn in self.conns.values_mut() {
-            if conn.dead || conn.closing {
-                continue;
-            }
-            // Edge-detect backpressure pauses once per tick: a false→true
-            // transition is one pause episode, however long it lasts.
-            let paused = conn.paused(&self.shared.config);
-            if paused && !conn.was_paused {
-                conn.telemetry.pauses.fetch_add(1, Ordering::Relaxed);
-            }
-            conn.was_paused = paused;
-            if !conn.handshaken {
-                if now >= conn.handshake_deadline {
-                    conn.refused = true;
-                    conn.dead = true;
-                }
-                continue;
-            }
-            // A partial frame sitting un-grown past the stall budget is a
-            // truncation — unless the connection is paused (backpressure,
-            // not a peer fault).
-            if conn.inbuf.buffered() > 0
-                && !conn.paused(&self.shared.config)
-                && now.duration_since(conn.last_progress) > stall
-            {
-                conn.push_response(&WireResponse {
-                    id: 0,
-                    body: WireBody::Error(WireFault::Transport(
-                        "truncated frame: peer stalled mid-frame".to_string(),
-                    )),
-                });
-                conn.errored = true;
-                conn.closing = true;
-            }
-        }
-    }
-
-    /// Removes connections that are finished: dead ones immediately,
-    /// closing/EOF ones once their in-flight work is answered and their
-    /// output is flushed.
+    /// Removes finished connections: dead ones immediately, closing/EOF
+    /// ones once their answers are flushed.
     fn reap(&mut self) {
-        let finished: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, conn)| {
-                conn.dead
-                    || ((conn.closing || conn.peer_closed)
-                        && conn.in_flight.load(Ordering::Acquire) == 0
-                        && conn.out_pending() == 0)
-            })
-            .map(|(&token, _)| token)
-            .collect();
-        for token in finished {
-            let conn = self.conns.remove(&token).expect("token listed");
-            lock(&self.shared.conn_stats).remove(&token);
+        let shared = &*self.shared;
+        let slot = &shared.loops[self.index];
+        self.conns.retain(|&token, conn| {
+            if !conn.finished() {
+                return true;
+            }
+            lock(&shared.conn_stats).remove(&token);
             if conn.refused || !conn.handshaken {
                 // EOF before any hello counts as a reject too (probes).
-                self.shared
-                    .handshake_rejects
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.handshake_rejects.fetch_add(1, Ordering::Relaxed);
             } else if conn.errored {
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
             }
             conn.conn.shutdown();
-            self.shared.active.fetch_sub(1, Ordering::Release);
-        }
+            slot.live.fetch_sub(1, Ordering::Relaxed);
+            shared.active.fetch_sub(1, Ordering::Release);
+            false
+        });
     }
 }
 
-impl Connection {
-    /// Hello replies are always JSON-framed, whatever was (or will be)
-    /// negotiated.
-    fn push_response_hello(&self, hello: &ServerHello) {
-        if let Ok(frame) = encode_frame(&JsonLinesCodec, hello) {
-            lock(&self.out).buf.extend_from_slice(&frame);
+// ---------------------------------------------------------------------------
+// The acceptor.
+// ---------------------------------------------------------------------------
+
+/// The thread that owns the listener. It never decides, so no decision,
+/// however slow, holds up an accept.
+struct Acceptor {
+    shared: Arc<ServerShared>,
+    listener: Listener,
+    next_token: u64,
+}
+
+impl Acceptor {
+    /// Accepts until shutdown. Then it stops accepts before any connection
+    /// is cut: it drops the listener, then sets `draining` and wakes every
+    /// loop.
+    fn run(mut self) {
+        while !self.shared.stopping.load(Ordering::Acquire) {
+            if self.wait_acceptable() {
+                self.accept_all();
+            }
+        }
+        drop(self.listener);
+        self.shared.draining.store(true, Ordering::Release);
+        for slot in &self.shared.loops {
+            slot.wake();
         }
     }
+
+    /// Waits up to one poll interval for a pending connection or a wake;
+    /// `true` when the listener is readable. At `max_connections` the
+    /// listener is left out of the wait.
+    #[cfg(unix)]
+    fn wait_acceptable(&self) -> bool {
+        use poller::{PollFd, POLLIN};
+
+        let config = &self.shared.config;
+        let mut fds = [
+            PollFd {
+                fd: self.shared.accept_waker.fd(),
+                events: POLLIN,
+                revents: 0,
+            },
+            PollFd {
+                fd: self.listener.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            },
+        ];
+        let below_max = self.shared.active.load(Ordering::Acquire) < config.max_connections as u64;
+        let polled = if below_max { 2 } else { 1 };
+        poller::wait(&mut fds[..polled], config.poll_interval);
+        if fds[0].revents != 0 {
+            self.shared.accept_waker.drain();
+        }
+        below_max && fds[1].revents != 0
+    }
+
+    /// Portable fallback: sleep one poll interval, then try to accept.
+    #[cfg(not(unix))]
+    fn wait_acceptable(&self) -> bool {
+        std::thread::sleep(self.shared.config.poll_interval);
+        self.shared.active.load(Ordering::Acquire) < self.shared.config.max_connections as u64
+    }
+
+    /// Accepts every pending connection and places each one.
+    fn accept_all(&mut self) {
+        while let Ok(conn) = self.listener.accept() {
+            let config = &self.shared.config;
+            if self.shared.active.load(Ordering::Acquire) >= config.max_connections as u64 {
+                conn.shutdown();
+                continue;
+            }
+            self.shared.connections.fetch_add(1, Ordering::Release);
+            self.shared.active.fetch_add(1, Ordering::Release);
+            let token = self.next_token;
+            self.next_token += 1;
+            let connection = Connection::new(conn, token, config.handshake_timeout);
+            lock(&self.shared.conn_stats).insert(token, Arc::clone(&connection.telemetry));
+            self.place(connection);
+        }
+    }
+
+    /// Hands a fresh connection to the loop with the fewest live
+    /// connections, ties to the lowest index.
+    fn place(&self, connection: Connection) {
+        let loops = &self.shared.loops;
+        let live = |i: usize| loops[i].live.load(Ordering::Relaxed);
+        let target =
+            (1..loops.len()).fold(0, |best, i| if live(i) < live(best) { i } else { best });
+        loops[target].live.fetch_add(1, Ordering::Relaxed);
+        lock(&loops[target].inbox).push(connection);
+        loops[target].wake();
+    }
+}
+
+/// Starts a named server thread (`accept`, `loop0`, …), so spans recorded
+/// while deciding land on a stable per-loop track in exported timelines.
+fn spawn_named(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(body)
 }
 
 // ---------------------------------------------------------------------------
 // Public handle.
 // ---------------------------------------------------------------------------
 
-/// Serves any `Arc<dyn AdmissionService>` over TCP or UDS with a
-/// readiness event loop (see the [module docs](super)).
+/// Serves any `Arc<dyn AdmissionService>` over TCP or UDS with readiness
+/// event loops (see the [module docs](super)).
 pub struct RemoteServer {
     shared: Arc<ServerShared>,
     local_addr: Endpoint,
+    /// Loop 0, which joins the other loops and the acceptor before it
+    /// exits.
     loop_handle: Mutex<Option<JoinHandle<()>>>,
     #[cfg(unix)]
     unix_path: Option<PathBuf>,
@@ -1150,7 +1155,8 @@ impl RemoteServer {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Transport`] when the address cannot be bound.
+    /// [`ServiceError::Transport`] when the address cannot be bound or
+    /// the first loop cannot start.
     pub fn bind_with(
         addr: &Endpoint,
         service: Arc<dyn AdmissionService>,
@@ -1164,12 +1170,17 @@ impl RemoteServer {
             Endpoint::Unix(path) => Some(path.clone()),
             Endpoint::Tcp(_) => None,
         };
-        let notifier = Notifier {
-            dirty: Mutex::new(Vec::new()),
-            #[cfg(unix)]
-            waker: poller::Waker::new()
-                .map_err(|e| ServiceError::Transport(format!("waker pipe: {e}")))?,
-        };
+        let loops = (0..config.workers.max(1))
+            .map(|_| {
+                Ok(LoopSlot {
+                    inbox: Mutex::new(Vec::new()),
+                    live: AtomicUsize::new(0),
+                    #[cfg(unix)]
+                    waker: poller::Waker::new()
+                        .map_err(|e| ServiceError::Transport(format!("waker pipe: {e}")))?,
+                })
+            })
+            .collect::<Result<Vec<_>, ServiceError>>()?;
         let trace = service.trace_recorder();
         let shared = Arc::new(ServerShared {
             service,
@@ -1182,8 +1193,12 @@ impl RemoteServer {
             poll_ticks: AtomicU64::new(0),
             tick_hist: HistogramRecorder::new(),
             ready_hist: HistogramRecorder::new(),
-            notifier,
+            loops,
+            #[cfg(unix)]
+            accept_waker: poller::Waker::new()
+                .map_err(|e| ServiceError::Transport(format!("waker pipe: {e}")))?,
             stopping: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             handshaken: AtomicU64::new(0),
             active: AtomicU64::new(0),
@@ -1193,8 +1208,14 @@ impl RemoteServer {
             json_connections: AtomicU64::new(0),
             binary_connections: AtomicU64::new(0),
         });
-        let loop_shared = Arc::clone(&shared);
-        let loop_handle = std::thread::spawn(move || EventLoop::new(loop_shared, listener).run());
+        let acceptor = Acceptor {
+            shared: Arc::clone(&shared),
+            listener,
+            next_token: 1,
+        };
+        let first = EventLoop::new(Arc::clone(&shared), 0);
+        let loop_handle = spawn_named("loop0".to_string(), move || first.run_first(acceptor))
+            .map_err(|e| ServiceError::Transport(format!("spawn event loop: {e}")))?;
         Ok(RemoteServer {
             shared,
             local_addr,
@@ -1233,7 +1254,7 @@ impl RemoteServer {
         self.shared.stopping.load(Ordering::Acquire)
     }
 
-    /// Blocks until the server has fully stopped: the event loop has
+    /// Blocks until the server has fully stopped: every event loop has
     /// exited and every connection has drained. With
     /// [`once`](RemoteServerConfig::once) set, that is right after the
     /// first connection closes; otherwise it requires
@@ -1245,12 +1266,11 @@ impl RemoteServer {
     }
 
     /// Graceful shutdown, ordered against accepts: stops accepting new
-    /// connections first, then drains every live connection (in-flight
-    /// frames are decided and answered) and joins the loop and its worker
-    /// pool. Idempotent.
+    /// connections first, then drains every live connection (answers to
+    /// frames already decided are flushed) and joins every loop.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        self.shared.notifier.wake();
+        self.shared.stop();
         self.wait();
         #[cfg(unix)]
         if let Some(path) = &self.unix_path {

@@ -577,9 +577,6 @@ impl<S: AdmissionService + ?Sized> AdmissionService for Arc<S> {
 struct CompletionState<T> {
     slot: Mutex<Option<Result<T, ServiceError>>>,
     cond: Condvar,
-    /// One-shot callback run when the result arrives, so event loops can
-    /// be woken instead of parking a thread per completion.
-    watcher: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl<T: fmt::Debug> fmt::Debug for CompletionState<T> {
@@ -626,7 +623,6 @@ impl<T: Clone> Completion<T> {
             state: Arc::new(CompletionState {
                 slot: Mutex::new(Some(result)),
                 cond: Condvar::new(),
-                watcher: Mutex::new(None),
             }),
         }
     }
@@ -636,7 +632,6 @@ impl<T: Clone> Completion<T> {
         let state = Arc::new(CompletionState {
             slot: Mutex::new(None),
             cond: Condvar::new(),
-            watcher: Mutex::new(None),
         });
         (
             Completer {
@@ -669,26 +664,6 @@ impl<T: Clone> Completion<T> {
                 .cond
                 .wait(slot)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Registers a one-shot callback run exactly once when the result
-    /// arrives (immediately, on this thread, if it already has). Event
-    /// loops use this to be woken instead of parking a thread per
-    /// completion — the callback should only signal (set a flag, write a
-    /// wake pipe), never block. A second `watch` replaces an undelivered
-    /// earlier callback.
-    pub fn watch(&self, f: impl FnOnce() + Send + 'static) {
-        // Hold the watcher lock across the slot check: `Completer::fill`
-        // sets the slot *before* taking the watcher lock, so either we see
-        // the slot filled here (run inline) or the filler sees our stored
-        // callback (runs it after delivery) — exactly one side fires.
-        let mut watcher = lock(&self.state.watcher);
-        if lock(&self.state.slot).is_some() {
-            drop(watcher);
-            f();
-        } else {
-            *watcher = Some(Box::new(f));
         }
     }
 
@@ -731,12 +706,6 @@ impl<T> Completer<T> {
         }
         drop(slot);
         self.state.cond.notify_all();
-        // Fire a registered watcher outside both locks, so a callback that
-        // itself drops completers or re-registers cannot deadlock.
-        let watcher = lock(&self.state.watcher).take();
-        if let Some(f) = watcher {
-            f();
-        }
     }
 }
 

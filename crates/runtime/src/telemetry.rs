@@ -418,8 +418,8 @@ std::thread_local! {
 /// span is stamped as a fresh child of the scope, and layers that mint
 /// their own child (like [`Traced`]) parent it here.
 ///
-/// This mirrors [`ClientScope`]: the remote server's
-/// dispatch task enters one scope per frame on the worker thread, so the
+/// This mirrors [`ClientScope`]: the remote server
+/// enters one scope per frame on the event loop deciding it, so the
 /// whole downstack (traced layer, fleet, cache) emits parent-linked
 /// spans without threading a context through every signature. Scopes
 /// nest; dropping restores the previous one.
@@ -467,7 +467,8 @@ pub enum TraceKind {
     QueueWait,
     /// A remote server decoded one request frame off a connection.
     FrameDecode,
-    /// A decoded frame waited for, then landed on, a worker thread.
+    /// A remote server decided one decoded frame on the event loop that
+    /// read it: the served stack's call, response encoding excluded.
     Dispatch,
     /// The fleet manager decided an admission (innermost span).
     FleetAdmit,
@@ -937,7 +938,7 @@ fn json_escape(out: &mut String, s: &str) {
 /// `chrome://tracing`.
 ///
 /// Every spanned event becomes a complete (`ph:"X"`) slice on one track
-/// per connection / worker thread (`tid` per distinct
+/// per connection / named thread (`tid` per distinct
 /// [`track`](TraceEvent::track)); span-less events share a `"loose"`
 /// track. For each trace whose root references an uncaptured parent span
 /// (the remote client's request span), a synthetic slice covering the
@@ -1354,14 +1355,14 @@ pub struct ConnectionStats {
     pub bytes_out: u64,
     /// Bytes currently buffered for write (write-buffer depth).
     pub write_buffered: u64,
-    /// Requests dispatched but not yet answered.
+    /// Requests being decided (decoded, not yet answered).
     pub in_flight: u64,
     /// Times the loop paused reads on this connection under backpressure
-    /// (write buffer or in-flight limit exceeded).
+    /// (write buffer over its bound).
     pub backpressure_pauses: u64,
 }
 
-/// Readiness-event-loop health of a remote server.
+/// Readiness-event-loop health of a remote server, over all its loops.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventLoopStats {
     /// Completed poll ticks.

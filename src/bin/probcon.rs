@@ -159,7 +159,7 @@ USAGE:
       local demo stack. --json emits the events as a JSON array. --chrome
       exports the events as a Chrome-trace/Perfetto JSON file instead
       (load at https://ui.perfetto.dev): spans nest per trace id, tracks
-      map to server connections and worker threads, and each request tree
+      map to server connections and event loops, and each request tree
       gets a synthetic client-process slice so the cross-process handoff
       is visible; --tail defaults to the full 4096-event ring here.
 
@@ -740,7 +740,7 @@ fn write_telemetry(
 /// Round-robins requests across several client connections to one
 /// server — the fan-in driver behind `fleet-bench --connections N`, and
 /// the load shape the readiness-loop server is built for: many sockets,
-/// one flat-size event loop.
+/// a fixed set of event loops.
 struct FanInClient {
     clients: Vec<runtime::RemoteClient>,
     next: std::sync::atomic::AtomicUsize,

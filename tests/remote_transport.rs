@@ -6,15 +6,18 @@
 //! transport fails the suite instead of freezing it.
 
 use platform::{Application, Mapping, SystemSpec};
+use runtime::remote::codec::{decode_message, encode_frame};
+use runtime::remote::{WireBody, WireFault, WireOp, WireRequest, WireResponse};
 use runtime::{
-    AdmissionRequest, AdmissionService, Completion, Endpoint, FleetConfig, FleetManager,
-    RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError,
+    AdmissionDecision, AdmissionRequest, AdmissionService, BinaryCodec, Completion, Endpoint,
+    FleetConfig, FleetManager, JsonLinesCodec, RemoteClient, RemoteServer, RemoteServerConfig,
+    RoutingPolicy, ServiceError, ServiceSnapshot, WireCodec, MAX_FRAME, MAX_REQUEST_FRAME,
     REMOTE_PROTOCOL_VERSION,
 };
 use sdf::figure2_graphs;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -68,15 +71,21 @@ fn serve(groups: usize, capacity: usize) -> RemoteServer {
 
 /// Raw TCP connection to a server, for speaking the protocol incorrectly
 /// on purpose. Performs a valid handshake first (the failure under test
-/// comes after it).
-fn raw_handshaken(server: &RemoteServer) -> TcpStream {
+/// comes after it): `Some(mode)` asks for that wire mode, `None` sends a
+/// hello naming no mode, which the server must grant as JSON.
+fn raw_handshaken(server: &RemoteServer, wire: Option<&str>) -> TcpStream {
     let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
         panic!("tcp server expected");
     };
     let mut conn = TcpStream::connect(hostport.as_str()).expect("connects");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout set");
-    let hello = format!("{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION}}}");
+    let hello = match wire {
+        Some(wire) => format!(
+            "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\"wire\":\"{wire}\"}}"
+        ),
+        None => format!("{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION}}}"),
+    };
     writeln!(conn, "{} {hello}", hello.len()).expect("hello frame");
     read_one_frame(&mut conn).expect("server hello arrives");
     conn
@@ -137,7 +146,7 @@ fn server_survives_truncated_frame_and_keeps_serving() {
 
         // A frame whose declared length exceeds what is ever sent, then
         // silence: the server must cut the connection as truncated ...
-        let mut evil = raw_handshaken(&server);
+        let mut evil = raw_handshaken(&server, None);
         evil.write_all(b"400 {\"id\":1,").expect("partial frame");
         evil.flush().expect("flush");
         let mut rest = Vec::new();
@@ -195,7 +204,7 @@ fn client_resolves_on_truncated_response() {
 fn server_answers_malformed_json_with_typed_error() {
     with_watchdog(|| {
         let server = serve(1, 2);
-        let mut evil = raw_handshaken(&server);
+        let mut evil = raw_handshaken(&server, None);
         // Correct framing (16 payload bytes declared and sent), garbage
         // payload — this must reach the serde branch, not the framing one.
         evil.write_all(b"16 this is not json\n").expect("bad frame");
@@ -208,6 +217,55 @@ fn server_answers_malformed_json_with_typed_error() {
         // Handlers are joined by shutdown; only then is the stat reliable.
         server.shutdown();
         assert_eq!(server.stats().protocol_errors, 1);
+    });
+}
+
+#[test]
+fn server_refuses_an_over_cap_frame_from_its_length_prefix() {
+    with_watchdog(|| {
+        let server = serve(1, 2);
+        let over = MAX_REQUEST_FRAME + 1;
+        let codecs: [(&str, &dyn WireCodec); 2] =
+            [("json", &JsonLinesCodec), ("binary", &BinaryCodec)];
+        for (wire, codec) in codecs {
+            // Announce one byte over the cap and send no payload: the
+            // server must answer from the length prefix alone, then close.
+            let mut evil = raw_handshaken(&server, Some(wire));
+            if wire == "json" {
+                write!(evil, "{over} ").expect("json prefix");
+            } else {
+                evil.write_all(&(over as u32).to_le_bytes())
+                    .expect("binary prefix");
+            }
+            evil.flush().expect("flush");
+            let mut reply = Vec::new();
+            evil.read_to_end(&mut reply)
+                .expect("answered and closed without waiting for the payload");
+            let (value, _) = codec
+                .decode_value(&reply, MAX_FRAME)
+                .expect("well-formed reply")
+                .expect("complete reply");
+            let response: WireResponse = decode_message(&value).expect("a response frame");
+            assert_eq!(response.id, 0, "uncorrelated: no request was read");
+            assert!(
+                matches!(
+                    &response.body,
+                    WireBody::Error(WireFault::Transport(msg)) if msg.contains("exceeds maximum")
+                ),
+                "{wire}: expected a typed malformed-frame error, got {:?}",
+                response.body
+            );
+        }
+
+        // Well-formed clients are still served.
+        let client = RemoteClient::connect(server.local_addr()).expect("real client connects");
+        assert!(client
+            .admit(&AdmissionRequest::new(0))
+            .expect("healthy connection still decides")
+            .is_admitted());
+        client.close();
+        server.shutdown();
+        assert_eq!(server.stats().protocol_errors, 2);
     });
 }
 
@@ -410,6 +468,186 @@ fn real_server_shutdown_mid_burst_resolves_every_completion() {
         }
         assert_eq!(decided + failed, 64);
         client.close();
+    });
+}
+
+// ---------------------------------------------------------------------------
+// One slow decision.
+// ---------------------------------------------------------------------------
+
+/// A fleet whose admits of app 0 each block until the test lets them
+/// through: every such admit reports on `entered`, then waits on
+/// `proceed` and fails after 10 s without a go-ahead.
+struct Gated {
+    fleet: FleetManager,
+    entered: mpsc::Sender<()>,
+    proceed: Mutex<mpsc::Receiver<()>>,
+}
+
+impl AdmissionService for Gated {
+    fn admit(&self, request: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
+        if request.app_index == 0 {
+            let _ = self.entered.send(());
+            let proceed = self.proceed.lock().expect("gate lock");
+            if proceed.recv_timeout(Duration::from_secs(10)).is_err() {
+                return Err(ServiceError::Config(
+                    "the other connection was never answered".to_string(),
+                ));
+            }
+        }
+        AdmissionService::admit(&self.fleet, request)
+    }
+
+    fn release(&self, resident: u64) -> Result<(), ServiceError> {
+        AdmissionService::release(&self.fleet, resident)
+    }
+
+    fn snapshot(&self) -> ServiceSnapshot {
+        AdmissionService::snapshot(&self.fleet)
+    }
+
+    fn workload(&self) -> Option<&SystemSpec> {
+        AdmissionService::workload(&self.fleet)
+    }
+}
+
+/// Serves a [`Gated`] fleet with `config`. Returns the server, the
+/// receiver that hears each gated admit arrive, and the sender that lets
+/// one through.
+fn serve_gated(config: RemoteServerConfig) -> (RemoteServer, mpsc::Receiver<()>, mpsc::Sender<()>) {
+    let (entered_tx, entered) = mpsc::channel();
+    let (proceed, proceed_rx) = mpsc::channel();
+    let service = Gated {
+        fleet: fleet(2, 4),
+        entered: entered_tx,
+        proceed: Mutex::new(proceed_rx),
+    };
+    let server = RemoteServer::bind_with(
+        &"tcp:127.0.0.1:0".parse().expect("addr"),
+        Arc::new(service),
+        None,
+        config,
+    )
+    .expect("server binds");
+    (server, entered, proceed)
+}
+
+#[test]
+fn a_slow_decision_does_not_stall_another_connection() {
+    with_watchdog(|| {
+        let (server, entered, proceed) = serve_gated(RemoteServerConfig::default());
+        // The first connection lands on loop 0, the second on the least
+        // loaded loop, 1.
+        let a = RemoteClient::connect(server.local_addr()).expect("a connects");
+        let b = RemoteClient::connect(server.local_addr()).expect("b connects");
+        let slow = AdmissionService::submit(&a, AdmissionRequest::new(0));
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a's admit reaches the service");
+        // B is answered while A's decision still holds its loop; only then
+        // is A let through. Served on one loop, B would wait for A's
+        // 10 s timeout, and A's admit would fail.
+        let fast = b
+            .admit(&AdmissionRequest::new(1))
+            .expect("b is answered while a is being decided");
+        assert!(fast.is_admitted());
+        proceed.send(()).expect("a's admit still waits");
+        assert!(slow
+            .wait()
+            .expect("a's admit is decided, not timed out")
+            .is_admitted());
+        a.close();
+        b.close();
+        server.shutdown();
+    });
+}
+
+#[test]
+fn a_slow_decision_does_not_hold_up_new_connections() {
+    with_watchdog(|| {
+        let (server, entered, proceed) = serve_gated(RemoteServerConfig::default());
+        let a = RemoteClient::connect(server.local_addr()).expect("a connects");
+        let slow = AdmissionService::submit(&a, AdmissionRequest::new(0));
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a's admit reaches the service");
+        // While A's decision holds loop 0, a new client is accepted,
+        // placed on an idle loop, handshaken and answered. Were accepts
+        // queued behind the decision, C's handshake would time out after
+        // 5 s, and A's admit would fail after 10.
+        let c = RemoteClient::connect(server.local_addr())
+            .expect("c connects while a is being decided");
+        assert!(c
+            .admit(&AdmissionRequest::new(1))
+            .expect("c is answered while a is being decided")
+            .is_admitted());
+        proceed.send(()).expect("a's admit still waits");
+        assert!(slow
+            .wait()
+            .expect("a's admit is decided, not timed out")
+            .is_admitted());
+        a.close();
+        c.close();
+        server.shutdown();
+    });
+}
+
+#[test]
+fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
+    with_watchdog(|| {
+        // One loop serves both connections, so A's slow decision holds up
+        // C's frame. The decision outlasts the stall budget.
+        let (server, entered, proceed) = serve_gated(RemoteServerConfig {
+            workers: 1,
+            stall_timeout: Duration::from_secs(1),
+            ..RemoteServerConfig::default()
+        });
+        let a = RemoteClient::connect(server.local_addr()).expect("a connects");
+        let mut c = raw_handshaken(&server, None);
+        let frame = encode_frame(
+            &JsonLinesCodec,
+            &WireRequest {
+                id: 7,
+                op: WireOp::Snapshot,
+            },
+        )
+        .expect("request encodes");
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        // C is the one JSON connection; A speaks binary.
+        let c_bytes_in = || {
+            a.remote_telemetry()
+                .expect("telemetry")
+                .connections
+                .expect("live connections")
+                .iter()
+                .find(|conn| conn.wire == "json")
+                .expect("c is live")
+                .bytes_in
+        };
+        let before = c_bytes_in();
+        c.write_all(head).expect("first half");
+        // The loop reads the first half before A's admit takes it.
+        while c_bytes_in() < before + head.len() as u64 {}
+        let slow = AdmissionService::submit(&a, AdmissionRequest::new(0));
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a's admit reaches the service");
+        // The rest arrives while the loop decides, after the stall budget
+        // has run out since C's last progress, and sits unread until A's
+        // decision ends. C was not stalled when the loop last polled, so it
+        // must not be cut as truncated.
+        std::thread::sleep(Duration::from_millis(1500));
+        c.write_all(tail).expect("second half");
+        proceed.send(()).expect("a's admit still waits");
+        assert!(slow.wait().expect("a's admit is decided").is_admitted());
+        let reply = read_one_frame(&mut c).expect("c is answered, not cut");
+        assert!(
+            reply.contains("\"id\":7") && reply.contains("Snapshot") && !reply.contains("Error"),
+            "expected c's snapshot, got: {reply}"
+        );
+        a.close();
+        server.shutdown();
+        assert_eq!(server.stats().protocol_errors, 0);
     });
 }
 

@@ -7,7 +7,7 @@
 use platform::{Application, Mapping, SystemSpec, UseCase};
 use proptest::prelude::*;
 use runtime::remote::codec::{
-    decode_message, encode_frame, BinaryCodec, JsonLinesCodec, WireCodec,
+    decode_message, encode_frame, BinaryCodec, JsonLinesCodec, WireCodec, MAX_FRAME,
 };
 use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
@@ -45,7 +45,7 @@ where
 
     let bin = encode_frame(&BinaryCodec, msg).expect("binary encodes");
     let (bin_tree, consumed) = BinaryCodec
-        .decode_value(&bin)
+        .decode_value(&bin, MAX_FRAME)
         .expect("binary frame decodes")
         .expect("binary frame is complete");
     assert_eq!(consumed, bin.len(), "binary decode must consume the frame");
@@ -60,7 +60,7 @@ where
 
     let json = encode_frame(&JsonLinesCodec, msg).expect("json encodes");
     let (json_tree, json_consumed) = JsonLinesCodec
-        .decode_value(&json)
+        .decode_value(&json, MAX_FRAME)
         .expect("json frame decodes")
         .expect("json frame is complete");
     assert_eq!(json_consumed, json.len());
@@ -293,7 +293,7 @@ fn span_context_field_is_wire_backward_compatible() {
         assert_codecs_agree(&request);
         let bytes = encode_frame(&BinaryCodec, &request).expect("encodes");
         let (tree, _) = BinaryCodec
-            .decode_value(&bytes)
+            .decode_value(&bytes, MAX_FRAME)
             .expect("decodes")
             .expect("complete");
         let back: WireRequest = decode_message(&tree).expect("typed decode");
