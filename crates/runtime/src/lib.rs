@@ -121,9 +121,9 @@ pub use planner::{
     PlanSweep, PolicyDecision, RouteMode, SaturationWindow, SweepReport,
 };
 pub use remote::{
-    BinaryCodec, ClientConfig, Endpoint, JournalSource, JsonLinesCodec, RemoteClient,
-    RemoteClientStats, RemoteServer, RemoteServerConfig, RemoteServerStats, WireCodec, WireMode,
-    WirePolicy, MAX_FRAME, MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
+    ClientConfig, Endpoint, JournalSource, RemoteClient, RemoteClientStats, RemoteServer,
+    RemoteServerConfig, RemoteServerStats, WireMode, WirePolicy, MAX_FRAME, MAX_REQUEST_FRAME,
+    REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completer, Completion,

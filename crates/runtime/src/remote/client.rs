@@ -7,7 +7,7 @@
 //! protocol version but [`REMOTE_PROTOCOL_VERSION`] fails the connect
 //! with a typed error naming both versions.
 
-use super::codec::{decode_message, write_frame, FrameEvent, FrameReader, WireCodec, WireMode};
+use super::codec::{write_frame, FrameEvent, FrameReader, WireMode};
 use super::endpoint::{Conn, Endpoint};
 use super::{
     ClientHello, ServerHello, WireBody, WireOp, WireRequest, WireResponse, MAGIC,
@@ -96,9 +96,7 @@ impl PendingOp {
             (PendingOp::Admit(c), WireBody::Decision(decision)) => c.complete(Ok(decision)),
             (PendingOp::Release(c), WireBody::Released) => c.complete(Ok(())),
             (PendingOp::Snapshot(c), WireBody::Snapshot(snapshot)) => c.complete(Ok(snapshot)),
-            (PendingOp::Estimate(c), WireBody::Estimate(estimate)) => {
-                c.complete(Ok(Arc::new(estimate)));
-            }
+            (PendingOp::Estimate(c), WireBody::Estimate(estimate)) => c.complete(Ok(estimate)),
             (PendingOp::JournalPage(c), WireBody::JournalPage(page)) => c.complete(Ok(page)),
             (PendingOp::Telemetry(c), WireBody::Telemetry(telemetry)) => {
                 c.complete(Ok(*telemetry));
@@ -110,7 +108,9 @@ impl PendingOp {
 }
 
 struct ClientShared {
-    writer: Mutex<Conn>,
+    /// The socket's write half, with the buffer request frames are built
+    /// in.
+    writer: Mutex<(Conn, Vec<u8>)>,
     /// A second handle onto the same socket, held *outside* the writer
     /// mutex: [`RemoteClient::close`] shuts the socket down through it
     /// even while a pipelined `send` holds the writer lock mid-write —
@@ -129,7 +129,6 @@ struct ClientShared {
     last_progress: Mutex<Instant>,
     /// The granted framing; requests and responses after the handshake
     /// are encoded with it.
-    codec: &'static dyn WireCodec,
     wire: WireMode,
     workload: Option<SystemSpec>,
     domains: u64,
@@ -164,37 +163,33 @@ impl ClientShared {
 
     fn reader_loop(&self, mut reader: FrameReader<Conn>) {
         loop {
-            match reader.read_frame() {
-                Ok(FrameEvent::Frame(value)) => {
-                    match decode_message::<WireResponse>(&value) {
-                        Ok(response) => {
-                            self.responses.fetch_add(1, Ordering::Relaxed);
-                            *lock(&self.last_progress) = Instant::now();
-                            let pending = lock(&self.pending).remove(&response.id);
-                            match pending {
-                                Some(op) => op.complete(response.body),
-                                None => {
-                                    // id 0 = uncorrelated server-side protocol
-                                    // error: the connection state is unknown.
-                                    if response.id == 0 {
-                                        let reason = match response.body {
-                                            WireBody::Error(fault) => {
-                                                fault.into_service_error().to_string()
-                                            }
-                                            _ => "uncorrelated server response".to_string(),
-                                        };
-                                        self.fail_all(&reason);
-                                        return;
+            match reader.read_frame::<WireResponse>() {
+                Ok(FrameEvent::Frame(Ok(response))) => {
+                    self.responses.fetch_add(1, Ordering::Relaxed);
+                    *lock(&self.last_progress) = Instant::now();
+                    let pending = lock(&self.pending).remove(&response.id);
+                    match pending {
+                        Some(op) => op.complete(response.body),
+                        None => {
+                            // id 0 = uncorrelated server-side protocol
+                            // error: the connection state is unknown.
+                            if response.id == 0 {
+                                let reason = match response.body {
+                                    WireBody::Error(fault) => {
+                                        fault.into_service_error().to_string()
                                     }
-                                    self.transport_errors.fetch_add(1, Ordering::Relaxed);
-                                }
+                                    _ => "uncorrelated server response".to_string(),
+                                };
+                                self.fail_all(&reason);
+                                return;
                             }
-                        }
-                        Err(e) => {
-                            self.fail_all(&format!("malformed response: {e}"));
-                            return;
+                            self.transport_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
+                }
+                Ok(FrameEvent::Frame(Err(e))) => {
+                    self.fail_all(&format!("malformed response: {e}"));
+                    return;
                 }
                 // Idle polls only occur when a response deadline is set
                 // (reads are blocking otherwise): a server that stays
@@ -243,7 +238,8 @@ impl ClientShared {
         let frame = WireRequest { id, op };
         let result = {
             let mut writer = lock(&self.writer);
-            write_frame(&mut *writer, self.codec, &frame)
+            let (conn, scratch) = &mut *writer;
+            write_frame(conn, self.wire, &frame, scratch)
         };
         match result {
             Ok(()) => {
@@ -393,17 +389,16 @@ impl RemoteClient {
         // the frame truncated (the handshake above used a single stall).
         reader.max_stalls = if poll.is_some() { 8 } else { 1 };
         // Every frame after the hellos speaks the granted codec.
-        reader.codec = mode.codec();
+        reader.wire = mode;
 
         let shared = Arc::new(ClientShared {
-            writer: Mutex::new(writer),
+            writer: Mutex::new((writer, Vec::new())),
             shutdown_handle,
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             broken: Mutex::new(None),
             response_timeout: config.response_timeout,
             last_progress: Mutex::new(Instant::now()),
-            codec: mode.codec(),
             wire: mode,
             workload: hello.workload,
             domains: hello.domains,
@@ -441,19 +436,21 @@ impl RemoteClient {
             .map_err(|e| transport(format!("clone {addr}: {e}")))?;
         write_frame(
             &mut writer,
-            &super::codec::JsonLinesCodec,
+            WireMode::Json,
             &ClientHello {
                 magic: MAGIC.to_string(),
                 version: REMOTE_PROTOCOL_VERSION,
                 client: config.client.clone(),
                 wire: Some(config.wire.name().to_string()),
             },
+            &mut Vec::new(),
         )
         .map_err(transport)?;
-        let mut reader = FrameReader::new(conn, &super::codec::JsonLinesCodec, 1);
-        let hello: ServerHello = match reader.read_frame().map_err(transport)? {
-            FrameEvent::Frame(value) => decode_message(&value)
-                .map_err(|e| transport(format!("malformed server hello: {e}")))?,
+        let mut reader = FrameReader::new(conn, WireMode::Json, 1);
+        let hello = match reader.read_frame::<ServerHello>().map_err(transport)? {
+            FrameEvent::Frame(hello) => {
+                hello.map_err(|e| transport(format!("malformed server hello: {e}")))?
+            }
             FrameEvent::Idle => return Err(transport("handshake timed out".to_string())),
             FrameEvent::Closed => {
                 return Err(transport(

@@ -1,25 +1,36 @@
 //! Wire codecs: how frames are laid out on the byte stream.
 //!
-//! The transport is codec-agnostic: both ends speak [`Value`] trees and a
-//! [`WireCodec`] turns them into frames. Two codecs exist —
+//! Both codecs stream. A message is encoded straight to frame bytes through
+//! the vendored serde's `Serializer`, and decoded straight from the frame's
+//! bytes through its `Deserializer`, with no value tree in between. The
+//! [`WireMode`] selects one of two layouts:
 //!
-//! * [`JsonLinesCodec`] — the debug codec: `LEN JSON\n` with an ASCII
+//! * [`WireMode::Json`] — the debug codec: `LEN JSON\n` with an ASCII
 //!   decimal length prefix. Greppable and `nc`-able; every frame carries
-//!   exactly the value tree a binary frame would.
-//! * [`BinaryCodec`] — the default compact format: a 4-byte
+//!   exactly the values a binary frame would.
+//! * [`WireMode::Binary`] — the default compact format: a 4-byte
 //!   little-endian payload length, then a per-frame key table and a tagged
-//!   value tree with varint integers. Object keys are interned per frame
+//!   value stream with varint integers. Object keys are interned per frame
 //!   (a telemetry snapshot repeats `"count"`/`"bucket"` hundreds of
 //!   times), floats cross bit-exactly, and encoding is deterministic: the
-//!   same value always produces the same bytes.
+//!   same message always produces the same bytes.
 //!
 //! Which codec a connection uses is negotiated in the handshake (see the
 //! [module docs](super)); the handshake frames themselves are always
 //! JSON-lines, so negotiation works before any agreement exists.
+//!
+//! Decoding tells two failures apart: bytes that are not a well-formed
+//! frame (the connection is beyond recovery) and a well-formed frame that
+//! does not have the expected message's shape. Malformed bytes anywhere in
+//! a frame are reported first.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::de::IgnoredAny;
+use serde::{Deserialize, Deserializer, Serialize, Serializer, Token, MAX_DEPTH};
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
 use std::io::Read;
+use std::ops::Range;
 
 /// Hard cap on a single frame's payload (a workload spec fits comfortably;
 /// anything bigger is a corrupt length prefix).
@@ -31,10 +42,6 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// a longer length prefix before buffering its payload, so one hostile
 /// frame cannot make it buffer and decode megabytes.
 pub const MAX_REQUEST_FRAME: usize = 64 * 1024;
-
-/// Nesting depth cap while decoding binary values — bounds stack use on
-/// adversarial input.
-const MAX_DEPTH: usize = 256;
 
 /// The negotiated framing of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,11 +62,148 @@ impl WireMode {
         }
     }
 
-    /// The codec implementing this mode.
-    pub fn codec(self) -> &'static dyn WireCodec {
+    /// Appends one complete frame carrying `msg` to `out`.
+    ///
+    /// # Errors
+    ///
+    /// An encoded payload larger than [`MAX_FRAME`]; `out` is unchanged.
+    pub fn encode<T: Serialize + ?Sized>(self, msg: &T, out: &mut Vec<u8>) -> Result<(), String> {
         match self {
-            WireMode::Json => &JsonLinesCodec,
-            WireMode::Binary => &BinaryCodec,
+            WireMode::Json => {
+                let json =
+                    serde_json::to_string(msg).map_err(|e| format!("serialize frame: {e}"))?;
+                if json.len() > MAX_FRAME {
+                    return Err(format!("frame too large: {} bytes", json.len()));
+                }
+                out.reserve(json.len() + 12);
+                out.extend_from_slice(json.len().to_string().as_bytes());
+                out.push(b' ');
+                out.extend_from_slice(json.as_bytes());
+                out.push(b'\n');
+                Ok(())
+            }
+            WireMode::Binary => BinaryEncoder::encode(msg, out),
+        }
+    }
+
+    /// Decodes one complete frame from the front of `buf` as a `T`,
+    /// returning it and the bytes consumed — `None` when the buffer holds
+    /// only a partial frame (read more and retry).
+    ///
+    /// # Errors
+    ///
+    /// A malformed frame (bad prefix, a declared length over `max_len`,
+    /// undecodable payload), or a well-formed frame that is not a `T`.
+    /// Callers pass [`MAX_FRAME`], or [`MAX_REQUEST_FRAME`] for
+    /// server-bound frames; an over-long prefix fails as soon as it is
+    /// read, before its payload arrives.
+    pub fn decode<T: Deserialize>(
+        self,
+        buf: &[u8],
+        max_len: usize,
+    ) -> Result<Option<(T, usize)>, String> {
+        let Some((payload, consumed)) = self.frame(buf, max_len)? else {
+            return Ok(None);
+        };
+        let msg = self.decode_payload(&buf[payload])??;
+        Ok(Some((msg, consumed)))
+    }
+
+    /// Where the first complete frame in `buf` keeps its payload, and how
+    /// many bytes the whole frame spans — `None` while it is incomplete.
+    fn frame(self, buf: &[u8], max_len: usize) -> Result<Option<(Range<usize>, usize)>, String> {
+        match self {
+            WireMode::Json => json_frame(buf, max_len),
+            WireMode::Binary => {
+                if buf.len() < 4 {
+                    return Ok(None);
+                }
+                let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+                if len > max_len {
+                    return Err(format!("malformed frame: {len} bytes exceeds maximum"));
+                }
+                if buf.len() < 4 + len {
+                    return Ok(None);
+                }
+                Ok(Some((4..4 + len, 4 + len)))
+            }
+        }
+    }
+
+    /// Decodes one frame payload as a `T`. The outer error is a malformed
+    /// payload; the inner one a well-formed payload that is not a `T`.
+    pub(crate) fn decode_payload<T: Deserialize>(
+        self,
+        payload: &[u8],
+    ) -> Result<Result<T, String>, String> {
+        let malformed = |e: serde::Error| match self {
+            WireMode::Json => format!("malformed frame payload: {e}"),
+            WireMode::Binary => e.to_string(),
+        };
+        match FrameDecoder::decode(self, payload) {
+            Ok(msg) => Ok(Ok(msg)),
+            // Malformed bytes anywhere in the frame outrank a shape
+            // mismatch found before them.
+            Err(shape) => match FrameDecoder::decode::<IgnoredAny>(self, payload) {
+                Ok(_) => Ok(Err(shape.to_string())),
+                Err(e) => Err(malformed(e)),
+            },
+        }
+    }
+}
+
+/// One frame payload's decoder, in either layout. Every message type's
+/// reader is compiled once, against this, for both codecs; the layout is
+/// one well-predicted branch per token.
+enum FrameDecoder<'de> {
+    Json(serde_json::Deserializer<'de>),
+    Binary(BinaryDecoder<'de>),
+}
+
+impl<'de> FrameDecoder<'de> {
+    /// Decodes a whole payload as one `T`.
+    fn decode<T: Deserialize>(wire: WireMode, payload: &'de [u8]) -> Result<T, serde::Error> {
+        let mut decoder = match wire {
+            WireMode::Json => FrameDecoder::Json(serde_json::Deserializer::from_str(
+                std::str::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8"))?,
+            )),
+            WireMode::Binary => FrameDecoder::Binary(BinaryDecoder::new(payload)?),
+        };
+        let msg = T::deserialize(&mut decoder)?;
+        match &mut decoder {
+            FrameDecoder::Json(d) => d.end()?,
+            FrameDecoder::Binary(d) => d.end()?,
+        }
+        Ok(msg)
+    }
+}
+
+impl<'de> Deserializer<'de> for FrameDecoder<'de> {
+    fn peek_null(&mut self) -> Result<bool, serde::Error> {
+        match self {
+            FrameDecoder::Json(d) => d.peek_null(),
+            FrameDecoder::Binary(d) => d.peek_null(),
+        }
+    }
+
+    fn next(&mut self) -> Result<Token<'de>, serde::Error> {
+        match self {
+            FrameDecoder::Json(d) => d.next(),
+            FrameDecoder::Binary(d) => d.next(),
+        }
+    }
+
+    fn next_element(&mut self) -> Result<bool, serde::Error> {
+        match self {
+            FrameDecoder::Json(d) => d.next_element(),
+            FrameDecoder::Binary(d) => d.next_element(),
+        }
+    }
+
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, serde::Error> {
+        match self {
+            FrameDecoder::Json(d) => d.next_key(),
+            FrameDecoder::Binary(d) => d.next_key(),
         }
     }
 }
@@ -84,146 +228,69 @@ impl std::str::FromStr for WireMode {
     }
 }
 
-/// One frame layout over the byte stream. Object-safe: both sides hold a
-/// `&'static dyn WireCodec` chosen at handshake and encode/decode
-/// [`Value`] trees through it; typed messages convert via
-/// [`encode_message`] / [`decode_message`].
-pub trait WireCodec: Send + Sync + fmt::Debug {
-    /// Which [`WireMode`] this codec implements.
-    fn mode(&self) -> WireMode;
-
-    /// Appends one complete frame carrying `value` to `out`.
-    ///
-    /// # Errors
-    ///
-    /// A rendered payload larger than [`MAX_FRAME`].
-    fn encode_value(&self, value: &Value, out: &mut Vec<u8>) -> Result<(), String>;
-
-    /// Decodes one complete frame from the front of `buf`, returning the
-    /// carried value and the bytes consumed — `None` when the buffer holds
-    /// only a partial frame (read more and retry).
-    ///
-    /// # Errors
-    ///
-    /// A malformed frame (bad prefix, a declared length over `max_len`,
-    /// undecodable payload); the connection is beyond recovery. Callers
-    /// pass [`MAX_FRAME`], or [`MAX_REQUEST_FRAME`] for server-bound
-    /// frames; an over-long prefix fails as soon as it is read, before its
-    /// payload arrives.
-    fn decode_value(&self, buf: &[u8], max_len: usize) -> Result<Option<(Value, usize)>, String>;
-}
-
-/// Serializes `msg` and appends one frame in `codec`'s layout.
-///
-/// # Errors
-///
-/// See [`WireCodec::encode_value`].
-pub fn encode_message<T: Serialize>(
-    codec: &dyn WireCodec,
-    msg: &T,
-    out: &mut Vec<u8>,
-) -> Result<(), String> {
-    codec.encode_value(&msg.serialize(), out)
-}
-
 /// One frame carrying `msg`, as a fresh byte vector.
 ///
 /// # Errors
 ///
-/// See [`WireCodec::encode_value`].
-pub fn encode_frame<T: Serialize>(codec: &dyn WireCodec, msg: &T) -> Result<Vec<u8>, String> {
+/// See [`WireMode::encode`].
+pub fn encode_frame<T: Serialize + ?Sized>(mode: WireMode, msg: &T) -> Result<Vec<u8>, String> {
     let mut out = Vec::new();
-    encode_message(codec, msg, &mut out)?;
+    mode.encode(msg, &mut out)?;
     Ok(out)
-}
-
-/// Parses a decoded frame value into a typed message.
-///
-/// # Errors
-///
-/// The value does not have the message's shape.
-pub fn decode_message<T: Deserialize>(value: &Value) -> Result<T, String> {
-    T::deserialize(value).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------------
 // JSON lines: `LEN JSON\n`.
 // ---------------------------------------------------------------------------
 
-/// The debug codec: ASCII decimal payload length, one
-/// space, a single-line JSON document, one `\n`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonLinesCodec;
-
-impl WireCodec for JsonLinesCodec {
-    fn mode(&self) -> WireMode {
-        WireMode::Json
+/// Payload range and frame length of a `LEN JSON\n` frame: ASCII decimal
+/// payload length, one space, a single-line JSON document, one `\n`.
+fn json_frame(buf: &[u8], max_len: usize) -> Result<Option<(Range<usize>, usize)>, String> {
+    if buf.is_empty() {
+        return Ok(None);
     }
-
-    fn encode_value(&self, value: &Value, out: &mut Vec<u8>) -> Result<(), String> {
-        let json = serde_json::to_string(value).map_err(|e| format!("serialize frame: {e}"))?;
-        if json.len() > MAX_FRAME {
-            return Err(format!("frame too large: {} bytes", json.len()));
-        }
-        out.reserve(json.len() + 12);
-        out.extend_from_slice(json.len().to_string().as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(json.as_bytes());
-        out.push(b'\n');
-        Ok(())
-    }
-
-    fn decode_value(&self, buf: &[u8], max_len: usize) -> Result<Option<(Value, usize)>, String> {
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        // Decimal length prefix terminated by one space.
-        let mut len = 0usize;
-        let mut i = 0usize;
-        loop {
-            let Some(&b) = buf.get(i) else {
-                // Prefix still arriving; 9 digits already bound MAX_FRAME.
-                return if i <= 9 {
-                    Ok(None)
-                } else {
-                    Err("malformed frame: unterminated length prefix".to_string())
-                };
+    // Decimal length prefix terminated by one space.
+    let mut len = 0usize;
+    let mut i = 0usize;
+    loop {
+        let Some(&b) = buf.get(i) else {
+            // Prefix still arriving; 9 digits already bound MAX_FRAME.
+            return if i <= 9 {
+                Ok(None)
+            } else {
+                Err("malformed frame: unterminated length prefix".to_string())
             };
-            match b {
-                b'0'..=b'9' if i < 9 => {
-                    len = len * 10 + usize::from(b - b'0');
-                    i += 1;
-                }
-                b' ' if i > 0 => {
-                    i += 1;
-                    break;
-                }
-                _ => return Err("malformed frame: bad length prefix".to_string()),
+        };
+        match b {
+            b'0'..=b'9' if i < 9 => {
+                len = len * 10 + usize::from(b - b'0');
+                i += 1;
             }
+            b' ' if i > 0 => {
+                i += 1;
+                break;
+            }
+            _ => return Err("malformed frame: bad length prefix".to_string()),
         }
-        if len > max_len {
-            return Err(format!("malformed frame: {len} bytes exceeds maximum"));
-        }
-        let total = i + len + 1;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        if buf[i + len] != b'\n' {
-            return Err("malformed frame: missing newline terminator".to_string());
-        }
-        let payload = std::str::from_utf8(&buf[i..i + len])
-            .map_err(|_| "malformed frame: payload is not UTF-8".to_string())?;
-        let value: Value =
-            serde_json::from_str(payload).map_err(|e| format!("malformed frame payload: {e}"))?;
-        Ok(Some((value, total)))
     }
+    if len > max_len {
+        return Err(format!("malformed frame: {len} bytes exceeds maximum"));
+    }
+    let total = i + len + 1;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    if buf[i + len] != b'\n' {
+        return Err("malformed frame: missing newline terminator".to_string());
+    }
+    Ok(Some((i..i + len, total)))
 }
 
 // ---------------------------------------------------------------------------
-// Binary frames: 4-byte LE length, key table, tagged value tree.
+// Binary frames: 4-byte LE length, key table, tagged values.
 // ---------------------------------------------------------------------------
 
-/// Value-tree tags of the binary payload.
+/// Value tags of the binary payload.
 mod tag {
     pub const NULL: u8 = 0;
     pub const FALSE: u8 = 1;
@@ -235,7 +302,7 @@ mod tag {
     pub const OBJECT: u8 = 7;
 }
 
-/// The default compact codec.
+/// The binary frame encoder.
 ///
 /// Frame layout (all integers little-endian / LEB128 varints):
 ///
@@ -243,7 +310,7 @@ mod tag {
 /// u32     payload length (bytes after this prefix)
 /// varint  key count K
 /// K ×     varint key length + UTF-8 key bytes   (first-use order)
-/// value   tagged tree:
+/// value   tagged:
 ///   0x00 null   0x01 false   0x02 true
 ///   0x03 int    zigzag LEB128 (i128)
 ///   0x04 float  8-byte LE IEEE-754 bits
@@ -255,97 +322,136 @@ mod tag {
 /// Interning object keys per frame makes histogram-heavy telemetry frames
 /// roughly 3× smaller than their JSON twins; zigzag varints keep small
 /// ids/counters at one byte; floats cross bit-exactly (JSON renders them
-/// as text). Encoding is deterministic — object keys keep insertion order
-/// and the key table is first-visit ordered — so equal values produce
+/// as text). Encoding is deterministic — fields keep their order and keys
+/// are interned as they are first written — so equal messages produce
 /// byte-identical frames.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryCodec;
+///
+/// The key table precedes the values it indexes, so the values stream into
+/// a scratch buffer while their keys are interned, and the frame is
+/// assembled once both are complete. Each thread reuses one encoder.
+#[derive(Default)]
+struct BinaryEncoder {
+    /// The tagged values.
+    body: Vec<u8>,
+    /// Interned keys in first-use order, as ranges of `key_text`.
+    keys: Vec<Range<usize>>,
+    key_text: Vec<u8>,
+}
 
-impl WireCodec for BinaryCodec {
-    fn mode(&self) -> WireMode {
-        WireMode::Binary
+thread_local! {
+    static ENCODER: Cell<BinaryEncoder> = const {
+        Cell::new(BinaryEncoder { body: Vec::new(), keys: Vec::new(), key_text: Vec::new() })
+    };
+}
+
+/// A scratch buffer that grew past this (a journal page, a telemetry
+/// snapshot) is dropped after use rather than kept by the thread.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+impl BinaryEncoder {
+    fn encode<T: Serialize + ?Sized>(msg: &T, out: &mut Vec<u8>) -> Result<(), String> {
+        let mut encoder = ENCODER.with(Cell::take);
+        msg.serialize(&mut encoder);
+        let result = encoder.write_frame(out);
+        if encoder.body.capacity() <= SCRATCH_KEEP {
+            encoder.body.clear();
+            encoder.keys.clear();
+            encoder.key_text.clear();
+            ENCODER.with(|cell| cell.set(encoder));
+        }
+        result
     }
 
-    fn encode_value(&self, value: &Value, out: &mut Vec<u8>) -> Result<(), String> {
-        let mut keys: Vec<&str> = Vec::new();
-        collect_keys(value, &mut keys);
-        let mut payload = Vec::with_capacity(256);
-        write_varint(&mut payload, keys.len() as u64);
-        for key in &keys {
-            write_varint(&mut payload, key.len() as u64);
-            payload.extend_from_slice(key.as_bytes());
+    fn intern(&mut self, key: &str) -> usize {
+        let text = &self.key_text;
+        if let Some(index) = self
+            .keys
+            .iter()
+            .position(|range| &text[range.clone()] == key.as_bytes())
+        {
+            return index;
         }
-        write_value(&mut payload, value, &keys);
-        if payload.len() > MAX_FRAME {
-            return Err(format!("frame too large: {} bytes", payload.len()));
+        let start = self.key_text.len();
+        self.key_text.extend_from_slice(key.as_bytes());
+        self.keys.push(start..self.key_text.len());
+        self.keys.len() - 1
+    }
+
+    /// Length prefix, key table, then the buffered values.
+    fn write_frame(&self, out: &mut Vec<u8>) -> Result<(), String> {
+        let table: usize = varint_len(self.keys.len() as u64)
+            + self
+                .keys
+                .iter()
+                .map(|range| varint_len(range.len() as u64) + range.len())
+                .sum::<usize>();
+        let len = table + self.body.len();
+        if len > MAX_FRAME {
+            return Err(format!("frame too large: {len} bytes"));
         }
-        out.reserve(payload.len() + 4);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.reserve(len + 4);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        write_varint(out, self.keys.len() as u64);
+        for range in &self.keys {
+            write_varint(out, range.len() as u64);
+            out.extend_from_slice(&self.key_text[range.clone()]);
+        }
+        out.extend_from_slice(&self.body);
         Ok(())
     }
-
-    fn decode_value(&self, buf: &[u8], max_len: usize) -> Result<Option<(Value, usize)>, String> {
-        if buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if len > max_len {
-            return Err(format!("malformed frame: {len} bytes exceeds maximum"));
-        }
-        if buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let mut cursor = Cursor {
-            buf: &buf[4..4 + len],
-            pos: 0,
-        };
-        let key_count = cursor.varint()? as usize;
-        if key_count > len {
-            return Err("malformed frame: key table overruns payload".to_string());
-        }
-        let mut keys = Vec::with_capacity(key_count);
-        for _ in 0..key_count {
-            keys.push(cursor.string()?);
-        }
-        let value = read_value(&mut cursor, &keys, 0)?;
-        if cursor.pos != cursor.buf.len() {
-            return Err("malformed frame: trailing bytes after value".to_string());
-        }
-        Ok(Some((value, 4 + len)))
-    }
 }
 
-/// First-visit-ordered object keys of the whole tree.
-fn collect_keys<'v>(value: &'v Value, keys: &mut Vec<&'v str>) {
-    match value {
-        Value::Array(items) => {
-            for item in items {
-                collect_keys(item, keys);
-            }
-        }
-        Value::Object(fields) => {
-            for (key, item) in fields {
-                if !keys.contains(&key.as_str()) {
-                    keys.push(key);
-                }
-                collect_keys(item, keys);
-            }
-        }
-        _ => {}
+impl Serializer for BinaryEncoder {
+    fn null(&mut self) {
+        self.body.push(tag::NULL);
     }
+
+    fn bool(&mut self, v: bool) {
+        self.body.push(if v { tag::TRUE } else { tag::FALSE });
+    }
+
+    fn int(&mut self, v: i128) {
+        self.body.push(tag::INT);
+        write_varint128(&mut self.body, zigzag(v));
+    }
+
+    fn float(&mut self, v: f64) {
+        self.body.push(tag::FLOAT);
+        self.body.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.body.push(tag::STR);
+        write_varint(&mut self.body, v.len() as u64);
+        self.body.extend_from_slice(v.as_bytes());
+    }
+
+    fn begin_array(&mut self, len: usize) {
+        self.body.push(tag::ARRAY);
+        write_varint(&mut self.body, len as u64);
+    }
+
+    fn end_array(&mut self) {}
+
+    fn begin_object(&mut self, len: usize) {
+        self.body.push(tag::OBJECT);
+        write_varint(&mut self.body, len as u64);
+    }
+
+    fn key(&mut self, key: &str) {
+        let index = self.intern(key);
+        write_varint(&mut self.body, index as u64);
+    }
+
+    fn end_object(&mut self) {}
 }
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
+}
+
+fn write_varint(out: &mut Vec<u8>, v: u64) {
+    write_varint128(out, u128::from(v));
 }
 
 fn write_varint128(out: &mut Vec<u8>, mut v: u128) {
@@ -368,76 +474,74 @@ fn unzigzag(v: u128) -> i128 {
     ((v >> 1) as i128) ^ -((v & 1) as i128)
 }
 
-fn write_value(out: &mut Vec<u8>, value: &Value, keys: &[&str]) {
-    match value {
-        Value::Null => out.push(tag::NULL),
-        Value::Bool(false) => out.push(tag::FALSE),
-        Value::Bool(true) => out.push(tag::TRUE),
-        Value::Int(i) => {
-            out.push(tag::INT);
-            write_varint128(out, zigzag(*i));
+fn malformed(what: &str) -> serde::Error {
+    serde::Error(format!("malformed frame: {what}"))
+}
+
+/// The binary frame decoder: a cursor over one payload. The key table is
+/// validated once, up front, into slices of the payload; strings borrow
+/// from it too. Every declared count is checked against the bytes left
+/// before anything is allocated for it, and nesting is capped at
+/// [`MAX_DEPTH`].
+struct BinaryDecoder<'de> {
+    buf: &'de [u8],
+    pos: usize,
+    keys: Vec<&'de str>,
+    /// Entries left in each open array or object, innermost last.
+    open: Vec<usize>,
+}
+
+impl<'de> BinaryDecoder<'de> {
+    /// A decoder over one payload, its key table read and validated.
+    fn new(payload: &'de [u8]) -> Result<BinaryDecoder<'de>, serde::Error> {
+        let mut decoder = BinaryDecoder {
+            buf: payload,
+            pos: 0,
+            keys: Vec::new(),
+            open: Vec::new(),
+        };
+        let key_count = decoder.count("key table")?;
+        decoder.keys.reserve_exact(key_count);
+        for _ in 0..key_count {
+            let key = decoder.string()?;
+            decoder.keys.push(key);
         }
-        Value::Float(f) => {
-            out.push(tag::FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(tag::STR);
-            write_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(tag::ARRAY);
-            write_varint(out, items.len() as u64);
-            for item in items {
-                write_value(out, item, keys);
-            }
-        }
-        Value::Object(fields) => {
-            out.push(tag::OBJECT);
-            write_varint(out, fields.len() as u64);
-            for (key, item) in fields {
-                let index = keys
-                    .iter()
-                    .position(|k| k == key)
-                    .expect("collect_keys visited every key");
-                write_varint(out, index as u64);
-                write_value(out, item, keys);
-            }
+        Ok(decoder)
+    }
+
+    /// Checks that the value read spans the whole payload.
+    fn end(&self) -> Result<(), serde::Error> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(malformed("trailing bytes after value"))
         }
     }
-}
 
-struct Cursor<'b> {
-    buf: &'b [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn byte(&mut self) -> Result<u8, String> {
+    fn byte(&mut self) -> Result<u8, serde::Error> {
         let b = *self
             .buf
             .get(self.pos)
-            .ok_or("malformed frame: payload truncated")?;
+            .ok_or_else(|| malformed("payload truncated"))?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
+    fn take(&mut self, n: usize) -> Result<&'de [u8], serde::Error> {
         if self.buf.len() - self.pos < n {
-            return Err("malformed frame: payload truncated".to_string());
+            return Err(malformed("payload truncated"));
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
-    fn varint(&mut self) -> Result<u64, String> {
+    fn varint(&mut self) -> Result<u64, serde::Error> {
         let v = self.varint128()?;
-        u64::try_from(v).map_err(|_| "malformed frame: varint exceeds u64".to_string())
+        u64::try_from(v).map_err(|_| malformed("varint exceeds u64"))
     }
 
-    fn varint128(&mut self) -> Result<u128, String> {
+    fn varint128(&mut self) -> Result<u128, serde::Error> {
         let mut v = 0u128;
         for shift in (0..=126).step_by(7) {
             let byte = self.byte()?;
@@ -446,61 +550,90 @@ impl Cursor<'_> {
                 return Ok(v);
             }
         }
-        Err("malformed frame: varint too long".to_string())
+        Err(malformed("varint too long"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A declared count, which must not exceed the bytes left: every
+    /// element takes at least one byte, so allocation stays bounded by
+    /// the input size.
+    fn count(&mut self, what: &str) -> Result<usize, serde::Error> {
+        let n = self.varint()? as usize;
+        if n > self.buf.len() - self.pos {
+            return Err(malformed(&format!("{what} count overruns payload")));
+        }
+        Ok(n)
+    }
+
+    fn string(&mut self) -> Result<&'de str, serde::Error> {
         let len = self.varint()? as usize;
         let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|_| "malformed frame: string is not UTF-8".to_string())
+        std::str::from_utf8(bytes).map_err(|_| malformed("string is not UTF-8"))
+    }
+
+    /// Steps the innermost container: `false` (and closed) once it has no
+    /// entries left.
+    fn advance(&mut self) -> Result<bool, serde::Error> {
+        let left = self
+            .open
+            .last_mut()
+            .ok_or_else(|| malformed("no array or object is open"))?;
+        if *left == 0 {
+            self.open.pop();
+            Ok(false)
+        } else {
+            *left -= 1;
+            Ok(true)
+        }
     }
 }
 
-fn read_value(cursor: &mut Cursor<'_>, keys: &[String], depth: usize) -> Result<Value, String> {
-    if depth > MAX_DEPTH {
-        return Err("malformed frame: value nesting too deep".to_string());
+impl<'de> Deserializer<'de> for BinaryDecoder<'de> {
+    fn peek_null(&mut self) -> Result<bool, serde::Error> {
+        Ok(self.buf.get(self.pos) == Some(&tag::NULL))
     }
-    match cursor.byte()? {
-        tag::NULL => Ok(Value::Null),
-        tag::FALSE => Ok(Value::Bool(false)),
-        tag::TRUE => Ok(Value::Bool(true)),
-        tag::INT => Ok(Value::Int(unzigzag(cursor.varint128()?))),
-        tag::FLOAT => {
-            let bytes: [u8; 8] = cursor.take(8)?.try_into().expect("8-byte take");
-            Ok(Value::Float(f64::from_bits(u64::from_le_bytes(bytes))))
+
+    fn next(&mut self) -> Result<Token<'de>, serde::Error> {
+        if self.open.len() > MAX_DEPTH {
+            return Err(malformed("value nesting too deep"));
         }
-        tag::STR => Ok(Value::Str(cursor.string()?)),
-        tag::ARRAY => {
-            let count = cursor.varint()? as usize;
-            // One byte minimum per element bounds allocation by input size.
-            if count > cursor.buf.len() - cursor.pos {
-                return Err("malformed frame: array count overruns payload".to_string());
+        Ok(match self.byte()? {
+            tag::NULL => Token::Null,
+            tag::FALSE => Token::Bool(false),
+            tag::TRUE => Token::Bool(true),
+            tag::INT => Token::Int(unzigzag(self.varint128()?)),
+            tag::FLOAT => {
+                let bytes: [u8; 8] = self.take(8)?.try_into().expect("8-byte take");
+                Token::Float(f64::from_bits(u64::from_le_bytes(bytes)))
             }
-            let mut items = Vec::with_capacity(count);
-            for _ in 0..count {
-                items.push(read_value(cursor, keys, depth + 1)?);
+            tag::STR => Token::Str(Cow::Borrowed(self.string()?)),
+            tag::ARRAY => {
+                let n = self.count("array")?;
+                self.open.push(n);
+                Token::Array
             }
-            Ok(Value::Array(items))
+            tag::OBJECT => {
+                let n = self.count("object")?;
+                self.open.push(n);
+                Token::Object
+            }
+            other => return Err(malformed(&format!("unknown value tag {other}"))),
+        })
+    }
+
+    fn next_element(&mut self) -> Result<bool, serde::Error> {
+        self.advance()
+    }
+
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, serde::Error> {
+        if !self.advance()? {
+            return Ok(None);
         }
-        tag::OBJECT => {
-            let count = cursor.varint()? as usize;
-            if count > cursor.buf.len() - cursor.pos {
-                return Err("malformed frame: object count overruns payload".to_string());
-            }
-            let mut fields = Vec::with_capacity(count);
-            for _ in 0..count {
-                let index = cursor.varint()? as usize;
-                let key = keys
-                    .get(index)
-                    .ok_or("malformed frame: key index out of range")?
-                    .clone();
-                fields.push((key, read_value(cursor, keys, depth + 1)?));
-            }
-            Ok(Value::Object(fields))
-        }
-        other => Err(format!("malformed frame: unknown value tag {other}")),
+        let index = self.varint()? as usize;
+        let key = self
+            .keys
+            .get(index)
+            .ok_or_else(|| malformed("key index out of range"))?;
+        Ok(Some(Cow::Borrowed(key)))
     }
 }
 
@@ -523,6 +656,14 @@ impl FrameBuffer {
     }
 
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        // Reclaim the frames already taken before growing.
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 64 * 1024 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -532,34 +673,26 @@ impl FrameBuffer {
     }
 
     /// Peels one complete frame of at most `max_len` payload bytes off
-    /// the front, if present.
+    /// the front, if present, returning its payload.
     pub(crate) fn take_frame(
         &mut self,
-        codec: &dyn WireCodec,
+        wire: WireMode,
         max_len: usize,
-    ) -> Result<Option<Value>, String> {
-        match codec.decode_value(&self.buf[self.start..], max_len)? {
-            Some((value, consumed)) => {
-                self.start += consumed;
-                if self.start == self.buf.len() {
-                    self.buf.clear();
-                    self.start = 0;
-                } else if self.start > 64 * 1024 {
-                    self.buf.drain(..self.start);
-                    self.start = 0;
-                }
-                Ok(Some(value))
-            }
-            None => Ok(None),
-        }
+    ) -> Result<Option<&[u8]>, String> {
+        let Some((payload, consumed)) = wire.frame(&self.buf[self.start..], max_len)? else {
+            return Ok(None);
+        };
+        let base = self.start;
+        self.start += consumed;
+        Ok(Some(&self.buf[base + payload.start..base + payload.end]))
     }
 }
 
 /// What one poll of a blocking frame stream produced.
 #[derive(Debug)]
-pub(crate) enum FrameEvent {
-    /// A complete frame's value.
-    Frame(Value),
+pub(crate) enum FrameEvent<T> {
+    /// A complete, well-formed frame: the message, or why it is not a `T`.
+    Frame(Result<T, String>),
     /// No bytes arrived within one read timeout, at a frame boundary.
     Idle,
     /// Clean EOF at a frame boundary.
@@ -569,11 +702,11 @@ pub(crate) enum FrameEvent {
 /// Blocking incremental frame reader over any byte stream — the client
 /// side's receive path. Partial frames survive read timeouts (the buffer
 /// keeps them); only EOF or a prolonged stall *inside* a frame is a
-/// truncation error. The codec is swappable mid-stream: handshakes are
+/// truncation error. The mode is swappable mid-stream: handshakes are
 /// always JSON-lines, the negotiated codec takes over afterwards.
 pub(crate) struct FrameReader<R: Read> {
     pub(crate) src: R,
-    pub(crate) codec: &'static dyn WireCodec,
+    pub(crate) wire: WireMode,
     buffer: FrameBuffer,
     /// Consecutive mid-frame read timeouts tolerated before the frame is
     /// declared truncated.
@@ -581,23 +714,25 @@ pub(crate) struct FrameReader<R: Read> {
 }
 
 impl<R: Read> FrameReader<R> {
-    pub(crate) fn new(src: R, codec: &'static dyn WireCodec, max_stalls: usize) -> FrameReader<R> {
+    pub(crate) fn new(src: R, wire: WireMode, max_stalls: usize) -> FrameReader<R> {
         FrameReader {
             src,
-            codec,
+            wire,
             buffer: FrameBuffer::new(),
             max_stalls: max_stalls.max(1),
         }
     }
 
     /// Reads until a complete frame, idle timeout (at a boundary), EOF, or
-    /// error. A peer that closes or stalls mid-frame is a truncation.
-    pub(crate) fn read_frame(&mut self) -> Result<FrameEvent, String> {
+    /// error. A peer that closes or stalls mid-frame is a truncation, and
+    /// a malformed frame is an error.
+    pub(crate) fn read_frame<T: Deserialize>(&mut self) -> Result<FrameEvent<T>, String> {
         let mut stalls = 0usize;
         let mut chunk = [0u8; 16 * 1024];
+        let wire = self.wire;
         loop {
-            if let Some(value) = self.buffer.take_frame(self.codec, MAX_FRAME)? {
-                return Ok(FrameEvent::Frame(value));
+            if let Some(payload) = self.buffer.take_frame(wire, MAX_FRAME)? {
+                return wire.decode_payload(payload).map(FrameEvent::Frame);
             }
             match self.src.read(&mut chunk) {
                 Ok(0) => {
@@ -627,14 +762,17 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Serializes `msg` and writes one frame in `codec`'s layout, flushing.
-pub(crate) fn write_frame<W: std::io::Write, T: Serialize>(
+/// Writes one frame carrying `msg` in `wire`'s layout and flushes,
+/// building it in `scratch` (cleared first, so a caller can reuse it).
+pub(crate) fn write_frame<W: std::io::Write, T: Serialize + ?Sized>(
     w: &mut W,
-    codec: &dyn WireCodec,
+    wire: WireMode,
     msg: &T,
+    scratch: &mut Vec<u8>,
 ) -> Result<(), String> {
-    let frame = encode_frame(codec, msg)?;
-    w.write_all(&frame)
+    scratch.clear();
+    wire.encode(msg, scratch)?;
+    w.write_all(scratch)
         .and_then(|()| w.flush())
         .map_err(|e| format!("write failed: {e}"))
 }
@@ -642,12 +780,12 @@ pub(crate) fn write_frame<W: std::io::Write, T: Serialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
-    fn roundtrip(codec: &dyn WireCodec, value: &Value) -> Value {
-        let mut out = Vec::new();
-        codec.encode_value(value, &mut out).unwrap();
-        let (back, consumed) = codec
-            .decode_value(&out, MAX_FRAME)
+    fn roundtrip(wire: WireMode, value: &Value) -> Value {
+        let out = encode_frame(wire, value).unwrap();
+        let (back, consumed) = wire
+            .decode::<Value>(&out, MAX_FRAME)
             .unwrap()
             .expect("complete frame");
         assert_eq!(consumed, out.len(), "whole frame consumed");
@@ -673,17 +811,16 @@ mod tests {
     #[test]
     fn both_codecs_roundtrip_a_nested_value() {
         let value = sample();
-        assert_eq!(roundtrip(&JsonLinesCodec, &value), value);
-        assert_eq!(roundtrip(&BinaryCodec, &value), value);
+        assert_eq!(roundtrip(WireMode::Json, &value), value);
+        assert_eq!(roundtrip(WireMode::Binary, &value), value);
     }
 
     #[test]
     fn binary_encoding_is_deterministic_and_compact() {
         let value = sample();
-        let (mut a, mut b, mut j) = (Vec::new(), Vec::new(), Vec::new());
-        BinaryCodec.encode_value(&value, &mut a).unwrap();
-        BinaryCodec.encode_value(&value, &mut b).unwrap();
-        JsonLinesCodec.encode_value(&value, &mut j).unwrap();
+        let a = encode_frame(WireMode::Binary, &value).unwrap();
+        let b = encode_frame(WireMode::Binary, &value).unwrap();
+        let j = encode_frame(WireMode::Json, &value).unwrap();
         assert_eq!(a, b, "same value, same bytes");
         assert!(
             a.len() < j.len(),
@@ -696,7 +833,7 @@ mod tests {
     #[test]
     fn binary_floats_cross_bit_exactly() {
         for f in [0.1f64, -0.0, f64::MAX, f64::MIN_POSITIVE, 1.0 / 3.0] {
-            let back = roundtrip(&BinaryCodec, &Value::Float(f));
+            let back = roundtrip(WireMode::Binary, &Value::Float(f));
             let Value::Float(g) = back else {
                 panic!("float came back as {back:?}");
             };
@@ -707,43 +844,54 @@ mod tests {
     #[test]
     fn binary_ints_cover_extremes() {
         for i in [0i128, -1, 1, i128::MAX, i128::MIN, u64::MAX as i128] {
-            assert_eq!(roundtrip(&BinaryCodec, &Value::Int(i)), Value::Int(i));
+            assert_eq!(roundtrip(WireMode::Binary, &Value::Int(i)), Value::Int(i));
+        }
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoding() {
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            write_varint(&mut out, v);
+            assert_eq!(varint_len(v), out.len(), "{v}");
         }
     }
 
     #[test]
     fn partial_frames_decode_to_none() {
-        let mut out = Vec::new();
-        BinaryCodec.encode_value(&sample(), &mut out).unwrap();
-        for cut in 0..out.len() {
-            assert!(
-                BinaryCodec
-                    .decode_value(&out[..cut], MAX_FRAME)
-                    .unwrap()
-                    .is_none(),
-                "prefix of {cut} bytes must be incomplete, not an error"
-            );
-        }
-        let mut out = Vec::new();
-        JsonLinesCodec.encode_value(&sample(), &mut out).unwrap();
-        for cut in 0..out.len() {
-            assert!(JsonLinesCodec
-                .decode_value(&out[..cut], MAX_FRAME)
-                .unwrap()
-                .is_none());
+        for wire in [WireMode::Binary, WireMode::Json] {
+            let out = encode_frame(wire, &sample()).unwrap();
+            for cut in 0..out.len() {
+                assert!(
+                    wire.decode::<Value>(&out[..cut], MAX_FRAME)
+                        .unwrap()
+                        .is_none(),
+                    "{wire}: prefix of {cut} bytes must be incomplete, not an error"
+                );
+            }
         }
     }
 
     #[test]
     fn malformed_binary_frames_are_typed_errors_not_panics() {
+        let decode = |buf: &[u8]| WireMode::Binary.decode::<Value>(buf, MAX_FRAME);
         // Oversized declared length.
         let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0; 16]);
-        assert!(BinaryCodec.decode_value(&buf, MAX_FRAME).is_err());
+        assert!(decode(&buf).is_err());
         // Unknown tag.
         let mut buf = 2u32.to_le_bytes().to_vec();
         buf.extend_from_slice(&[0, 99]);
-        assert!(BinaryCodec.decode_value(&buf, MAX_FRAME).is_err());
+        assert!(decode(&buf).is_err());
         // Key index out of range.
         let mut payload = vec![0u8]; // zero keys
         payload.push(tag::OBJECT);
@@ -752,31 +900,43 @@ mod tests {
         payload.push(tag::NULL);
         let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
         buf.extend_from_slice(&payload);
-        assert!(BinaryCodec.decode_value(&buf, MAX_FRAME).is_err());
+        assert!(decode(&buf).is_err());
         // Truncation inside the payload declared length is impossible by
         // construction (decode waits for the whole payload), but trailing
         // garbage after the value is rejected.
-        let mut out = Vec::new();
-        BinaryCodec.encode_value(&Value::Null, &mut out).unwrap();
+        let mut out = encode_frame(WireMode::Binary, &Value::Null).unwrap();
         let len = out.len();
         out.extend_from_slice(&[0]);
         out[0..4].copy_from_slice(&((len - 4 + 1) as u32).to_le_bytes());
-        assert!(BinaryCodec.decode_value(&out, MAX_FRAME).is_err());
+        assert!(decode(&out).is_err());
+    }
+
+    #[test]
+    fn malformed_bytes_are_reported_before_a_shape_mismatch() {
+        // A well-formed frame of the wrong shape is a shape error ...
+        let frame = encode_frame(WireMode::Binary, &Value::Str("x".into())).unwrap();
+        let payload = &frame[4..];
+        let shape = WireMode::Binary.decode_payload::<u64>(payload).unwrap();
+        assert_eq!(shape.unwrap_err(), "expected integer, got string");
+        // ... and one whose bytes also break later is malformed.
+        let value = Value::Array(vec![Value::Str("x".into()), Value::Int(1)]);
+        let mut frame = encode_frame(WireMode::Binary, &value).unwrap();
+        *frame.last_mut().unwrap() = 0x80; // an unterminated varint
+        let err = WireMode::Binary
+            .decode_payload::<Vec<u64>>(&frame[4..])
+            .unwrap_err();
+        assert!(err.starts_with("malformed frame"), "{err}");
     }
 
     #[test]
     fn json_codec_rejects_garbage_prefixes() {
-        assert!(JsonLinesCodec.decode_value(b"xx {}\n", MAX_FRAME).is_err());
-        assert!(JsonLinesCodec.decode_value(b"2 {}x", MAX_FRAME).is_err());
-        assert!(JsonLinesCodec
-            .decode_value(b"99999999 x", MAX_FRAME)
-            .is_err());
+        let decode = |buf: &[u8]| WireMode::Json.decode::<Value>(buf, MAX_FRAME);
+        assert!(decode(b"xx {}\n").is_err());
+        assert!(decode(b"2 {}x").is_err());
+        assert!(decode(b"99999999 x").is_err());
         // Length lies beyond the payload: incomplete, the reader's
         // EOF/stall handling turns it into a truncation.
-        assert!(JsonLinesCodec
-            .decode_value(b"10 {}\n", MAX_FRAME)
-            .unwrap()
-            .is_none());
+        assert!(decode(b"10 {}\n").unwrap().is_none());
     }
 
     #[test]
@@ -784,20 +944,13 @@ mod tests {
         // Only the length prefix has arrived: a declared length at the cap
         // waits for its payload, one byte over fails at once.
         let cap = MAX_REQUEST_FRAME;
-        let at = (cap as u32).to_le_bytes();
-        assert!(BinaryCodec.decode_value(&at, cap).unwrap().is_none());
-        let over = (cap as u32 + 1).to_le_bytes();
-        let err = BinaryCodec.decode_value(&over, cap).unwrap_err();
+        let binary = |buf: &[u8]| WireMode::Binary.decode::<Value>(buf, cap);
+        let json = |buf: &[u8]| WireMode::Json.decode::<Value>(buf, cap);
+        assert!(binary(&(cap as u32).to_le_bytes()).unwrap().is_none());
+        let err = binary(&(cap as u32 + 1).to_le_bytes()).unwrap_err();
         assert!(err.contains("exceeds maximum"), "{err}");
-        let at = format!("{cap} ");
-        assert!(JsonLinesCodec
-            .decode_value(at.as_bytes(), cap)
-            .unwrap()
-            .is_none());
-        let over = format!("{} ", cap + 1);
-        let err = JsonLinesCodec
-            .decode_value(over.as_bytes(), cap)
-            .unwrap_err();
+        assert!(json(format!("{cap} ").as_bytes()).unwrap().is_none());
+        let err = json(format!("{} ", cap + 1).as_bytes()).unwrap_err();
         assert!(err.contains("exceeds maximum"), "{err}");
     }
 
@@ -807,13 +960,14 @@ mod tests {
         for i in 0..3 {
             let mut value = Value::object();
             value.insert("seq", Value::Int(i));
-            BinaryCodec.encode_value(&value, &mut wire).unwrap();
+            WireMode::Binary.encode(&value, &mut wire).unwrap();
         }
         let mut buffer = FrameBuffer::new();
         let mut seen = Vec::new();
         for byte in wire {
             buffer.extend(&[byte]);
-            while let Some(value) = buffer.take_frame(&BinaryCodec, MAX_FRAME).unwrap() {
+            while let Some(payload) = buffer.take_frame(WireMode::Binary, MAX_FRAME).unwrap() {
+                let value: Value = WireMode::Binary.decode_payload(payload).unwrap().unwrap();
                 seen.push(value.get_field("seq").unwrap().clone());
             }
         }

@@ -17,10 +17,13 @@
 //!
 //! # Wire format (protocol v4)
 //!
-//! Frames are laid out by the [`WireCodec`] granted at handshake: either
-//! compact length-prefixed **binary** frames ([`BinaryCodec`], the
-//! default) or length-prefixed **JSON lines** ([`JsonLinesCodec`], the
-//! greppable debug codec). See [`codec`] for both layouts.
+//! Frames are laid out by the [`WireMode`] granted at handshake: either
+//! compact length-prefixed **binary** frames ([`WireMode::Binary`], the
+//! default) or length-prefixed **JSON lines** ([`WireMode::Json`], the
+//! greppable debug codec). See [`codec`] for both layouts. Both codecs
+//! stream: each message is encoded straight to its frame bytes and decoded
+//! straight from them, with no value tree in between, and both cap nesting
+//! at [`serde::MAX_DEPTH`].
 //!
 //! A connection opens with a hello exchange ([`ClientHello`] →
 //! [`ServerHello`]), **always JSON-framed** so it works before any codec
@@ -113,7 +116,7 @@ mod endpoint;
 mod server;
 
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
-pub use codec::{BinaryCodec, JsonLinesCodec, WireCodec, WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
+pub use codec::{WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
 pub use endpoint::Endpoint;
 pub use server::{JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy};
 
@@ -123,6 +126,7 @@ use crate::telemetry::{TelemetrySnapshot, TraceEvent};
 use contention::{Estimate, Method};
 use platform::SystemSpec;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The remote-protocol version this build speaks — the only one. Both
 /// ends must name it in their hellos; a server refuses any other version
@@ -243,8 +247,9 @@ pub enum WireBody {
     Released,
     /// The served stack's snapshot.
     Snapshot(ServiceSnapshot),
-    /// The computed estimate.
-    Estimate(Estimate),
+    /// The computed estimate — shared with the cache that holds it, so
+    /// serving a cached estimate copies nothing before it is encoded.
+    Estimate(Arc<Estimate>),
     /// One bounded page of the server-side journal
     /// ([`Journal::render_page`](crate::Journal::render_page)).
     JournalPage(JournalPage),
@@ -315,7 +320,7 @@ impl WireFault {
 
 #[cfg(test)]
 mod tests {
-    use super::codec::{decode_message, write_frame, FrameEvent, FrameReader, JsonLinesCodec};
+    use super::codec::{write_frame, FrameEvent, FrameReader};
     use super::*;
     use crate::fleet::{FleetConfig, FleetManager, RoutingPolicy};
     use crate::service::{AdmissionService, Cached, Completion};
@@ -371,33 +376,47 @@ mod tests {
             client: Some("alpha".to_string()),
             wire: Some("binary".to_string()),
         };
-        write_frame(&mut wire, &JsonLinesCodec, &hello).unwrap();
-        write_frame(&mut wire, &JsonLinesCodec, &hello).unwrap();
-        let mut reader = FrameReader::new(OneByte(&wire[..]), &JsonLinesCodec, 4);
+        let mut scratch = Vec::new();
+        write_frame(&mut wire, WireMode::Json, &hello, &mut scratch).unwrap();
+        write_frame(&mut wire, WireMode::Json, &hello, &mut scratch).unwrap();
+        let mut reader = FrameReader::new(OneByte(&wire[..]), WireMode::Json, 4);
         for _ in 0..2 {
-            let FrameEvent::Frame(value) = reader.read_frame().unwrap() else {
+            let FrameEvent::Frame(back) = reader.read_frame::<ClientHello>().unwrap() else {
                 panic!("expected frame");
             };
-            let back: ClientHello = decode_message(&value).unwrap();
-            assert_eq!(back, hello);
+            assert_eq!(back.unwrap(), hello);
         }
-        assert!(matches!(reader.read_frame().unwrap(), FrameEvent::Closed));
+        assert!(matches!(
+            reader.read_frame::<ClientHello>().unwrap(),
+            FrameEvent::Closed
+        ));
     }
 
     #[test]
     fn frame_reader_rejects_garbage_and_truncation() {
+        let read = |bytes: &'static [u8]| {
+            FrameReader::new(bytes, WireMode::Json, 4)
+                .read_frame::<serde::Value>()
+                .map(|_| ())
+        };
         // Bad prefix.
-        let mut reader = FrameReader::new(&b"xx {}\n"[..], &JsonLinesCodec, 4);
-        assert!(reader.read_frame().is_err());
+        assert!(read(b"xx {}\n").is_err());
         // Length lies beyond the payload and the stream ends: truncated.
-        let mut reader = FrameReader::new(&b"10 {}\n"[..], &JsonLinesCodec, 4);
-        assert!(reader.read_frame().unwrap_err().contains("truncated"));
+        assert!(read(b"10 {}\n").unwrap_err().contains("truncated"));
         // Missing newline terminator.
-        let mut reader = FrameReader::new(&b"2 {}x"[..], &JsonLinesCodec, 4);
-        assert!(reader.read_frame().is_err());
+        assert!(read(b"2 {}x").is_err());
         // Oversized declared length.
-        let mut reader = FrameReader::new(&b"99999999 x"[..], &JsonLinesCodec, 4);
-        assert!(reader.read_frame().is_err());
+        assert!(read(b"99999999 x").is_err());
+        // A malformed payload is an error; a well-formed one of the wrong
+        // shape is a frame that carries why.
+        assert!(read(b"2 {]\n")
+            .unwrap_err()
+            .contains("malformed frame payload"));
+        let mut reader = FrameReader::new(&b"2 []\n"[..], WireMode::Json, 4);
+        assert!(matches!(
+            reader.read_frame::<ClientHello>(),
+            Ok(FrameEvent::Frame(Err(_)))
+        ));
     }
 
     #[test]
@@ -711,26 +730,27 @@ mod tests {
             conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             write_frame(
                 &mut conn,
-                &JsonLinesCodec,
+                WireMode::Json,
                 &ClientHello {
                     magic: MAGIC.to_string(),
                     version,
                     client: None,
                     wire: Some("binary".to_string()),
                 },
+                &mut Vec::new(),
             )
             .unwrap();
-            let mut reader = FrameReader::new(conn.try_clone().unwrap(), &JsonLinesCodec, 100);
-            let FrameEvent::Frame(value) = reader.read_frame().unwrap() else {
+            let mut reader = FrameReader::new(conn.try_clone().unwrap(), WireMode::Json, 100);
+            let FrameEvent::Frame(hello) = reader.read_frame::<ServerHello>().unwrap() else {
                 panic!("server answers the v{version} hello");
             };
-            let hello: ServerHello = decode_message(&value).unwrap();
+            let hello = hello.unwrap();
             assert_eq!(hello.version, REMOTE_PROTOCOL_VERSION);
             assert!(hello.workload.is_none(), "no spec for refused clients");
             assert_eq!(hello.wire, None, "no codec grant for refused clients");
             // ... and then closes the connection.
             assert!(matches!(
-                reader.read_frame(),
+                reader.read_frame::<ServerHello>(),
                 Ok(FrameEvent::Closed) | Err(_)
             ));
         }

@@ -21,10 +21,7 @@
 //! other loop carry on. Stall and handshake timers measure from the loop's
 //! last poll, so bytes that arrive while a loop decides are not a stall.
 
-use super::codec::{
-    decode_message, encode_message, FrameBuffer, JsonLinesCodec, WireCodec, WireMode,
-    MAX_REQUEST_FRAME,
-};
+use super::codec::{FrameBuffer, WireMode, MAX_REQUEST_FRAME};
 use super::endpoint::{is_timeout, Conn, Endpoint, Listener};
 use super::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse, MAGIC,
@@ -335,7 +332,7 @@ impl ServerShared {
             WireOp::Snapshot => WireBody::Snapshot(self.service.snapshot()),
             WireOp::Estimate { mask, method } => {
                 match self.service.estimate(UseCase::from_mask(mask), method) {
-                    Ok(estimate) => WireBody::Estimate((*estimate).clone()),
+                    Ok(estimate) => WireBody::Estimate(estimate),
                     Err(e) => WireBody::Error(WireFault::from(&e)),
                 }
             }
@@ -472,7 +469,7 @@ struct Connection {
     conn: Conn,
     inbuf: FrameBuffer,
     /// JSON until the handshake negotiates otherwise.
-    codec: &'static dyn WireCodec,
+    wire: WireMode,
     out: OutBuf,
     telemetry: Arc<ConnTelemetry>,
     /// Pause state at the last timer check — edge detection for the
@@ -496,13 +493,20 @@ struct Connection {
     dead: bool,
 }
 
+/// One decoded server-bound frame; the `Err`s are well-formed frames of
+/// the wrong shape.
+enum Frame {
+    Hello(Result<ClientHello, String>),
+    Request(Result<WireRequest, String>),
+}
+
 impl Connection {
     fn new(conn: Conn, token: u64, handshake_timeout: Duration) -> Connection {
         let now = Instant::now();
         Connection {
             conn,
             inbuf: FrameBuffer::new(),
-            codec: &JsonLinesCodec,
+            wire: WireMode::Json,
             out: OutBuf::default(),
             telemetry: Arc::new(ConnTelemetry {
                 token,
@@ -578,20 +582,30 @@ impl Connection {
 
     fn process_frames(&mut self, shared: &ServerShared) {
         while !self.dead && !self.closing && !self.paused(&shared.config) {
-            // The frame-decode span times the whole decode: bytes → value
-            // tree → request.
+            // The frame-decode span times the whole decode: bytes →
+            // request.
             let decode_started = Instant::now();
-            match self.inbuf.take_frame(self.codec, MAX_REQUEST_FRAME) {
-                Ok(Some(value)) => {
+            let wire = self.wire;
+            let frame = match self.inbuf.take_frame(wire, MAX_REQUEST_FRAME) {
+                Ok(Some(payload)) if self.handshaken => {
+                    wire.decode_payload(payload).map(Frame::Request)
+                }
+                Ok(Some(payload)) => wire.decode_payload(payload).map(Frame::Hello),
+                Ok(None) => return,
+                Err(msg) => Err(msg),
+            };
+            match frame {
+                Ok(frame) => {
                     self.last_progress = decode_started;
                     self.telemetry.frames_in.fetch_add(1, Ordering::Relaxed);
-                    if self.handshaken {
-                        self.handle_request(shared, &value, decode_started);
-                    } else {
-                        self.handle_hello(shared, &value);
+                    match frame {
+                        Frame::Hello(hello) => self.handle_hello(shared, hello),
+                        Frame::Request(Ok(request)) => {
+                            self.handle_request(shared, request, decode_started);
+                        }
+                        Frame::Request(Err(e)) => self.fail(format!("malformed request: {e}")),
                     }
                 }
-                Ok(None) => return,
                 Err(msg) => {
                     self.fail(msg);
                     return;
@@ -600,8 +614,7 @@ impl Connection {
         }
     }
 
-    fn handle_hello(&mut self, shared: &ServerShared, value: &serde::Value) {
-        let hello: Result<ClientHello, _> = decode_message(value);
+    fn handle_hello(&mut self, shared: &ServerShared, hello: Result<ClientHello, String>) {
         let domains = shared.handshake_domains();
         match hello {
             Ok(hello) if hello.magic == MAGIC && hello.version == REMOTE_PROTOCOL_VERSION => {
@@ -621,7 +634,7 @@ impl Connection {
                     wire: Some(granted.name().to_string()),
                 });
                 // The granted codec takes over from the next frame on.
-                self.codec = granted.codec();
+                self.wire = granted;
                 self.handshaken = true;
                 *lock(&self.telemetry.client) = hello.client.clone();
                 *lock(&self.telemetry.wire) = granted.name().to_string();
@@ -651,16 +664,9 @@ impl Connection {
     fn handle_request(
         &mut self,
         shared: &ServerShared,
-        value: &serde::Value,
+        request: WireRequest,
         decode_started: Instant,
     ) {
-        let request: WireRequest = match decode_message(value) {
-            Ok(request) => request,
-            Err(e) => {
-                self.fail(format!("malformed request: {e}"));
-                return;
-            }
-        };
         shared.requests.fetch_add(1, Ordering::Relaxed);
         self.telemetry.in_flight.fetch_add(1, Ordering::Relaxed);
 
@@ -722,12 +728,12 @@ impl Connection {
     /// large for a frame is replaced by a typed error, so the caller's
     /// completion still resolves.
     fn push_response(&mut self, response: &WireResponse) {
-        let encoded = encode_message(self.codec, response, &mut self.out.buf).or_else(|e| {
+        let encoded = self.wire.encode(response, &mut self.out.buf).or_else(|e| {
             let error = WireResponse {
                 id: response.id,
                 body: WireBody::Error(WireFault::Transport(format!("encode response: {e}"))),
             };
-            encode_message(self.codec, &error, &mut self.out.buf)
+            self.wire.encode(&error, &mut self.out.buf)
         });
         if encoded.is_ok() {
             self.telemetry.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -738,7 +744,7 @@ impl Connection {
     /// Hello replies are always JSON-framed, whatever was (or will be)
     /// negotiated.
     fn push_hello(&mut self, hello: &ServerHello) {
-        let _ = encode_message(&JsonLinesCodec, hello, &mut self.out.buf);
+        let _ = WireMode::Json.encode(hello, &mut self.out.buf);
         self.sync_buffered();
     }
 

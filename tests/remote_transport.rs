@@ -6,13 +6,12 @@
 //! transport fails the suite instead of freezing it.
 
 use platform::{Application, Mapping, SystemSpec};
-use runtime::remote::codec::{decode_message, encode_frame};
+use runtime::remote::codec::encode_frame;
 use runtime::remote::{WireBody, WireFault, WireOp, WireRequest, WireResponse};
 use runtime::{
-    AdmissionDecision, AdmissionRequest, AdmissionService, BinaryCodec, Completion, Endpoint,
-    FleetConfig, FleetManager, JsonLinesCodec, RemoteClient, RemoteServer, RemoteServerConfig,
-    RoutingPolicy, ServiceError, ServiceSnapshot, WireCodec, MAX_FRAME, MAX_REQUEST_FRAME,
-    REMOTE_PROTOCOL_VERSION,
+    AdmissionDecision, AdmissionRequest, AdmissionService, Completion, Endpoint, FleetConfig,
+    FleetManager, RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError,
+    ServiceSnapshot, WireMode, MAX_FRAME, MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 use sdf::figure2_graphs;
 use std::io::{Read, Write};
@@ -221,13 +220,61 @@ fn server_answers_malformed_json_with_typed_error() {
 }
 
 #[test]
+fn a_deeply_nested_hello_is_refused_and_the_server_keeps_serving() {
+    with_watchdog(|| {
+        let server = serve(1, 2);
+        let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
+            panic!("tcp server expected");
+        };
+        let mut evil = TcpStream::connect(hostport.as_str()).expect("connects");
+        evil.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout set");
+        // 30,000 nested arrays in one 30 KB pre-handshake frame: under
+        // MAX_REQUEST_FRAME, and deep enough to overflow a loop thread's
+        // stack in a parser without a nesting cap.
+        let hello = "[".repeat(30_000);
+        writeln!(evil, "{} {hello}", hello.len()).expect("deep hello");
+        evil.flush().expect("flush");
+        // The server answers with a typed error, or closes this one
+        // connection.
+        let mut reply = Vec::new();
+        let _ = evil.read_to_end(&mut reply);
+        if !reply.is_empty() {
+            let (response, _) = WireMode::Json
+                .decode::<WireResponse>(&reply, MAX_FRAME)
+                .expect("a well-formed response frame")
+                .expect("complete reply");
+            assert!(
+                matches!(
+                    &response.body,
+                    WireBody::Error(WireFault::Transport(msg)) if msg.contains("nesting")
+                ),
+                "expected a typed nesting error, got {:?}",
+                response.body
+            );
+        }
+        drop(evil);
+
+        // The server is alive and serves the next client.
+        let client = RemoteClient::connect(server.local_addr()).expect("real client connects");
+        assert!(client
+            .admit(&AdmissionRequest::new(0))
+            .expect("healthy connection still decides")
+            .is_admitted());
+        client.close();
+        server.shutdown();
+        // A connection cut before its handshake counts as a reject.
+        assert_eq!(server.stats().handshake_rejects, 1);
+    });
+}
+
+#[test]
 fn server_refuses_an_over_cap_frame_from_its_length_prefix() {
     with_watchdog(|| {
         let server = serve(1, 2);
         let over = MAX_REQUEST_FRAME + 1;
-        let codecs: [(&str, &dyn WireCodec); 2] =
-            [("json", &JsonLinesCodec), ("binary", &BinaryCodec)];
-        for (wire, codec) in codecs {
+        for mode in [WireMode::Json, WireMode::Binary] {
+            let wire = mode.name();
             // Announce one byte over the cap and send no payload: the
             // server must answer from the length prefix alone, then close.
             let mut evil = raw_handshaken(&server, Some(wire));
@@ -241,11 +288,10 @@ fn server_refuses_an_over_cap_frame_from_its_length_prefix() {
             let mut reply = Vec::new();
             evil.read_to_end(&mut reply)
                 .expect("answered and closed without waiting for the payload");
-            let (value, _) = codec
-                .decode_value(&reply, MAX_FRAME)
-                .expect("well-formed reply")
+            let (response, _) = mode
+                .decode::<WireResponse>(&reply, MAX_FRAME)
+                .expect("a well-formed response frame")
                 .expect("complete reply");
-            let response: WireResponse = decode_message(&value).expect("a response frame");
             assert_eq!(response.id, 0, "uncorrelated: no request was read");
             assert!(
                 matches!(
@@ -605,7 +651,7 @@ fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
         let a = RemoteClient::connect(server.local_addr()).expect("a connects");
         let mut c = raw_handshaken(&server, None);
         let frame = encode_frame(
-            &JsonLinesCodec,
+            WireMode::Json,
             &WireRequest {
                 id: 7,
                 op: WireOp::Snapshot,

@@ -6,9 +6,7 @@
 
 use platform::{Application, Mapping, SystemSpec, UseCase};
 use proptest::prelude::*;
-use runtime::remote::codec::{
-    decode_message, encode_frame, BinaryCodec, JsonLinesCodec, WireCodec, MAX_FRAME,
-};
+use runtime::remote::codec::{encode_frame, WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
 use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
 };
@@ -17,7 +15,8 @@ use runtime::{
     TraceRecorder, Traced,
 };
 use sdf::{figure2_graphs, Rational};
-use serde::{Deserialize, Serialize};
+use serde::de::IgnoredAny;
+use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 fn spec() -> SystemSpec {
@@ -36,31 +35,29 @@ fn spec() -> SystemSpec {
 /// 2. re-encoding the decoded tree reproduces the identical bytes
 ///    (byte-exact round-trip — the codec is deterministic);
 /// 3. the JSON-lines twin decodes to the identical tree;
-/// 4. both trees parse back into a message equal to the original.
+/// 4. both trees parse back into a message equal to the original, and so
+///    does the typed decode straight off each frame.
 fn assert_codecs_agree<T>(msg: &T)
 where
     T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
 {
-    let value = msg.serialize();
+    let value = serde::to_value(msg);
 
-    let bin = encode_frame(&BinaryCodec, msg).expect("binary encodes");
-    let (bin_tree, consumed) = BinaryCodec
-        .decode_value(&bin, MAX_FRAME)
+    let bin = encode_frame(WireMode::Binary, msg).expect("binary encodes");
+    let (bin_tree, consumed) = WireMode::Binary
+        .decode::<Value>(&bin, MAX_FRAME)
         .expect("binary frame decodes")
         .expect("binary frame is complete");
     assert_eq!(consumed, bin.len(), "binary decode must consume the frame");
     assert_eq!(bin_tree, value, "binary must carry the exact value tree");
-    let reencoded = encode_frame(&BinaryCodec, msg).expect("binary re-encodes");
+    let reencoded = encode_frame(WireMode::Binary, msg).expect("binary re-encodes");
     assert_eq!(reencoded, bin, "binary encoding must be deterministic");
-    let mut from_tree = Vec::new();
-    BinaryCodec
-        .encode_value(&bin_tree, &mut from_tree)
-        .expect("decoded tree re-encodes");
+    let from_tree = encode_frame(WireMode::Binary, &bin_tree).expect("decoded tree re-encodes");
     assert_eq!(from_tree, bin, "decode→encode must be byte-exact");
 
-    let json = encode_frame(&JsonLinesCodec, msg).expect("json encodes");
-    let (json_tree, json_consumed) = JsonLinesCodec
-        .decode_value(&json, MAX_FRAME)
+    let json = encode_frame(WireMode::Json, msg).expect("json encodes");
+    let (json_tree, json_consumed) = WireMode::Json
+        .decode::<Value>(&json, MAX_FRAME)
         .expect("json frame decodes")
         .expect("json frame is complete");
     assert_eq!(json_consumed, json.len());
@@ -69,10 +66,17 @@ where
         "JSON and binary twins must decode identically"
     );
 
-    let from_bin: T = decode_message(&bin_tree).expect("typed decode from binary");
-    let from_json: T = decode_message(&json_tree).expect("typed decode from json");
+    let from_bin: T = serde::from_value(&bin_tree).expect("typed decode from binary tree");
+    let from_json: T = serde::from_value(&json_tree).expect("typed decode from json tree");
     assert_eq!(&from_bin, msg);
     assert_eq!(&from_json, msg);
+    for (wire, frame) in [(WireMode::Binary, &bin), (WireMode::Json, &json)] {
+        let (direct, _) = wire
+            .decode::<T>(frame, MAX_FRAME)
+            .expect("typed decode")
+            .expect("complete");
+        assert_eq!(&direct, msg, "{wire}: typed decode straight off the frame");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -148,7 +152,7 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
         WireBody::Decision(decision),
         WireBody::Released,
         WireBody::Snapshot(stack.snapshot()),
-        WireBody::Estimate((*estimate).clone()),
+        WireBody::Estimate(estimate),
         WireBody::JournalPage(page),
         WireBody::Telemetry(Box::new(telemetry)),
         WireBody::Telemetry(Box::new(stack.telemetry())),
@@ -259,7 +263,7 @@ fn span_context_field_is_wire_backward_compatible() {
         .with_affinity("edge-7");
     assert!(bare.span.is_none());
     let json = encode_frame(
-        &JsonLinesCodec,
+        WireMode::Json,
         &WireRequest {
             id: 9,
             op: WireOp::Admit(bare.clone()),
@@ -291,15 +295,180 @@ fn span_context_field_is_wire_backward_compatible() {
             op: WireOp::Admit(traced),
         };
         assert_codecs_agree(&request);
-        let bytes = encode_frame(&BinaryCodec, &request).expect("encodes");
-        let (tree, _) = BinaryCodec
-            .decode_value(&bytes, MAX_FRAME)
+        let bytes = encode_frame(WireMode::Binary, &request).expect("encodes");
+        let (back, _) = WireMode::Binary
+            .decode::<WireRequest>(&bytes, MAX_FRAME)
             .expect("decodes")
             .expect("complete");
-        let back: WireRequest = decode_message(&tree).expect("typed decode");
         match back.op {
             WireOp::Admit(request) => assert_eq!(request.span, Some(context)),
             other => panic!("unexpected op: {other:?}"),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: every input ends in a message, an incomplete frame or a
+// typed error — never a panic, and never an allocation the input's size
+// does not bound.
+// ---------------------------------------------------------------------------
+
+/// The golden frames recorded for `tests/golden_bytes.rs`, one codec's
+/// worth, split at their frame boundaries.
+fn golden_frames(wire: WireMode) -> Vec<&'static [u8]> {
+    let mut rest: &'static [u8] = match wire {
+        WireMode::Binary => include_bytes!("fixtures/wire_frames.bin"),
+        WireMode::Json => include_bytes!("fixtures/wire_frames.jsonl"),
+    };
+    let mut frames = Vec::new();
+    while !rest.is_empty() {
+        let (_, len) = wire
+            .decode::<IgnoredAny>(rest, MAX_FRAME)
+            .expect("golden frames are well-formed")
+            .expect("golden frames are complete");
+        frames.push(&rest[..len]);
+        rest = &rest[len..];
+    }
+    assert!(frames.len() > 30, "{wire}: {} golden frames", frames.len());
+    frames
+}
+
+/// Decodes `bytes` as every message type a peer may be sent, plus the
+/// hello parser: the property is that none of them panics. Returns
+/// whether the bytes hold a well-formed frame.
+fn decode_every_way(wire: WireMode, bytes: &[u8]) -> bool {
+    let _ = wire.decode::<WireRequest>(bytes, MAX_REQUEST_FRAME);
+    let _ = wire.decode::<WireResponse>(bytes, MAX_FRAME);
+    let _ = wire.decode::<ServerHello>(bytes, MAX_FRAME);
+    let _ = wire.decode::<Value>(bytes, MAX_FRAME);
+    // Hellos are always JSON-framed: the server parses every first frame
+    // this way, whatever the connection later speaks.
+    let _ = WireMode::Json.decode::<ClientHello>(bytes, MAX_REQUEST_FRAME);
+    matches!(wire.decode::<IgnoredAny>(bytes, MAX_FRAME), Ok(Some(_)))
+}
+
+#[test]
+fn every_strict_prefix_of_a_golden_frame_is_incomplete() {
+    for wire in [WireMode::Binary, WireMode::Json] {
+        for frame in golden_frames(wire) {
+            for cut in 0..frame.len() {
+                let decoded = wire.decode::<Value>(&frame[..cut], MAX_FRAME);
+                assert!(
+                    matches!(decoded, Ok(None)),
+                    "{wire}: a {cut}-byte prefix of a {}-byte frame must be incomplete, got {decoded:?}",
+                    frame.len()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn single_byte_mutations_of_golden_frames_never_panic() {
+    for wire in [WireMode::Binary, WireMode::Json] {
+        let mut decoded = 0usize;
+        for frame in golden_frames(wire) {
+            let mut mutant = frame.to_vec();
+            for i in 0..frame.len() {
+                // One mutation per byte, cycling through flips, nudges,
+                // tag and varint bytes and an opening bracket.
+                let byte = frame[i];
+                mutant[i] = [byte ^ 0xff, byte.wrapping_add(1), 0x00, 0x80, b'['][i % 5];
+                if decode_every_way(wire, &mutant) {
+                    decoded += 1;
+                }
+                mutant[i] = byte;
+            }
+        }
+        // Many mutations still leave a frame the codec reads (an id, a
+        // count, a character changed): the bytes reach the decoders.
+        assert!(decoded > 500, "{wire}: {decoded} mutants decoded");
+    }
+}
+
+#[test]
+fn declared_lengths_past_the_payload_fail_before_allocating() {
+    // 2^40 as a varint: five continuation bytes, then bit 40.
+    let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+    let frame = |body: &[u8]| {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(body);
+        out
+    };
+    let cases: [(&str, Vec<u8>); 4] = [
+        ("key table", frame(&huge)),
+        ("array", frame(&[&[0, 6], huge.as_slice()].concat())),
+        ("object", frame(&[&[0, 7], huge.as_slice()].concat())),
+        ("string", frame(&[&[0, 5], huge.as_slice()].concat())),
+    ];
+    for (what, bytes) in cases {
+        assert!(bytes.len() <= 12, "{what}: a {}-byte frame", bytes.len());
+        // Allocating 2^40 elements would abort the test process; a typed
+        // error comes back instead.
+        let err = WireMode::Binary
+            .decode::<Value>(&bytes, MAX_FRAME)
+            .expect_err(what);
+        assert!(err.starts_with("malformed frame"), "{what}: {err}");
+        assert!(!decode_every_way(WireMode::Binary, &bytes), "{what}");
+    }
+    // The JSON codec never trusts a count: the text is the only length.
+    let err = WireMode::Json
+        .decode::<Value>(b"8 [1,2,3,4\n", MAX_FRAME)
+        .expect_err("an unterminated array");
+    assert!(err.starts_with("malformed frame payload"), "{err}");
+}
+
+#[test]
+fn deep_nesting_is_a_typed_error_in_both_codecs() {
+    let depth = 30_000;
+    let json = "[".repeat(depth);
+    let json_frame = format!("{} {json}\n", json.len());
+    let mut body = vec![0u8];
+    for _ in 0..depth {
+        body.extend_from_slice(&[6, 1]); // an array of one element ...
+    }
+    body.push(0); // ... around a null
+    let mut binary_frame = (body.len() as u32).to_le_bytes().to_vec();
+    binary_frame.extend_from_slice(&body);
+    let err = WireMode::Json
+        .decode::<ClientHello>(json_frame.as_bytes(), MAX_REQUEST_FRAME)
+        .expect_err("too deep");
+    assert!(err.contains("nesting deeper than"), "{err}");
+    let err = WireMode::Binary
+        .decode::<Value>(&binary_frame, MAX_FRAME)
+        .expect_err("too deep");
+    assert!(err.contains("nesting too deep"), "{err}");
+}
+
+proptest! {
+    #[test]
+    fn random_bytes_never_panic_either_codec(
+        bytes in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+    ) {
+        for wire in [WireMode::Binary, WireMode::Json] {
+            let _ = decode_every_way(wire, &bytes);
+        }
+        // The same bytes as a correctly framed payload, so they reach the
+        // payload decoders rather than the length prefix checks.
+        let mut binary = (bytes.len() as u32).to_le_bytes().to_vec();
+        binary.extend_from_slice(&bytes);
+        let _ = decode_every_way(WireMode::Binary, &binary);
+        let mut json = format!("{} ", bytes.len()).into_bytes();
+        json.extend_from_slice(&bytes);
+        json.push(b'\n');
+        let _ = decode_every_way(WireMode::Json, &json);
+    }
+
+    #[test]
+    fn random_json_like_text_never_panics(
+        picks in prop::collection::vec(0usize..16, 0..200),
+    ) {
+        const PIECES: [&str; 16] = [
+            "{", "}", "[", "]", ",", ":", "\"id\"", "\"op\"", "\"Admit\"", "1", "-7",
+            "2.5e3", "null", "true", "\"\\u00e9\\n\"", " ",
+        ];
+        let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+        let frame = format!("{} {text}\n", text.len());
+        let _ = decode_every_way(WireMode::Json, frame.as_bytes());
     }
 }
