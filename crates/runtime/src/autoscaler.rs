@@ -661,10 +661,6 @@ impl<S: crate::service::AdmissionService> crate::service::AdmissionService for A
         self.inner.estimate(use_case, method)
     }
 
-    fn submit(&self, request: crate::service::AdmissionRequest) -> crate::service::Completion {
-        self.inner.submit(request)
-    }
-
     fn telemetry(&self) -> crate::telemetry::TelemetrySnapshot {
         let mut telemetry = self.inner.telemetry();
         telemetry.autoscaler = Some(self.controller.status());
@@ -673,6 +669,10 @@ impl<S: crate::service::AdmissionService> crate::service::AdmissionService for A
 
     fn trace_tail(&self, limit: usize) -> Vec<crate::telemetry::TraceEvent> {
         self.inner.trace_tail(limit)
+    }
+
+    fn trace_recorder(&self) -> Option<Arc<crate::telemetry::TraceRecorder>> {
+        self.inner.trace_recorder()
     }
 }
 

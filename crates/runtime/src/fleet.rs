@@ -17,9 +17,8 @@
 //! **non-blocking**: a full group answers
 //! [`AdmissionDecision::Saturated`] immediately instead of queueing, which
 //! keeps every decision a pure function of the group's resident mix at its
-//! journal position — the property deterministic replay rests on. Callers
-//! wanting to queue submit through a [`FrontEnd`](crate::FrontEnd), which
-//! queues submissions, never decisions.
+//! journal position — the property deterministic replay rests on. A caller
+//! that wants to wait for capacity retries; nothing queues decisions.
 //!
 //! # Example
 //!

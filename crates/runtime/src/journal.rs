@@ -281,7 +281,7 @@ pub enum DecisionEvent {
         outcome: JournalOutcome,
         /// Affinity tag the request carried, if any. Recorded so
         /// [`RouteMode::Replan`](crate::planner::RouteMode) re-routes
-        /// affinity workloads the way the original front-end did. Omitted
+        /// affinity workloads the way the recorded run did. Omitted
         /// from the serialized form when `None`, so journals written before
         /// this field existed keep verifying their checksums.
         #[serde(skip_none)]
@@ -552,11 +552,10 @@ std::thread_local! {
 /// previous one.
 ///
 /// **Limit:** the scope is thread-local, so it does not survive a hop to
-/// another thread. A served stack that decides *off* the calling thread —
-/// e.g. a [`FrontEnd`](crate::FrontEnd), whose worker pool drains the
-/// submission queue — journals those decisions unattributed (`client:
-/// None`). Serve the fleet *below* any front-end (the usual stack order)
-/// to keep attribution.
+/// another thread. A served layer that decides *off* the calling thread
+/// journals those decisions unattributed (`client: None`). The server
+/// decides every frame on the loop thread that entered the scope, so
+/// every layer of a served stack keeps attribution.
 #[derive(Debug)]
 pub struct ClientScope {
     previous: Option<String>,
@@ -1629,7 +1628,7 @@ impl<'a> JournalReplayer<'a> {
     /// verifying outcome-for-outcome equivalence. Admissions and releases
     /// are re-executed through the fleet's
     /// [`AdmissionService`] implementation — the same unified path every
-    /// front-end drives — while rebalances go through the fleet's concrete
+    /// caller takes — while rebalances go through the fleet's concrete
     /// [`move_resident`](FleetManager::move_resident) (rebalancing is a
     /// fleet operation, not a service one).
     ///

@@ -23,16 +23,14 @@
 //!   implements, whose [`admit`](AdmissionService::admit) is the only way
 //!   to decide, with composable middleware layers [`Cached`] and
 //!   [`Metered`] (see [`service`]);
-//! * [`FrontEnd`] — the async event-loop front-end multiplexing thousands
-//!   of queued admissions over a small worker pool, delivering decisions
-//!   through [`Completion`] tickets (see [`frontend`]);
 //! * [`RemoteServer`] / [`RemoteClient`] — the remote transport: one
 //!   protocol version of length-prefixed binary frames (JSON lines as the
 //!   debug codec) over TCP or Unix domain sockets, whose both ends are
 //!   just [`AdmissionService`]s, so a fleet spans processes and every
-//!   existing driver works against it unchanged; the server's few
-//!   readiness loops each decide every frame on the thread that read it
-//!   (see [`remote`]);
+//!   existing caller works against it unchanged; the client pipelines
+//!   many admissions on one connection, each answered through a
+//!   [`Completion`], and the server's few readiness loops each decide
+//!   every frame on the thread that read it (see [`remote`]);
 //! * [`Traced`] / [`TraceRecorder`] / [`TelemetrySnapshot`] — the
 //!   telemetry subsystem: a fixed-capacity flight recorder of structured
 //!   decision events, bounded HDR-style [`LatencyHistogram`]s, and a
@@ -89,7 +87,6 @@ pub mod autoscaler;
 pub mod cache;
 pub mod fleet;
 pub mod fleet_bench;
-pub mod frontend;
 pub mod journal;
 pub mod planner;
 pub mod remote;
@@ -110,7 +107,6 @@ pub use fleet_bench::{
     run_requests, seeded_fleet_requests, ConnectionPoint, ConnectionSampler, FleetBenchReport,
     FleetRequest, TelemetryPoint,
 };
-pub use frontend::{FrontEnd, FrontEndConfig};
 pub use journal::{
     fold_checkpoint, ClientScope, DecisionEvent, Divergence, GroupShape, Journal, JournalEntry,
     JournalError, JournalHeader, JournalOutcome, JournalPage, JournalReplayer, ReplayReport,
@@ -122,12 +118,12 @@ pub use planner::{
 };
 pub use remote::{
     ClientConfig, Endpoint, JournalSource, RemoteClient, RemoteClientStats, RemoteServer,
-    RemoteServerConfig, RemoteServerStats, WireMode, WirePolicy, MAX_FRAME, MAX_REQUEST_FRAME,
-    REMOTE_PROTOCOL_VERSION,
+    RemoteServerConfig, RemoteServerStats, WireMode, WirePolicy, EVENT_LOOPS, MAX_FRAME,
+    MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
-    AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completer, Completion,
-    LayerMetrics, Metered, OpRate, ServiceError, ServiceOp, ServiceSnapshot,
+    AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completion, LayerMetrics,
+    Metered, OpRate, ServiceError, ServiceOp, ServiceSnapshot,
 };
 pub use telemetry::{
     build_span_trees, render_chrome_trace, ConnectionStats, EventLoopStats, HistogramRecorder,

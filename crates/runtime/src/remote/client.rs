@@ -311,56 +311,10 @@ impl RemoteClient {
         RemoteClient::connect_config(addr, ClientConfig::default())
     }
 
-    /// [`connect`](Self::connect), announcing a client identity in the
-    /// [`ClientHello`]: the server stamps every journaled decision this
-    /// connection drives with `client`, so multi-client recordings can be
-    /// split and audited per client (`probcon journal split`).
-    ///
-    /// # Errors
-    ///
-    /// See [`connect`](Self::connect).
-    pub fn connect_as(
-        addr: &Endpoint,
-        client: impl Into<String>,
-    ) -> Result<RemoteClient, ServiceError> {
-        RemoteClient::connect_config(
-            addr,
-            ClientConfig {
-                client: Some(client.into()),
-                ..ClientConfig::default()
-            },
-        )
-    }
-
-    /// [`connect`](Self::connect) with an explicit handshake timeout and
-    /// an optional **response deadline**: with `Some(t)`, a server that
-    /// stays connected but answers nothing for `t` while requests are
-    /// pending fails every completion with a typed
-    /// [`ServiceError::Transport`] — bounding even a wedged or paused far
-    /// end. `None` (the [`connect`](Self::connect) default) waits as long
-    /// as the connection lives, which suits arbitrarily slow admissions;
-    /// callers can still bound individual waits with
-    /// [`Completion::wait_timeout`].
-    ///
-    /// # Errors
-    ///
-    /// See [`connect`](Self::connect).
-    pub fn connect_with(
-        addr: &Endpoint,
-        handshake_timeout: Duration,
-        response_timeout: Option<Duration>,
-    ) -> Result<RemoteClient, ServiceError> {
-        RemoteClient::connect_config(
-            addr,
-            ClientConfig {
-                handshake_timeout,
-                response_timeout,
-                ..ClientConfig::default()
-            },
-        )
-    }
-
-    /// [`connect`](Self::connect) with every option explicit.
+    /// [`connect`](Self::connect) with every option explicit: a client
+    /// identity the server stamps into its journal, a handshake timeout,
+    /// a response deadline and the requested framing (see
+    /// [`ClientConfig`]).
     ///
     /// # Errors
     ///
@@ -480,11 +434,6 @@ impl RemoteClient {
         Ok((writer, shutdown_handle, reader, hello, mode))
     }
 
-    /// The server's address.
-    pub fn peer(&self) -> &Endpoint {
-        &self.shared.peer
-    }
-
     /// The framing granted at handshake — [`WireMode::Binary`] for the
     /// default request, [`WireMode::Json`] under a JSON-only server policy
     /// or an explicit [`ClientConfig::wire`] of JSON.
@@ -504,8 +453,27 @@ impl RemoteClient {
         lock(&self.shared.broken).clone()
     }
 
-    /// Queues one release without blocking; the completion resolves once
-    /// the far end released (or refused to release) the resident.
+    /// Pipelined admission: the request goes out immediately and the
+    /// completion resolves when the correlated response arrives, so many
+    /// admissions can be in flight on one connection. The server decides
+    /// one connection's frames one at a time, in arrival order.
+    ///
+    /// A request without a [`SpanContext`] is stamped with a fresh root
+    /// span here — the outermost traced layer — so the server-side
+    /// flight recorder links every frame-decode/dispatch/admit event it
+    /// records for this request under one trace id.
+    pub fn submit(&self, mut request: AdmissionRequest) -> Completion {
+        if request.span.is_none() {
+            request.span = Some(SpanContext::root());
+        }
+        let (completer, completion) = Completion::pending();
+        self.shared
+            .send(WireOp::Admit(request), PendingOp::Admit(completer));
+        completion
+    }
+
+    /// Pipelined release: the completion resolves once the far end
+    /// released (or refused to release) the resident.
     pub fn submit_release(&self, resident: u64) -> Completion<()> {
         let (completer, completion) = Completion::pending();
         self.shared
@@ -643,7 +611,7 @@ impl AdmissionService for RemoteClient {
     /// Sends the admission over the wire and waits for the correlated
     /// decision.
     fn admit(&self, request: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
-        AdmissionService::submit(self, request.clone()).wait()
+        self.submit(request.clone()).wait()
     }
 
     fn release(&self, resident: u64) -> Result<(), ServiceError> {
@@ -685,24 +653,6 @@ impl AdmissionService for RemoteClient {
             PendingOp::Estimate(completer),
         );
         completion.wait()
-    }
-
-    /// Genuinely pipelined submission: the request goes out immediately
-    /// and the completion resolves when the correlated response arrives,
-    /// so many admissions can be in flight on one connection.
-    ///
-    /// A request without a [`SpanContext`] is stamped with a fresh root
-    /// span here — the outermost traced layer — so the server-side
-    /// flight recorder links every frame-decode/dispatch/admit event it
-    /// records for this request under one trace id.
-    fn submit(&self, mut request: AdmissionRequest) -> Completion {
-        if request.span.is_none() {
-            request.span = Some(SpanContext::root());
-        }
-        let (completer, completion) = Completion::pending();
-        self.shared
-            .send(WireOp::Admit(request), PendingOp::Admit(completer));
-        completion
     }
 
     /// The far end's full telemetry (per-layer histograms, trace counters,

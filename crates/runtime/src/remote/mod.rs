@@ -11,9 +11,10 @@
 //!   and drives any `Arc<dyn AdmissionService>`, so a stack like
 //!   `Traced<Metered<Cached<FleetManager>>>` serves over the wire
 //!   unchanged;
-//! * [`RemoteClient`] *implements* the trait, so the
-//!   [`FrontEnd`](crate::FrontEnd) and every existing bench/driver work
-//!   against a remote fleet with zero changes.
+//! * [`RemoteClient`] *implements* the trait, so every existing caller
+//!   (`fleet-bench`, the benchmark) works against a remote fleet with
+//!   zero changes, and [pipelines](RemoteClient::submit) many admissions
+//!   on one connection.
 //!
 //! # Wire format (protocol v4)
 //!
@@ -46,19 +47,19 @@
 //!
 //! # One server, thousands of connections
 //!
-//! The server runs a few **non-blocking readiness loops**
-//! ([`RemoteServerConfig::workers`], default 4), not a thread per
-//! connection. An acceptor thread, which never decides, places each new
-//! connection on the loop with the fewest live connections. Each loop
-//! polls its own sockets, reads into per-connection frame buffers, and
-//! decodes, decides, encodes and writes every frame on its own thread,
-//! with no hand-off to another thread between the socket read and the
-//! socket write. One connection's frames are decided one at a time, in
-//! arrival order: pipelining saves round trips, not decision time, so a
-//! client that wants decisions made in parallel opens several
-//! connections. A slow decision holds up only the connections on its own
-//! loop; accepts and the other loops carry on. A connection whose peer
-//! stops reading is paused once its output buffer passes
+//! The server runs [`EVENT_LOOPS`] **non-blocking readiness loops**, not
+//! a thread per connection. An acceptor thread, which never decides,
+//! places each new connection on the loop with the fewest live
+//! connections. Each loop polls its own sockets, reads into
+//! per-connection frame buffers, and decodes, decides, encodes and
+//! writes every frame on its own thread, with no hand-off to another
+//! thread between the socket read and the socket write. One
+//! connection's frames are decided one at a time, in arrival order:
+//! pipelining saves round trips, not decision time, so a client that
+//! wants decisions made in parallel opens several connections. A slow
+//! decision holds up only the connections on its own loop; accepts and
+//! the other loops carry on. A connection whose peer stops reading is
+//! paused once its output buffer passes
 //! [`max_buffered`](RemoteServerConfig::max_buffered), and a server-bound
 //! frame longer than [`MAX_REQUEST_FRAME`] is refused from its length
 //! prefix — bounded buffers, not unbounded queues, are the backpressure —
@@ -118,7 +119,9 @@ mod server;
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
 pub use codec::{WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
 pub use endpoint::Endpoint;
-pub use server::{JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy};
+pub use server::{
+    JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy, EVENT_LOOPS,
+};
 
 use crate::journal::JournalPage;
 use crate::service::{AdmissionDecision, AdmissionRequest, ServiceError, ServiceSnapshot};
@@ -148,7 +151,7 @@ pub struct ClientHello {
     /// The protocol version the client speaks.
     pub version: u64,
     /// Optional client identity
-    /// ([`RemoteClient::connect_as`] / `fleet-bench --client`): the server
+    /// ([`ClientConfig::client`] / `fleet-bench --client`): the server
     /// enters a [`ClientScope`](crate::ClientScope) for the connection, so
     /// every journaled decision this connection drives carries the id —
     /// the provenance `probcon journal split` separates recordings by.
@@ -609,7 +612,7 @@ mod tests {
 
         // Queue a burst without waiting: all in flight on one connection.
         let completions: Vec<Completion> = (0..12)
-            .map(|i| AdmissionService::submit(&client, AdmissionRequest::new(i)))
+            .map(|i| client.submit(AdmissionRequest::new(i)))
             .collect();
         let mut residents = Vec::new();
         for completion in &completions {
@@ -631,26 +634,21 @@ mod tests {
     }
 
     #[test]
-    fn one_loop_serves_every_connection() {
-        let server = RemoteServer::bind_with(
-            &"tcp:127.0.0.1:0".parse().unwrap(),
-            Arc::new(fleet(2, 16)),
-            None,
-            RemoteServerConfig {
-                workers: 1,
-                ..RemoteServerConfig::default()
-            },
-        )
-        .unwrap();
-        let clients: Vec<RemoteClient> = (0..3)
+    fn a_loop_serves_several_connections() {
+        let server =
+            RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), Arc::new(fleet(2, 16)))
+                .unwrap();
+        // One connection per loop, then three more: placement on the loop
+        // with the fewest live connections, ties to the lowest index, puts
+        // the extra three on loops 0–2, so each of those serves two.
+        let connections = EVENT_LOOPS + 3;
+        let clients: Vec<RemoteClient> = (0..connections)
             .map(|_| RemoteClient::connect(server.local_addr()).unwrap())
             .collect();
-        // A pipelined burst on every connection at once, all on loop 0.
+        // A pipelined burst on every connection at once.
         let completions: Vec<Completion> = clients
             .iter()
-            .flat_map(|client| {
-                (0..4).map(move |i| AdmissionService::submit(client, AdmissionRequest::new(i)))
-            })
+            .flat_map(|client| (0..4).map(move |i| client.submit(AdmissionRequest::new(i))))
             .collect();
         for completion in completions {
             assert!(completion.wait().unwrap().is_admitted());
@@ -659,12 +657,12 @@ mod tests {
             client.close();
         }
         server.shutdown();
-        assert_eq!(server.stats().connections, 3);
-        assert_eq!(server.stats().requests, 12);
+        assert_eq!(server.stats().connections, connections as u64);
+        assert_eq!(server.stats().requests, 4 * connections as u64);
     }
 
     #[test]
-    fn connect_as_stamps_client_provenance_into_served_journal() {
+    fn client_identity_stamps_provenance_into_served_journal() {
         let fleet = fleet(1, 4);
         let server = RemoteServer::bind(
             &"tcp:127.0.0.1:0".parse().unwrap(),
@@ -674,10 +672,14 @@ mod tests {
 
         // Two identified clients and one anonymous one, sequentially.
         for (client, app) in [(Some("alpha"), 0usize), (Some("beta"), 1), (None, 0)] {
-            let remote = match client {
-                Some(name) => RemoteClient::connect_as(server.local_addr(), name).unwrap(),
-                None => RemoteClient::connect(server.local_addr()).unwrap(),
-            };
+            let remote = RemoteClient::connect_config(
+                server.local_addr(),
+                ClientConfig {
+                    client: client.map(str::to_string),
+                    ..ClientConfig::default()
+                },
+            )
+            .unwrap();
             let decision = remote.admit(&AdmissionRequest::new(app)).unwrap();
             remote.release(decision.resident().expect("fits")).unwrap();
             remote.close();
@@ -827,13 +829,17 @@ mod tests {
             RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), Arc::new(fleet(2, 8))).unwrap();
         let client = RemoteClient::connect(server.local_addr()).unwrap();
         let burst: Vec<Completion> = (0..8)
-            .map(|i| AdmissionService::submit(&client, AdmissionRequest::new(i)))
+            .map(|i| client.submit(AdmissionRequest::new(i)))
             .collect();
         let addr = server.local_addr().clone();
         server.shutdown();
         assert!(server.is_stopping());
         // Accepts stopped: a fresh connect cannot handshake any more.
-        assert!(RemoteClient::connect_with(&addr, Duration::from_millis(300), None).is_err());
+        let short_handshake = ClientConfig {
+            handshake_timeout: Duration::from_millis(300),
+            ..ClientConfig::default()
+        };
+        assert!(RemoteClient::connect_config(&addr, short_handshake).is_err());
         // ... but every in-flight submission resolved (decision or typed
         // transport error — drain answers what it read before closing).
         for completion in burst {

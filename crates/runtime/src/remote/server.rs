@@ -1,8 +1,8 @@
 //! The readiness-loop server: a few threads, thousands of connections.
 //!
-//! [`RemoteServerConfig::workers`] readiness loops serve every connection.
-//! Loop 0 starts the other loops and one more thread, the acceptor, which
-//! owns the listener and never decides: it accepts each connection and
+//! [`EVENT_LOOPS`] readiness loops serve every connection. Loop 0 starts
+//! the other loops and one more thread, the acceptor, which owns the
+//! listener and never decides: it accepts each connection and
 //! places it on the loop with the fewest live connections (ties to the
 //! lowest index, so a lone client stays on loop 0), handing it over
 //! through that loop's inbox and self-pipe waker. From
@@ -54,6 +54,12 @@ use std::time::{Duration, Instant};
 /// fleet and call `journal().render_page(from_seq, n).ok()`.
 pub type JournalSource = Box<dyn Fn(u64) -> Option<JournalPage> + Send + Sync>;
 
+/// Readiness loops per server, each a thread that reads, decides and
+/// answers the frames of the connections placed on it, one frame at a
+/// time. The acceptor thread places each connection on the loop with the
+/// fewest live connections.
+pub const EVENT_LOOPS: usize = 4;
+
 /// Which [`WireMode`]s a server grants at handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WirePolicy {
@@ -90,11 +96,6 @@ pub struct RemoteServerConfig {
     pub once: bool,
     /// Which wire modes the handshake grants.
     pub wire: WirePolicy,
-    /// Readiness loops (≥ 1), each a thread that reads, decides and
-    /// answers the frames of the connections placed on it, one frame at a
-    /// time. The acceptor thread places each connection on the loop with
-    /// the fewest live connections.
-    pub workers: usize,
     /// Pause reading from a connection whose un-flushed output exceeds
     /// this many bytes — the server's backpressure: a peer that stops
     /// reading cannot grow server memory beyond its bounded buffers.
@@ -110,7 +111,6 @@ impl Default for RemoteServerConfig {
             handshake_timeout: Duration::from_secs(5),
             once: false,
             wire: WirePolicy::Auto,
-            workers: 4,
             max_buffered: 4 * 1024 * 1024,
         }
     }
@@ -1176,7 +1176,7 @@ impl RemoteServer {
             Endpoint::Unix(path) => Some(path.clone()),
             Endpoint::Tcp(_) => None,
         };
-        let loops = (0..config.workers.max(1))
+        let loops = (0..EVENT_LOOPS)
             .map(|_| {
                 Ok(LoopSlot {
                     inbox: Mutex::new(Vec::new()),

@@ -18,9 +18,9 @@
 //! per group, and the layers above it are decision-transparent, so a
 //! stack like `Metered<Cached<FleetManager>>` decides and journals exactly
 //! like the bare fleet. Stacks are built from plain constructors and
-//! driven through `Box<dyn AdmissionService>` — the
-//! [`FrontEnd`](crate::FrontEnd) event loop multiplexes thousands of
-//! queued admissions over exactly this object.
+//! served as one `Arc<dyn AdmissionService>`: a
+//! [`RemoteServer`](crate::RemoteServer) decides every frame through
+//! exactly this object.
 //!
 //! # Example
 //!
@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One admission request, phrased against the service's workload spec.
 ///
@@ -93,7 +93,7 @@ pub struct AdmissionRequest {
     /// routing; `None` lets the service route.
     pub target: Option<usize>,
     /// Causal span context minted at the outermost layer that saw the
-    /// request (remote client / front-end); layers derive child spans
+    /// request (the remote client); layers derive child spans
     /// from it. Trailing `skip_none` field: requests to and from peers
     /// that predate spans interop byte-identically on both codecs.
     #[serde(skip_none)]
@@ -143,7 +143,7 @@ impl AdmissionRequest {
 /// The shared decision vocabulary: what any [`AdmissionService`] answers.
 ///
 /// The fleet decides in this shape directly, and it is the only shape
-/// middleware layers and the [`FrontEnd`](crate::FrontEnd) ever see.
+/// middleware layers and the remote transport ever see.
 ///
 /// Serializable: decisions cross the [`remote`](crate::remote) wire with
 /// exact rational periods and full violation lists.
@@ -231,9 +231,11 @@ pub enum ServiceError {
     UnknownResident(u64),
     /// The requested admission domain is out of range.
     UnknownDomain(usize),
-    /// The service (or its front-end) was stopped before deciding.
+    /// The service was stopped before deciding.
     Stopped,
-    /// A front-end submission queue was full.
+    /// A submission queue was full. No layer in this crate produces it;
+    /// it keeps its wire form ([`WireFault`](crate::remote::WireFault))
+    /// so a far end that answers it still maps to a typed error.
     QueueFull,
     /// The configuration or an artefact was unusable (parse failures, …).
     Config(String),
@@ -307,7 +309,7 @@ pub struct OpRate {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerMetrics {
     /// Layer name (`"fleet"`, `"cached"`, `"metered"`, `"traced"`,
-    /// `"front-end"`, …).
+    /// `"remote"`, …).
     pub layer: String,
     /// Ordered `(metric, value)` counters.
     pub counters: Vec<(String, u64)>,
@@ -450,9 +452,8 @@ impl ServiceSnapshot {
 /// The unified admission-service abstraction (see the [module docs](self)).
 ///
 /// Implementations decide **without blocking for capacity**: a full domain
-/// answers [`AdmissionDecision::Saturated`] immediately (callers wanting
-/// bounded waiting queue *submissions*, not decisions — that is the
-/// [`FrontEnd`](crate::FrontEnd)'s job). Every method takes `&self`; all
+/// answers [`AdmissionDecision::Saturated`] immediately; a caller that
+/// wants to wait for capacity retries. Every method takes `&self`; all
 /// implementations in this crate are thread-safe.
 pub trait AdmissionService: Send + Sync {
     /// Decides one admission request.
@@ -490,25 +491,14 @@ pub trait AdmissionService: Send + Sync {
         Ok(Arc::new(contention::estimate(spec, use_case, method)?))
     }
 
-    /// Begins an admission without blocking the caller: the decision is
-    /// delivered through the returned [`Completion`], which can be polled
-    /// or waited on.
-    ///
-    /// The default implementation decides synchronously and returns an
-    /// already-completed completion; the [`FrontEnd`](crate::FrontEnd)
-    /// overrides this with a genuinely queued submission.
-    fn submit(&self, request: AdmissionRequest) -> Completion {
-        Completion::ready(self.admit(&request))
-    }
-
     /// Live telemetry for the whole stack: the layered snapshot plus full
     /// per-op latency distributions and flight-recorder stats.
     ///
     /// The default implementation wraps [`snapshot`](Self::snapshot) with
     /// no distributions; instrumented layers ([`Metered`],
-    /// [`Traced`](crate::Traced), [`FrontEnd`](crate::FrontEnd)) append
-    /// their histograms, and a [`RemoteClient`](crate::RemoteClient)
-    /// forwards the request over the wire.
+    /// [`Traced`](crate::Traced)) append their histograms, and a
+    /// [`RemoteClient`](crate::RemoteClient) forwards the request over
+    /// the wire.
     fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot::from_service(self.snapshot())
     }
@@ -553,10 +543,6 @@ impl<S: AdmissionService + ?Sized> AdmissionService for Arc<S> {
         (**self).estimate(use_case, method)
     }
 
-    fn submit(&self, request: AdmissionRequest) -> Completion {
-        (**self).submit(request)
-    }
-
     fn telemetry(&self) -> TelemetrySnapshot {
         (**self).telemetry()
     }
@@ -571,7 +557,7 @@ impl<S: AdmissionService + ?Sized> AdmissionService for Arc<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Completions: the poll/wait handle for non-blocking submissions.
+// Completions: the wait handle for pipelined remote calls.
 // ---------------------------------------------------------------------------
 
 struct CompletionState<T> {
@@ -587,13 +573,15 @@ impl<T: fmt::Debug> fmt::Debug for CompletionState<T> {
     }
 }
 
-/// A one-shot completion: the receiving half of
-/// [`AdmissionService::submit`] (and of queued releases, which complete
-/// with `()`).
+/// A one-shot completion: the receiving half of a pipelined
+/// [`RemoteClient`](crate::RemoteClient) call
+/// ([`submit`](crate::RemoteClient::submit), or
+/// [`submit_release`](crate::RemoteClient::submit_release), which
+/// completes with `()`), filled by the client's reader thread when the
+/// correlated response arrives.
 ///
-/// Poll it ([`poll`](Completion::poll) / [`is_ready`](Completion::is_ready))
-/// from an event loop, or block on [`wait`](Completion::wait). The result
-/// can be read any number of times.
+/// Block on [`wait`](Completion::wait); the result can be read any number
+/// of times, from any clone.
 #[derive(Debug)]
 pub struct Completion<T = AdmissionDecision> {
     state: Arc<CompletionState<T>>,
@@ -611,24 +599,14 @@ impl<T> Clone for Completion<T> {
 /// without completing delivers [`ServiceError::Stopped`] — a submission can
 /// never be silently lost.
 #[derive(Debug)]
-pub struct Completer<T = AdmissionDecision> {
+pub(crate) struct Completer<T = AdmissionDecision> {
     state: Arc<CompletionState<T>>,
     done: bool,
 }
 
 impl<T: Clone> Completion<T> {
-    /// An already-decided completion.
-    pub fn ready(result: Result<T, ServiceError>) -> Completion<T> {
-        Completion {
-            state: Arc::new(CompletionState {
-                slot: Mutex::new(Some(result)),
-                cond: Condvar::new(),
-            }),
-        }
-    }
-
     /// A pending completion and its fulfilling half.
-    pub fn pending() -> (Completer<T>, Completion<T>) {
+    pub(crate) fn pending() -> (Completer<T>, Completion<T>) {
         let state = Arc::new(CompletionState {
             slot: Mutex::new(None),
             cond: Condvar::new(),
@@ -640,16 +618,6 @@ impl<T: Clone> Completion<T> {
             },
             Completion { state },
         )
-    }
-
-    /// `true` once the result arrived.
-    pub fn is_ready(&self) -> bool {
-        lock(&self.state.slot).is_some()
-    }
-
-    /// The result, if it arrived (non-blocking).
-    pub fn poll(&self) -> Option<Result<T, ServiceError>> {
-        lock(&self.state.slot).clone()
     }
 
     /// Blocks until the result arrives.
@@ -666,32 +634,11 @@ impl<T: Clone> Completion<T> {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-
-    /// Blocks until the result arrives or `timeout` elapses.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, ServiceError>> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = lock(&self.state.slot);
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return Some(result.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .state
-                .cond
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            slot = guard;
-        }
-    }
 }
 
 impl<T> Completer<T> {
     /// Delivers the result, waking every waiter.
-    pub fn complete(mut self, result: Result<T, ServiceError>) {
+    pub(crate) fn complete(mut self, result: Result<T, ServiceError>) {
         self.fill(result);
     }
 
@@ -1419,23 +1366,8 @@ metered      admit             120       40      236      210      300      480 
     }
 
     #[test]
-    fn completion_poll_wait_and_drop_semantics() {
-        let ready = Completion::ready(Ok(AdmissionDecision::Saturated { domain: 0 }));
-        assert!(ready.is_ready());
-        assert_eq!(
-            ready.poll().unwrap().unwrap(),
-            AdmissionDecision::Saturated { domain: 0 }
-        );
-        // The decision can be read repeatedly.
-        assert_eq!(
-            ready.wait().unwrap(),
-            AdmissionDecision::Saturated { domain: 0 }
-        );
-
+    fn completion_wait_clone_and_drop_semantics() {
         let (completer, completion) = Completion::pending();
-        assert!(!completion.is_ready());
-        assert!(completion.poll().is_none());
-        assert!(completion.wait_timeout(Duration::from_millis(5)).is_none());
         let waiter = {
             let completion = completion.clone();
             std::thread::spawn(move || completion.wait())
@@ -1445,18 +1377,16 @@ metered      admit             120       40      236      210      300      480 
             waiter.join().unwrap().unwrap(),
             AdmissionDecision::Saturated { domain: 7 }
         );
+        // The decision can be read repeatedly.
+        assert_eq!(
+            completion.wait().unwrap(),
+            AdmissionDecision::Saturated { domain: 7 }
+        );
 
         // Dropping a completer without completing delivers Stopped.
         let (dropped, orphan) = Completion::<AdmissionDecision>::pending();
         drop(dropped);
         assert_eq!(orphan.wait().unwrap_err(), ServiceError::Stopped);
-    }
-
-    #[test]
-    fn default_submit_completes_synchronously() {
-        let completion = fleet(1, 2).submit(AdmissionRequest::new(0));
-        assert!(completion.is_ready());
-        assert!(completion.wait().unwrap().is_admitted());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`TraceRecorder`] / [`TraceEvent`] — a fixed-capacity ring-buffer
 //!   flight recorder of structured decision events, fed by the
 //!   [`Traced`] middleware (which composes like
-//!   [`Cached`](crate::Cached) / [`Metered`](crate::Metered)) and by
-//!   instrumentation points in
-//!   [`FrontEnd`](crate::FrontEnd) and the remote transport.
+//!   [`Cached`](crate::Cached) / [`Metered`](crate::Metered)), by the
+//!   fleet's innermost admit span, and by instrumentation points in the
+//!   remote server.
 //! * [`TelemetrySnapshot`] — the exposition surface aggregating the
 //!   [`ServiceSnapshot`] of every layer plus full latency distributions
 //!   and flight-recorder stats, answered by every
@@ -368,9 +368,9 @@ fn mint_id() -> u64 {
 
 /// Causal identity of one operation within a request's span tree.
 ///
-/// A context is minted once at the outermost layer that sees a request
-/// ([`RemoteClient`](crate::RemoteClient) submissions, or a local
-/// [`FrontEnd`](crate::FrontEnd) queue) and threaded through
+/// A context is minted once where a request enters the system
+/// ([`RemoteClient::submit`](crate::RemoteClient::submit), or a local
+/// caller's [`AdmissionRequest::with_span`]) and threaded through
 /// [`AdmissionRequest`] — across the wire as a
 /// trailing `skip_none` field, so peers that predate spans interop
 /// byte-identically. Each layer that does real work derives a
@@ -463,8 +463,6 @@ pub enum TraceKind {
     Rebalance,
     /// A contention estimate was computed or served.
     Estimate,
-    /// A request waited in the front-end queue before dispatch.
-    QueueWait,
     /// A remote server decoded one request frame off a connection.
     FrameDecode,
     /// A remote server decided one decoded frame on the event loop that
@@ -484,7 +482,6 @@ impl TraceKind {
             TraceKind::Release => "release",
             TraceKind::Rebalance => "rebalance",
             TraceKind::Estimate => "estimate",
-            TraceKind::QueueWait => "queue-wait",
             TraceKind::FrameDecode => "frame-decode",
             TraceKind::Dispatch => "dispatch",
             TraceKind::FleetAdmit => "fleet-admit",

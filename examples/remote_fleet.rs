@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Pipeline a burst of admissions without waiting in between.
         let burst: Vec<Completion> = (0..6)
-            .map(|i| AdmissionService::submit(&client, AdmissionRequest::new(i)))
+            .map(|i| client.submit(AdmissionRequest::new(i)))
             .collect();
         let mut residents = Vec::new();
         for completion in burst {

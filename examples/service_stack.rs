@@ -1,8 +1,8 @@
 //! The layered admission-service stack, end to end: one `AdmissionService`
 //! trait, composable middleware (`Metered<Cached<FleetManager>>`) over a
-//! fleet that journals every decision, sign-off cache warming, and the
-//! async `FrontEnd` multiplexing hundreds of queued admissions over a
-//! four-thread worker pool.
+//! fleet that journals every decision, sign-off cache warming, and four
+//! threads deciding through one shared stack: every layer takes `&self`,
+//! so concurrent callers need no wrapper.
 //!
 //! Run with: `cargo run --release --example service_stack`
 
@@ -11,8 +11,8 @@ use experiments::signoff::sign_off;
 use experiments::workload::workload_with;
 use platform::UseCase;
 use runtime::{
-    AdmissionRequest, AdmissionService, Cached, Completion, FleetConfig, FleetManager, FrontEnd,
-    FrontEndConfig, JournalReplayer, Metered, RoutingPolicy,
+    AdmissionDecision, AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager,
+    JournalReplayer, Metered, RoutingPolicy, ServiceError,
 };
 use sdf::GeneratorConfig;
 use std::sync::Arc;
@@ -20,9 +20,9 @@ use std::sync::Arc;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = workload_with(2007, 4, &GeneratorConfig::with_actors(4))?;
 
-    // One fleet, two middleware layers, one front-end — all the same
-    // AdmissionService, so each layer wraps any other. The layer we want
-    // to inspect later is held behind an Arc.
+    // One fleet, two middleware layers — all the same AdmissionService, so
+    // each layer wraps any other. The layer we want to inspect later is
+    // held behind an Arc.
     let fleet = FleetManager::new(
         spec.clone(),
         FleetConfig::uniform(3, 1, 4, RoutingPolicy::LeastUtilised),
@@ -34,37 +34,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warmed = cached.warm_from_signoff(&report)?;
     println!("warmed {warmed} estimates (all 2^4 - 1 use-cases) before traffic");
 
-    let front = FrontEnd::new(
-        Box::new(Metered::new(Arc::clone(&cached))),
-        FrontEndConfig {
-            workers: 4,
-            queue_capacity: 1024,
-        },
-    );
+    let stack = Metered::new(Arc::clone(&cached));
 
-    println!("\n== non-blocking submission: 200 queued admissions, 4 workers ==");
-    let completions: Vec<Completion> = (0..200)
-        .map(|i| front.submit(AdmissionRequest::new(i)))
-        .collect();
-    println!("peak queue depth: {}", front.peak_queue_depth());
+    println!("\n== concurrent admission: 200 requests from 4 threads ==");
+    let decisions = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|first| {
+                let stack = &stack;
+                scope.spawn(move || -> Result<Vec<AdmissionDecision>, ServiceError> {
+                    (first..200)
+                        .step_by(4)
+                        .map(|i| stack.admit(&AdmissionRequest::new(i)))
+                        .collect()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|thread| thread.join().expect("admission thread"))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
     let mut residents = Vec::new();
     let mut saturated = 0usize;
-    for completion in completions {
-        let decision = completion.wait()?;
+    for decision in decisions.into_iter().flatten() {
         match decision.resident() {
             Some(resident) => residents.push(resident),
             None => saturated += 1,
         }
     }
     println!(
-        "{} admitted (fleet capacity 12), {} saturated, every completion resolved",
+        "{} admitted (fleet capacity 12), {} saturated, every request decided",
         residents.len(),
         saturated
     );
 
     // Estimates ride the same stack and hit the warmed cache.
     for mask in [1u64, 3, 7, 15, 15, 7] {
-        front.estimate(UseCase::from_mask(mask), Method::Composability)?;
+        stack.estimate(UseCase::from_mask(mask), Method::Composability)?;
     }
     println!(
         "estimate cache after traffic: {} hits, {} misses (warmed entries serve)",
@@ -72,18 +78,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cached.cache().misses()
     );
 
-    // Release through the queue, then read the per-layer metrics table.
-    let releases: Vec<Completion<()>> = residents
-        .into_iter()
-        .map(|resident| front.submit_release(resident))
-        .collect();
-    for release in releases {
-        release.wait()?;
+    // Release through the same stack, then read the per-layer metrics
+    // table.
+    for resident in residents {
+        stack.release(resident)?;
     }
 
     println!("\n== one consistent per-layer metrics table ==");
-    print!("{}", AdmissionService::snapshot(&front).render());
-    front.shutdown();
+    print!("{}", stack.snapshot().render());
 
     println!("\n== the fleet's journal replays outcome for outcome ==");
     let journal = runtime::Journal::parse(&fleet.journal().render())?;

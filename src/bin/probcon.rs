@@ -781,10 +781,6 @@ impl runtime::AdmissionService for FanInClient {
         self.pick().estimate(use_case, method)
     }
 
-    fn submit(&self, request: runtime::AdmissionRequest) -> runtime::Completion {
-        self.pick().submit(request)
-    }
-
     fn telemetry(&self) -> runtime::TelemetrySnapshot {
         self.clients[0].telemetry()
     }

@@ -24,10 +24,9 @@
 //!   deciding without waiting and journaling every decision for
 //!   deterministic replay), composable middleware layers (`Cached`
 //!   estimate memoization with sign-off warming, `Metered`
-//!   latency/throughput rows), the async `FrontEnd` event loop
-//!   multiplexing thousands of queued admissions over a small worker
-//!   pool, and a one-version remote protocol (`probcon serve` /
-//!   `fleet-bench` / `replay`).
+//!   latency/throughput rows), and a one-version remote protocol whose
+//!   client pipelines many admissions on one connection (`probcon serve`
+//!   / `fleet-bench` / `replay`).
 //!
 //! # Example
 //!

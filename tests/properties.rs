@@ -480,7 +480,7 @@ proptest! {
 }
 
 /// Strategy: one spec-relative admission request (mixed contracts,
-/// affinities and explicit targets, like real front-end traffic).
+/// affinities and explicit targets, like real client traffic).
 fn admission_request(groups: usize) -> impl Strategy<Value = runtime::AdmissionRequest> {
     use runtime::AdmissionRequest;
     (0usize..4, 0u64..4, 0usize..groups.max(1)).prop_map(move |(app_index, kind, target)| {
@@ -501,9 +501,9 @@ proptest! {
     // The middleware-composition satellite: `Cached<Metered<S>>` and
     // `Metered<Cached<S>>` produce identical decisions against the bare
     // service and leave identical fleet journals, and the same holds when
-    // the stream is submitted concurrently (queued in bulk through a
-    // single-worker `FrontEnd`, which drains the MPSC queue in submission
-    // order — so the decision sequence stays comparable).
+    // the stream is pipelined over one remote connection (all in flight
+    // at once; the server decides a connection's frames one at a time in
+    // arrival order, so the decision sequence stays comparable).
     #[test]
     fn middleware_composes_in_either_order_with_equivalent_decisions(
         groups in 1usize..4,
@@ -512,9 +512,10 @@ proptest! {
     ) {
         use platform::Application;
         use runtime::{
-            AdmissionService, Cached, Completion, FleetConfig, FleetManager, FrontEnd,
-            FrontEndConfig, Metered, RoutingPolicy,
+            AdmissionService, Cached, Completion, FleetConfig, FleetManager, Metered,
+            RemoteClient, RemoteServer, RoutingPolicy,
         };
+        use std::sync::Arc;
         use sdf::figure2_graphs;
 
         let spec = || {
@@ -561,32 +562,33 @@ proptest! {
             .verify()
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
 
-        // Concurrent submission: queue the whole stream through a
-        // single-worker front-end per stack, then reap. Submission order ==
-        // processing order, so the decision sequences still match the bare
-        // sequential run exactly.
+        // Pipelined submission: send the whole stream on one connection
+        // per served stack, then reap. Arrival order == decision order, so
+        // the decision sequences still match the bare sequential run
+        // exactly.
         let bare2 = fleet(spec());
         let expected: Vec<_> = requests
             .iter()
             .map(|r| AdmissionService::admit(&bare2, r).unwrap())
             .collect();
         for stack in [
-            Box::new(Cached::new(Metered::new(fleet(spec())), 8))
-                as Box<dyn AdmissionService>,
-            Box::new(Metered::new(Cached::new(fleet(spec()), 8))),
+            Arc::new(Cached::new(Metered::new(fleet(spec())), 8))
+                as Arc<dyn AdmissionService>,
+            Arc::new(Metered::new(Cached::new(fleet(spec()), 8))),
         ] {
-            let front = FrontEnd::new(stack, FrontEndConfig {
-                workers: 1,
-                queue_capacity: requests.len(),
-            });
+            let server = RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), stack)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let client = RemoteClient::connect(server.local_addr())
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
             let completions: Vec<Completion> = requests
                 .iter()
-                .map(|r| front.submit(r.clone()))
+                .map(|r| client.submit(r.clone()))
                 .collect();
             for (completion, expected) in completions.iter().zip(&expected) {
                 prop_assert_eq!(&completion.wait().unwrap(), expected);
             }
-            front.shutdown();
+            client.close();
+            server.shutdown();
         }
     }
 }

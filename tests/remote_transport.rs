@@ -9,9 +9,10 @@ use platform::{Application, Mapping, SystemSpec};
 use runtime::remote::codec::encode_frame;
 use runtime::remote::{WireBody, WireFault, WireOp, WireRequest, WireResponse};
 use runtime::{
-    AdmissionDecision, AdmissionRequest, AdmissionService, Completion, Endpoint, FleetConfig,
-    FleetManager, RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError,
-    ServiceSnapshot, WireMode, MAX_FRAME, MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
+    AdmissionDecision, AdmissionRequest, AdmissionService, ClientConfig, Completion, Endpoint,
+    FleetConfig, FleetManager, RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy,
+    ServiceError, ServiceSnapshot, WireMode, EVENT_LOOPS, MAX_FRAME, MAX_REQUEST_FRAME,
+    REMOTE_PROTOCOL_VERSION,
 };
 use sdf::figure2_graphs;
 use std::io::{Read, Write};
@@ -183,7 +184,7 @@ fn client_resolves_on_truncated_response() {
             // Connection drops here.
         });
         let client = RemoteClient::connect(&addr).expect("handshake succeeds");
-        let completion = AdmissionService::submit(&client, AdmissionRequest::new(0));
+        let completion = client.submit(AdmissionRequest::new(0));
         // The completion resolves with a typed transport error — no hang.
         match completion.wait() {
             Err(ServiceError::Transport(msg)) => {
@@ -331,7 +332,7 @@ fn client_fails_pending_on_malformed_response() {
             std::thread::sleep(Duration::from_millis(200));
         });
         let client = RemoteClient::connect(&addr).expect("handshake succeeds");
-        let completion = AdmissionService::submit(&client, AdmissionRequest::new(0));
+        let completion = client.submit(AdmissionRequest::new(0));
         match completion.wait() {
             Err(ServiceError::Transport(msg)) => {
                 assert!(msg.contains("malformed"), "unexpected reason: {msg}");
@@ -441,7 +442,7 @@ fn mid_flight_disconnect_resolves_every_completion() {
         });
         let client = RemoteClient::connect(&addr).expect("handshake succeeds");
         let in_flight: Vec<Completion> = (0..8)
-            .map(|i| AdmissionService::submit(&client, AdmissionRequest::new(i)))
+            .map(|i| client.submit(AdmissionRequest::new(i)))
             .collect();
         for completion in in_flight {
             match completion.wait() {
@@ -472,13 +473,15 @@ fn wedged_server_fails_completions_at_the_response_deadline() {
             writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
             std::thread::sleep(Duration::from_secs(30)); // wedged
         });
-        let client = RemoteClient::connect_with(
+        let client = RemoteClient::connect_config(
             &addr,
-            Duration::from_secs(5),
-            Some(Duration::from_millis(300)),
+            ClientConfig {
+                response_timeout: Some(Duration::from_millis(300)),
+                ..ClientConfig::default()
+            },
         )
         .expect("handshake succeeds");
-        let completion = AdmissionService::submit(&client, AdmissionRequest::new(0));
+        let completion = client.submit(AdmissionRequest::new(0));
         match completion.wait() {
             Err(ServiceError::Transport(msg)) => {
                 assert!(
@@ -498,7 +501,7 @@ fn real_server_shutdown_mid_burst_resolves_every_completion() {
         let server = serve(4, 8);
         let client = RemoteClient::connect(server.local_addr()).expect("connects");
         let burst: Vec<Completion> = (0..64)
-            .map(|i| AdmissionService::submit(&client, AdmissionRequest::new(i)))
+            .map(|i| client.submit(AdmissionRequest::new(i)))
             .collect();
         // Shut down with the burst (partially) in flight: drained frames
         // get decisions, the rest typed transport errors — all resolve.
@@ -586,7 +589,7 @@ fn a_slow_decision_does_not_stall_another_connection() {
         // loaded loop, 1.
         let a = RemoteClient::connect(server.local_addr()).expect("a connects");
         let b = RemoteClient::connect(server.local_addr()).expect("b connects");
-        let slow = AdmissionService::submit(&a, AdmissionRequest::new(0));
+        let slow = a.submit(AdmissionRequest::new(0));
         entered
             .recv_timeout(Duration::from_secs(10))
             .expect("a's admit reaches the service");
@@ -613,7 +616,7 @@ fn a_slow_decision_does_not_hold_up_new_connections() {
     with_watchdog(|| {
         let (server, entered, proceed) = serve_gated(RemoteServerConfig::default());
         let a = RemoteClient::connect(server.local_addr()).expect("a connects");
-        let slow = AdmissionService::submit(&a, AdmissionRequest::new(0));
+        let slow = a.submit(AdmissionRequest::new(0));
         entered
             .recv_timeout(Duration::from_secs(10))
             .expect("a's admit reaches the service");
@@ -641,14 +644,19 @@ fn a_slow_decision_does_not_hold_up_new_connections() {
 #[test]
 fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
     with_watchdog(|| {
-        // One loop serves both connections, so A's slow decision holds up
-        // C's frame. The decision outlasts the stall budget.
+        // A's slow decision holds up C's frame on the loop both share. The
+        // decision outlasts the stall budget.
         let (server, entered, proceed) = serve_gated(RemoteServerConfig {
-            workers: 1,
             stall_timeout: Duration::from_secs(1),
             ..RemoteServerConfig::default()
         });
         let a = RemoteClient::connect(server.local_addr()).expect("a connects");
+        // A holds loop 0; one idle client on each other loop. Placement
+        // picks the loop with the fewest live connections, ties to the
+        // lowest index, so C lands back on A's loop.
+        let _fillers: Vec<RemoteClient> = (1..EVENT_LOOPS)
+            .map(|_| RemoteClient::connect(server.local_addr()).expect("filler connects"))
+            .collect();
         let mut c = raw_handshaken(&server, None);
         let frame = encode_frame(
             WireMode::Json,
@@ -674,7 +682,7 @@ fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
         c.write_all(head).expect("first half");
         // The loop reads the first half before A's admit takes it.
         while c_bytes_in() < before + head.len() as u64 {}
-        let slow = AdmissionService::submit(&a, AdmissionRequest::new(0));
+        let slow = a.submit(AdmissionRequest::new(0));
         entered
             .recv_timeout(Duration::from_secs(10))
             .expect("a's admit reaches the service");
@@ -721,7 +729,7 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
         });
         let client = Arc::new(RemoteClient::connect(&addr).expect("handshake succeeds"));
         let in_flight: Vec<Completion> = (0..32)
-            .map(|i| AdmissionService::submit(&*client, AdmissionRequest::new(i % 2)))
+            .map(|i| client.submit(AdmissionRequest::new(i % 2)))
             .collect();
         // A second thread keeps pipelining submissions while this one
         // closes — the race under test.
@@ -729,7 +737,7 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
             let client = Arc::clone(&client);
             std::thread::spawn(move || {
                 (0..256)
-                    .map(|i| AdmissionService::submit(&*client, AdmissionRequest::new(i % 2)))
+                    .map(|i| client.submit(AdmissionRequest::new(i % 2)))
                     .collect::<Vec<Completion>>()
             })
         };
@@ -742,48 +750,5 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
             }
         }
         assert!(client.broken().is_some());
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Drivers over the wire.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn front_end_multiplexes_over_a_remote_client_unchanged() {
-    // The point of "both ends are just AdmissionService": the async
-    // front-end event loop drives a remote fleet exactly like a local one.
-    with_watchdog(|| {
-        use runtime::{FrontEnd, FrontEndConfig};
-        let server = serve(2, 8);
-        let client = RemoteClient::connect(server.local_addr()).expect("connects");
-        let front = FrontEnd::new(
-            Box::new(client),
-            FrontEndConfig {
-                workers: 2,
-                queue_capacity: 64,
-            },
-        );
-        let completions: Vec<Completion> = (0..10)
-            .map(|i| front.submit(AdmissionRequest::new(i)))
-            .collect();
-        let mut residents = Vec::new();
-        for completion in completions {
-            residents.extend(completion.wait().expect("decision").resident());
-        }
-        assert_eq!(residents.len(), 10);
-        for resident in residents {
-            front.release(resident).expect("release lands");
-        }
-        let snapshot = front.snapshot();
-        assert_eq!(snapshot.admitted, 10);
-        assert_eq!(snapshot.released, 10);
-        // The stack renders remote and front-end layers side by side.
-        let table = snapshot.render();
-        for needle in ["fleet", "remote", "front-end"] {
-            assert!(table.contains(needle), "missing {needle} in:\n{table}");
-        }
-        front.shutdown();
-        server.shutdown();
     });
 }

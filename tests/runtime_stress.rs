@@ -189,20 +189,16 @@ fn estimate_cache_is_consistent_under_concurrency() {
 }
 
 #[test]
-fn front_end_multiplexes_a_thousand_queued_admissions() {
-    use runtime::{
-        AdmissionRequest, AdmissionService, Completion, FrontEnd, FrontEndConfig, Metered,
-        ServiceError,
-    };
+fn one_connection_pipelines_a_thousand_admissions() {
+    use runtime::{Completion, Metered, RemoteClient, RemoteServer};
 
-    const QUEUED: usize = 1200;
-    const WORKERS: usize = 4;
+    const IN_FLIGHT: usize = 1200;
 
     with_watchdog(|| {
-        // A worker pool far smaller than the queue drives a metered fleet
-        // stack; all submissions are queued before any completions are
-        // reaped, so QUEUED admissions are concurrently in flight without a
-        // thread per waiter.
+        // One connection carries a metered fleet's whole request stream:
+        // every admission is sent before any completion is reaped, so
+        // IN_FLIGHT admissions are in flight at once without a thread per
+        // waiter.
         // One shard per group: the 2-app spec only routes to the shards its
         // two app indices hash to, so single-shard groups fill completely.
         let fleet = FleetManager::new(
@@ -210,22 +206,16 @@ fn front_end_multiplexes_a_thousand_queued_admissions() {
             FleetConfig::uniform(4, 1, 16, RoutingPolicy::LeastUtilised),
         )
         .expect("valid fleet");
-        let front = FrontEnd::new(
-            Box::new(Metered::new(fleet.clone())),
-            FrontEndConfig {
-                workers: WORKERS,
-                queue_capacity: QUEUED,
-            },
-        );
+        let server = RemoteServer::bind(
+            &"tcp:127.0.0.1:0".parse().expect("addr"),
+            Arc::new(Metered::new(fleet.clone())),
+        )
+        .expect("server binds");
+        let client = RemoteClient::connect(server.local_addr()).expect("connects");
 
-        let completions: Vec<Completion> = (0..QUEUED)
-            .map(|i| front.submit(AdmissionRequest::new(i)))
+        let completions: Vec<Completion> = (0..IN_FLIGHT)
+            .map(|i| client.submit(AdmissionRequest::new(i)))
             .collect();
-        assert!(
-            front.peak_queue_depth() > WORKERS,
-            "the queue must outnumber the worker pool (peak {})",
-            front.peak_queue_depth()
-        );
 
         // Every submission resolves: admitted until the fleet saturates,
         // saturated afterwards — never an error, never a lost completion.
@@ -233,51 +223,47 @@ fn front_end_multiplexes_a_thousand_queued_admissions() {
         let mut saturated = 0usize;
         for completion in completions {
             match completion.wait() {
-                Ok(decision) => {
-                    if let Some(resident) = decision.resident() {
-                        admitted.push(resident);
-                    } else {
-                        saturated += 1;
-                    }
-                }
+                Ok(decision) => match decision.resident() {
+                    Some(resident) => admitted.push(resident),
+                    None => saturated += 1,
+                },
                 Err(e) => panic!("submission lost: {e}"),
             }
         }
         assert_eq!(admitted.len(), fleet.capacity());
-        assert_eq!(admitted.len() + saturated, QUEUED);
-        assert_eq!(front.submitted(), QUEUED as u64);
-        assert_eq!(front.completed(), QUEUED as u64);
+        assert_eq!(admitted.len() + saturated, IN_FLIGHT);
 
-        // Release through the queue, then verify the books balance.
+        // Release on the same connection, then verify the books balance.
+        let capacity = admitted.len() as u64;
         let releases: Vec<Completion<()>> = admitted
             .into_iter()
-            .map(|resident| front.submit_release(resident))
+            .map(|resident| client.submit_release(resident))
             .collect();
         for release in releases {
             release.wait().expect("releases succeed");
         }
         assert_eq!(fleet.resident_count(), 0);
-        let snapshot = AdmissionService::snapshot(&front);
+        let snapshot = AdmissionService::snapshot(&client);
         assert_eq!(snapshot.admitted, snapshot.released);
-        assert_eq!(
-            snapshot.counter("front-end", "queue_depth"),
-            Some(0),
-            "queue drained"
-        );
-        assert!(
-            snapshot
-                .counter("front-end", "peak_queue_depth")
-                .unwrap_or(0)
-                > WORKERS as u64
-        );
-        // Metered layer saw every queued operation.
-        assert!(snapshot.counter("metered", "operations").unwrap_or(0) >= QUEUED as u64);
+        // The metered layer counted every pipelined operation.
+        let metered = snapshot
+            .layers
+            .iter()
+            .find(|layer| layer.layer == "metered")
+            .expect("metered layer");
+        let count = |op: &str| {
+            metered
+                .ops
+                .iter()
+                .find(|row| row.op == op)
+                .map(|row| row.count)
+        };
+        assert_eq!(count("admit"), Some(IN_FLIGHT as u64));
+        assert_eq!(count("release"), Some(capacity));
+        assert_eq!(client.stats().pending, 0, "nothing left in flight");
 
-        front.shutdown();
-        assert_eq!(
-            front.submit(AdmissionRequest::new(0)).wait().unwrap_err(),
-            ServiceError::Stopped
-        );
+        client.close();
+        server.shutdown();
     });
 }
 

@@ -8,9 +8,9 @@ use proptest::prelude::*;
 use runtime::telemetry::BUCKET_COUNT;
 use runtime::{
     build_span_trees, run_requests, seeded_fleet_requests, AdmissionRequest, AdmissionService,
-    Cached, FleetConfig, FleetManager, FrontEnd, FrontEndConfig, HistogramRecorder, Journal,
-    LatencyHistogram, Metered, RemoteClient, RemoteServer, RoutingPolicy, ServiceOp, SpanContext,
-    SpanNode, TraceEvent, TraceKind, TraceRecorder, Traced,
+    Cached, FleetConfig, FleetManager, HistogramRecorder, Journal, LatencyHistogram, Metered,
+    RemoteClient, RemoteServer, RoutingPolicy, ServiceOp, SpanContext, SpanNode, TraceEvent,
+    TraceKind, TraceRecorder, Traced,
 };
 use sdf::figure2_graphs;
 use std::sync::Arc;
@@ -401,52 +401,80 @@ proptest! {
     }
 }
 
-/// Driving real requests through the front end yields one trace per
-/// request: the queue wait and the decision both parent onto the root
-/// span minted at submit, and the fleet's innermost span hangs off the
-/// traced layer's decision span.
+/// Pipelining real requests to a served stack yields one trace per
+/// request. The server's frame-decode span is each tree's single root:
+/// its parent, the root span the client minted at submit, is recorded by
+/// no one. Below it hang the dispatch span, the traced layer's decision
+/// and the fleet's innermost span. The same holds through an `Autoscaled`
+/// layer, which must hand the server the stack's recorder.
 #[test]
-fn front_end_submissions_build_one_trace_per_request() {
-    let fleet = fleet();
-    let recorder = Arc::new(TraceRecorder::new(4096));
-    fleet.attach_trace(Arc::clone(&recorder));
-    let stack = Traced::with_recorder(Metered::new(fleet.clone()), Arc::clone(&recorder));
-    let front = FrontEnd::traced(
-        Box::new(stack),
-        FrontEndConfig {
-            workers: 2,
-            ..FrontEndConfig::default()
-        },
-        Arc::clone(&recorder),
-    );
+fn remote_submissions_build_one_trace_per_request() {
+    use runtime::{Autoscaled, Autoscaler, ScalePolicy};
+
+    let traced = || {
+        let fleet = fleet();
+        let recorder = Arc::new(TraceRecorder::new(4096));
+        fleet.attach_trace(Arc::clone(&recorder));
+        let stack = Traced::with_recorder(Metered::new(fleet.clone()), Arc::clone(&recorder));
+        (fleet, recorder, stack)
+    };
+    let (_, recorder, stack) = traced();
+    assert_one_trace_per_remote_request(Arc::new(stack), &recorder);
+
+    let (fleet, recorder, stack) = traced();
+    let controller = Arc::new(Autoscaler::new(Arc::new(fleet), ScalePolicy::Manual));
+    assert_one_trace_per_remote_request(Arc::new(Autoscaled::new(stack, controller)), &recorder);
+}
+
+fn assert_one_trace_per_remote_request(stack: Arc<dyn AdmissionService>, recorder: &TraceRecorder) {
+    let server = RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), stack).unwrap();
+    let client = RemoteClient::connect(server.local_addr()).unwrap();
     let requests = 12usize;
     let completions: Vec<_> = (0..requests)
-        .map(|i| front.submit(AdmissionRequest::new(i % 2)))
+        .map(|i| client.submit(AdmissionRequest::new(i % 2)))
         .collect();
     for completion in &completions {
         let _ = completion.wait();
     }
-    front.shutdown();
+    client.close();
+    server.shutdown();
 
     let events = recorder.tail(recorder.len());
     let trees = build_span_trees(&events);
     assert_eq!(trees.len(), requests, "one trace per submitted request");
     for tree in &trees {
         let mut kinds = Vec::new();
-        tree.walk(|event, _| {
-            assert_eq!(event.trace_id, Some(tree.trace_id));
-            kinds.push(event.kind);
-        });
-        assert!(kinds.contains(&TraceKind::QueueWait), "queue dwell traced");
+        tree.walk(|event, _| kinds.push(event.kind));
+        assert_eq!(tree.roots.len(), 1, "one root per request: {kinds:?}");
+        let decode = &tree.roots[0];
+        assert_eq!(
+            decode.event.kind,
+            TraceKind::FrameDecode,
+            "FrameDecode traced: {kinds:?}"
+        );
+        assert_eq!(decode.event.trace_id, Some(tree.trace_id));
+        let [dispatch] = decode.children.as_slice() else {
+            panic!("one dispatch under the frame decode: {kinds:?}");
+        };
+        assert_eq!(dispatch.event.kind, TraceKind::Dispatch);
+        assert_eq!(dispatch.event.parent_span_id, decode.event.span_id);
+        let [decision] = dispatch.children.as_slice() else {
+            panic!("one decision under the dispatch: {kinds:?}");
+        };
         assert!(
-            kinds.iter().any(|kind| matches!(
-                kind,
+            matches!(
+                decision.event.kind,
                 TraceKind::Admit | TraceKind::Reject | TraceKind::Saturate
-            )),
+            ),
             "decision traced: {kinds:?}"
         );
-        for root in &tree.roots {
-            assert_node_well_formed(root, tree.trace_id, 100);
-        }
+        let [fleet_admit] = decision.children.as_slice() else {
+            panic!("one fleet span under the decision: {kinds:?}");
+        };
+        assert_eq!(fleet_admit.event.kind, TraceKind::FleetAdmit);
+        // Parent links hold at every node, intervals nest from the dispatch
+        // span down. The dispatch span starts after its parent frame decode
+        // ends, so that one pair does not nest.
+        assert_node_well_formed(dispatch, tree.trace_id, 100);
     }
 }
