@@ -12,6 +12,20 @@
 //! applications is ever needed, which is the paper's complexity argument for
 //! the composability approach (`O(n)` incremental vs `O(n²)` recompute).
 //!
+//! # What an admission analyses
+//!
+//! A decision reads the predicted periods of the candidate and of the
+//! residents that hold a throughput contract, and nothing else. Both entry
+//! points run one evaluation that analyses exactly those first (one
+//! state-space exploration each, through
+//! [`Application::period_with_times`]).
+//! [`decide`](AdmissionController::decide) stops there and returns the
+//! candidate's period. [`admit`](AdmissionController::admit) also reports
+//! every resident's period, so when it admits it then analyses the
+//! contract-free residents too; when it rejects, it skips them.
+//! [`kernel_counters`](AdmissionController::kernel_counters) counts the
+//! analyses run and the contract-free residents skipped.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,10 +58,11 @@
 //!
 //! # Rejections versus errors
 //!
-//! [`AdmissionController::admit`] draws a hard line between the two:
+//! [`AdmissionController::admit`] and [`AdmissionController::decide`] draw
+//! a hard line between the two:
 //! *admission decisions* — including a candidate that violates **its own**
 //! requirement, or one whose requirement exceeds even its isolation
-//! throughput — come back as `Ok(AdmissionOutcome::Rejected { .. })` with
+//! throughput — come back as `Ok(Rejected { .. })` with
 //! the violated contracts listed; `Err(ContentionError)` is reserved for
 //! *analysis failures* (malformed loads, saturated inverses, period
 //! divergence) where no admission decision could be computed at all.
@@ -61,9 +76,10 @@
 //! cheap snapshots for read-only analysis. The `runtime` crate's
 //! `FleetManager` does exactly that: each platform group holds one
 //! controller per shard behind a mutex and answers every request at once
-//! (admit, reject on a violated contract, or saturate when the shard is
-//! full) — the "run-time manager" deployment the paper's conclusions
-//! sketch.
+//! through [`decide`](AdmissionController::decide) (admit, reject on a
+//! violated contract, or saturate when the shard is full, without running
+//! the controller) — the "run-time manager" deployment the paper's
+//! conclusions sketch.
 
 use crate::compose::Composite;
 use crate::load::ActorLoad;
@@ -163,6 +179,45 @@ impl AdmissionOutcome {
     }
 }
 
+/// What [`AdmissionController::decide`] concluded: the decision and the
+/// candidate's period, without the periods of the residents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Decision {
+    /// The application was admitted under `id`.
+    Admitted {
+        /// Id assigned to the admitted application.
+        id: AppId,
+        /// The admitted application's predicted period under the new mix.
+        predicted_period: Rational,
+    },
+    /// The application was rejected; the controller state is unchanged.
+    Rejected {
+        /// Every violated throughput requirement.
+        violations: Vec<Violation>,
+    },
+}
+
+/// What a controller's admissions have cost so far, counted over every
+/// [`admit`](AdmissionController::admit) and
+/// [`decide`](AdmissionController::decide) since it was created.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Period analyses run: one state-space exploration each.
+    pub period_analyses: u64,
+    /// Contract-free residents whose analysis an evaluation skipped,
+    /// because its output did not need their period.
+    pub contract_free_skipped: u64,
+}
+
+impl std::iter::Sum for KernelCounters {
+    fn sum<I: Iterator<Item = KernelCounters>>(iter: I) -> KernelCounters {
+        iter.fold(KernelCounters::default(), |a, b| KernelCounters {
+            period_analyses: a.period_analyses + b.period_analyses,
+            contract_free_skipped: a.contract_free_skipped + b.contract_free_skipped,
+        })
+    }
+}
+
 #[derive(Clone)]
 struct Resident {
     app: Application,
@@ -200,19 +255,21 @@ pub struct AdmissionController {
     members: BTreeMap<NodeId, Vec<(AppId, ActorLoad)>>,
     residents: BTreeMap<AppId, Resident>,
     next_id: usize,
-    analysis: sdf::AnalysisOptions,
+    counters: KernelCounters,
 }
 
 impl AdmissionController {
     /// Creates an empty controller.
     pub fn new() -> AdmissionController {
-        AdmissionController {
-            nodes: BTreeMap::new(),
-            members: BTreeMap::new(),
-            residents: BTreeMap::new(),
-            next_id: 0,
-            analysis: sdf::AnalysisOptions::default(),
-        }
+        AdmissionController::default()
+    }
+
+    /// Analyses run and contract-free residents skipped by this
+    /// controller's admissions so far (see [`KernelCounters`]).
+    /// [`predicted_period`](Self::predicted_period) is a read and is not
+    /// counted.
+    pub fn kernel_counters(&self) -> KernelCounters {
+        self.counters
     }
 
     /// Number of currently resident applications.
@@ -237,6 +294,12 @@ impl AdmissionController {
     /// requirement — and of the candidate itself — stays at or above its
     /// requirement. On rejection the controller is left untouched.
     ///
+    /// An admission reports the predicted period of every resident
+    /// application (including the new one), so after the decision it also
+    /// analyses the residents without a requirement. A rejection reports
+    /// only the violations and skips those residents. Callers that need
+    /// only the candidate's period use [`decide`](Self::decide).
+    ///
     /// A candidate that cannot satisfy its own requirement — even one whose
     /// requirement exceeds its *isolation* throughput, which no admission
     /// decision could ever meet — is **rejected** (`Ok(Rejected)` with the
@@ -246,8 +309,9 @@ impl AdmissionController {
     /// # Errors
     ///
     /// * panics are never used for admission decisions; hard failures
-    ///   (period analysis divergence, saturated inverse) surface as
-    ///   [`ContentionError`].
+    ///   (period analysis divergence, saturated inverse) in any analysis
+    ///   the call runs surface as [`ContentionError`], and nothing is
+    ///   admitted.
     ///
     /// # Panics
     ///
@@ -258,6 +322,62 @@ impl AdmissionController {
         assignment: &[NodeId],
         required_throughput: Option<Rational>,
     ) -> Result<AdmissionOutcome, ContentionError> {
+        let mut predicted_periods = BTreeMap::new();
+        let decision = self.evaluate(
+            app,
+            assignment,
+            required_throughput,
+            Some(&mut predicted_periods),
+        )?;
+        Ok(match decision {
+            Decision::Admitted { id, .. } => AdmissionOutcome::Admitted {
+                id,
+                predicted_periods,
+            },
+            Decision::Rejected { violations } => AdmissionOutcome::Rejected { violations },
+        })
+    }
+
+    /// Decides the admission of `app` exactly as [`admit`](Self::admit)
+    /// does — the same decision, id and violations, and the same resident
+    /// mix afterwards — but analyses only what the decision reads: the
+    /// candidate and the residents with a requirement. It returns the
+    /// candidate's predicted period in place of every resident's.
+    ///
+    /// # Errors
+    ///
+    /// A hard failure in one of the analyses the decision reads surfaces
+    /// as [`ContentionError`], and nothing is admitted. A contract-free
+    /// resident is never analysed here, so a failure in its analysis
+    /// cannot fail this call: that period could not change the decision.
+    /// `admit`, which analyses such a resident once it has decided to
+    /// admit, returns that error instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment.len()` differs from the actor count of `app`.
+    pub fn decide(
+        &mut self,
+        app: Application,
+        assignment: &[NodeId],
+        required_throughput: Option<Rational>,
+    ) -> Result<Decision, ContentionError> {
+        self.evaluate(app, assignment, required_throughput, None)
+    }
+
+    /// The one evaluation behind [`admit`](Self::admit) and
+    /// [`decide`](Self::decide). It analyses the contract holders and the
+    /// candidate, decides, and — only for an admission that asked for
+    /// `every_period` — analyses the contract-free residents as well,
+    /// filling `every_period` with every resident's period before the
+    /// commit.
+    fn evaluate(
+        &mut self,
+        app: Application,
+        assignment: &[NodeId],
+        required_throughput: Option<Rational>,
+        mut every_period: Option<&mut BTreeMap<AppId, Rational>>,
+    ) -> Result<Decision, ContentionError> {
         assert_eq!(
             assignment.len(),
             app.graph().actor_count(),
@@ -270,7 +390,7 @@ impl AdmissionController {
         if let Some(required) = required_throughput {
             let isolation = app.isolation_period().recip();
             if isolation < required {
-                return Ok(AdmissionOutcome::Rejected {
+                return Ok(Decision::Rejected {
                     violations: vec![Violation {
                         app: None,
                         required,
@@ -309,68 +429,47 @@ impl AdmissionController {
                 .push((candidate_id, *load));
         }
 
-        // Predict periods for every resident + the candidate.
-        let mut predicted: BTreeMap<AppId, Rational> = BTreeMap::new();
-        let mut violations = Vec::new();
+        let analyses = &mut self.counters.period_analyses;
+        let mut period_of =
+            |owner: AppId, app: &Application, assignment: &[NodeId], loads: &[ActorLoad]| {
+                *analyses += 1;
+                predict_period(app, owner, assignment, loads, &new_nodes, &new_members)
+            };
 
-        let mut check = |owner: AppId,
-                         id: Option<AppId>,
-                         app: &Application,
-                         assignment: &[NodeId],
-                         loads: &[ActorLoad],
-                         required: Option<Rational>,
-                         new_nodes: &BTreeMap<NodeId, Composite>,
-                         new_members: &BTreeMap<NodeId, Vec<(AppId, ActorLoad)>>|
-         -> Result<Rational, ContentionError> {
-            let period = predict_period(
-                app,
-                owner,
-                assignment,
-                loads,
-                new_nodes,
-                new_members,
-                self.analysis,
-            )?;
-            if let Some(required) = required {
-                let throughput = period.recip();
-                if throughput < required {
-                    violations.push(Violation {
-                        app: id,
-                        required,
-                        predicted: throughput,
-                    });
+        // The decision's inputs: every contract holder, then the candidate.
+        let mut violations = Vec::new();
+        for (&id, r) in &self.residents {
+            let Some(required) = r.required_throughput else {
+                continue;
+            };
+            let period = period_of(id, &r.app, &r.assignment, &r.loads)?;
+            violations.extend(violation(Some(id), required, period));
+            if let Some(periods) = every_period.as_deref_mut() {
+                periods.insert(id, period);
+            }
+        }
+        let candidate_period = period_of(candidate_id, &app, assignment, &loads)?;
+        if let Some(required) = required_throughput {
+            violations.extend(violation(None, required, candidate_period));
+        }
+
+        // Contract-free residents cannot move the decision: analyse them
+        // only for an admission that reports every period.
+        let contract_free = self
+            .residents
+            .iter()
+            .filter(|(_, r)| r.required_throughput.is_none());
+        match every_period.as_deref_mut() {
+            Some(periods) if violations.is_empty() => {
+                for (&id, r) in contract_free {
+                    periods.insert(id, period_of(id, &r.app, &r.assignment, &r.loads)?);
                 }
             }
-            Ok(period)
-        };
-
-        for (&id, resident) in &self.residents {
-            let p = check(
-                id,
-                Some(id),
-                &resident.app,
-                &resident.assignment,
-                &resident.loads,
-                resident.required_throughput,
-                &new_nodes,
-                &new_members,
-            )?;
-            predicted.insert(id, p);
+            _ => self.counters.contract_free_skipped += contract_free.count() as u64,
         }
-        let p_candidate = check(
-            candidate_id,
-            None,
-            &app,
-            assignment,
-            &loads,
-            required_throughput,
-            &new_nodes,
-            &new_members,
-        )?;
-        predicted.insert(candidate_id, p_candidate);
 
         if !violations.is_empty() {
-            return Ok(AdmissionOutcome::Rejected { violations });
+            return Ok(Decision::Rejected { violations });
         }
 
         // Commit.
@@ -386,9 +485,12 @@ impl AdmissionController {
                 required_throughput,
             },
         );
-        Ok(AdmissionOutcome::Admitted {
+        if let Some(periods) = every_period {
+            periods.insert(candidate_id, candidate_period);
+        }
+        Ok(Decision::Admitted {
             id: candidate_id,
-            predicted_periods: predicted,
+            predicted_period: candidate_period,
         })
     }
 
@@ -442,9 +544,19 @@ impl AdmissionController {
             &resident.loads,
             &self.nodes,
             &self.members,
-            self.analysis,
         )
     }
+}
+
+/// The violation of `required` by an application predicted to run at
+/// `period`, if its throughput falls short.
+fn violation(app: Option<AppId>, required: Rational, period: Rational) -> Option<Violation> {
+    let predicted = period.recip();
+    (predicted < required).then_some(Violation {
+        app,
+        required,
+        predicted,
+    })
 }
 
 /// Period of `app` when its actors see `nodes` (which *includes* their own
@@ -457,7 +569,6 @@ fn predict_period(
     loads: &[ActorLoad],
     nodes: &BTreeMap<NodeId, Composite>,
     members: &BTreeMap<NodeId, Vec<(AppId, ActorLoad)>>,
-    analysis: sdf::AnalysisOptions,
 ) -> Result<Rational, ContentionError> {
     let mut times = Vec::with_capacity(assignment.len());
     for (actor, (node, load)) in app.graph().actor_ids().zip(assignment.iter().zip(loads)) {
@@ -483,9 +594,7 @@ fn predict_period(
             .quantize(crate::estimator::WAITING_TIME_GRID);
         times.push(app.graph().execution_time(actor) + twait);
     }
-    let inflated = app.graph().with_execution_times(&times);
-    sdf::analyze_period_with(&inflated, analysis)
-        .map(|a| a.period)
+    app.period_with_times(&times)
         .map_err(ContentionError::Graph)
 }
 
@@ -691,5 +800,77 @@ mod tests {
         AdmissionController::new()
             .admit(a, &[NodeId(0)], None)
             .unwrap();
+    }
+
+    #[test]
+    fn decide_analyses_only_what_the_decision_reads() {
+        let (a, b) = apps();
+        let mut by_admit = AdmissionController::new();
+        let mut by_decide = AdmissionController::new();
+        // A holds no contract; B asks for 1/400 (it gets ≈ 1/358).
+        by_admit.admit(a.clone(), &N3, None).unwrap();
+        by_decide.decide(a, &N3, None).unwrap();
+        let AdmissionOutcome::Admitted {
+            id,
+            predicted_periods,
+        } = by_admit
+            .admit(b.clone(), &N3, Some(Rational::new(1, 400)))
+            .unwrap()
+        else {
+            panic!("B fits");
+        };
+        let decision = by_decide
+            .decide(b, &N3, Some(Rational::new(1, 400)))
+            .unwrap();
+        assert_eq!(
+            decision,
+            Decision::Admitted {
+                id,
+                predicted_period: Rational::new(1075, 3)
+            }
+        );
+        // admit also analysed A to report its period; decide skipped it.
+        assert_eq!(predicted_periods.len(), 2);
+        assert_eq!(
+            by_admit.kernel_counters(),
+            KernelCounters {
+                period_analyses: 3,
+                contract_free_skipped: 0
+            }
+        );
+        assert_eq!(
+            by_decide.kernel_counters(),
+            KernelCounters {
+                period_analyses: 2,
+                contract_free_skipped: 1
+            }
+        );
+        // Both controllers hold the same mix afterwards.
+        assert_eq!(
+            by_admit.resident_ids().collect::<Vec<_>>(),
+            by_decide.resident_ids().collect::<Vec<_>>()
+        );
+        for id in by_admit.resident_ids() {
+            assert_eq!(
+                by_admit.predicted_period(id).unwrap(),
+                by_decide.predicted_period(id).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn a_rejecting_admit_skips_contract_free_residents() {
+        let (a, b) = apps();
+        let mut ctrl = AdmissionController::new();
+        ctrl.admit(a, &N3, None).unwrap();
+        let out = ctrl.admit(b, &N3, Some(Rational::new(1, 300))).unwrap();
+        assert!(out.admitted_id().is_none());
+        assert_eq!(
+            ctrl.kernel_counters(),
+            KernelCounters {
+                period_analyses: 2,
+                contract_free_skipped: 1
+            }
+        );
     }
 }

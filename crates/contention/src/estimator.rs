@@ -312,9 +312,10 @@ pub fn estimate(
                         .unwrap_or(Rational::ZERO)
             })
             .collect();
-        let inflated = app.graph().with_execution_times(&times);
-        let analysis = sdf::analyze_period(&inflated).map_err(ContentionError::Graph)?;
-        periods.insert(app_id, analysis.period);
+        let period = app
+            .period_with_times(&times)
+            .map_err(ContentionError::Graph)?;
+        periods.insert(app_id, period);
     }
 
     Ok(Estimate {

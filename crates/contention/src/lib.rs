@@ -51,7 +51,7 @@ pub mod symmetric;
 pub mod waiting;
 pub mod worst_case;
 
-pub use admission::{AdmissionController, AdmissionOutcome, Violation};
+pub use admission::{AdmissionController, AdmissionOutcome, Decision, KernelCounters, Violation};
 pub use compose::{composability_waiting_time, Composite};
 pub use estimator::{estimate, Estimate, Method};
 pub use load::ActorLoad;

@@ -1,7 +1,10 @@
 //! Applications: named SDF graphs with pre-computed analysis metadata.
 
-use sdf::{analyze_period, repetition_vector, Rational, RepetitionVector, SdfError, SdfGraph};
-use serde::{Deserialize, Serialize};
+use sdf::{
+    analyze_period, is_strongly_connected, repetition_vector, Rational, RepetitionVector, SdfError,
+    SdfGraph,
+};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::fmt;
 
 /// Identifier of an application within a [`crate::SystemSpec`].
@@ -37,6 +40,13 @@ impl From<usize> for AppId {
 /// paper's Definition 3 — once, so downstream analyses never repeat the
 /// state-space exploration for the unloaded graph.
 ///
+/// A deserialized `Application` is checked without exploring: its graph
+/// passes [`SdfGraph`]'s own decoding checks, its stored repetition vector
+/// must equal the graph's, the graph must be strongly connected, and the
+/// stored isolation period must be positive. Those are the facts
+/// [`Application::period_with_times`] trusts, so a file or a peer cannot
+/// hand it a graph it was not checked for.
+///
 /// # Examples
 ///
 /// ```
@@ -49,12 +59,49 @@ impl From<usize> for AppId {
 /// assert_eq!(app.repetition_vector().as_slice(), &[1, 2, 1]);
 /// # Ok::<(), platform::PlatformError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Application {
     name: String,
     graph: SdfGraph,
     repetition: RepetitionVector,
     isolation_period: Rational,
+}
+
+impl Deserialize for Application {
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            name: String,
+            graph: SdfGraph,
+            repetition: RepetitionVector,
+            isolation_period: Rational,
+        }
+        let raw = Raw::deserialize(d)?;
+        let invalid =
+            |why: String| serde::Error(format!("invalid application `{}`: {why}", raw.name));
+        let q = repetition_vector(&raw.graph).map_err(|e| invalid(e.to_string()))?;
+        if q != raw.repetition {
+            return Err(invalid(format!(
+                "stored repetition vector {} is not the graph's {q}",
+                raw.repetition
+            )));
+        }
+        if !is_strongly_connected(&raw.graph) {
+            return Err(invalid(SdfError::NotStronglyConnected.to_string()));
+        }
+        if !raw.isolation_period.is_positive() {
+            return Err(invalid(format!(
+                "isolation period {} is not positive",
+                raw.isolation_period
+            )));
+        }
+        Ok(Application {
+            name: raw.name,
+            graph: raw.graph,
+            repetition: raw.repetition,
+            isolation_period: raw.isolation_period,
+        })
+    }
 }
 
 impl Application {
@@ -69,12 +116,11 @@ impl Application {
         name: impl Into<String>,
         graph: SdfGraph,
     ) -> Result<Application, crate::PlatformError> {
-        let repetition = repetition_vector(&graph).map_err(crate::PlatformError::Graph)?;
         let analysis = analyze_period(&graph).map_err(crate::PlatformError::Graph)?;
         Ok(Application {
             name: name.into(),
             graph,
-            repetition,
+            repetition: analysis.repetition_vector,
             isolation_period: analysis.period,
         })
     }
@@ -106,14 +152,26 @@ impl Application {
     }
 
     /// Re-analyzes the application with replaced execution times (the
-    /// estimator's response-time inflation step) and returns the resulting
-    /// period.
+    /// estimator's response-time inflation step, and every admission
+    /// prediction) and returns the resulting period.
+    ///
+    /// The exploration starts straight from the stored repetition vector:
+    /// no graph copy, and no repetition-vector or strong-connectivity
+    /// recomputation (see [`sdf::period_with_times`]). That trust is sound
+    /// because every `Application` has passed those checks — in
+    /// [`Application::new`], or when it was deserialized — and neither
+    /// fact depends on execution times.
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures as [`SdfError`].
+    /// * [`SdfError::NonPositiveExecutionTime`] if some time is `<= 0`;
+    /// * other analysis failures (deadlock, exhausted step budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times.len()` differs from the actor count.
     pub fn period_with_times(&self, times: &[Rational]) -> Result<Rational, SdfError> {
-        sdf::period(&self.graph.with_execution_times(times))
+        sdf::period_with_times(&self.graph, times, &self.repetition)
     }
 }
 
@@ -160,5 +218,69 @@ mod tests {
     fn app_id_display() {
         assert_eq!(AppId(4).to_string(), "app#4");
         assert_eq!(AppId::from(2).index(), 2);
+    }
+
+    #[test]
+    fn period_with_times_rejects_non_positive_times_typed() {
+        let (a, _) = figure2_graphs();
+        let app = Application::new("A", a).unwrap();
+        assert_eq!(
+            app.period_with_times(&[Rational::integer(-5), Rational::ONE, Rational::ONE])
+                .unwrap_err(),
+            SdfError::NonPositiveExecutionTime(sdf::ActorId(0))
+        );
+    }
+
+    #[test]
+    fn decoding_checks_what_period_with_times_trusts() {
+        use serde::Value;
+        let (a, _) = figure2_graphs();
+        let app = Application::new("A", a).unwrap();
+        let tree = serde::to_value(&app);
+        assert_eq!(serde::from_value::<Application>(&tree), Ok(app.clone()));
+        let with = |key: &str, value: Value| {
+            let mut tree = tree.clone();
+            if let Value::Object(fields) = &mut tree {
+                for (k, v) in fields.iter_mut() {
+                    if k == key {
+                        *v = value.clone();
+                    }
+                }
+            }
+            serde::from_value::<Application>(&tree)
+                .expect_err("invalid application decoded")
+                .to_string()
+        };
+
+        let mut wrong_q = Value::object();
+        wrong_q.insert("entries", serde::to_value(&vec![2u64, 4, 2]));
+        let err = with("repetition", wrong_q);
+        assert!(err.contains("repetition vector [2, 4, 2]"), "{err}");
+
+        for period in [Rational::ZERO, Rational::integer(-300)] {
+            let err = with("isolation_period", serde::to_value(&period));
+            assert!(err.contains("not positive"), "{err}");
+        }
+
+        // Consistent and live, but y never feeds back into x.
+        let mut b = sdf::SdfGraphBuilder::new("open");
+        let x = b.actor("x", 1);
+        let y = b.actor("y", 1);
+        b.self_loop(x, 1);
+        b.self_loop(y, 1);
+        b.channel(x, y, 1, 1, 0).unwrap();
+        let open = b.build().unwrap();
+        let mut tree = serde::to_value(&app);
+        if let Value::Object(fields) = &mut tree {
+            for (k, v) in fields.iter_mut() {
+                match k.as_str() {
+                    "graph" => *v = serde::to_value(&open),
+                    "repetition" => *v = serde::to_value(&repetition_vector(&open).unwrap()),
+                    _ => {}
+                }
+            }
+        }
+        let err = serde::from_value::<Application>(&tree).expect_err("open graph decoded");
+        assert!(err.to_string().contains("not strongly connected"), "{err}");
     }
 }

@@ -118,11 +118,11 @@ impl Mapping {
         }
     }
 
-    /// Whether the pair has an assignment (always true for
-    /// [`Mapping::ByActorIndex`]).
+    /// Whether the pair has an assignment (true for every pair of a
+    /// [`Mapping::ByActorIndex`] with at least one node).
     pub fn is_mapped(&self, app: AppId, actor: ActorId) -> bool {
         match self {
-            Mapping::ByActorIndex { .. } => true,
+            Mapping::ByActorIndex { node_count } => *node_count > 0,
             Mapping::Explicit { table } => table.contains_key(&(app, actor)),
         }
     }
@@ -133,7 +133,11 @@ impl Mapping {
     pub fn node_count(&self) -> usize {
         match self {
             Mapping::ByActorIndex { node_count } => *node_count,
-            Mapping::Explicit { table } => table.values().map(|n| n.index() + 1).max().unwrap_or(0),
+            Mapping::Explicit { table } => table
+                .values()
+                .map(|n| n.index().saturating_add(1))
+                .max()
+                .unwrap_or(0),
         }
     }
 }
@@ -165,6 +169,16 @@ mod tests {
         assert_eq!(m.node_of(AppId(1), ActorId(0)), NodeId(5));
         assert_eq!(m.node_count(), 6);
         assert!(!m.is_mapped(AppId(2), ActorId(2)));
+    }
+
+    #[test]
+    fn node_count_saturates_at_the_largest_index() {
+        // A decoded explicit mapping may name any index; counting nodes
+        // past it must not overflow.
+        let mut m = Mapping::explicit();
+        m.assign(AppId(0), ActorId(0), NodeId(usize::MAX));
+        assert_eq!(m.node_count(), usize::MAX);
+        assert!(!Mapping::ByActorIndex { node_count: 0 }.is_mapped(AppId(0), ActorId(0)));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::application::{AppId, Application};
 use crate::mapping::{Mapping, NodeId};
 use crate::usecase::UseCase;
 use sdf::{ActorId, SdfError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::fmt;
 
 /// Errors produced while assembling or querying a [`SystemSpec`].
@@ -58,12 +58,38 @@ impl From<SdfError> for PlatformError {
 
 /// A validated multiprocessor system: applications plus a total mapping.
 ///
-/// See the [crate documentation](crate) for an example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// See the [crate documentation](crate) for an example. Deserialization
+/// runs the [builder](SystemSpecBuilder::build)'s checks, and the stored
+/// `node_count` must be the one the mapping implies.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SystemSpec {
     applications: Vec<Application>,
     mapping: Mapping,
     node_count: usize,
+}
+
+impl Deserialize for SystemSpec {
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            applications: Vec<Application>,
+            mapping: Mapping,
+            node_count: usize,
+        }
+        let raw = Raw::deserialize(d)?;
+        let spec = SystemSpec::builder()
+            .applications(raw.applications)
+            .mapping(raw.mapping)
+            .build()
+            .map_err(|e| serde::Error(format!("invalid system spec: {e}")))?;
+        if spec.node_count != raw.node_count {
+            return Err(serde::Error(format!(
+                "invalid system spec: node_count {} but the mapping uses {}",
+                raw.node_count, spec.node_count
+            )));
+        }
+        Ok(spec)
+    }
 }
 
 impl SystemSpec {
@@ -306,5 +332,38 @@ mod tests {
         assert!(e.to_string().contains("deadlock"));
         assert!(e.source().is_some());
         assert!(PlatformError::NoMapping.source().is_none());
+    }
+
+    #[test]
+    fn decoding_runs_the_builder_checks() {
+        use serde::Value;
+        let spec = figure2_spec();
+        let tree = serde::to_value(&spec);
+        assert_eq!(serde::from_value::<SystemSpec>(&tree), Ok(spec));
+        let with = |key: &str, value: Value| {
+            let mut tree = tree.clone();
+            if let Value::Object(fields) = &mut tree {
+                for (k, v) in fields.iter_mut() {
+                    if k == key {
+                        *v = value.clone();
+                    }
+                }
+            }
+            serde::from_value::<SystemSpec>(&tree)
+                .expect_err("invalid spec decoded")
+                .to_string()
+        };
+        let err = with("applications", Value::Array(Vec::new()));
+        assert!(err.contains("no applications"), "{err}");
+        let err = with("node_count", Value::Int(7));
+        assert!(err.contains("node_count 7"), "{err}");
+        // A zero-node mapping maps no actor (its `node_of` would divide by
+        // zero).
+        let mut zero = Value::object();
+        let mut nodes = Value::object();
+        nodes.insert("node_count", Value::Int(0));
+        zero.insert("ByActorIndex", nodes);
+        let err = with("mapping", zero);
+        assert!(err.contains("not mapped"), "{err}");
     }
 }

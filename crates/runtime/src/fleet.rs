@@ -58,7 +58,7 @@ use crate::journal::{
 use crate::service::AdmissionDecision;
 use crate::telemetry::TraceRecorder;
 use crate::wal::{CheckpointGroup, CheckpointResident, FleetCheckpoint};
-use contention::{AdmissionController, AdmissionOutcome, ContentionError, Violation};
+use contention::{AdmissionController, ContentionError, Decision, KernelCounters, Violation};
 use platform::{AppId, Application, NodeId, SystemSpec};
 use sdf::Rational;
 use std::collections::BTreeMap;
@@ -435,6 +435,8 @@ impl GroupRuntime {
     /// Decides one admission of `app` (an instance of the spec's
     /// application `app_index`) on its shard without waiting: a shard at
     /// capacity answers [`ShardDecision::Full`] before the analysis runs.
+    /// The controller's [`decide`](AdmissionController::decide) analyses
+    /// only the candidate and the shard's contract holders.
     fn decide(
         &self,
         app_index: usize,
@@ -447,19 +449,16 @@ impl GroupRuntime {
         if ctrl.resident_count() >= self.capacity_per_shard() {
             return Ok(ShardDecision::Full);
         }
-        Ok(match ctrl.admit(app, assignment, required_throughput)? {
-            AdmissionOutcome::Admitted {
+        Ok(match ctrl.decide(app, assignment, required_throughput)? {
+            Decision::Admitted {
                 id,
-                predicted_periods,
+                predicted_period,
             } => ShardDecision::Admitted {
                 shard,
                 app: id,
-                predicted_period: predicted_periods
-                    .get(&id)
-                    .copied()
-                    .unwrap_or(Rational::ZERO),
+                predicted_period,
             },
-            AdmissionOutcome::Rejected { violations } => ShardDecision::Rejected(violations),
+            Decision::Rejected { violations } => ShardDecision::Rejected(violations),
         })
     }
 
@@ -1027,6 +1026,17 @@ impl FleetManager {
             }),
             Err(_) => None,
         }
+    }
+
+    /// What the decision kernel has cost so far: period analyses run and
+    /// contract-free residents skipped, summed over every shard of every
+    /// group (retired ones included).
+    pub fn kernel_counters(&self) -> KernelCounters {
+        let groups = self.inner.groups_snapshot();
+        groups
+            .iter()
+            .flat_map(|g| g.shards.iter().map(|s| lock(s).kernel_counters()))
+            .sum()
     }
 
     /// Point-in-time utilisation/outcome summary of the whole fleet.
@@ -1935,6 +1945,57 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(matches!(events[1], DecisionEvent::Release { resident: 0 }));
         assert_eq!(f.snapshot().released, 1);
+    }
+
+    #[test]
+    fn kernel_counters_count_what_each_decision_analyses() {
+        // One group, one shard of three: every decided admit analyses the
+        // candidate plus the residents holding a contract, and skips the
+        // rest; a saturated admit analyses nothing.
+        let f = fleet(1, 3, RoutingPolicy::LeastUtilised);
+        let loose = Rational::new(1, 1000);
+        let script = [
+            // (app, contract, admitted?, contract holders, contract-free)
+            (0, None, true, 0, 0),
+            (1, Some(loose), true, 0, 1),
+            // A at its isolation throughput cannot share the nodes.
+            (0, Some(Rational::new(1, 300)), false, 1, 1),
+            (1, None, true, 1, 1),
+        ];
+        let (mut analyses, mut skipped) = (0, 0);
+        for (app, contract, admits, holders, free) in script {
+            let mut request = AdmissionRequest::new(app);
+            if let Some(required) = contract {
+                request = request.with_contract(required);
+            }
+            assert_eq!(
+                f.admit(&request).unwrap().is_admitted(),
+                admits,
+                "{request:?}"
+            );
+            analyses += 1 + holders;
+            skipped += free;
+            assert_eq!(
+                f.kernel_counters(),
+                KernelCounters {
+                    period_analyses: analyses,
+                    contract_free_skipped: skipped
+                }
+            );
+        }
+        let full = f.admit(&AdmissionRequest::new(0)).unwrap();
+        assert!(!full.is_admitted());
+        assert_eq!(f.snapshot().saturated, 1);
+
+        // The fleet layer carries both sums, and Prometheus renders them.
+        let snapshot = AdmissionService::snapshot(&f);
+        assert_eq!(snapshot.counter("fleet", "period_analyses"), Some(6));
+        assert_eq!(snapshot.counter("fleet", "contract_free_skipped"), Some(3));
+        let prometheus = AdmissionService::telemetry(&f).render_prometheus();
+        assert!(
+            prometheus.contains("probcon_layer{layer=\"fleet\",metric=\"period_analyses\"} 6"),
+            "{prometheus}"
+        );
     }
 
     #[test]

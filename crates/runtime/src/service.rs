@@ -729,6 +729,7 @@ impl AdmissionService for FleetManager {
 
     fn snapshot(&self) -> ServiceSnapshot {
         let snapshot = FleetManager::snapshot(self);
+        let kernel = self.kernel_counters();
         ServiceSnapshot {
             residents: snapshot.residents,
             capacity: snapshot.capacity,
@@ -741,7 +742,9 @@ impl AdmissionService for FleetManager {
                 .counter("rebalances", snapshot.rebalances)
                 .counter("resizes", snapshot.resizes)
                 .counter("resize_refusals", snapshot.resize_refusals)
-                .counter("journal_entries", self.journal().len() as u64)],
+                .counter("journal_entries", self.journal().len() as u64)
+                .counter("period_analyses", kernel.period_analyses)
+                .counter("contract_free_skipped", kernel.contract_free_skipped)],
         }
     }
 

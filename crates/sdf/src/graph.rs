@@ -33,7 +33,7 @@
 //! ```
 
 use crate::rational::Rational;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::fmt;
 
 /// Identifier of an actor within one [`SdfGraph`].
@@ -187,6 +187,9 @@ pub enum SdfError {
         /// Steps executed before giving up.
         steps: u64,
     },
+    /// The graph's rates are so far apart that an exact result (its
+    /// repetition vector) does not fit the integer arithmetic.
+    Overflow,
 }
 
 impl fmt::Display for SdfError {
@@ -208,6 +211,7 @@ impl fmt::Display for SdfError {
             SdfError::BudgetExhausted { steps } => {
                 write!(f, "analysis budget exhausted after {steps} steps")
             }
+            SdfError::Overflow => write!(f, "graph rates overflow exact arithmetic"),
         }
     }
 }
@@ -217,8 +221,11 @@ impl std::error::Error for SdfError {}
 /// An immutable, validated Synchronous Data Flow graph.
 ///
 /// Construct through [`SdfGraphBuilder`]. See the [module-level
-/// documentation](self) for an example.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// documentation](self) for an example. Deserialization goes through the
+/// builder too, so a decoded graph passes the same checks, and its
+/// serialized `outgoing`/`incoming` adjacency must be the one its channels
+/// imply.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SdfGraph {
     name: String,
     actors: Vec<Actor>,
@@ -227,6 +234,37 @@ pub struct SdfGraph {
     outgoing: Vec<Vec<ChannelId>>,
     /// incoming[a] = channel ids with dst == a
     incoming: Vec<Vec<ChannelId>>,
+}
+
+impl Deserialize for SdfGraph {
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            name: String,
+            actors: Vec<Actor>,
+            channels: Vec<Channel>,
+            outgoing: Vec<Vec<ChannelId>>,
+            incoming: Vec<Vec<ChannelId>>,
+        }
+        let raw = Raw::deserialize(d)?;
+        let invalid = |e: SdfError| serde::Error(format!("invalid graph: {e}"));
+        let mut b = SdfGraphBuilder::new(raw.name);
+        for actor in raw.actors {
+            b.actor_rational(actor.name, actor.execution_time);
+        }
+        for c in raw.channels {
+            b.channel(c.src, c.dst, c.production, c.consumption, c.initial_tokens)
+                .map_err(invalid)?;
+        }
+        let graph = b.build().map_err(invalid)?;
+        if graph.outgoing != raw.outgoing || graph.incoming != raw.incoming {
+            return Err(serde::Error(format!(
+                "invalid graph: the adjacency of `{}` disagrees with its channels",
+                graph.name
+            )));
+        }
+        Ok(graph)
+    }
 }
 
 impl SdfGraph {
@@ -623,5 +661,52 @@ mod tests {
     fn error_is_std_error() {
         fn assert_err<E: std::error::Error + Send + Sync + 'static>() {}
         assert_err::<SdfError>();
+    }
+
+    /// The value under `key` of an encoded object.
+    fn field<'a>(object: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+        let serde::Value::Object(fields) = object else {
+            panic!("not an object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1
+    }
+
+    /// Element `i` of an encoded array.
+    fn item(array: &mut serde::Value, i: usize) -> &mut serde::Value {
+        let serde::Value::Array(items) = array else {
+            panic!("not an array")
+        };
+        &mut items[i]
+    }
+
+    #[test]
+    fn decoding_goes_through_the_builder() {
+        use serde::Value;
+        let (a, _) = figure2_graphs();
+        let tree = serde::to_value(&a);
+        assert_eq!(serde::from_value::<SdfGraph>(&tree), Ok(a));
+        let rejects = |tree: Value, why: &str| {
+            let err = serde::from_value::<SdfGraph>(&tree).expect_err(why);
+            assert!(err.to_string().contains(why), "{err}");
+        };
+
+        let mut edited = tree.clone();
+        *item(item(field(&mut edited, "incoming"), 0), 0) = Value::Int(99);
+        rejects(edited, "adjacency");
+
+        let mut edited = tree.clone();
+        *field(item(field(&mut edited, "channels"), 0), "src") = Value::Int(42);
+        rejects(edited, "unknown actor");
+
+        let mut edited = tree.clone();
+        *field(item(field(&mut edited, "actors"), 1), "execution_time") =
+            serde::to_value(&Rational::integer(-5));
+        rejects(edited, "not positive");
+
+        let mut edited = tree;
+        for key in ["actors", "channels"] {
+            *field(&mut edited, key) = Value::Array(Vec::new());
+        }
+        rejects(edited, "no actors");
     }
 }

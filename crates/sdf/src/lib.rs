@@ -63,6 +63,6 @@ pub use mcm::maximum_cycle_ratio;
 pub use rational::Rational;
 pub use repetition::{is_consistent, repetition_vector, RepetitionVector};
 pub use state_space::{
-    analyze_period, analyze_period_with, period, AnalysisOptions, PeriodAnalysis,
+    analyze_period, analyze_period_with, period, period_with_times, AnalysisOptions, PeriodAnalysis,
 };
 pub use topology::{is_strongly_connected, reachable_from, strongly_connected_components};

@@ -20,7 +20,7 @@
 //! assert!(half > third);
 //! ```
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -33,6 +33,11 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// * numerator and denominator are coprime,
 /// * zero is represented as `0/1`.
 ///
+/// Deserialization holds decoded values to the same invariants: a
+/// `{"numer", "denom"}` pair that breaks one, or whose numerator is
+/// `i128::MIN` (which has no negation), is a typed error, never a value
+/// that compares or prints wrongly.
+///
 /// # Examples
 ///
 /// ```
@@ -42,10 +47,28 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(p.numer(), 1);
 /// assert_eq!(p.denom(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Rational {
     numer: i128,
     denom: i128,
+}
+
+impl Deserialize for Rational {
+    fn deserialize<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            numer: i128,
+            denom: i128,
+        }
+        let Raw { numer, denom } = Raw::deserialize(d)?;
+        if denom > 0 && numer != i128::MIN && coprime(numer.unsigned_abs(), denom.unsigned_abs()) {
+            Ok(Rational { numer, denom })
+        } else {
+            Err(serde::Error(format!(
+                "rational {numer}/{denom} is not in lowest terms over a positive denominator"
+            )))
+        }
+    }
 }
 
 /// Zero constant (`0/1`).
@@ -53,7 +76,33 @@ pub const ZERO: Rational = Rational { numer: 0, denom: 1 };
 /// One constant (`1/1`).
 pub const ONE: Rational = Rational { numer: 1, denom: 1 };
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
+/// Whether `gcd(a, b) == 1` (so `0` is coprime only to `1`). Binary gcd
+/// on `u64` when both fit, which is every decoded value in practice.
+fn coprime(a: u128, b: u128) -> bool {
+    let (Ok(mut a), Ok(mut b)) = (u64::try_from(a), u64::try_from(b)) else {
+        return gcd(a as i128, b as i128) == 1;
+    };
+    if a == 0 || b == 0 {
+        return a | b == 1;
+    }
+    if (a | b) & 1 == 0 {
+        return false;
+    }
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a == 1;
+        }
+    }
+}
+
+/// Greatest common divisor of `|a|` and `|b|` (`gcd(0, 0) = 0`).
+pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
     a = a.abs();
     b = b.abs();
     while b != 0 {
@@ -622,5 +671,57 @@ mod tests {
         let b = Rational::new(1, 2);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
+    }
+
+    #[test]
+    fn coprime_fast_and_wide_paths() {
+        for (a, b, want) in [
+            (0, 1, true),
+            (1, 0, true),
+            (0, 2, false),
+            (0, 0, false),
+            (2, 4, false),
+            (3, 4, true),
+            (6, 9, false),
+            (1, 1_000_000, true),
+            (u64::MAX as u128, u64::MAX as u128 - 1, true),
+            (1 << 70, 3, true),
+            (1 << 70, 6, false),
+            (3 * (1 << 80), 9, false),
+        ] {
+            assert_eq!(coprime(a, b), want, "{a}/{b}");
+        }
+    }
+
+    #[test]
+    fn decoding_enforces_the_invariants() {
+        use serde::Value;
+        let raw = |n: i128, d: i128| {
+            let mut v = Value::object();
+            v.insert("numer", Value::Int(n));
+            v.insert("denom", Value::Int(d));
+            serde::from_value::<Rational>(&v)
+        };
+        for r in [
+            Rational::new(-1, 1_000_000),
+            ZERO,
+            ONE,
+            Rational::new(50, 3),
+        ] {
+            assert_eq!(serde::from_value::<Rational>(&serde::to_value(&r)), Ok(r));
+        }
+        assert_eq!(raw(i128::MAX, 1), Ok(Rational::integer(i128::MAX)));
+        for (n, d) in [
+            (-1, -1_000_000),
+            (1, 0),
+            (0, 0),
+            (2, 4),
+            (0, 5),
+            (3, -1),
+            (i128::MIN, 1),
+        ] {
+            let err = raw(n, d).expect_err("not canonical");
+            assert!(err.to_string().contains("lowest terms"), "{n}/{d}: {err}");
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! ```
 
 use crate::graph::{ActorId, ChannelId, SdfError, SdfGraph};
-use crate::rational::Rational;
+use crate::rational::{gcd, Rational};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -98,25 +98,15 @@ impl std::ops::Index<ActorId> for RepetitionVector {
     }
 }
 
-fn lcm(a: i128, b: i128) -> i128 {
-    fn gcd(mut a: i128, mut b: i128) -> i128 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-    a / gcd(a, b) * b
-}
-
 /// Computes the minimal repetition vector of `graph`.
 ///
 /// # Errors
 ///
 /// Returns [`SdfError::Inconsistent`] if the balance equations admit no
-/// positive solution. Disconnected graphs are solved per connected component
-/// (each component is scaled independently to its minimal solution).
+/// positive solution, and [`SdfError::Overflow`] if the rates are so far
+/// apart that the solution does not fit the exact arithmetic. Disconnected
+/// graphs are solved per connected component (each component is scaled
+/// independently to its minimal solution).
 ///
 /// # Examples
 ///
@@ -163,7 +153,12 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
                 };
             for &cid in graph.outgoing(a) {
                 let c = graph.channel(cid);
-                let expected = ra * Rational::new(c.production() as i128, c.consumption() as i128);
+                let expected = ra
+                    .checked_mul(Rational::new(
+                        c.production() as i128,
+                        c.consumption() as i128,
+                    ))
+                    .ok_or(SdfError::Overflow)?;
                 if c.is_self_loop() {
                     if c.production() != c.consumption() {
                         return Err(SdfError::Inconsistent { channel: cid });
@@ -177,38 +172,39 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
                 if c.is_self_loop() {
                     continue;
                 }
-                let expected = ra * Rational::new(c.consumption() as i128, c.production() as i128);
+                let expected = ra
+                    .checked_mul(Rational::new(
+                        c.consumption() as i128,
+                        c.production() as i128,
+                    ))
+                    .ok_or(SdfError::Overflow)?;
                 visit(c.src(), expected, cid)?;
             }
         }
 
         // Scale this component to the smallest positive integer vector.
-        let denom_lcm = component
-            .iter()
-            .map(|a| ratio[a.0].expect("component actors have ratios").denom())
-            .fold(1i128, lcm);
+        let mut denom_lcm = 1i128;
+        for a in &component {
+            let d = ratio[a.0].expect("component actors have ratios").denom();
+            denom_lcm = (denom_lcm / gcd(denom_lcm, d))
+                .checked_mul(d)
+                .ok_or(SdfError::Overflow)?;
+        }
+        let scaled = |r: Rational| {
+            r.numer()
+                .checked_mul(denom_lcm / r.denom())
+                .ok_or(SdfError::Overflow)
+        };
         let mut numer_gcd = 0i128;
         for a in &component {
-            let r = ratio[a.0].expect("component actors have ratios");
-            let scaled = r.numer() * (denom_lcm / r.denom());
-            numer_gcd = {
-                fn gcd(mut a: i128, mut b: i128) -> i128 {
-                    a = a.abs();
-                    b = b.abs();
-                    while b != 0 {
-                        let t = a % b;
-                        a = b;
-                        b = t;
-                    }
-                    a
-                }
-                gcd(numer_gcd, scaled)
-            };
+            numer_gcd = gcd(
+                numer_gcd,
+                scaled(ratio[a.0].expect("component actors have ratios"))?,
+            );
         }
         for a in &component {
             let r = ratio[a.0].expect("component actors have ratios");
-            let scaled = r.numer() * (denom_lcm / r.denom()) / numer_gcd;
-            ratio[a.0] = Some(Rational::integer(scaled));
+            ratio[a.0] = Some(Rational::integer(scaled(r)? / numer_gcd));
         }
     }
 
@@ -216,7 +212,7 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
     for r in ratio {
         let r = r.expect("all actors visited");
         debug_assert!(r.is_integer() && r.is_positive());
-        entries.push(r.numer() as u64);
+        entries.push(u64::try_from(r.numer()).map_err(|_| SdfError::Overflow)?);
     }
     Ok(RepetitionVector { entries })
 }
@@ -322,5 +318,20 @@ mod tests {
         assert_eq!(q.to_string(), "[1, 2, 1]");
         let pairs: Vec<_> = q.iter().collect();
         assert_eq!(pairs[1], (ActorId(1), 2));
+    }
+
+    #[test]
+    fn rates_too_far_apart_overflow_typed() {
+        // Each channel multiplies the firing ratio by 2^40: four of them
+        // need 2^160 firings, past i128. A typed error, not a panic.
+        let mut b = SdfGraphBuilder::new("g");
+        let actors: Vec<ActorId> = (0..5).map(|i| b.actor(format!("a{i}"), 1)).collect();
+        for pair in actors.windows(2) {
+            b.channel(pair[0], pair[1], 1 << 40, 1, 0).unwrap();
+        }
+        assert_eq!(
+            repetition_vector(&b.build().unwrap()).unwrap_err(),
+            SdfError::Overflow
+        );
     }
 }

@@ -110,8 +110,9 @@ impl ExecState {
             .all(|&cid| self.tokens[cid.index()] >= graph.channel(cid).consumption())
     }
 
-    /// Starts every enabled firing (repeatedly, until fixpoint).
-    fn start_enabled(&mut self, graph: &SdfGraph) {
+    /// Starts every enabled firing (repeatedly, until fixpoint); a firing
+    /// of actor `a` takes `times[a]`.
+    fn start_enabled(&mut self, graph: &SdfGraph, times: &[Rational]) {
         loop {
             let mut any = false;
             for a in graph.actor_ids() {
@@ -119,7 +120,7 @@ impl ExecState {
                     for &cid in graph.incoming(a) {
                         self.tokens[cid.index()] -= graph.channel(cid).consumption();
                     }
-                    let rem = graph.execution_time(a);
+                    let rem = times[a.0];
                     let list = &mut self.active[a.0];
                     let pos = list.partition_point(|r| *r <= rem);
                     list.insert(pos, rem);
@@ -189,6 +190,10 @@ pub fn analyze_period(graph: &SdfGraph) -> Result<PeriodAnalysis, SdfError> {
 
 /// Computes the exact self-timed period with explicit [`AnalysisOptions`].
 ///
+/// Checks the graph (consistency, and strong connectivity unless the
+/// options waive it), then runs the same exploration as
+/// [`period_with_times`] at the graph's own execution times.
+///
 /// # Errors
 ///
 /// See [`analyze_period`].
@@ -200,7 +205,71 @@ pub fn analyze_period_with(
     if options.require_strongly_connected && !is_strongly_connected(graph) {
         return Err(SdfError::NotStronglyConnected);
     }
+    let times: Vec<Rational> = graph.actors().map(|(_, a)| a.execution_time()).collect();
+    explore(graph, &times, q, options.max_steps)
+}
 
+/// The exact self-timed period of `graph` when a firing of actor `a` takes
+/// `times[a]`, explored from the graph's known `repetition` vector with the
+/// default step budget.
+///
+/// This is [`analyze_period`] without its graph checks and without the
+/// graph copy [`SdfGraph::with_execution_times`] makes: it trusts the
+/// caller that `repetition` is `repetition_vector(graph)` and that `graph`
+/// is strongly connected, the two facts that bound the exploration.
+/// Execution times do not enter either fact, so a graph checked once at
+/// its own times can be analysed at any positive times without checking
+/// it again — `platform::Application` holds such a graph. On a graph that
+/// breaks the trust the answer is meaningless, but the step budget still
+/// bounds the exploration.
+///
+/// # Errors
+///
+/// * [`SdfError::NonPositiveExecutionTime`] — some `times[a]` is `<= 0`.
+/// * [`SdfError::Deadlocked`] — execution stops before completing an
+///   iteration.
+/// * [`SdfError::BudgetExhausted`] — the default step budget was exceeded.
+///
+/// # Panics
+///
+/// Panics if `times.len() != graph.actor_count()`, or if `repetition` has
+/// no positive entry for actor 0.
+///
+/// # Examples
+///
+/// ```
+/// use sdf::{figure2_graphs, period_with_times, repetition_vector, Rational};
+/// let (a, _) = figure2_graphs();
+/// let q = repetition_vector(&a)?;
+/// let times = [Rational::new(325, 3), Rational::new(200, 3), Rational::new(350, 3)];
+/// assert_eq!(period_with_times(&a, &times, &q)?, Rational::new(1075, 3));
+/// # Ok::<(), sdf::SdfError>(())
+/// ```
+pub fn period_with_times(
+    graph: &SdfGraph,
+    times: &[Rational],
+    repetition: &RepetitionVector,
+) -> Result<Rational, SdfError> {
+    assert_eq!(
+        times.len(),
+        graph.actor_count(),
+        "one execution time per actor required"
+    );
+    if let Some(a) = times.iter().position(|t| !t.is_positive()) {
+        return Err(SdfError::NonPositiveExecutionTime(ActorId(a)));
+    }
+    let max_steps = AnalysisOptions::default().max_steps;
+    Ok(explore(graph, times, repetition.clone(), max_steps)?.period)
+}
+
+/// Executes `graph` self-timed, a firing of actor `a` taking `times[a]`,
+/// until a state recurs; `q` is the graph's repetition vector.
+fn explore(
+    graph: &SdfGraph,
+    times: &[Rational],
+    q: RepetitionVector,
+    max_steps: u64,
+) -> Result<PeriodAnalysis, SdfError> {
     // Reference actor for iteration counting: actor 0.
     let q_ref = q.get(ActorId(0));
 
@@ -213,10 +282,10 @@ pub fn analyze_period_with(
     // Recurrence detection: state -> (time, completions of reference actor).
     let mut seen: HashMap<ExecState, (Rational, u64)> = HashMap::new();
 
-    state.start_enabled(graph);
+    state.start_enabled(graph, times);
 
     loop {
-        if steps >= options.max_steps {
+        if steps >= max_steps {
             return Err(SdfError::BudgetExhausted { steps });
         }
         steps += 1;
@@ -257,7 +326,7 @@ pub fn analyze_period_with(
         for (m, &t) in max_occupancy.iter_mut().zip(&state.tokens) {
             *m = (*m).max(t);
         }
-        state.start_enabled(graph);
+        state.start_enabled(graph, times);
 
         if state.is_idle() && state.next_completion().is_none() {
             // No active firing and nothing became enabled: deadlock.
@@ -436,5 +505,38 @@ mod tests {
             r.cycle_length
         );
         assert_eq!(r.throughput(), r.period.recip());
+    }
+
+    #[test]
+    fn period_with_times_matches_the_checked_analysis() {
+        let (a, _) = figure2_graphs();
+        let q = repetition_vector(&a).unwrap();
+        let times = [
+            Rational::new(325, 3),
+            Rational::new(200, 3),
+            Rational::new(350, 3),
+        ];
+        assert_eq!(
+            period_with_times(&a, &times, &q).unwrap(),
+            period(&a.with_execution_times(&times)).unwrap()
+        );
+        // At the graph's own times it is the isolation period.
+        let own: Vec<Rational> = a.actor_ids().map(|x| a.execution_time(x)).collect();
+        assert_eq!(
+            period_with_times(&a, &own, &q).unwrap(),
+            Rational::integer(300)
+        );
+    }
+
+    #[test]
+    fn period_with_times_rejects_non_positive_times_typed() {
+        let (a, _) = figure2_graphs();
+        let q = repetition_vector(&a).unwrap();
+        for bad in [Rational::ZERO, Rational::integer(-5)] {
+            assert_eq!(
+                period_with_times(&a, &[Rational::ONE, bad, Rational::ONE], &q).unwrap_err(),
+                SdfError::NonPositiveExecutionTime(ActorId(1))
+            );
+        }
     }
 }

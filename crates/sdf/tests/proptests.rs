@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use sdf::{
     analyze_period, buffer_requirements, generate_graph, is_live, is_strongly_connected,
-    iteration_latency, maximum_cycle_ratio, repetition_vector, GeneratorConfig, HsdfGraph,
-    Rational,
+    iteration_latency, maximum_cycle_ratio, period_with_times, repetition_vector, GeneratorConfig,
+    HsdfGraph, Rational,
 };
 
 fn small_config() -> impl Strategy<Value = GeneratorConfig> {
@@ -115,6 +115,34 @@ proptest! {
             .expect("analyzes")
             .period;
         prop_assert_eq!(scaled, base * Rational::integer(factor));
+    }
+
+    #[test]
+    fn period_with_times_matches_both_checked_analyses(
+        config in small_config(),
+        seed in 0u64..2_000,
+        waits in prop::collection::vec(0i128..=50 * 2520 * 2520, 6..7),
+    ) {
+        // Inflated times as the contention estimator makes them: each
+        // actor's own time plus a waiting time on the 1/2520² grid.
+        // `platform::Application::period_with_times` is this call on the
+        // application's stored repetition vector.
+        let g = generate_graph(&config, seed);
+        let q = repetition_vector(&g).expect("consistent");
+        let times: Vec<Rational> = g
+            .actor_ids()
+            .zip(&waits)
+            .map(|(a, &w)| g.execution_time(a) + Rational::new(w, 2520 * 2520))
+            .collect();
+        let inflated = g.with_execution_times(&times);
+        let trusted = period_with_times(&g, &times, &q).expect("analyzes");
+        prop_assert_eq!(trusted, analyze_period(&inflated).expect("analyzes").period);
+        // The MCR oracle on the HSDF expansion, where it stays small.
+        if q.total_firings() <= 12 {
+            let mcr = maximum_cycle_ratio(&HsdfGraph::expand(&inflated).expect("expands"))
+                .expect("solves");
+            prop_assert_eq!(trusted, mcr);
+        }
     }
 
     #[test]

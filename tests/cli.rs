@@ -643,6 +643,59 @@ fn analyze_rejects_garbage_file() {
     assert!(!out.status.success());
 }
 
+/// The value under `key` of a JSON object.
+fn field<'a>(object: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+    let serde::Value::Object(fields) = object else {
+        panic!("not an object")
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1
+}
+
+/// Element `i` of a JSON array.
+fn item(array: &mut serde::Value, i: usize) -> &mut serde::Value {
+    let serde::Value::Array(items) = array else {
+        panic!("not an array")
+    };
+    &mut items[i]
+}
+
+/// The execution time of a JSON graph's first actor.
+fn first_time(graph: &mut serde::Value) -> &mut serde::Value {
+    field(item(field(graph, "actors"), 0), "execution_time")
+}
+
+#[test]
+fn analyze_refuses_inconsistent_graph_files_without_panicking() {
+    use serde::Value;
+    let dir = std::env::temp_dir().join(format!("probcon-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let good = dir.join("g.json");
+    let good = good.to_str().expect("utf8 path");
+    let out = probcon(&["generate", "--seed", "7", "--actors", "3", "--out", good]);
+    assert!(out.status.success(), "{out:?}");
+    let tree: Value =
+        serde_json::from_str(&std::fs::read_to_string(good).expect("read")).expect("json");
+    assert!(probcon(&["analyze", good]).status.success());
+
+    for name in ["adjacency", "src", "zero-denominator", "negative-time"] {
+        let mut hostile = tree.clone();
+        match name {
+            "adjacency" => {
+                if let Value::Array(channels) = item(field(&mut hostile, "incoming"), 0) {
+                    channels.push(Value::Int(99));
+                }
+            }
+            "src" => *field(item(field(&mut hostile, "channels"), 0), "src") = Value::Int(42),
+            "zero-denominator" => *field(first_time(&mut hostile), "denom") = Value::Int(0),
+            _ => *field(first_time(&mut hostile), "numer") = Value::Int(-5),
+        }
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, serde_json::to_string(&hostile).expect("encodes")).expect("written");
+        assert_rejected(&["analyze", path.to_str().expect("utf8 path")]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(unix)]
 #[test]
 fn serve_connect_journal_replay_roundtrip_over_uds() {

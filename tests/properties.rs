@@ -851,6 +851,149 @@ proptest! {
     }
 }
 
+/// Applications for the admission lockstep: small generated graphs (3–4
+/// actors, repetition ≤ 2), so a case of a dozen admissions stays cheap in
+/// a debug build.
+fn lockstep_apps() -> Vec<platform::Application> {
+    let config = sdf::GeneratorConfig {
+        min_actors: 3,
+        max_actors: 4,
+        min_repetition: 1,
+        max_repetition: 2,
+        min_execution_time: 5,
+        max_execution_time: 40,
+        extra_channel_fraction: 0.3,
+    };
+    (0..6)
+        .map(|seed| {
+            platform::Application::new(format!("g{seed}"), sdf::generate_graph(&config, seed))
+                .expect("generated graphs are analysable")
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // `decide` is `admit` without the contract-free residents' periods:
+    // two controllers fed the same admit/remove stream, one through each
+    // entry, reach the same decisions, ids, violations and mixes, and the
+    // candidate's period is the one `admit` reports for it.
+    #[test]
+    fn decide_and_admit_decide_alike_in_lockstep(
+        ops in prop::collection::vec((0u8..10, 0usize..6, 0usize..3, 0u8..8), 1..14),
+    ) {
+        use contention::{AdmissionController, AdmissionOutcome, Decision, KernelCounters};
+        use platform::{AppId, NodeId};
+        use std::collections::BTreeMap;
+
+        let apps = lockstep_apps();
+        let mut by_admit = AdmissionController::new();
+        let mut by_decide = AdmissionController::new();
+        let mut contracts: BTreeMap<AppId, Rational> = BTreeMap::new();
+        let mut expect_admit = KernelCounters::default();
+        let mut expect_decide = KernelCounters::default();
+        for (roll, pick, offset, tightness) in ops {
+            let residents: Vec<AppId> = by_admit.resident_ids().collect();
+            if roll >= 7 {
+                if !residents.is_empty() {
+                    let id = residents[pick % residents.len()];
+                    by_admit.remove(id).expect("resident");
+                    by_decide.remove(id).expect("resident");
+                    contracts.remove(&id);
+                }
+                continue;
+            }
+            let app = &apps[pick];
+            // Actor i on node (i + offset) mod 3: the apps share nodes.
+            let assignment: Vec<NodeId> = (0..app.graph().actor_count())
+                .map(|i| NodeId((i + offset) % 3))
+                .collect();
+            // No contract, or 60–100% of the isolation throughput (never
+            // above it, so every admit reaches the analysis).
+            let contract = (tightness >= 3).then(|| {
+                app.isolation_throughput() * Rational::new(i128::from(tightness) + 3, 10)
+            });
+            let holders = contracts.len() as u64;
+            let free = residents.len() as u64 - holders;
+
+            let outcome = by_admit.admit(app.clone(), &assignment, contract).expect("analyses");
+            let decision = by_decide.decide(app.clone(), &assignment, contract).expect("analyses");
+            expect_decide.period_analyses += 1 + holders;
+            expect_decide.contract_free_skipped += free;
+            expect_admit.period_analyses += 1 + holders;
+            match (outcome, decision) {
+                (
+                    AdmissionOutcome::Admitted { id, predicted_periods },
+                    Decision::Admitted { id: decided_id, predicted_period },
+                ) => {
+                    prop_assert_eq!(id, decided_id);
+                    prop_assert_eq!(predicted_periods.get(&id), Some(&predicted_period));
+                    expect_admit.period_analyses += free;
+                    // admit reports every resident, each as it now reads;
+                    // every contract, the new one included, holds.
+                    if let Some(required) = contract {
+                        contracts.insert(id, required);
+                    }
+                    prop_assert_eq!(
+                        predicted_periods.keys().copied().collect::<Vec<_>>(),
+                        by_admit.resident_ids().collect::<Vec<_>>()
+                    );
+                    for (&resident, &period) in &predicted_periods {
+                        prop_assert_eq!(by_admit.predicted_period(resident), Ok(period));
+                        prop_assert_eq!(by_decide.predicted_period(resident), Ok(period));
+                        if let Some(required) = contracts.get(&resident) {
+                            prop_assert!(period.recip() >= *required, "{} breaks its contract", resident);
+                        }
+                    }
+                }
+                (
+                    AdmissionOutcome::Rejected { violations },
+                    Decision::Rejected { violations: decided },
+                ) => {
+                    prop_assert!(!violations.is_empty());
+                    prop_assert_eq!(violations, decided);
+                    expect_admit.contract_free_skipped += free;
+                }
+                (outcome, decision) => {
+                    return Err(TestCaseError::fail(format!(
+                        "admit gave {outcome}, decide gave {decision:?}"
+                    )));
+                }
+            }
+            prop_assert_eq!(
+                by_admit.resident_ids().collect::<Vec<_>>(),
+                by_decide.resident_ids().collect::<Vec<_>>()
+            );
+            for node in 0..3 {
+                prop_assert_eq!(by_admit.node_load(NodeId(node)), by_decide.node_load(NodeId(node)));
+            }
+        }
+        prop_assert_eq!(by_admit.kernel_counters(), expect_admit);
+        prop_assert_eq!(by_decide.kernel_counters(), expect_decide);
+    }
+
+    // The trusted exploration `Application::period_with_times` runs equals
+    // the checked analysis of the inflated graph copy.
+    #[test]
+    fn application_period_with_times_matches_the_checked_analysis(
+        pick in 0usize..6,
+        waits in prop::collection::vec(0i128..=50 * 2520 * 2520, 4..5),
+    ) {
+        let app = &lockstep_apps()[pick];
+        let graph = app.graph();
+        let times: Vec<Rational> = graph
+            .actor_ids()
+            .zip(&waits)
+            .map(|(a, &w)| graph.execution_time(a) + Rational::new(w, 2520 * 2520))
+            .collect();
+        let checked = sdf::analyze_period(&graph.with_execution_times(&times))
+            .expect("analyzes")
+            .period;
+        prop_assert_eq!(app.period_with_times(&times), Ok(checked));
+    }
+}
+
 #[test]
 fn use_case_roundtrip_mask() {
     use platform::{AppId, UseCase};

@@ -14,7 +14,7 @@ use runtime::{
     ServiceError, ServiceSnapshot, WireMode, EVENT_LOOPS, MAX_FRAME, MAX_REQUEST_FRAME,
     REMOTE_PROTOCOL_VERSION,
 };
-use sdf::figure2_graphs;
+use sdf::{figure2_graphs, Rational};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
@@ -338,6 +338,116 @@ fn client_fails_pending_on_malformed_response() {
                 assert!(msg.contains("malformed"), "unexpected reason: {msg}");
             }
             other => panic!("expected transport error, got {other:?}"),
+        }
+    });
+}
+
+/// Sets every `key` field anywhere inside `tree` to `value`.
+fn set_everywhere(tree: &mut serde::Value, key: &str, value: &serde::Value) {
+    match tree {
+        serde::Value::Object(fields) => {
+            for (k, v) in fields.iter_mut() {
+                if k == key {
+                    *v = value.clone();
+                } else {
+                    set_everywhere(v, key, value);
+                }
+            }
+        }
+        serde::Value::Array(items) => {
+            for v in items {
+                set_everywhere(v, key, value);
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn a_non_canonical_contract_is_a_malformed_request_in_both_codecs() {
+    // A contract of 10⁻⁶ sent as -1/-1000000 used to decode as written,
+    // and `Ord` (which assumes a positive denominator) then rejected the
+    // admission. It is malformed: the server answers its typed fault and
+    // closes that connection, deciding and journaling nothing.
+    with_watchdog(|| {
+        let fleet = Arc::new(fleet(1, 2));
+        let server = RemoteServer::bind_with(
+            &"tcp:127.0.0.1:0".parse().expect("addr"),
+            Arc::clone(&fleet) as Arc<dyn AdmissionService>,
+            None,
+            RemoteServerConfig::default(),
+        )
+        .expect("server binds");
+        let mut request = serde::to_value(&WireRequest {
+            id: 5,
+            op: WireOp::Admit(AdmissionRequest::new(0).with_contract(Rational::new(1, 1_000_000))),
+        });
+        let mut hostile = serde::Value::object();
+        hostile.insert("numer", serde::Value::Int(-1));
+        hostile.insert("denom", serde::Value::Int(-1_000_000));
+        set_everywhere(&mut request, "required_throughput", &hostile);
+
+        for wire in [WireMode::Json, WireMode::Binary] {
+            let mut conn = raw_handshaken(&server, Some(wire.name()));
+            conn.write_all(&encode_frame(wire, &request).expect("encodes"))
+                .expect("request frame");
+            let mut reply = Vec::new();
+            conn.read_to_end(&mut reply)
+                .expect("the server closes the connection");
+            let (response, _) = wire
+                .decode::<WireResponse>(&reply, MAX_FRAME)
+                .expect("a well-formed answer")
+                .expect("one whole frame");
+            match response.body {
+                WireBody::Error(WireFault::Transport(msg)) => assert!(
+                    msg.contains("malformed request") && msg.contains("lowest terms"),
+                    "{wire}: {msg}"
+                ),
+                other => panic!("{wire}: expected the malformed-request fault, got {other:?}"),
+            }
+        }
+        let snapshot = fleet.snapshot();
+        assert_eq!(
+            snapshot.admitted + snapshot.rejected + snapshot.saturated,
+            0
+        );
+        assert_eq!(fleet.journal().len(), 0, "nothing may be journaled");
+
+        // The server keeps serving: a second client is decided normally.
+        let client = RemoteClient::connect(server.local_addr()).expect("connects");
+        let decision = client
+            .admit(&AdmissionRequest::new(0).with_contract(Rational::new(1, 1_000_000)))
+            .expect("decides");
+        assert!(decision.is_admitted(), "{decision:?}");
+        client.close();
+        server.shutdown();
+        assert_eq!(server.stats().protocol_errors, 2);
+    });
+}
+
+#[test]
+fn a_server_hello_advertising_an_empty_spec_fails_the_connect() {
+    // `fleet-bench --connect` builds its request stream from the
+    // advertised spec; an empty one used to decode and then divide by
+    // its zero application count.
+    with_watchdog(|| {
+        let addr = fake_server(|mut conn| {
+            consume_client_hello(&mut conn);
+            let hello = format!(
+                "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
+                 \"workload\":{{\"applications\":[],\"mapping\":{{\"ByActorIndex\":\
+                 {{\"node_count\":3}}}},\"node_count\":3}},\"domains\":1}}"
+            );
+            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+            std::thread::sleep(Duration::from_millis(200));
+        });
+        match RemoteClient::connect(&addr) {
+            Err(ServiceError::Transport(msg)) => assert!(
+                msg.contains("malformed server hello") && msg.contains("no applications"),
+                "{msg}"
+            ),
+            Ok(_) => panic!("a hello with an empty spec was accepted"),
+            Err(other) => panic!("expected a transport error, got {other:?}"),
         }
     });
 }

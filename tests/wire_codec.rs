@@ -440,6 +440,47 @@ fn deep_nesting_is_a_typed_error_in_both_codecs() {
     assert!(err.contains("nesting too deep"), "{err}");
 }
 
+#[test]
+fn rationals_decode_only_in_canonical_form_in_both_codecs() {
+    let pair = |numer: i128, denom: i128| {
+        let mut tree = Value::object();
+        tree.insert("numer", Value::Int(numer));
+        tree.insert("denom", Value::Int(denom));
+        tree
+    };
+    for wire in [WireMode::Binary, WireMode::Json] {
+        let decode = |tree: &Value| {
+            let frame = encode_frame(wire, tree).expect("encodes");
+            wire.decode::<Rational>(&frame, MAX_FRAME)
+                .map(|decoded| decoded.expect("complete frame").0)
+        };
+        for r in [
+            Rational::new(1, 1_000_000),
+            Rational::new(-7, 3),
+            Rational::ZERO,
+            Rational::integer(i128::MAX),
+            Rational::new(1, i128::MAX),
+        ] {
+            assert_eq!(decode(&serde::to_value(&r)), Ok(r), "{wire}: {r}");
+        }
+        for (numer, denom) in [
+            (-1, -1_000_000),
+            (1, 0),
+            (0, 0),
+            (0, 7),
+            (6, 4),
+            (5, -1),
+            (i128::MIN, 1),
+        ] {
+            let err = decode(&pair(numer, denom)).expect_err("non-canonical");
+            assert!(
+                err.contains("lowest terms"),
+                "{wire}: {numer}/{denom}: {err}"
+            );
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn random_bytes_never_panic_either_codec(
