@@ -1244,53 +1244,50 @@ impl FleetManager {
         }
     }
 
-    /// Restores every resident of a snapshot checkpoint (in recorded
-    /// admission order) and advances the resident-id counter past the
-    /// checkpoint's. Returns the number of residents restored.
+    /// Restores a snapshot checkpoint: first the group state it records
+    /// (added groups, capacity overrides, retired flags — the starting
+    /// shape, so residents admitted after a grow or onto an added group
+    /// fit back in), then every resident in recorded admission order;
+    /// finally the resident-id counter moves past the checkpoint's. An
+    /// override naming a group this fleet lacks is skipped, and each
+    /// resident on such a group fails on its own.
     ///
-    /// # Errors
-    ///
-    /// Fail-fast [`FleetError::Restore`] on the first resident the current
-    /// shape cannot take back (see
-    /// [`restore_resident`](Self::restore_resident)).
-    pub fn restore(&self, checkpoint: &FleetCheckpoint) -> Result<usize, FleetError> {
-        // Shape overrides first: residents admitted after a grow (or onto
-        // an added group) need the grown shape to fit back in. Retire
-        // flags are applied after capacities so a retired group's recorded
-        // shape still restores exactly.
-        if let Some(shapes) = &checkpoint.groups {
-            let mut ordered: Vec<&CheckpointGroup> = shapes.iter().collect();
-            ordered.sort_by_key(|g| g.group);
-            for shape in ordered {
-                let index = shape.group as usize;
-                if let Some(added) = &shape.added {
-                    if index >= self.group_count() {
-                        self.apply_add_group(index, GroupConfig::from_shape(added))?;
-                    }
-                }
-                let g = self.group(index).map_err(|_| FleetError::Restore {
-                    resident: 0,
-                    reason: format!(
-                        "checkpoint records group {index} the fleet shape does not have"
-                    ),
-                })?;
-                if let Some(capacity) = shape.capacity_per_shard {
-                    g.set_capacity_per_shard(capacity as usize);
-                }
-                if shape.retired {
-                    g.retired.store(true, Ordering::Release);
-                }
+    /// Returns every resident's [`restore_resident`](Self::restore_resident)
+    /// result in that order. Whether a failure is fatal is the caller's
+    /// rule: replay and [`recover`](Self::recover) stop at the first,
+    /// `probcon plan` counts each as a regression.
+    pub fn restore<'c>(
+        &self,
+        checkpoint: &'c FleetCheckpoint,
+    ) -> Vec<(&'c CheckpointResident, Result<(), FleetError>)> {
+        let mut shapes: Vec<&CheckpointGroup> = checkpoint.groups.iter().flatten().collect();
+        shapes.sort_by_key(|g| g.group);
+        for shape in shapes {
+            let index = shape.group as usize;
+            if let Some(added) = &shape.added {
+                // Joins only at the next free index: a fleet that already
+                // has the group keeps its own, one short of it skips it.
+                let _ = self.apply_add_group(index, GroupConfig::from_shape(added));
+            }
+            let Ok(g) = self.group(index) else { continue };
+            if let Some(capacity) = shape.capacity_per_shard {
+                g.set_capacity_per_shard(capacity as usize);
+            }
+            // After the capacity, so a retired group's shape restores too.
+            if shape.retired {
+                g.retired.store(true, Ordering::Release);
             }
         }
-        let mut ordered: Vec<&CheckpointResident> = checkpoint.residents.iter().collect();
-        ordered.sort_by_key(|r| r.admitted_seq);
-        for restored in &ordered {
-            self.restore_resident(restored)?;
-        }
+        let mut residents: Vec<&CheckpointResident> = checkpoint.residents.iter().collect();
+        residents.sort_by_key(|r| r.admitted_seq);
+        let results = residents
+            .into_iter()
+            .map(|r| (r, self.restore_resident(r)))
+            .collect();
         self.inner
             .next_resident
             .fetch_max(checkpoint.next_resident, Ordering::Relaxed);
-        Ok(ordered.len())
+        results
     }
 
     /// Rebuilds a fleet from a journal that already holds history — the
@@ -1317,7 +1314,9 @@ impl FleetManager {
             .map_err(|e| FleetError::Config(format!("journal unreadable: {e}")))?;
         let fleet = FleetManager::with_journal(spec, config, journal)?;
         if let Some(checkpoint) = &checkpoint {
-            fleet.restore(checkpoint)?;
+            for (_, restored) in fleet.restore(checkpoint) {
+                restored?;
+            }
         }
         for entry in &entries {
             match &entry.event {

@@ -15,22 +15,33 @@
 //! outcome-for-outcome equivalence: every recorded admit must admit again
 //! with the *same exact predicted period* (the analysis is deterministic
 //! rational arithmetic), every recorded rejection must reject with the same
-//! violation count, every saturation must saturate, and every rebalance
-//! must land with the recorded period. Because a decision depends only on
+//! violation count, every saturation must saturate, every rebalance must
+//! land from the recorded group with the recorded period, and every resize
+//! must apply or refuse as recorded. Because a decision depends only on
 //! the owning group's resident mix — which is itself fully determined by
 //! the prefix of the journal — sequential replay of the recorded decision
 //! order reproduces every outcome, even for journals recorded under
 //! concurrency.
+//!
+//! Re-execution has one engine, which `probcon plan`
+//! ([`PlanRun`](crate::PlanRun)) drives too: it restores the base snapshot
+//! checkpoint — the group shape it records, then its residents — and
+//! answers each recorded event with the event the fleet journals now.
+//! Replay requires the two to be equal; plan sorts their differences into
+//! flips. So a journal that replays EQUIVALENT plans its recorded shape
+//! with zero flips, snapshot-compacted journals included.
 
 use crate::fleet::{FleetConfig, FleetError, FleetManager};
-use crate::service::{AdmissionDecision, AdmissionRequest, AdmissionService, ServiceError};
+use crate::planner::RouteMode;
+use crate::reexec::{Reexecutor, Undriven};
+use crate::service::ServiceError;
 use crate::wal::{
     CheckpointGroup, CheckpointResident, FleetCheckpoint, WalConfig, WalRecovery, WalStats,
     WalStore,
 };
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -1566,11 +1577,7 @@ pub struct ReplayReport {
     pub matches: usize,
     /// Every mismatch, in sequence order.
     pub divergences: Vec<Divergence>,
-    /// Human-readable outcome of every replayed decision, in order. Two
-    /// replays of the same journal produce identical logs.
-    pub outcome_log: Vec<String>,
-    /// Residents still live when the journal ended (admissions never
-    /// released in the recording).
+    /// Residents live in the replayed fleet when the journal ended.
     pub residents_at_end: usize,
 }
 
@@ -1625,12 +1632,10 @@ impl<'a> JournalReplayer<'a> {
     }
 
     /// Replays `journal` against a fresh fleet built from `config`,
-    /// verifying outcome-for-outcome equivalence. Admissions and releases
-    /// are re-executed through the fleet's
-    /// [`AdmissionService`] implementation — the same unified path every
-    /// caller takes — while rebalances go through the fleet's concrete
-    /// [`move_resident`](FleetManager::move_resident) (rebalancing is a
-    /// fleet operation, not a service one).
+    /// verifying outcome-for-outcome equivalence: the journal's base
+    /// checkpoint is restored, then every entry is re-driven through the
+    /// one re-execution engine on its recorded group, and an entry matches
+    /// when the fleet decides exactly what was recorded.
     ///
     /// Returns the verification report and the replayed fleet (whose own
     /// journal now holds the re-recorded decision stream, and whose metrics
@@ -1640,238 +1645,91 @@ impl<'a> JournalReplayer<'a> {
     ///
     /// # Errors
     ///
-    /// [`FleetError`] if the fleet cannot be built from `config`.
+    /// [`FleetError`] if the fleet cannot be built from `config`, or on
+    /// the first checkpointed resident it cannot restore.
     pub fn replay(
         &self,
         journal: &Journal,
         config: FleetConfig,
     ) -> Result<(ReplayReport, FleetManager), FleetError> {
         let fleet = FleetManager::with_header(self.spec.clone(), config, journal.header().clone())?;
-        let service: &dyn AdmissionService = &fleet;
-        // Recorded resident id -> live replay resident id. Replay ids are
-        // assigned sequentially and may differ from a concurrent
-        // recording's ids, so all bookkeeping goes through this map.
-        let mut live: HashMap<u64, u64> = HashMap::new();
+        let mut engine = Reexecutor::new(&fleet, RouteMode::Recorded);
         let mut report = ReplayReport {
             restored: 0,
             events: 0,
             matches: 0,
             divergences: Vec::new(),
-            outcome_log: Vec::new(),
             residents_at_end: 0,
         };
-
-        // A checkpointed journal starts from its snapshot's fold point:
-        // restore the folded resident state (forced recorded ids, nothing
-        // journaled) and replay only the tail after it.
         if let Some(checkpoint) = journal.base_checkpoint() {
-            fleet.restore(&checkpoint)?;
-            for resident in &checkpoint.residents {
-                live.insert(resident.resident, resident.resident);
+            for (_, restored) in engine.restore(&checkpoint) {
+                restored?;
             }
             report.restored = checkpoint.residents.len();
         }
-
         journal.with_entries(|entries| {
+            report.events = entries.len();
             for entry in entries {
-                report.events += 1;
-                let (expected, got, matched) = match &entry.event {
-                    DecisionEvent::Admit {
-                        group,
-                        app_index,
-                        required_throughput,
-                        outcome,
-                        affinity,
-                    } => replay_admit(
-                        service,
-                        &mut live,
-                        *group,
-                        *app_index,
-                        *required_throughput,
-                        outcome,
-                        affinity.clone(),
-                    ),
-                    DecisionEvent::Release { resident } => {
-                        let expected = format!("release #{resident}");
-                        match live.remove(resident) {
-                            Some(id) => match service.release(id) {
-                                Ok(()) => (expected.clone(), expected, true),
-                                Err(e) => (expected, format!("release failed: {e}"), false),
-                            },
-                            None => (expected, format!("resident #{resident} unknown"), false),
-                        }
-                    }
-                    DecisionEvent::Rebalance {
-                        resident,
-                        from_group,
-                        to_group,
-                        predicted_period,
-                    } => {
-                        let expected = format!(
-                        "rebalance #{resident} {from_group}->{to_group} period {predicted_period}"
-                    );
-                        match live.get(resident) {
-                            Some(&id) => {
-                                // Verify the move's *observed* source group too:
-                                // drifted replay state may host the resident
-                                // somewhere other than the recording did, and an
-                                // equal period from the wrong group is still a
-                                // divergence.
-                                let actual_from = fleet.group_of(id).ok();
-                                match fleet.move_resident(id, *to_group as usize) {
-                                    Ok(period) => {
-                                        let from = actual_from
-                                            .map_or_else(|| "?".to_string(), |g| g.to_string());
-                                        let got = format!(
-                                        "rebalance #{resident} {from}->{to_group} period {period}"
-                                    );
-                                        let matched = period == *predicted_period
-                                            && actual_from == Some(*from_group as usize);
-                                        (expected, got, matched)
-                                    }
-                                    Err(e) => (expected, format!("move failed: {e}"), false),
-                                }
-                            }
-                            None => (expected, format!("resident #{resident} unknown"), false),
-                        }
-                    }
-                    DecisionEvent::Resize { action, outcome } => {
-                        let expected = match outcome {
-                            ScaleOutcome::Applied => format!("resize {action}: applied"),
-                            ScaleOutcome::Refused { reason } => {
-                                format!("resize {action}: refused ({reason})")
-                            }
-                        };
-                        // Re-execute through the fleet's journaled resize
-                        // path: the outcome (applied or the exact refusal)
-                        // is a deterministic function of the resident mix,
-                        // which the replayed prefix reproduces. A recorded
-                        // drain's moves were journaled as Rebalance entries
-                        // *before* its Resize entry, so by now the group is
-                        // already empty and the re-executed drain moves
-                        // nothing.
-                        match fleet.resize(action.clone()) {
-                            Ok(replayed) => {
-                                // An unplaceable-resident refusal names a
-                                // live replay id; translate it back to the
-                                // recording's id before comparing.
-                                let replayed = translate_refusal(replayed, &live);
-                                let got = match &replayed {
-                                    ScaleOutcome::Applied => {
-                                        format!("resize {action}: applied")
-                                    }
-                                    ScaleOutcome::Refused { reason } => {
-                                        format!("resize {action}: refused ({reason})")
-                                    }
-                                };
-                                (expected, got, replayed == *outcome)
-                            }
-                            Err(e) => (expected, format!("resize failed: {e}"), false),
-                        }
-                    }
-                };
-                if matched {
-                    report.matches += 1;
-                } else {
-                    report.divergences.push(Divergence {
+                match engine.drive(&entry.event) {
+                    Ok(replayed) if replayed == entry.event => report.matches += 1,
+                    replayed => report.divergences.push(Divergence {
                         seq: entry.seq,
-                        expected,
-                        got: got.clone(),
-                    });
+                        expected: replay_text(&entry.event),
+                        got: match &replayed {
+                            Ok(event) => replay_text(event),
+                            Err(why) => undriven_text(&entry.event, why),
+                        },
+                    }),
                 }
-                report.outcome_log.push(got);
             }
         });
-
-        // Residents still live at journal end stay resident in the
-        // returned fleet (their capacity was never released in the
-        // recording either) — service residents are held by id, so there
-        // is nothing to forget.
-        report.residents_at_end = live.len();
+        report.residents_at_end = fleet.resident_count();
         Ok((report, fleet))
     }
 }
 
-/// Maps a refusal that names a live replay resident id back to the
-/// recording's id, so refusal outcomes compare against the journal even
-/// when replay ids drifted from a concurrent recording's.
-fn translate_refusal(outcome: ScaleOutcome, live: &HashMap<u64, u64>) -> ScaleOutcome {
-    match outcome {
-        ScaleOutcome::Refused {
-            reason: ScaleRefusal::Unplaceable { resident },
-        } => {
-            let recorded = live
-                .iter()
-                .find(|(_, &id)| id == resident)
-                .map_or(resident, |(&recorded, _)| recorded);
-            ScaleOutcome::Refused {
-                reason: ScaleRefusal::Unplaceable { resident: recorded },
+/// Replay's rendering of a decision, applied alike to the recorded event
+/// and to its re-execution.
+fn replay_text(event: &DecisionEvent) -> String {
+    match event {
+        DecisionEvent::Admit { outcome, .. } => match outcome {
+            JournalOutcome::Admitted {
+                predicted_period, ..
+            } => format!("admitted period {predicted_period}"),
+            JournalOutcome::Rejected { violations } => {
+                format!("rejected ({violations} violations)")
             }
-        }
-        other => other,
+            JournalOutcome::Saturated => "saturated".to_string(),
+        },
+        DecisionEvent::Release { resident } => format!("release #{resident}"),
+        DecisionEvent::Rebalance {
+            resident,
+            from_group,
+            to_group,
+            predicted_period,
+        } => format!("rebalance #{resident} {from_group}->{to_group} period {predicted_period}"),
+        DecisionEvent::Resize { action, outcome } => match outcome {
+            ScaleOutcome::Applied => format!("resize {action}: applied"),
+            ScaleOutcome::Refused { reason } => format!("resize {action}: refused ({reason})"),
+        },
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replay_admit(
-    service: &dyn AdmissionService,
-    live: &mut HashMap<u64, u64>,
-    group: u64,
-    app_index: u64,
-    required_throughput: Option<Rational>,
-    outcome: &JournalOutcome,
-    affinity: Option<String>,
-) -> (String, String, bool) {
-    let expected = match outcome {
-        JournalOutcome::Admitted {
-            predicted_period, ..
-        } => format!("admitted period {predicted_period}"),
-        JournalOutcome::Rejected { violations } => {
-            format!("rejected ({violations} violations)")
-        }
-        JournalOutcome::Saturated => "saturated".to_string(),
+/// Replay's rendering of a recorded event the engine could not re-drive.
+fn undriven_text(event: &DecisionEvent, why: &Undriven) -> String {
+    let cause = match why {
+        Undriven::UnknownResident(resident) => return format!("resident #{resident} unknown"),
+        Undriven::Service(ServiceError::Analysis(e)) => return format!("analysis error: {e}"),
+        Undriven::Service(e) => e.to_string(),
+        Undriven::Fleet(e) => e.to_string(),
     };
-    let request = AdmissionRequest {
-        app_index: app_index as usize,
-        required_throughput,
-        affinity,
-        target: Some(group as usize),
-        span: None,
+    let failed = match event {
+        DecisionEvent::Admit { .. } => "service error",
+        DecisionEvent::Release { .. } => "release failed",
+        DecisionEvent::Rebalance { .. } => "move failed",
+        DecisionEvent::Resize { .. } => "resize failed",
     };
-    match service.admit(&request) {
-        Ok(AdmissionDecision::Admitted {
-            resident: id,
-            predicted_period: period,
-            ..
-        }) => {
-            let got = format!("admitted period {period}");
-            let matched = matches!(
-                outcome,
-                JournalOutcome::Admitted { predicted_period, .. } if *predicted_period == period
-            );
-            if let JournalOutcome::Admitted { resident, .. } = outcome {
-                live.insert(*resident, id);
-            }
-            // Otherwise the recording never released this admission; the
-            // capacity stays held (state already diverged regardless).
-            (expected, got, matched)
-        }
-        Ok(AdmissionDecision::Rejected { violations, .. }) => {
-            let got = format!("rejected ({} violations)", violations.len());
-            let matched = matches!(
-                outcome,
-                JournalOutcome::Rejected { violations: v } if *v == violations.len() as u64
-            );
-            (expected, got, matched)
-        }
-        Ok(AdmissionDecision::Saturated { .. }) => {
-            let got = "saturated".to_string();
-            let matched = matches!(outcome, JournalOutcome::Saturated);
-            (expected, got, matched)
-        }
-        Err(ServiceError::Analysis(e)) => (expected, format!("analysis error: {e}"), false),
-        Err(e) => (expected, format!("service error: {e}"), false),
-    }
+    format!("{failed}: {cause}")
 }
 
 #[cfg(test)]

@@ -89,6 +89,7 @@ pub mod fleet;
 pub mod fleet_bench;
 pub mod journal;
 pub mod planner;
+mod reexec;
 pub mod remote;
 pub mod service;
 pub mod telemetry;

@@ -15,8 +15,9 @@
 //!   [`add_group`](FleetShape::add_group) and
 //!   [`swap_policy`](FleetShape::swap_policy);
 //! * [`PlanRun`] — one counterfactual replay: the journal's admission
-//!   stream is re-decided through the fleet's [`AdmissionService`] path
-//!   against the hypothetical shape, producing a [`PlanReport`] with
+//!   stream is re-decided through the fleet's
+//!   [`AdmissionService`](crate::AdmissionService) path against the
+//!   hypothetical shape, producing a [`PlanReport`] with
 //!   per-event [`Flip`] records ([`RejectedNowAdmitted`],
 //!   [`AdmittedNowRejected`], [`Rerouted`]), per-group peak/mean
 //!   utilisation and saturation windows;
@@ -24,12 +25,16 @@
 //!   pool, summarized by a frontier: the smallest shape with zero
 //!   regressions and the cheapest shape within an acceptable flip budget.
 //!
-//! Unlike [`JournalReplayer`](crate::JournalReplayer), a plan run **never
-//! verifies outcomes** — on a different shape the outcomes are *supposed*
-//! to differ, so divergence is recorded as data (flips), not failure. For
-//! the *identical* shape a plan run reproduces the recording decision for
-//! decision and reports zero flips (property-tested), which is the
-//! planner ≡ replayer anchor every what-if answer hangs off.
+//! A plan run re-executes the journal through the same engine as
+//! [`JournalReplayer`](crate::JournalReplayer): the base snapshot
+//! checkpoint restores its group shape and residents, and each recorded
+//! event is re-driven through the fleet. Unlike the replayer, a plan run
+//! **never verifies outcomes** — on a different shape the outcomes are
+//! *supposed* to differ, so divergence is recorded as data (flips), not
+//! failure. Both judge the same (recorded, replayed) pairs, so on the
+//! *identical* shape a journal that replays EQUIVALENT reports zero flips,
+//! compacted or not: the planner ≡ replayer anchor every what-if answer
+//! hangs off holds by construction.
 //!
 //! [`RejectedNowAdmitted`]: FlipKind::RejectedNowAdmitted
 //! [`AdmittedNowRejected`]: FlipKind::AdmittedNowRejected
@@ -74,13 +79,13 @@
 
 use crate::fleet::{FleetConfig, FleetError, FleetManager, GroupConfig, RoutingPolicy};
 use crate::journal::{
-    DecisionEvent, GroupShape, Journal, JournalHeader, JournalOutcome, ScaleOutcome,
+    DecisionEvent, GroupShape, Journal, JournalEntry, JournalHeader, JournalOutcome, ScaleOutcome,
 };
-use crate::service::{AdmissionDecision, AdmissionRequest, AdmissionService, ServiceError};
+use crate::reexec::{Reexecutor, Undriven};
+use crate::service::ServiceError;
 use crate::wal::FleetCheckpoint;
 use platform::SystemSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -338,6 +343,18 @@ pub struct OutcomeTotals {
     pub saturated: u64,
 }
 
+impl OutcomeTotals {
+    /// Counts one admission outcome; `true` when it admitted.
+    fn count(&mut self, outcome: &JournalOutcome) -> bool {
+        match outcome {
+            JournalOutcome::Admitted { .. } => self.admitted += 1,
+            JournalOutcome::Rejected { .. } => self.rejected += 1,
+            JournalOutcome::Saturated => self.saturated += 1,
+        }
+        matches!(outcome, JournalOutcome::Admitted { .. })
+    }
+}
+
 impl fmt::Display for OutcomeTotals {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -401,8 +418,8 @@ pub enum RouteMode {
     /// for events whose recorded group is out of range).
     Recorded,
     /// Always re-route through the hypothetical fleet's policy, as if the
-    /// traffic arrived fresh. Journals do not record affinity tags, so
-    /// affinity policies fall back to least-utilised here.
+    /// traffic arrived fresh. Admissions keep their recorded affinity
+    /// tags, so an affinity policy re-routes them by tag.
     Replan,
 }
 
@@ -512,13 +529,13 @@ impl<'a> PlanRun<'a> {
 
     /// Executes the counterfactual replay.
     ///
-    /// Every recorded admission is re-decided through the hypothetical
-    /// fleet's [`AdmissionService`] path; releases apply to the residents
-    /// the counterfactual actually admitted (releases of flipped-away
-    /// admissions are skipped and counted); recorded rebalances are
-    /// re-attempted when both the resident and the target group still
-    /// exist. Outcomes are **never verified** — differences land in the
-    /// report as [`Flip`]s.
+    /// The journal's base checkpoint is restored into the hypothetical
+    /// fleet, then every recorded admission, release and rebalance — and
+    /// every applied resize, unless a scale policy is under evaluation —
+    /// is re-driven through the one re-execution engine that `probcon
+    /// replay` drives too. Releases of flipped-away admissions are skipped
+    /// and counted. Outcomes are **never verified** — differences land in
+    /// the report as [`Flip`]s.
     ///
     /// # Errors
     ///
@@ -539,26 +556,19 @@ impl<'a> PlanRun<'a> {
     fn execute_over(
         &self,
         checkpoint: Option<&FleetCheckpoint>,
-        entries: &[crate::journal::JournalEntry],
+        entries: &[JournalEntry],
     ) -> Result<PlanReport, PlanError> {
         let config = self.shape.to_config()?;
         let fleet = FleetManager::new(self.spec.clone(), config)?;
-        let service: &dyn AdmissionService = &fleet;
-        let reuse_recorded = match self.routing {
-            RouteMode::Replan => false,
-            RouteMode::Recorded => true,
-            RouteMode::Auto => self.shape.routes_like(self.journal.header()),
+        let routing = match self.routing {
+            RouteMode::Auto if self.shape.routes_like(self.journal.header()) => RouteMode::Recorded,
+            RouteMode::Auto => RouteMode::Replan,
+            routing => routing,
         };
-
-        // Recorded resident id -> counterfactual resident id.
-        let mut live: HashMap<u64, u64> = HashMap::new();
+        let mut engine = Reexecutor::new(&fleet, routing);
         let mut report = PlanReport {
             shape: self.shape.clone(),
-            routing: if reuse_recorded {
-                RouteMode::Recorded.name().to_string()
-            } else {
-                RouteMode::Replan.name().to_string()
-            },
+            routing: routing.name().to_string(),
             events: 0,
             flips: Vec::new(),
             recorded: OutcomeTotals::default(),
@@ -578,6 +588,29 @@ impl<'a> PlanRun<'a> {
             policy: self.scale_policy.as_ref().map(|(policy, _)| policy.label()),
             policy_actions: Vec::new(),
         };
+
+        // A snapshot-compacted journal carries the fleet's state instead of
+        // the admissions that built it. A resident the hypothetical shape
+        // cannot seat is a regression of traffic the recording was serving
+        // — an AdmittedNowRejected flip anchored at its recorded admission.
+        if let Some(checkpoint) = checkpoint {
+            for (resident, restored) in engine.restore(checkpoint) {
+                report.recorded.admitted += 1;
+                if let Err(e) = restored {
+                    report.hypothetical.rejected += 1;
+                    report.flips.push(Flip {
+                        seq: resident.admitted_seq,
+                        kind: FlipKind::AdmittedNowRejected,
+                        recorded: format!("admitted on group {}", resident.group),
+                        hypothetical: format!("snapshot restore failed: {e}"),
+                    });
+                } else {
+                    report.restored += 1;
+                    report.hypothetical.admitted += 1;
+                }
+            }
+        }
+
         let mut usage = UsageTracker::new(&fleet);
         // Policy evaluation: the controller observes the same fleet the
         // replay mutates, so its decisions see the replayed load.
@@ -590,142 +623,37 @@ impl<'a> PlanRun<'a> {
                 *every,
             )
         });
-
-        // Journals compacted into a snapshot checkpoint carry the fleet's
-        // resident state instead of the admissions that built it: seed the
-        // hypothetical fleet from the snapshot before replaying the tail.
-        // A resident the hypothetical shape cannot seat is a regression of
-        // traffic the recording was serving — an AdmittedNowRejected flip
-        // anchored at its recorded admission seq.
-        if let Some(checkpoint) = checkpoint {
-            let mut residents: Vec<_> = checkpoint.residents.iter().collect();
-            residents.sort_by_key(|r| r.admitted_seq);
-            for r in residents {
-                report.recorded.admitted += 1;
-                match fleet.restore_resident(r) {
-                    Ok(()) => {
-                        live.insert(r.resident, r.resident);
-                        report.restored += 1;
-                        report.hypothetical.admitted += 1;
-                    }
-                    Err(e) => {
-                        report.hypothetical.rejected += 1;
-                        report.flips.push(Flip {
-                            seq: r.admitted_seq,
-                            kind: FlipKind::AdmittedNowRejected,
-                            recorded: format!("admitted on group {}", r.group),
-                            hypothetical: format!("snapshot restore failed: {e}"),
-                        });
-                    }
+        for entry in entries {
+            report.events += 1;
+            match &entry.event {
+                // Under policy evaluation the policy decides capacity, so
+                // the recording's resizes are set aside; a recorded refused
+                // resize mutated nothing, so nothing re-drives it.
+                DecisionEvent::Resize { outcome, .. }
+                    if controller.is_some() || outcome != &ScaleOutcome::Applied =>
+                {
+                    report.resizes_skipped += 1;
                 }
+                recorded => report.tally(entry.seq, recorded, engine.drive(recorded))?,
             }
-        }
-
-        {
-            for entry in entries {
-                report.events += 1;
-                match &entry.event {
-                    DecisionEvent::Admit {
-                        group,
-                        app_index,
-                        required_throughput,
-                        outcome,
-                        affinity,
-                    } => {
-                        self.replay_admit(
-                            service,
-                            &mut live,
-                            &mut report,
-                            reuse_recorded,
-                            fleet.group_count(),
-                            entry.seq,
-                            *group,
-                            *app_index,
-                            *required_throughput,
-                            outcome,
-                            affinity.clone(),
-                        )?;
-                    }
-                    DecisionEvent::Release { resident } => match live.remove(resident) {
-                        Some(id) => {
-                            service.release(id)?;
-                            report.releases_applied += 1;
-                        }
-                        // The counterfactual never admitted this resident
-                        // (its admission flipped away): nothing to free.
-                        None => report.releases_skipped += 1,
-                    },
-                    DecisionEvent::Rebalance {
-                        resident, to_group, ..
-                    } => match live.get(resident) {
-                        Some(&id) if (*to_group as usize) < fleet.group_count() => {
-                            match fleet.move_resident(id, *to_group as usize) {
-                                Ok(_) => report.rebalances_applied += 1,
-                                // Already there in the counterfactual (its
-                                // admission routed differently).
-                                Err(FleetError::SameGroup { .. }) => report.rebalances_skipped += 1,
-                                Err(
-                                    FleetError::MoveSaturated { .. }
-                                    | FleetError::MoveRejected { .. },
-                                ) => report.rebalances_failed += 1,
-                                Err(e) => return Err(PlanError::Fleet(e)),
-                            }
-                        }
-                        // Target group absent from the shape, or the
-                        // resident was never admitted here.
-                        Some(_) | None => report.rebalances_skipped += 1,
-                    },
-                    // Under policy evaluation the policy decides capacity;
-                    // the recording's own resizes are skipped wholesale.
-                    DecisionEvent::Resize { .. } if controller.is_some() => {
-                        report.resizes_skipped += 1;
-                    }
-                    DecisionEvent::Resize { action, outcome } => match outcome {
-                        // Re-execute applied resizes so the hypothetical
-                        // fleet's shape evolves the way the recording's
-                        // did. Actions carry absolute capacities and the
-                        // fleet-assigned group index, so on the identity
-                        // shape they re-apply verbatim; on a different
-                        // shape a refusal is a genuine divergence.
-                        ScaleOutcome::Applied => match fleet.resize(action.clone())? {
+            usage.observe(entry.seq, &fleet);
+            if let Some((controller, every)) = &controller {
+                if (report.events as u64).is_multiple_of(*every) {
+                    if let Some((action, outcome)) = controller.tick().map_err(PlanError::Fleet)? {
+                        match &outcome {
                             ScaleOutcome::Applied => report.resizes_applied += 1,
-                            ScaleOutcome::Refused { reason } => {
-                                report.resizes_refused += 1;
-                                report.flips.push(Flip {
-                                    seq: entry.seq,
-                                    kind: FlipKind::ResizeDiverged,
-                                    recorded: format!("resize applied: {action}"),
-                                    hypothetical: format!("resize refused: {reason}"),
-                                });
-                            }
-                        },
-                        // A refused resize mutated nothing in the
-                        // recording; the counterfactual leaves its fleet
-                        // alone too.
-                        ScaleOutcome::Refused { .. } => report.resizes_skipped += 1,
-                    },
-                }
-                usage.observe(entry.seq, &fleet);
-                if let Some((controller, every)) = &controller {
-                    if (report.events as u64).is_multiple_of(*every) {
-                        if let Some((action, outcome)) =
-                            controller.tick().map_err(PlanError::Fleet)?
-                        {
-                            match &outcome {
-                                ScaleOutcome::Applied => report.resizes_applied += 1,
-                                ScaleOutcome::Refused { .. } => report.resizes_refused += 1,
-                            }
-                            report.policy_actions.push(PolicyDecision {
-                                after_event: report.events as u64,
-                                action: action.to_string(),
-                                outcome: match &outcome {
-                                    ScaleOutcome::Applied => "applied".to_string(),
-                                    ScaleOutcome::Refused { reason } => {
-                                        format!("refused ({reason})")
-                                    }
-                                },
-                            });
+                            ScaleOutcome::Refused { .. } => report.resizes_refused += 1,
                         }
+                        report.policy_actions.push(PolicyDecision {
+                            after_event: report.events as u64,
+                            action: action.to_string(),
+                            outcome: match &outcome {
+                                ScaleOutcome::Applied => "applied".to_string(),
+                                ScaleOutcome::Refused { reason } => {
+                                    format!("refused ({reason})")
+                                }
+                            },
+                        });
                     }
                 }
             }
@@ -736,141 +664,46 @@ impl<'a> PlanRun<'a> {
         fleet.stop();
         Ok(report)
     }
+}
 
-    /// Re-decides one recorded admission and classifies the difference.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_admit(
-        &self,
-        service: &dyn AdmissionService,
-        live: &mut HashMap<u64, u64>,
-        report: &mut PlanReport,
-        reuse_recorded: bool,
-        groups: usize,
-        seq: u64,
-        recorded_group: u64,
-        app_index: u64,
-        required_throughput: Option<sdf::Rational>,
-        outcome: &JournalOutcome,
-        affinity: Option<String>,
-    ) -> Result<(), PlanError> {
-        let recorded_admitted = match outcome {
-            JournalOutcome::Admitted { .. } => {
-                report.recorded.admitted += 1;
-                true
-            }
-            JournalOutcome::Rejected { .. } => {
-                report.recorded.rejected += 1;
-                false
-            }
-            JournalOutcome::Saturated => {
-                report.recorded.saturated += 1;
-                false
-            }
-        };
-        let recorded_text = match outcome {
-            JournalOutcome::Admitted { .. } => format!("admitted on group {recorded_group}"),
+/// Plan's rendering of a decision, applied alike to the recorded event and
+/// to its counterfactual.
+fn flip_text(event: &DecisionEvent) -> String {
+    match event {
+        DecisionEvent::Admit { group, outcome, .. } => match outcome {
+            JournalOutcome::Admitted { .. } => format!("admitted on group {group}"),
             JournalOutcome::Rejected { violations } => {
-                format!("rejected on group {recorded_group} ({violations} violations)")
+                format!("rejected on group {group} ({violations} violations)")
             }
-            JournalOutcome::Saturated => format!("saturated on group {recorded_group}"),
-        };
-
-        let target = if reuse_recorded && (recorded_group as usize) < groups {
-            Some(recorded_group as usize)
-        } else {
-            None
-        };
-        // The recorded affinity tag rides along so `RouteMode::Replan`
-        // re-routes through the same affinity path the recording used
-        // (under `Recorded` routing the explicit target wins anyway).
-        let request = AdmissionRequest {
-            app_index: app_index as usize,
-            required_throughput,
-            affinity,
-            target,
-            span: None,
-        };
-        let decision = service.admit(&request)?;
-
-        let (now_admitted, domain, hypothetical_text) = match &decision {
-            AdmissionDecision::Admitted {
-                resident, domain, ..
-            } => {
-                report.hypothetical.admitted += 1;
-                if let JournalOutcome::Admitted {
-                    resident: recorded, ..
-                } = outcome
-                {
-                    live.insert(*recorded, *resident);
-                } else {
-                    // The recording never released this admission (it never
-                    // happened there); its capacity stays held to the end —
-                    // the conservative reading of recovered headroom.
-                    report.untracked_admissions += 1;
-                }
-                (true, *domain, format!("admitted on group {domain}"))
-            }
-            AdmissionDecision::Rejected { domain, violations } => {
-                report.hypothetical.rejected += 1;
-                (
-                    false,
-                    *domain,
-                    format!(
-                        "rejected on group {domain} ({} violations)",
-                        violations.len()
-                    ),
-                )
-            }
-            AdmissionDecision::Saturated { domain } => {
-                report.hypothetical.saturated += 1;
-                (false, *domain, format!("saturated on group {domain}"))
-            }
-        };
-
-        let kind = if recorded_admitted && !now_admitted {
-            Some(FlipKind::AdmittedNowRejected)
-        } else if !recorded_admitted && now_admitted {
-            Some(FlipKind::RejectedNowAdmitted)
-        } else if domain != recorded_group as usize {
-            Some(FlipKind::Rerouted)
-        } else {
-            None
-        };
-        if let Some(kind) = kind {
-            report.flips.push(Flip {
-                seq,
-                kind,
-                recorded: recorded_text,
-                hypothetical: hypothetical_text,
-            });
-        }
-        Ok(())
+            JournalOutcome::Saturated => format!("saturated on group {group}"),
+        },
+        DecisionEvent::Resize { action, outcome } => match outcome {
+            ScaleOutcome::Applied => format!("resize applied: {action}"),
+            ScaleOutcome::Refused { reason } => format!("resize refused: {reason}"),
+        },
+        other => other.to_string(),
     }
 }
 
 /// Per-group utilisation accumulator sampled after every journal event.
 struct UsageTracker {
-    names: Vec<String>,
-    capacities: Vec<u64>,
-    peaks: Vec<u64>,
-    resident_sums: Vec<u64>,
-    saturated_events: Vec<u64>,
-    open_window: Vec<Option<u64>>,
-    windows: Vec<Vec<SaturationWindow>>,
+    groups: Vec<GroupTrack>,
     events: u64,
     last_seq: u64,
+}
+
+/// One group's load profile so far, plus what finishing it needs.
+struct GroupTrack {
+    usage: GroupUsage,
+    resident_sum: u64,
+    /// First seq of the full-capacity stretch still running, if any.
+    open_window: Option<u64>,
 }
 
 impl UsageTracker {
     fn new(fleet: &FleetManager) -> UsageTracker {
         let mut tracker = UsageTracker {
-            names: Vec::new(),
-            capacities: Vec::new(),
-            peaks: Vec::new(),
-            resident_sums: Vec::new(),
-            saturated_events: Vec::new(),
-            open_window: Vec::new(),
-            windows: Vec::new(),
+            groups: Vec::new(),
             events: 0,
             last_seq: 0,
         };
@@ -880,20 +713,26 @@ impl UsageTracker {
 
     /// Grows the per-group accumulators to the fleet's current group
     /// count (a replayed `AddGroup` can appear mid-journal) and refreshes
-    /// capacities, which elastic resizes move under the replay.
+    /// capacities, which elastic resizes move under the replay. A new
+    /// group's peak starts at its current occupancy: a fleet restored from
+    /// a snapshot checkpoint starts with residents.
     fn sync_groups(&mut self, fleet: &FleetManager) {
-        for g in self.capacities.len()..fleet.group_count() {
-            self.names
-                .push(fleet.group_name(g).unwrap_or_else(|_| "?".to_string()));
-            self.capacities.push(0);
-            self.peaks.push(0);
-            self.resident_sums.push(0);
-            self.saturated_events.push(0);
-            self.open_window.push(None);
-            self.windows.push(Vec::new());
+        for g in self.groups.len()..fleet.group_count() {
+            self.groups.push(GroupTrack {
+                usage: GroupUsage {
+                    name: fleet.group_name(g).unwrap_or_else(|_| "?".to_string()),
+                    capacity: 0,
+                    peak_residents: fleet.resident_count_of(g).unwrap_or(0) as u64,
+                    mean_utilisation: 0.0,
+                    saturated_events: 0,
+                    saturation_windows: Vec::new(),
+                },
+                resident_sum: 0,
+                open_window: None,
+            });
         }
-        for g in 0..self.capacities.len() {
-            self.capacities[g] = fleet.capacity_of(g).unwrap_or(0) as u64;
+        for (g, track) in self.groups.iter_mut().enumerate() {
+            track.usage.capacity = fleet.capacity_of(g).unwrap_or(0) as u64;
         }
     }
 
@@ -901,18 +740,16 @@ impl UsageTracker {
         self.sync_groups(fleet);
         self.events += 1;
         self.last_seq = seq;
-        for g in 0..self.capacities.len() {
+        for (g, track) in self.groups.iter_mut().enumerate() {
             let residents = fleet.resident_count_of(g).unwrap_or(0) as u64;
-            self.peaks[g] = self.peaks[g].max(residents);
-            self.resident_sums[g] += residents;
-            let full = self.capacities[g] > 0 && residents >= self.capacities[g];
-            if full {
-                self.saturated_events[g] += 1;
-                if self.open_window[g].is_none() {
-                    self.open_window[g] = Some(seq);
-                }
-            } else if let Some(from_seq) = self.open_window[g].take() {
-                self.windows[g].push(SaturationWindow {
+            let usage = &mut track.usage;
+            usage.peak_residents = usage.peak_residents.max(residents);
+            track.resident_sum += residents;
+            if usage.capacity > 0 && residents >= usage.capacity {
+                usage.saturated_events += 1;
+                track.open_window.get_or_insert(seq);
+            } else if let Some(from_seq) = track.open_window.take() {
+                usage.saturation_windows.push(SaturationWindow {
                     from_seq,
                     // The previous event was the last full one; `seq` is
                     // the first event after which the group had headroom
@@ -923,28 +760,23 @@ impl UsageTracker {
         }
     }
 
-    fn finish(mut self) -> Vec<GroupUsage> {
-        (0..self.capacities.len())
-            .map(|g| {
-                if let Some(from_seq) = self.open_window[g].take() {
-                    self.windows[g].push(SaturationWindow {
+    fn finish(self) -> Vec<GroupUsage> {
+        let (events, last_seq) = (self.events, self.last_seq);
+        self.groups
+            .into_iter()
+            .map(|mut track| {
+                let usage = &mut track.usage;
+                if let Some(from_seq) = track.open_window {
+                    usage.saturation_windows.push(SaturationWindow {
                         from_seq,
-                        until_seq: self.last_seq,
+                        until_seq: last_seq,
                     });
                 }
-                GroupUsage {
-                    name: std::mem::take(&mut self.names[g]),
-                    capacity: self.capacities[g],
-                    peak_residents: self.peaks[g],
-                    mean_utilisation: if self.events == 0 || self.capacities[g] == 0 {
-                        0.0
-                    } else {
-                        self.resident_sums[g] as f64
-                            / (self.events as f64 * self.capacities[g] as f64)
-                    },
-                    saturated_events: self.saturated_events[g],
-                    saturation_windows: std::mem::take(&mut self.windows[g]),
+                if events > 0 && usage.capacity > 0 {
+                    usage.mean_utilisation =
+                        track.resident_sum as f64 / (events as f64 * usage.capacity as f64);
                 }
+                track.usage
             })
             .collect()
     }
@@ -1018,6 +850,95 @@ pub struct PolicyDecision {
 }
 
 impl PlanReport {
+    /// Sorts one (recorded, replayed) pair from the re-execution engine
+    /// into the report's counters and flips.
+    fn tally(
+        &mut self,
+        seq: u64,
+        recorded: &DecisionEvent,
+        replayed: Result<DecisionEvent, Undriven>,
+    ) -> Result<(), PlanError> {
+        use DecisionEvent::{Admit, Release, Resize};
+        let replayed = match replayed {
+            Ok(replayed) => replayed,
+            Err(why) => return self.skip(recorded, why),
+        };
+        let kind = match (recorded, &replayed) {
+            (
+                Admit { group, outcome, .. },
+                Admit {
+                    group: now_group,
+                    outcome: now,
+                    ..
+                },
+            ) => {
+                match (self.recorded.count(outcome), self.hypothetical.count(now)) {
+                    (true, false) => Some(FlipKind::AdmittedNowRejected),
+                    (false, true) => {
+                        // The recording never releases it: it holds its
+                        // capacity to the end.
+                        self.untracked_admissions += 1;
+                        Some(FlipKind::RejectedNowAdmitted)
+                    }
+                    _ => (now_group != group).then_some(FlipKind::Rerouted),
+                }
+            }
+            (_, Resize { outcome, .. }) if *outcome != ScaleOutcome::Applied => {
+                self.resizes_refused += 1;
+                Some(FlipKind::ResizeDiverged)
+            }
+            (_, Resize { .. }) => {
+                self.resizes_applied += 1;
+                None
+            }
+            (_, Release { .. }) => {
+                self.releases_applied += 1;
+                None
+            }
+            // The engine answers in kind: what remains is a rebalance.
+            _ => {
+                self.rebalances_applied += 1;
+                None
+            }
+        };
+        if let Some(kind) = kind {
+            self.flips.push(Flip {
+                seq,
+                kind,
+                recorded: flip_text(recorded),
+                hypothetical: flip_text(&replayed),
+            });
+        }
+        Ok(())
+    }
+
+    /// Counts a recorded release or rebalance the counterfactual could not
+    /// re-drive; any other failure ends the plan.
+    fn skip(&mut self, recorded: &DecisionEvent, why: Undriven) -> Result<(), PlanError> {
+        match (recorded, why) {
+            // The counterfactual never admitted this resident (its
+            // admission flipped away): nothing to free.
+            (DecisionEvent::Release { .. }, Undriven::UnknownResident(_)) => {
+                self.releases_skipped += 1;
+            }
+            // The moved resident flipped away, the target group is absent
+            // from the shape, or the resident already lives there (its
+            // admission routed differently).
+            (
+                _,
+                Undriven::UnknownResident(_)
+                | Undriven::Fleet(FleetError::UnknownGroup(_) | FleetError::SameGroup { .. }),
+            ) => self.rebalances_skipped += 1,
+            (
+                _,
+                Undriven::Fleet(FleetError::MoveSaturated { .. } | FleetError::MoveRejected { .. }),
+            ) => self.rebalances_failed += 1,
+            (_, Undriven::Fleet(e)) => return Err(PlanError::Fleet(e)),
+            (_, Undriven::Service(e)) => return Err(PlanError::Service(e)),
+        }
+        Ok(())
+    }
+
     /// Total flips.
     pub fn flip_count(&self) -> usize {
         self.flips.len()
@@ -1445,6 +1366,7 @@ impl SweepReport {
 mod tests {
     use super::*;
     use crate::journal::DecisionEvent;
+    use crate::service::{AdmissionRequest, AdmissionService};
     use platform::{Application, Mapping};
     use sdf::{figure2_graphs, Rational};
 

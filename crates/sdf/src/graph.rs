@@ -187,8 +187,9 @@ pub enum SdfError {
         /// Steps executed before giving up.
         steps: u64,
     },
-    /// The graph's rates are so far apart that an exact result (its
-    /// repetition vector) does not fit the integer arithmetic.
+    /// The graph's rates or execution times are so far apart that an
+    /// exact result (its repetition vector, or the clock of its self-timed
+    /// execution) does not fit the integer arithmetic.
     Overflow,
 }
 
@@ -211,7 +212,7 @@ impl fmt::Display for SdfError {
             SdfError::BudgetExhausted { steps } => {
                 write!(f, "analysis budget exhausted after {steps} steps")
             }
-            SdfError::Overflow => write!(f, "graph rates overflow exact arithmetic"),
+            SdfError::Overflow => write!(f, "graph rates or times overflow exact arithmetic"),
         }
     }
 }

@@ -138,13 +138,18 @@ impl ExecState {
         self.active.iter().filter_map(|l| l.first().copied()).min()
     }
 
-    /// Advances time by `dt`, completing firings that reach zero; returns
-    /// per-actor completion counts.
-    fn advance(&mut self, graph: &SdfGraph, dt: Rational, completions: &mut [u64]) {
+    /// Advances time by `dt`, completing firings that reach zero and
+    /// adding them to the per-actor completion counts.
+    fn advance(
+        &mut self,
+        graph: &SdfGraph,
+        dt: Rational,
+        completions: &mut [u64],
+    ) -> Result<(), SdfError> {
         for (i, list) in self.active.iter_mut().enumerate() {
             let mut done = 0;
             for r in list.iter_mut() {
-                *r -= dt;
+                *r = r.checked_add(-dt).ok_or(SdfError::Overflow)?;
                 if r.is_zero() {
                     done += 1;
                 }
@@ -159,6 +164,7 @@ impl ExecState {
                 }
             }
         }
+        Ok(())
     }
 
     fn is_idle(&self) -> bool {
@@ -175,6 +181,8 @@ impl ExecState {
 /// * [`SdfError::Deadlocked`] — execution stops before completing an
 ///   iteration.
 /// * [`SdfError::BudgetExhausted`] — the default step budget was exceeded.
+/// * [`SdfError::Overflow`] — the rates or the execution's clock do not
+///   fit exact `i128` arithmetic.
 ///
 /// # Examples
 ///
@@ -229,6 +237,8 @@ pub fn analyze_period_with(
 /// * [`SdfError::Deadlocked`] — execution stops before completing an
 ///   iteration.
 /// * [`SdfError::BudgetExhausted`] — the default step budget was exceeded.
+/// * [`SdfError::Overflow`] — the rates or the execution's clock do not
+///   fit exact `i128` arithmetic.
 ///
 /// # Panics
 ///
@@ -293,7 +303,7 @@ fn explore(
         match seen.entry(state.clone()) {
             Entry::Occupied(prev) => {
                 let (t0, c0) = *prev.get();
-                let cycle_length = now - t0;
+                let cycle_length = now.checked_add(-t0).ok_or(SdfError::Overflow)?;
                 let dc = completions[0] - c0;
                 if dc == 0 || cycle_length.is_zero() {
                     // A recurrent state with no progress means deadlock
@@ -302,7 +312,9 @@ fn explore(
                 }
                 // dc completions of actor0 = dc / q_ref iterations.
                 let iterations = Rational::new(dc as i128, q_ref as i128);
-                let period = cycle_length / iterations;
+                let period = cycle_length
+                    .checked_mul(iterations.recip())
+                    .ok_or(SdfError::Overflow)?;
                 return Ok(PeriodAnalysis {
                     period,
                     transient_end: t0,
@@ -321,8 +333,8 @@ fn explore(
         let Some(dt) = state.next_completion() else {
             return Err(SdfError::Deadlocked);
         };
-        now += dt;
-        state.advance(graph, dt, &mut completions);
+        now = now.checked_add(dt).ok_or(SdfError::Overflow)?;
+        state.advance(graph, dt, &mut completions)?;
         for (m, &t) in max_occupancy.iter_mut().zip(&state.tokens) {
             *m = (*m).max(t);
         }
@@ -525,6 +537,25 @@ mod tests {
         assert_eq!(
             period_with_times(&a, &own, &q).unwrap(),
             Rational::integer(300)
+        );
+    }
+
+    #[test]
+    fn period_with_times_ends_clock_overflow_in_a_typed_error() {
+        use crate::generator::{generate_graph, GeneratorConfig};
+        // Two times whose common denominator leaves i128 behind as soon as
+        // the execution's clock combines them.
+        let graph = generate_graph(&GeneratorConfig::with_actors(3), 7);
+        let q = repetition_vector(&graph).unwrap();
+        let ten37 = 10i128.pow(37);
+        let times = [
+            Rational::new(1, ten37 - 1),
+            Rational::new(1, ten37 - 3),
+            graph.execution_time(ActorId(2)),
+        ];
+        assert_eq!(
+            period_with_times(&graph, &times, &q).unwrap_err(),
+            SdfError::Overflow
         );
     }
 

@@ -180,12 +180,15 @@ USAGE:
       stream against a HYPOTHETICAL fleet shape and report which decisions
       would have flipped (admitted-now-rejected regressions,
       rejected-now-admitted recoveries, reroutes), plus per-group peak/mean
-      utilisation and saturation windows. Without options the recorded
-      shape is replayed (zero flips by construction). With --sweep, ranges
-      build a shape grid executed in parallel (--workers) and summarized by
-      a frontier: the smallest shape with zero regressions and the cheapest
-      within --flip-budget regressions. --fail-on-flips exits 1 when any
-      flip is reported (CI identity check); --json emits the full report.
+      utilisation and saturation windows. Plan re-executes the journal
+      through the same engine as `replay`, from a WAL's snapshot checkpoint
+      (residents and group shape) alike, so on the recorded shape (no
+      options) a journal that replays EQUIVALENT reports zero flips. With
+      --sweep, ranges build a shape grid executed in parallel (--workers)
+      and summarized by a frontier: the smallest shape with zero
+      regressions and the cheapest within --flip-budget regressions.
+      --fail-on-flips exits 1 when any flip is reported (CI identity
+      check); --json emits the full report.
       --policy-file evaluates an autoscaling policy OFFLINE: recorded
       resizes are set aside and the policy re-decides scaling against the
       hypothetical fleet every --policy-every events (default 8); the

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use experiments::workload::workload_with;
 use runtime::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Autoscaler, DecisionEvent, FleetConfig,
-    FleetManager, FleetShape, JournalHeader, JournalReplayer, PlanRun, RoutingPolicy, ScaleAction,
-    ScaleOutcome, ScalePolicy, ScaleRefusal, TargetPolicy, JOURNAL_VERSION,
+    FleetManager, FleetShape, GroupConfig, JournalHeader, JournalReplayer, PlanRun, RoutingPolicy,
+    ScaleAction, ScaleOutcome, ScalePolicy, ScaleRefusal, TargetPolicy, JOURNAL_VERSION,
 };
 use sdf::GeneratorConfig;
 
@@ -282,6 +282,72 @@ fn autoscaled_run_replays_and_plans_identity_with_zero_flips() {
     assert!(identity.resizes_applied >= 4, "{identity:?}");
     assert_eq!(identity.resizes_refused, 0);
     assert_eq!(identity.recorded, identity.hypothetical);
+}
+
+/// Compacts `fleet`'s whole journal into one snapshot checkpoint and
+/// checks that its group state is the starting shape for replay and plan
+/// alike: both restore every resident, the identity plan flips nothing,
+/// and its groups have the capacities the recording ended with.
+fn assert_compacted_identity(fleet: &FleetManager) {
+    let checkpoint = fleet.journal().compact().expect("compacts");
+    assert!(
+        checkpoint.groups.as_ref().is_some_and(|g| !g.is_empty()),
+        "the checkpoint records group overrides: {checkpoint:?}"
+    );
+    let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
+    assert!(journal.is_empty(), "every decision folded");
+
+    let config = FleetConfig::from_header(journal.header()).expect("config");
+    let (replay, _) = JournalReplayer::new(&spec())
+        .replay(&journal, config)
+        .expect("replays");
+    assert!(replay.is_equivalent(), "{replay:?}");
+    assert_eq!(replay.restored, checkpoint.residents.len());
+
+    let shape = FleetShape::from_header(journal.header());
+    let identity = PlanRun::new(&spec(), &journal, &shape)
+        .execute()
+        .expect("plans");
+    assert_eq!(identity.flips, vec![]);
+    assert_eq!(identity.restored, checkpoint.residents.len() as u64);
+    assert_eq!(identity.recorded, identity.hypothetical);
+    assert_eq!(identity.residents_at_end, replay.residents_at_end);
+    let capacities: Vec<u64> = identity.groups.iter().map(|g| g.capacity).collect();
+    let recorded: Vec<u64> = (0..fleet.group_count())
+        .map(|g| fleet.capacity_of(g).expect("group") as u64)
+        .collect();
+    assert_eq!(capacities, recorded);
+}
+
+/// A resident admitted after a grow sits above the header's capacity; the
+/// compacted journal still plans its identity shape flip-free.
+#[test]
+fn grown_then_compacted_journal_plans_identity_with_zero_flips() {
+    let fleet = fleet(1, 1, 1);
+    park(&fleet, 0, 1);
+    assert_eq!(
+        fleet.grow_group(0, 2).expect("grow decides"),
+        ScaleOutcome::Applied
+    );
+    park(&fleet, 0, 1);
+    assert_eq!(fleet.resident_count_of(0).expect("group 0"), 2);
+    assert_compacted_identity(&fleet);
+}
+
+/// A resident on a group added after the header sits outside the header's
+/// shape; the compacted journal still plans its identity shape flip-free.
+#[test]
+fn added_group_then_compacted_journal_plans_identity_with_zero_flips() {
+    let fleet = fleet(1, 1, 1);
+    park(&fleet, 0, 1);
+    assert_eq!(
+        fleet
+            .add_group(GroupConfig::new("group1", 1, 1))
+            .expect("add decides"),
+        ScaleOutcome::Applied
+    );
+    park(&fleet, 1, 1);
+    assert_compacted_identity(&fleet);
 }
 
 /// `PlanRun::with_scale_policy` evaluates a policy OFFLINE against a

@@ -677,7 +677,13 @@ fn analyze_refuses_inconsistent_graph_files_without_panicking() {
         serde_json::from_str(&std::fs::read_to_string(good).expect("read")).expect("json");
     assert!(probcon(&["analyze", good]).status.success());
 
-    for name in ["adjacency", "src", "zero-denominator", "negative-time"] {
+    for name in [
+        "adjacency",
+        "src",
+        "zero-denominator",
+        "negative-time",
+        "overflowing-times",
+    ] {
         let mut hostile = tree.clone();
         match name {
             "adjacency" => {
@@ -687,7 +693,17 @@ fn analyze_refuses_inconsistent_graph_files_without_panicking() {
             }
             "src" => *field(item(field(&mut hostile, "channels"), 0), "src") = Value::Int(42),
             "zero-denominator" => *field(first_time(&mut hostile), "denom") = Value::Int(0),
-            _ => *field(first_time(&mut hostile), "numer") = Value::Int(-5),
+            "negative-time" => *field(first_time(&mut hostile), "numer") = Value::Int(-5),
+            _ => {
+                // Valid times whose common denominator overflows the
+                // explorer's clock.
+                let ten37 = 10i128.pow(37);
+                for (actor, denom) in [(0, ten37 - 1), (1, ten37 - 3)] {
+                    let time = field(item(field(&mut hostile, "actors"), actor), "execution_time");
+                    *field(time, "numer") = Value::Int(1);
+                    *field(time, "denom") = Value::Int(denom);
+                }
+            }
         }
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, serde_json::to_string(&hostile).expect("encodes")).expect("written");

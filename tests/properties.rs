@@ -594,15 +594,18 @@ proptest! {
 }
 
 proptest! {
-    // Each case records and then counterfactually replays real admissions;
-    // keep the case count small.
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    // Each case records, folds and then counterfactually replays real
+    // admissions; twelve cases are enough to fold after a mid-run grow
+    // with residents above the recorded capacity.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     // The planner ≡ replayer anchor: for the IDENTICAL shape, a plan run
     // over any recorded journal reports zero flips — whatever the fleet
-    // shape, routing policy or request mix was. (The replayer additionally
-    // verifies exact periods; the planner's claim is outcome classes and
-    // routing, which is what flips measure.)
+    // shape, routing policy or request mix was, whether every group grew
+    // mid-run, and wherever a snapshot checkpoint folds the history. The
+    // replay of the same folded journal is EQUIVALENT. (The replayer
+    // additionally verifies exact periods; the planner's claim is outcome
+    // classes and routing, which is what flips measure.)
     #[test]
     fn planner_identity_shape_never_flips(
         seed in 0u64..1_000,
@@ -610,11 +613,13 @@ proptest! {
         capacity in 1usize..4,
         policy_pick in 0u8..3,
         count in 20usize..70,
+        grow in 0u8..2,
+        fold_pick in 0usize..1_000,
     ) {
         use platform::Application;
         use runtime::{
-            run_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape,
-            PlanRun, RoutingPolicy,
+            fold_checkpoint, run_requests, seeded_fleet_requests, FleetConfig, FleetManager,
+            FleetShape, Journal, JournalReplayer, PlanRun, RoutingPolicy,
         };
         use sdf::figure2_graphs;
 
@@ -636,22 +641,51 @@ proptest! {
         )
         .expect("valid fleet");
         // Single-threaded seeded run: admits (with contracts/affinities),
-        // releases, rebalances — all journaled deterministically.
-        let requests = seeded_fleet_requests(&spec, groups, count, seed);
+        // releases, rebalances — all journaled deterministically — with
+        // every group optionally grown by 3 after the first third.
+        let mut requests = seeded_fleet_requests(&spec, groups, count, seed);
+        let rest = requests.split_off(count / 3);
         run_requests(&fleet, Some(&fleet), requests, 1, None, None);
+        if grow == 1 {
+            for group in 0..groups {
+                fleet.grow_group(group, capacity + 3).expect("grow decides");
+            }
+        }
+        run_requests(&fleet, Some(&fleet), rest, 1, None, None);
 
-        let shape = FleetShape::from_header(fleet.journal().header());
-        let report = PlanRun::new(&spec, fleet.journal(), &shape)
+        // Fold the history up to entry k into a snapshot checkpoint.
+        let journal = Journal::parse(&fleet.journal().render()).expect("round-trips");
+        let entries = journal.try_entries().expect("entries");
+        let k = fold_pick % (entries.len() + 1);
+        journal
+            .install_checkpoint(fold_checkpoint(None, &entries[..k]))
+            .expect("installs");
+
+        let shape = FleetShape::from_header(journal.header());
+        let report = PlanRun::new(&spec, &journal, &shape)
             .execute()
             .expect("plans");
         prop_assert_eq!(&report.flips, &vec![], "identity must not flip");
         prop_assert_eq!(report.recorded, report.hypothetical);
-        prop_assert_eq!(report.events, fleet.journal().len());
+        prop_assert_eq!(report.events, journal.len());
         prop_assert_eq!(report.releases_skipped, 0);
         prop_assert_eq!(report.untracked_admissions, 0);
         // The counterfactual fleet ends in the recording's final state.
         prop_assert_eq!(report.residents_at_end, fleet.resident_count());
+
+        let config = FleetConfig::from_header(journal.header()).expect("config");
+        let (replay, _) = JournalReplayer::new(&spec)
+            .replay(&journal, config)
+            .expect("replays");
+        prop_assert!(replay.is_equivalent(), "{}", replay.render());
     }
+
+}
+
+proptest! {
+    // Each case records and splits real journals; keep the case count
+    // small.
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     // Split/merge is lossless for any interleaving of client scopes: the
     // merged journal reproduces the original event order and attribution.
