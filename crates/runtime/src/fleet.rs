@@ -52,8 +52,7 @@
 
 use crate::cache::lock;
 use crate::journal::{
-    DecisionEvent, Journal, JournalError, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome,
-    ScaleRefusal,
+    DecisionEvent, Journal, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome, ScaleRefusal,
 };
 use crate::service::AdmissionDecision;
 use crate::telemetry::TraceRecorder;
@@ -320,10 +319,6 @@ struct ResidentEntry {
     app: AppId,
     app_index: usize,
     required_throughput: Option<Rational>,
-    /// Journal sequence number of the admission that created the resident
-    /// — folded into snapshot checkpoints so restores re-admit in the
-    /// recorded order.
-    admitted_seq: u64,
 }
 
 /// Per-group lock-free outcome counters.
@@ -366,14 +361,10 @@ struct GroupRuntime {
     /// replay needs stable indices) but takes no new admissions and is
     /// skipped by routing, rebalancing and capacity sums.
     retired: AtomicBool,
-    /// `true` when the group was added by a resize after the journal
-    /// header was stamped — checkpoints record its full shape so restores
-    /// can rebuild it.
-    added_after_header: bool,
 }
 
 impl GroupRuntime {
-    fn from_config(config: GroupConfig, added_after_header: bool) -> GroupRuntime {
+    fn from_config(config: GroupConfig) -> GroupRuntime {
         GroupRuntime {
             shards: (0..config.shards.max(1))
                 .map(|_| Mutex::new(AdmissionController::new()))
@@ -383,7 +374,6 @@ impl GroupRuntime {
             order: Mutex::new(()),
             counters: GroupCounters::default(),
             retired: AtomicBool::new(false),
-            added_after_header,
         }
     }
 
@@ -599,7 +589,7 @@ impl FleetManager {
         let groups = config
             .groups
             .into_iter()
-            .map(|group| Arc::new(GroupRuntime::from_config(group, false)))
+            .map(|group| Arc::new(GroupRuntime::from_config(group)))
             .collect();
         Ok(FleetManager {
             inner: Arc::new(FleetInner {
@@ -808,12 +798,7 @@ impl FleetManager {
                 predicted_period,
             } => {
                 let resident = self.inner.next_resident.fetch_add(1, Ordering::Relaxed);
-                // Journal first: the resident entry records its admission's
-                // sequence number (snapshot checkpoints fold it). Both steps
-                // happen under the group's order lock, and a checkpoint
-                // quiesces every group, so it can never observe the gap
-                // between them.
-                let admitted_seq = self.inner.journal.append(DecisionEvent::Admit {
+                self.inner.journal.append(DecisionEvent::Admit {
                     group: group as u64,
                     app_index: app_index as u64,
                     required_throughput,
@@ -831,7 +816,6 @@ impl FleetManager {
                         app,
                         app_index,
                         required_throughput,
-                        admitted_seq,
                     },
                 );
                 g.counters.admitted.fetch_add(1, Ordering::Relaxed);
@@ -1111,91 +1095,16 @@ impl FleetManager {
         }
     }
 
-    /// Folds the fleet's live-resident state into a snapshot checkpoint.
-    ///
-    /// The fleet is quiesced for the duration of the fold: every group's
-    /// decision lock is taken (in index order, the same order
-    /// [`move_resident`](Self::move_resident) uses), so the resident map
-    /// and the journal's next sequence number are observed at one
-    /// consistent instant — every decision before `upto_seq` is folded in,
-    /// none after.
-    pub fn checkpoint(&self) -> FleetCheckpoint {
-        // Holding the group-list read lock for the whole fold excludes
-        // concurrent AddGroup resizes (they take the write lock); holding
-        // every group's order lock excludes decisions and per-group
-        // resizes.
-        let groups = self
-            .inner
-            .groups
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let guards: Vec<_> = groups.iter().map(|g| lock(&g.order)).collect();
-        let residents = lock(&self.inner.residents);
-        let upto_seq = self.inner.journal.next_seq();
-        let next_resident = self.inner.next_resident.load(Ordering::Relaxed);
-        let folded = residents
-            .iter()
-            .map(|(&id, entry)| CheckpointResident {
-                resident: id,
-                group: entry.group as u64,
-                app_index: entry.app_index as u64,
-                required_throughput: entry.required_throughput,
-                admitted_seq: entry.admitted_seq,
-            })
-            .collect();
-        // Shape overrides: only groups that drifted from the journal
-        // header (resized, retired, or added after it) are recorded.
-        let shapes = groups
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| {
-                let capacity = g.capacity_per_shard();
-                let resized = capacity != g.config.capacity_per_shard;
-                let retired = g.is_retired();
-                if !(resized || retired || g.added_after_header) {
-                    return None;
-                }
-                let mut shape = CheckpointGroup::unchanged(i as u64);
-                if g.added_after_header {
-                    shape.added = Some(g.config.to_shape());
-                }
-                if resized {
-                    shape.capacity_per_shard = Some(capacity as u64);
-                }
-                shape.retired = retired;
-                Some(shape)
-            })
-            .collect();
-        drop(residents);
-        drop(guards);
-        drop(groups);
-        FleetCheckpoint::new(upto_seq, next_resident, folded).with_groups(shapes)
-    }
-
-    /// Takes a [`checkpoint`](Self::checkpoint) and installs it into the
-    /// fleet's journal — on a WAL-backed journal this persists the
-    /// snapshot and garbage-collects every segment it covers. Decision
-    /// traffic resumes as soon as the in-memory fold completes; the
-    /// snapshot write happens outside the group locks.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError`] on snapshot write failures.
-    pub fn checkpoint_and_install(&self) -> Result<FleetCheckpoint, JournalError> {
-        let checkpoint = self.checkpoint();
-        self.inner.journal.install_checkpoint(checkpoint.clone())?;
-        Ok(checkpoint)
-    }
-
     /// Re-admits one checkpointed resident: same group, same application
     /// instance, same contract, same fleet-wide id — without journaling
     /// anything or touching the outcome counters (the decision is already
     /// in the history the checkpoint folds).
     ///
-    /// Restoring a checkpoint's residents in `admitted_seq` order onto the
-    /// recorded fleet shape always succeeds: each intermediate per-group
-    /// mix is a subset of a mix the recording actually validated, and
-    /// contention only grows with co-residents.
+    /// Restoring a checkpoint's residents onto the recorded fleet shape
+    /// always succeeds: each group's final mix, and so every mix on the way
+    /// to it, is a subset of the last mix the recording validated there
+    /// (every later change to the group removed residents), and contention
+    /// only grows with co-residents.
     ///
     /// # Errors
     ///
@@ -1203,7 +1112,7 @@ impl FleetManager {
     /// (hypothetical) shape rejects the re-admission;
     /// [`FleetError::UnknownGroup`] / [`FleetError::Stopped`] /
     /// [`FleetError::Analysis`].
-    pub fn restore_resident(&self, restored: &CheckpointResident) -> Result<(), FleetError> {
+    fn restore_resident(&self, restored: &CheckpointResident) -> Result<(), FleetError> {
         let group_index = restored.group as usize;
         let g = self.group(group_index)?;
         let app_index = (restored.app_index as usize) % self.inner.spec.application_count();
@@ -1224,7 +1133,6 @@ impl FleetManager {
                         app,
                         app_index,
                         required_throughput: restored.required_throughput,
-                        admitted_seq: restored.admitted_seq,
                     },
                 );
                 // Keep id assignment monotone past every restored id.
@@ -1252,8 +1160,9 @@ impl FleetManager {
     /// override naming a group this fleet lacks is skipped, and each
     /// resident on such a group fails on its own.
     ///
-    /// Returns every resident's [`restore_resident`](Self::restore_resident)
-    /// result in that order. Whether a failure is fatal is the caller's
+    /// Returns every resident's re-admission result in that order (an
+    /// already-live id, a full group or a rejecting mix is a
+    /// [`FleetError::Restore`]). Whether a failure is fatal is the caller's
     /// rule: replay and [`recover`](Self::recover) stop at the first,
     /// `probcon plan` counts each as a regression.
     pub fn restore<'c>(
@@ -1291,114 +1200,29 @@ impl FleetManager {
     }
 
     /// Rebuilds a fleet from a journal that already holds history — the
-    /// `probcon serve --journal-dir` restart path: restores the base
-    /// checkpoint's residents, then re-applies the post-checkpoint tail
-    /// (admissions, releases, rebalances) without re-journaling any of it.
-    /// The returned fleet appends new decisions after the recovered
-    /// history, and its resident state matches the journal's end state
-    /// exactly.
+    /// `probcon serve --journal-dir` restart path. The fleet takes the
+    /// shape the journal's header records
+    /// ([`FleetConfig::from_header`]) and [restores](Self::restore) the
+    /// journal's [`checkpoint`](Journal::checkpoint) onto it: the group
+    /// state every applied resize left, then each live resident on its
+    /// current group under its recorded id. Nothing is journaled; the
+    /// returned fleet appends new decisions after the recovered history,
+    /// and its residents and capacities are the journal's end state.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] when the journal is unreadable or the config
-    /// has no groups; [`FleetError::Restore`] when the recorded state does
-    /// not fit `config`'s shape.
-    pub fn recover(
-        spec: SystemSpec,
-        config: FleetConfig,
-        journal: Journal,
-    ) -> Result<FleetManager, FleetError> {
-        let checkpoint = journal.base_checkpoint();
-        let entries = journal
-            .try_entries()
-            .map_err(|e| FleetError::Config(format!("journal unreadable: {e}")))?;
+    /// [`FleetError::Config`] when the header's shape is unusable;
+    /// the first resident [`restore`](Self::restore) cannot seat, as a
+    /// [`FleetError::Restore`] (or the [`FleetError`] its re-admission
+    /// failed with).
+    pub fn recover(spec: SystemSpec, journal: Journal) -> Result<FleetManager, FleetError> {
+        let config = FleetConfig::from_header(journal.header())?;
+        let checkpoint = journal.checkpoint();
         let fleet = FleetManager::with_journal(spec, config, journal)?;
-        if let Some(checkpoint) = &checkpoint {
-            for (_, restored) in fleet.restore(checkpoint) {
-                restored?;
-            }
-        }
-        for entry in &entries {
-            match &entry.event {
-                DecisionEvent::Admit {
-                    group,
-                    app_index,
-                    required_throughput,
-                    outcome: JournalOutcome::Admitted { resident, .. },
-                    ..
-                } => {
-                    fleet.restore_resident(&CheckpointResident {
-                        resident: *resident,
-                        group: *group,
-                        app_index: *app_index,
-                        required_throughput: *required_throughput,
-                        admitted_seq: entry.seq,
-                    })?;
-                }
-                // Rejections and saturations changed nothing.
-                DecisionEvent::Admit { .. } => {}
-                DecisionEvent::Release { resident } => {
-                    fleet.release_unjournaled(*resident);
-                }
-                DecisionEvent::Rebalance {
-                    resident, to_group, ..
-                } => {
-                    fleet.move_unjournaled(*resident, *to_group as usize)?;
-                }
-                DecisionEvent::Resize {
-                    action,
-                    outcome: ScaleOutcome::Applied,
-                } => {
-                    fleet.apply_resize_unjournaled(action)?;
-                }
-                // A refused resize changed nothing.
-                DecisionEvent::Resize { .. } => {}
-            }
+        for (_, seated) in fleet.restore(&checkpoint) {
+            seated?;
         }
         Ok(fleet)
-    }
-
-    /// Releases a resident without journaling — recovery re-applies
-    /// recorded releases whose entries are already in the journal.
-    fn release_unjournaled(&self, resident: u64) -> bool {
-        let Some(entry) = lock(&self.inner.residents).remove(&resident) else {
-            return false;
-        };
-        if let Ok(g) = self.group(entry.group) {
-            g.release(entry.shard, entry.app);
-        }
-        true
-    }
-
-    /// Moves a resident without journaling — recovery re-applies recorded
-    /// rebalances whose entries are already in the journal.
-    fn move_unjournaled(&self, resident: u64, to: usize) -> Result<(), FleetError> {
-        let (from, app_index, required) = {
-            let residents = lock(&self.inner.residents);
-            let entry = residents
-                .get(&resident)
-                .ok_or(FleetError::UnknownResident(resident))?;
-            (entry.group, entry.app_index, entry.required_throughput)
-        };
-        let (source, target) = (self.group(from)?, self.group(to)?);
-        match self.decide(&target, app_index, required)? {
-            ShardDecision::Admitted { shard, app, .. } => {
-                let (old_shard, old_app) = self.relocate(resident, to, shard, app)?;
-                source.release(old_shard, old_app);
-                Ok(())
-            }
-            ShardDecision::Rejected(violations) => Err(FleetError::Restore {
-                resident,
-                reason: format!(
-                    "recorded rebalance to group {to} rejected ({} violations)",
-                    violations.len()
-                ),
-            }),
-            ShardDecision::Full => Err(FleetError::Restore {
-                resident,
-                reason: format!("recorded rebalance target group {to} is full"),
-            }),
-        }
     }
 
     /// Executes one elastic capacity change and journals it (and its
@@ -1571,9 +1395,9 @@ impl FleetManager {
         ScaleOutcome::Applied
     }
 
-    /// AddGroup: append under the group-list write lock, so the new group
-    /// and its journal entry are atomic against checkpoints (which hold
-    /// the read lock).
+    /// AddGroup: append under the group-list write lock, so the index
+    /// check, the new group and its journal entry are atomic against any
+    /// other AddGroup — the journal records adds in index order.
     fn resize_add(&self, index: usize, config: GroupConfig, action: &ScaleAction) -> ScaleOutcome {
         let mut groups = self
             .inner
@@ -1589,7 +1413,7 @@ impl FleetManager {
                 },
             );
         }
-        groups.push(Arc::new(GroupRuntime::from_config(config, true)));
+        groups.push(Arc::new(GroupRuntime::from_config(config)));
         self.append_resize(action, ScaleOutcome::Applied);
         ScaleOutcome::Applied
     }
@@ -1695,35 +1519,7 @@ impl FleetManager {
         });
     }
 
-    /// Applies an already-journaled resize without re-journaling it — the
-    /// recovery path re-applying a recorded `Applied` resize. A recorded
-    /// drain's moves were re-applied from their own Rebalance entries, so
-    /// only the retire flag remains to set here.
-    fn apply_resize_unjournaled(&self, action: &ScaleAction) -> Result<(), FleetError> {
-        match action {
-            ScaleAction::Grow {
-                group,
-                capacity_per_shard,
-            }
-            | ScaleAction::Shrink {
-                group,
-                capacity_per_shard,
-            } => {
-                let g = self.group(*group as usize)?;
-                g.set_capacity_per_shard(*capacity_per_shard as usize);
-            }
-            ScaleAction::AddGroup { group, shape } => {
-                self.apply_add_group(*group as usize, GroupConfig::from_shape(shape))?;
-            }
-            ScaleAction::Drain { group } => {
-                let g = self.group(*group as usize)?;
-                g.retired.store(true, Ordering::Release);
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends a group without journaling (recovery/restore path).
+    /// Appends a group without journaling (the restore path).
     fn apply_add_group(&self, index: usize, config: GroupConfig) -> Result<(), FleetError> {
         let mut groups = self
             .inner
@@ -1736,7 +1532,7 @@ impl FleetManager {
                 groups.len()
             )));
         }
-        groups.push(Arc::new(GroupRuntime::from_config(config, true)));
+        groups.push(Arc::new(GroupRuntime::from_config(config)));
         Ok(())
     }
 

@@ -30,6 +30,16 @@
 //! Replay requires the two to be equal; plan sorts their differences into
 //! flips. So a journal that replays EQUIVALENT plans its recorded shape
 //! with zero flips, snapshot-compacted journals included.
+//!
+//! The state a log implies has one fold, too. Every [`Journal`] keeps the
+//! fold of its base checkpoint plus every later entry, applying each entry
+//! as it is appended (or read, when the journal is parsed or a WAL is
+//! opened). [`Journal::checkpoint`] returns it; [`Journal::compact`]
+//! installs it as the new base, which is how `probcon journal compact` and
+//! `probcon serve`'s checkpointer both snapshot a log; and
+//! [`FleetManager::recover`] restarts a fleet by restoring it onto the
+//! shape the journal's header records. [`fold_checkpoint`] runs the same
+//! step over any entry prefix.
 
 use crate::fleet::{FleetConfig, FleetError, FleetManager};
 use crate::planner::RouteMode;
@@ -404,6 +414,31 @@ pub struct JournalEntry {
     pub origin_seq: Option<u64>,
 }
 
+impl JournalEntry {
+    /// Checks the entry read where the log expects sequence number
+    /// `expected`: the sequence must continue there and the checksum must
+    /// hold. Every reader of entries — file parser, WAL scan and stream,
+    /// in-memory walk — runs this one check.
+    pub(crate) fn check(&self, expected: u64) -> Result<(), JournalError> {
+        if self.seq != expected {
+            return Err(JournalError::SequenceGap {
+                expected,
+                found: self.seq,
+            });
+        }
+        let checksum = checksum_of(
+            self.seq,
+            &self.event,
+            self.client.as_deref(),
+            self.origin_seq,
+        );
+        if self.checksum != checksum {
+            return Err(JournalError::Checksum { seq: self.seq });
+        }
+        Ok(())
+    }
+}
+
 /// Why a journal failed to load or verify.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
@@ -637,22 +672,7 @@ impl Store {
             Store::Memory { base, entries } => {
                 let first = base.as_ref().map_or(0, |c| c.upto_seq);
                 for (expected, entry) in (first..).zip(entries.iter()) {
-                    if entry.seq != expected {
-                        return Err(JournalError::SequenceGap {
-                            expected,
-                            found: entry.seq,
-                        });
-                    }
-                    if entry.checksum
-                        != checksum_of(
-                            entry.seq,
-                            &entry.event,
-                            entry.client.as_deref(),
-                            entry.origin_seq,
-                        )
-                    {
-                        return Err(JournalError::Checksum { seq: entry.seq });
-                    }
+                    entry.check(expected)?;
                     if entry.seq >= from && !f(entry) {
                         return Ok(());
                     }
@@ -662,6 +682,41 @@ impl Store {
             Store::Wal(wal) => wal.stream_entries(from, f),
         }
     }
+
+    /// Installs `checkpoint` as the base (see
+    /// [`Journal::install_checkpoint`]).
+    fn install_checkpoint(&mut self, checkpoint: FleetCheckpoint) -> Result<(), JournalError> {
+        match self {
+            Store::Wal(wal) => wal.install_checkpoint(checkpoint),
+            Store::Memory { base, entries } => {
+                if !checkpoint.verify() {
+                    return Err(JournalError::CorruptCheckpoint(
+                        "checksum mismatch".to_string(),
+                    ));
+                }
+                let floor = base.as_ref().map_or(0, |c| c.upto_seq);
+                let next = floor + entries.len() as u64;
+                if checkpoint.upto_seq < floor || checkpoint.upto_seq > next {
+                    return Err(JournalError::CorruptCheckpoint(format!(
+                        "fold point {} outside [{floor}, {next}]",
+                        checkpoint.upto_seq
+                    )));
+                }
+                entries.retain(|e| e.seq >= checkpoint.upto_seq);
+                *base = Some(checkpoint);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// A journal's backing store and the fold of everything it holds, kept
+/// under the journal's one lock so the fold always describes exactly the
+/// stored log.
+#[derive(Debug)]
+struct Log {
+    store: Store,
+    fold: LogFold,
 }
 
 /// Append-only, checksummed decision log (see the [module docs](self)).
@@ -678,20 +733,50 @@ impl Store {
 /// segment file, only a bounded tail stays in memory, and a snapshot
 /// checkpoint lets replay start from the nearest fold point instead of
 /// seq 0. See [`crate::wal`] for the on-disk layout.
+///
+/// Either way the journal keeps the fold of its log — the base checkpoint
+/// plus every later entry — in memory, one step per append. Its size is the
+/// live residents and resized groups, not the history.
+/// [`checkpoint`](Self::checkpoint) returns it and
+/// [`compact`](Self::compact) installs it, without reading the log back.
 #[derive(Debug)]
 pub struct Journal {
     header: JournalHeader,
-    store: Mutex<Store>,
+    log: Mutex<Log>,
 }
 
 impl Journal {
     /// Empty in-memory journal with the given header.
     pub fn new(header: JournalHeader) -> Journal {
+        Journal::in_memory(header, None, Vec::new())
+    }
+
+    /// In-memory journal over `entries` after `base`, folding them.
+    fn in_memory(
+        header: JournalHeader,
+        base: Option<FleetCheckpoint>,
+        entries: Vec<JournalEntry>,
+    ) -> Journal {
+        let mut fold = LogFold::new(base.as_ref());
+        for entry in &entries {
+            fold.apply(entry);
+        }
         Journal {
             header,
-            store: Mutex::new(Store::Memory {
-                base: None,
-                entries: Vec::new(),
+            log: Mutex::new(Log {
+                store: Store::Memory { base, entries },
+                fold,
+            }),
+        }
+    }
+
+    /// Journal over an opened WAL store whose log folds to `fold`.
+    fn on_wal(store: WalStore, fold: LogFold) -> Journal {
+        Journal {
+            header: store.header().clone(),
+            log: Mutex::new(Log {
+                store: Store::Wal(Box::new(store)),
+                fold,
             }),
         }
     }
@@ -708,16 +793,15 @@ impl Journal {
         config: WalConfig,
     ) -> Result<Journal, JournalError> {
         let store = WalStore::create(dir.as_ref(), header, config)?;
-        Ok(Journal {
-            header: store.header().clone(),
-            store: Mutex::new(Store::Wal(Box::new(store))),
-        })
+        Ok(Journal::on_wal(store, LogFold::default()))
     }
 
     /// Opens an existing WAL directory, verifying the manifest, snapshot
     /// and every sealed segment, and truncating a torn active-segment tail
     /// back to the last valid entry (reported in the returned
-    /// [`WalRecovery`]).
+    /// [`WalRecovery`]). The verification scan folds every entry from the
+    /// snapshot's fold point on, so [`checkpoint`](Self::checkpoint) needs
+    /// no second read.
     ///
     /// # Errors
     ///
@@ -729,14 +813,8 @@ impl Journal {
         dir: impl AsRef<Path>,
         config: WalConfig,
     ) -> Result<(Journal, WalRecovery), JournalError> {
-        let (store, recovery) = WalStore::open(dir.as_ref(), config)?;
-        Ok((
-            Journal {
-                header: store.header().clone(),
-                store: Mutex::new(Store::Wal(Box::new(store))),
-            },
-            recovery,
-        ))
+        let (store, recovery, fold) = WalStore::open(dir.as_ref(), config)?;
+        Ok((Journal::on_wal(store, fold), recovery))
     }
 
     /// Loads a journal from `path`, which may be a WAL directory or a
@@ -770,8 +848,8 @@ impl Journal {
     /// sequence stays consistent.
     pub fn append(&self, event: DecisionEvent) -> u64 {
         let client = ClientScope::current();
-        let mut store = crate::cache::lock(&self.store);
-        let seq = store.next_seq();
+        let mut log = crate::cache::lock(&self.log);
+        let seq = log.store.next_seq();
         let entry = JournalEntry {
             seq,
             timestamp_micros: now_micros(),
@@ -780,7 +858,8 @@ impl Journal {
             client,
             origin_seq: None,
         };
-        match &mut *store {
+        log.fold.apply(&entry);
+        match &mut log.store {
             Store::Memory { entries, .. } => entries.push(entry),
             Store::Wal(wal) => wal.append_entry(entry),
         }
@@ -790,7 +869,7 @@ impl Journal {
     /// Number of recorded decisions still in the entry view (decisions
     /// folded into the base checkpoint are not re-counted).
     pub fn len(&self) -> usize {
-        let store = crate::cache::lock(&self.store);
+        let store = &crate::cache::lock(&self.log).store;
         (store.next_seq() - store.base_seq()) as usize
     }
 
@@ -802,24 +881,32 @@ impl Journal {
     /// Sequence number the next append will receive (total decisions ever
     /// recorded, including those folded into the base checkpoint).
     pub fn next_seq(&self) -> u64 {
-        crate::cache::lock(&self.store).next_seq()
+        crate::cache::lock(&self.log).store.next_seq()
     }
 
     /// First sequence number of the entry view: the base checkpoint's fold
     /// point, or 0 without one.
     pub fn base_seq(&self) -> u64 {
-        crate::cache::lock(&self.store).base_seq()
+        crate::cache::lock(&self.log).store.base_seq()
     }
 
     /// The base snapshot checkpoint the entry view starts from, if any.
     pub fn base_checkpoint(&self) -> Option<FleetCheckpoint> {
-        crate::cache::lock(&self.store).base().cloned()
+        crate::cache::lock(&self.log).store.base().cloned()
+    }
+
+    /// The snapshot checkpoint of everything the journal holds — its base
+    /// checkpoint with every later entry folded in, at
+    /// [`next_seq`](Self::next_seq) — from the fold the journal keeps, so
+    /// no entry is read back.
+    pub fn checkpoint(&self) -> FleetCheckpoint {
+        crate::cache::lock(&self.log).fold.checkpoint()
     }
 
     /// Append I/O failures absorbed so far (always 0 for in-memory
     /// journals).
     pub fn io_errors(&self) -> u64 {
-        match &*crate::cache::lock(&self.store) {
+        match &crate::cache::lock(&self.log).store {
             Store::Memory { .. } => 0,
             Store::Wal(wal) => wal.io_errors(),
         }
@@ -831,7 +918,7 @@ impl Journal {
     ///
     /// [`JournalError::Io`] on filesystem failures.
     pub fn sync(&self) -> Result<(), JournalError> {
-        match &mut *crate::cache::lock(&self.store) {
+        match &mut crate::cache::lock(&self.log).store {
             Store::Memory { .. } => Ok(()),
             Store::Wal(wal) => wal.sync(),
         }
@@ -841,7 +928,7 @@ impl Journal {
     /// WAL-backed journal (so it may return fewer than `n` right after a
     /// rotation or checkpoint, without touching disk).
     pub fn recent(&self, n: usize) -> Vec<JournalEntry> {
-        match &*crate::cache::lock(&self.store) {
+        match &crate::cache::lock(&self.log).store {
             Store::Memory { entries, .. } => {
                 let skip = entries.len().saturating_sub(n);
                 entries[skip..].to_vec()
@@ -853,7 +940,7 @@ impl Journal {
     /// Disk-shape statistics of a WAL-backed journal (`None` for in-memory
     /// journals).
     pub fn wal_stats(&self) -> Option<WalStats> {
-        match &*crate::cache::lock(&self.store) {
+        match &crate::cache::lock(&self.log).store {
             Store::Memory { .. } => None,
             Store::Wal(wal) => Some(wal.stats()),
         }
@@ -867,7 +954,7 @@ impl Journal {
     /// Checksum/sequence errors on corruption; [`JournalError::Io`] on a
     /// WAL read failure.
     pub fn try_entries(&self) -> Result<Vec<JournalEntry>, JournalError> {
-        let mut store = crate::cache::lock(&self.store);
+        let store = &mut crate::cache::lock(&self.log).store;
         let from = store.base_seq();
         let mut out = Vec::with_capacity((store.next_seq() - from) as usize);
         store.for_each_from(from, |entry| {
@@ -899,8 +986,7 @@ impl Journal {
     /// (re-executing against a *different* fleet — whose own journal is a
     /// separate object — is fine, and is exactly what replay does).
     pub fn with_entries<R>(&self, f: impl FnOnce(&[JournalEntry]) -> R) -> R {
-        let mut store = crate::cache::lock(&self.store);
-        match &mut *store {
+        match &mut crate::cache::lock(&self.log).store {
             Store::Memory { entries, .. } => f(entries),
             Store::Wal(wal) => {
                 // Planning materializes the post-checkpoint tail once and
@@ -915,7 +1001,7 @@ impl Journal {
     /// entries without provenance contribute `None`.
     pub fn clients(&self) -> Vec<Option<String>> {
         let mut seen: Vec<Option<String>> = Vec::new();
-        let mut store = crate::cache::lock(&self.store);
+        let store = &mut crate::cache::lock(&self.log).store;
         let from = store.base_seq();
         let _ = store.for_each_from(from, |entry| {
             if !seen.contains(&entry.client) {
@@ -948,7 +1034,7 @@ impl Journal {
     pub fn split_by_client(&self) -> Result<Vec<(Option<String>, Journal)>, JournalError> {
         let mut split: Vec<(Option<String>, Vec<JournalEntry>)> = Vec::new();
         {
-            let mut store = crate::cache::lock(&self.store);
+            let store = &mut crate::cache::lock(&self.log).store;
             if let Some(base) = store.base() {
                 return Err(JournalError::Checkpointed {
                     upto_seq: base.upto_seq,
@@ -980,13 +1066,7 @@ impl Journal {
             .map(|(client, entries)| {
                 (
                     client,
-                    Journal {
-                        header: self.header.clone(),
-                        store: Mutex::new(Store::Memory {
-                            base: None,
-                            entries,
-                        }),
-                    },
+                    Journal::in_memory(self.header.clone(), None, entries),
                 )
             })
             .collect())
@@ -1042,13 +1122,7 @@ impl Journal {
                 origin_seq,
             });
         }
-        Ok(Journal {
-            header: a.header.clone(),
-            store: Mutex::new(Store::Memory {
-                base: None,
-                entries: out,
-            }),
-        })
+        Ok(Journal::in_memory(a.header.clone(), None, out))
     }
 
     /// Verifies checksum and sequence contiguity of every entry.
@@ -1058,7 +1132,7 @@ impl Journal {
     /// [`JournalError::Checksum`] / [`JournalError::SequenceGap`] on the
     /// first corrupt entry, [`JournalError::Io`] on a WAL read failure.
     pub fn verify(&self) -> Result<(), JournalError> {
-        let mut store = crate::cache::lock(&self.store);
+        let store = &mut crate::cache::lock(&self.log).store;
         let from = store.base_seq();
         store.for_each_from(from, |_| true)
     }
@@ -1066,7 +1140,9 @@ impl Journal {
     /// Installs a snapshot checkpoint folding every decision before its
     /// `upto_seq`: the entry view now starts there, and on a WAL-backed
     /// journal the snapshot is written durably and every sealed segment it
-    /// fully covers is garbage collected.
+    /// fully covers is garbage collected. The journal's own fold (see
+    /// [`checkpoint`](Self::checkpoint)) is left as it is: installing a
+    /// prefix of the log changes nothing the whole log implies.
     ///
     /// # Errors
     ///
@@ -1074,45 +1150,27 @@ impl Journal {
     /// checksum or folds to a sequence number outside
     /// `[base_seq, next_seq]`; [`JournalError::Io`] on WAL write failures.
     pub fn install_checkpoint(&self, checkpoint: FleetCheckpoint) -> Result<(), JournalError> {
-        let mut store = crate::cache::lock(&self.store);
-        match &mut *store {
-            Store::Wal(wal) => wal.install_checkpoint(checkpoint),
-            Store::Memory { base, entries } => {
-                if !checkpoint.verify() {
-                    return Err(JournalError::CorruptCheckpoint(
-                        "checksum mismatch".to_string(),
-                    ));
-                }
-                let floor = base.as_ref().map_or(0, |c| c.upto_seq);
-                let next = floor + entries.len() as u64;
-                if checkpoint.upto_seq < floor || checkpoint.upto_seq > next {
-                    return Err(JournalError::CorruptCheckpoint(format!(
-                        "fold point {} outside [{floor}, {next}]",
-                        checkpoint.upto_seq
-                    )));
-                }
-                entries.retain(|e| e.seq >= checkpoint.upto_seq);
-                *base = Some(checkpoint);
-                Ok(())
-            }
-        }
+        crate::cache::lock(&self.log)
+            .store
+            .install_checkpoint(checkpoint)
     }
 
-    /// Folds the whole entry view into a fresh snapshot checkpoint and
-    /// installs it — `probcon journal compact`. On a WAL-backed journal
-    /// this seals the active segment and garbage-collects everything the
-    /// snapshot covers, shrinking the directory to the manifest, the
-    /// snapshot and one empty active segment; replaying the compacted
-    /// journal restores the exact same end state.
+    /// Installs the journal's [`checkpoint`](Self::checkpoint) as its new
+    /// base — `probcon journal compact` and `probcon serve`'s
+    /// checkpointer. On a WAL-backed journal this seals the active segment
+    /// and garbage-collects everything the snapshot covers, shrinking the
+    /// directory to the manifest, the snapshot and one empty active
+    /// segment; replaying the compacted journal restores the exact same end
+    /// state. Appends wait only for the snapshot write, never for a read of
+    /// the log.
     ///
     /// # Errors
     ///
     /// Any [`JournalError`] variant.
     pub fn compact(&self) -> Result<FleetCheckpoint, JournalError> {
-        let base = self.base_checkpoint();
-        let entries = self.try_entries()?;
-        let checkpoint = fold_checkpoint(base.as_ref(), &entries);
-        self.install_checkpoint(checkpoint.clone())?;
+        let mut log = crate::cache::lock(&self.log);
+        let checkpoint = log.fold.checkpoint();
+        log.store.install_checkpoint(checkpoint.clone())?;
         Ok(checkpoint)
     }
 
@@ -1152,7 +1210,7 @@ impl Journal {
     /// [`JournalError::Io`] on write failures (and WAL read failures);
     /// checksum/sequence errors on corruption.
     pub fn render_to<W: Write>(&self, writer: &mut W) -> Result<(), JournalError> {
-        let mut store = crate::cache::lock(&self.store);
+        let store = &mut crate::cache::lock(&self.log).store;
         writer
             .write_all(self.prologue(store.base()).as_bytes())
             .map_err(|e| JournalError::Io(format!("write: {e}")))?;
@@ -1204,7 +1262,7 @@ impl Journal {
         max_entries: usize,
     ) -> Result<JournalPage, JournalError> {
         let max_entries = max_entries.max(1);
-        let mut store = crate::cache::lock(&self.store);
+        let store = &mut crate::cache::lock(&self.log).store;
         let mut text = String::new();
         if from_seq == 0 {
             text.push_str(&self.prologue(store.base()));
@@ -1380,22 +1438,7 @@ impl JournalParser {
         }
         let entry: JournalEntry =
             serde_json::from_str(line).map_err(|e| JournalError::Parse(e.to_string()))?;
-        if entry.seq != self.next_seq {
-            return Err(JournalError::SequenceGap {
-                expected: self.next_seq,
-                found: entry.seq,
-            });
-        }
-        if entry.checksum
-            != checksum_of(
-                entry.seq,
-                &entry.event,
-                entry.client.as_deref(),
-                entry.origin_seq,
-            )
-        {
-            return Err(JournalError::Checksum { seq: entry.seq });
-        }
+        entry.check(self.next_seq)?;
         self.next_seq += 1;
         self.entries.push(entry);
         Ok(())
@@ -1408,42 +1451,50 @@ impl JournalParser {
                 "version-2 journal ends before its checkpoint line".to_string(),
             ));
         }
-        Ok(Journal {
-            header,
-            store: Mutex::new(Store::Memory {
-                base: self.base,
-                entries: self.entries,
-            }),
-        })
+        Ok(Journal::in_memory(header, self.base, self.entries))
     }
 }
 
-/// Folds a base checkpoint (if any) and an entry tail into the snapshot
-/// checkpoint describing the journal's end state: live residents with
-/// their current groups, original ids and admission sequence numbers.
-///
-/// This is a pure log fold — no fleet is rebuilt, no decision re-decided —
-/// so the folded ids and sequence numbers are exactly the recorded ones.
-pub fn fold_checkpoint(
-    base: Option<&FleetCheckpoint>,
-    entries: &[JournalEntry],
-) -> FleetCheckpoint {
-    let mut residents: BTreeMap<u64, CheckpointResident> = base
-        .map(|c| {
-            c.residents
+/// The state a log implies: live residents with their current groups,
+/// recorded ids and admission sequence numbers, plus the group overrides
+/// applied resizes left. A pure log fold — no fleet is rebuilt, no decision
+/// re-decided — so the folded ids and sequence numbers are exactly the
+/// recorded ones. [`fold_checkpoint`] runs it over an entry prefix; every
+/// [`Journal`] keeps one over its whole log.
+#[derive(Debug, Default)]
+pub(crate) struct LogFold {
+    upto_seq: u64,
+    next_resident: u64,
+    residents: BTreeMap<u64, CheckpointResident>,
+    groups: BTreeMap<u64, CheckpointGroup>,
+}
+
+impl LogFold {
+    /// The fold of a log that starts at `base` (empty without one).
+    pub(crate) fn new(base: Option<&FleetCheckpoint>) -> LogFold {
+        let Some(base) = base else {
+            return LogFold::default();
+        };
+        LogFold {
+            upto_seq: base.upto_seq,
+            next_resident: base.next_resident,
+            residents: base
+                .residents
                 .iter()
                 .map(|r| (r.resident, r.clone()))
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut groups: BTreeMap<u64, CheckpointGroup> = base
-        .and_then(|c| c.groups.clone())
-        .map(|gs| gs.into_iter().map(|g| (g.group, g)).collect())
-        .unwrap_or_default();
-    let mut next_resident = base.map_or(0, |c| c.next_resident);
-    let mut upto_seq = base.map_or(0, |c| c.upto_seq);
-    for entry in entries {
-        upto_seq = upto_seq.max(entry.seq + 1);
+                .collect(),
+            groups: base
+                .groups
+                .iter()
+                .flatten()
+                .map(|g| (g.group, g.clone()))
+                .collect(),
+        }
+    }
+
+    /// Folds in one entry — the one per-entry step of every fold.
+    pub(crate) fn apply(&mut self, entry: &JournalEntry) {
+        self.upto_seq = self.upto_seq.max(entry.seq + 1);
         match &entry.event {
             DecisionEvent::Admit {
                 group,
@@ -1452,7 +1503,7 @@ pub fn fold_checkpoint(
                 outcome: JournalOutcome::Admitted { resident, .. },
                 ..
             } => {
-                residents.insert(
+                self.residents.insert(
                     *resident,
                     CheckpointResident {
                         resident: *resident,
@@ -1462,16 +1513,16 @@ pub fn fold_checkpoint(
                         admitted_seq: entry.seq,
                     },
                 );
-                next_resident = next_resident.max(resident + 1);
+                self.next_resident = self.next_resident.max(resident + 1);
             }
             DecisionEvent::Admit { .. } => {}
             DecisionEvent::Release { resident } => {
-                residents.remove(resident);
+                self.residents.remove(resident);
             }
             DecisionEvent::Rebalance {
                 resident, to_group, ..
             } => {
-                if let Some(r) = residents.get_mut(resident) {
+                if let Some(r) = self.residents.get_mut(resident) {
                     r.group = *to_group;
                 }
             }
@@ -1487,29 +1538,49 @@ pub fn fold_checkpoint(
                     group,
                     capacity_per_shard,
                 } => {
-                    groups
-                        .entry(*group)
-                        .or_insert_with(|| CheckpointGroup::unchanged(*group))
-                        .capacity_per_shard = Some(*capacity_per_shard);
+                    self.group(*group).capacity_per_shard = Some(*capacity_per_shard);
                 }
                 ScaleAction::AddGroup { group, shape } => {
                     let mut added = CheckpointGroup::unchanged(*group);
                     added.added = Some(shape.clone());
-                    groups.insert(*group, added);
+                    self.groups.insert(*group, added);
                 }
-                ScaleAction::Drain { group } => {
-                    groups
-                        .entry(*group)
-                        .or_insert_with(|| CheckpointGroup::unchanged(*group))
-                        .retired = true;
-                }
+                ScaleAction::Drain { group } => self.group(*group).retired = true,
             },
             // A refused resize changed nothing, by definition.
             DecisionEvent::Resize { .. } => {}
         }
     }
-    FleetCheckpoint::new(upto_seq, next_resident, residents.into_values().collect())
-        .with_groups(groups.into_values().collect())
+
+    fn group(&mut self, group: u64) -> &mut CheckpointGroup {
+        self.groups
+            .entry(group)
+            .or_insert_with(|| CheckpointGroup::unchanged(group))
+    }
+
+    /// The snapshot checkpoint of everything folded so far.
+    pub(crate) fn checkpoint(&self) -> FleetCheckpoint {
+        FleetCheckpoint::new(
+            self.upto_seq,
+            self.next_resident,
+            self.residents.values().cloned().collect(),
+        )
+        .with_groups(self.groups.values().cloned().collect())
+    }
+}
+
+/// Folds a base checkpoint (if any) and an entry tail into the snapshot
+/// checkpoint describing the journal's end state — the fold
+/// [`Journal::checkpoint`] keeps, run over any prefix of a log.
+pub fn fold_checkpoint(
+    base: Option<&FleetCheckpoint>,
+    entries: &[JournalEntry],
+) -> FleetCheckpoint {
+    let mut fold = LogFold::new(base);
+    for entry in entries {
+        fold.apply(entry);
+    }
+    fold.checkpoint()
 }
 
 /// Human-readable first difference between two headers that refused to

@@ -178,6 +178,16 @@ impl FleetShape {
 
     /// Scales every group's per-shard capacity by `factor` (rounded to the
     /// nearest integer, floored at 1 — a group never vanishes by scaling).
+    ///
+    /// Two limits of what a scaled shape measures:
+    /// - a recorded absolute `Grow`/`Shrink`, or a snapshot checkpoint's
+    ///   capacities, replaces the scaled capacity of its group once
+    ///   applied, so on a resized journal the capacity axis measures
+    ///   little beyond the stretch before the first resize;
+    /// - a recorded rejection that the scaled shape admits stays resident
+    ///   until the journal ends (nothing recorded releases it), so a larger
+    ///   shape can report more regressions than a smaller one — a sweep's
+    ///   frontier is not monotone in capacity.
     #[must_use]
     pub fn scale_capacity(mut self, factor: f64) -> FleetShape {
         for group in &mut self.groups {

@@ -19,8 +19,10 @@
 //!   is always replaced atomically (temp file, `fsync`, rename): a torn
 //!   manifest is *detected* ([`JournalError::TornManifest`]), never
 //!   silently half-read.
-//! * **Snapshot checkpoints** — a [`FleetCheckpoint`] folds the fleet's
-//!   resident state at a sequence number (`snapshot-<upto_seq>.json`).
+//! * **Snapshot checkpoints** — a [`FleetCheckpoint`] is the log's fold
+//!   (live residents and resized groups) at a sequence number
+//!   (`snapshot-<upto_seq>.json`); the journal keeps that fold as it
+//!   appends, and [`Journal::compact`](crate::Journal::compact) writes it.
 //!   Replay and planning restore the checkpoint and walk only the tail
 //!   after it instead of re-deciding from seq 0, and sealed segments fully
 //!   covered by the snapshot are garbage collected.
@@ -34,7 +36,7 @@
 //! (fsync every append), `every-N` (group commit), or `on-rotate` (fsync
 //! only at segment seal — fastest, widest loss window).
 
-use crate::journal::{checksum_of, fnv1a64, GroupShape, JournalEntry, JournalError, JournalHeader};
+use crate::journal::{fnv1a64, GroupShape, JournalEntry, JournalError, JournalHeader, LogFold};
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -219,11 +221,13 @@ pub struct CheckpointResident {
     pub admitted_seq: u64,
 }
 
-/// One group's shape as folded into a [`FleetCheckpoint`], recorded only
-/// when resize events changed the group from (or added it beyond) the
-/// journal header's fleet shape. Restores apply these overrides **before**
-/// re-admitting residents, so a checkpoint taken after a grow restores
-/// into a fleet big enough to hold what the recording admitted.
+/// One group's shape as folded into a [`FleetCheckpoint`], recorded for
+/// every group an applied resize touched: grown or shrunk (even back to
+/// the header's capacity), added after the header, or drained. Groups no
+/// applied resize touched keep the journal header's shape and are not
+/// listed. Restores apply these overrides **before** re-admitting
+/// residents, so a checkpoint taken after a grow restores into a fleet big
+/// enough to hold what the recording admitted.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointGroup {
     /// Group index in the fleet.
@@ -233,8 +237,8 @@ pub struct CheckpointGroup {
     #[serde(skip_none)]
     pub added: Option<GroupShape>,
     /// Absolute per-shard capacity after the last applied grow/shrink;
-    /// `None` when the capacity still matches the header (or `added`)
-    /// shape.
+    /// `None` when no grow/shrink was applied to the group (its capacity
+    /// is the header's, or `added`'s).
     #[serde(skip_none)]
     pub capacity_per_shard: Option<u64>,
     /// `true` once the group was drained and retired.
@@ -270,8 +274,8 @@ pub struct FleetCheckpoint {
     /// Every live resident at the fold point, ordered by id.
     pub residents: Vec<CheckpointResident>,
     /// Per-group shape overrides at the fold point, ordered by group index
-    /// — present only when applied resizes changed the fleet from its
-    /// header shape. Omitted from the serialized form when `None`, so
+    /// — one for every group an applied resize touched, `None` when no
+    /// resize was applied. Omitted from the serialized form when `None`, so
     /// checkpoints written before elasticity existed keep verifying their
     /// checksums.
     #[serde(skip_none)]
@@ -396,11 +400,10 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), JournalError
 }
 
 /// A scan of one segment file: entries counted and checksum-verified
-/// line by line, keeping only a bounded tail in memory.
+/// line by line, each valid one handed on as it is read.
 struct SegmentScan {
     entries: u64,
     valid_bytes: u64,
-    tail: VecDeque<JournalEntry>,
     /// The error that stopped the scan, if any (`valid_bytes` covers
     /// everything before it).
     error: Option<JournalError>,
@@ -409,14 +412,13 @@ struct SegmentScan {
 fn scan_segment(
     path: &Path,
     first_seq: u64,
-    keep_tail: usize,
+    mut on_entry: impl FnMut(JournalEntry),
 ) -> Result<SegmentScan, JournalError> {
     let file = File::open(path).map_err(|e| io_err("open", path, &e))?;
     let mut reader = BufReader::new(file);
     let mut scan = SegmentScan {
         entries: 0,
         valid_bytes: 0,
-        tail: VecDeque::new(),
         error: None,
     };
     let mut line = String::new();
@@ -441,33 +443,13 @@ fn scan_segment(
                 return Ok(scan);
             }
         };
-        let expected = first_seq + scan.entries;
-        if entry.seq != expected {
-            scan.error = Some(JournalError::SequenceGap {
-                expected,
-                found: entry.seq,
-            });
-            return Ok(scan);
-        }
-        if entry.checksum
-            != checksum_of(
-                entry.seq,
-                &entry.event,
-                entry.client.as_deref(),
-                entry.origin_seq,
-            )
-        {
-            scan.error = Some(JournalError::Checksum { seq: entry.seq });
+        if let Err(error) = entry.check(first_seq + scan.entries) {
+            scan.error = Some(error);
             return Ok(scan);
         }
         scan.entries += 1;
         scan.valid_bytes += read as u64;
-        if keep_tail > 0 {
-            scan.tail.push_back(entry);
-            while scan.tail.len() > keep_tail {
-                scan.tail.pop_front();
-            }
-        }
+        on_entry(entry);
     }
 }
 
@@ -533,11 +515,13 @@ impl WalStore {
         Ok(store)
     }
 
-    /// Opens (and, if needed, repairs) an existing WAL directory.
+    /// Opens (and, if needed, repairs) an existing WAL directory, and
+    /// returns the fold of its snapshot plus every entry after it, built
+    /// from the entries the verification scan reads anyway.
     pub(crate) fn open(
         dir: &Path,
         config: WalConfig,
-    ) -> Result<(WalStore, WalRecovery), JournalError> {
+    ) -> Result<(WalStore, WalRecovery, LogFold), JournalError> {
         let config = normalize(config);
         let manifest_path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&manifest_path)
@@ -621,10 +605,19 @@ impl WalStore {
             )));
         }
 
+        // Segments may start before the snapshot's fold point (a retained
+        // older snapshot keeps them): only later entries are folded.
+        let mut fold = LogFold::new(checkpoint.as_ref());
+        let mut fold_entry = |entry: &JournalEntry| {
+            if entry.seq >= floor {
+                fold.apply(entry);
+            }
+        };
+
         // Sealed segments were fsynced at seal time: verify them strictly.
         for seg in sealed {
             let path = dir.join(&seg.file);
-            let scan = scan_segment(&path, seg.first_seq, 0)?;
+            let scan = scan_segment(&path, seg.first_seq, |entry| fold_entry(&entry))?;
             if let Some(error) = scan.error {
                 return Err(error);
             }
@@ -643,7 +636,14 @@ impl WalStore {
             // file: the manifest is ahead of the filesystem, harmlessly.
             File::create(&active_path).map_err(|e| io_err("create", &active_path, &e))?;
         }
-        let scan = scan_segment(&active_path, active_meta.first_seq, config.tail_entries)?;
+        let mut tail = VecDeque::new();
+        let scan = scan_segment(&active_path, active_meta.first_seq, |entry| {
+            fold_entry(&entry);
+            tail.push_back(entry);
+            if tail.len() > config.tail_entries {
+                tail.pop_front();
+            }
+        })?;
         let file_len = std::fs::metadata(&active_path)
             .map_err(|e| io_err("stat", &active_path, &e))?
             .len();
@@ -676,10 +676,10 @@ impl WalStore {
             active_entries: scan.entries,
             next_seq,
             unsynced: 0,
-            tail: scan.tail,
+            tail,
             io_errors: 0,
         };
-        Ok((store, recovery))
+        Ok((store, recovery, fold))
     }
 
     pub(crate) fn header(&self) -> &JournalHeader {
@@ -965,22 +965,7 @@ impl WalStore {
                 }
                 let entry: JournalEntry = serde_json::from_str(line.trim_end())
                     .map_err(|e| JournalError::Parse(e.to_string()))?;
-                if entry.seq != expected {
-                    return Err(JournalError::SequenceGap {
-                        expected,
-                        found: entry.seq,
-                    });
-                }
-                if entry.checksum
-                    != checksum_of(
-                        entry.seq,
-                        &entry.event,
-                        entry.client.as_deref(),
-                        entry.origin_seq,
-                    )
-                {
-                    return Err(JournalError::Checksum { seq: entry.seq });
-                }
+                entry.check(expected)?;
                 expected += 1;
                 if entry.seq >= from_seq && !f(&entry) {
                     return Ok(());

@@ -112,12 +112,16 @@ USAGE:
       --journal also writes the journal to a file at shutdown.
       --journal-dir makes the journal DURABLE: decisions stream to a
       segmented write-ahead log in <dir> (created on first start), a
-      background checkpointer folds fleet state into a snapshot every
-      --checkpoint-every entries (default 4096; segments fully covered by
-      the snapshot are garbage-collected), and a restart on the same
-      directory RECOVERS the fleet — snapshot first, then the entry tail,
-      truncating any torn final write. --fsync picks the append durability
-      policy (always | every-N | on-rotate, default every-256);
+      background checkpointer snapshots the journal's fold of its log
+      every --checkpoint-every entries (default 4096; segments fully
+      covered by the snapshot are garbage-collected), and a restart on the
+      same directory RECOVERS the fleet from the WAL alone: the workload
+      and fleet shape its header records, then the residents and group
+      resizes its log folds to (snapshot plus entry tail), after
+      truncating any torn final write. A restart refuses --seed, --apps,
+      --actors, --groups, --shards, --capacity and --policy, which shape
+      only a fresh fleet. --fsync picks the append durability policy
+      (always | every-N | on-rotate, default every-256);
       --segment-entries the rotation threshold (default 8192).
       --autoscale loads a ScalePolicy from a JSON file and runs the
       elastic capacity controller in a background thread: it samples the
@@ -188,7 +192,13 @@ USAGE:
       and summarized by a frontier: the smallest shape with zero
       regressions and the cheapest within --flip-budget regressions.
       --fail-on-flips exits 1 when any flip is reported (CI identity
-      check); --json emits the full report.
+      check); --json emits the full report. Two limits: a recorded
+      absolute grow/shrink, or a snapshot's capacities, replaces a scaled
+      capacity once applied, so on a resized journal the capacity axis
+      measures little; and a recorded rejection the shape admits stays
+      resident until the journal ends (nothing recorded releases it), so
+      more capacity can report more regressions — the sweep's frontier is
+      not monotone in capacity.
       --policy-file evaluates an autoscaling policy OFFLINE: recorded
       resizes are set aside and the policy re-decides scaling against the
       hypothetical fleet every --policy-every events (default 8); the
@@ -478,11 +488,87 @@ fn cmd_signoff(options: &HashMap<&str, &str>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
+/// Builds the local fleet a `fleet-bench` run or a fresh `serve` drives:
+/// the seeded workload and uniform shape their flags name, journaling into
+/// memory or into a new WAL under --journal-dir.
+fn fleet_from_flags(options: &HashMap<&str, &str>) -> Result<runtime::FleetManager, String> {
     use runtime::{
-        run_requests, seeded_fleet_requests, Cached, FleetConfig, FleetManager, FleetRequest,
-        JournalHeader, Metered, RoutingPolicy, JOURNAL_VERSION,
+        FleetConfig, FleetManager, Journal, JournalHeader, RoutingPolicy, JOURNAL_VERSION,
     };
+
+    let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
+    let apps = opt_u64(options, "apps")?.unwrap_or(6);
+    let actors = opt_u64(options, "actors")?.unwrap_or(5);
+    let spec = seeded_workload(seed, apps, Some(actors))?;
+    let groups = opt_u64(options, "groups")?.unwrap_or(4);
+    if groups == 0 {
+        return Err("--groups must be positive".into());
+    }
+    let shards = opt_u64(options, "shards")?.unwrap_or(1);
+    let capacity = opt_u64(options, "capacity")?.unwrap_or(4);
+    let policy = options
+        .get("policy")
+        .copied()
+        .unwrap_or("least-utilised")
+        .parse::<RoutingPolicy>()?;
+    let config = FleetConfig::uniform(groups as usize, shards as usize, capacity as usize, policy);
+    // The header records the workload parameters beside the shape, so the
+    // journal is self-contained: `probcon replay` and a restarted `serve`
+    // rebuild this fleet from it alone.
+    let header = FleetManager::stamped_header(
+        &config,
+        JournalHeader {
+            version: JOURNAL_VERSION,
+            seed,
+            apps,
+            actors,
+            groups,
+            shards_per_group: shards,
+            capacity_per_shard: capacity,
+            policy: policy.to_string(),
+            group_shapes: Vec::new(),
+        },
+    );
+    let journal = match options.get("journal-dir") {
+        Some(dir) => Journal::create_wal(dir, header, wal_config_from(options)?)
+            .map_err(|e| e.to_string())?,
+        None => {
+            for flag in ["fsync", "segment-entries"] {
+                if options.contains_key(flag) {
+                    return Err(format!(
+                        "--{flag} tunes the write-ahead log and needs --journal-dir"
+                    ));
+                }
+            }
+            Journal::new(header)
+        }
+    };
+    FleetManager::with_journal(spec, config, journal).map_err(|e| e.to_string())
+}
+
+/// `true` when `dir` already holds a WAL (its manifest exists).
+fn holds_wal(dir: &str) -> bool {
+    std::path::Path::new(dir)
+        .join(runtime::MANIFEST_FILE)
+        .exists()
+}
+
+/// The workload and fleet shape a journal header records, as the
+/// `fleet-bench` and `serve` banners print it.
+fn shape_line(header: &runtime::JournalHeader) -> String {
+    format!(
+        "{} applications × {} actors, {} groups × {} shards × capacity {}, {} routing",
+        header.apps,
+        header.actors,
+        header.groups,
+        header.shards_per_group,
+        header.capacity_per_shard,
+        header.policy
+    )
+}
+
+fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
+    use runtime::{run_requests, seeded_fleet_requests, Cached, FleetRequest, Metered};
 
     if let Some(&addr) = options.get("connect") {
         return cmd_fleet_bench_remote(addr, options);
@@ -510,72 +596,17 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be positive".into());
     }
-    let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let apps = opt_u64(options, "apps")?.unwrap_or(6);
-    let actors = opt_u64(options, "actors")?.unwrap_or(5);
-    let spec = seeded_workload(seed, apps, Some(actors))?;
-    let groups = opt_u64(options, "groups")?.unwrap_or(4) as usize;
-    if groups == 0 {
-        return Err("--groups must be positive".into());
+    let wal_dir = options.get("journal-dir").copied();
+    if let Some(dir) = wal_dir.filter(|dir| holds_wal(dir)) {
+        return Err(format!(
+            "--journal-dir {dir}: already a WAL; fleet-bench records fresh runs — \
+             replay or compact the existing log, or pick an empty directory"
+        ));
     }
-    let shards = opt_u64(options, "shards")?.unwrap_or(1) as usize;
-    let capacity = opt_u64(options, "capacity")?.unwrap_or(4) as usize;
-    let policy = options
-        .get("policy")
-        .copied()
-        .unwrap_or("least-utilised")
-        .parse::<RoutingPolicy>()?;
-
-    let header = JournalHeader {
-        version: JOURNAL_VERSION,
-        seed,
-        apps,
-        actors,
-        groups: groups as u64,
-        shards_per_group: shards as u64,
-        capacity_per_shard: capacity as u64,
-        policy: policy.to_string(),
-        // The fleet stamps its actual per-group shapes on construction.
-        group_shapes: Vec::new(),
-    };
-    let wal_dir = options.get("journal-dir").map(std::path::PathBuf::from);
-    if wal_dir.is_none() {
-        for flag in ["fsync", "segment-entries"] {
-            if options.contains_key(flag) {
-                return Err(format!(
-                    "--{flag} tunes the write-ahead log and needs --journal-dir"
-                ));
-            }
-        }
-    }
-    let config = FleetConfig::uniform(groups, shards, capacity, policy);
-    let fleet = match &wal_dir {
-        None => {
-            FleetManager::with_header(spec.clone(), config, header).map_err(|e| e.to_string())?
-        }
-        Some(dir) => {
-            if dir.join(runtime::MANIFEST_FILE).exists() {
-                return Err(format!(
-                    "--journal-dir {}: already a WAL; fleet-bench records fresh runs — \
-                     replay or compact the existing log, or pick an empty directory",
-                    dir.display()
-                ));
-            }
-            let journal = runtime::Journal::create_wal(
-                dir,
-                FleetManager::stamped_header(&config, header),
-                wal_config_from(options)?,
-            )
-            .map_err(|e| e.to_string())?;
-            FleetManager::with_journal(spec.clone(), config, journal).map_err(|e| e.to_string())?
-        }
-    };
-
-    println!(
-        "fleet-bench: {apps} applications × {actors} actors, {groups} groups × \
-         {shards} shards × capacity {capacity}, {policy} routing"
-    );
-    let stream = seeded_fleet_requests(&spec, groups, requests, seed);
+    let fleet = fleet_from_flags(options)?;
+    let (spec, header) = (fleet.spec(), fleet.journal().header());
+    println!("fleet-bench: {}", shape_line(header));
+    let stream = seeded_fleet_requests(spec, header.groups as usize, requests, header.seed);
 
     // --autoscale: run the elastic controller against the benched fleet
     // for the duration of the run; every resize it makes lands in the
@@ -618,10 +649,10 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
         // 2^8 - 1 = 255 warmed entries fit the 256-slot LRU without
         // eviction — beyond that, warming would evict itself and the cold
         // baseline below would stop being exact.
-        if apps > 8 {
+        if header.apps > 8 {
             return Err("--warm-cache enumerates 2^apps - 1 use-cases; use --apps <= 8".into());
         }
-        let report = experiments::signoff::sign_off(&spec, Method::Composability, None)
+        let report = experiments::signoff::sign_off(spec, Method::Composability, None)
             .map_err(|e| e.to_string())?;
         let warmed = cached
             .warm_from_signoff(&report)
@@ -685,18 +716,15 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
             fleet.journal().len()
         );
     }
-    if let Some(dir) = &wal_dir {
+    if let Some(dir) = wal_dir {
         fleet.journal().sync().map_err(|e| e.to_string())?;
         if let Some(stats) = fleet.journal().wal_stats() {
             println!(
-                "wal: {} decisions in {} segment(s), {} bytes at {} \
-                 (replay with: probcon replay {}; fold with: probcon journal compact {})",
+                "wal: {} decisions in {} segment(s), {} bytes at {dir} \
+                 (replay with: probcon replay {dir}; fold with: probcon journal compact {dir})",
                 fleet.journal().len(),
                 stats.segments,
                 stats.disk_bytes,
-                dir.display(),
-                dir.display(),
-                dir.display(),
             );
         }
     }
@@ -917,9 +945,8 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
 
 fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
-        Cached, Endpoint, FleetConfig, FleetManager, Journal, JournalHeader, Metered, RemoteServer,
-        RemoteServerConfig, RoutingPolicy, TraceRecorder, Traced, WireMode, WirePolicy,
-        JOURNAL_VERSION, MANIFEST_FILE,
+        Cached, Endpoint, FleetManager, Journal, Metered, RemoteServer, RemoteServerConfig,
+        TraceRecorder, Traced, WireMode, WirePolicy,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -937,16 +964,6 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         },
         None => WirePolicy::Auto,
     };
-    let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let apps = opt_u64(options, "apps")?.unwrap_or(6);
-    let actors = opt_u64(options, "actors")?.unwrap_or(5);
-    let spec = seeded_workload(seed, apps, Some(actors))?;
-    let groups = opt_u64(options, "groups")?.unwrap_or(4) as usize;
-    if groups == 0 {
-        return Err("--groups must be positive".into());
-    }
-    let shards = opt_u64(options, "shards")?.unwrap_or(1) as usize;
-    let capacity = opt_u64(options, "capacity")?.unwrap_or(4) as usize;
     let cache = opt_u64(options, "cache")?.unwrap_or(256) as usize;
     if cache == 0 {
         return Err("--cache must be positive".into());
@@ -955,11 +972,6 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     if trace_capacity == 0 {
         return Err("--trace capacity must be positive".into());
     }
-    let policy = options
-        .get("policy")
-        .copied()
-        .unwrap_or("least-utilised")
-        .parse::<RoutingPolicy>()?;
 
     let autoscale_policy = options
         .get("autoscale")
@@ -976,62 +988,44 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         return Err("--autoscale-interval needs --autoscale".into());
     }
 
-    let wal_dir = options.get("journal-dir").map(std::path::PathBuf::from);
-    if wal_dir.is_none() {
-        for flag in ["fsync", "segment-entries", "checkpoint-every"] {
-            if options.contains_key(flag) {
-                return Err(format!(
-                    "--{flag} tunes the write-ahead log and needs --journal-dir"
-                ));
-            }
-        }
+    let wal_dir = options.get("journal-dir").copied();
+    if wal_dir.is_none() && options.contains_key("checkpoint-every") {
+        return Err("--checkpoint-every tunes the write-ahead log and needs --journal-dir".into());
     }
     let checkpoint_every = opt_u64(options, "checkpoint-every")?.unwrap_or(4096);
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be positive".into());
     }
 
-    // Stamp the workload parameters so the served journal is
-    // self-contained: any client can fetch it and `probcon replay` it.
-    let header = JournalHeader {
-        version: JOURNAL_VERSION,
-        seed,
-        apps,
-        actors,
-        groups: groups as u64,
-        shards_per_group: shards as u64,
-        capacity_per_shard: capacity as u64,
-        policy: policy.to_string(),
-        group_shapes: Vec::new(),
-    };
-    let config = FleetConfig::uniform(groups, shards, capacity, policy);
-    let fleet = match &wal_dir {
-        None => FleetManager::with_header(spec, config, header).map_err(|e| e.to_string())?,
+    let fleet = match wal_dir {
         // A manifest in the directory means a previous serve recorded
-        // here: recover the fleet from it (snapshot checkpoint first,
-        // then the entry tail). Otherwise start a fresh WAL.
-        Some(dir) if dir.join(MANIFEST_FILE).exists() => {
+        // here: the fleet restarts from the WAL alone — the workload and
+        // shape its header records, the state its log folds to.
+        Some(dir) if holds_wal(dir) => {
+            for flag in [
+                "seed", "apps", "actors", "groups", "shards", "capacity", "policy",
+            ] {
+                if options.contains_key(flag) {
+                    return Err(format!(
+                        "--{flag} shapes a fresh fleet and is not valid on the existing WAL \
+                         {dir}: a restart serves the workload and fleet shape its journal \
+                         header records"
+                    ));
+                }
+            }
             let (journal, recovery) =
                 Journal::open_wal(dir, wal_config_from(options)?).map_err(|e| e.to_string())?;
-            report_recovery(&dir.display().to_string(), &recovery);
-            let fleet = FleetManager::recover(spec, config, journal).map_err(|e| e.to_string())?;
+            report_recovery(dir, &recovery);
+            let spec = spec_from_header(dir, journal.header())?;
+            let fleet = FleetManager::recover(spec, journal).map_err(|e| e.to_string())?;
             println!(
-                "recovered {} resident(s) from WAL {} ({} journaled decisions)",
+                "recovered {} resident(s) from WAL {dir} ({} journaled decisions)",
                 fleet.resident_count(),
-                dir.display(),
                 fleet.journal().len(),
             );
             fleet
         }
-        Some(dir) => {
-            let journal = Journal::create_wal(
-                dir,
-                FleetManager::stamped_header(&config, header),
-                wal_config_from(options)?,
-            )
-            .map_err(|e| e.to_string())?;
-            FleetManager::with_journal(spec, config, journal).map_err(|e| e.to_string())?
-        }
+        _ => fleet_from_flags(options)?,
     };
 
     // The served stack, outermost first: flight recording over latency
@@ -1080,10 +1074,10 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
 
-    // The checkpointer: every --checkpoint-every journaled decisions, fold
-    // the fleet's resident state into a snapshot so recovery starts there
+    // The checkpointer: every --checkpoint-every journaled decisions,
+    // install the journal's fold as a snapshot so recovery starts there
     // instead of seq 0 and fully covered segments are garbage-collected.
-    let checkpointer = wal_dir.as_ref().map(|_| {
+    let checkpointer = wal_dir.map(|_| {
         let fleet = fleet.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -1095,7 +1089,7 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
                 if next.saturating_sub(last) < checkpoint_every {
                     continue;
                 }
-                match fleet.checkpoint_and_install() {
+                match fleet.journal().compact() {
                     Ok(checkpoint) => last = checkpoint.upto_seq,
                     Err(e) => eprintln!("checkpoint failed: {e}"),
                 }
@@ -1105,9 +1099,8 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     });
 
     println!(
-        "serving {apps} applications × {actors} actors, {groups} groups × {shards} shards × \
-         capacity {capacity}, {policy} routing, {cache}-entry estimate cache, \
-         {trace_capacity}-event flight recorder"
+        "serving {}, {cache}-entry estimate cache, {trace_capacity}-event flight recorder",
+        shape_line(fleet.journal().header())
     );
     println!("listening on {}", server.local_addr());
     println!(
@@ -1136,7 +1129,7 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         if let Err(e) = fleet.journal().sync() {
             eprintln!("final WAL sync failed: {e}");
         }
-        match fleet.checkpoint_and_install() {
+        match fleet.journal().compact() {
             Ok(checkpoint) => println!(
                 "checkpointed {} resident(s) at seq {}",
                 checkpoint.residents.len(),
@@ -1415,7 +1408,16 @@ fn journal_with_spec(path: &str) -> Result<(runtime::Journal, platform::SystemSp
     if let Some(recovery) = &recovery {
         report_recovery(path, recovery);
     }
-    let header = journal.header();
+    let spec = spec_from_header(path, journal.header())?;
+    Ok((journal, spec))
+}
+
+/// Rebuilds the workload spec the header of the journal at `path` names —
+/// the step `replay`, `plan` and a restarted `serve` share.
+fn spec_from_header(
+    path: &str,
+    header: &runtime::JournalHeader,
+) -> Result<platform::SystemSpec, String> {
     if header.apps == 0 {
         return Err(format!(
             "journal {path} records no workload parameters in its header \
@@ -1423,9 +1425,8 @@ fn journal_with_spec(path: &str) -> Result<(runtime::Journal, platform::SystemSp
              runtime API against the original spec instead"
         ));
     }
-    let spec = seeded_workload(header.seed, header.apps, Some(header.actors))
-        .map_err(|e| format!("journal {path} header: {e}"))?;
-    Ok((journal, spec))
+    seeded_workload(header.seed, header.apps, Some(header.actors))
+        .map_err(|e| format!("journal {path} header: {e}"))
 }
 
 fn cmd_replay(path: Option<&str>, _options: &HashMap<&str, &str>) -> Result<ExitCode, String> {

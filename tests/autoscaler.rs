@@ -317,6 +317,16 @@ fn assert_compacted_identity(fleet: &FleetManager) {
         .map(|g| fleet.capacity_of(g).expect("group") as u64)
         .collect();
     assert_eq!(capacities, recorded);
+
+    // A restart from the compacted journal seats the same residents on
+    // the same groups.
+    let recovered = FleetManager::recover(spec(), journal).expect("recovers");
+    let per_group = |f: &FleetManager| -> Vec<usize> {
+        (0..f.group_count())
+            .map(|g| f.resident_count_of(g).expect("group"))
+            .collect()
+    };
+    assert_eq!(per_group(&recovered), per_group(fleet));
 }
 
 /// A resident admitted after a grow sits above the header's capacity; the

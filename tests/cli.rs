@@ -777,6 +777,91 @@ fn serve_connect_journal_replay_roundtrip_over_uds() {
     assert!(stdout.contains("0 diverged"), "{stdout}");
 }
 
+/// A `serve --journal-dir` restart takes its workload and shape from the
+/// WAL's header: with no shape flags it recovers and keeps a log that
+/// replays EQUIVALENT, and a shape flag is refused with an error naming
+/// the header.
+#[cfg(unix)]
+#[test]
+fn serve_restarts_from_the_wal_header_and_refuses_shape_flags() {
+    let root = std::env::temp_dir().join(format!("probcon-cli-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("tmp dir");
+    let wal = root.join("wal");
+    let wal_str = wal.to_str().expect("utf8 path");
+    let socket = root.join("serve.sock");
+    let listen = format!("unix:{}", socket.display());
+
+    // One `serve --once` run on the WAL, driven by 200 remote requests.
+    let serve_once = |shape: &[&str]| -> String {
+        let _ = std::fs::remove_file(&socket);
+        let mut args = vec![
+            "serve",
+            "--listen",
+            &listen,
+            "--once",
+            "--journal-dir",
+            wal_str,
+        ];
+        args.extend_from_slice(shape);
+        let server = Command::new(env!("CARGO_BIN_EXE_probcon"))
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("server starts");
+        for _ in 0..200 {
+            if socket.exists() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        assert!(socket.exists(), "server never bound {}", socket.display());
+        let out = probcon(&["fleet-bench", "--connect", &listen, "--requests", "200"]);
+        assert!(out.status.success(), "{out:?}");
+        let out = server.wait_with_output().expect("server exits");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let banner = "serving 3 applications × 4 actors, 2 groups × 1 shards × capacity 2";
+
+    let first = serve_once(&[
+        "--apps",
+        "3",
+        "--actors",
+        "4",
+        "--groups",
+        "2",
+        "--capacity",
+        "2",
+    ]);
+    assert!(first.contains(banner), "{first}");
+    let restarted = serve_once(&[]);
+    assert!(restarted.contains("recovered"), "{restarted}");
+    assert!(restarted.contains(banner), "{restarted}");
+    let out = probcon(&["replay", wal_str]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("EQUIVALENT"), "{stdout}");
+
+    let out = probcon(&[
+        "serve",
+        "--listen",
+        &listen,
+        "--once",
+        "--journal-dir",
+        wal_str,
+        "--capacity",
+        "4",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--capacity") && stderr.contains("header"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn fleet_bench_connect_rejects_local_fleet_flags_and_dead_endpoints() {
     for bad in [

@@ -326,7 +326,7 @@ fn wal_recording_recovers_restores_and_replays_equivalently() {
         recovery.truncated_bytes, 0,
         "clean shutdown leaves no torn tail"
     );
-    let recovered = FleetManager::recover(spec.clone(), config(), journal).expect("recover");
+    let recovered = FleetManager::recover(spec.clone(), journal).expect("recover");
     assert_eq!(recovered.resident_count(), recorded_residents);
     recovered.stop();
 
@@ -409,6 +409,75 @@ fn checkpointed_wal_replays_from_snapshot_and_plans_identity_with_zero_flips() {
         stats.segments, 1,
         "compaction garbage-collects covered segments"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL whose header says capacity 2 while group 0 was grown to 4 and
+/// holds four residents: a restart recovers onto the header's shape plus
+/// the recorded grow, and the snapshot its compaction writes replays
+/// EQUIVALENT with every resident restored. (A restart that took its shape
+/// from outside the journal, with a checkpoint that recorded only the
+/// capacities differing from that shape, lost the grow: the replay then
+/// found group 0 full at the third resident.)
+#[test]
+fn grown_wal_recovers_onto_its_header_and_compacts_equivalently() {
+    use runtime::{AdmissionRequest, AdmissionService, FsyncPolicy, ScaleOutcome, WalConfig};
+
+    let dir = std::env::temp_dir().join(format!("probcon-replay-wal-{}-grown", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal_config = WalConfig {
+        segment_max_entries: 32,
+        fsync: FsyncPolicy::OnRotate,
+        tail_entries: 16,
+        keep_snapshots: 1,
+    };
+    let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
+    let config = FleetConfig::uniform(2, SHARDS, 2, RoutingPolicy::LeastUtilised);
+    let header = FleetManager::stamped_header(
+        &config,
+        JournalHeader {
+            groups: 2,
+            capacity_per_shard: 2,
+            ..header()
+        },
+    );
+    let journal = Journal::create_wal(&dir, header, wal_config).expect("fresh WAL");
+    let fleet = FleetManager::with_journal(spec.clone(), config, journal).expect("fleet");
+    assert_eq!(
+        fleet.grow_group(0, 4).expect("grow decides"),
+        ScaleOutcome::Applied
+    );
+    for app in 0..4 {
+        let decision = fleet
+            .admit(&AdmissionRequest::new(app).on(0))
+            .expect("decides");
+        assert!(decision.is_admitted(), "{decision:?}");
+    }
+    fleet.journal().sync().expect("sync");
+    fleet.stop();
+    drop(fleet);
+
+    // The restart seats the grown group's residents and compacts.
+    let (journal, _) = Journal::open_wal(&dir, wal_config).expect("reopen");
+    let recovered = FleetManager::recover(spec.clone(), journal).expect("recovers");
+    assert_eq!(recovered.resident_count_of(0).expect("group 0"), 4);
+    assert_eq!(recovered.capacity_of(0).expect("group 0"), 4);
+    let snapshot = recovered.journal().compact().expect("compacts");
+    assert_eq!(snapshot.residents.len(), 4);
+    recovered.stop();
+    drop(recovered);
+
+    let (compacted, _) = Journal::load(&dir).expect("reload");
+    assert!(compacted.is_empty(), "every decision folded");
+    let config = FleetConfig::from_header(compacted.header()).expect("config");
+    let (report, replayed) = JournalReplayer::new(&spec)
+        .replay(&compacted, config)
+        .expect("restores every resident");
+    assert!(report.is_equivalent(), "{}", report.render());
+    assert_eq!(report.restored, 4);
+    assert_eq!(replayed.resident_count_of(0).expect("group 0"), 4);
+    assert_eq!(replayed.capacity_of(0).expect("group 0"), 4);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -678,6 +678,20 @@ proptest! {
             .replay(&journal, config)
             .expect("replays");
         prop_assert!(replay.is_equivalent(), "{}", replay.render());
+
+        // The journal keeps the fold of its whole log (installing a
+        // prefix's checkpoint leaves it alone), and a restart seats it:
+        // the live fleet's residents on the same groups, at the same
+        // capacities.
+        prop_assert_eq!(journal.checkpoint(), fold_checkpoint(None, &entries));
+        let recovered = FleetManager::recover(spec.clone(), journal).expect("recovers");
+        prop_assert_eq!(recovered.group_count(), fleet.group_count());
+        for resident in 0..entries.len() as u64 {
+            prop_assert_eq!(recovered.group_of(resident).ok(), fleet.group_of(resident).ok());
+        }
+        for group in 0..fleet.group_count() {
+            prop_assert_eq!(recovered.capacity_of(group).ok(), fleet.capacity_of(group).ok());
+        }
     }
 
 }

@@ -1,7 +1,8 @@
 //! WAL durability integration tests: sustained appends keep the journal's
 //! in-memory footprint flat (the fix for the unbounded `Vec<JournalEntry>`
-//! the journal used to hold), segments rotate on schedule, and compaction
-//! shrinks the directory without changing what a replay sees.
+//! the journal used to hold), segments rotate on schedule, compaction
+//! shrinks the directory without changing what a replay sees, and a
+//! restart from any crash point holds what a replay re-executes to.
 
 use runtime::{DecisionEvent, FsyncPolicy, Journal, JournalHeader, WalConfig};
 
@@ -193,4 +194,155 @@ fn keep_snapshots_retains_point_in_time_checkpoints() {
     journal.verify().expect("checksums hold");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Admits `app` (contract-free) on `group` and returns its resident id.
+fn admit_on(fleet: &runtime::FleetManager, app: usize, group: usize) -> u64 {
+    use runtime::{AdmissionDecision, AdmissionRequest, AdmissionService};
+    match fleet
+        .admit(&AdmissionRequest::new(app).on(group))
+        .expect("decides")
+    {
+        AdmissionDecision::Admitted { resident, .. } => resident,
+        other => panic!("admission on group {group} bounced: {other:?}"),
+    }
+}
+
+/// Per-group (residents, capacity, retired) and the resident -> group map
+/// of the first `ids` resident ids.
+type FleetState = (Vec<(usize, usize, bool)>, Vec<Option<usize>>);
+
+fn fleet_state(fleet: &runtime::FleetManager, ids: u64) -> FleetState {
+    let groups = (0..fleet.group_count())
+        .map(|g| {
+            (
+                fleet.resident_count_of(g).expect("group"),
+                fleet.capacity_of(g).expect("group"),
+                fleet.group_retired(g).expect("group"),
+            )
+        })
+        .collect();
+    let residents = (0..ids).map(|id| fleet.group_of(id).ok()).collect();
+    (groups, residents)
+}
+
+/// Cut a single-segment WAL at every entry boundary and one byte past each
+/// (a torn write). Whatever survives, a restart — `open_wal` then
+/// `recover`, which restores the journal's fold onto its header's shape —
+/// holds the same residents on the same groups at the same capacities as
+/// a replay of the same reopened log re-executes to. The recording grows a
+/// group, adds one and drains another whose residents move, so group
+/// overrides and moved residents lie on the cut paths.
+#[test]
+fn every_crash_point_recovers_what_replay_re_executes() {
+    use platform::{Application, Mapping, SystemSpec};
+    use runtime::{
+        FleetConfig, FleetManager, GroupConfig, JournalReplayer, RoutingPolicy, ScaleOutcome,
+    };
+
+    let (a, b) = sdf::figure2_graphs();
+    let spec = SystemSpec::builder()
+        .application(Application::new("A", a).expect("valid"))
+        .application(Application::new("B", b).expect("valid"))
+        .mapping(Mapping::by_actor_index(3))
+        .build()
+        .expect("valid spec");
+    let config = WalConfig {
+        segment_max_entries: 1024,
+        fsync: FsyncPolicy::OnRotate,
+        tail_entries: 8,
+        keep_snapshots: 1,
+    };
+    let recording = tmp_dir("crash-points-recording");
+    let shape = FleetConfig::uniform(2, 1, 2, RoutingPolicy::LeastUtilised);
+    let journal = Journal::create_wal(
+        &recording,
+        FleetManager::stamped_header(&shape, JournalHeader::default()),
+        config,
+    )
+    .expect("fresh WAL");
+    let fleet = FleetManager::with_journal(spec.clone(), shape, journal).expect("fleet");
+    let first = admit_on(&fleet, 0, 0);
+    admit_on(&fleet, 1, 0);
+    admit_on(&fleet, 0, 1);
+    assert_eq!(
+        fleet.grow_group(1, 4).expect("grows"),
+        ScaleOutcome::Applied
+    );
+    assert_eq!(
+        fleet
+            .add_group(GroupConfig::new("group2", 1, 2))
+            .expect("adds"),
+        ScaleOutcome::Applied
+    );
+    admit_on(&fleet, 1, 2);
+    assert!(fleet.release_resident(first));
+    admit_on(&fleet, 0, 0);
+    assert_eq!(fleet.drain_group(0).expect("drains"), ScaleOutcome::Applied);
+    let moved = fleet
+        .journal()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, DecisionEvent::Rebalance { .. }))
+        .count();
+    assert_eq!(moved, 2, "the drain moves both residents of group 0");
+    let last = admit_on(&fleet, 1, 1);
+    assert!(fleet.release_resident(last));
+    admit_on(&fleet, 0, 2);
+    fleet.journal().sync().expect("sync");
+    let ids = fleet.journal().next_seq();
+    let end = fleet_state(&fleet, ids);
+    fleet.stop();
+    drop(fleet);
+
+    let segment = std::fs::read_dir(&recording)
+        .expect("dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .find(|name| name.starts_with("segment-"))
+        .expect("one segment");
+    let manifest = std::fs::read(recording.join(runtime::MANIFEST_FILE)).expect("manifest");
+    let bytes = std::fs::read(recording.join(&segment)).expect("segment");
+    let mut cuts = vec![0];
+    for (i, _) in bytes.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        cuts.push(i + 1);
+    }
+    let boundaries = cuts.len();
+    cuts.extend(
+        cuts.clone()
+            .into_iter()
+            .map(|cut| cut + 1)
+            .filter(|&cut| cut < bytes.len()),
+    );
+
+    let crashed = tmp_dir("crash-points");
+    for &cut in &cuts {
+        let _ = std::fs::remove_dir_all(&crashed);
+        std::fs::create_dir_all(&crashed).expect("dir");
+        std::fs::write(crashed.join(runtime::MANIFEST_FILE), &manifest).expect("manifest");
+        std::fs::write(crashed.join(&segment), &bytes[..cut]).expect("segment");
+
+        let (journal, _) = Journal::open_wal(&crashed, config).expect("opens");
+        let recovered = FleetManager::recover(spec.clone(), journal).expect("recovers");
+        let restarted = fleet_state(&recovered, ids);
+        drop(recovered);
+
+        let (journal, recovery) = Journal::open_wal(&crashed, config).expect("reopens");
+        assert_eq!(
+            recovery.truncated_bytes, 0,
+            "the restart already cut the tail"
+        );
+        let header = FleetConfig::from_header(journal.header()).expect("config");
+        let (report, replayed) = JournalReplayer::new(&spec)
+            .replay(&journal, header)
+            .expect("replays");
+        assert!(report.is_equivalent(), "cut {cut}: {}", report.render());
+        assert_eq!(restarted, fleet_state(&replayed, ids), "cut at byte {cut}");
+        if cut == bytes.len() {
+            assert_eq!(restarted, end, "the whole log recovers the live fleet");
+        }
+    }
+    assert!(boundaries > 12, "{boundaries} entry boundaries");
+    let _ = std::fs::remove_dir_all(&crashed);
+    let _ = std::fs::remove_dir_all(&recording);
 }
