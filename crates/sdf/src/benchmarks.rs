@@ -34,6 +34,7 @@
 //! ```
 
 use crate::graph::{SdfGraph, SdfGraphBuilder};
+use crate::rational::gcd;
 
 /// The CD→DAT sample-rate converter: 44.1 kHz → 48 kHz through four
 /// fractional stages (`2/3 · 2/7 · 8/7 · 5/1`), repetition vector
@@ -69,7 +70,7 @@ pub fn cd2dat() -> SdfGraph {
     // cd consumes 160 of its productions … close the loop at rate
     // (147, 160): 160·q[dat] = 147·… — balance: p·q[dat] = c·q[cd]
     // ⇒ p/c = 147/160.
-    b.channel(ids[4], ids[0], 147, 160, 147 * 160 / gcd(147, 160))
+    b.channel(ids[4], ids[0], 147, 160, 147 * 160 / gcd(147, 160) as u64)
         .expect("feedback rates are positive");
     for &a in &ids {
         b.self_loop(a, 1);
@@ -167,15 +168,6 @@ pub fn modem() -> SdfGraph {
 /// Every benchmark graph, with its name (for sweeping in tests/benches).
 pub fn all() -> Vec<SdfGraph> {
     vec![cd2dat(), h263_decoder(), mp3_decoder(), modem()]
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 //! ```
 
 use crate::graph::{SdfGraph, SdfGraphBuilder};
+use crate::rational::gcd;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -145,7 +146,7 @@ pub fn generate_graph(config: &GeneratorConfig, seed: u64) -> SdfGraph {
     // Rates derived from q: channel u→v uses (prod, cons) =
     // (q[v]/g, q[u]/g) with g = gcd(q[u], q[v]), so prod·q[u] = cons·q[v].
     let rates = |qu: u64, qv: u64| -> (u64, u64) {
-        let g = gcd(qu, qv);
+        let g = gcd(qu.into(), qv.into()) as u64;
         (qv / g, qu / g)
     };
 
@@ -196,15 +197,6 @@ pub fn generate_graphs(config: &GeneratorConfig, base_seed: u64, count: usize) -
     (0..count as u64)
         .map(|i| generate_graph(config, base_seed + i))
         .collect()
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 
 use crate::graph::SdfError;
 use crate::hsdf::HsdfGraph;
-use crate::rational::Rational;
+use crate::rational::{gcd, Rational};
 
 /// Computes the exact maximum cycle ratio of `hsdf`.
 ///
@@ -105,16 +105,9 @@ pub fn maximum_cycle_ratio(hsdf: &HsdfGraph) -> Result<Rational, SdfError> {
     Ok(simplest_in_half_open(lo, hi))
 }
 
+/// Least common multiple of two positive denominators.
 fn lcm(a: i128, b: i128) -> i128 {
-    fn gcd(mut a: i128, mut b: i128) -> i128 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a.abs()
-    }
-    a / gcd(a, b) * b
+    a / gcd(a as u128, b as u128) as i128 * b
 }
 
 fn zero_delay_cycle_exists(hsdf: &HsdfGraph) -> bool {

@@ -8,6 +8,18 @@
 //! to floating-point rounding. [`Rational`] provides the minimal exact
 //! arithmetic the library needs, over `i128` with eager normalisation.
 //!
+//! # One gcd
+//!
+//! Every constructor and operator reduces its result with one gcd:
+//! Stein's binary algorithm (Stein, *J. Comput. Phys.* 1967; Knuth, TAOCP
+//! vol. 2, §4.5.2) on unsigned magnitudes, in `u64` when both operands fit
+//! and in `u128` until they do. Its steps are shifts and subtractions,
+//! where each step of Euclid's is an `i128` remainder, a library call. The
+//! repetition vector, [`crate::mcm`], the generator and the benchmark
+//! graphs call the same function. Lowest terms are unique, so the algorithm
+//! never changes a value. Magnitudes also keep `i128::MIN` out of every
+//! [`Rational`] (see its invariants).
+//!
 //! # Examples
 //!
 //! ```
@@ -31,12 +43,14 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// Invariants maintained by every constructor and operator:
 /// * the denominator is strictly positive,
 /// * numerator and denominator are coprime,
-/// * zero is represented as `0/1`.
+/// * zero is represented as `0/1`,
+/// * the numerator is never `i128::MIN`, which has no negation: a result
+///   that would need it is `None` from the checked operators and a panic
+///   from `new`, `integer` and the operators, so `-x` never overflows.
 ///
 /// Deserialization holds decoded values to the same invariants: a
-/// `{"numer", "denom"}` pair that breaks one, or whose numerator is
-/// `i128::MIN` (which has no negation), is a typed error, never a value
-/// that compares or prints wrongly.
+/// `{"numer", "denom"}` pair that breaks one is a typed error, never a
+/// value that compares or prints wrongly.
 ///
 /// # Examples
 ///
@@ -76,18 +90,48 @@ pub const ZERO: Rational = Rational { numer: 0, denom: 1 };
 /// One constant (`1/1`).
 pub const ONE: Rational = Rational { numer: 1, denom: 1 };
 
-/// Whether `gcd(a, b) == 1` (so `0` is coprime only to `1`). Binary gcd
-/// on `u64` when both fit, which is every decoded value in practice.
+/// Panic message of a constructor whose reduced value needs `i128::MIN`.
+const OUT_OF_RANGE: &str = "rational out of range: i128::MIN has no negation";
+
+/// Whether `gcd(a, b) == 1` (so `0` is coprime only to `1`).
 fn coprime(a: u128, b: u128) -> bool {
-    let (Ok(mut a), Ok(mut b)) = (u64::try_from(a), u64::try_from(b)) else {
-        return gcd(a as i128, b as i128) == 1;
-    };
+    gcd(a, b) == 1
+}
+
+/// Greatest common divisor (`gcd(0, a) = a`), by Stein's binary algorithm:
+/// the `u64` core when both operands fit, otherwise the same steps on
+/// `u128` until they do.
+pub(crate) fn gcd(a: u128, b: u128) -> u128 {
+    if let (Ok(a), Ok(b)) = (u64::try_from(a), u64::try_from(b)) {
+        return u128::from(gcd_u64(a, b));
+    }
     if a == 0 || b == 0 {
-        return a | b == 1;
+        return a | b;
     }
-    if (a | b) & 1 == 0 {
-        return false;
+    let shift = (a | b).trailing_zeros();
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b >> b.trailing_zeros());
+    loop {
+        // Both odd: their difference is even, and gcd(a, b) = gcd(a, b − a).
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        if let Ok(b64) = u64::try_from(b) {
+            return u128::from(gcd_u64(a as u64, b64)) << shift;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+        b >>= b.trailing_zeros();
     }
+}
+
+/// The `u64` core of [`gcd`].
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
     a >>= a.trailing_zeros();
     loop {
         b >>= b.trailing_zeros();
@@ -96,21 +140,9 @@ fn coprime(a: u128, b: u128) -> bool {
         }
         b -= a;
         if b == 0 {
-            return a == 1;
+            return a << shift;
         }
     }
-}
-
-/// Greatest common divisor of `|a|` and `|b|` (`gcd(0, 0) = 0`).
-pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 impl Rational {
@@ -123,7 +155,9 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `denom == 0`.
+    /// Panics if `denom == 0`, or if the reduced numerator or denominator
+    /// would have magnitude 2¹²⁷ (as `new(i128::MIN, 3)` and
+    /// `new(1, i128::MIN)` would).
     ///
     /// # Examples
     ///
@@ -133,18 +167,27 @@ impl Rational {
     /// ```
     pub fn new(numer: i128, denom: i128) -> Self {
         assert!(denom != 0, "rational denominator must be non-zero");
-        let sign = if denom < 0 { -1 } else { 1 };
-        let g = gcd(numer, denom);
-        if g == 0 {
-            return ZERO;
-        }
-        Rational {
-            numer: sign * numer / g,
-            denom: sign * denom / g,
-        }
+        Rational::reduced(numer, denom).expect(OUT_OF_RANGE)
+    }
+
+    /// `numer/denom` in lowest terms over a positive denominator, or `None`
+    /// when either part would have magnitude 2¹²⁷. `denom` is non-zero.
+    fn reduced(numer: i128, denom: i128) -> Option<Self> {
+        debug_assert!(denom != 0);
+        let (n, d) = (numer.unsigned_abs(), denom.unsigned_abs());
+        let g = gcd(n, d);
+        let (n, d) = (i128::try_from(n / g).ok()?, i128::try_from(d / g).ok()?);
+        Some(Rational {
+            numer: if (numer < 0) == (denom < 0) { n } else { -n },
+            denom: d,
+        })
     }
 
     /// Creates an integral rational `n/1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == i128::MIN`.
     ///
     /// # Examples
     ///
@@ -153,6 +196,7 @@ impl Rational {
     /// assert_eq!(Rational::integer(5), Rational::new(5, 1));
     /// ```
     pub const fn integer(n: i128) -> Self {
+        assert!(n != i128::MIN, "{}", OUT_OF_RANGE);
         Rational { numer: n, denom: 1 }
     }
 
@@ -267,7 +311,8 @@ impl Rational {
         }
     }
 
-    /// Checked addition, `None` when the sum does not fit `i128`.
+    /// Checked addition, `None` when the sum does not fit `i128` (a
+    /// numerator of `i128::MIN` included).
     ///
     /// # Examples
     ///
@@ -279,7 +324,7 @@ impl Rational {
     /// ```
     pub fn checked_add(self, rhs: Self) -> Option<Self> {
         // lcm-based addition keeps intermediates as small as possible.
-        let g = gcd(self.denom, rhs.denom);
+        let g = gcd(self.denom as u128, rhs.denom as u128) as i128;
         let (ls, rs) = (self.denom / g, rhs.denom / g);
         let fits_i64 = |x: i128| x == i128::from(x as i64);
         if [self.numer, self.denom, rhs.numer, rhs.denom]
@@ -287,26 +332,24 @@ impl Rational {
             .all(fits_i64)
         {
             // Products of i64 values and their sum cannot overflow i128.
-            return Some(Rational::new(
-                self.numer * rs + rhs.numer * ls,
-                ls * rhs.denom,
-            ));
+            return Rational::reduced(self.numer * rs + rhs.numer * ls, ls * rhs.denom);
         }
         let n = self
             .numer
             .checked_mul(rs)?
             .checked_add(rhs.numer.checked_mul(ls)?)?;
-        Some(Rational::new(n, ls.checked_mul(rhs.denom)?))
+        Rational::reduced(n, ls.checked_mul(rhs.denom)?)
     }
 
-    /// Checked multiplication, `None` on `i128` overflow.
+    /// Checked multiplication, `None` when the product does not fit `i128`
+    /// (a numerator of `i128::MIN` included).
     pub fn checked_mul(self, rhs: Self) -> Option<Self> {
         // Cross-reduce first to keep the intermediate products small.
-        let g1 = gcd(self.numer, rhs.denom).max(1);
-        let g2 = gcd(rhs.numer, self.denom).max(1);
+        let g1 = gcd(self.numer.unsigned_abs(), rhs.denom as u128) as i128;
+        let g2 = gcd(rhs.numer.unsigned_abs(), self.denom as u128) as i128;
         let n = (self.numer / g1).checked_mul(rhs.numer / g2)?;
         let d = (self.denom / g2).checked_mul(rhs.denom / g1)?;
-        Some(Rational::new(n, d))
+        Rational::reduced(n, d)
     }
 
     /// Rounds to the nearest multiple of `1/grid` (ties toward `+∞`).
@@ -319,7 +362,7 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `grid <= 0`.
+    /// Panics if `grid <= 0`, or if the rounded value does not fit `i128`.
     ///
     /// # Examples
     ///
@@ -355,7 +398,11 @@ impl Rational {
         let whole = self.numer.div_euclid(self.denom);
         let rem = self.numer.rem_euclid(self.denom);
         let frac = ((rem as f64) / (self.denom as f64) * (grid as f64)).round() as i128;
-        Rational::new(whole * grid + frac, grid)
+        whole
+            .checked_mul(grid)
+            .and_then(|n| n.checked_add(frac))
+            .and_then(|n| Rational::reduced(n, grid))
+            .expect("rational quantisation overflowed i128")
     }
 
     /// Raises the value to a non-negative integer power.
@@ -626,6 +673,80 @@ mod tests {
     }
 
     #[test]
+    fn checked_ops_never_yield_i128_min() {
+        // Both results are exactly -2¹²⁷: no i128 operation overflows on
+        // the way, but the value has no negation.
+        let min_product = (Rational::integer(-(1 << 63)), Rational::integer(1 << 64));
+        assert_eq!(min_product.0.checked_mul(min_product.1), None);
+        assert_eq!(min_product.1.checked_mul(min_product.0), None);
+        let min_sum = Rational::integer(-(1 << 126));
+        assert_eq!(min_sum.checked_add(min_sum), None);
+        assert_eq!(Rational::integer(i128::MIN + 1).checked_add(-ONE), None);
+        let min_third = Rational::new(-(1 << 126), 3);
+        assert_eq!(min_third.checked_add(min_third), None);
+        // One step inside the range still works.
+        assert_eq!(
+            Rational::integer(-(1 << 62)).checked_mul(Rational::integer(1 << 64)),
+            Some(Rational::integer(-(1 << 126)))
+        );
+        let half_third = Rational::new(-(1 << 125), 3);
+        assert_eq!(half_third.checked_add(half_third), Some(min_third));
+        // `new` reduces by magnitude: i128::MIN itself is a fine input
+        // when the reduced numerator is not.
+        assert_eq!(Rational::new(i128::MIN, 2), Rational::integer(-(1 << 126)));
+        assert_eq!(Rational::new(i128::MIN, -2), Rational::integer(1 << 126));
+        assert_eq!(Rational::new(2, i128::MIN), Rational::new(-1, 1 << 126));
+        assert_eq!(Rational::new(i128::MIN, i128::MIN), ONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational multiplication overflowed i128")]
+    fn multiplication_to_i128_min_panics() {
+        let _ = Rational::integer(-(1 << 63)) * Rational::integer(1 << 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "i128::MIN has no negation")]
+    fn new_refuses_an_i128_min_numerator() {
+        let _ = Rational::new(i128::MIN, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "i128::MIN has no negation")]
+    fn new_refuses_an_i128_min_denominator() {
+        let _ = Rational::new(1, i128::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "i128::MIN has no negation")]
+    fn integer_refuses_i128_min() {
+        let _ = Rational::integer(i128::MIN);
+    }
+
+    #[test]
+    fn gcd_matches_euclid_on_both_paths() {
+        fn euclid(mut a: u128, mut b: u128) -> u128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        }
+        let u64_max = u128::from(u64::MAX);
+        let mut edges = vec![0, 1, 2, 3, 6, 2520, 2520u128.pow(6), u128::MAX, 1 << 127];
+        for k in [1, 31, 32, 63, 64, 65, 100, 126] {
+            edges.extend([(1u128 << k) - 1, 1 << k, (1 << k) + 1, 3 << k]);
+        }
+        for k in 0..4 {
+            edges.extend([u64_max - k, u64_max + k + 1, i128::MAX as u128 - k]);
+        }
+        for &a in &edges {
+            for &b in &edges {
+                assert_eq!(gcd(a, b), euclid(a, b), "gcd({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
     fn quantize_exact_values_unchanged() {
         for r in [
             Rational::new(1, 3),
@@ -657,6 +778,24 @@ mod tests {
     #[should_panic(expected = "grid must be positive")]
     fn quantize_zero_grid_panics() {
         let _ = ONE.quantize(0);
+    }
+
+    #[test]
+    fn quantize_wide_path_rounds_in_range() {
+        // i128::MAX = 3·w + 1 with w = (2¹²⁷ − 2)/3: scaling by the grid
+        // overflows, so the integer part is split off, and 1/3 rounds to
+        // 1/2 on a grid of 2.
+        let w = (i128::MAX - 1) / 3;
+        let q = Rational::new(i128::MAX, 3).quantize(2);
+        assert_eq!(q, Rational::new(2 * w + 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "rational quantisation overflowed i128")]
+    fn quantize_overflow_panics_instead_of_wrapping() {
+        // (2¹²⁵ + 2)/3 · 1000 does not fit: the wide path used to wrap to
+        // a negative value.
+        let _ = Rational::new((1 << 125) + 2, 3).quantize(1000);
     }
 
     #[test]

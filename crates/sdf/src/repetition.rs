@@ -186,7 +186,7 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
         let mut denom_lcm = 1i128;
         for a in &component {
             let d = ratio[a.0].expect("component actors have ratios").denom();
-            denom_lcm = (denom_lcm / gcd(denom_lcm, d))
+            denom_lcm = (denom_lcm / gcd(denom_lcm as u128, d as u128) as i128)
                 .checked_mul(d)
                 .ok_or(SdfError::Overflow)?;
         }
@@ -198,9 +198,9 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
         let mut numer_gcd = 0i128;
         for a in &component {
             numer_gcd = gcd(
-                numer_gcd,
-                scaled(ratio[a.0].expect("component actors have ratios"))?,
-            );
+                numer_gcd as u128,
+                scaled(ratio[a.0].expect("component actors have ratios"))?.unsigned_abs(),
+            ) as i128;
         }
         for a in &component {
             let r = ratio[a.0].expect("component actors have ratios");
