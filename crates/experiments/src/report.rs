@@ -171,16 +171,22 @@ pub fn fig6_csv(points: &[Fig6Point]) -> String {
     out
 }
 
-/// Renders the timing summary.
+/// Renders the timing summary: each analysis against the simulation, as
+/// how many times faster — or slower — it ran.
 pub fn render_timing(summary: &TimingSummary) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Use-cases evaluated : {}", summary.use_cases);
     let _ = writeln!(out, "Simulation total    : {:?}", summary.simulation);
     for (method, t) in &summary.analysis {
+        let speedup = summary.speedup[method];
+        let (ratio, verdict) = if speedup >= 1.0 {
+            (speedup, "faster")
+        } else {
+            (1.0 / speedup, "slower")
+        };
         let _ = writeln!(
             out,
-            "Analysis [{method:<15}] : {:?} ({:.0}x faster than simulation)",
-            t, summary.speedup[method]
+            "Analysis [{method:<15}] : {t:?} ({ratio:.1}x {verdict} than simulation)"
         );
     }
     out
@@ -254,6 +260,23 @@ mod tests {
             speedup,
         });
         assert!(s.contains("1023"));
-        assert!(s.contains("120x"));
+        assert!(s.contains("(120.0x faster than simulation)"), "{s}");
+    }
+
+    #[test]
+    fn timing_rendering_says_slower_when_the_analysis_is() {
+        // 1.503 s of analysis against 1.374 s of simulation.
+        let mut analysis = BTreeMap::new();
+        analysis.insert("exact".to_string(), Duration::from_millis(1503));
+        let mut speedup = BTreeMap::new();
+        speedup.insert("exact".to_string(), 1374.0 / 1503.0);
+        let s = render_timing(&TimingSummary {
+            use_cases: 1023,
+            simulation: Duration::from_millis(1374),
+            analysis,
+            speedup,
+        });
+        assert!(s.contains("(1.1x slower than simulation)"), "{s}");
+        assert!(!s.contains("faster"), "{s}");
     }
 }

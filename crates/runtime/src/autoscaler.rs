@@ -32,7 +32,7 @@
 //! followed by its reverse within one cooldown, because no action at all
 //! fires during cooldown.
 
-use crate::fleet::{FleetError, FleetManager, FleetSnapshot};
+use crate::fleet::{FleetError, FleetManager, FleetSnapshot, GroupConfig, MAX_FLEET_SHARDS};
 use crate::journal::{ScaleAction, ScaleOutcome};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,7 +119,9 @@ pub struct TargetPolicy {
     /// Per-shard capacity delta each grow/shrink applies.
     pub step: u64,
     /// Escalate to `AddGroup` (cloning the busiest group's shape) when a
-    /// grow is due but the busiest group is already at the ceiling.
+    /// grow is due but the busiest group is already at the ceiling, while
+    /// the fleet stays within
+    /// [`MAX_FLEET_SHARDS`].
     pub add_group_at_max: bool,
     /// Escalate to `Drain` of the least-utilised group when a shrink is
     /// due but that group is already at the floor (never drains the last
@@ -212,12 +214,12 @@ impl Observation {
             .enumerate()
             .map(|(i, g)| {
                 let shape = fleet.group_shape(i).ok();
-                let shards = shape.as_ref().map_or(1, |s| s.shards);
+                let shards = shape.as_ref().map_or(1, |s| s.shards as u64);
                 GroupObservation {
                     group: i as u64,
                     residents: g.residents as u64,
                     capacity: g.capacity as u64,
-                    capacity_per_shard: shape.map_or(0, |s| s.capacity_per_shard),
+                    capacity_per_shard: shape.map_or(0, |s| s.capacity_per_shard as u64),
                     shards,
                     retired: g.retired,
                 }
@@ -313,17 +315,18 @@ pub fn evaluate(
             });
         }
         let busiest = observation.busiest_active()?;
-        if policy.add_group_at_max {
-            let mut shape = crate::journal::GroupShape {
-                name: format!("auto-{}", observation.groups.len()),
-                shards: busiest.shards,
-                capacity_per_shard: busiest.capacity_per_shard,
-                tags: Vec::new(),
-            };
-            shape.shards = shape.shards.max(1);
+        // The added group clones the busiest one's shards; a fleet at its
+        // size cap holds at the ceiling, as a fixed bound would.
+        let shards: u64 = observation.groups.iter().map(|g| g.shards.max(1)).sum();
+        if policy.add_group_at_max && shards + busiest.shards.max(1) <= MAX_FLEET_SHARDS as u64 {
             return Some(ScaleAction::AddGroup {
                 group: observation.groups.len() as u64,
-                shape,
+                shape: GroupConfig {
+                    name: format!("auto-{}", observation.groups.len()),
+                    shards: (busiest.shards as usize).max(1),
+                    capacity_per_shard: busiest.capacity_per_shard as usize,
+                    tags: Vec::new(),
+                },
             });
         }
         return None;
@@ -816,6 +819,24 @@ mod tests {
             evaluate(&policy, &obs, &mut state),
             Some(ScaleAction::Drain { group: 0 })
         );
+    }
+
+    #[test]
+    fn add_group_escalation_stops_at_the_fleet_size_cap() {
+        let mut policy = policy();
+        policy.add_group_at_max = true;
+        let escalate = |shards: u64| {
+            let mut obs = observation(0.9, 8);
+            obs.groups[0].shards = shards;
+            let mut state = ControllerState::default();
+            (0..policy.grow_after)
+                .map(|_| evaluate(&policy, &obs, &mut state))
+                .last()
+                .flatten()
+        };
+        let half = MAX_FLEET_SHARDS as u64 / 2;
+        assert!(matches!(escalate(half), Some(ScaleAction::AddGroup { .. })));
+        assert_eq!(escalate(half + 1), None);
     }
 
     #[test]

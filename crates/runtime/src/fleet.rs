@@ -52,7 +52,8 @@
 
 use crate::cache::lock;
 use crate::journal::{
-    DecisionEvent, Journal, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome, ScaleRefusal,
+    DecisionEvent, Journal, JournalError, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome,
+    ScaleRefusal,
 };
 use crate::service::AdmissionDecision;
 use crate::telemetry::TraceRecorder;
@@ -60,6 +61,7 @@ use crate::wal::{CheckpointGroup, CheckpointResident, FleetCheckpoint};
 use contention::{AdmissionController, ContentionError, Decision, KernelCounters, Violation};
 use platform::{AppId, Application, NodeId, SystemSpec};
 use sdf::Rational;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -104,8 +106,51 @@ impl FromStr for RoutingPolicy {
     }
 }
 
+/// A policy is written as its [`Display`](fmt::Display) name and read back
+/// through [`FromStr`], so an unknown name fails to decode.
+impl Serialize for RoutingPolicy {
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.str(&self.to_string());
+    }
+}
+
+impl Deserialize for RoutingPolicy {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(d: &mut D) -> Result<Self, serde::Error> {
+        String::deserialize(d)?.parse().map_err(serde::Error)
+    }
+}
+
+/// The most admission controllers one fleet allocates: one per shard,
+/// summed over its groups (a group of no shards still gets one). Far above
+/// every shape this repository builds; a journal header, an `AddGroup`
+/// action, a checkpoint's added group or a CLI flag asking for more is
+/// refused before anything is allocated.
+pub const MAX_FLEET_SHARDS: usize = 4096;
+
+/// The one size check: refuses a fleet of `controllers` admission
+/// controllers above [`MAX_FLEET_SHARDS`].
+fn check_shards(controllers: u128) -> Result<(), FleetError> {
+    if controllers > MAX_FLEET_SHARDS as u128 {
+        return Err(FleetError::Config(format!(
+            "the fleet would allocate {controllers} admission controllers (shards over all \
+             groups), above the cap of {MAX_FLEET_SHARDS}"
+        )));
+    }
+    Ok(())
+}
+
+/// Admission controllers `groups` allocate.
+fn controllers<'g>(groups: impl IntoIterator<Item = &'g GroupConfig>) -> u128 {
+    groups.into_iter().map(|g| g.shards.max(1) as u128).sum()
+}
+
 /// One named platform group: an independent sharded admission domain.
-#[derive(Debug, Clone)]
+///
+/// The same value is the group's recorded shape: a journal header's
+/// `group_shapes`, an `AddGroup` action and a checkpoint's added group
+/// carry it field for field, and decode it verbatim (a recorded `shards: 0`
+/// still builds one shard).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupConfig {
     /// Group name (for metrics and rendering).
     pub name: String,
@@ -129,6 +174,17 @@ impl GroupConfig {
         }
     }
 
+    /// Group `i` of a uniform fleet: named `group{i}`, advertising the one
+    /// affinity tag `uc{i}`.
+    fn numbered(i: usize, shards: usize, capacity_per_shard: usize) -> GroupConfig {
+        GroupConfig {
+            name: format!("group{i}"),
+            shards,
+            capacity_per_shard,
+            tags: vec![format!("uc{i}")],
+        }
+    }
+
     /// Adds affinity tags.
     #[must_use]
     pub fn with_tags(mut self, tags: impl IntoIterator<Item = impl Into<String>>) -> GroupConfig {
@@ -140,33 +196,11 @@ impl GroupConfig {
     pub fn capacity(&self) -> usize {
         self.shards * self.capacity_per_shard
     }
-
-    /// The journal-header shape of this group — what
-    /// [`FleetManager::with_header`] stamps and the capacity planner's
-    /// [`FleetShape`](crate::FleetShape) mutates.
-    pub fn to_shape(&self) -> crate::journal::GroupShape {
-        crate::journal::GroupShape {
-            name: self.name.clone(),
-            shards: self.shards as u64,
-            capacity_per_shard: self.capacity_per_shard as u64,
-            tags: self.tags.clone(),
-        }
-    }
-
-    /// Rebuilds the group a recorded shape describes (the inverse of
-    /// [`to_shape`](Self::to_shape)).
-    pub fn from_shape(shape: &crate::journal::GroupShape) -> GroupConfig {
-        GroupConfig::new(
-            shape.name.clone(),
-            shape.shards as usize,
-            shape.capacity_per_shard as usize,
-        )
-        .with_tags(shape.tags.iter().cloned())
-    }
 }
 
-/// Configuration of a [`FleetManager`].
-#[derive(Debug, Clone)]
+/// Configuration of a [`FleetManager`] — and the fleet shape the capacity
+/// planner ([`PlanRun`](crate::PlanRun)) replays a journal against.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// The platform groups (≥ 1).
     pub groups: Vec<GroupConfig>,
@@ -186,28 +220,32 @@ impl FleetConfig {
     ) -> FleetConfig {
         FleetConfig {
             groups: (0..groups.max(1))
-                .map(|i| {
-                    GroupConfig::new(format!("group{i}"), shards, capacity_per_shard)
-                        .with_tags([format!("uc{i}")])
-                })
+                .map(|i| GroupConfig::numbered(i, shards.max(1), capacity_per_shard.max(1)))
                 .collect(),
             policy,
         }
     }
 
     /// Rebuilds the fleet shape recorded in a journal header: the exact
-    /// per-group [`GroupShape`](crate::journal::GroupShape)s when present
-    /// (every [`FleetManager`] stamps them, heterogeneous fleets included),
-    /// falling back to the uniform summary fields otherwise.
+    /// per-group shapes when present (every [`FleetManager`] stamps them,
+    /// heterogeneous fleets included), falling back to the uniform summary
+    /// fields otherwise.
     ///
     /// # Errors
     ///
-    /// Fails when the header's policy string is unknown.
+    /// [`FleetError::Config`] when the header's policy string is unknown,
+    /// or its shape exceeds [`MAX_FLEET_SHARDS`] (checked before any group
+    /// is listed).
     pub fn from_header(header: &JournalHeader) -> Result<FleetConfig, FleetError> {
         let policy = header
             .policy
             .parse::<RoutingPolicy>()
             .map_err(FleetError::Config)?;
+        check_shards(if header.group_shapes.is_empty() {
+            u128::from(header.groups.max(1)) * u128::from(header.shards_per_group.max(1))
+        } else {
+            controllers(&header.group_shapes)
+        })?;
         if header.group_shapes.is_empty() {
             return Ok(FleetConfig::uniform(
                 header.groups as usize,
@@ -217,13 +255,96 @@ impl FleetConfig {
             ));
         }
         Ok(FleetConfig {
-            groups: header
-                .group_shapes
-                .iter()
-                .map(GroupConfig::from_shape)
-                .collect(),
+            groups: header.group_shapes.clone(),
             policy,
         })
+    }
+
+    /// Scales every group's per-shard capacity by `factor` (rounded to the
+    /// nearest integer, floored at 1 — a group never vanishes by scaling).
+    ///
+    /// Two limits of what a scaled shape measures in a plan:
+    /// - a recorded absolute `Grow`/`Shrink`, or a snapshot checkpoint's
+    ///   capacities, replaces the scaled capacity of its group once
+    ///   applied, so on a resized journal the capacity axis measures
+    ///   little beyond the stretch before the first resize;
+    /// - a recorded rejection that the scaled shape admits stays resident
+    ///   until the journal ends (nothing recorded releases it), so a larger
+    ///   shape can report more regressions than a smaller one — a sweep's
+    ///   frontier is not monotone in capacity.
+    #[must_use]
+    pub fn scale_capacity(mut self, factor: f64) -> FleetConfig {
+        for group in &mut self.groups {
+            let scaled = (group.capacity_per_shard as f64 * factor).round();
+            group.capacity_per_shard = if scaled < 1.0 { 1 } else { scaled as usize };
+        }
+        self
+    }
+
+    /// Grows or shrinks to exactly `count` groups: extra groups are
+    /// truncated from the end; missing ones clone the last group's shards
+    /// and capacity under [`uniform`](Self::uniform)'s `group{i}` / `uc{i}`
+    /// names.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Config`] when the grown fleet would exceed
+    /// [`MAX_FLEET_SHARDS`] (checked before any group is added).
+    pub fn with_group_count(mut self, count: usize) -> Result<FleetConfig, FleetError> {
+        let count = count.max(1);
+        self.groups.truncate(count);
+        let (shards, capacity) = self
+            .groups
+            .last()
+            .map_or((1, 1), |g| (g.shards, g.capacity_per_shard));
+        let missing = count - self.groups.len();
+        check_shards(controllers(&self.groups) + missing as u128 * shards.max(1) as u128)?;
+        for i in self.groups.len()..count {
+            self.groups.push(GroupConfig::numbered(i, shards, capacity));
+        }
+        Ok(self)
+    }
+
+    /// Total resident capacity across all groups — the "cost" axis a plan
+    /// sweep's frontier minimizes.
+    pub fn total_capacity(&self) -> usize {
+        self.groups.iter().map(GroupConfig::capacity).sum()
+    }
+
+    /// `true` when this fleet routes like `other` (same group count and
+    /// policy), which lets a plan run reuse the recorded routing instead of
+    /// re-deciding it — see [`RouteMode::Auto`](crate::RouteMode::Auto).
+    pub fn routes_like(&self, other: &FleetConfig) -> bool {
+        self.groups.len() == other.groups.len() && self.policy == other.policy
+    }
+
+    /// Compact display label, e.g. `3g×1s×4c least-utilised` for uniform
+    /// shapes or `3g/14c affinity` for heterogeneous ones.
+    pub fn label(&self) -> String {
+        let uniform = self.groups.windows(2).all(|w| {
+            w[0].shards == w[1].shards && w[0].capacity_per_shard == w[1].capacity_per_shard
+        });
+        match (uniform, self.groups.first()) {
+            (true, Some(first)) => format!(
+                "{}g×{}s×{}c {}",
+                self.groups.len(),
+                first.shards,
+                first.capacity_per_shard,
+                self.policy
+            ),
+            _ => format!(
+                "{}g/{}c {}",
+                self.groups.len(),
+                self.total_capacity(),
+                self.policy
+            ),
+        }
+    }
+}
+
+impl fmt::Display for FleetConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.label())
     }
 }
 
@@ -275,6 +396,8 @@ pub enum FleetError {
         /// Why the restore failed.
         reason: String,
     },
+    /// The journal a replay re-executes could not be read.
+    Journal(JournalError),
 }
 
 impl fmt::Display for FleetError {
@@ -298,6 +421,7 @@ impl fmt::Display for FleetError {
             FleetError::Restore { resident, reason } => {
                 write!(f, "cannot restore resident #{resident}: {reason}")
             }
+            FleetError::Journal(e) => write!(f, "cannot read the journal: {e}"),
         }
     }
 }
@@ -306,6 +430,7 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Analysis(e) => Some(e),
+            FleetError::Journal(e) => Some(e),
             _ => None,
         }
     }
@@ -460,6 +585,17 @@ impl GroupRuntime {
     }
 }
 
+/// Every resident a [`FleetManager::restore`] re-admitted, in admission
+/// order, with its result.
+pub type Restored<'c> = Vec<(&'c CheckpointResident, Result<(), FleetError>)>;
+
+/// Checks that adding `added` keeps a fleet of `groups` within
+/// [`MAX_FLEET_SHARDS`].
+fn check_added(groups: &[Arc<GroupRuntime>], added: &GroupConfig) -> Result<(), FleetError> {
+    let live: u128 = groups.iter().map(|g| g.shards.len() as u128).sum();
+    check_shards(live + controllers([added]))
+}
+
 struct FleetInner {
     spec: SystemSpec,
     groups: RwLock<Vec<Arc<GroupRuntime>>>,
@@ -563,7 +699,7 @@ impl FleetManager {
     /// creating a WAL-backed journal up front (the WAL persists its header
     /// in the manifest at creation time).
     pub fn stamped_header(config: &FleetConfig, mut header: JournalHeader) -> JournalHeader {
-        header.group_shapes = config.groups.iter().map(GroupConfig::to_shape).collect();
+        header.group_shapes = config.groups.clone();
         header
     }
 
@@ -577,7 +713,8 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] when `config.groups` is empty.
+    /// [`FleetError::Config`] when `config.groups` is empty or exceeds
+    /// [`MAX_FLEET_SHARDS`].
     pub fn with_journal(
         spec: SystemSpec,
         config: FleetConfig,
@@ -586,6 +723,7 @@ impl FleetManager {
         if config.groups.is_empty() {
             return Err(FleetError::Config("fleet needs at least one group".into()));
         }
+        check_shards(controllers(&config.groups))?;
         let groups = config
             .groups
             .into_iter()
@@ -732,10 +870,11 @@ impl FleetManager {
     /// # Errors
     ///
     /// [`FleetError::UnknownGroup`] if out of range.
-    pub fn group_shape(&self, group: usize) -> Result<crate::journal::GroupShape, FleetError> {
+    pub fn group_shape(&self, group: usize) -> Result<GroupConfig, FleetError> {
         let g = self.group(group)?;
-        let mut shape = g.config.to_shape();
-        shape.capacity_per_shard = g.capacity_per_shard() as u64;
+        let mut shape = g.config.clone();
+        shape.shards = g.shards.len();
+        shape.capacity_per_shard = g.capacity_per_shard();
         Ok(shape)
     }
 
@@ -1165,18 +1304,18 @@ impl FleetManager {
     /// [`FleetError::Restore`]). Whether a failure is fatal is the caller's
     /// rule: replay and [`recover`](Self::recover) stop at the first,
     /// `probcon plan` counts each as a regression.
-    pub fn restore<'c>(
-        &self,
-        checkpoint: &'c FleetCheckpoint,
-    ) -> Vec<(&'c CheckpointResident, Result<(), FleetError>)> {
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Config`] when an added group would take the fleet
+    /// past [`MAX_FLEET_SHARDS`]; no resident is restored.
+    pub fn restore<'c>(&self, checkpoint: &'c FleetCheckpoint) -> Result<Restored<'c>, FleetError> {
         let mut shapes: Vec<&CheckpointGroup> = checkpoint.groups.iter().flatten().collect();
         shapes.sort_by_key(|g| g.group);
         for shape in shapes {
             let index = shape.group as usize;
             if let Some(added) = &shape.added {
-                // Joins only at the next free index: a fleet that already
-                // has the group keeps its own, one short of it skips it.
-                let _ = self.apply_add_group(index, GroupConfig::from_shape(added));
+                self.apply_add_group(index, added.clone())?;
             }
             let Ok(g) = self.group(index) else { continue };
             if let Some(capacity) = shape.capacity_per_shard {
@@ -1196,7 +1335,7 @@ impl FleetManager {
         self.inner
             .next_resident
             .fetch_max(checkpoint.next_resident, Ordering::Relaxed);
-        results
+        Ok(results)
     }
 
     /// Rebuilds a fleet from a journal that already holds history — the
@@ -1219,7 +1358,7 @@ impl FleetManager {
         let config = FleetConfig::from_header(journal.header())?;
         let checkpoint = journal.checkpoint();
         let fleet = FleetManager::with_journal(spec, config, journal)?;
-        for (_, seated) in fleet.restore(&checkpoint) {
+        for (_, seated) in fleet.restore(&checkpoint)? {
             seated?;
         }
         Ok(fleet)
@@ -1267,7 +1406,7 @@ impl FleetManager {
                 &action,
             ),
             ScaleAction::AddGroup { group, shape } => {
-                self.resize_add(*group as usize, GroupConfig::from_shape(shape), &action)
+                self.resize_add(*group as usize, shape.clone(), &action)?
             }
             ScaleAction::Drain { group } => self.resize_drain(*group as usize, &action)?,
         };
@@ -1322,7 +1461,7 @@ impl FleetManager {
         let index = self.group_count() as u64;
         self.resize(ScaleAction::AddGroup {
             group: index,
-            shape: config.to_shape(),
+            shape: config,
         })
     }
 
@@ -1397,8 +1536,15 @@ impl FleetManager {
 
     /// AddGroup: append under the group-list write lock, so the index
     /// check, the new group and its journal entry are atomic against any
-    /// other AddGroup — the journal records adds in index order.
-    fn resize_add(&self, index: usize, config: GroupConfig, action: &ScaleAction) -> ScaleOutcome {
+    /// other AddGroup — the journal records adds in index order. A group
+    /// that would take the fleet past [`MAX_FLEET_SHARDS`] is an error, not
+    /// a decision: nothing is journaled.
+    fn resize_add(
+        &self,
+        index: usize,
+        config: GroupConfig,
+        action: &ScaleAction,
+    ) -> Result<ScaleOutcome, FleetError> {
         let mut groups = self
             .inner
             .groups
@@ -1406,16 +1552,17 @@ impl FleetManager {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if index != groups.len() {
             drop(groups);
-            return self.journal_refusal(
+            return Ok(self.journal_refusal(
                 action,
                 ScaleRefusal::UnknownGroup {
                     group: index as u64,
                 },
-            );
+            ));
         }
+        check_added(&groups, &config)?;
         groups.push(Arc::new(GroupRuntime::from_config(config)));
         self.append_resize(action, ScaleOutcome::Applied);
-        ScaleOutcome::Applied
+        Ok(ScaleOutcome::Applied)
     }
 
     /// Drain: capacity-feasibility check, then journaled moves, then the
@@ -1519,20 +1666,19 @@ impl FleetManager {
         });
     }
 
-    /// Appends a group without journaling (the restore path).
+    /// Appends a group without journaling (the restore path). It joins
+    /// only at the next free index: a fleet that already has the group
+    /// keeps its own, one short of it skips it.
     fn apply_add_group(&self, index: usize, config: GroupConfig) -> Result<(), FleetError> {
         let mut groups = self
             .inner
             .groups
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if index != groups.len() {
-            return Err(FleetError::Config(format!(
-                "recorded AddGroup index {index} does not match the fleet's next group {}",
-                groups.len()
-            )));
+        if index == groups.len() {
+            check_added(&groups, &config)?;
+            groups.push(Arc::new(GroupRuntime::from_config(config)));
         }
-        groups.push(Arc::new(GroupRuntime::from_config(config)));
         Ok(())
     }
 
@@ -1632,6 +1778,73 @@ mod tests {
     /// Admits `request` and returns the resident id, which must exist.
     fn admitted(f: &FleetManager, request: AdmissionRequest) -> u64 {
         f.admit(&request).unwrap().resident().expect("request fits")
+    }
+
+    #[test]
+    fn shapes_past_the_shard_cap_fail_before_anything_is_allocated() {
+        // A header naming 10^12 groups, or a group of 10^12 shards.
+        let wide = JournalHeader {
+            groups: 1_000_000_000_000,
+            ..JournalHeader::default()
+        };
+        let err = FleetConfig::from_header(&wide).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("1000000000000 admission controllers"),
+            "{err}"
+        );
+        let mut deep = FleetManager::stamped_header(
+            &FleetConfig::uniform(2, 1, 1, RoutingPolicy::LeastUtilised),
+            JournalHeader::default(),
+        );
+        deep.group_shapes[0].shards = 1_000_000_000_000;
+        assert!(matches!(
+            FleetConfig::from_header(&deep),
+            Err(FleetError::Config(_))
+        ));
+
+        // Growing a shape by count is checked the same way.
+        let base = FleetConfig::uniform(1, 2, 1, RoutingPolicy::LeastUtilised);
+        assert!(base.clone().with_group_count(MAX_FLEET_SHARDS / 2).is_ok());
+        assert!(base.with_group_count(MAX_FLEET_SHARDS / 2 + 1).is_err());
+
+        // So is a group added to a live fleet — an error, journaled nowhere
+        // — and a checkpoint's added group.
+        let f = fleet(1, 1, RoutingPolicy::LeastUtilised);
+        let huge = GroupConfig::new("huge", MAX_FLEET_SHARDS, 1);
+        assert!(matches!(
+            f.add_group(huge.clone()),
+            Err(FleetError::Config(_))
+        ));
+        assert!(f.journal().is_empty());
+        let checkpoint =
+            FleetCheckpoint::new(0, 0, Vec::new()).with_groups(vec![CheckpointGroup {
+                group: 1,
+                added: Some(huge),
+                capacity_per_shard: None,
+                retired: false,
+            }]);
+        assert!(matches!(f.restore(&checkpoint), Err(FleetError::Config(_))));
+        assert_eq!(f.group_count(), 1);
+    }
+
+    #[test]
+    fn a_shape_decodes_only_a_known_policy() {
+        let shape = FleetConfig::uniform(2, 1, 3, RoutingPolicy::RoundRobin);
+        let json = serde_json::to_string(&shape).unwrap();
+        assert!(json.ends_with(r#"],"policy":"round-robin"}"#), "{json}");
+        assert_eq!(serde_json::from_str::<FleetConfig>(&json), Ok(shape));
+
+        let bogus = json.replace("round-robin", "bogus");
+        assert!(serde_json::from_str::<FleetConfig>(&bogus).is_err());
+        let header = JournalHeader {
+            policy: "bogus".into(),
+            ..JournalHeader::default()
+        };
+        assert!(matches!(
+            FleetConfig::from_header(&header),
+            Err(FleetError::Config(_))
+        ));
     }
 
     #[test]

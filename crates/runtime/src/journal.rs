@@ -41,7 +41,7 @@
 //! shape the journal's header records. [`fold_checkpoint`] runs the same
 //! step over any entry prefix.
 
-use crate::fleet::{FleetConfig, FleetError, FleetManager};
+use crate::fleet::{FleetConfig, FleetError, FleetManager, GroupConfig};
 use crate::planner::RouteMode;
 use crate::reexec::{Reexecutor, Undriven};
 use crate::service::ServiceError;
@@ -68,24 +68,6 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// render byte-identically when no checkpoint is present.
 pub const JOURNAL_CHECKPOINT_VERSION: u64 = 2;
 
-/// The exact shape of one platform group, as recorded in a journal header.
-///
-/// [`FleetManager`] stamps one of these per group into
-/// its header, so heterogeneous fleets (different capacities, names, tags
-/// per group) replay against their true shape via
-/// [`FleetConfig::from_header`](crate::FleetConfig::from_header).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupShape {
-    /// Group name.
-    pub name: String,
-    /// Admission shards inside the group.
-    pub shards: u64,
-    /// Resident capacity per shard.
-    pub capacity_per_shard: u64,
-    /// Affinity tags the group advertises.
-    pub tags: Vec<String>,
-}
-
 /// First line of a journal file: everything needed to rebuild the workload
 /// spec and the fleet that recorded the decisions.
 ///
@@ -93,7 +75,7 @@ pub struct GroupShape {
 /// `experiments::workload::workload_with` — they are stamped by `probcon
 /// fleet-bench` and zero for journals recorded by hand-built fleets. The
 /// fleet shape is always self-contained: [`FleetManager`]
-/// records every group's exact [`GroupShape`] (the scalar
+/// records every group's exact [`GroupConfig`] (the scalar
 /// `groups`/`shards_per_group`/`capacity_per_shard` fields summarize the
 /// first group for display). `probcon replay` consumes exactly these.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +99,7 @@ pub struct JournalHeader {
     pub policy: String,
     /// Exact per-group shapes (authoritative when non-empty; the scalar
     /// fleet fields above are a uniform-fleet summary).
-    pub group_shapes: Vec<GroupShape>,
+    pub group_shapes: Vec<GroupConfig>,
 }
 
 impl Default for JournalHeader {
@@ -165,7 +147,7 @@ pub enum ScaleAction {
         /// Index the fleet assigned to the new group.
         group: u64,
         /// Exact shape of the new group.
-        shape: GroupShape,
+        shape: GroupConfig,
     },
     /// Rebalance every resident out of a group, then retire it. The drain
     /// is all-or-nothing: if any resident cannot be placed elsewhere the
@@ -977,26 +959,6 @@ impl Journal {
         self.entries().into_iter().map(|e| e.event).collect()
     }
 
-    /// Runs `f` over the entry slice **without cloning it** — the event
-    /// iteration API counterfactual replay is built on: a
-    /// [`PlanRun`](crate::planner::PlanRun) walks thousands of entries per
-    /// hypothetical shape, and a sweep multiplies that by the grid size, so
-    /// per-shape snapshots would dominate. The journal's lock is held for
-    /// the duration of `f`; do not append to **this** journal from inside
-    /// (re-executing against a *different* fleet — whose own journal is a
-    /// separate object — is fine, and is exactly what replay does).
-    pub fn with_entries<R>(&self, f: impl FnOnce(&[JournalEntry]) -> R) -> R {
-        match &mut crate::cache::lock(&self.log).store {
-            Store::Memory { entries, .. } => f(entries),
-            Store::Wal(wal) => {
-                // Planning materializes the post-checkpoint tail once and
-                // shares it; WAL read failures surface as an empty slice.
-                let entries = wal.read_all().unwrap_or_default();
-                f(&entries)
-            }
-        }
-    }
-
     /// Distinct client ids stamped into entries, in first-appearance order;
     /// entries without provenance contribute `None`.
     pub fn clients(&self) -> Vec<Option<String>> {
@@ -1716,13 +1678,16 @@ impl<'a> JournalReplayer<'a> {
     ///
     /// # Errors
     ///
-    /// [`FleetError`] if the fleet cannot be built from `config`, or on
-    /// the first checkpointed resident it cannot restore.
+    /// [`FleetError::Journal`] if the journal's entries cannot be read
+    /// (nothing is replayed); [`FleetError`] if the fleet cannot be built
+    /// from `config`, or on the first checkpointed resident it cannot
+    /// restore.
     pub fn replay(
         &self,
         journal: &Journal,
         config: FleetConfig,
     ) -> Result<(ReplayReport, FleetManager), FleetError> {
+        let entries = journal.try_entries().map_err(FleetError::Journal)?;
         let fleet = FleetManager::with_header(self.spec.clone(), config, journal.header().clone())?;
         let mut engine = Reexecutor::new(&fleet, RouteMode::Recorded);
         let mut report = ReplayReport {
@@ -1733,27 +1698,25 @@ impl<'a> JournalReplayer<'a> {
             residents_at_end: 0,
         };
         if let Some(checkpoint) = journal.base_checkpoint() {
-            for (_, restored) in engine.restore(&checkpoint) {
+            for (_, restored) in engine.restore(&checkpoint)? {
                 restored?;
             }
             report.restored = checkpoint.residents.len();
         }
-        journal.with_entries(|entries| {
-            report.events = entries.len();
-            for entry in entries {
-                match engine.drive(&entry.event) {
-                    Ok(replayed) if replayed == entry.event => report.matches += 1,
-                    replayed => report.divergences.push(Divergence {
-                        seq: entry.seq,
-                        expected: replay_text(&entry.event),
-                        got: match &replayed {
-                            Ok(event) => replay_text(event),
-                            Err(why) => undriven_text(&entry.event, why),
-                        },
-                    }),
-                }
+        report.events = entries.len();
+        for entry in &entries {
+            match engine.drive(&entry.event) {
+                Ok(replayed) if replayed == entry.event => report.matches += 1,
+                replayed => report.divergences.push(Divergence {
+                    seq: entry.seq,
+                    expected: replay_text(&entry.event),
+                    got: match &replayed {
+                        Ok(event) => replay_text(event),
+                        Err(why) => undriven_text(&entry.event, why),
+                    },
+                }),
             }
-        });
+        }
         report.residents_at_end = fleet.resident_count();
         Ok((report, fleet))
     }

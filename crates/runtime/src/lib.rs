@@ -38,7 +38,7 @@
 //!   (see [`telemetry`], the engine behind `probcon top` /
 //!   `probcon trace`);
 //! * [`PlanRun`] / [`PlanSweep`] — the offline capacity planner: replay
-//!   any recorded journal against hypothetical [`FleetShape`]s (scaled
+//!   any recorded journal against hypothetical [`FleetConfig`]s (scaled
 //!   capacities, added groups, swapped policies) and report which
 //!   decisions would have flipped, with a parallel sweep finding the
 //!   smallest shape that serves everything the recording served (see
@@ -102,20 +102,20 @@ pub use autoscaler::{
 pub use cache::{CacheKey, EstimateCache};
 pub use fleet::{
     FleetConfig, FleetError, FleetManager, FleetSnapshot, GroupConfig, GroupSnapshot,
-    RebalanceMove, RoutingPolicy,
+    RebalanceMove, Restored, RoutingPolicy, MAX_FLEET_SHARDS,
 };
 pub use fleet_bench::{
     run_requests, seeded_fleet_requests, ConnectionPoint, ConnectionSampler, FleetBenchReport,
     FleetRequest, TelemetryPoint,
 };
 pub use journal::{
-    fold_checkpoint, ClientScope, DecisionEvent, Divergence, GroupShape, Journal, JournalEntry,
-    JournalError, JournalHeader, JournalOutcome, JournalPage, JournalReplayer, ReplayReport,
-    ScaleAction, ScaleOutcome, ScaleRefusal, JOURNAL_CHECKPOINT_VERSION, JOURNAL_VERSION,
+    fold_checkpoint, ClientScope, DecisionEvent, Divergence, Journal, JournalEntry, JournalError,
+    JournalHeader, JournalOutcome, JournalPage, JournalReplayer, ReplayReport, ScaleAction,
+    ScaleOutcome, ScaleRefusal, JOURNAL_CHECKPOINT_VERSION, JOURNAL_VERSION,
 };
 pub use planner::{
-    FleetShape, Flip, FlipKind, GroupUsage, OutcomeTotals, PlanError, PlanReport, PlanRun,
-    PlanSweep, PolicyDecision, RouteMode, SaturationWindow, SweepReport,
+    Flip, FlipKind, GroupUsage, OutcomeTotals, PlanError, PlanReport, PlanRun, PlanSweep,
+    PolicyDecision, RouteMode, SaturationWindow, SweepReport,
 };
 pub use remote::{
     ClientConfig, Endpoint, JournalSource, RemoteClient, RemoteClientStats, RemoteServer,

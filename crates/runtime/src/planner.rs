@@ -8,12 +8,12 @@
 //! and this module closes the loop by re-executing a recorded decision
 //! stream against a **hypothetical** fleet instead of the recorded one:
 //!
-//! * [`FleetShape`] — a serde-able description of a candidate fleet
-//!   (per-group shapes + routing policy), derivable from any
-//!   [`JournalHeader`] and mutated through builder ops like
-//!   [`scale_capacity`](FleetShape::scale_capacity),
-//!   [`add_group`](FleetShape::add_group) and
-//!   [`swap_policy`](FleetShape::swap_policy);
+//! * a candidate fleet is a [`FleetConfig`] — the one fleet shape type,
+//!   serde-able, decoded from any [`JournalHeader`](crate::JournalHeader) by
+//!   [`FleetConfig::from_header`] and reshaped through
+//!   [`scale_capacity`](FleetConfig::scale_capacity),
+//!   [`with_group_count`](FleetConfig::with_group_count) or a new
+//!   `policy`;
 //! * [`PlanRun`] — one counterfactual replay: the journal's admission
 //!   stream is re-decided through the fleet's
 //!   [`AdmissionService`](crate::AdmissionService) path against the
@@ -45,8 +45,7 @@
 //! ```
 //! use platform::{Application, Mapping, SystemSpec};
 //! use runtime::{
-//!     AdmissionRequest, AdmissionService, FleetConfig, FleetManager, FleetShape, PlanRun,
-//!     RoutingPolicy,
+//!     AdmissionRequest, AdmissionService, FleetConfig, FleetManager, PlanRun, RoutingPolicy,
 //! };
 //! use sdf::figure2_graphs;
 //!
@@ -66,7 +65,7 @@
 //! assert!(fleet.admit(&AdmissionRequest::new(1))?.is_admitted());
 //!
 //! // What if the same traffic had hit a fleet with HALF the capacity?
-//! let recorded = FleetShape::from_header(fleet.journal().header());
+//! let recorded = FleetConfig::from_header(fleet.journal().header())?;
 //! let halved = recorded.clone().scale_capacity(0.5);
 //! let report = PlanRun::new(&spec, fleet.journal(), &halved).execute()?;
 //! assert_eq!(report.regressions(), 1); // one admission no longer fits
@@ -77,9 +76,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::fleet::{FleetConfig, FleetError, FleetManager, GroupConfig, RoutingPolicy};
+use crate::fleet::{FleetConfig, FleetError, FleetManager, RoutingPolicy};
 use crate::journal::{
-    DecisionEvent, GroupShape, Journal, JournalEntry, JournalHeader, JournalOutcome, ScaleOutcome,
+    DecisionEvent, Journal, JournalEntry, JournalError, JournalOutcome, ScaleOutcome,
 };
 use crate::reexec::{Reexecutor, Undriven};
 use crate::service::ServiceError;
@@ -89,200 +88,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// FleetShape: the hypothetical fleet description.
-// ---------------------------------------------------------------------------
-
-/// A candidate fleet: per-group shapes plus a routing policy name.
-///
-/// Shapes are plain serde-able data (they reuse the journal header's
-/// [`GroupShape`] vocabulary), so sweep grids can be built, stored and
-/// compared without touching a live fleet. Derive one from a recorded
-/// journal with [`from_header`](Self::from_header), then mutate it through
-/// the builder ops; [`to_config`](Self::to_config) turns it back into a
-/// buildable [`FleetConfig`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FleetShape {
-    /// The platform groups (≥ 1 for a buildable shape).
-    pub groups: Vec<GroupShape>,
-    /// Routing policy name (`Display`/`FromStr` of [`RoutingPolicy`]).
-    pub policy: String,
-}
-
-impl FleetShape {
-    /// The exact shape a journal header records: the per-group
-    /// [`GroupShape`]s when stamped (every [`FleetManager`] stamps them),
-    /// synthesized from the uniform summary fields otherwise.
-    pub fn from_header(header: &JournalHeader) -> FleetShape {
-        let groups = if header.group_shapes.is_empty() {
-            (0..header.groups.max(1))
-                .map(|i| GroupShape {
-                    name: format!("group{i}"),
-                    shards: header.shards_per_group.max(1),
-                    capacity_per_shard: header.capacity_per_shard.max(1),
-                    tags: vec![format!("uc{i}")],
-                })
-                .collect()
-        } else {
-            header.group_shapes.clone()
-        };
-        FleetShape {
-            groups,
-            policy: header.policy.clone(),
-        }
-    }
-
-    /// The shape of an existing [`FleetConfig`].
-    pub fn from_config(config: &FleetConfig) -> FleetShape {
-        FleetShape {
-            groups: config.groups.iter().map(GroupConfig::to_shape).collect(),
-            policy: config.policy.to_string(),
-        }
-    }
-
-    /// Builds the [`FleetConfig`] this shape describes.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Config`] when the shape has no groups or its policy
-    /// name does not parse.
-    pub fn to_config(&self) -> Result<FleetConfig, FleetError> {
-        if self.groups.is_empty() {
-            return Err(FleetError::Config("shape has no groups".into()));
-        }
-        let policy = self
-            .policy
-            .parse::<RoutingPolicy>()
-            .map_err(FleetError::Config)?;
-        Ok(FleetConfig {
-            groups: self.groups.iter().map(GroupConfig::from_shape).collect(),
-            policy,
-        })
-    }
-
-    /// Stamps this shape over `base`, producing a header that `probcon
-    /// replay`-style consumers rebuild exactly this fleet from (workload
-    /// fields are kept from `base`).
-    pub fn to_header(&self, base: &JournalHeader) -> JournalHeader {
-        let first = self.groups.first();
-        JournalHeader {
-            groups: self.groups.len() as u64,
-            shards_per_group: first.map_or(1, |g| g.shards),
-            capacity_per_shard: first.map_or(1, |g| g.capacity_per_shard),
-            policy: self.policy.clone(),
-            group_shapes: self.groups.clone(),
-            ..base.clone()
-        }
-    }
-
-    /// Scales every group's per-shard capacity by `factor` (rounded to the
-    /// nearest integer, floored at 1 — a group never vanishes by scaling).
-    ///
-    /// Two limits of what a scaled shape measures:
-    /// - a recorded absolute `Grow`/`Shrink`, or a snapshot checkpoint's
-    ///   capacities, replaces the scaled capacity of its group once
-    ///   applied, so on a resized journal the capacity axis measures
-    ///   little beyond the stretch before the first resize;
-    /// - a recorded rejection that the scaled shape admits stays resident
-    ///   until the journal ends (nothing recorded releases it), so a larger
-    ///   shape can report more regressions than a smaller one — a sweep's
-    ///   frontier is not monotone in capacity.
-    #[must_use]
-    pub fn scale_capacity(mut self, factor: f64) -> FleetShape {
-        for group in &mut self.groups {
-            let scaled = (group.capacity_per_shard as f64 * factor).round();
-            group.capacity_per_shard = if scaled < 1.0 { 1 } else { scaled as u64 };
-        }
-        self
-    }
-
-    /// Appends one more group.
-    #[must_use]
-    pub fn add_group(mut self, group: GroupShape) -> FleetShape {
-        self.groups.push(group);
-        self
-    }
-
-    /// Grows or shrinks to exactly `count` groups: extra groups are
-    /// truncated from the end; missing ones clone the last group's shards
-    /// and capacity under fresh `group{i}` / `uc{i}` names (matching
-    /// [`FleetConfig::uniform`]'s naming).
-    #[must_use]
-    pub fn with_group_count(mut self, count: usize) -> FleetShape {
-        let count = count.max(1);
-        self.groups.truncate(count);
-        while self.groups.len() < count {
-            let template = self.groups.last().cloned().unwrap_or(GroupShape {
-                name: String::new(),
-                shards: 1,
-                capacity_per_shard: 1,
-                tags: Vec::new(),
-            });
-            let i = self.groups.len();
-            self.groups.push(GroupShape {
-                name: format!("group{i}"),
-                shards: template.shards,
-                capacity_per_shard: template.capacity_per_shard,
-                tags: vec![format!("uc{i}")],
-            });
-        }
-        self
-    }
-
-    /// Replaces the routing policy.
-    #[must_use]
-    pub fn swap_policy(mut self, policy: RoutingPolicy) -> FleetShape {
-        self.policy = policy.to_string();
-        self
-    }
-
-    /// Total resident capacity across all groups — the "cost" axis the
-    /// sweep frontier minimizes.
-    pub fn total_capacity(&self) -> u64 {
-        self.groups
-            .iter()
-            .map(|g| g.shards * g.capacity_per_shard)
-            .sum()
-    }
-
-    /// `true` when this shape routes like the recorded one (same group
-    /// count and policy), which lets a plan run reuse the recorded routing
-    /// instead of re-deciding it — see [`RouteMode::Auto`].
-    pub fn routes_like(&self, header: &JournalHeader) -> bool {
-        let recorded = FleetShape::from_header(header);
-        self.groups.len() == recorded.groups.len() && self.policy == recorded.policy
-    }
-
-    /// Compact display label, e.g. `3g×1s×4c least-utilised` for uniform
-    /// shapes or `3g/14c affinity` for heterogeneous ones.
-    pub fn label(&self) -> String {
-        let uniform = self.groups.windows(2).all(|w| {
-            w[0].shards == w[1].shards && w[0].capacity_per_shard == w[1].capacity_per_shard
-        });
-        match (uniform, self.groups.first()) {
-            (true, Some(first)) => format!(
-                "{}g×{}s×{}c {}",
-                self.groups.len(),
-                first.shards,
-                first.capacity_per_shard,
-                self.policy
-            ),
-            _ => format!(
-                "{}g/{}c {}",
-                self.groups.len(),
-                self.total_capacity(),
-                self.policy
-            ),
-        }
-    }
-}
-
-impl fmt::Display for FleetShape {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Flips: divergence as data.
@@ -417,7 +222,7 @@ pub struct GroupUsage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouteMode {
     /// Reuse the recorded routing when the shape still
-    /// [routes like](FleetShape::routes_like) the recording (same group
+    /// [routes like](FleetConfig::routes_like) the recording (same group
     /// count and policy) — isolating pure capacity effects and keeping
     /// even concurrency-recorded journals flip-free on the identity shape
     /// — and re-route by policy otherwise (the recorded groups may not
@@ -454,6 +259,8 @@ pub enum PlanError {
     Service(ServiceError),
     /// The sweep was misconfigured (empty grid, …).
     Config(String),
+    /// The journal's entries could not be read; nothing was planned.
+    Journal(JournalError),
 }
 
 impl fmt::Display for PlanError {
@@ -462,6 +269,7 @@ impl fmt::Display for PlanError {
             PlanError::Fleet(e) => write!(f, "cannot build hypothetical fleet: {e}"),
             PlanError::Service(e) => write!(f, "counterfactual decision failed: {e}"),
             PlanError::Config(e) => write!(f, "invalid plan configuration: {e}"),
+            PlanError::Journal(e) => write!(f, "cannot read the journal: {e}"),
         }
     }
 }
@@ -471,6 +279,7 @@ impl std::error::Error for PlanError {
         match self {
             PlanError::Fleet(e) => Some(e),
             PlanError::Service(e) => Some(e),
+            PlanError::Journal(e) => Some(e),
             PlanError::Config(_) => None,
         }
     }
@@ -489,12 +298,12 @@ impl From<ServiceError> for PlanError {
 }
 
 /// One counterfactual replay of a journal against a hypothetical
-/// [`FleetShape`] (see the [module docs](self)).
+/// [`FleetConfig`] (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PlanRun<'a> {
     spec: &'a SystemSpec,
     journal: &'a Journal,
-    shape: &'a FleetShape,
+    shape: &'a FleetConfig,
     routing: RouteMode,
     scale_policy: Option<(crate::autoscaler::ScalePolicy, u64)>,
 }
@@ -503,7 +312,7 @@ impl<'a> PlanRun<'a> {
     /// A run re-deciding `journal`'s stream — phrased against `spec`, the
     /// workload the journal was recorded for — on a fleet shaped like
     /// `shape`.
-    pub fn new(spec: &'a SystemSpec, journal: &'a Journal, shape: &'a FleetShape) -> PlanRun<'a> {
+    pub fn new(spec: &'a SystemSpec, journal: &'a Journal, shape: &'a FleetConfig) -> PlanRun<'a> {
         PlanRun {
             spec,
             journal,
@@ -549,29 +358,28 @@ impl<'a> PlanRun<'a> {
     ///
     /// # Errors
     ///
+    /// [`PlanError::Journal`] when the journal's entries cannot be read;
     /// [`PlanError`] when the fleet cannot be built or an admission cannot
     /// be *decided* (rejections and saturations are decisions, not
     /// errors).
     pub fn execute(&self) -> Result<PlanReport, PlanError> {
-        let checkpoint = self.journal.base_checkpoint();
-        self.journal
-            .with_entries(|entries| self.execute_over(checkpoint.as_ref(), entries))
+        let entries = self.journal.try_entries().map_err(PlanError::Journal)?;
+        self.execute_over(self.journal.base_checkpoint().as_ref(), &entries)
     }
 
-    /// [`execute`](Self::execute) over an already-snapshotted checkpoint
-    /// and entry slice. [`PlanSweep`] snapshots once and shares the slice
-    /// across its workers — `execute` would hold the journal's entry lock
-    /// for the whole replay, serializing concurrent runs over the same
-    /// journal.
+    /// [`execute`](Self::execute) over a checkpoint and entry slice read
+    /// once — how [`PlanSweep`] shares one read across its workers.
     fn execute_over(
         &self,
         checkpoint: Option<&FleetCheckpoint>,
         entries: &[JournalEntry],
     ) -> Result<PlanReport, PlanError> {
-        let config = self.shape.to_config()?;
-        let fleet = FleetManager::new(self.spec.clone(), config)?;
+        let fleet = FleetManager::new(self.spec.clone(), self.shape.clone())?;
+        let recorded = FleetConfig::from_header(self.journal.header());
         let routing = match self.routing {
-            RouteMode::Auto if self.shape.routes_like(self.journal.header()) => RouteMode::Recorded,
+            RouteMode::Auto if recorded.is_ok_and(|r| self.shape.routes_like(&r)) => {
+                RouteMode::Recorded
+            }
             RouteMode::Auto => RouteMode::Replan,
             routing => routing,
         };
@@ -604,7 +412,7 @@ impl<'a> PlanRun<'a> {
         // cannot seat is a regression of traffic the recording was serving
         // — an AdmittedNowRejected flip anchored at its recorded admission.
         if let Some(checkpoint) = checkpoint {
-            for (resident, restored) in engine.restore(checkpoint) {
+            for (resident, restored) in engine.restore(checkpoint)? {
                 report.recorded.admitted += 1;
                 if let Err(e) = restored {
                     report.hypothetical.rejected += 1;
@@ -796,7 +604,7 @@ impl UsageTracker {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanReport {
     /// The hypothetical shape the journal was replayed against.
-    pub shape: FleetShape,
+    pub shape: FleetConfig,
     /// Effective routing (`"recorded"` or `"replanned"`, after
     /// [`RouteMode::Auto`] resolution).
     pub routing: String,
@@ -1103,7 +911,7 @@ impl PlanReport {
 pub struct PlanSweep<'a> {
     spec: &'a SystemSpec,
     journal: &'a Journal,
-    shapes: Vec<FleetShape>,
+    shapes: Vec<FleetConfig>,
     routing: RouteMode,
     workers: usize,
     flip_budget: u64,
@@ -1126,14 +934,14 @@ impl<'a> PlanSweep<'a> {
 
     /// Adds one candidate shape.
     #[must_use]
-    pub fn shape(mut self, shape: FleetShape) -> PlanSweep<'a> {
+    pub fn shape(mut self, shape: FleetConfig) -> PlanSweep<'a> {
         self.shapes.push(shape);
         self
     }
 
     /// Adds many candidate shapes.
     #[must_use]
-    pub fn shapes(mut self, shapes: impl IntoIterator<Item = FleetShape>) -> PlanSweep<'a> {
+    pub fn shapes(mut self, shapes: impl IntoIterator<Item = FleetConfig>) -> PlanSweep<'a> {
         self.shapes.extend(shapes);
         self
     }
@@ -1167,12 +975,17 @@ impl<'a> PlanSweep<'a> {
     /// to `base` — the grid `probcon plan --sweep` builds. Empty axes keep
     /// the base value. Duplicate shapes (e.g. from a scale of 1.0 and a
     /// group count equal to the base) are emitted once.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Config`] when a group count grows `base` past
+    /// [`MAX_FLEET_SHARDS`](crate::fleet::MAX_FLEET_SHARDS).
     pub fn grid(
-        base: &FleetShape,
+        base: &FleetConfig,
         group_counts: &[usize],
         capacity_scales: &[f64],
         policies: &[RoutingPolicy],
-    ) -> Vec<FleetShape> {
+    ) -> Result<Vec<FleetConfig>, FleetError> {
         let counts: Vec<usize> = if group_counts.is_empty() {
             vec![base.groups.len()]
         } else {
@@ -1183,24 +996,24 @@ impl<'a> PlanSweep<'a> {
         } else {
             capacity_scales.to_vec()
         };
-        let policy_names: Vec<String> = if policies.is_empty() {
-            vec![base.policy.clone()]
+        let policies: Vec<RoutingPolicy> = if policies.is_empty() {
+            vec![base.policy]
         } else {
-            policies.iter().map(RoutingPolicy::to_string).collect()
+            policies.to_vec()
         };
-        let mut shapes: Vec<FleetShape> = Vec::new();
+        let mut shapes: Vec<FleetConfig> = Vec::new();
         for &count in &counts {
             for &scale in &scales {
-                for policy in &policy_names {
-                    let mut shape = base.clone().with_group_count(count).scale_capacity(scale);
-                    shape.policy = policy.clone();
+                for &policy in &policies {
+                    let mut shape = base.clone().with_group_count(count)?.scale_capacity(scale);
+                    shape.policy = policy;
                     if !shapes.contains(&shape) {
                         shapes.push(shape);
                     }
                 }
             }
         }
-        shapes
+        Ok(shapes)
     }
 
     /// Replays every shape (in parallel on the worker pool) and summarizes
@@ -1209,18 +1022,17 @@ impl<'a> PlanSweep<'a> {
     ///
     /// # Errors
     ///
-    /// [`PlanError::Config`] for an empty sweep; the first per-shape
+    /// [`PlanError::Config`] for an empty sweep, [`PlanError::Journal`]
+    /// when the journal's entries cannot be read; the first per-shape
     /// [`PlanError`] otherwise.
     pub fn execute(&self) -> Result<SweepReport, PlanError> {
         if self.shapes.is_empty() {
             return Err(PlanError::Config("sweep has no shapes".into()));
         }
         let started = Instant::now();
-        // One shared snapshot for the whole sweep: replaying through
-        // `PlanRun::execute` would hold the journal's entry lock per run
-        // and serialize the workers against each other.
+        // One read of the journal, shared by every worker.
         let checkpoint = self.journal.base_checkpoint();
-        let entries = self.journal.entries();
+        let entries = self.journal.try_entries().map_err(PlanError::Journal)?;
         let next = Mutex::new(0usize);
         let results: Mutex<Vec<Option<Result<PlanReport, PlanError>>>> =
             Mutex::new(vec![None; self.shapes.len()]);
@@ -1375,7 +1187,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::DecisionEvent;
+    use crate::journal::{DecisionEvent, JournalHeader};
     use crate::service::{AdmissionRequest, AdmissionService};
     use platform::{Application, Mapping};
     use sdf::{figure2_graphs, Rational};
@@ -1390,23 +1202,17 @@ mod tests {
             .unwrap()
     }
 
-    fn uniform_shape(groups: usize, capacity: u64, policy: &str) -> FleetShape {
-        FleetShape {
-            groups: (0..groups)
-                .map(|i| GroupShape {
-                    name: format!("group{i}"),
-                    shards: 1,
-                    capacity_per_shard: capacity,
-                    tags: vec![format!("uc{i}")],
-                })
-                .collect(),
-            policy: policy.to_string(),
-        }
+    fn uniform_shape(groups: usize, capacity: usize, policy: RoutingPolicy) -> FleetConfig {
+        FleetConfig::uniform(groups, 1, capacity, policy)
     }
 
-    /// Hand-built journal whose header matches `shape`.
-    fn journal_for(shape: &FleetShape, events: Vec<DecisionEvent>) -> Journal {
-        let journal = Journal::new(shape.to_header(&JournalHeader::default()));
+    /// Hand-built journal whose header records `shape`.
+    fn journal_for(shape: &FleetConfig, events: Vec<DecisionEvent>) -> Journal {
+        let header = JournalHeader {
+            policy: shape.policy.to_string(),
+            ..JournalHeader::default()
+        };
+        let journal = Journal::new(FleetManager::stamped_header(shape, header));
         for event in events {
             journal.append(event);
         }
@@ -1433,7 +1239,7 @@ mod tests {
 
     #[test]
     fn shape_builder_ops_compose() {
-        let base = uniform_shape(2, 4, "least-utilised");
+        let base = uniform_shape(2, 4, RoutingPolicy::LeastUtilised);
         assert_eq!(base.total_capacity(), 8);
         assert_eq!(base.label(), "2g×1s×4c least-utilised");
 
@@ -1443,38 +1249,20 @@ mod tests {
         let floored = base.clone().scale_capacity(0.01);
         assert!(floored.groups.iter().all(|g| g.capacity_per_shard == 1));
 
-        let grown = base.clone().with_group_count(4);
+        let grown = base.clone().with_group_count(4).unwrap();
         assert_eq!(grown.groups.len(), 4);
         assert_eq!(grown.groups[3].name, "group3");
         assert_eq!(grown.groups[3].capacity_per_shard, 4);
-        assert_eq!(base.clone().with_group_count(1).groups.len(), 1);
+        assert_eq!(base.clone().with_group_count(1).unwrap().groups.len(), 1);
 
-        let swapped = base.clone().swap_policy(RoutingPolicy::RoundRobin);
-        assert_eq!(swapped.policy, "round-robin");
-        let added = base.clone().add_group(GroupShape {
-            name: "extra".into(),
-            shards: 2,
-            capacity_per_shard: 3,
-            tags: vec![],
-        });
+        let mut added = base.clone();
+        added.groups.push(crate::GroupConfig::new("extra", 2, 3));
         assert_eq!(added.total_capacity(), 14);
         assert!(added.label().contains("3g/14c"));
 
-        // Header round trip preserves the shape exactly.
-        let header = added.to_header(&JournalHeader::default());
-        assert_eq!(FleetShape::from_header(&header), added);
-        // Config round trip too.
-        let config = added.to_config().unwrap();
-        assert_eq!(FleetShape::from_config(&config), added);
-        // Bad policies and empty shapes refuse to build.
-        let mut bad = base.clone();
-        bad.policy = "bogus".into();
-        assert!(bad.to_config().is_err());
-        let empty = FleetShape {
-            groups: vec![],
-            policy: "least-utilised".into(),
-        };
-        assert!(empty.to_config().is_err());
+        // A stamped header decodes back to exactly the shape.
+        let header = FleetManager::stamped_header(&added, JournalHeader::default());
+        assert_eq!(FleetConfig::from_header(&header), Ok(added));
     }
 
     #[test]
@@ -1495,7 +1283,7 @@ mod tests {
         assert!(fleet.release_resident(first));
         assert!(admit(1).is_admitted());
 
-        let shape = FleetShape::from_header(fleet.journal().header());
+        let shape = FleetConfig::from_header(fleet.journal().header()).unwrap();
         let report = PlanRun::new(&spec, fleet.journal(), &shape)
             .execute()
             .expect("plans");
@@ -1510,7 +1298,7 @@ mod tests {
 
     #[test]
     fn halved_capacity_flips_admissions_to_denied() {
-        let shape = uniform_shape(1, 2, "least-utilised");
+        let shape = uniform_shape(1, 2, RoutingPolicy::LeastUtilised);
         let journal = journal_for(
             &shape,
             vec![
@@ -1541,7 +1329,7 @@ mod tests {
 
     #[test]
     fn doubled_capacity_flips_saturation_to_admitted() {
-        let shape = uniform_shape(1, 1, "least-utilised");
+        let shape = uniform_shape(1, 1, RoutingPolicy::LeastUtilised);
         let journal = journal_for(
             &shape,
             vec![
@@ -1580,7 +1368,10 @@ mod tests {
 
         // What if a second group had existed? Group counts differ, so Auto
         // re-routes: the rejected admission lands alone on the new group.
-        let shape = FleetShape::from_header(fleet.journal().header()).with_group_count(2);
+        let shape = FleetConfig::from_header(fleet.journal().header())
+            .unwrap()
+            .with_group_count(2)
+            .unwrap();
         let report = PlanRun::new(&spec, fleet.journal(), &shape)
             .execute()
             .expect("plans");
@@ -1591,11 +1382,11 @@ mod tests {
 
     #[test]
     fn reroute_detected_when_group_count_changes() {
-        let shape = uniform_shape(2, 2, "least-utilised");
+        let shape = uniform_shape(2, 2, RoutingPolicy::LeastUtilised);
         // Recorded on group 1; a 3-group hypothetical re-routes by
         // least-utilised, which picks group 0 first.
         let journal = journal_for(&shape, vec![admit_event(1, 0, admitted(0))]);
-        let grown = shape.clone().with_group_count(3);
+        let grown = shape.clone().with_group_count(3).unwrap();
         let report = PlanRun::new(&spec(), &journal, &grown)
             .execute()
             .expect("plans");
@@ -1608,7 +1399,7 @@ mod tests {
 
     #[test]
     fn route_mode_overrides_auto() {
-        let shape = uniform_shape(2, 2, "round-robin");
+        let shape = uniform_shape(2, 2, RoutingPolicy::RoundRobin);
         // Two admissions recorded round-robin on groups 0 and 1.
         let journal = journal_for(
             &shape,
@@ -1627,7 +1418,7 @@ mod tests {
         assert_eq!(replanned.flips, vec![]);
         // Recorded mode on a shrunken shape: group 1 is gone, so its
         // admission falls back to policy routing.
-        let shrunk = shape.clone().with_group_count(1);
+        let shrunk = shape.clone().with_group_count(1).unwrap();
         let recorded = PlanRun::new(&spec(), &journal, &shrunk)
             .with_routing(RouteMode::Recorded)
             .execute()
@@ -1637,7 +1428,7 @@ mod tests {
 
     #[test]
     fn rebalance_counterfactuals_apply_skip_and_fail() {
-        let shape = uniform_shape(2, 2, "least-utilised");
+        let shape = uniform_shape(2, 2, RoutingPolicy::LeastUtilised);
         let journal = journal_for(
             &shape,
             vec![
@@ -1664,7 +1455,7 @@ mod tests {
         assert_eq!(identity.rebalances_applied, 1);
         assert_eq!(identity.rebalances_skipped, 1);
         // One group: the move's target does not exist — skipped as data.
-        let single = shape.clone().with_group_count(1);
+        let single = shape.clone().with_group_count(1).unwrap();
         let report = PlanRun::new(&spec(), &journal, &single)
             .execute()
             .expect("plans");
@@ -1674,7 +1465,7 @@ mod tests {
 
     #[test]
     fn usage_tracks_peaks_means_and_saturation_windows() {
-        let shape = uniform_shape(1, 1, "least-utilised");
+        let shape = uniform_shape(1, 1, RoutingPolicy::LeastUtilised);
         let journal = journal_for(
             &shape,
             vec![
@@ -1709,20 +1500,28 @@ mod tests {
 
     #[test]
     fn sweep_grid_crosses_axes_and_dedupes() {
-        let base = uniform_shape(2, 4, "least-utilised");
-        let shapes = PlanSweep::grid(&base, &[1, 2], &[0.5, 1.0], &[]);
+        let base = uniform_shape(2, 4, RoutingPolicy::LeastUtilised);
+        let shapes = PlanSweep::grid(&base, &[1, 2], &[0.5, 1.0], &[]).unwrap();
         assert_eq!(shapes.len(), 4);
         assert!(shapes.contains(&base));
         // Empty axes keep the base.
-        assert_eq!(PlanSweep::grid(&base, &[], &[], &[]), vec![base.clone()]);
+        assert_eq!(
+            PlanSweep::grid(&base, &[], &[], &[]).unwrap(),
+            vec![base.clone()]
+        );
         // Duplicates collapse: scaling by 1.0 twice is one shape.
-        assert_eq!(PlanSweep::grid(&base, &[2, 2], &[1.0, 1.0], &[]).len(), 1);
+        assert_eq!(
+            PlanSweep::grid(&base, &[2, 2], &[1.0, 1.0], &[])
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
     fn sweep_finds_frontier_and_is_deterministic_under_workers() {
         let spec = spec();
-        let shape = uniform_shape(1, 3, "least-utilised");
+        let shape = uniform_shape(1, 3, RoutingPolicy::LeastUtilised);
         // Three residents at peak: capacity 3 is the smallest clean shape.
         let journal = journal_for(
             &shape,
@@ -1735,7 +1534,8 @@ mod tests {
                 DecisionEvent::Release { resident: 2 },
             ],
         );
-        let grid = PlanSweep::grid(&shape, &[1], &[1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0], &[]);
+        let grid =
+            PlanSweep::grid(&shape, &[1], &[1.0 / 3.0, 2.0 / 3.0, 1.0, 4.0 / 3.0], &[]).unwrap();
         assert_eq!(grid.len(), 4);
         let sweep = |workers: usize| {
             PlanSweep::new(&spec, &journal)
@@ -1769,24 +1569,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_sweep_and_bad_shape_are_config_errors() {
+    fn empty_sweep_and_empty_shape_are_config_errors() {
         let spec = spec();
         let journal = Journal::new(JournalHeader::default());
         assert!(matches!(
             PlanSweep::new(&spec, &journal).execute(),
             Err(PlanError::Config(_))
         ));
-        let mut bad = uniform_shape(1, 1, "least-utilised");
-        bad.policy = "bogus".into();
+        let empty = FleetConfig {
+            groups: Vec::new(),
+            policy: RoutingPolicy::LeastUtilised,
+        };
         assert!(matches!(
-            PlanRun::new(&spec, &journal, &bad).execute(),
+            PlanRun::new(&spec, &journal, &empty).execute(),
             Err(PlanError::Fleet(FleetError::Config(_)))
         ));
     }
 
     #[test]
     fn report_serializes_to_json() {
-        let shape = uniform_shape(1, 2, "least-utilised");
+        let shape = uniform_shape(1, 2, RoutingPolicy::LeastUtilised);
         let journal = journal_for(&shape, vec![admit_event(0, 0, admitted(0))]);
         let report = PlanRun::new(&spec(), &journal, &shape)
             .execute()

@@ -10,11 +10,11 @@
 //! replayed) pairs: replay calls every unequal pair a divergence, plan
 //! sorts the pairs into flips.
 
-use crate::fleet::{FleetError, FleetManager};
+use crate::fleet::{FleetError, FleetManager, Restored};
 use crate::journal::{DecisionEvent, JournalOutcome, ScaleOutcome, ScaleRefusal};
 use crate::planner::RouteMode;
 use crate::service::{AdmissionDecision, AdmissionRequest, AdmissionService, ServiceError};
-use crate::wal::{CheckpointResident, FleetCheckpoint};
+use crate::wal::FleetCheckpoint;
 use std::collections::HashMap;
 
 /// Why a recorded event could not be re-driven.
@@ -53,16 +53,16 @@ impl<'f> Reexecutor<'f> {
     /// Restores `checkpoint` into the fleet, mapping every seated resident
     /// to itself (a restore keeps the recorded id), and returns each
     /// resident's result in admission order: whether a failure is fatal
-    /// is the caller's rule.
+    /// is the caller's rule. Fails as [`FleetManager::restore`] does.
     pub(crate) fn restore<'c>(
         &mut self,
         checkpoint: &'c FleetCheckpoint,
-    ) -> Vec<(&'c CheckpointResident, Result<(), FleetError>)> {
-        let results = self.fleet.restore(checkpoint);
+    ) -> Result<Restored<'c>, FleetError> {
+        let results = self.fleet.restore(checkpoint)?;
         for (resident, _) in results.iter().filter(|(_, seated)| seated.is_ok()) {
             self.live.insert(resident.resident, resident.resident);
         }
-        results
+        Ok(results)
     }
 
     /// Re-drives one recorded event and returns the event the fleet

@@ -36,7 +36,8 @@
 //! (fsync every append), `every-N` (group commit), or `on-rotate` (fsync
 //! only at segment seal — fastest, widest loss window).
 
-use crate::journal::{fnv1a64, GroupShape, JournalEntry, JournalError, JournalHeader, LogFold};
+use crate::fleet::GroupConfig;
+use crate::journal::{fnv1a64, JournalEntry, JournalError, JournalHeader, LogFold};
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -235,7 +236,7 @@ pub struct CheckpointGroup {
     /// Full shape of a group added after the header was stamped
     /// (`ScaleAction::AddGroup`); `None` for groups the header records.
     #[serde(skip_none)]
-    pub added: Option<GroupShape>,
+    pub added: Option<GroupConfig>,
     /// Absolute per-shard capacity after the last applied grow/shrink;
     /// `None` when no grow/shrink was applied to the group (its capacity
     /// is the header's, or `added`'s).
@@ -981,16 +982,6 @@ impl WalStore {
             }
         }
         Ok(())
-    }
-
-    /// Materializes every entry from `base_seq` on.
-    pub(crate) fn read_all(&mut self) -> Result<Vec<JournalEntry>, JournalError> {
-        let mut entries = Vec::new();
-        self.stream_entries(self.base_seq(), |entry| {
-            entries.push(entry.clone());
-            true
-        })?;
-        Ok(entries)
     }
 }
 

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example capacity_planning`
 
 use runtime::{
-    run_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape, FlipKind, PlanRun,
-    PlanSweep, RoutingPolicy,
+    run_requests, seeded_fleet_requests, FleetConfig, FleetManager, FlipKind, PlanRun, PlanSweep,
+    RoutingPolicy,
 };
 use sdf::GeneratorConfig;
 
@@ -27,15 +27,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stream = seeded_fleet_requests(&spec, 2, 300, 2007);
     run_requests(&fleet, Some(&fleet), stream, 1, None, None);
     let journal = fleet.journal();
+    let recorded = FleetConfig::from_header(journal.header())?;
     println!(
-        "== recorded {} decisions on a {} fleet ==\n",
-        journal.len(),
-        FleetShape::from_header(journal.header()).label()
+        "== recorded {} decisions on a {recorded} fleet ==\n",
+        journal.len()
     );
 
     // Sanity anchor: against the recorded shape, the planner reproduces
     // every decision — zero flips, by construction.
-    let recorded = FleetShape::from_header(journal.header());
     let identity = PlanRun::new(&spec, journal, &recorded).execute()?;
     assert!(identity.flips.is_empty(), "identity replay must not flip");
     println!("== identity shape ==");
@@ -54,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sweep a grid: 1..=3 groups × three capacity scales, replayed in
     // parallel on 4 workers, summarized by the frontier.
-    let grid = PlanSweep::grid(&recorded, &[1, 2, 3], &[0.5, 1.0, 1.5], &[]);
+    let grid = PlanSweep::grid(&recorded, &[1, 2, 3], &[0.5, 1.0, 1.5], &[])?;
     let sweep = PlanSweep::new(&spec, journal)
         .shapes(grid)
         .workers(4)

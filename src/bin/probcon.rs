@@ -136,7 +136,7 @@ USAGE:
       (compact binary unless it asks for JSON).
 
   probcon top [--connect tcp:HOST:PORT|unix:PATH] [--watch <secs>] [--prometheus]
-              [--connections] [--wire json|binary]
+              [--connections] [--wire json|binary] [--seed <u64>] [--requests <n>]
       Live telemetry of an admission stack: per-layer operation latency
       distributions (count, ops/s, p50/p90/p99/p999), fleet utilisation,
       flight-recorder counters, per-tenant admit/reject breakdowns and —
@@ -145,8 +145,9 @@ USAGE:
       sizes). With --connect, polls a `probcon serve` process over the
       wire without disturbing it; --watch re-renders every <secs> seconds
       (default 2) until interrupted. Without --connect, drives a seeded
-      local demo stack and renders its telemetry once. --prometheus emits
-      the Prometheus text exposition format instead of the human table.
+      local demo stack (--seed, default 2007; --requests, default 400) and
+      renders its telemetry once. --prometheus emits the Prometheus text
+      exposition format instead of the human table.
       --connections (needs --connect) renders only the transport view:
       one row per live connection (client, wire mode, frames/bytes each
       way, write-buffer depth, in-flight requests, backpressure pauses)
@@ -154,6 +155,7 @@ USAGE:
 
   probcon trace [--connect tcp:HOST:PORT|unix:PATH] [--tail <n>] [--json]
                 [--chrome <file.json>] [--wire json|binary]
+                [--seed <u64>] [--requests <n>]
       The newest <n> (default 20) structured decision events from a stack's
       flight recorder, oldest first: admit/reject/saturate/release/estimate
       with request ids, groups, durations, cache hit/miss attribution,
@@ -233,6 +235,44 @@ USAGE:
       Regenerate Table 1, Figure 5, Figure 6 and the timing comparison.
 ";
 
+/// The options each command reads, space-separated. `run` refuses any
+/// other before the command starts, so a misspelt flag fails instead of
+/// being dropped.
+const FLAGS: &[(&str, &str)] = &[
+    ("generate", "seed actors out dot"),
+    ("analyze", ""),
+    ("estimate", "seed apps use-case method"),
+    ("simulate", "seed apps use-case horizon"),
+    ("signoff", "seed apps method"),
+    (
+        "fleet-bench",
+        "requests threads seed apps actors groups shards capacity policy journal \
+         journal-dir warm-cache fsync segment-entries telemetry telemetry-interval \
+         autoscale autoscale-interval connect client wire connections",
+    ),
+    (
+        "serve",
+        "listen seed apps actors groups shards capacity policy cache trace once journal \
+         journal-dir fsync segment-entries checkpoint-every autoscale autoscale-interval wire",
+    ),
+    (
+        "top",
+        "connect watch prometheus connections wire seed requests",
+    ),
+    ("trace", "connect tail json chrome wire seed requests"),
+    ("replay", ""),
+    (
+        "plan",
+        "groups capacity-scale scale-steps policy routing sweep workers flip-budget \
+         policy-file policy-every fail-on-flips json",
+    ),
+    ("journal split", "out-dir"),
+    ("journal merge", "out"),
+    ("journal compact", "keep out"),
+    ("paper", "quick"),
+    ("help", ""),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -291,8 +331,22 @@ fn parse_method(s: &str) -> Result<Method, String> {
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let (positional, options) = parse(args);
     let Some(&command) = positional.first() else {
+        if args.len() == 1 && options.contains_key("help") {
+            println!("{USAGE}");
+            return Ok(ExitCode::SUCCESS);
+        }
         return Err("no command given".into());
     };
+    let name = match (command, positional.get(1)) {
+        ("journal", Some(sub)) => format!("journal {sub}"),
+        _ => command.to_string(),
+    };
+    if let Some((_, known)) = FLAGS.iter().find(|(c, _)| *c == name) {
+        let mut keys = args.iter().filter_map(|arg| arg.strip_prefix("--"));
+        if let Some(key) = keys.find(|key| !known.split_whitespace().any(|k| k == *key)) {
+            return Err(format!("unknown option --{key} for {name}"));
+        }
+    }
 
     let done = |result: Result<(), String>| result.map(|()| ExitCode::SUCCESS);
     match command {
@@ -309,7 +363,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "plan" => cmd_plan(positional.get(1).copied(), &options),
         "journal" => done(cmd_journal(&positional[1..], &options)),
         "paper" => done(cmd_paper(&options)),
-        "help" | "--help" | "-h" => {
+        "help" | "-h" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
@@ -511,24 +565,23 @@ fn fleet_from_flags(options: &HashMap<&str, &str>) -> Result<runtime::FleetManag
         .copied()
         .unwrap_or("least-utilised")
         .parse::<RoutingPolicy>()?;
-    let config = FleetConfig::uniform(groups as usize, shards as usize, capacity as usize, policy);
     // The header records the workload parameters beside the shape, so the
     // journal is self-contained: `probcon replay` and a restarted `serve`
-    // rebuild this fleet from it alone.
-    let header = FleetManager::stamped_header(
-        &config,
-        JournalHeader {
-            version: JOURNAL_VERSION,
-            seed,
-            apps,
-            actors,
-            groups,
-            shards_per_group: shards,
-            capacity_per_shard: capacity,
-            policy: policy.to_string(),
-            group_shapes: Vec::new(),
-        },
-    );
+    // rebuild this fleet from it alone. The fleet is decoded from it too,
+    // so the flags pass the same size check a recorded header does.
+    let header = JournalHeader {
+        version: JOURNAL_VERSION,
+        seed,
+        apps,
+        actors,
+        groups,
+        shards_per_group: shards,
+        capacity_per_shard: capacity,
+        policy: policy.to_string(),
+        group_shapes: Vec::new(),
+    };
+    let config = FleetConfig::from_header(&header).map_err(|e| e.to_string())?;
+    let header = FleetManager::stamped_header(&config, header);
     let journal = match options.get("journal-dir") {
         Some(dir) => Journal::create_wal(dir, header, wal_config_from(options)?)
             .map_err(|e| e.to_string())?,
@@ -1488,11 +1541,11 @@ fn parse_range<T: std::str::FromStr + Copy>(value: &str, flag: &str) -> Result<(
 }
 
 fn cmd_plan(path: Option<&str>, options: &HashMap<&str, &str>) -> Result<ExitCode, String> {
-    use runtime::{FleetShape, PlanRun, PlanSweep, RouteMode, RoutingPolicy};
+    use runtime::{FleetConfig, PlanRun, PlanSweep, RouteMode, RoutingPolicy};
 
     let path = path.ok_or("plan needs a journal file")?;
     let (journal, spec) = journal_with_spec(path)?;
-    let base = FleetShape::from_header(journal.header());
+    let base = FleetConfig::from_header(journal.header()).map_err(|e| e.to_string())?;
 
     let routing = match options.get("routing").copied() {
         None | Some("auto") => RouteMode::Auto,
@@ -1514,6 +1567,12 @@ fn cmd_plan(path: Option<&str>, options: &HashMap<&str, &str>) -> Result<ExitCod
     if groups_lo == 0 || groups_lo > groups_hi {
         return Err("--groups: range must be 1-based and ordered".into());
     }
+    // The largest shape asked for passes the fleet size cap before any grid
+    // is built; a one-shot plan runs exactly it.
+    let largest = base
+        .clone()
+        .with_group_count(groups_hi)
+        .map_err(|e| e.to_string())?;
     let (scale_lo, scale_hi) = match options.get("capacity-scale") {
         Some(value) => parse_range::<f64>(value, "capacity-scale")?,
         None => (1.0, 1.0),
@@ -1556,12 +1615,9 @@ fn cmd_plan(path: Option<&str>, options: &HashMap<&str, &str>) -> Result<ExitCod
                     .into(),
             );
         }
-        let mut shape = base
-            .clone()
-            .with_group_count(groups_lo)
-            .scale_capacity(scale_lo);
+        let mut shape = largest.scale_capacity(scale_lo);
         if let Some(policy) = policy {
-            shape = shape.swap_policy(policy);
+            shape.policy = policy;
         }
         println!(
             "planning {path}: {} events against shape {} (recorded {})",
@@ -1603,23 +1659,24 @@ fn cmd_plan(path: Option<&str>, options: &HashMap<&str, &str>) -> Result<ExitCod
             .collect()
     };
     let policies: Vec<RoutingPolicy> = policy.into_iter().collect();
-    let shapes = PlanSweep::grid(&base, &group_counts, &scales, &policies);
+    let shapes =
+        PlanSweep::grid(&base, &group_counts, &scales, &policies).map_err(|e| e.to_string())?;
     // Default regression budget: 5% of the recorded admissions — "almost
     // everything still served" — unless the caller picks a number.
-    let recorded_admissions = journal.with_entries(|entries| {
-        entries
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.event,
-                    runtime::DecisionEvent::Admit {
-                        outcome: runtime::JournalOutcome::Admitted { .. },
-                        ..
-                    }
-                )
-            })
-            .count() as u64
-    });
+    let recorded_admissions = journal
+        .try_entries()
+        .map_err(|e| e.to_string())?
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.event,
+                runtime::DecisionEvent::Admit {
+                    outcome: runtime::JournalOutcome::Admitted { .. },
+                    ..
+                }
+            )
+        })
+        .count() as u64;
     let flip_budget = opt_u64(options, "flip-budget")?.unwrap_or(recorded_admissions / 20);
 
     println!(

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use experiments::workload::workload_with;
 use runtime::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Autoscaler, DecisionEvent, FleetConfig,
-    FleetManager, FleetShape, GroupConfig, JournalHeader, JournalReplayer, PlanRun, RoutingPolicy,
-    ScaleAction, ScaleOutcome, ScalePolicy, ScaleRefusal, TargetPolicy, JOURNAL_VERSION,
+    FleetManager, GroupConfig, JournalHeader, JournalReplayer, PlanRun, RoutingPolicy, ScaleAction,
+    ScaleOutcome, ScalePolicy, ScaleRefusal, TargetPolicy, JOURNAL_VERSION,
 };
 use sdf::GeneratorConfig;
 
@@ -274,7 +274,7 @@ fn autoscaled_run_replays_and_plans_identity_with_zero_flips() {
     assert_eq!(replayed.snapshot().capacity, fleet.snapshot().capacity);
 
     // Planner: identity shape, zero flips, resizes re-applied as data.
-    let shape = FleetShape::from_header(journal.header());
+    let shape = FleetConfig::from_header(journal.header()).expect("shape");
     let identity = PlanRun::new(&spec(), &journal, &shape)
         .execute()
         .expect("plans");
@@ -304,7 +304,7 @@ fn assert_compacted_identity(fleet: &FleetManager) {
     assert!(replay.is_equivalent(), "{replay:?}");
     assert_eq!(replay.restored, checkpoint.residents.len());
 
-    let shape = FleetShape::from_header(journal.header());
+    let shape = FleetConfig::from_header(journal.header()).expect("shape");
     let identity = PlanRun::new(&spec(), &journal, &shape)
         .execute()
         .expect("plans");
@@ -391,7 +391,7 @@ fn planner_evaluates_a_policy_file_against_a_recorded_run() {
         add_group_at_max: false,
         drain_at_min: false,
     });
-    let shape = FleetShape::from_header(journal.header());
+    let shape = FleetConfig::from_header(journal.header()).expect("shape");
     let report = PlanRun::new(&spec(), &journal, &shape)
         .with_scale_policy(policy, 1)
         .execute()

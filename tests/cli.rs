@@ -28,11 +28,13 @@ fn assert_rejected(args: &[&str]) {
 
 #[test]
 fn help_prints_usage() {
-    let out = probcon(&["help"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("USAGE"));
-    assert!(stdout.contains("estimate"));
+    for help in ["help", "--help", "-h"] {
+        let out = probcon(&[help]);
+        assert!(out.status.success(), "{help}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE"));
+        assert!(stdout.contains("estimate"));
+    }
 }
 
 #[test]
@@ -42,6 +44,68 @@ fn unknown_command_fails_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command"));
     assert!(stderr.contains("USAGE"));
+}
+
+#[test]
+fn misspelt_options_fail_before_the_command_runs() {
+    // `--metod` once ran the default method and exited 0.
+    let out = probcon(&[
+        "estimate",
+        "--seed",
+        "2007",
+        "--apps",
+        "3",
+        "--use-case",
+        "7",
+        "--metod",
+        "exact",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown option --metod for estimate"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+
+    // `--jornal-dir` once served without a WAL. The server must neither
+    // bind its socket nor create the directory; a build that serves is
+    // killed rather than left listening.
+    let base = std::env::temp_dir().join(format!("probcon-cli-misspelt-{}", std::process::id()));
+    let (socket, wal) = (base.join("serve.sock"), base.join("wal"));
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_probcon"))
+        .args([
+            "serve",
+            "--listen",
+            &format!("unix:{}", socket.display()),
+            "--jornal-dir",
+            wal.to_str().expect("utf8 path"),
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = serve.try_wait().expect("waits") {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = serve.kill();
+            let _ = serve.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut serve.stderr.take().expect("piped"), &mut stderr)
+        .expect("stderr");
+    assert_eq!(status.and_then(|s| s.code()), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown option --jornal-dir for serve"),
+        "{stderr}"
+    );
+    assert!(!socket.exists() && !wal.exists() && !base.exists());
 }
 
 #[test]
@@ -392,6 +456,85 @@ fn plan_sweep_runs_grid_in_parallel_and_prints_frontier() {
     }
     // The identity shape sits in the grid, so a clean shape always exists.
     assert!(!stdout.contains("no candidate shape"), "{stdout}");
+}
+
+/// `probcon plan` over the golden journal (a checkpoint with group
+/// overrides and an `AddGroup` resize, so the plans go through the restore
+/// and resize paths), with `args` after the path; stdout on success.
+fn plan_golden(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_probcon"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["plan", "tests/fixtures/journal.jsonl"])
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "plan {args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf8 output")
+}
+
+#[test]
+fn plan_of_the_golden_journal_reproduces_the_recorded_reports() {
+    // Recorded by an earlier build: the identity plan, a reshaped one and
+    // a sweep (without its wall-clock line) must not move a byte.
+    assert_eq!(
+        plan_golden(&["--json"]),
+        include_str!("fixtures/plan_identity.txt")
+    );
+    assert_eq!(
+        plan_golden(&[
+            "--groups",
+            "3",
+            "--capacity-scale",
+            "2",
+            "--policy",
+            "round-robin",
+            "--json",
+        ]),
+        include_str!("fixtures/plan_reshaped.txt")
+    );
+    let sweep = plan_golden(&["--sweep", "--groups", "1..3", "--capacity-scale", "0.5..2"]);
+    let untimed: String = sweep
+        .lines()
+        .filter(|line| !line.starts_with("sweep: "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(untimed, include_str!("fixtures/plan_sweep.txt"));
+}
+
+#[test]
+fn replay_refuses_a_header_past_the_fleet_size_cap() {
+    let dir = std::env::temp_dir().join("probcon-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let golden = include_str!("fixtures/journal.jsonl");
+    let (header, rest) = golden.split_once('\n').expect("header line");
+    // One group of 10^12 shards, or 10^12 groups named by the summary
+    // fields alone: each once made `replay` abort allocating controllers.
+    let deep = header.replacen(
+        r#"{"name":"group-0","shards":1,"#,
+        r#"{"name":"group-0","shards":1000000000000,"#,
+        1,
+    );
+    let (summary, _) = header.split_once(r#","group_shapes""#).expect("shapes");
+    let wide = format!(
+        "{}{}",
+        summary.replacen(r#""groups":2,"#, r#""groups":1000000000000,"#, 1),
+        r#","group_shapes":[]}"#
+    );
+    for (name, header, count) in [
+        ("deep-group.jsonl", deep, "1000000000001"),
+        ("wide-fleet.jsonl", wide, "1000000000000"),
+    ] {
+        assert_ne!(header.as_str(), golden.split('\n').next().unwrap());
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{header}\n{rest}")).expect("written");
+        let path = path.to_str().expect("utf8 path");
+        assert_rejected(&["replay", path]);
+        let stderr = String::from_utf8_lossy(&probcon(&["replay", path]).stderr).into_owned();
+        assert!(
+            stderr.contains(&format!("{count} admission controllers")),
+            "{name}: {stderr}"
+        );
+    }
 }
 
 #[test]

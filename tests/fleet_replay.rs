@@ -206,7 +206,7 @@ fn corrupted_recording_is_rejected_and_divergence_is_reported() {
 
 #[test]
 fn planner_agrees_with_replayer_on_identity_and_reports_shrink_as_flips() {
-    use runtime::{FleetShape, FlipKind, PlanRun, PlanSweep};
+    use runtime::{FlipKind, PlanRun, PlanSweep};
 
     let journal = record();
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
@@ -219,7 +219,7 @@ fn planner_agrees_with_replayer_on_identity_and_reports_shrink_as_flips() {
 
     // ... and the planner agrees: zero flips, identical outcome totals,
     // every recorded release/rebalance applied.
-    let shape = FleetShape::from_header(journal.header());
+    let shape = FleetConfig::from_header(journal.header()).expect("shape");
     let identity = PlanRun::new(&spec, &journal, &shape)
         .execute()
         .expect("plans");
@@ -257,7 +257,7 @@ fn planner_agrees_with_replayer_on_identity_and_reports_shrink_as_flips() {
 
     // A sweep over capacity scales finds the recorded shape (or smaller)
     // as its clean frontier, deterministically across worker counts.
-    let grid = PlanSweep::grid(&shape, &[], &[1.0 / 3.0, 2.0 / 3.0, 1.0], &[]);
+    let grid = PlanSweep::grid(&shape, &[], &[1.0 / 3.0, 2.0 / 3.0, 1.0], &[]).expect("grid");
     let run = |workers: usize| {
         PlanSweep::new(&spec, &journal)
             .shapes(grid.clone())
@@ -351,7 +351,7 @@ fn wal_recording_recovers_restores_and_replays_equivalently() {
 
 #[test]
 fn checkpointed_wal_replays_from_snapshot_and_plans_identity_with_zero_flips() {
-    use runtime::{fold_checkpoint, FleetShape, PlanRun};
+    use runtime::{fold_checkpoint, PlanRun};
 
     let (dir, _, recorded_residents) = record_wal("checkpoint");
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
@@ -383,7 +383,7 @@ fn checkpointed_wal_replays_from_snapshot_and_plans_identity_with_zero_flips() {
 
     // Acceptance anchor: the planner on a snapshotted WAL restores the
     // checkpoint first and reports ZERO flips for the identity shape.
-    let shape = FleetShape::from_header(compacted.header());
+    let shape = FleetConfig::from_header(compacted.header()).expect("shape");
     let identity = PlanRun::new(&spec, &compacted, &shape)
         .execute()
         .expect("plans");

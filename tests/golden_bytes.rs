@@ -1,9 +1,9 @@
-//! Byte-identity oracle: the wire frames of both codecs, a journal text
-//! and a pretty-printed CLI document, recorded once into `tests/fixtures/`
-//! by the build before the codecs streamed, must be reproduced byte for
-//! byte, decode back to equal messages, and (for the journal) verify every
-//! checksum. A change that moves one byte of any wire frame, journal line
-//! or checksum fails here.
+//! Byte-identity oracle: the wire frames of both codecs, a journal text,
+//! a checkpoint with an added group and a pretty-printed CLI document,
+//! recorded into `tests/fixtures/` by earlier builds, must be reproduced
+//! byte for byte, decode back to equal messages, and (for the journal and
+//! the checkpoint) verify every checksum. A change that moves one byte of
+//! any wire frame, journal line or checksum fails here.
 
 use contention::{Estimate, Method, Violation};
 use platform::{AppId, Application, Mapping, SystemSpec, UseCase};
@@ -13,7 +13,7 @@ use runtime::remote::{
 };
 use runtime::{
     AdmissionDecision, AdmissionRequest, AutoscalerStatus, CheckpointGroup, CheckpointResident,
-    ConnectionStats, DecisionEvent, EventLoopStats, FleetCheckpoint, GroupShape, Journal,
+    ConnectionStats, DecisionEvent, EventLoopStats, FleetCheckpoint, GroupConfig, Journal,
     JournalHeader, JournalOutcome, JournalPage, LatencyHistogram, LayerMetrics, OpRate,
     ScaleAction, ScaleDecision, ScaleOutcome, ScaleRefusal, ServiceSnapshot, SpanContext,
     TelemetrySnapshot, TenantBreakdown, TraceEvent, TraceKind, TraceStats,
@@ -26,6 +26,7 @@ const WIRE_BINARY: &[u8] = include_bytes!("fixtures/wire_frames.bin");
 const WIRE_JSON: &[u8] = include_bytes!("fixtures/wire_frames.jsonl");
 const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
 const PRETTY: &str = include_str!("fixtures/generate_seed7.json");
+const ADDED_GROUP_CHECKPOINT: &str = include_str!("fixtures/checkpoint_added_group.json");
 
 fn estimate_body(e: Estimate) -> Arc<Estimate> {
     Arc::new(e)
@@ -475,13 +476,13 @@ fn journal_header() -> JournalHeader {
         capacity_per_shard: 3,
         policy: "least-utilised".to_string(),
         group_shapes: vec![
-            GroupShape {
+            GroupConfig {
                 name: "group-0".to_string(),
                 shards: 1,
                 capacity_per_shard: 3,
                 tags: vec!["edge-7".to_string()],
             },
-            GroupShape {
+            GroupConfig {
                 name: "group-1".to_string(),
                 shards: 1,
                 capacity_per_shard: 3,
@@ -520,9 +521,53 @@ fn journal_checkpoint() -> FleetCheckpoint {
     }])
 }
 
+/// A checkpoint whose group overrides include an added group (the journal
+/// fixture's checkpoint has none) and a retired one.
+fn added_group_checkpoint() -> FleetCheckpoint {
+    FleetCheckpoint::new(
+        11,
+        4,
+        vec![
+            CheckpointResident {
+                resident: 3,
+                group: 2,
+                app_index: 0,
+                required_throughput: Some(Rational::new(1, 400)),
+                admitted_seq: 10,
+            },
+            CheckpointResident {
+                resident: 2,
+                group: 0,
+                app_index: 1,
+                required_throughput: None,
+                admitted_seq: 3,
+            },
+        ],
+    )
+    .with_groups(vec![
+        CheckpointGroup {
+            group: 2,
+            added: Some(GroupConfig {
+                name: "group-2".to_string(),
+                shards: 2,
+                capacity_per_shard: 1,
+                tags: vec!["burst".to_string(), "edge-7".to_string()],
+            }),
+            capacity_per_shard: Some(3),
+            retired: false,
+        },
+        CheckpointGroup {
+            group: 1,
+            added: None,
+            capacity_per_shard: Some(5),
+            retired: true,
+        },
+    ])
+}
+
 /// `(event, client, origin_seq)` for each tail entry, from seq 3 on.
 fn journal_events() -> Vec<(DecisionEvent, Option<String>, Option<u64>)> {
-    let shape = GroupShape {
+    let shape = GroupConfig {
         name: "group-2".to_string(),
         shards: 2,
         capacity_per_shard: 1,
@@ -755,6 +800,18 @@ fn journal_fixture_verifies_and_renders_byte_for_byte() {
         let line = serde_json::to_string(entry).expect("serializes");
         assert!(JOURNAL.contains(&format!("{line}\n")), "seq {}", entry.seq);
     }
+}
+
+#[test]
+fn added_group_checkpoint_reproduces_the_fixture_and_its_checksum() {
+    let checkpoint = added_group_checkpoint();
+    assert_eq!(checkpoint.checksum, 5105773071787389819);
+    assert!(checkpoint.verify());
+    let line = serde_json::to_string(&checkpoint).expect("serializes");
+    assert_eq!(format!("{line}\n"), ADDED_GROUP_CHECKPOINT);
+    let back: FleetCheckpoint =
+        serde_json::from_str(ADDED_GROUP_CHECKPOINT.trim_end()).expect("parses");
+    assert_eq!(back, checkpoint);
 }
 
 #[test]

@@ -619,7 +619,7 @@ proptest! {
         use platform::Application;
         use runtime::{
             fold_checkpoint, run_requests, seeded_fleet_requests, FleetConfig, FleetManager,
-            FleetShape, Journal, JournalReplayer, PlanRun, RoutingPolicy,
+            Journal, JournalReplayer, PlanRun, RoutingPolicy,
         };
         use sdf::figure2_graphs;
 
@@ -661,7 +661,7 @@ proptest! {
             .install_checkpoint(fold_checkpoint(None, &entries[..k]))
             .expect("installs");
 
-        let shape = FleetShape::from_header(journal.header());
+        let shape = FleetConfig::from_header(journal.header()).expect("shape");
         let report = PlanRun::new(&spec, &journal, &shape)
             .execute()
             .expect("plans");

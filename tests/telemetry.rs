@@ -112,16 +112,15 @@ fn drive(stack: &dyn AdmissionService, fleet: &FleetManager) {
 /// that legitimately differs between two otherwise-identical runs (and the
 /// one field the per-entry checksum deliberately excludes).
 fn rendered_without_timestamps(journal: &Journal) -> Vec<String> {
-    journal.with_entries(|entries| {
-        entries
-            .iter()
-            .map(|entry| {
-                let mut entry = entry.clone();
-                entry.timestamp_micros = 0;
-                serde_json::to_string(&entry).unwrap()
-            })
-            .collect()
-    })
+    journal
+        .try_entries()
+        .expect("entries")
+        .into_iter()
+        .map(|mut entry| {
+            entry.timestamp_micros = 0;
+            serde_json::to_string(&entry).unwrap()
+        })
+        .collect()
 }
 
 /// Wrapping a fleet in `Traced` changes nothing its journal records: same

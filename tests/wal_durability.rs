@@ -346,3 +346,66 @@ fn every_crash_point_recovers_what_replay_re_executes() {
     let _ = std::fs::remove_dir_all(&crashed);
     let _ = std::fs::remove_dir_all(&recording);
 }
+
+/// A WAL whose history cannot be read is an error for replay and plan: a
+/// missing sealed segment must not replay as zero decisions that read
+/// EQUIVALENT, nor plan as a clean report over nothing.
+#[test]
+fn an_unreadable_wal_fails_replay_and_plan() {
+    use platform::{Application, Mapping, SystemSpec};
+    use runtime::{
+        AdmissionRequest, AdmissionService, FleetConfig, FleetError, FleetManager, JournalReplayer,
+        PlanError, PlanRun, PlanSweep, RoutingPolicy,
+    };
+
+    let (a, b) = sdf::figure2_graphs();
+    let spec = SystemSpec::builder()
+        .application(Application::new("A", a).expect("valid"))
+        .application(Application::new("B", b).expect("valid"))
+        .mapping(Mapping::by_actor_index(3))
+        .build()
+        .expect("valid spec");
+    let config = WalConfig {
+        segment_max_entries: 4,
+        fsync: FsyncPolicy::OnRotate,
+        tail_entries: 4,
+        keep_snapshots: 1,
+    };
+    let dir = tmp_dir("unreadable");
+    let shape = FleetConfig::uniform(1, 1, 2, RoutingPolicy::LeastUtilised);
+    let journal = Journal::create_wal(
+        &dir,
+        FleetManager::stamped_header(&shape, JournalHeader::default()),
+        config,
+    )
+    .expect("fresh WAL");
+    let fleet = FleetManager::with_journal(spec.clone(), shape.clone(), journal).expect("fleet");
+    for app in 0..7 {
+        let admitted = fleet
+            .admit(&AdmissionRequest::new(app % 2))
+            .expect("decides");
+        fleet
+            .release(admitted.resident().expect("fits"))
+            .expect("releases");
+    }
+    fleet.journal().sync().expect("sync");
+    assert_eq!(fleet.journal().next_seq(), 14);
+    fleet.stop();
+    drop(fleet);
+
+    let (journal, _) = Journal::open_wal(&dir, config).expect("opens");
+    std::fs::remove_file(dir.join(format!("segment-{:020}.jsonl", 0))).expect("first segment");
+
+    let replayed = JournalReplayer::new(&spec).replay(&journal, shape.clone());
+    assert!(
+        matches!(replayed, Err(FleetError::Journal(_))),
+        "{:?}",
+        replayed.map(|(report, _)| report)
+    );
+    let planned = PlanRun::new(&spec, &journal, &shape).execute();
+    assert!(matches!(planned, Err(PlanError::Journal(_))), "{planned:?}");
+    let swept = PlanSweep::new(&spec, &journal).shape(shape).execute();
+    assert!(matches!(swept, Err(PlanError::Journal(_))), "{swept:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
