@@ -716,6 +716,7 @@ impl Drop for AutoscalerHandle {
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
+    use crate::journal::journaled;
     use experiments::workload::workload_with;
     use sdf::GeneratorConfig;
 
@@ -882,7 +883,7 @@ mod tests {
         let (action, outcome) = decision;
         assert!(matches!(action, ScaleAction::Grow { .. }));
         assert_eq!(outcome, ScaleOutcome::Applied);
-        assert!(fleet.journal().events().iter().any(|e| matches!(
+        assert!(journaled(fleet.journal()).iter().any(|e| matches!(
             e,
             crate::journal::DecisionEvent::Resize {
                 outcome: ScaleOutcome::Applied,

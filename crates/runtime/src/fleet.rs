@@ -121,10 +121,9 @@ impl Deserialize for RoutingPolicy {
 }
 
 /// The most admission controllers one fleet allocates: one per shard,
-/// summed over its groups (a group of no shards still gets one). Far above
-/// every shape this repository builds; a journal header, an `AddGroup`
-/// action, a checkpoint's added group or a CLI flag asking for more is
-/// refused before anything is allocated.
+/// summed over its groups. Far above every shape this repository builds; a
+/// journal header, an `AddGroup` action, a checkpoint's added group or a
+/// CLI flag asking for more is refused before anything is allocated.
 pub const MAX_FLEET_SHARDS: usize = 4096;
 
 /// The one size check: refuses a fleet of `controllers` admission
@@ -139,17 +138,42 @@ fn check_shards(controllers: u128) -> Result<(), FleetError> {
     Ok(())
 }
 
-/// Admission controllers `groups` allocate.
-fn controllers<'g>(groups: impl IntoIterator<Item = &'g GroupConfig>) -> u128 {
-    groups.into_iter().map(|g| g.shards.max(1) as u128).sum()
+/// The one shape check, run wherever groups enter a fleet: refuses a group
+/// of no shards or no capacity in `groups`, then runs [`check_shards`] over
+/// their shards plus `others` controllers allocated besides them.
+fn check_groups<'g>(
+    others: u128,
+    groups: impl IntoIterator<Item = &'g GroupConfig>,
+) -> Result<(), FleetError> {
+    let mut controllers = others;
+    for group in groups {
+        if group.shards == 0 || group.capacity_per_shard == 0 {
+            return Err(FleetError::Config(format!(
+                "group {} has {} shard(s) of capacity {}: a group needs at least one shard \
+                 and a capacity of at least 1",
+                group.name, group.shards, group.capacity_per_shard
+            )));
+        }
+        controllers += group.shards as u128;
+    }
+    check_shards(controllers)
+}
+
+/// The error for a `Grow`/`Shrink` or a checkpoint override that moves
+/// group `group` to a capacity of 0 per shard — the rule
+/// [`check_groups`] applies to a whole group.
+fn no_capacity(group: u64) -> FleetError {
+    FleetError::Config(format!(
+        "group {group} moved to a capacity of 0 per shard: a group needs a capacity of at least 1"
+    ))
 }
 
 /// One named platform group: an independent sharded admission domain.
 ///
 /// The same value is the group's recorded shape: a journal header's
 /// `group_shapes`, an `AddGroup` action and a checkpoint's added group
-/// carry it field for field, and decode it verbatim (a recorded `shards: 0`
-/// still builds one shard).
+/// carry it field for field, and decode it verbatim (a fleet refuses a
+/// recorded group of no shards or no capacity).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupConfig {
     /// Group name (for metrics and rendering).
@@ -234,19 +258,18 @@ impl FleetConfig {
     /// # Errors
     ///
     /// [`FleetError::Config`] when the header's policy string is unknown,
-    /// or its shape exceeds [`MAX_FLEET_SHARDS`] (checked before any group
-    /// is listed).
+    /// when a recorded group has no shards or no capacity, or when its
+    /// shape exceeds [`MAX_FLEET_SHARDS`] (checked before any group is
+    /// listed).
     pub fn from_header(header: &JournalHeader) -> Result<FleetConfig, FleetError> {
         let policy = header
             .policy
             .parse::<RoutingPolicy>()
             .map_err(FleetError::Config)?;
-        check_shards(if header.group_shapes.is_empty() {
-            u128::from(header.groups.max(1)) * u128::from(header.shards_per_group.max(1))
-        } else {
-            controllers(&header.group_shapes)
-        })?;
         if header.group_shapes.is_empty() {
+            check_shards(
+                u128::from(header.groups.max(1)) * u128::from(header.shards_per_group.max(1)),
+            )?;
             return Ok(FleetConfig::uniform(
                 header.groups as usize,
                 header.shards_per_group as usize,
@@ -254,6 +277,7 @@ impl FleetConfig {
                 policy,
             ));
         }
+        check_groups(0, &header.group_shapes)?;
         Ok(FleetConfig {
             groups: header.group_shapes.clone(),
             policy,
@@ -288,8 +312,9 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] when the grown fleet would exceed
-    /// [`MAX_FLEET_SHARDS`] (checked before any group is added).
+    /// [`FleetError::Config`] when a group has no shards or no capacity,
+    /// or the grown fleet would exceed [`MAX_FLEET_SHARDS`] (checked before
+    /// any group is added).
     pub fn with_group_count(mut self, count: usize) -> Result<FleetConfig, FleetError> {
         let count = count.max(1);
         self.groups.truncate(count);
@@ -298,7 +323,7 @@ impl FleetConfig {
             .last()
             .map_or((1, 1), |g| (g.shards, g.capacity_per_shard));
         let missing = count - self.groups.len();
-        check_shards(controllers(&self.groups) + missing as u128 * shards.max(1) as u128)?;
+        check_groups(missing as u128 * shards as u128, &self.groups)?;
         for i in self.groups.len()..count {
             self.groups.push(GroupConfig::numbered(i, shards, capacity));
         }
@@ -491,10 +516,10 @@ struct GroupRuntime {
 impl GroupRuntime {
     fn from_config(config: GroupConfig) -> GroupRuntime {
         GroupRuntime {
-            shards: (0..config.shards.max(1))
+            shards: (0..config.shards)
                 .map(|_| Mutex::new(AdmissionController::new()))
                 .collect(),
-            capacity_per_shard: AtomicUsize::new(config.capacity_per_shard.max(1)),
+            capacity_per_shard: AtomicUsize::new(config.capacity_per_shard),
             config,
             order: Mutex::new(()),
             counters: GroupCounters::default(),
@@ -519,10 +544,9 @@ impl GroupRuntime {
         self.capacity_per_shard.load(Ordering::Acquire)
     }
 
-    /// Moves the per-shard capacity to `capacity` (clamped to ≥ 1).
+    /// Moves the per-shard capacity to `capacity`.
     fn set_capacity_per_shard(&self, capacity: usize) {
-        self.capacity_per_shard
-            .store(capacity.max(1), Ordering::Release);
+        self.capacity_per_shard.store(capacity, Ordering::Release);
     }
 
     /// The shard hosting application `app_index`. It must be a pure
@@ -589,11 +613,11 @@ impl GroupRuntime {
 /// order, with its result.
 pub type Restored<'c> = Vec<(&'c CheckpointResident, Result<(), FleetError>)>;
 
-/// Checks that adding `added` keeps a fleet of `groups` within
-/// [`MAX_FLEET_SHARDS`].
+/// Checks `added`'s shape, and that adding it keeps a fleet of `groups`
+/// within [`MAX_FLEET_SHARDS`].
 fn check_added(groups: &[Arc<GroupRuntime>], added: &GroupConfig) -> Result<(), FleetError> {
     let live: u128 = groups.iter().map(|g| g.shards.len() as u128).sum();
-    check_shards(live + controllers([added]))
+    check_groups(live, [added])
 }
 
 struct FleetInner {
@@ -713,8 +737,8 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] when `config.groups` is empty or exceeds
-    /// [`MAX_FLEET_SHARDS`].
+    /// [`FleetError::Config`] when `config.groups` is empty, holds a group
+    /// of no shards or no capacity, or exceeds [`MAX_FLEET_SHARDS`].
     pub fn with_journal(
         spec: SystemSpec,
         config: FleetConfig,
@@ -723,7 +747,7 @@ impl FleetManager {
         if config.groups.is_empty() {
             return Err(FleetError::Config("fleet needs at least one group".into()));
         }
-        check_shards(controllers(&config.groups))?;
+        check_groups(0, &config.groups)?;
         let groups = config
             .groups
             .into_iter()
@@ -769,22 +793,13 @@ impl FleetManager {
 
     /// Number of platform groups, retired ones included (group indices are
     /// stable for the fleet's lifetime; see
-    /// [`active_group_count`](Self::active_group_count)).
+    /// [`group_retired`](Self::group_retired)).
     pub fn group_count(&self) -> usize {
         self.inner
             .groups
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .len()
-    }
-
-    /// Number of groups still taking admissions (not retired by a drain).
-    pub fn active_group_count(&self) -> usize {
-        self.inner
-            .groups_snapshot()
-            .iter()
-            .filter(|g| !g.is_retired())
-            .count()
     }
 
     /// `true` when the group was drained and retired.
@@ -1307,8 +1322,9 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] when an added group would take the fleet
-    /// past [`MAX_FLEET_SHARDS`]; no resident is restored.
+    /// [`FleetError::Config`] when an added group has no shards or no
+    /// capacity, or would take the fleet past [`MAX_FLEET_SHARDS`], or a
+    /// capacity override is 0; no resident is restored.
     pub fn restore<'c>(&self, checkpoint: &'c FleetCheckpoint) -> Result<Restored<'c>, FleetError> {
         let mut shapes: Vec<&CheckpointGroup> = checkpoint.groups.iter().flatten().collect();
         shapes.sort_by_key(|g| g.group);
@@ -1319,6 +1335,9 @@ impl FleetManager {
             }
             let Ok(g) = self.group(index) else { continue };
             if let Some(capacity) = shape.capacity_per_shard {
+                if capacity == 0 {
+                    return Err(no_capacity(shape.group));
+                }
                 g.set_capacity_per_shard(capacity as usize);
             }
             // After the capacity, so a retired group's shape restores too.
@@ -1373,9 +1392,8 @@ impl FleetManager {
     ///   **absolute** value. A shrink below any shard's current occupancy
     ///   is refused ([`ScaleRefusal::Occupied`]).
     /// - `AddGroup` appends a new group; the action's recorded index must
-    ///   be the next free one ([`ScaleRefusal::UnknownGroup`] otherwise),
-    ///   which the convenience wrapper [`add_group`](Self::add_group)
-    ///   guarantees.
+    ///   be the next free one, [`group_count`](Self::group_count)
+    ///   ([`ScaleRefusal::UnknownGroup`] otherwise).
     /// - `Drain` rebalances every resident off the group (each move is
     ///   journaled as a [`DecisionEvent::Rebalance`] *before* the resize
     ///   entry) and retires it in place. If any resident cannot be placed
@@ -1388,8 +1406,10 @@ impl FleetManager {
     ///
     /// # Errors
     ///
-    /// [`FleetError`] only for non-decisions (analysis failures during a
-    /// drain's moves). Nothing is journaled in that case.
+    /// [`FleetError`] only for non-decisions: [`FleetError::Config`] for a
+    /// `Grow`/`Shrink` to a capacity of 0 or an `AddGroup` shape the fleet
+    /// refuses, and analysis failures during a drain's moves. Nothing is
+    /// journaled in those cases.
     pub fn resize(&self, action: ScaleAction) -> Result<ScaleOutcome, FleetError> {
         let outcome = match &action {
             ScaleAction::Grow {
@@ -1399,12 +1419,17 @@ impl FleetManager {
             | ScaleAction::Shrink {
                 group,
                 capacity_per_shard,
-            } => self.resize_capacity(
-                *group as usize,
-                *capacity_per_shard as usize,
-                matches!(action, ScaleAction::Shrink { .. }),
-                &action,
-            ),
+            } => {
+                if *capacity_per_shard == 0 {
+                    return Err(no_capacity(*group));
+                }
+                self.resize_capacity(
+                    *group as usize,
+                    *capacity_per_shard as usize,
+                    matches!(action, ScaleAction::Shrink { .. }),
+                    &action,
+                )
+            }
             ScaleAction::AddGroup { group, shape } => {
                 self.resize_add(*group as usize, shape.clone(), &action)?
             }
@@ -1417,63 +1442,6 @@ impl FleetManager {
             }
         };
         Ok(outcome)
-    }
-
-    /// [`resize`](Self::resize) with a `Grow` action.
-    ///
-    /// # Errors
-    ///
-    /// See [`resize`](Self::resize).
-    pub fn grow_group(
-        &self,
-        group: usize,
-        capacity_per_shard: usize,
-    ) -> Result<ScaleOutcome, FleetError> {
-        self.resize(ScaleAction::Grow {
-            group: group as u64,
-            capacity_per_shard: capacity_per_shard as u64,
-        })
-    }
-
-    /// [`resize`](Self::resize) with a `Shrink` action.
-    ///
-    /// # Errors
-    ///
-    /// See [`resize`](Self::resize).
-    pub fn shrink_group(
-        &self,
-        group: usize,
-        capacity_per_shard: usize,
-    ) -> Result<ScaleOutcome, FleetError> {
-        self.resize(ScaleAction::Shrink {
-            group: group as u64,
-            capacity_per_shard: capacity_per_shard as u64,
-        })
-    }
-
-    /// [`resize`](Self::resize) with an `AddGroup` action for the next
-    /// free group index.
-    ///
-    /// # Errors
-    ///
-    /// See [`resize`](Self::resize).
-    pub fn add_group(&self, config: GroupConfig) -> Result<ScaleOutcome, FleetError> {
-        let index = self.group_count() as u64;
-        self.resize(ScaleAction::AddGroup {
-            group: index,
-            shape: config,
-        })
-    }
-
-    /// [`resize`](Self::resize) with a `Drain` action.
-    ///
-    /// # Errors
-    ///
-    /// See [`resize`](Self::resize).
-    pub fn drain_group(&self, group: usize) -> Result<ScaleOutcome, FleetError> {
-        self.resize(ScaleAction::Drain {
-            group: group as u64,
-        })
     }
 
     /// Grow/Shrink: decide, apply and journal under the group's order
@@ -1512,7 +1480,7 @@ impl FleetManager {
             if let Some((shard, residents)) = occupancy
                 .iter()
                 .enumerate()
-                .find(|(_, &r)| r > capacity_per_shard.max(1))
+                .find(|(_, &r)| r > capacity_per_shard)
             {
                 let reason = ScaleRefusal::Occupied {
                     group: group as u64,
@@ -1536,9 +1504,10 @@ impl FleetManager {
 
     /// AddGroup: append under the group-list write lock, so the index
     /// check, the new group and its journal entry are atomic against any
-    /// other AddGroup — the journal records adds in index order. A group
-    /// that would take the fleet past [`MAX_FLEET_SHARDS`] is an error, not
-    /// a decision: nothing is journaled.
+    /// other AddGroup — the journal records adds in index order. A group of
+    /// no shards or no capacity, or one that would take the fleet past
+    /// [`MAX_FLEET_SHARDS`], is an error, not a decision: nothing is
+    /// journaled.
     fn resize_add(
         &self,
         index: usize,
@@ -1757,6 +1726,7 @@ pub struct RebalanceMove {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::journaled;
     use crate::{AdmissionRequest, AdmissionService, ServiceError};
     use platform::{AppId, Application, Mapping};
     use sdf::figure2_graphs;
@@ -1813,7 +1783,10 @@ mod tests {
         let f = fleet(1, 1, RoutingPolicy::LeastUtilised);
         let huge = GroupConfig::new("huge", MAX_FLEET_SHARDS, 1);
         assert!(matches!(
-            f.add_group(huge.clone()),
+            f.resize(ScaleAction::AddGroup {
+                group: 1,
+                shape: huge.clone(),
+            }),
             Err(FleetError::Config(_))
         ));
         assert!(f.journal().is_empty());
@@ -1826,6 +1799,70 @@ mod tests {
             }]);
         assert!(matches!(f.restore(&checkpoint), Err(FleetError::Config(_))));
         assert_eq!(f.group_count(), 1);
+    }
+
+    #[test]
+    fn a_recorded_group_of_no_shards_or_no_capacity_is_refused() {
+        let f = fleet(1, 1, RoutingPolicy::LeastUtilised);
+        for (shards, capacity_per_shard) in [(0, 1), (1, 0)] {
+            let empty = GroupConfig {
+                shards,
+                capacity_per_shard,
+                ..GroupConfig::new("empty", 1, 1)
+            };
+            // In a journal header ...
+            let mut header = FleetManager::stamped_header(
+                &FleetConfig::uniform(2, 1, 1, RoutingPolicy::LeastUtilised),
+                JournalHeader::default(),
+            );
+            header.group_shapes[0] = empty.clone();
+            let err = FleetConfig::from_header(&header).unwrap_err();
+            assert!(err.to_string().contains("group empty"), "{err}");
+            // ... as an AddGroup action, journaled nowhere ...
+            assert!(matches!(
+                f.resize(ScaleAction::AddGroup {
+                    group: 1,
+                    shape: empty.clone(),
+                }),
+                Err(FleetError::Config(_))
+            ));
+            assert!(f.journal().is_empty());
+            // ... and as a checkpoint's added group.
+            let checkpoint =
+                FleetCheckpoint::new(0, 0, Vec::new()).with_groups(vec![CheckpointGroup {
+                    group: 1,
+                    added: Some(empty),
+                    capacity_per_shard: None,
+                    retired: false,
+                }]);
+            assert!(matches!(f.restore(&checkpoint), Err(FleetError::Config(_))));
+            assert_eq!(f.group_count(), 1);
+        }
+        // A Grow or Shrink to no capacity, or a checkpoint override to it,
+        // is the same error, and leaves the capacity where it was.
+        for action in [
+            ScaleAction::Grow {
+                group: 0,
+                capacity_per_shard: 0,
+            },
+            ScaleAction::Shrink {
+                group: 0,
+                capacity_per_shard: 0,
+            },
+        ] {
+            let err = f.resize(action).unwrap_err();
+            assert!(err.to_string().contains("group 0"), "{err}");
+        }
+        assert!(f.journal().is_empty());
+        let checkpoint =
+            FleetCheckpoint::new(0, 0, Vec::new()).with_groups(vec![CheckpointGroup {
+                group: 0,
+                added: None,
+                capacity_per_shard: Some(0),
+                retired: false,
+            }]);
+        assert!(matches!(f.restore(&checkpoint), Err(FleetError::Config(_))));
+        assert_eq!(f.group_shape(0).unwrap().capacity_per_shard, 1);
     }
 
     #[test]
@@ -1930,7 +1967,7 @@ mod tests {
         };
         assert_eq!(domain, 0);
         assert!(!violations.is_empty());
-        let events = f.journal().events();
+        let events = journaled(f.journal());
         assert!(matches!(
             &events[1],
             DecisionEvent::Admit {
@@ -1949,7 +1986,7 @@ mod tests {
         assert_eq!(f.resident_count(), 0);
         // A second release of the same id is refused and journals nothing.
         assert!(!f.release_resident(resident));
-        let events = f.journal().events();
+        let events = journaled(f.journal());
         assert_eq!(events.len(), 2);
         assert!(matches!(events[1], DecisionEvent::Release { resident: 0 }));
         assert_eq!(f.snapshot().released, 1);
@@ -2018,7 +2055,7 @@ mod tests {
         assert!(f.release_resident(id));
         assert_eq!(f.resident_count(), 0);
         assert!(matches!(
-            f.journal().events().as_slice(),
+            journaled(f.journal()).as_slice(),
             [
                 DecisionEvent::Admit { .. },
                 DecisionEvent::Rebalance {
@@ -2126,7 +2163,7 @@ mod tests {
         assert_eq!(f.resident_count(), 0);
         assert_eq!(f.resident_count_of(0).unwrap(), 0);
         assert!(matches!(
-            f.journal().events().as_slice(),
+            journaled(f.journal()).as_slice(),
             [
                 DecisionEvent::Admit { .. },
                 DecisionEvent::Admit { .. },

@@ -414,6 +414,7 @@ pub fn run_requests(
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
+    use crate::journal::journaled;
     use crate::service::{Cached, Metered};
     use platform::{Application, Mapping};
     use sdf::figure2_graphs;
@@ -550,7 +551,7 @@ mod tests {
 
         // Middleware is decision-transparent: the journals agree event for
         // event with the bare run.
-        assert_eq!(fleet.journal().events(), bare.journal().events());
+        assert_eq!(journaled(fleet.journal()), journaled(bare.journal()));
         // ... and the stack surfaced cache + latency metrics.
         assert!(report.stack.counter("cached", "misses").unwrap_or(0) > 0);
         assert!(report.stack.counter("metered", "operations").unwrap_or(0) > 0);

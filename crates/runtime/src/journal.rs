@@ -46,16 +46,16 @@ use crate::planner::RouteMode;
 use crate::reexec::{Reexecutor, Undriven};
 use crate::service::ServiceError;
 use crate::wal::{
-    CheckpointGroup, CheckpointResident, FleetCheckpoint, WalConfig, WalRecovery, WalStats,
-    WalStore,
+    atomic_write, CheckpointGroup, CheckpointResident, FleetCheckpoint, WalConfig, WalRecovery,
+    WalStats, WalStore,
 };
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader, Write};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// Current journal file-format version (plain header + entries).
@@ -712,9 +712,11 @@ struct Log {
 /// [`parse`](Self::parse)) — the classic PR 2–6 shape — or by a segmented
 /// WAL directory ([`create_wal`](Self::create_wal) /
 /// [`open_wal`](Self::open_wal)), where appends stream to a rotated
-/// segment file, only a bounded tail stays in memory, and a snapshot
-/// checkpoint lets replay start from the nearest fold point instead of
-/// seq 0. See [`crate::wal`] for the on-disk layout.
+/// segment file, no entry stays in memory, and a snapshot checkpoint lets
+/// replay start from the nearest fold point instead of seq 0. See
+/// [`crate::wal`] for the on-disk layout. Every read of the entries
+/// returns a `Result`: a store that cannot be read is an error, never an
+/// empty or shortened answer.
 ///
 /// Either way the journal keeps the fold of its log — the base checkpoint
 /// plus every later entry — in memory, one step per append. Its size is the
@@ -906,19 +908,6 @@ impl Journal {
         }
     }
 
-    /// The last `n` entries, from the bounded in-memory tail on a
-    /// WAL-backed journal (so it may return fewer than `n` right after a
-    /// rotation or checkpoint, without touching disk).
-    pub fn recent(&self, n: usize) -> Vec<JournalEntry> {
-        match &crate::cache::lock(&self.log).store {
-            Store::Memory { entries, .. } => {
-                let skip = entries.len().saturating_sub(n);
-                entries[skip..].to_vec()
-            }
-            Store::Wal(wal) => wal.recent(n),
-        }
-    }
-
     /// Disk-shape statistics of a WAL-backed journal (`None` for in-memory
     /// journals).
     pub fn wal_stats(&self) -> Option<WalStats> {
@@ -944,34 +933,6 @@ impl Journal {
             true
         })?;
         Ok(out)
-    }
-
-    /// Snapshot of every entry in the view, in sequence order (empty on a
-    /// WAL read failure — use [`try_entries`](Self::try_entries) to see
-    /// the error).
-    pub fn entries(&self) -> Vec<JournalEntry> {
-        self.try_entries().unwrap_or_default()
-    }
-
-    /// Snapshot of every decision in the view (entries without the
-    /// bookkeeping).
-    pub fn events(&self) -> Vec<DecisionEvent> {
-        self.entries().into_iter().map(|e| e.event).collect()
-    }
-
-    /// Distinct client ids stamped into entries, in first-appearance order;
-    /// entries without provenance contribute `None`.
-    pub fn clients(&self) -> Vec<Option<String>> {
-        let mut seen: Vec<Option<String>> = Vec::new();
-        let store = &mut crate::cache::lock(&self.log).store;
-        let from = store.base_seq();
-        let _ = store.for_each_from(from, |entry| {
-            if !seen.contains(&entry.client) {
-                seen.push(entry.client.clone());
-            }
-            true
-        });
-        seen
     }
 
     /// Splits the journal into one valid, header-stamped journal per
@@ -1198,13 +1159,16 @@ impl Journal {
     }
 
     /// Renders the journal as JSON lines: the prologue, then one entry per
-    /// line in sequence order. On a WAL read failure the rendering stops
-    /// at the last readable entry (use [`render_to`](Self::render_to) to
-    /// see the error).
-    pub fn render(&self) -> String {
+    /// line in sequence order.
+    ///
+    /// # Errors
+    ///
+    /// Checksum/sequence errors on corruption, [`JournalError::Io`] on a
+    /// WAL read failure.
+    pub fn render(&self) -> Result<String, JournalError> {
         let mut out = Vec::new();
-        let _ = self.render_to(&mut out);
-        String::from_utf8(out).unwrap_or_default()
+        self.render_to(&mut out)?;
+        Ok(String::from_utf8(out).expect("rendered JSON lines are UTF-8"))
     }
 
     /// Renders one page of the journal for wire transfer: entries from
@@ -1216,8 +1180,11 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Checksum/sequence errors on corruption, [`JournalError::Io`] on a
-    /// WAL read failure.
+    /// [`JournalError::Checkpointed`] when `from_seq` lies inside the base
+    /// checkpoint's fold (`0 < from_seq < base_seq`): a compaction since
+    /// the earlier pages folded this one, and the reader must start again
+    /// from 0. Checksum/sequence errors on corruption,
+    /// [`JournalError::Io`] on a WAL read failure.
     pub fn render_page(
         &self,
         from_seq: u64,
@@ -1225,11 +1192,15 @@ impl Journal {
     ) -> Result<JournalPage, JournalError> {
         let max_entries = max_entries.max(1);
         let store = &mut crate::cache::lock(&self.log).store;
+        let base_seq = store.base_seq();
+        if 0 < from_seq && from_seq < base_seq {
+            return Err(JournalError::Checkpointed { upto_seq: base_seq });
+        }
         let mut text = String::new();
         if from_seq == 0 {
             text.push_str(&self.prologue(store.base()));
         }
-        let start = from_seq.max(store.base_seq());
+        let start = from_seq.max(base_seq);
         let mut next_seq = None;
         let mut emitted = 0usize;
         store.for_each_from(start, |entry| {
@@ -1270,36 +1241,7 @@ impl Journal {
     ///
     /// [`JournalError::Io`] on filesystem failures.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), JournalError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let result = (|| {
-            let file = File::create(&tmp)
-                .map_err(|e| JournalError::Io(format!("create {}: {e}", tmp.display())))?;
-            let mut writer = BufWriter::new(file);
-            self.render_to(&mut writer)?;
-            writer
-                .flush()
-                .map_err(|e| JournalError::Io(format!("write {}: {e}", tmp.display())))?;
-            writer
-                .get_ref()
-                .sync_all()
-                .map_err(|e| JournalError::Io(format!("sync {}: {e}", tmp.display())))?;
-            std::fs::rename(&tmp, path)
-                .map_err(|e| JournalError::Io(format!("rename {}: {e}", tmp.display())))?;
-            if let Some(dir) = path.parent() {
-                // Best effort: make the rename itself durable.
-                if let Ok(d) = File::open(dir) {
-                    let _ = d.sync_all();
-                }
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        atomic_write(path.as_ref(), |writer| self.render_to(writer))
     }
 
     /// Reads and verifies a journal file written by
@@ -1766,9 +1708,25 @@ fn undriven_text(event: &DecisionEvent, why: &Undriven) -> String {
     format!("{failed}: {cause}")
 }
 
+/// Every decision `journal` holds; the crate's unit tests read journals
+/// through it.
+#[cfg(test)]
+pub(crate) fn journaled(journal: &Journal) -> Vec<DecisionEvent> {
+    journal
+        .try_entries()
+        .expect("journal reads")
+        .into_iter()
+        .map(|e| e.event)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn entries(journal: &Journal) -> Vec<JournalEntry> {
+        journal.try_entries().expect("journal reads")
+    }
 
     fn sample_events() -> Vec<DecisionEvent> {
         vec![
@@ -1828,10 +1786,10 @@ mod tests {
         for event in sample_events() {
             journal.append(event);
         }
-        let text = journal.render();
+        let text = journal.render().unwrap();
         let parsed = Journal::parse(&text).expect("rendered journal parses");
         assert_eq!(parsed.header(), &header);
-        assert_eq!(parsed.entries(), journal.entries());
+        assert_eq!(entries(&parsed), entries(&journal));
     }
 
     #[test]
@@ -1840,7 +1798,7 @@ mod tests {
         for event in sample_events() {
             journal.append(event);
         }
-        let text = journal.render();
+        let text = journal.render().unwrap();
         // Flip a recorded period digit: the checksum must catch it.
         let tampered = text.replace("1075", "1076");
         assert_ne!(text, tampered, "tamper target must exist");
@@ -1855,7 +1813,7 @@ mod tests {
         let journal = Journal::new(JournalHeader::default());
         journal.append(DecisionEvent::Release { resident: 7 });
         journal.append(DecisionEvent::Release { resident: 8 });
-        let text = journal.render();
+        let text = journal.render().unwrap();
         // Drop the first entry line: seq 1 arrives where 0 is expected.
         let mut lines: Vec<&str> = text.lines().collect();
         lines.remove(1);
@@ -1876,7 +1834,7 @@ mod tests {
             version: 99,
             ..JournalHeader::default()
         };
-        let text = Journal::new(header).render();
+        let text = Journal::new(header).render().unwrap();
         assert_eq!(
             Journal::parse(&text).unwrap_err(),
             JournalError::UnsupportedVersion(99)
@@ -1894,7 +1852,7 @@ mod tests {
         }
         journal.write_to(&path).expect("writes");
         let back = Journal::read_from(&path).expect("reads");
-        assert_eq!(back.events(), journal.events());
+        assert_eq!(journaled(&back), journaled(&journal));
         assert!(matches!(
             Journal::read_from(dir.join("missing.jsonl")).unwrap_err(),
             JournalError::Io(_)
@@ -1911,12 +1869,12 @@ mod tests {
         for event in sample_events() {
             journal.append(event);
         }
-        let text = journal.render();
+        let text = journal.render().unwrap();
         let stripped = text.replace(",\"client\":null,\"origin_seq\":null", "");
         assert_ne!(text, stripped, "provenance fields must have been rendered");
         let parsed = Journal::parse(&stripped).expect("old-format journal parses");
-        assert_eq!(parsed.events(), journal.events());
-        assert!(parsed.entries().iter().all(|e| e.client.is_none()));
+        assert_eq!(journaled(&parsed), journaled(&journal));
+        assert!(entries(&parsed).iter().all(|e| e.client.is_none()));
     }
 
     #[test]
@@ -1937,7 +1895,7 @@ mod tests {
         assert_eq!(ClientScope::current(), None);
         journal.append(DecisionEvent::Release { resident: 4 });
         let clients: Vec<Option<String>> =
-            journal.entries().iter().map(|e| e.client.clone()).collect();
+            entries(&journal).iter().map(|e| e.client.clone()).collect();
         assert_eq!(
             clients,
             [
@@ -1950,15 +1908,14 @@ mod tests {
         );
         journal.verify().expect("stamped entries checksum");
         // Provenance is tamper-evident: editing a client id fails verify.
-        let tampered = journal.render().replace("beta", "beta2");
+        let tampered = journal.render().unwrap().replace("beta", "beta2");
         assert!(matches!(
             Journal::parse(&tampered),
             Err(JournalError::Checksum { .. })
         ));
         // The round trip preserves attribution.
-        let back = Journal::parse(&journal.render()).expect("parses");
-        assert_eq!(back.entries(), journal.entries());
-        assert_eq!(journal.clients().len(), 3);
+        let back = Journal::parse(&journal.render().unwrap()).expect("parses");
+        assert_eq!(entries(&back), entries(&journal));
     }
 
     #[test]
@@ -1984,7 +1941,7 @@ mod tests {
             assert_eq!(part.header(), journal.header());
             assert_eq!(part.len(), 3);
             // Re-sequenced from zero, original position kept as provenance.
-            for (i, entry) in part.entries().iter().enumerate() {
+            for (i, entry) in entries(part).iter().enumerate() {
                 assert_eq!(entry.seq, i as u64);
                 assert_eq!(&entry.client, client);
                 assert!(entry.origin_seq.is_some());
@@ -1997,22 +1954,20 @@ mod tests {
         )
         .expect("compatible");
         merged.verify().expect("merged journal verifies");
-        assert_eq!(merged.events(), journal.events());
+        assert_eq!(journaled(&merged), journaled(&journal));
         assert_eq!(
-            merged
-                .entries()
+            entries(&merged)
                 .iter()
                 .map(|e| e.client.clone())
                 .collect::<Vec<_>>(),
-            journal
-                .entries()
+            entries(&journal)
                 .iter()
                 .map(|e| e.client.clone())
                 .collect::<Vec<_>>()
         );
         // ... and survives a file-format round trip.
-        let reparsed = Journal::parse(&merged.render()).expect("parses");
-        assert_eq!(reparsed.entries(), merged.entries());
+        let reparsed = Journal::parse(&merged.render().unwrap()).expect("parses");
+        assert_eq!(entries(&reparsed), entries(&merged));
     }
 
     #[test]
@@ -2043,8 +1998,7 @@ mod tests {
         let b = Journal::new(JournalHeader::default());
         b.append(DecisionEvent::Release { resident: 20 });
         let merged = Journal::merge(&a, &b).expect("compatible");
-        let residents: Vec<u64> = merged
-            .events()
+        let residents: Vec<u64> = journaled(&merged)
             .iter()
             .map(|e| match e {
                 DecisionEvent::Release { resident } => *resident,
@@ -2055,6 +2009,73 @@ mod tests {
         // a appended first), then seq 1 of a.
         assert_eq!(residents, [10, 20, 11]);
         merged.verify().expect("verifies");
+    }
+
+    #[test]
+    fn a_memory_journal_compacted_every_k_appends_holds_at_most_k_entries() {
+        const K: u64 = 7;
+        let journal = Journal::new(JournalHeader::default());
+        let mut appended = Vec::new();
+        for i in 0..20 * K + 3 {
+            // Admissions, releases of two of every three residents, and
+            // resizes, so the fold carries residents and a group override.
+            let event = match i % 4 {
+                3 => DecisionEvent::Release { resident: i - 3 },
+                2 => DecisionEvent::Resize {
+                    action: ScaleAction::Grow {
+                        group: 0,
+                        capacity_per_shard: i,
+                    },
+                    outcome: ScaleOutcome::Applied,
+                },
+                _ => DecisionEvent::Admit {
+                    group: i % 2,
+                    app_index: i % 3,
+                    required_throughput: None,
+                    outcome: JournalOutcome::Admitted {
+                        resident: i,
+                        predicted_period: Rational::integer(i128::from(i) + 1),
+                    },
+                    affinity: None,
+                },
+            };
+            journal.append(event);
+            if (i + 1) % K == 0 {
+                appended.extend(entries(&journal));
+                journal.compact().expect("compacts");
+            }
+            assert!(journal.len() as u64 <= K, "{} entries", journal.len());
+        }
+        appended.extend(entries(&journal));
+        assert!((0..).zip(&appended).all(|(seq, e)| e.seq == seq));
+        let whole = fold_checkpoint(None, &appended);
+        assert!(!whole.residents.is_empty() && whole.groups.is_some());
+        assert_eq!(journal.checkpoint(), whole);
+        let parsed = Journal::parse(&journal.render().unwrap()).unwrap();
+        assert_eq!(parsed.checkpoint(), whole);
+    }
+
+    #[test]
+    fn a_page_folded_by_a_compaction_is_refused() {
+        let journal = Journal::new(JournalHeader::default());
+        for resident in 0..4100 {
+            journal.append(DecisionEvent::Release { resident });
+        }
+        let first = journal.render_page(0, 4096).expect("first page");
+        assert_eq!(first.next_seq, Some(4096));
+        journal.compact().expect("compacts");
+        // Nothing appended since the compaction: a page started at the new
+        // base would be empty and last, and the stitched pages a prefix
+        // that silently drops seqs 4096..4100.
+        let folded = Err(JournalError::Checkpointed { upto_seq: 4100 });
+        assert_eq!(journal.render_page(4096, 4096).map(drop), folded);
+        journal.append(DecisionEvent::Release { resident: 0 });
+        assert_eq!(journal.render_page(4096, 4096).map(drop), folded);
+        // A page at the base continues the earlier pages; seq 0 restarts.
+        let next = journal.render_page(4100, 4096).expect("page at the base");
+        assert_eq!(next.next_seq, None);
+        let restart = journal.render_page(0, 4096).expect("restart");
+        assert_eq!(restart.text, journal.render().unwrap());
     }
 
     #[test]

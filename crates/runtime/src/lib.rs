@@ -118,9 +118,9 @@ pub use planner::{
     PolicyDecision, RouteMode, SaturationWindow, SweepReport,
 };
 pub use remote::{
-    ClientConfig, Endpoint, JournalSource, RemoteClient, RemoteClientStats, RemoteServer,
-    RemoteServerConfig, RemoteServerStats, WireMode, WirePolicy, EVENT_LOOPS, MAX_FRAME,
-    MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
+    ClientConfig, Endpoint, RemoteClient, RemoteClientStats, RemoteServer, RemoteServerConfig,
+    RemoteServerStats, WireMode, WirePolicy, EVENT_LOOPS, MAX_FRAME, MAX_REQUEST_FRAME,
+    REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completion, LayerMetrics,

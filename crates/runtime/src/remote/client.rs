@@ -30,6 +30,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Times [`RemoteClient::fetch_journal`] starts again from seq 0 after the
+/// server refuses a later page (a compaction folded it).
+const FETCH_RESTARTS: u32 = 3;
+
 /// Connection options of a [`RemoteClient`]; the `..Default::default()`
 /// spread keeps call sites stable as knobs are added.
 #[derive(Debug, Clone)]
@@ -534,27 +538,44 @@ impl RemoteClient {
     /// can outgrow a single frame's budget, and the server never has to
     /// materialize the whole render either.
     ///
+    /// The server refuses a page that a compaction since the first page
+    /// folded away ([`Journal::render_page`]); the fetch then starts again
+    /// from seq 0, up to three times, after which the refusal is the error.
+    ///
     /// # Errors
     ///
     /// [`ServiceError::Transport`] on connection failure,
-    /// [`ServiceError::Config`] when the server records no journal or the
-    /// fetched text fails checksum verification.
+    /// [`ServiceError::Config`] when the server records no journal, cannot
+    /// read a page of it, or the fetched text fails verification.
     pub fn fetch_journal(&self) -> Result<Journal, ServiceError> {
         let mut text = String::new();
         let mut from = 0u64;
+        let mut restarts = 0;
         loop {
             let (completer, completion) = Completion::pending();
             self.shared.send(
                 WireOp::JournalPage { from_seq: from },
                 PendingOp::JournalPage(completer),
             );
-            let page = completion.wait()?;
-            text.push_str(&page.text);
-            match page.next_seq {
-                // A page that does not advance would loop forever; treat
-                // it as the end and let parsing judge the result.
-                Some(next) if next > from => from = next,
-                Some(_) | None => break,
+            match completion.wait() {
+                Ok(page) => {
+                    text.push_str(&page.text);
+                    match page.next_seq {
+                        // A page that does not advance would loop forever;
+                        // treat it as the end and let parsing judge the result.
+                        Some(next) if next > from => from = next,
+                        Some(_) | None => break,
+                    }
+                }
+                // A later page refused is, in practice, one a compaction
+                // folded; any other read failure recurs and still ends
+                // the fetch once the restarts are spent.
+                Err(ServiceError::Config(_)) if from > 0 && restarts < FETCH_RESTARTS => {
+                    restarts += 1;
+                    text.clear();
+                    from = 0;
+                }
+                Err(e) => return Err(e),
             }
         }
         Journal::parse(&text)

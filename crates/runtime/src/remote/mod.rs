@@ -119,9 +119,7 @@ mod server;
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
 pub use codec::{WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
 pub use endpoint::Endpoint;
-pub use server::{
-    JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy, EVENT_LOOPS,
-};
+pub use server::{RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy, EVENT_LOOPS};
 
 use crate::journal::JournalPage;
 use crate::service::{AdmissionDecision, AdmissionRequest, ServiceError, ServiceSnapshot};
@@ -495,15 +493,10 @@ mod tests {
     fn uds_roundtrip_and_journal_fetch() {
         let addr = uds_addr("roundtrip");
         let fleet = fleet(1, 2);
-        let pages = fleet.clone();
         let server = RemoteServer::bind_with(
             &addr,
             Arc::new(Cached::new(fleet.clone(), 8)),
-            // Page size 1 forces the client's fetch loop through one
-            // page per entry.
-            Some(Box::new(move |from| {
-                pages.journal().render_page(from, 1).ok()
-            })),
+            Some(fleet.clone()),
             RemoteServerConfig::default(),
         )
         .unwrap();
@@ -513,12 +506,19 @@ mod tests {
         let decision = client.admit(&AdmissionRequest::new(0)).unwrap();
         client.release(decision.resident().unwrap()).unwrap();
 
+        // Fill the group, then let saturated admissions — journaled
+        // without an analysis — run the journal past one 4096-entry page,
+        // so the client's fetch loop crosses a page boundary.
+        for _ in 0..4200 {
+            fleet.admit(&AdmissionRequest::new(0)).unwrap();
+        }
+
         // The journal fetched over the wire verifies, and its pages
         // concatenate to the server fleet's own render byte for byte.
         let journal = client.fetch_journal().unwrap();
-        assert_eq!(journal.len(), 2);
+        assert_eq!(journal.len(), 4202);
         journal.verify().unwrap();
-        assert_eq!(journal.render(), fleet.journal().render());
+        assert_eq!(journal.render().unwrap(), fleet.journal().render().unwrap());
 
         client.close();
         server.shutdown();
@@ -690,7 +690,8 @@ mod tests {
         // — including the releases — and anonymous traffic stays None.
         let clients: Vec<Option<String>> = fleet
             .journal()
-            .entries()
+            .try_entries()
+            .expect("journal reads")
             .iter()
             .map(|e| e.client.clone())
             .collect();

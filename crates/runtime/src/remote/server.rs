@@ -28,7 +28,8 @@ use super::{
     REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
-use crate::journal::{ClientScope, JournalPage};
+use crate::fleet::FleetManager;
+use crate::journal::ClientScope;
 use crate::service::{AdmissionService, LayerMetrics, ServiceError};
 use crate::telemetry::{
     op_rate, ConnectionStats, EventLoopStats, HistogramRecorder, SpanScope, TraceEvent, TraceKind,
@@ -45,14 +46,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Producer of bounded journal pages served to [`WireOp::JournalPage`]
-/// requests (`None` when the served stack records no journal, or the page
-/// cannot be read). Called with the first entry sequence number wanted;
-/// page 0 carries the header/checkpoint prologue. The closure bridges the
-/// gap between the type-erased `Arc<dyn AdmissionService>` and the
-/// concrete fleet that owns the [`Journal`](crate::Journal) — capture the
-/// fleet and call `journal().render_page(from_seq, n).ok()`.
-pub type JournalSource = Box<dyn Fn(u64) -> Option<JournalPage> + Send + Sync>;
+/// Entries per journal page served to [`WireOp::JournalPage`] requests: a
+/// long-running journal never has to materialize as one string or frame.
+const JOURNAL_PAGE_ENTRIES: usize = 4096;
 
 /// Readiness loops per server, each a thread that reads, decides and
 /// answers the frames of the connections placed on it, one frame at a
@@ -240,7 +236,8 @@ impl LoopSlot {
 
 struct ServerShared {
     service: Arc<dyn AdmissionService>,
-    journal_source: Option<JournalSource>,
+    /// The fleet whose journal the server pages out, if it serves one.
+    fleet: Option<FleetManager>,
     config: RemoteServerConfig,
     started: Instant,
     /// Latency of each request frame, timed around dispatch (decode and
@@ -336,18 +333,15 @@ impl ServerShared {
                     Err(e) => WireBody::Error(WireFault::from(&e)),
                 }
             }
-            WireOp::JournalPage { from_seq } => {
-                match self
-                    .journal_source
-                    .as_ref()
-                    .and_then(|source| source(from_seq))
-                {
-                    Some(page) => WireBody::JournalPage(page),
-                    None => {
-                        WireBody::Error(WireFault::Config("server records no journal".to_string()))
-                    }
-                }
-            }
+            WireOp::JournalPage { from_seq } => match &self.fleet {
+                Some(fleet) => match fleet.journal().render_page(from_seq, JOURNAL_PAGE_ENTRIES) {
+                    Ok(page) => WireBody::JournalPage(page),
+                    Err(e) => WireBody::Error(WireFault::Config(format!(
+                        "journal page from seq {from_seq}: {e}"
+                    ))),
+                },
+                None => WireBody::Error(WireFault::Config("server records no journal".to_string())),
+            },
             WireOp::Telemetry => {
                 let mut telemetry = self.service.telemetry();
                 telemetry.service.layers.push(self.server_layer());
@@ -1145,7 +1139,7 @@ impl fmt::Debug for RemoteServer {
 
 impl RemoteServer {
     /// Binds and starts serving `service` on `addr` with default tuning
-    /// and no journal source.
+    /// and no journal.
     ///
     /// # Errors
     ///
@@ -1157,7 +1151,12 @@ impl RemoteServer {
         RemoteServer::bind_with(addr, service, None, RemoteServerConfig::default())
     }
 
-    /// Binds with an explicit [`JournalSource`] and [`RemoteServerConfig`].
+    /// Binds with an explicit [`RemoteServerConfig`], serving `fleet`'s
+    /// journal to [`RemoteClient::fetch_journal`](crate::RemoteClient::fetch_journal)
+    /// in pages of 4096 entries — usually the fleet at the bottom of
+    /// `service`. A page that cannot be read reaches the client as a
+    /// [`WireFault::Config`] naming the failure; with no fleet, every
+    /// journal request is answered "server records no journal".
     ///
     /// # Errors
     ///
@@ -1166,7 +1165,7 @@ impl RemoteServer {
     pub fn bind_with(
         addr: &Endpoint,
         service: Arc<dyn AdmissionService>,
-        journal_source: Option<JournalSource>,
+        fleet: Option<FleetManager>,
         config: RemoteServerConfig,
     ) -> Result<RemoteServer, ServiceError> {
         let (listener, local_addr) = Listener::bind(addr)
@@ -1190,7 +1189,7 @@ impl RemoteServer {
         let trace = service.trace_recorder();
         let shared = Arc::new(ServerShared {
             service,
-            journal_source,
+            fleet,
             config,
             started: Instant::now(),
             frame_latency: HistogramRecorder::new(),

@@ -1146,6 +1146,7 @@ impl<S: AdmissionService> AdmissionService for Metered<S> {
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
+    use crate::journal::journaled;
     use platform::{Application, Mapping};
     use sdf::figure2_graphs;
 
@@ -1364,8 +1365,8 @@ metered      admit             120       40      236      210      300      480 
         }
         // Either order leaves the fleet's journal identical to the bare
         // fleet's.
-        assert_eq!(fa.journal().events(), bare.journal().events());
-        assert_eq!(fb.journal().events(), bare.journal().events());
+        assert_eq!(journaled(fa.journal()), journaled(bare.journal()));
+        assert_eq!(journaled(fb.journal()), journaled(bare.journal()));
     }
 
     #[test]

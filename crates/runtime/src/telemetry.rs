@@ -603,15 +603,6 @@ impl TraceEvent {
         self.track = Some(track.into());
         self
     }
-
-    /// The event's span identity, if it carries one.
-    pub fn span_context(&self) -> Option<SpanContext> {
-        Some(SpanContext {
-            trace_id: self.trace_id?,
-            span_id: self.span_id?,
-            parent_span_id: self.parent_span_id,
-        })
-    }
 }
 
 struct TraceRing {
@@ -715,20 +706,6 @@ impl TraceRecorder {
         events.sort_by_key(|event| std::cmp::Reverse(event.duration_micros));
         events.truncate(n);
         events
-    }
-
-    /// Span trees reassembled from up to the last `n` events.
-    pub fn tail_trees(&self, n: usize) -> Vec<SpanTree> {
-        build_span_trees(&self.tail(n))
-    }
-
-    /// The `n` slowest retained request trees, ranked by root (whole
-    /// request) duration, slowest first.
-    pub fn slowest_trees(&self, n: usize) -> Vec<SpanTree> {
-        let mut trees = build_span_trees(&self.tail(self.capacity));
-        trees.sort_by_key(|tree| std::cmp::Reverse(tree.duration_micros()));
-        trees.truncate(n);
-        trees
     }
 
     /// Wall-clock epoch microseconds when the recorder's monotonic clock

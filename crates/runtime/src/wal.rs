@@ -10,9 +10,9 @@
 //!   segment file (`segment-<first_seq>.jsonl`, JSON lines, one
 //!   [`JournalEntry`] per line); when it reaches
 //!   [`segment_max_entries`](WalConfig::segment_max_entries) it is sealed
-//!   (fsynced, marked immutable) and a fresh segment opens. Only a bounded
-//!   in-memory tail of recent entries is retained, so journal RSS is flat
-//!   at any traffic volume.
+//!   (fsynced, marked immutable) and a fresh segment opens. No entry stays
+//!   in memory — the journal keeps only its fold (live residents and
+//!   resized groups) — so journal RSS is flat at any traffic volume.
 //! * **Checksummed manifest** — `MANIFEST.json` names every segment, its
 //!   first sequence number and entry count, plus the newest snapshot. The
 //!   manifest carries an FNV-1a checksum over its own canonical JSON and
@@ -40,7 +40,6 @@ use crate::fleet::GroupConfig;
 use crate::journal::{fnv1a64, JournalEntry, JournalError, JournalHeader, LogFold};
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -107,16 +106,15 @@ impl FromStr for FsyncPolicy {
     }
 }
 
-/// Tuning knobs of a WAL-backed journal.
+/// Tuning knobs of a WAL-backed journal. None bounds memory: the journal
+/// keeps no entry in memory, only the fold of its log, and every read of
+/// the entries streams from the segment files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
     /// Entries per segment before rotation (≥ 1).
     pub segment_max_entries: u64,
     /// When appends are fsynced.
     pub fsync: FsyncPolicy,
-    /// Recent entries kept in memory (the bounded tail served by
-    /// [`Journal::recent`](crate::Journal::recent)).
-    pub tail_entries: usize,
     /// Snapshot checkpoints retained on disk (≥ 1). The newest is the live
     /// base; older retained snapshots (and every segment after the oldest
     /// one's fold point) stay on disk for point-in-time replay: copy the
@@ -132,7 +130,6 @@ impl Default for WalConfig {
         WalConfig {
             segment_max_entries: 8192,
             fsync: FsyncPolicy::default(),
-            tail_entries: 1024,
             keep_snapshots: 1,
         }
     }
@@ -372,18 +369,27 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> JournalError {
     JournalError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// `sync_all`, rename, best-effort directory fsync. A crash leaves either
-/// the old file or the new one, never a torn mix.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
+/// Replaces `path` atomically with what `write` streams into it: a temp
+/// file in the same directory, flushed, `sync_all`ed and renamed over
+/// `path`, then a best-effort directory fsync. A crash leaves either the
+/// old file or the new one, never a torn mix; on an error the temp file is
+/// removed. Every whole-file write of a journal goes through here.
+pub(crate) fn atomic_write(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), JournalError>,
+) -> Result<(), JournalError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let result = (|| {
-        let mut file = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
-        file.write_all(bytes)
-            .map_err(|e| io_err("write", &tmp, &e))?;
-        file.sync_all().map_err(|e| io_err("sync", &tmp, &e))?;
+        let file = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
+        let mut writer = BufWriter::new(file);
+        write(&mut writer)?;
+        writer.flush().map_err(|e| io_err("write", &tmp, &e))?;
+        writer
+            .get_ref()
+            .sync_all()
+            .map_err(|e| io_err("sync", &tmp, &e))?;
         std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, &e))?;
         if let Some(dir) = path.parent() {
             // Make the rename itself durable; failures here only widen the
@@ -400,26 +406,46 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), JournalError
     result
 }
 
-/// A scan of one segment file: entries counted and checksum-verified
-/// line by line, each valid one handed on as it is read.
+/// [`atomic_write`] of `value` as one JSON line (a manifest or snapshot).
+fn atomic_write_json(path: &Path, value: &impl Serialize) -> Result<(), JournalError> {
+    let line = serde_json::to_string(value).map_err(|e| JournalError::Parse(e.to_string()))?;
+    atomic_write(path, |writer| {
+        writer
+            .write_all(line.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .map_err(|e| io_err("write", path, &e))
+    })
+}
+
+/// A scan of one segment file: entries counted and checked line by line,
+/// each valid one handed on as it is read.
 struct SegmentScan {
     entries: u64,
     valid_bytes: u64,
+    /// `true` when the consumer stopped the scan before the file ended.
+    stopped: bool,
     /// The error that stopped the scan, if any (`valid_bytes` covers
     /// everything before it).
     error: Option<JournalError>,
 }
 
+/// The one reader of a segment file: parses each line of `path` and checks
+/// it where the log expects it (the segment starts at `first_seq`), then
+/// hands it to `on_entry`, which returns `false` to stop the scan. A torn,
+/// corrupt or out-of-sequence line stops the scan and is recorded in it:
+/// opening a WAL truncates the active segment there, every other use fails
+/// with it (see [`read_segment`]).
 fn scan_segment(
     path: &Path,
     first_seq: u64,
-    mut on_entry: impl FnMut(JournalEntry),
+    mut on_entry: impl FnMut(JournalEntry) -> bool,
 ) -> Result<SegmentScan, JournalError> {
     let file = File::open(path).map_err(|e| io_err("open", path, &e))?;
     let mut reader = BufReader::new(file);
     let mut scan = SegmentScan {
         entries: 0,
         valid_bytes: 0,
+        stopped: false,
         error: None,
     };
     let mut line = String::new();
@@ -450,12 +476,37 @@ fn scan_segment(
         }
         scan.entries += 1;
         scan.valid_bytes += read as u64;
-        on_entry(entry);
+        if !on_entry(entry) {
+            scan.stopped = true;
+            return Ok(scan);
+        }
     }
 }
 
-/// The WAL store proper: manifest + segment writer + bounded tail. Owned
-/// by a [`Journal`](crate::Journal) behind its store lock.
+/// Reads segment `seg` of the WAL in `dir` strictly: any scan error is the
+/// read's error, and a sealed segment read to its end must hold the entry
+/// count the manifest records. Returns `true` when `on_entry` stopped the
+/// read early.
+fn read_segment(
+    dir: &Path,
+    seg: &SegmentMeta,
+    on_entry: impl FnMut(JournalEntry) -> bool,
+) -> Result<bool, JournalError> {
+    let scan = scan_segment(&dir.join(&seg.file), seg.first_seq, on_entry)?;
+    if let Some(error) = scan.error {
+        return Err(error);
+    }
+    if seg.sealed && !scan.stopped && scan.entries != seg.entries {
+        return Err(JournalError::TornManifest(format!(
+            "sealed segment {} holds {} entries (manifest says {})",
+            seg.file, scan.entries, seg.entries
+        )));
+    }
+    Ok(scan.stopped)
+}
+
+/// The WAL store proper: manifest + segment writer. Owned by a
+/// [`Journal`](crate::Journal) behind its store lock.
 #[derive(Debug)]
 pub(crate) struct WalStore {
     dir: PathBuf,
@@ -466,7 +517,6 @@ pub(crate) struct WalStore {
     active_entries: u64,
     next_seq: u64,
     unsynced: u64,
-    tail: VecDeque<JournalEntry>,
     io_errors: u64,
 }
 
@@ -509,7 +559,6 @@ impl WalStore {
             active_entries: 0,
             next_seq: 0,
             unsynced: 0,
-            tail: VecDeque::new(),
             io_errors: 0,
         };
         store.write_manifest()?;
@@ -617,17 +666,10 @@ impl WalStore {
 
         // Sealed segments were fsynced at seal time: verify them strictly.
         for seg in sealed {
-            let path = dir.join(&seg.file);
-            let scan = scan_segment(&path, seg.first_seq, |entry| fold_entry(&entry))?;
-            if let Some(error) = scan.error {
-                return Err(error);
-            }
-            if scan.entries != seg.entries {
-                return Err(JournalError::TornManifest(format!(
-                    "sealed segment {} holds {} entries (manifest says {})",
-                    seg.file, scan.entries, seg.entries
-                )));
-            }
+            read_segment(dir, seg, |entry| {
+                fold_entry(&entry);
+                true
+            })?;
         }
 
         // The active segment may be torn: recover to the last valid entry.
@@ -637,13 +679,9 @@ impl WalStore {
             // file: the manifest is ahead of the filesystem, harmlessly.
             File::create(&active_path).map_err(|e| io_err("create", &active_path, &e))?;
         }
-        let mut tail = VecDeque::new();
         let scan = scan_segment(&active_path, active_meta.first_seq, |entry| {
             fold_entry(&entry);
-            tail.push_back(entry);
-            if tail.len() > config.tail_entries {
-                tail.pop_front();
-            }
+            true
         })?;
         let file_len = std::fs::metadata(&active_path)
             .map_err(|e| io_err("stat", &active_path, &e))?
@@ -677,7 +715,6 @@ impl WalStore {
             active_entries: scan.entries,
             next_seq,
             unsynced: 0,
-            tail,
             io_errors: 0,
         };
         Ok((store, recovery, fold))
@@ -703,11 +740,6 @@ impl WalStore {
 
     pub(crate) fn io_errors(&self) -> u64 {
         self.io_errors
-    }
-
-    pub(crate) fn recent(&self, n: usize) -> Vec<JournalEntry> {
-        let skip = self.tail.len().saturating_sub(n);
-        self.tail.iter().skip(skip).cloned().collect()
     }
 
     pub(crate) fn stats(&self) -> WalStats {
@@ -747,27 +779,19 @@ impl WalStore {
 
     fn write_manifest(&mut self) -> Result<(), JournalError> {
         self.manifest.checksum = self.manifest.computed_checksum();
-        let mut bytes = serde_json::to_string(&self.manifest)
-            .map_err(|e| JournalError::Parse(e.to_string()))?
-            .into_bytes();
-        bytes.push(b'\n');
-        atomic_write(&self.dir.join(MANIFEST_FILE), &bytes)
+        atomic_write_json(&self.dir.join(MANIFEST_FILE), &self.manifest)
     }
 
     /// Appends one pre-stamped entry. I/O failures are absorbed into the
     /// [`io_errors`](Self::io_errors) counter (the appending fleet cannot
-    /// un-decide a decision); the in-memory tail and sequence stay
-    /// consistent, and recovery truncates any partial line.
+    /// un-decide a decision); the sequence stays consistent, and recovery
+    /// truncates any partial line.
     pub(crate) fn append_entry(&mut self, entry: JournalEntry) {
         debug_assert_eq!(entry.seq, self.next_seq, "WAL appends are sequential");
         if self.write_entry(&entry).is_err() {
             self.io_errors += 1;
         }
         self.next_seq += 1;
-        self.tail.push_back(entry);
-        while self.tail.len() > self.config.tail_entries {
-            self.tail.pop_front();
-        }
         // Rotate only after next_seq advanced: the fresh segment's
         // first_seq is the sequence number of the next append.
         if self.active_entries >= self.config.segment_max_entries && self.rotate().is_err() {
@@ -870,11 +894,7 @@ impl WalStore {
             self.sync()?;
         }
         let file = snapshot_file_name(checkpoint.upto_seq);
-        let mut bytes = serde_json::to_string(&checkpoint)
-            .map_err(|e| JournalError::Parse(e.to_string()))?
-            .into_bytes();
-        bytes.push(b'\n');
-        atomic_write(&self.dir.join(&file), &bytes)?;
+        atomic_write_json(&self.dir.join(&file), &checkpoint)?;
 
         let old_snapshot = self.manifest.snapshot.take();
         self.manifest.snapshot = Some(SnapshotMeta {
@@ -923,14 +943,13 @@ impl WalStore {
                 let _ = std::fs::remove_file(self.dir.join(&old.file));
             }
         }
-        self.tail.retain(|e| e.seq >= checkpoint.upto_seq);
         self.checkpoint = Some(checkpoint);
         Ok(())
     }
 
     /// Streams every entry with `seq >= from_seq` in order through `f`,
-    /// verifying checksums and sequence contiguity, in O(1) memory. `f`
-    /// returning `false` stops the stream early.
+    /// reading each segment strictly (see [`read_segment`]), in O(1)
+    /// memory. `f` returning `false` stops the stream early.
     pub(crate) fn stream_entries(
         &mut self,
         from_seq: u64,
@@ -940,45 +959,16 @@ impl WalStore {
         self.writer
             .flush()
             .map_err(|e| JournalError::Io(format!("flush: {e}")))?;
-        let segments = self.manifest.segments.clone();
-        for (i, seg) in segments.iter().enumerate() {
-            let is_active = i + 1 == segments.len();
-            let end = if is_active {
-                self.next_seq
-            } else {
+        for seg in &self.manifest.segments {
+            let end = if seg.sealed {
                 seg.first_seq + seg.entries
+            } else {
+                self.next_seq
             };
-            if end <= from_seq {
-                continue;
-            }
-            let path = self.dir.join(&seg.file);
-            let file = File::open(&path).map_err(|e| io_err("open", &path, &e))?;
-            let mut reader = BufReader::new(file);
-            let mut line = String::new();
-            let mut expected = seg.first_seq;
-            loop {
-                line.clear();
-                let read = reader
-                    .read_line(&mut line)
-                    .map_err(|e| io_err("read", &path, &e))?;
-                if read == 0 {
-                    break;
-                }
-                let entry: JournalEntry = serde_json::from_str(line.trim_end())
-                    .map_err(|e| JournalError::Parse(e.to_string()))?;
-                entry.check(expected)?;
-                expected += 1;
-                if entry.seq >= from_seq && !f(&entry) {
-                    return Ok(());
-                }
-            }
-            if !is_active && expected != seg.first_seq + seg.entries {
-                return Err(JournalError::TornManifest(format!(
-                    "sealed segment {} holds {} entries (manifest says {})",
-                    seg.file,
-                    expected - seg.first_seq,
-                    seg.entries
-                )));
+            if end > from_seq
+                && read_segment(&self.dir, seg, |entry| entry.seq < from_seq || f(&entry))?
+            {
+                break;
             }
         }
         Ok(())
@@ -1008,7 +998,6 @@ mod tests {
         WalConfig {
             segment_max_entries: 4,
             fsync: FsyncPolicy::OnRotate,
-            tail_entries: 8,
             keep_snapshots: 1,
         }
     }
@@ -1048,7 +1037,7 @@ mod tests {
         assert_eq!(recovery.recovered_entries, 2);
         assert_eq!(journal.len(), 10);
         assert_eq!(journal.append(release(10)), 10);
-        let entries = journal.entries();
+        let entries = journal.try_entries().unwrap();
         assert_eq!(entries.len(), 11);
         assert!(entries.iter().enumerate().all(|(i, e)| e.seq == i as u64));
         journal.verify().unwrap();
@@ -1185,26 +1174,8 @@ mod tests {
         let (journal, _) = Journal::open_wal(&dir, small_config()).unwrap();
         assert_eq!(journal.len(), 2);
         assert_eq!(journal.append(release(10)), 10);
-        let entries = journal.entries();
+        let entries = journal.try_entries().unwrap();
         assert_eq!(entries.first().map(|e| e.seq), Some(8));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_survives_and_recent_serves_the_bounded_tail() {
-        let dir = tmp_dir("tail");
-        let config = WalConfig {
-            tail_entries: 3,
-            ..small_config()
-        };
-        let journal = Journal::create_wal(&dir, JournalHeader::default(), config).unwrap();
-        for i in 0..10 {
-            journal.append(release(i));
-        }
-        let recent = journal.recent(10);
-        assert_eq!(recent.len(), 3, "tail is bounded");
-        assert_eq!(recent.last().map(|e| e.seq), Some(9));
-        assert_eq!(journal.recent(1).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
     AdmissionRequest, AdmissionService, Autoscaler, FleetConfig, FleetManager, JournalReplayer,
-    RoutingPolicy, ScalePolicy, TargetPolicy,
+    RoutingPolicy, ScaleAction, ScalePolicy, TargetPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -80,17 +80,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // retiring the group, and refuses (journaled, fleet untouched) when
     // any resident cannot be placed. Right now group 0 lacks the headroom
     // for both of group 1's residents:
-    let refused = fleet.drain_group(1)?;
+    let refused = fleet.resize(ScaleAction::Drain { group: 1 })?;
     println!("drain group 1 -> {refused:?}");
     // Make room — the same resize API the controller drives (this is what
     // ScalePolicy::Manual leaves to the operator) — and drain again.
-    fleet.grow_group(0, 5)?;
-    let outcome = fleet.drain_group(1)?;
+    fleet.resize(ScaleAction::Grow {
+        group: 0,
+        capacity_per_shard: 5,
+    })?;
+    let outcome = fleet.resize(ScaleAction::Drain { group: 1 })?;
     println!("after growing group 0: drain group 1 -> {outcome:?}");
     print!("{}", FleetManager::snapshot(&fleet).render());
 
     println!("\n== the autoscaled run replays outcome-for-outcome ==");
-    let journal = runtime::Journal::parse(&fleet.journal().render())?;
+    let journal = runtime::Journal::parse(&fleet.journal().render()?)?;
     let config = FleetConfig::from_header(journal.header())?;
     let (report, _replayed) = JournalReplayer::new(&spec).replay(&journal, config)?;
     print!("{}", report.render());

@@ -39,13 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         "tcp:127.0.0.1:0".parse()?
     };
-    let journal_fleet = fleet.clone();
     let server = RemoteServer::bind_with(
         &addr,
         stack as Arc<dyn AdmissionService>,
-        Some(Box::new(move |from_seq| {
-            journal_fleet.journal().render_page(from_seq, 4096).ok()
-        })),
+        Some(fleet.clone()),
         runtime::RemoteServerConfig::default(),
     )?;
     println!("== server listening on {} ==", server.local_addr());
@@ -96,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.shutdown();
 
     println!("\n== deterministic replay of the wire-recorded journal ==");
-    let journal = runtime::Journal::parse(&fleet.journal().render())?;
+    let journal = runtime::Journal::parse(&fleet.journal().render()?)?;
     let (report, _replayed) = JournalReplayer::new(&spec).replay(&journal, fleet_config)?;
     print!("{}", report.render());
     assert!(

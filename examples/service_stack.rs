@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", stack.snapshot().render());
 
     println!("\n== the fleet's journal replays outcome for outcome ==");
-    let journal = runtime::Journal::parse(&fleet.journal().render())?;
+    let journal = runtime::Journal::parse(&fleet.journal().render()?)?;
     let (replay, _fleet) = JournalReplayer::new(&spec).replay(
         &journal,
         FleetConfig::uniform(3, 1, 4, RoutingPolicy::LeastUtilised),

@@ -110,12 +110,17 @@ USAGE:
       (default 4096) that `probcon trace --connect` tails live. --once
       exits after the first client disconnects (for scripted drivers);
       --journal also writes the journal to a file at shutdown.
-      --journal-dir makes the journal DURABLE: decisions stream to a
-      segmented write-ahead log in <dir> (created on first start), a
-      background checkpointer snapshots the journal's fold of its log
-      every --checkpoint-every entries (default 4096; segments fully
-      covered by the snapshot are garbage-collected), and a restart on the
-      same directory RECOVERS the fleet from the WAL alone: the workload
+      A background checkpointer folds the served journal into a snapshot
+      checkpoint every --checkpoint-every entries (default 4096), so the
+      server holds the fold plus about one interval of entries at any
+      traffic volume; the journal fetched or written then starts at that
+      checkpoint, which `probcon journal split` refuses. A larger
+      --checkpoint-every keeps more (or, past the run's length, all) of
+      the history. --journal-dir makes the journal DURABLE: decisions
+      stream to a segmented write-ahead log in <dir> (created on first
+      start), each checkpoint is written there and garbage-collects the
+      segments it covers, and a restart on the same directory RECOVERS
+      the fleet from the WAL alone: the workload
       and fleet shape its header records, then the residents and group
       resizes its log folds to (snapshot plus entry tail), after
       truncating any torn final write. A restart refuses --seed, --apps,
@@ -212,7 +217,10 @@ USAGE:
       per client id (see fleet-bench --client), preserving original
       positions for lossless re-merging. File journals only: on a WAL
       directory this fails fast with a typed error — export one first
-      with `probcon journal compact <dir> --out <file.jsonl>`.
+      with `probcon journal compact <dir> --out <file.jsonl>`. A journal
+      that starts at a snapshot checkpoint (one `serve` compacted every
+      --checkpoint-every entries) is refused: its folded decisions name
+      no client.
 
   probcon journal merge <a.jsonl> <b.jsonl> --out <file.jsonl>
       Interleave two compatible journals (same workload, shape and policy)
@@ -1042,9 +1050,6 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     }
 
     let wal_dir = options.get("journal-dir").copied();
-    if wal_dir.is_none() && options.contains_key("checkpoint-every") {
-        return Err("--checkpoint-every tunes the write-ahead log and needs --journal-dir".into());
-    }
     let checkpoint_every = opt_u64(options, "checkpoint-every")?.unwrap_or(4096);
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be positive".into());
@@ -1110,15 +1115,10 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         None => Arc::new(stack),
     };
 
-    let journal_fleet = fleet.clone();
     let server = RemoteServer::bind_with(
         &addr,
         stack,
-        // Serve the journal in bounded pages: a long-running WAL-backed
-        // journal never has to materialize as one string.
-        Some(Box::new(move |from| {
-            journal_fleet.journal().render_page(from, 4096).ok()
-        })),
+        Some(fleet.clone()),
         RemoteServerConfig {
             once: options.contains_key("once"),
             wire,
@@ -1128,15 +1128,17 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     // The checkpointer: every --checkpoint-every journaled decisions,
-    // install the journal's fold as a snapshot so recovery starts there
-    // instead of seq 0 and fully covered segments are garbage-collected.
-    let checkpointer = wal_dir.map(|_| {
+    // install the journal's fold as its base, so a memory journal drops
+    // the folded entries and a WAL's recovery starts there instead of seq
+    // 0, with fully covered segments garbage-collected. Either way the
+    // served journal holds its fold plus at most about one interval.
+    let stop = Arc::new(AtomicBool::new(false));
+    let checkpointer = {
         let fleet = fleet.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
             let mut last = fleet.journal().base_seq();
-            while !flag.load(Ordering::Relaxed) {
+            while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(200));
                 let next = fleet.journal().next_seq();
                 if next.saturating_sub(last) < checkpoint_every {
@@ -1147,9 +1149,8 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
                     Err(e) => eprintln!("checkpoint failed: {e}"),
                 }
             }
-        });
-        (stop, handle)
-    });
+        })
+    };
 
     println!(
         "serving {}, {cache}-entry estimate cache, {trace_capacity}-event flight recorder",
@@ -1173,9 +1174,9 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         handle.stop();
         println!("{}", controller.status().render());
     }
-    if let Some((stop, handle)) = checkpointer {
-        stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
+    stop.store(true, Ordering::Relaxed);
+    if checkpointer.join().is_err() {
+        eprintln!("checkpointer panicked");
     }
     if wal_dir.is_some() {
         // Graceful shutdown: everything on disk, folded to a snapshot.

@@ -4,6 +4,9 @@
 //! replays outcome-for-outcome and plans its identity shape with zero
 //! flips.
 
+mod common;
+
+use common::journaled;
 use std::sync::Arc;
 
 use experiments::workload::workload_with;
@@ -75,7 +78,9 @@ fn drain_rebalances_every_resident_before_removal() {
     let movers = park(&fleet, 1, 2);
     park(&fleet, 0, 1);
 
-    let outcome = fleet.drain_group(1).expect("drain decides");
+    let outcome = fleet
+        .resize(ScaleAction::Drain { group: 1 })
+        .expect("drain decides");
     assert_eq!(outcome, ScaleOutcome::Applied);
 
     let snapshot = fleet.snapshot();
@@ -92,7 +97,7 @@ fn drain_rebalances_every_resident_before_removal() {
     assert_eq!(snapshot.resize_refusals, 0);
 
     // Journal order: each mover's Rebalance entry precedes the Resize.
-    let events = fleet.journal().events();
+    let events = journaled(fleet.journal());
     let resize_at = events
         .iter()
         .position(|e| matches!(e, DecisionEvent::Resize { .. }))
@@ -114,7 +119,8 @@ fn drain_rebalances_every_resident_before_removal() {
     }
 
     // And the whole recording replays outcome-for-outcome.
-    let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
+    let journal = runtime::Journal::parse(&fleet.journal().render().expect("journal renders"))
+        .expect("round-trips");
     let config = FleetConfig::from_header(journal.header()).expect("config");
     let (report, _) = JournalReplayer::new(&spec())
         .replay(&journal, config)
@@ -133,7 +139,9 @@ fn drain_refuses_unplaceable_without_mutating_the_fleet() {
     park(&fleet, 1, 2);
     let before = fleet.snapshot();
 
-    let outcome = fleet.drain_group(1).expect("drain decides");
+    let outcome = fleet
+        .resize(ScaleAction::Drain { group: 1 })
+        .expect("drain decides");
     assert!(
         matches!(
             outcome,
@@ -154,8 +162,9 @@ fn drain_refuses_unplaceable_without_mutating_the_fleet() {
     assert!(!after.groups[1].retired);
 
     // The refusal is journaled — and the recording still replays.
-    let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
-    assert!(journal.events().iter().any(|e| matches!(
+    let journal = runtime::Journal::parse(&fleet.journal().render().expect("journal renders"))
+        .expect("round-trips");
+    assert!(journaled(&journal).iter().any(|e| matches!(
         e,
         DecisionEvent::Resize {
             outcome: ScaleOutcome::Refused { .. },
@@ -175,11 +184,15 @@ fn drain_refuses_the_last_active_group() {
     let fleet = fleet(2, 1, 4);
     park(&fleet, 0, 1);
     assert_eq!(
-        fleet.drain_group(1).expect("drain decides"),
+        fleet
+            .resize(ScaleAction::Drain { group: 1 })
+            .expect("drain decides"),
         ScaleOutcome::Applied
     );
     assert_eq!(
-        fleet.drain_group(0).expect("drain decides"),
+        fleet
+            .resize(ScaleAction::Drain { group: 0 })
+            .expect("drain decides"),
         ScaleOutcome::Refused {
             reason: ScaleRefusal::LastGroup
         }
@@ -246,9 +259,9 @@ fn autoscaled_run_replays_and_plans_identity_with_zero_flips() {
     }
     assert!(shrinks >= 2, "controller must shrink an idle fleet");
 
-    let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
-    let kinds: Vec<&str> = journal
-        .events()
+    let journal = runtime::Journal::parse(&fleet.journal().render().expect("journal renders"))
+        .expect("round-trips");
+    let kinds: Vec<&str> = journaled(&journal)
         .iter()
         .filter_map(|e| match e {
             DecisionEvent::Resize {
@@ -294,7 +307,8 @@ fn assert_compacted_identity(fleet: &FleetManager) {
         checkpoint.groups.as_ref().is_some_and(|g| !g.is_empty()),
         "the checkpoint records group overrides: {checkpoint:?}"
     );
-    let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
+    let journal = runtime::Journal::parse(&fleet.journal().render().expect("journal renders"))
+        .expect("round-trips");
     assert!(journal.is_empty(), "every decision folded");
 
     let config = FleetConfig::from_header(journal.header()).expect("config");
@@ -336,7 +350,12 @@ fn grown_then_compacted_journal_plans_identity_with_zero_flips() {
     let fleet = fleet(1, 1, 1);
     park(&fleet, 0, 1);
     assert_eq!(
-        fleet.grow_group(0, 2).expect("grow decides"),
+        fleet
+            .resize(ScaleAction::Grow {
+                group: 0,
+                capacity_per_shard: 2
+            })
+            .expect("grow decides"),
         ScaleOutcome::Applied
     );
     park(&fleet, 0, 1);
@@ -352,7 +371,10 @@ fn added_group_then_compacted_journal_plans_identity_with_zero_flips() {
     park(&fleet, 0, 1);
     assert_eq!(
         fleet
-            .add_group(GroupConfig::new("group1", 1, 1))
+            .resize(ScaleAction::AddGroup {
+                group: 1,
+                shape: GroupConfig::new("group1", 1, 1),
+            })
             .expect("add decides"),
         ScaleOutcome::Applied
     );
@@ -377,7 +399,8 @@ fn planner_evaluates_a_policy_file_against_a_recorded_run() {
             .admit(&AdmissionRequest::new(i).on(i % 2))
             .expect("decides");
     }
-    let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
+    let journal = runtime::Journal::parse(&fleet.journal().render().expect("journal renders"))
+        .expect("round-trips");
 
     let policy = ScalePolicy::Target(TargetPolicy {
         low: 0.1,

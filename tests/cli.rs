@@ -538,6 +538,30 @@ fn replay_refuses_a_header_past_the_fleet_size_cap() {
 }
 
 #[test]
+fn plan_and_replay_refuse_a_recorded_group_of_no_shards() {
+    let dir = std::env::temp_dir().join("probcon-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let golden = include_str!("fixtures/journal.jsonl");
+    let edited = golden.replacen(
+        r#"{"name":"group-0","shards":1,"#,
+        r#"{"name":"group-0","shards":0,"#,
+        1,
+    );
+    assert_ne!(edited, golden);
+    let path = dir.join("zero-shards.jsonl");
+    std::fs::write(&path, edited).expect("written");
+    let path = path.to_str().expect("utf8 path");
+    for command in ["plan", "replay"] {
+        assert_rejected(&[command, path]);
+        let stderr = String::from_utf8_lossy(&probcon(&[command, path]).stderr).into_owned();
+        assert!(
+            stderr.contains("group group-0 has 0 shard(s)"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn plan_validates_inputs() {
     let journal = record_plan_journal("plan-validate.jsonl");
     let journal = journal.to_str().expect("utf8 path");
@@ -1358,13 +1382,6 @@ fn wal_flags_validate_inputs() {
         // WAL tuning flags need --journal-dir.
         vec!["fleet-bench", "--requests", "10", "--fsync", "always"],
         vec!["fleet-bench", "--requests", "10", "--segment-entries", "64"],
-        vec![
-            "serve",
-            "--listen",
-            "tcp:127.0.0.1:0",
-            "--checkpoint-every",
-            "100",
-        ],
         // ... and valid values.
         vec!["journal", "compact"],
         vec!["journal", "compact", "/nonexistent/wal-dir"],

@@ -5,10 +5,13 @@
 //! path: any behavioural drift in routing, admission analysis, rebalancing
 //! or journaling shows up as a replay divergence.
 
+mod common;
+
+use common::journaled;
 use experiments::workload::workload_with;
 use runtime::{
     run_requests, seeded_fleet_requests, DecisionEvent, FleetConfig, FleetManager, Journal,
-    JournalHeader, JournalReplayer, ReplayReport, RoutingPolicy, JOURNAL_VERSION,
+    JournalHeader, JournalReplayer, ReplayReport, RoutingPolicy, ScaleAction, JOURNAL_VERSION,
 };
 use sdf::GeneratorConfig;
 
@@ -53,19 +56,18 @@ fn record() -> Journal {
         "workload must exercise rejections or saturation: {report:?}"
     );
     assert!(
-        fleet
-            .journal()
-            .events()
+        journaled(fleet.journal())
             .iter()
             .any(|e| matches!(e, DecisionEvent::Rebalance { .. })),
         "workload must exercise rebalancing"
     );
-    Journal::parse(&fleet.journal().render()).expect("journal round-trips")
+    Journal::parse(&fleet.journal().render().expect("journal renders"))
+        .expect("journal round-trips")
 }
 
 /// The admit/reject outcome sequence of a journal, decision by decision.
 fn outcome_sequence(journal: &Journal) -> Vec<String> {
-    journal.events().iter().map(|e| e.to_string()).collect()
+    journaled(journal).iter().map(|e| e.to_string()).collect()
 }
 
 #[test]
@@ -90,8 +92,8 @@ fn recorded_journal_replays_equivalently_twice() {
 
     // Identical decision streams across both replays, step for step.
     assert_eq!(
-        first_fleet.journal().events(),
-        second_fleet.journal().events()
+        journaled(first_fleet.journal()),
+        journaled(second_fleet.journal())
     );
     // ... and identical final fleet metrics.
     assert_eq!(first_fleet.snapshot(), second_fleet.snapshot());
@@ -109,10 +111,11 @@ fn replayed_fleet_rerecords_the_same_decision_stream() {
 
     // The replayed fleet journaled its own decisions; a single-threaded
     // recording re-records *exactly* the same events (ids included).
-    assert_eq!(replayed_fleet.journal().events(), journal.events());
+    assert_eq!(journaled(replayed_fleet.journal()), journaled(&journal));
     // The re-recorded journal is itself replayable: the oracle is a fixed
     // point, not a one-shot.
-    let rerecorded = Journal::parse(&replayed_fleet.journal().render()).expect("parses");
+    let rerecorded = Journal::parse(&replayed_fleet.journal().render().expect("journal renders"))
+        .expect("parses");
     let (again, _) = JournalReplayer::new(&spec)
         .replay(&rerecorded, config())
         .expect("replay of the re-recording");
@@ -155,7 +158,8 @@ fn concurrent_recording_still_replays_equivalently() {
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED + 1);
     run_requests(&fleet, Some(&fleet), stream, 8, None, None);
-    let journal = Journal::parse(&fleet.journal().render()).expect("round-trips");
+    let journal =
+        Journal::parse(&fleet.journal().render().expect("journal renders")).expect("round-trips");
 
     let (report, _) = JournalReplayer::new(&spec)
         .replay(&journal, config())
@@ -169,7 +173,7 @@ fn corrupted_recording_is_rejected_and_divergence_is_reported() {
     let journal = record();
 
     // Corrupt one byte of the persisted form: loading must fail checksum.
-    let text = journal.render();
+    let text = journal.render().expect("journal renders");
     let admitted_pos = text.find("Admitted").expect("an admission was recorded");
     let mut tampered = text.clone();
     tampered.replace_range(admitted_pos..admitted_pos + 8, "admitteD");
@@ -228,8 +232,7 @@ fn planner_agrees_with_replayer_on_identity_and_reports_shrink_as_flips() {
     assert_eq!(identity.releases_skipped, 0);
     assert_eq!(
         identity.recorded.admitted + identity.recorded.rejected + identity.recorded.saturated,
-        journal
-            .events()
+        journaled(&journal)
             .iter()
             .filter(|e| matches!(e, DecisionEvent::Admit { .. }))
             .count() as u64
@@ -248,8 +251,7 @@ fn planner_agrees_with_replayer_on_identity_and_reports_shrink_as_flips() {
     // was skipped because its admission flipped away.
     assert_eq!(
         report.releases_applied + report.releases_skipped,
-        journal
-            .events()
+        journaled(&journal)
             .iter()
             .filter(|e| matches!(e, DecisionEvent::Release { .. }))
             .count() as u64
@@ -285,7 +287,6 @@ fn record_wal(name: &str) -> (std::path::PathBuf, Vec<String>, usize) {
     let wal_config = WalConfig {
         segment_max_entries: 32,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 16,
         keep_snapshots: 1,
     };
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
@@ -314,7 +315,6 @@ fn wal_recording_recovers_restores_and_replays_equivalently() {
     let wal_config = WalConfig {
         segment_max_entries: 32,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 16,
         keep_snapshots: 1,
     };
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
@@ -429,7 +429,6 @@ fn grown_wal_recovers_onto_its_header_and_compacts_equivalently() {
     let wal_config = WalConfig {
         segment_max_entries: 32,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 16,
         keep_snapshots: 1,
     };
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
@@ -445,7 +444,12 @@ fn grown_wal_recovers_onto_its_header_and_compacts_equivalently() {
     let journal = Journal::create_wal(&dir, header, wal_config).expect("fresh WAL");
     let fleet = FleetManager::with_journal(spec.clone(), config, journal).expect("fleet");
     assert_eq!(
-        fleet.grow_group(0, 4).expect("grow decides"),
+        fleet
+            .resize(ScaleAction::Grow {
+                group: 0,
+                capacity_per_shard: 4
+            })
+            .expect("grow decides"),
         ScaleOutcome::Applied
     );
     for app in 0..4 {

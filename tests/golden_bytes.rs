@@ -785,11 +785,15 @@ fn wire_frames_reproduce_the_fixtures_byte_for_byte_in_both_codecs() {
 fn journal_fixture_verifies_and_renders_byte_for_byte() {
     let journal = Journal::parse(JOURNAL).expect("the fixture parses");
     journal.verify().expect("every checksum verifies");
-    assert_eq!(journal.render(), JOURNAL, "renders byte for byte");
+    assert_eq!(
+        journal.render().expect("journal renders"),
+        JOURNAL,
+        "renders byte for byte"
+    );
     assert_eq!(journal.base_checkpoint(), Some(journal_checkpoint()));
     let header = journal_header();
     assert_eq!(journal.header(), &header);
-    let entries = journal.entries();
+    let entries = journal.try_entries().expect("journal reads");
     let events = journal_events();
     assert_eq!(entries.len(), events.len());
     for (entry, (event, client, origin_seq)) in entries.iter().zip(events) {

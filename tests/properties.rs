@@ -1,5 +1,8 @@
 //! Property-based tests over the core algebra and data structures.
 
+mod common;
+
+use common::journaled;
 use contention::symmetric::{elementary_symmetric, elementary_symmetric_naive, leave_one_out};
 use contention::{waiting_time, ActorLoad, Composite, Order};
 use proptest::prelude::*;
@@ -391,10 +394,10 @@ proptest! {
         for event in &events {
             journal.append(event.clone());
         }
-        let parsed = Journal::parse(&journal.render())
+        let parsed = Journal::parse(&journal.render().expect("journal renders"))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(parsed.events(), events);
-        prop_assert_eq!(parsed.entries(), journal.entries());
+        prop_assert_eq!(journaled(&parsed), events);
+        prop_assert_eq!(parsed.try_entries().expect("journal reads"), journal.try_entries().expect("journal reads"));
     }
 }
 
@@ -553,10 +556,10 @@ proptest! {
         }
         // Both stacks' fleets recorded the bare fleet's decision stream.
         let cached_journal = cached_outer.inner().inner().journal();
-        prop_assert_eq!(cached_journal.events(), bare.journal().events());
+        prop_assert_eq!(journaled(cached_journal), journaled(bare.journal()));
         prop_assert_eq!(
-            metered_outer.inner().inner().journal().events(),
-            bare.journal().events()
+            journaled(metered_outer.inner().inner().journal()),
+            journaled(bare.journal())
         );
         cached_journal
             .verify()
@@ -619,7 +622,7 @@ proptest! {
         use platform::Application;
         use runtime::{
             fold_checkpoint, run_requests, seeded_fleet_requests, FleetConfig, FleetManager,
-            Journal, JournalReplayer, PlanRun, RoutingPolicy,
+            Journal, JournalReplayer, PlanRun, RoutingPolicy, ScaleAction,
         };
         use sdf::figure2_graphs;
 
@@ -648,13 +651,13 @@ proptest! {
         run_requests(&fleet, Some(&fleet), requests, 1, None, None);
         if grow == 1 {
             for group in 0..groups {
-                fleet.grow_group(group, capacity + 3).expect("grow decides");
+                fleet.resize(ScaleAction::Grow { group: group as u64, capacity_per_shard: (capacity + 3) as u64 }).expect("grow decides");
             }
         }
         run_requests(&fleet, Some(&fleet), rest, 1, None, None);
 
         // Fold the history up to entry k into a snapshot checkpoint.
-        let journal = Journal::parse(&fleet.journal().render()).expect("round-trips");
+        let journal = Journal::parse(&fleet.journal().render().expect("journal renders")).expect("round-trips");
         let entries = journal.try_entries().expect("entries");
         let k = fold_pick % (entries.len() + 1);
         journal
@@ -727,16 +730,16 @@ proptest! {
         }
         prop_assert_eq!(sizes, journal.len());
         // Fold the parts back together pairwise.
-        let mut merged = Journal::parse(&parts[0].1.render())
+        let mut merged = Journal::parse(&parts[0].1.render().expect("journal renders"))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         for (_, part) in &parts[1..] {
             merged = Journal::merge(&merged, part)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         merged.verify().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(merged.events(), journal.events());
+        prop_assert_eq!(journaled(&merged), journaled(&journal));
         let clients = |j: &Journal| -> Vec<Option<String>> {
-            j.entries().iter().map(|e| e.client.clone()).collect()
+            j.try_entries().expect("journal reads").iter().map(|e| e.client.clone()).collect()
         };
         prop_assert_eq!(clients(&merged), clients(&journal));
     }
@@ -752,7 +755,6 @@ proptest! {
         let config = WalConfig {
             segment_max_entries: 3,
             fsync: FsyncPolicy::OnRotate,
-            tail_entries: 4,
             keep_snapshots: 1,
         };
         let dir = std::env::temp_dir().join(format!(
@@ -788,16 +790,16 @@ proptest! {
         let parts = journal
             .split_by_client()
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let mut merged = Journal::parse(&parts[0].1.render())
+        let mut merged = Journal::parse(&parts[0].1.render().expect("journal renders"))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         for (_, part) in &parts[1..] {
             merged = Journal::merge(&merged, part)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         merged.verify().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(merged.events(), journal.events());
+        prop_assert_eq!(journaled(&merged), journaled(&journal));
         let clients = |j: &Journal| -> Vec<Option<String>> {
-            j.entries().iter().map(|e| e.client.clone()).collect()
+            j.try_entries().expect("journal reads").iter().map(|e| e.client.clone()).collect()
         };
         prop_assert_eq!(clients(&merged), clients(&journal));
         // (Render equality is NOT expected: split stamps each entry's

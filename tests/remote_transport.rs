@@ -10,13 +10,14 @@ use runtime::remote::codec::encode_frame;
 use runtime::remote::{WireBody, WireFault, WireOp, WireRequest, WireResponse};
 use runtime::{
     AdmissionDecision, AdmissionRequest, AdmissionService, ClientConfig, Completion, Endpoint,
-    FleetConfig, FleetManager, RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy,
-    ServiceError, ServiceSnapshot, WireMode, EVENT_LOOPS, MAX_FRAME, MAX_REQUEST_FRAME,
-    REMOTE_PROTOCOL_VERSION,
+    FleetConfig, FleetManager, JournalReplayer, RemoteClient, RemoteServer, RemoteServerConfig,
+    RoutingPolicy, ServiceError, ServiceSnapshot, WireMode, EVENT_LOOPS, MAX_FRAME,
+    MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 use sdf::{figure2_graphs, Rational};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -860,5 +861,69 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
             }
         }
         assert!(client.broken().is_some());
+    });
+}
+
+/// A compaction on the server between two pages of a fetch folds the next
+/// page, which the server then refuses; the fetch starts again from seq 0
+/// and still returns a journal that parses, replays, and holds every
+/// decision recorded before the fetch began.
+#[test]
+fn a_journal_fetch_survives_compactions_between_its_pages() {
+    with_watchdog(|| {
+        // Capacity 1: after one admission every request saturates, and a
+        // saturated admission is journaled without an analysis, so the
+        // journal outgrows a 4096-entry page cheaply.
+        let fleet = fleet(1, 1);
+        fleet.admit(&AdmissionRequest::new(0)).expect("decides");
+        let server = RemoteServer::bind_with(
+            &"tcp:127.0.0.1:0".parse().expect("addr"),
+            Arc::new(fleet.clone()),
+            Some(fleet.clone()),
+            RemoteServerConfig::default(),
+        )
+        .expect("server binds");
+        let stop = Arc::new(AtomicBool::new(false));
+        let compactor = {
+            let fleet = fleet.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut compactions = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for _ in 0..8192 {
+                        fleet.admit(&AdmissionRequest::new(0)).expect("decides");
+                    }
+                    fleet.journal().compact().expect("compacts");
+                    compactions += 1;
+                    // Every other round leaves nothing after the base for
+                    // a while, so some fetches meet a fold that no entry
+                    // follows.
+                    if compactions.is_multiple_of(2) {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                }
+                compactions
+            })
+        };
+        let client = RemoteClient::connect(server.local_addr()).expect("connects");
+        let replayer = JournalReplayer::new(fleet.spec());
+        for fetch in 0..20 {
+            let recorded = fleet.journal().next_seq();
+            let journal = client
+                .fetch_journal()
+                .unwrap_or_else(|e| panic!("fetch {fetch}: {e}"));
+            assert!(
+                journal.next_seq() >= recorded,
+                "fetch {fetch} ends at seq {} before the {recorded} decisions recorded",
+                journal.next_seq()
+            );
+            let config = FleetConfig::from_header(journal.header()).expect("shape");
+            let (report, _) = replayer.replay(&journal, config).expect("replays");
+            assert!(report.is_equivalent(), "fetch {fetch}: {}", report.render());
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(compactor.join().expect("compactor") > 0);
+        client.close();
+        server.shutdown();
     });
 }

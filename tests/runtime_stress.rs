@@ -3,6 +3,9 @@
 //! `EstimateCache`, with invariants checked throughout and a watchdog
 //! asserting the whole run completes (no deadlock).
 
+mod common;
+
+use common::journaled;
 use contention::Method;
 use platform::{AppId, Application, SystemSpec, UseCase};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -396,7 +399,7 @@ fn fleet_survives_concurrent_admits_with_rebalancer() {
         assert_eq!(snapshot.admitted, snapshot.released, "resident leak");
         // The journal saw every decision and still verifies.
         fleet.journal().verify().expect("journal integrity");
-        let events = fleet.journal().events();
+        let events = journaled(fleet.journal());
         let admits = events
             .iter()
             .filter(|e| matches!(e, DecisionEvent::Admit { .. }))

@@ -3,6 +3,9 @@
 //! transparency (a `Traced` middleware must not perturb the journal the
 //! stack underneath it records).
 
+mod common;
+
+use common::journaled;
 use platform::{Application, Mapping, SystemSpec};
 use proptest::prelude::*;
 use runtime::telemetry::BUCKET_COUNT;
@@ -141,7 +144,10 @@ fn traced_layer_is_journal_transparent() {
     );
     // The single-threaded seeded run is deterministic end to end, so the
     // two fleets' journals agree event-for-event too.
-    assert_eq!(plain.journal().events(), traced_fleet.journal().events());
+    assert_eq!(
+        journaled(plain.journal()),
+        journaled(traced_fleet.journal())
+    );
     // ... and the recorder actually saw the run it did not perturb.
     assert!(traced.recorder().recorded() > 0);
 }

@@ -4,7 +4,11 @@
 //! shrinks the directory without changing what a replay sees, and a
 //! restart from any crash point holds what a replay re-executes to.
 
+mod common;
+
+use common::journaled;
 use runtime::{DecisionEvent, FsyncPolicy, Journal, JournalHeader, WalConfig};
+use std::sync::Arc;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -16,20 +20,18 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// The journal's memory no longer grows with traffic: a million appends
-/// stream to segment files while the only in-memory entry storage — the
-/// bounded recent tail — stays at its configured size. (Before the WAL,
-/// every append pushed into one ever-growing in-memory vector.)
+/// stream to segment files and no entry stays in memory — a read of the
+/// entries goes to the segments. (Before the WAL, every append pushed
+/// into one ever-growing in-memory vector.)
 #[test]
 fn wal_journal_memory_stays_flat_over_a_million_appends() {
     const APPENDS: u64 = 1_000_000;
     const SEGMENT: u64 = 65_536;
-    const TAIL: usize = 256;
 
     let dir = tmp_dir("flat-rss");
     let config = WalConfig {
         segment_max_entries: SEGMENT,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: TAIL,
         keep_snapshots: 1,
     };
     let journal = Journal::create_wal(&dir, JournalHeader::default(), config).expect("fresh WAL");
@@ -39,15 +41,6 @@ fn wal_journal_memory_stays_flat_over_a_million_appends() {
     assert_eq!(journal.io_errors(), 0, "every append must land");
     assert_eq!(journal.next_seq(), APPENDS);
     assert_eq!(journal.len(), APPENDS as usize);
-
-    // The bounded tail is the journal's ONLY in-memory entry storage.
-    let tail = journal.recent(usize::MAX);
-    assert!(
-        tail.len() <= TAIL,
-        "recent tail grew beyond its bound: {} > {TAIL}",
-        tail.len()
-    );
-    assert_eq!(tail.last().map(|e| e.seq), Some(APPENDS - 1));
 
     // Rotation kept every segment bounded too.
     journal.sync().expect("sync");
@@ -69,6 +62,16 @@ fn wal_journal_memory_stays_flat_over_a_million_appends() {
         after.disk_bytes
     );
 
+    // The entry view after the snapshot is read back from the segments.
+    journal.append(DecisionEvent::Release { resident: APPENDS });
+    let seqs: Vec<u64> = journal
+        .try_entries()
+        .expect("the active segment reads")
+        .iter()
+        .map(|e| e.seq)
+        .collect();
+    assert_eq!(seqs, [APPENDS]);
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -80,7 +83,6 @@ fn appends_after_a_checkpoint_continue_the_chain() {
     let config = WalConfig {
         segment_max_entries: 8,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 8,
         keep_snapshots: 1,
     };
     let journal = Journal::create_wal(&dir, JournalHeader::default(), config).expect("fresh WAL");
@@ -124,7 +126,6 @@ fn keep_snapshots_retains_point_in_time_checkpoints() {
     let config = WalConfig {
         segment_max_entries: 4,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 4,
         keep_snapshots: 2,
     };
     let snapshot_files = |dir: &std::path::Path| -> Vec<String> {
@@ -237,7 +238,8 @@ fn fleet_state(fleet: &runtime::FleetManager, ids: u64) -> FleetState {
 fn every_crash_point_recovers_what_replay_re_executes() {
     use platform::{Application, Mapping, SystemSpec};
     use runtime::{
-        FleetConfig, FleetManager, GroupConfig, JournalReplayer, RoutingPolicy, ScaleOutcome,
+        FleetConfig, FleetManager, GroupConfig, JournalReplayer, RoutingPolicy, ScaleAction,
+        ScaleOutcome,
     };
 
     let (a, b) = sdf::figure2_graphs();
@@ -250,7 +252,6 @@ fn every_crash_point_recovers_what_replay_re_executes() {
     let config = WalConfig {
         segment_max_entries: 1024,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 8,
         keep_snapshots: 1,
     };
     let recording = tmp_dir("crash-points-recording");
@@ -266,22 +267,33 @@ fn every_crash_point_recovers_what_replay_re_executes() {
     admit_on(&fleet, 1, 0);
     admit_on(&fleet, 0, 1);
     assert_eq!(
-        fleet.grow_group(1, 4).expect("grows"),
+        fleet
+            .resize(ScaleAction::Grow {
+                group: 1,
+                capacity_per_shard: 4
+            })
+            .expect("grows"),
         ScaleOutcome::Applied
     );
     assert_eq!(
         fleet
-            .add_group(GroupConfig::new("group2", 1, 2))
+            .resize(ScaleAction::AddGroup {
+                group: 2,
+                shape: GroupConfig::new("group2", 1, 2),
+            })
             .expect("adds"),
         ScaleOutcome::Applied
     );
     admit_on(&fleet, 1, 2);
     assert!(fleet.release_resident(first));
     admit_on(&fleet, 0, 0);
-    assert_eq!(fleet.drain_group(0).expect("drains"), ScaleOutcome::Applied);
-    let moved = fleet
-        .journal()
-        .events()
+    assert_eq!(
+        fleet
+            .resize(ScaleAction::Drain { group: 0 })
+            .expect("drains"),
+        ScaleOutcome::Applied
+    );
+    let moved = journaled(fleet.journal())
         .iter()
         .filter(|e| matches!(e, DecisionEvent::Rebalance { .. }))
         .count();
@@ -349,13 +361,15 @@ fn every_crash_point_recovers_what_replay_re_executes() {
 
 /// A WAL whose history cannot be read is an error for replay and plan: a
 /// missing sealed segment must not replay as zero decisions that read
-/// EQUIVALENT, nor plan as a clean report over nothing.
+/// EQUIVALENT, nor plan as a clean report over nothing. Every read of the
+/// journal fails the same way, and so does a fetch of it over the wire.
 #[test]
 fn an_unreadable_wal_fails_replay_and_plan() {
     use platform::{Application, Mapping, SystemSpec};
     use runtime::{
-        AdmissionRequest, AdmissionService, FleetConfig, FleetError, FleetManager, JournalReplayer,
-        PlanError, PlanRun, PlanSweep, RoutingPolicy,
+        AdmissionRequest, AdmissionService, FleetConfig, FleetError, FleetManager, JournalError,
+        JournalReplayer, PlanError, PlanRun, PlanSweep, RemoteClient, RemoteServer,
+        RemoteServerConfig, RoutingPolicy,
     };
 
     let (a, b) = sdf::figure2_graphs();
@@ -368,7 +382,6 @@ fn an_unreadable_wal_fails_replay_and_plan() {
     let config = WalConfig {
         segment_max_entries: 4,
         fsync: FsyncPolicy::OnRotate,
-        tail_entries: 4,
         keep_snapshots: 1,
     };
     let dir = tmp_dir("unreadable");
@@ -404,8 +417,39 @@ fn an_unreadable_wal_fails_replay_and_plan() {
     );
     let planned = PlanRun::new(&spec, &journal, &shape).execute();
     assert!(matches!(planned, Err(PlanError::Journal(_))), "{planned:?}");
-    let swept = PlanSweep::new(&spec, &journal).shape(shape).execute();
+    let swept = PlanSweep::new(&spec, &journal)
+        .shape(shape.clone())
+        .execute();
     assert!(matches!(swept, Err(PlanError::Journal(_))), "{swept:?}");
+
+    assert_eq!(journal.len(), 14, "the count needs no read");
+    let io = |result: Result<(), JournalError>, read: &str| {
+        assert!(
+            matches!(result, Err(JournalError::Io(_))),
+            "{read}: {result:?}"
+        );
+    };
+    io(journal.try_entries().map(drop), "try_entries");
+    io(journal.render().map(drop), "render");
+    io(journal.render_to(&mut Vec::new()), "render_to");
+    io(journal.render_page(0, 100).map(drop), "render_page");
+    io(journal.verify(), "verify");
+
+    let fleet = FleetManager::with_journal(spec, shape, journal).expect("fleet");
+    let server = RemoteServer::bind_with(
+        &"tcp:127.0.0.1:0".parse().expect("addr"),
+        Arc::new(fleet.clone()),
+        Some(fleet),
+        RemoteServerConfig::default(),
+    )
+    .expect("binds");
+    let client = RemoteClient::connect(server.local_addr()).expect("connects");
+    let fetched = client.fetch_journal().expect_err("an unreadable journal");
+    let why = fetched.to_string();
+    assert!(why.contains("journal I/O error"), "{why}");
+    assert!(!why.contains("records no journal"), "{why}");
+    client.close();
+    server.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
 }
