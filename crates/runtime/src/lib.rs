@@ -24,9 +24,9 @@
 //!   to decide, with composable middleware layers [`Cached`] and
 //!   [`Metered`] (see [`service`]);
 //! * [`RemoteServer`] / [`RemoteClient`] — the remote transport: one
-//!   protocol version of length-prefixed binary frames (JSON lines as the
-//!   debug codec) over TCP or Unix domain sockets, whose both ends are
-//!   just [`AdmissionService`]s, so a fleet spans processes and every
+//!   protocol version of length-prefixed binary frames, hellos included,
+//!   over TCP or Unix domain sockets, whose both ends are just
+//!   [`AdmissionService`]s, so a fleet spans processes and every
 //!   existing caller works against it unchanged; the client pipelines
 //!   many admissions on one connection, each answered through a
 //!   [`Completion`], and the server's few readiness loops each decide
@@ -119,7 +119,7 @@ pub use planner::{
 };
 pub use remote::{
     ClientConfig, Endpoint, RemoteClient, RemoteClientStats, RemoteServer, RemoteServerConfig,
-    RemoteServerStats, WireMode, WirePolicy, EVENT_LOOPS, MAX_FRAME, MAX_REQUEST_FRAME,
+    RemoteServerStats, WireMode, EVENT_LOOPS, MAX_CLIENT_ID, MAX_FRAME, MAX_REQUEST_FRAME,
     REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
@@ -129,7 +129,8 @@ pub use service::{
 pub use telemetry::{
     build_span_trees, render_chrome_trace, ConnectionStats, EventLoopStats, HistogramRecorder,
     LatencyHistogram, OpHistogram, SpanContext, SpanNode, SpanScope, SpanTree, TelemetrySnapshot,
-    TenantBreakdown, TraceEvent, TraceKind, TraceRecorder, TraceStats, Traced,
+    TenantBreakdown, TraceEvent, TraceKind, TraceRecorder, TraceStats, Traced, MAX_TENANT_ROWS,
+    OVERFLOW_TENANT,
 };
 pub use wal::{
     CheckpointGroup, CheckpointResident, FleetCheckpoint, FsyncPolicy, Manifest, SegmentMeta,

@@ -1,16 +1,15 @@
 //! The pipelined remote client: one writer, one reader thread, correlated
 //! completions.
 //!
-//! The client speaks the granted [`WireMode`] after a JSON handshake (see
-//! the [module docs](super)). It requests binary frames by default and
-//! JSON lines — the debug codec — on request. A server naming any
-//! protocol version but [`REMOTE_PROTOCOL_VERSION`] fails the connect
-//! with a typed error naming both versions.
+//! The client speaks binary frames from its hello on (see the
+//! [module docs](super)). A server naming any protocol version but
+//! [`REMOTE_PROTOCOL_VERSION`] fails the connect with a typed error naming
+//! both versions, and so does a peer whose frames are not binary frames.
 
 use super::codec::{write_frame, FrameEvent, FrameReader, WireMode};
 use super::endpoint::{Conn, Endpoint};
 use super::{
-    ClientHello, ServerHello, WireBody, WireOp, WireRequest, WireResponse, MAGIC,
+    ClientHello, ServerHello, WireBody, WireOp, WireRequest, WireResponse, MAGIC, MAX_CLIENT_ID,
     REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
@@ -45,11 +44,11 @@ pub struct ClientConfig {
     /// `None` (the default) waits as long as the connection lives.
     pub response_timeout: Option<Duration>,
     /// Client identity stamped into the server-side journal's provenance
-    /// for every decision this connection drives.
+    /// for every decision this connection drives; at most
+    /// [`MAX_CLIENT_ID`] bytes.
     pub client: Option<String>,
-    /// Which framing to request at handshake. The server grants it when
-    /// its [`WirePolicy`](super::WirePolicy) allows; the granted mode is
-    /// readable via [`RemoteClient::wire_mode`].
+    /// The wire's one framing. Kept only because the benchmark sets it;
+    /// the client never reads it.
     pub wire: WireMode,
 }
 
@@ -131,9 +130,6 @@ struct ClientShared {
     /// Last time a response arrived (or a burst started against an empty
     /// pending map) — the reference point for `response_timeout`.
     last_progress: Mutex<Instant>,
-    /// The granted framing; requests and responses after the handshake
-    /// are encoded with it.
-    wire: WireMode,
     workload: Option<SystemSpec>,
     domains: u64,
     peer: Endpoint,
@@ -243,7 +239,7 @@ impl ClientShared {
         let result = {
             let mut writer = lock(&self.writer);
             let (conn, scratch) = &mut *writer;
-            write_frame(conn, self.wire, &frame, scratch)
+            write_frame(conn, &frame, scratch)
         };
         match result {
             Ok(()) => {
@@ -295,7 +291,6 @@ impl fmt::Debug for RemoteClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RemoteClient")
             .field("peer", &self.shared.peer)
-            .field("wire", &self.shared.wire)
             .field("pending", &lock(&self.shared.pending).len())
             .field("broken", &*lock(&self.shared.broken))
             .finish_non_exhaustive()
@@ -303,33 +298,38 @@ impl fmt::Debug for RemoteClient {
 }
 
 impl RemoteClient {
-    /// Connects and handshakes with the server at `addr`, requesting
-    /// binary framing (granted unless the server's policy forces JSON).
+    /// Connects and handshakes with the server at `addr`.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Transport`] on connection failure, handshake
-    /// timeout, bad magic, or a protocol-version mismatch (the error names
-    /// both versions).
+    /// timeout, bad magic, a peer that does not speak binary frames, or a
+    /// protocol-version mismatch (the error names both versions).
     pub fn connect(addr: &Endpoint) -> Result<RemoteClient, ServiceError> {
         RemoteClient::connect_config(addr, ClientConfig::default())
     }
 
     /// [`connect`](Self::connect) with every option explicit: a client
-    /// identity the server stamps into its journal, a handshake timeout,
-    /// a response deadline and the requested framing (see
-    /// [`ClientConfig`]).
+    /// identity the server stamps into its journal, a handshake timeout
+    /// and a response deadline (see [`ClientConfig`]).
     ///
     /// # Errors
     ///
-    /// See [`connect`](Self::connect).
+    /// [`ServiceError::Config`] for a client id longer than
+    /// [`MAX_CLIENT_ID`] bytes, before anything is dialed; otherwise see
+    /// [`connect`](Self::connect).
     pub fn connect_config(
         addr: &Endpoint,
         config: ClientConfig,
     ) -> Result<RemoteClient, ServiceError> {
+        if let Some(id) = config.client.as_ref().filter(|id| id.len() > MAX_CLIENT_ID) {
+            return Err(ServiceError::Config(format!(
+                "client id of {} bytes is longer than the {MAX_CLIENT_ID} a server accepts",
+                id.len()
+            )));
+        }
         let transport = ServiceError::Transport;
-        let (writer, shutdown_handle, mut reader, hello, mode) =
-            RemoteClient::handshake(addr, &config)?;
+        let (writer, shutdown_handle, mut reader, hello) = RemoteClient::handshake(addr, &config)?;
         // Handshake done. Without a response deadline the reader blocks
         // until the server answers; with one, it polls so the deadline can
         // be enforced between frames.
@@ -346,8 +346,6 @@ impl RemoteClient {
         // writing; allow roughly two deadlines of stall before declaring
         // the frame truncated (the handshake above used a single stall).
         reader.max_stalls = if poll.is_some() { 8 } else { 1 };
-        // Every frame after the hellos speaks the granted codec.
-        reader.wire = mode;
 
         let shared = Arc::new(ClientShared {
             writer: Mutex::new((writer, Vec::new())),
@@ -357,7 +355,6 @@ impl RemoteClient {
             broken: Mutex::new(None),
             response_timeout: config.response_timeout,
             last_progress: Mutex::new(Instant::now()),
-            wire: mode,
             workload: hello.workload,
             domains: hello.domains,
             peer: addr.clone(),
@@ -374,12 +371,11 @@ impl RemoteClient {
     }
 
     /// Connects and exchanges hellos: the writer, a shutdown handle, the
-    /// reader and the accepted server hello with its granted mode. Hellos
-    /// are always JSON-framed, whatever `config.wire` asks for.
+    /// reader and the accepted server hello.
     fn handshake(
         addr: &Endpoint,
         config: &ClientConfig,
-    ) -> Result<(Conn, Conn, FrameReader<Conn>, ServerHello, WireMode), ServiceError> {
+    ) -> Result<(Conn, Conn, FrameReader<Conn>, ServerHello), ServiceError> {
         let transport = ServiceError::Transport;
         let conn = Conn::connect(addr).map_err(|e| transport(format!("connect {addr}: {e}")))?;
         conn.set_read_timeout(Some(
@@ -394,18 +390,21 @@ impl RemoteClient {
             .map_err(|e| transport(format!("clone {addr}: {e}")))?;
         write_frame(
             &mut writer,
-            WireMode::Json,
             &ClientHello {
                 magic: MAGIC.to_string(),
                 version: REMOTE_PROTOCOL_VERSION,
                 client: config.client.clone(),
-                wire: Some(config.wire.name().to_string()),
             },
             &mut Vec::new(),
         )
         .map_err(transport)?;
-        let mut reader = FrameReader::new(conn, WireMode::Json, 1);
-        let hello = match reader.read_frame::<ServerHello>().map_err(transport)? {
+        // A peer that answers in JSON lines fails here: its frame's digits
+        // read as a length prefix past `MAX_FRAME`.
+        let mut reader = FrameReader::new(conn, 1);
+        let hello = match reader
+            .read_frame::<ServerHello>()
+            .map_err(|e| transport(format!("server hello: {e}")))?
+        {
             FrameEvent::Frame(hello) => {
                 hello.map_err(|e| transport(format!("malformed server hello: {e}")))?
             }
@@ -428,21 +427,13 @@ impl RemoteClient {
                 hello.version
             )));
         }
-        // The granted mode is whatever the server said; an absent or
-        // unparseable grant means JSON lines.
-        let mode = hello
-            .wire
-            .as_deref()
-            .and_then(|w| w.parse().ok())
-            .unwrap_or(WireMode::Json);
-        Ok((writer, shutdown_handle, reader, hello, mode))
+        Ok((writer, shutdown_handle, reader, hello))
     }
 
-    /// The framing granted at handshake — [`WireMode::Binary`] for the
-    /// default request, [`WireMode::Json`] under a JSON-only server policy
-    /// or an explicit [`ClientConfig::wire`] of JSON.
+    /// The wire's one framing, [`WireMode::Binary`]. Kept only because the
+    /// benchmark checks it.
     pub fn wire_mode(&self) -> WireMode {
-        self.shared.wire
+        WireMode::Binary
     }
 
     /// Admission domains (fleet groups) the server advertised at

@@ -1,23 +1,15 @@
-//! Wire codecs: how frames are laid out on the byte stream.
+//! The wire codec: how frames are laid out on the byte stream.
 //!
-//! Both codecs stream. A message is encoded straight to frame bytes through
+//! Every frame on a connection, the hellos included, is a binary frame: a
+//! 4-byte little-endian payload length, then a per-frame key table and a
+//! tagged value stream with varint integers. Object keys are interned per
+//! frame (a telemetry snapshot repeats `"count"`/`"bucket"` hundreds of
+//! times), floats cross bit-exactly, and encoding is deterministic: the
+//! same message always produces the same bytes.
+//!
+//! The codec streams. A message is encoded straight to frame bytes through
 //! the vendored serde's `Serializer`, and decoded straight from the frame's
-//! bytes through its `Deserializer`, with no value tree in between. The
-//! [`WireMode`] selects one of two layouts:
-//!
-//! * [`WireMode::Json`] — the debug codec: `LEN JSON\n` with an ASCII
-//!   decimal length prefix. Greppable and `nc`-able; every frame carries
-//!   exactly the values a binary frame would.
-//! * [`WireMode::Binary`] — the default compact format: a 4-byte
-//!   little-endian payload length, then a per-frame key table and a tagged
-//!   value stream with varint integers. Object keys are interned per frame
-//!   (a telemetry snapshot repeats `"count"`/`"bucket"` hundreds of
-//!   times), floats cross bit-exactly, and encoding is deterministic: the
-//!   same message always produces the same bytes.
-//!
-//! Which codec a connection uses is negotiated in the handshake (see the
-//! [module docs](super)); the handshake frames themselves are always
-//! JSON-lines, so negotiation works before any agreement exists.
+//! bytes through its `Deserializer`, with no value tree in between.
 //!
 //! Decoding tells two failures apart: bytes that are not a well-formed
 //! frame (the connection is beyond recovery) and a well-formed frame that
@@ -28,7 +20,6 @@ use serde::de::IgnoredAny;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Token, MAX_DEPTH};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::fmt;
 use std::io::Read;
 use std::ops::Range;
 
@@ -43,247 +34,84 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// frame cannot make it buffer and decode megabytes.
 pub const MAX_REQUEST_FRAME: usize = 64 * 1024;
 
-/// The negotiated framing of a connection.
+/// The wire's framing. There is one, binary; the type stays only because
+/// the benchmark (`perfbench`) names it through
+/// [`ClientConfig::wire`](super::ClientConfig::wire) and
+/// [`RemoteClient::wire_mode`](super::RemoteClient::wire_mode). Nothing in
+/// the runtime reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireMode {
-    /// Length-prefixed JSON lines (`LEN JSON\n`) — the debug mode, and
-    /// what a hello naming no mode is granted.
-    Json,
-    /// Compact length-prefixed binary frames with per-frame key interning.
+    /// Length-prefixed binary frames with per-frame key interning.
     Binary,
 }
 
-impl WireMode {
-    /// The handshake token naming this mode (`"json"` / `"binary"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            WireMode::Json => "json",
-            WireMode::Binary => "binary",
-        }
-    }
-
-    /// Appends one complete frame carrying `msg` to `out`.
-    ///
-    /// # Errors
-    ///
-    /// An encoded payload larger than [`MAX_FRAME`]; `out` is unchanged.
-    pub fn encode<T: Serialize + ?Sized>(self, msg: &T, out: &mut Vec<u8>) -> Result<(), String> {
-        match self {
-            WireMode::Json => {
-                let json =
-                    serde_json::to_string(msg).map_err(|e| format!("serialize frame: {e}"))?;
-                if json.len() > MAX_FRAME {
-                    return Err(format!("frame too large: {} bytes", json.len()));
-                }
-                out.reserve(json.len() + 12);
-                out.extend_from_slice(json.len().to_string().as_bytes());
-                out.push(b' ');
-                out.extend_from_slice(json.as_bytes());
-                out.push(b'\n');
-                Ok(())
-            }
-            WireMode::Binary => BinaryEncoder::encode(msg, out),
-        }
-    }
-
-    /// Decodes one complete frame from the front of `buf` as a `T`,
-    /// returning it and the bytes consumed — `None` when the buffer holds
-    /// only a partial frame (read more and retry).
-    ///
-    /// # Errors
-    ///
-    /// A malformed frame (bad prefix, a declared length over `max_len`,
-    /// undecodable payload), or a well-formed frame that is not a `T`.
-    /// Callers pass [`MAX_FRAME`], or [`MAX_REQUEST_FRAME`] for
-    /// server-bound frames; an over-long prefix fails as soon as it is
-    /// read, before its payload arrives.
-    pub fn decode<T: Deserialize>(
-        self,
-        buf: &[u8],
-        max_len: usize,
-    ) -> Result<Option<(T, usize)>, String> {
-        let Some((payload, consumed)) = self.frame(buf, max_len)? else {
-            return Ok(None);
-        };
-        let msg = self.decode_payload(&buf[payload])??;
-        Ok(Some((msg, consumed)))
-    }
-
-    /// Where the first complete frame in `buf` keeps its payload, and how
-    /// many bytes the whole frame spans — `None` while it is incomplete.
-    fn frame(self, buf: &[u8], max_len: usize) -> Result<Option<(Range<usize>, usize)>, String> {
-        match self {
-            WireMode::Json => json_frame(buf, max_len),
-            WireMode::Binary => {
-                if buf.len() < 4 {
-                    return Ok(None);
-                }
-                let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-                if len > max_len {
-                    return Err(format!("malformed frame: {len} bytes exceeds maximum"));
-                }
-                if buf.len() < 4 + len {
-                    return Ok(None);
-                }
-                Ok(Some((4..4 + len, 4 + len)))
-            }
-        }
-    }
-
-    /// Decodes one frame payload as a `T`. The outer error is a malformed
-    /// payload; the inner one a well-formed payload that is not a `T`.
-    pub(crate) fn decode_payload<T: Deserialize>(
-        self,
-        payload: &[u8],
-    ) -> Result<Result<T, String>, String> {
-        let malformed = |e: serde::Error| match self {
-            WireMode::Json => format!("malformed frame payload: {e}"),
-            WireMode::Binary => e.to_string(),
-        };
-        match FrameDecoder::decode(self, payload) {
-            Ok(msg) => Ok(Ok(msg)),
-            // Malformed bytes anywhere in the frame outrank a shape
-            // mismatch found before them.
-            Err(shape) => match FrameDecoder::decode::<IgnoredAny>(self, payload) {
-                Ok(_) => Ok(Err(shape.to_string())),
-                Err(e) => Err(malformed(e)),
-            },
-        }
-    }
-}
-
-/// One frame payload's decoder, in either layout. Every message type's
-/// reader is compiled once, against this, for both codecs; the layout is
-/// one well-predicted branch per token.
-enum FrameDecoder<'de> {
-    Json(serde_json::Deserializer<'de>),
-    Binary(BinaryDecoder<'de>),
-}
-
-impl<'de> FrameDecoder<'de> {
-    /// Decodes a whole payload as one `T`.
-    fn decode<T: Deserialize>(wire: WireMode, payload: &'de [u8]) -> Result<T, serde::Error> {
-        let mut decoder = match wire {
-            WireMode::Json => FrameDecoder::Json(serde_json::Deserializer::from_str(
-                std::str::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8"))?,
-            )),
-            WireMode::Binary => FrameDecoder::Binary(BinaryDecoder::new(payload)?),
-        };
-        let msg = T::deserialize(&mut decoder)?;
-        match &mut decoder {
-            FrameDecoder::Json(d) => d.end()?,
-            FrameDecoder::Binary(d) => d.end()?,
-        }
-        Ok(msg)
-    }
-}
-
-impl<'de> Deserializer<'de> for FrameDecoder<'de> {
-    fn peek_null(&mut self) -> Result<bool, serde::Error> {
-        match self {
-            FrameDecoder::Json(d) => d.peek_null(),
-            FrameDecoder::Binary(d) => d.peek_null(),
-        }
-    }
-
-    fn next(&mut self) -> Result<Token<'de>, serde::Error> {
-        match self {
-            FrameDecoder::Json(d) => d.next(),
-            FrameDecoder::Binary(d) => d.next(),
-        }
-    }
-
-    fn next_element(&mut self) -> Result<bool, serde::Error> {
-        match self {
-            FrameDecoder::Json(d) => d.next_element(),
-            FrameDecoder::Binary(d) => d.next_element(),
-        }
-    }
-
-    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, serde::Error> {
-        match self {
-            FrameDecoder::Json(d) => d.next_key(),
-            FrameDecoder::Binary(d) => d.next_key(),
-        }
-    }
-}
-
-impl fmt::Display for WireMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for WireMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<WireMode, String> {
-        match s {
-            "json" => Ok(WireMode::Json),
-            "binary" => Ok(WireMode::Binary),
-            other => Err(format!(
-                "invalid wire mode '{other}': expected json or binary"
-            )),
-        }
-    }
+/// Appends one complete frame carrying `msg` to `out`.
+///
+/// # Errors
+///
+/// An encoded payload larger than [`MAX_FRAME`]; `out` is unchanged.
+pub fn encode<T: Serialize + ?Sized>(msg: &T, out: &mut Vec<u8>) -> Result<(), String> {
+    BinaryEncoder::encode(msg, out)
 }
 
 /// One frame carrying `msg`, as a fresh byte vector.
 ///
 /// # Errors
 ///
-/// See [`WireMode::encode`].
-pub fn encode_frame<T: Serialize + ?Sized>(mode: WireMode, msg: &T) -> Result<Vec<u8>, String> {
+/// See [`encode`].
+pub fn encode_frame<T: Serialize + ?Sized>(msg: &T) -> Result<Vec<u8>, String> {
     let mut out = Vec::new();
-    mode.encode(msg, &mut out)?;
+    encode(msg, &mut out)?;
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// JSON lines: `LEN JSON\n`.
-// ---------------------------------------------------------------------------
+/// Decodes one complete frame from the front of `buf` as a `T`, returning
+/// it and the bytes consumed — `None` when the buffer holds only a partial
+/// frame (read more and retry).
+///
+/// # Errors
+///
+/// A malformed frame (a declared length over `max_len`, undecodable
+/// payload), or a well-formed frame that is not a `T`. Callers pass
+/// [`MAX_FRAME`], or [`MAX_REQUEST_FRAME`] for server-bound frames; an
+/// over-long prefix fails as soon as it is read, before its payload
+/// arrives.
+pub fn decode<T: Deserialize>(buf: &[u8], max_len: usize) -> Result<Option<(T, usize)>, String> {
+    let Some((payload, consumed)) = frame(buf, max_len)? else {
+        return Ok(None);
+    };
+    let msg = decode_payload(&buf[payload])??;
+    Ok(Some((msg, consumed)))
+}
 
-/// Payload range and frame length of a `LEN JSON\n` frame: ASCII decimal
-/// payload length, one space, a single-line JSON document, one `\n`.
-fn json_frame(buf: &[u8], max_len: usize) -> Result<Option<(Range<usize>, usize)>, String> {
-    if buf.is_empty() {
+/// Decodes one frame payload as a `T`. The outer error is a malformed
+/// payload; the inner one a well-formed payload that is not a `T`.
+pub(crate) fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<Result<T, String>, String> {
+    match BinaryDecoder::decode(payload) {
+        Ok(msg) => Ok(Ok(msg)),
+        // Malformed bytes anywhere in the frame outrank a shape mismatch
+        // found before them.
+        Err(shape) => match BinaryDecoder::decode::<IgnoredAny>(payload) {
+            Ok(_) => Ok(Err(shape.to_string())),
+            Err(e) => Err(e.to_string()),
+        },
+    }
+}
+
+/// Where the first complete frame in `buf` keeps its payload, and how many
+/// bytes the whole frame spans — `None` while it is incomplete.
+fn frame(buf: &[u8], max_len: usize) -> Result<Option<(Range<usize>, usize)>, String> {
+    if buf.len() < 4 {
         return Ok(None);
     }
-    // Decimal length prefix terminated by one space.
-    let mut len = 0usize;
-    let mut i = 0usize;
-    loop {
-        let Some(&b) = buf.get(i) else {
-            // Prefix still arriving; 9 digits already bound MAX_FRAME.
-            return if i <= 9 {
-                Ok(None)
-            } else {
-                Err("malformed frame: unterminated length prefix".to_string())
-            };
-        };
-        match b {
-            b'0'..=b'9' if i < 9 => {
-                len = len * 10 + usize::from(b - b'0');
-                i += 1;
-            }
-            b' ' if i > 0 => {
-                i += 1;
-                break;
-            }
-            _ => return Err("malformed frame: bad length prefix".to_string()),
-        }
-    }
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
     if len > max_len {
         return Err(format!("malformed frame: {len} bytes exceeds maximum"));
     }
-    let total = i + len + 1;
-    if buf.len() < total {
+    if buf.len() < 4 + len {
         return Ok(None);
     }
-    if buf[i + len] != b'\n' {
-        return Err("malformed frame: missing newline terminator".to_string());
-    }
-    Ok(Some((i..i + len, total)))
+    Ok(Some((4..4 + len, 4 + len)))
 }
 
 // ---------------------------------------------------------------------------
@@ -320,11 +148,11 @@ mod tag {
 /// ```
 ///
 /// Interning object keys per frame makes histogram-heavy telemetry frames
-/// roughly 3× smaller than their JSON twins; zigzag varints keep small
-/// ids/counters at one byte; floats cross bit-exactly (JSON renders them
-/// as text). Encoding is deterministic — fields keep their order and keys
-/// are interned as they are first written — so equal messages produce
-/// byte-identical frames.
+/// roughly 3× smaller than the same message as JSON text; zigzag varints
+/// keep small ids/counters at one byte; floats cross bit-exactly. Encoding
+/// is deterministic — fields keep their order and keys are interned as
+/// they are first written — so equal messages produce byte-identical
+/// frames.
 ///
 /// The key table precedes the values it indexes, so the values stream into
 /// a scratch buffer while their keys are interned, and the frame is
@@ -509,6 +337,14 @@ impl<'de> BinaryDecoder<'de> {
         Ok(decoder)
     }
 
+    /// Decodes a whole payload as one `T`.
+    fn decode<T: Deserialize>(payload: &'de [u8]) -> Result<T, serde::Error> {
+        let mut decoder = BinaryDecoder::new(payload)?;
+        let msg = T::deserialize(&mut decoder)?;
+        decoder.end()?;
+        Ok(msg)
+    }
+
     /// Checks that the value read spans the whole payload.
     fn end(&self) -> Result<(), serde::Error> {
         if self.pos == self.buf.len() {
@@ -674,12 +510,8 @@ impl FrameBuffer {
 
     /// Peels one complete frame of at most `max_len` payload bytes off
     /// the front, if present, returning its payload.
-    pub(crate) fn take_frame(
-        &mut self,
-        wire: WireMode,
-        max_len: usize,
-    ) -> Result<Option<&[u8]>, String> {
-        let Some((payload, consumed)) = wire.frame(&self.buf[self.start..], max_len)? else {
+    pub(crate) fn take_frame(&mut self, max_len: usize) -> Result<Option<&[u8]>, String> {
+        let Some((payload, consumed)) = frame(&self.buf[self.start..], max_len)? else {
             return Ok(None);
         };
         let base = self.start;
@@ -702,11 +534,9 @@ pub(crate) enum FrameEvent<T> {
 /// Blocking incremental frame reader over any byte stream — the client
 /// side's receive path. Partial frames survive read timeouts (the buffer
 /// keeps them); only EOF or a prolonged stall *inside* a frame is a
-/// truncation error. The mode is swappable mid-stream: handshakes are
-/// always JSON-lines, the negotiated codec takes over afterwards.
+/// truncation error.
 pub(crate) struct FrameReader<R: Read> {
     pub(crate) src: R,
-    pub(crate) wire: WireMode,
     buffer: FrameBuffer,
     /// Consecutive mid-frame read timeouts tolerated before the frame is
     /// declared truncated.
@@ -714,10 +544,9 @@ pub(crate) struct FrameReader<R: Read> {
 }
 
 impl<R: Read> FrameReader<R> {
-    pub(crate) fn new(src: R, wire: WireMode, max_stalls: usize) -> FrameReader<R> {
+    pub(crate) fn new(src: R, max_stalls: usize) -> FrameReader<R> {
         FrameReader {
             src,
-            wire,
             buffer: FrameBuffer::new(),
             max_stalls: max_stalls.max(1),
         }
@@ -729,10 +558,9 @@ impl<R: Read> FrameReader<R> {
     pub(crate) fn read_frame<T: Deserialize>(&mut self) -> Result<FrameEvent<T>, String> {
         let mut stalls = 0usize;
         let mut chunk = [0u8; 16 * 1024];
-        let wire = self.wire;
         loop {
-            if let Some(payload) = self.buffer.take_frame(wire, MAX_FRAME)? {
-                return wire.decode_payload(payload).map(FrameEvent::Frame);
+            if let Some(payload) = self.buffer.take_frame(MAX_FRAME)? {
+                return decode_payload(payload).map(FrameEvent::Frame);
             }
             match self.src.read(&mut chunk) {
                 Ok(0) => {
@@ -762,16 +590,15 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Writes one frame carrying `msg` in `wire`'s layout and flushes,
-/// building it in `scratch` (cleared first, so a caller can reuse it).
+/// Writes one frame carrying `msg` and flushes, building it in `scratch`
+/// (cleared first, so a caller can reuse it).
 pub(crate) fn write_frame<W: std::io::Write, T: Serialize + ?Sized>(
     w: &mut W,
-    wire: WireMode,
     msg: &T,
     scratch: &mut Vec<u8>,
 ) -> Result<(), String> {
     scratch.clear();
-    wire.encode(msg, scratch)?;
+    encode(msg, scratch)?;
     w.write_all(scratch)
         .and_then(|()| w.flush())
         .map_err(|e| format!("write failed: {e}"))
@@ -782,10 +609,9 @@ mod tests {
     use super::*;
     use serde::Value;
 
-    fn roundtrip(wire: WireMode, value: &Value) -> Value {
-        let out = encode_frame(wire, value).unwrap();
-        let (back, consumed) = wire
-            .decode::<Value>(&out, MAX_FRAME)
+    fn roundtrip(value: &Value) -> Value {
+        let out = encode_frame(value).unwrap();
+        let (back, consumed) = decode::<Value>(&out, MAX_FRAME)
             .unwrap()
             .expect("complete frame");
         assert_eq!(consumed, out.len(), "whole frame consumed");
@@ -809,31 +635,30 @@ mod tests {
     }
 
     #[test]
-    fn both_codecs_roundtrip_a_nested_value() {
+    fn a_nested_value_roundtrips() {
         let value = sample();
-        assert_eq!(roundtrip(WireMode::Json, &value), value);
-        assert_eq!(roundtrip(WireMode::Binary, &value), value);
+        assert_eq!(roundtrip(&value), value);
     }
 
     #[test]
     fn binary_encoding_is_deterministic_and_compact() {
         let value = sample();
-        let a = encode_frame(WireMode::Binary, &value).unwrap();
-        let b = encode_frame(WireMode::Binary, &value).unwrap();
-        let j = encode_frame(WireMode::Json, &value).unwrap();
+        let a = encode_frame(&value).unwrap();
+        let b = encode_frame(&value).unwrap();
+        let json = serde_json::to_string(&value).unwrap();
         assert_eq!(a, b, "same value, same bytes");
         assert!(
-            a.len() < j.len(),
-            "key-interned binary ({}) beats JSON ({}) on repeated keys",
+            a.len() < json.len(),
+            "key-interned binary ({}) beats JSON text ({}) on repeated keys",
             a.len(),
-            j.len()
+            json.len()
         );
     }
 
     #[test]
     fn binary_floats_cross_bit_exactly() {
         for f in [0.1f64, -0.0, f64::MAX, f64::MIN_POSITIVE, 1.0 / 3.0] {
-            let back = roundtrip(WireMode::Binary, &Value::Float(f));
+            let back = roundtrip(&Value::Float(f));
             let Value::Float(g) = back else {
                 panic!("float came back as {back:?}");
             };
@@ -844,7 +669,7 @@ mod tests {
     #[test]
     fn binary_ints_cover_extremes() {
         for i in [0i128, -1, 1, i128::MAX, i128::MIN, u64::MAX as i128] {
-            assert_eq!(roundtrip(WireMode::Binary, &Value::Int(i)), Value::Int(i));
+            assert_eq!(roundtrip(&Value::Int(i)), Value::Int(i));
         }
     }
 
@@ -868,22 +693,18 @@ mod tests {
 
     #[test]
     fn partial_frames_decode_to_none() {
-        for wire in [WireMode::Binary, WireMode::Json] {
-            let out = encode_frame(wire, &sample()).unwrap();
-            for cut in 0..out.len() {
-                assert!(
-                    wire.decode::<Value>(&out[..cut], MAX_FRAME)
-                        .unwrap()
-                        .is_none(),
-                    "{wire}: prefix of {cut} bytes must be incomplete, not an error"
-                );
-            }
+        let out = encode_frame(&sample()).unwrap();
+        for cut in 0..out.len() {
+            assert!(
+                decode::<Value>(&out[..cut], MAX_FRAME).unwrap().is_none(),
+                "prefix of {cut} bytes must be incomplete, not an error"
+            );
         }
     }
 
     #[test]
     fn malformed_binary_frames_are_typed_errors_not_panics() {
-        let decode = |buf: &[u8]| WireMode::Binary.decode::<Value>(buf, MAX_FRAME);
+        let decode = |buf: &[u8]| decode::<Value>(buf, MAX_FRAME);
         // Oversized declared length.
         let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0; 16]);
@@ -904,7 +725,7 @@ mod tests {
         // Truncation inside the payload declared length is impossible by
         // construction (decode waits for the whole payload), but trailing
         // garbage after the value is rejected.
-        let mut out = encode_frame(WireMode::Binary, &Value::Null).unwrap();
+        let mut out = encode_frame(&Value::Null).unwrap();
         let len = out.len();
         out.extend_from_slice(&[0]);
         out[0..4].copy_from_slice(&((len - 4 + 1) as u32).to_le_bytes());
@@ -914,44 +735,40 @@ mod tests {
     #[test]
     fn malformed_bytes_are_reported_before_a_shape_mismatch() {
         // A well-formed frame of the wrong shape is a shape error ...
-        let frame = encode_frame(WireMode::Binary, &Value::Str("x".into())).unwrap();
-        let payload = &frame[4..];
-        let shape = WireMode::Binary.decode_payload::<u64>(payload).unwrap();
+        let frame = encode_frame(&Value::Str("x".into())).unwrap();
+        let shape = decode_payload::<u64>(&frame[4..]).unwrap();
         assert_eq!(shape.unwrap_err(), "expected integer, got string");
         // ... and one whose bytes also break later is malformed.
         let value = Value::Array(vec![Value::Str("x".into()), Value::Int(1)]);
-        let mut frame = encode_frame(WireMode::Binary, &value).unwrap();
+        let mut frame = encode_frame(&value).unwrap();
         *frame.last_mut().unwrap() = 0x80; // an unterminated varint
-        let err = WireMode::Binary
-            .decode_payload::<Vec<u64>>(&frame[4..])
-            .unwrap_err();
+        let err = decode_payload::<Vec<u64>>(&frame[4..]).unwrap_err();
         assert!(err.starts_with("malformed frame"), "{err}");
     }
 
     #[test]
-    fn json_codec_rejects_garbage_prefixes() {
-        let decode = |buf: &[u8]| WireMode::Json.decode::<Value>(buf, MAX_FRAME);
-        assert!(decode(b"xx {}\n").is_err());
-        assert!(decode(b"2 {}x").is_err());
-        assert!(decode(b"99999999 x").is_err());
-        // Length lies beyond the payload: incomplete, the reader's
-        // EOF/stall handling turns it into a truncation.
-        assert!(decode(b"10 {}\n").unwrap().is_none());
-    }
-
-    #[test]
-    fn both_codecs_refuse_a_length_over_the_cap_from_its_prefix_alone() {
+    fn a_length_over_the_cap_is_refused_from_its_prefix_alone() {
         // Only the length prefix has arrived: a declared length at the cap
         // waits for its payload, one byte over fails at once.
         let cap = MAX_REQUEST_FRAME;
-        let binary = |buf: &[u8]| WireMode::Binary.decode::<Value>(buf, cap);
-        let json = |buf: &[u8]| WireMode::Json.decode::<Value>(buf, cap);
-        assert!(binary(&(cap as u32).to_le_bytes()).unwrap().is_none());
-        let err = binary(&(cap as u32 + 1).to_le_bytes()).unwrap_err();
+        assert!(decode::<Value>(&(cap as u32).to_le_bytes(), cap)
+            .unwrap()
+            .is_none());
+        let err = decode::<Value>(&(cap as u32 + 1).to_le_bytes(), cap).unwrap_err();
         assert!(err.contains("exceeds maximum"), "{err}");
-        assert!(json(format!("{cap} ").as_bytes()).unwrap().is_none());
-        let err = json(format!("{} ", cap + 1).as_bytes()).unwrap_err();
-        assert!(err.contains("exceeds maximum"), "{err}");
+    }
+
+    #[test]
+    fn a_json_lines_frame_is_refused_from_its_first_four_bytes() {
+        // A `LEN JSON\n` frame opens with ASCII digits, a space and JSON
+        // text, so its first four bytes read as a length of hundreds of
+        // megabytes, past both caps.
+        for frame in ["9 {}\n", "42 {\"magic\":1}\n", "123 ", "99999999 "] {
+            for cap in [MAX_REQUEST_FRAME, MAX_FRAME] {
+                let err = decode::<Value>(frame.as_bytes(), cap).unwrap_err();
+                assert!(err.contains("exceeds maximum"), "{frame:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -960,14 +777,14 @@ mod tests {
         for i in 0..3 {
             let mut value = Value::object();
             value.insert("seq", Value::Int(i));
-            WireMode::Binary.encode(&value, &mut wire).unwrap();
+            encode(&value, &mut wire).unwrap();
         }
         let mut buffer = FrameBuffer::new();
         let mut seen = Vec::new();
         for byte in wire {
             buffer.extend(&[byte]);
-            while let Some(payload) = buffer.take_frame(WireMode::Binary, MAX_FRAME).unwrap() {
-                let value: Value = WireMode::Binary.decode_payload(payload).unwrap().unwrap();
+            while let Some(payload) = buffer.take_frame(MAX_FRAME).unwrap() {
+                let value: Value = decode_payload(payload).unwrap().unwrap();
                 seen.push(value.get_field("seq").unwrap().clone());
             }
         }

@@ -16,28 +16,27 @@
 //!   zero changes, and [pipelines](RemoteClient::submit) many admissions
 //!   on one connection.
 //!
-//! # Wire format (protocol v4)
+//! # Wire format (protocol v5)
 //!
-//! Frames are laid out by the [`WireMode`] granted at handshake: either
-//! compact length-prefixed **binary** frames ([`WireMode::Binary`], the
-//! default) or length-prefixed **JSON lines** ([`WireMode::Json`], the
-//! greppable debug codec). See [`codec`] for both layouts. Both codecs
-//! stream: each message is encoded straight to its frame bytes and decoded
-//! straight from them, with no value tree in between, and both cap nesting
+//! Every frame on a connection, from the first hello on, is one compact
+//! length-prefixed binary frame (see [`codec`] for the layout). The codec
+//! streams: each message is encoded straight to its frame bytes and decoded
+//! straight from them, with no value tree in between, and it caps nesting
 //! at [`serde::MAX_DEPTH`].
 //!
 //! A connection opens with a hello exchange ([`ClientHello`] →
-//! [`ServerHello`]), **always JSON-framed** so it works before any codec
-//! is agreed. There is one protocol version,
-//! [`REMOTE_PROTOCOL_VERSION`]: the client names it with its preferred
-//! [`WireMode`], and the server answers with the same version and the
-//! granted mode (JSON when the hello names none, or when the server's
-//! [`WirePolicy`] is JSON-only); the granted codec takes over from the
-//! next frame on. A hello naming any other version is refused: the
-//! server answers with its own version and no workload, then closes, and
-//! the client fails with a typed error naming both versions. The server
-//! hello also carries the served stack's workload spec, so drivers can
-//! phrase spec-relative requests without out-of-band configuration.
+//! [`ServerHello`]). There is one protocol version,
+//! [`REMOTE_PROTOCOL_VERSION`]: the client names it, and the server answers
+//! with the same version and the served stack's workload spec, so drivers
+//! can phrase spec-relative requests without out-of-band configuration. A
+//! hello naming any other version, or a client id longer than
+//! [`MAX_CLIENT_ID`] bytes, is refused: the server answers with its own
+//! version and no workload, then closes, and a client seeing another
+//! version fails with a typed error naming both. A peer of protocol 4 or
+//! earlier, which framed its hellos as JSON lines, fails typed too, never
+//! hangs: the ASCII digits that open such a frame read as a length prefix
+//! past [`MAX_FRAME`], so either end refuses the frame from its first four
+//! bytes.
 //!
 //! After the handshake, requests carry a client-assigned correlation id
 //! and may be **pipelined**: many admissions can be in flight on one
@@ -101,8 +100,7 @@
 //! let server = RemoteServer::bind(&addr, Arc::new(fleet))?;
 //! let client = RemoteClient::connect(server.local_addr())?;
 //!
-//! // The client is just another AdmissionService (binary frames by
-//! // default; both ends negotiated that in the handshake).
+//! // The client is just another AdmissionService.
 //! let decision = client.admit(&AdmissionRequest::new(0))?;
 //! client.release(decision.resident().expect("admitted"))?;
 //! client.close();
@@ -119,7 +117,7 @@ mod server;
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
 pub use codec::{WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
 pub use endpoint::Endpoint;
-pub use server::{RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy, EVENT_LOOPS};
+pub use server::{RemoteServer, RemoteServerConfig, RemoteServerStats, EVENT_LOOPS};
 
 use crate::journal::JournalPage;
 use crate::service::{AdmissionDecision, AdmissionRequest, ServiceError, ServiceSnapshot};
@@ -132,7 +130,13 @@ use std::sync::Arc;
 /// The remote-protocol version this build speaks — the only one. Both
 /// ends must name it in their hellos; a server refuses any other version
 /// and a client fails its connect on one.
-pub const REMOTE_PROTOCOL_VERSION: u64 = 4;
+pub const REMOTE_PROTOCOL_VERSION: u64 = 5;
+
+/// Longest client id, in bytes, a hello may announce. The id names the
+/// tenant's row in the served stack's telemetry and, after `probcon journal
+/// split`, a file; a client refuses a longer one before it dials, and a
+/// server refuses a hello that carries one.
+pub const MAX_CLIENT_ID: usize = 64;
 
 /// Handshake magic identifying this protocol on the wire.
 pub(crate) const MAGIC: &str = "probcon-remote";
@@ -141,29 +145,24 @@ pub(crate) const MAGIC: &str = "probcon-remote";
 // Wire messages.
 // ---------------------------------------------------------------------------
 
-/// First frame on a connection, client → server — always JSON-framed.
+/// First frame on a connection, client → server.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClientHello {
     /// Protocol magic (`"probcon-remote"`).
     pub magic: String,
     /// The protocol version the client speaks.
     pub version: u64,
-    /// Optional client identity
+    /// Optional client identity, at most [`MAX_CLIENT_ID`] bytes
     /// ([`ClientConfig::client`] / `fleet-bench --client`): the server
     /// enters a [`ClientScope`](crate::ClientScope) for the connection, so
     /// every journaled decision this connection drives carries the id —
     /// the provenance `probcon journal split` separates recordings by.
     pub client: Option<String>,
-    /// Requested [`WireMode`] (`"json"` / `"binary"`). A hello without it
-    /// is granted JSON lines.
-    #[serde(skip_none)]
-    pub wire: Option<String>,
 }
 
-/// Handshake reply, server → client — always JSON-framed. On a version
-/// mismatch the server still answers (naming its own version, omitting
-/// the workload and the wire grant) and then closes, so the client can
-/// produce a precise typed error.
+/// Handshake reply, server → client. On a refused hello the server still
+/// answers (naming its own version, omitting the workload) and then
+/// closes, so the client can produce a precise typed error.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerHello {
     /// Protocol magic (`"probcon-remote"`).
@@ -177,10 +176,6 @@ pub struct ServerHello {
     /// Admission domains of the served stack (fleet groups), for drivers
     /// that spread requests across domains.
     pub domains: u64,
-    /// Granted [`WireMode`] taking effect after this frame. Omitted on
-    /// refusal.
-    #[serde(skip_none)]
-    pub wire: Option<String>,
 }
 
 /// One request frame: a client-assigned correlation id plus the operation.
@@ -276,8 +271,6 @@ pub enum WireFault {
     UnknownDomain(u64),
     /// See [`ServiceError::Stopped`].
     Stopped,
-    /// See [`ServiceError::QueueFull`].
-    QueueFull,
     /// See [`ServiceError::Config`].
     Config(String),
     /// The far end's analysis failed; carries the rendered
@@ -294,7 +287,6 @@ impl From<&ServiceError> for WireFault {
             ServiceError::UnknownResident(r) => WireFault::UnknownResident(*r),
             ServiceError::UnknownDomain(d) => WireFault::UnknownDomain(*d as u64),
             ServiceError::Stopped => WireFault::Stopped,
-            ServiceError::QueueFull => WireFault::QueueFull,
             ServiceError::Config(msg) => WireFault::Config(msg.clone()),
             ServiceError::Analysis(e) => WireFault::Analysis(e.to_string()),
             ServiceError::Transport(msg) => WireFault::Transport(msg.clone()),
@@ -309,7 +301,6 @@ impl WireFault {
             WireFault::UnknownResident(r) => ServiceError::UnknownResident(r),
             WireFault::UnknownDomain(d) => ServiceError::UnknownDomain(d as usize),
             WireFault::Stopped => ServiceError::Stopped,
-            WireFault::QueueFull => ServiceError::QueueFull,
             WireFault::Config(msg) => ServiceError::Config(msg),
             WireFault::Analysis(msg) => {
                 ServiceError::Config(format!("remote analysis failure: {msg}"))
@@ -373,14 +364,13 @@ mod tests {
         let mut wire = Vec::new();
         let hello = ClientHello {
             magic: MAGIC.to_string(),
-            version: 4,
+            version: REMOTE_PROTOCOL_VERSION,
             client: Some("alpha".to_string()),
-            wire: Some("binary".to_string()),
         };
         let mut scratch = Vec::new();
-        write_frame(&mut wire, WireMode::Json, &hello, &mut scratch).unwrap();
-        write_frame(&mut wire, WireMode::Json, &hello, &mut scratch).unwrap();
-        let mut reader = FrameReader::new(OneByte(&wire[..]), WireMode::Json, 4);
+        write_frame(&mut wire, &hello, &mut scratch).unwrap();
+        write_frame(&mut wire, &hello, &mut scratch).unwrap();
+        let mut reader = FrameReader::new(OneByte(&wire[..]), 4);
         for _ in 0..2 {
             let FrameEvent::Frame(back) = reader.read_frame::<ClientHello>().unwrap() else {
                 panic!("expected frame");
@@ -395,25 +385,29 @@ mod tests {
 
     #[test]
     fn frame_reader_rejects_garbage_and_truncation() {
-        let read = |bytes: &'static [u8]| {
-            FrameReader::new(bytes, WireMode::Json, 4)
+        let read = |bytes: Vec<u8>| {
+            FrameReader::new(&bytes[..], 4)
                 .read_frame::<serde::Value>()
                 .map(|_| ())
         };
-        // Bad prefix.
-        assert!(read(b"xx {}\n").is_err());
-        // Length lies beyond the payload and the stream ends: truncated.
-        assert!(read(b"10 {}\n").unwrap_err().contains("truncated"));
-        // Missing newline terminator.
-        assert!(read(b"2 {}x").is_err());
+        let frame = |len: u32, payload: &[u8]| [&len.to_le_bytes()[..], payload].concat();
         // Oversized declared length.
-        assert!(read(b"99999999 x").is_err());
+        assert!(read(frame(MAX_FRAME as u32 + 1, &[]))
+            .unwrap_err()
+            .contains("exceeds maximum"));
+        // A JSON-lines frame: its digits read as an oversized length.
+        assert!(read(b"2 {}\n".to_vec())
+            .unwrap_err()
+            .contains("exceeds maximum"));
+        // Length lies beyond the payload and the stream ends: truncated.
+        assert!(read(frame(10, &[0, 0])).unwrap_err().contains("truncated"));
         // A malformed payload is an error; a well-formed one of the wrong
         // shape is a frame that carries why.
-        assert!(read(b"2 {]\n")
+        assert!(read(frame(2, &[0, 99]))
             .unwrap_err()
-            .contains("malformed frame payload"));
-        let mut reader = FrameReader::new(&b"2 []\n"[..], WireMode::Json, 4);
+            .contains("malformed frame"));
+        let empty = codec::encode_frame(&Vec::<u64>::new()).unwrap();
+        let mut reader = FrameReader::new(&empty[..], 4);
         assert!(matches!(
             reader.read_frame::<ClientHello>(),
             Ok(FrameEvent::Frame(Err(_)))
@@ -421,20 +415,25 @@ mod tests {
     }
 
     #[test]
-    fn wire_messages_roundtrip_through_json() {
+    fn wire_messages_roundtrip_through_the_codec() {
         let request = WireRequest {
             id: 42,
             op: WireOp::Admit(AdmissionRequest::new(1).with_affinity("uc0").on(2)),
         };
-        let json = serde_json::to_string(&request).unwrap();
-        assert_eq!(serde_json::from_str::<WireRequest>(&json).unwrap(), request);
+        let bytes = codec::encode_frame(&request).unwrap();
+        let (back, _) = codec::decode::<WireRequest>(&bytes, MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(back, request);
 
         let response = WireResponse {
             id: 42,
             body: WireBody::Error(WireFault::UnknownResident(7)),
         };
-        let json = serde_json::to_string(&response).unwrap();
-        let back: WireResponse = serde_json::from_str(&json).unwrap();
+        let bytes = codec::encode_frame(&response).unwrap();
+        let (back, _) = codec::decode::<WireResponse>(&bytes, MAX_FRAME)
+            .unwrap()
+            .unwrap();
         assert_eq!(back, response);
         let WireBody::Error(fault) = back.body else {
             panic!("error body");
@@ -451,11 +450,9 @@ mod tests {
         .unwrap();
         let client = RemoteClient::connect(server.local_addr()).unwrap();
 
-        // The handshake delivered the workload spec, domain count, and the
-        // granted wire mode (binary is the default).
+        // The handshake delivered the workload spec and domain count.
         assert_eq!(client.workload().unwrap().application_count(), 2);
         assert_eq!(client.domains(), 2);
-        assert_eq!(client.wire_mode(), WireMode::Binary);
 
         let decision = client.admit(&AdmissionRequest::new(0)).unwrap();
         assert!(decision.is_admitted());
@@ -727,30 +724,27 @@ mod tests {
         };
         // Raw clients speaking an older and a future protocol version:
         // there is one version, so both are refused alike.
-        let versions = [3, REMOTE_PROTOCOL_VERSION + 1];
+        let versions = [REMOTE_PROTOCOL_VERSION - 1, REMOTE_PROTOCOL_VERSION + 1];
         for version in versions {
             let mut conn = TcpStream::connect(hostport.as_str()).unwrap();
             conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             write_frame(
                 &mut conn,
-                WireMode::Json,
                 &ClientHello {
                     magic: MAGIC.to_string(),
                     version,
                     client: None,
-                    wire: Some("binary".to_string()),
                 },
                 &mut Vec::new(),
             )
             .unwrap();
-            let mut reader = FrameReader::new(conn.try_clone().unwrap(), WireMode::Json, 100);
+            let mut reader = FrameReader::new(conn.try_clone().unwrap(), 100);
             let FrameEvent::Frame(hello) = reader.read_frame::<ServerHello>().unwrap() else {
                 panic!("server answers the v{version} hello");
             };
             let hello = hello.unwrap();
             assert_eq!(hello.version, REMOTE_PROTOCOL_VERSION);
             assert!(hello.workload.is_none(), "no spec for refused clients");
-            assert_eq!(hello.wire, None, "no codec grant for refused clients");
             // ... and then closes the connection.
             assert!(matches!(
                 reader.read_frame::<ServerHello>(),
@@ -766,62 +760,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn mixed_wire_modes_share_one_server() {
-        let server =
-            RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), Arc::new(fleet(2, 8))).unwrap();
-        let binary = RemoteClient::connect(server.local_addr()).unwrap();
-        let json = RemoteClient::connect_config(
-            server.local_addr(),
-            ClientConfig {
-                wire: WireMode::Json,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(binary.wire_mode(), WireMode::Binary);
-        assert_eq!(json.wire_mode(), WireMode::Json);
-
-        // Interleave admissions from both codecs on the same server.
-        let b = binary.admit(&AdmissionRequest::new(0)).unwrap();
-        let j = json.admit(&AdmissionRequest::new(1)).unwrap();
-        binary.release(b.resident().unwrap()).unwrap();
-        json.release(j.resident().unwrap()).unwrap();
-
-        binary.close();
-        json.close();
-        server.shutdown();
-        assert_eq!(server.stats().protocol_errors, 0);
-        assert_eq!(server.stats().requests, 4);
-    }
-
-    #[test]
-    fn json_only_policy_downgrades_binary_clients() {
-        let server = RemoteServer::bind_with(
-            &"tcp:127.0.0.1:0".parse().unwrap(),
-            Arc::new(fleet(1, 2)),
-            None,
-            RemoteServerConfig {
-                wire: WirePolicy::JsonOnly,
-                ..RemoteServerConfig::default()
-            },
-        )
-        .unwrap();
-        let client = RemoteClient::connect(server.local_addr()).unwrap();
-        assert_eq!(
-            client.wire_mode(),
-            WireMode::Json,
-            "policy overrode the request"
-        );
-        assert!(client
-            .admit(&AdmissionRequest::new(0))
-            .unwrap()
-            .is_admitted());
-        client.close();
-        server.shutdown();
-        assert_eq!(server.stats().protocol_errors, 0);
     }
 
     #[test]

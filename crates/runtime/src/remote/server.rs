@@ -21,11 +21,11 @@
 //! other loop carry on. Stall and handshake timers measure from the loop's
 //! last poll, so bytes that arrive while a loop decides are not a stall.
 
-use super::codec::{FrameBuffer, WireMode, MAX_REQUEST_FRAME};
+use super::codec::{self, FrameBuffer, MAX_REQUEST_FRAME};
 use super::endpoint::{is_timeout, Conn, Endpoint, Listener};
 use super::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse, MAGIC,
-    REMOTE_PROTOCOL_VERSION,
+    MAX_CLIENT_ID, REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
 use crate::fleet::FleetManager;
@@ -56,20 +56,6 @@ const JOURNAL_PAGE_ENTRIES: usize = 4096;
 /// fewest live connections.
 pub const EVENT_LOOPS: usize = 4;
 
-/// Which [`WireMode`]s a server grants at handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WirePolicy {
-    /// Grant each client its requested mode — binary requesters get
-    /// compact frames, explicit JSON requesters and hellos naming no mode
-    /// get JSON lines. The default.
-    #[default]
-    Auto,
-    /// Force JSON lines for every connection — the debug mode
-    /// (`probcon serve --wire json`): every frame on every connection is
-    /// greppable text, regardless of what clients ask for.
-    JsonOnly,
-}
-
 /// Tuning knobs of a [`RemoteServer`].
 #[derive(Debug, Clone)]
 pub struct RemoteServerConfig {
@@ -90,8 +76,6 @@ pub struct RemoteServerConfig {
     /// mode for scripted drivers (`probcon serve --once`) that should exit
     /// when their client is done.
     pub once: bool,
-    /// Which wire modes the handshake grants.
-    pub wire: WirePolicy,
     /// Pause reading from a connection whose un-flushed output exceeds
     /// this many bytes — the server's backpressure: a peer that stops
     /// reading cannot grow server memory beyond its bounded buffers.
@@ -106,7 +90,6 @@ impl Default for RemoteServerConfig {
             stall_timeout: Duration::from_secs(5),
             handshake_timeout: Duration::from_secs(5),
             once: false,
-            wire: WirePolicy::Auto,
             max_buffered: 4 * 1024 * 1024,
         }
     }
@@ -123,12 +106,9 @@ pub struct RemoteServerStats {
     pub requests: u64,
     /// Connections cut for malformed/truncated frames.
     pub protocol_errors: u64,
-    /// Handshakes refused (bad magic, unsupported version, timeout).
+    /// Handshakes refused (bad magic, unsupported version, an over-long
+    /// client id, timeout).
     pub handshake_rejects: u64,
-    /// Handshakes that negotiated JSON-lines framing.
-    pub json_connections: u64,
-    /// Handshakes that negotiated binary framing.
-    pub binary_connections: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -279,8 +259,6 @@ struct ServerShared {
     requests: AtomicU64,
     protocol_errors: AtomicU64,
     handshake_rejects: AtomicU64,
-    json_connections: AtomicU64,
-    binary_connections: AtomicU64,
 }
 
 impl ServerShared {
@@ -367,7 +345,6 @@ impl ServerShared {
             .map(|telem| ConnectionStats {
                 token: telem.token,
                 client: lock(&telem.client).clone(),
-                wire: lock(&telem.wire).clone(),
                 frames_in: telem.frames_in.load(Ordering::Relaxed),
                 frames_out: telem.frames_out.load(Ordering::Relaxed),
                 bytes_in: telem.bytes_in.load(Ordering::Relaxed),
@@ -404,14 +381,6 @@ impl ServerShared {
             .counter(
                 "handshake_rejects",
                 self.handshake_rejects.load(Ordering::Relaxed),
-            )
-            .counter(
-                "json_connections",
-                self.json_connections.load(Ordering::Relaxed),
-            )
-            .counter(
-                "binary_connections",
-                self.binary_connections.load(Ordering::Relaxed),
             );
         if frame.count() > 0 {
             layer = layer.op_rate(op_rate("frame", &frame, self.started.elapsed()));
@@ -444,8 +413,6 @@ struct ConnTelemetry {
     token: u64,
     /// Identity the peer announced at handshake, if any.
     client: Mutex<Option<String>>,
-    /// Negotiated framing name (`"json"` until the handshake grants).
-    wire: Mutex<String>,
     frames_in: AtomicU64,
     frames_out: AtomicU64,
     bytes_in: AtomicU64,
@@ -462,8 +429,6 @@ struct ConnTelemetry {
 struct Connection {
     conn: Conn,
     inbuf: FrameBuffer,
-    /// JSON until the handshake negotiates otherwise.
-    wire: WireMode,
     out: OutBuf,
     telemetry: Arc<ConnTelemetry>,
     /// Pause state at the last timer check — edge detection for the
@@ -500,12 +465,10 @@ impl Connection {
         Connection {
             conn,
             inbuf: FrameBuffer::new(),
-            wire: WireMode::Json,
             out: OutBuf::default(),
             telemetry: Arc::new(ConnTelemetry {
                 token,
                 client: Mutex::new(None),
-                wire: Mutex::new(WireMode::Json.name().to_string()),
                 frames_in: AtomicU64::new(0),
                 frames_out: AtomicU64::new(0),
                 bytes_in: AtomicU64::new(0),
@@ -579,12 +542,11 @@ impl Connection {
             // The frame-decode span times the whole decode: bytes →
             // request.
             let decode_started = Instant::now();
-            let wire = self.wire;
-            let frame = match self.inbuf.take_frame(wire, MAX_REQUEST_FRAME) {
+            let frame = match self.inbuf.take_frame(MAX_REQUEST_FRAME) {
                 Ok(Some(payload)) if self.handshaken => {
-                    wire.decode_payload(payload).map(Frame::Request)
+                    codec::decode_payload(payload).map(Frame::Request)
                 }
-                Ok(Some(payload)) => wire.decode_payload(payload).map(Frame::Hello),
+                Ok(Some(payload)) => codec::decode_payload(payload).map(Frame::Hello),
                 Ok(None) => return,
                 Err(msg) => Err(msg),
             };
@@ -609,49 +571,33 @@ impl Connection {
     }
 
     fn handle_hello(&mut self, shared: &ServerShared, hello: Result<ClientHello, String>) {
-        let domains = shared.handshake_domains();
-        match hello {
-            Ok(hello) if hello.magic == MAGIC && hello.version == REMOTE_PROTOCOL_VERSION => {
-                let granted = match shared.config.wire {
-                    WirePolicy::JsonOnly => WireMode::Json,
-                    WirePolicy::Auto => hello
-                        .wire
-                        .as_deref()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or(WireMode::Json),
-                };
-                self.push_hello(&ServerHello {
-                    magic: MAGIC.to_string(),
-                    version: REMOTE_PROTOCOL_VERSION,
-                    workload: shared.service.workload().cloned(),
-                    domains,
-                    wire: Some(granted.name().to_string()),
-                });
-                // The granted codec takes over from the next frame on.
-                self.wire = granted;
-                self.handshaken = true;
-                *lock(&self.telemetry.client) = hello.client.clone();
-                *lock(&self.telemetry.wire) = granted.name().to_string();
-                self.client = hello.client;
-                shared.handshaken.fetch_add(1, Ordering::Release);
-                match granted {
-                    WireMode::Json => &shared.json_connections,
-                    WireMode::Binary => &shared.binary_connections,
-                }
-                .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(_) | Err(_) => {
-                self.push_hello(&ServerHello {
-                    magic: MAGIC.to_string(),
-                    version: REMOTE_PROTOCOL_VERSION,
-                    workload: None,
-                    domains,
-                    wire: None,
-                });
-                self.refused = true;
-                self.closing = true;
-            }
-        }
+        let accepted = hello.ok().filter(|hello| {
+            hello.magic == MAGIC
+                && hello.version == REMOTE_PROTOCOL_VERSION
+                && hello
+                    .client
+                    .as_ref()
+                    .is_none_or(|id| id.len() <= MAX_CLIENT_ID)
+        });
+        // A refusal still answers, naming this server's version, so the
+        // peer can fail with a precise error; it carries no workload.
+        self.push_hello(&ServerHello {
+            magic: MAGIC.to_string(),
+            version: REMOTE_PROTOCOL_VERSION,
+            workload: accepted
+                .as_ref()
+                .and_then(|_| shared.service.workload().cloned()),
+            domains: shared.handshake_domains(),
+        });
+        let Some(hello) = accepted else {
+            self.refused = true;
+            self.closing = true;
+            return;
+        };
+        self.handshaken = true;
+        *lock(&self.telemetry.client) = hello.client.clone();
+        self.client = hello.client;
+        shared.handshaken.fetch_add(1, Ordering::Release);
     }
 
     /// Decides one request frame and buffers its answer.
@@ -718,16 +664,16 @@ impl Connection {
         self.closing = true;
     }
 
-    /// Buffers one response frame in the negotiated codec. An answer too
-    /// large for a frame is replaced by a typed error, so the caller's
-    /// completion still resolves.
+    /// Buffers one response frame. An answer too large for a frame is
+    /// replaced by a typed error, so the caller's completion still
+    /// resolves.
     fn push_response(&mut self, response: &WireResponse) {
-        let encoded = self.wire.encode(response, &mut self.out.buf).or_else(|e| {
+        let encoded = codec::encode(response, &mut self.out.buf).or_else(|e| {
             let error = WireResponse {
                 id: response.id,
                 body: WireBody::Error(WireFault::Transport(format!("encode response: {e}"))),
             };
-            self.wire.encode(&error, &mut self.out.buf)
+            codec::encode(&error, &mut self.out.buf)
         });
         if encoded.is_ok() {
             self.telemetry.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -735,10 +681,9 @@ impl Connection {
         self.sync_buffered();
     }
 
-    /// Hello replies are always JSON-framed, whatever was (or will be)
-    /// negotiated.
+    /// Buffers the hello reply.
     fn push_hello(&mut self, hello: &ServerHello) {
-        let _ = WireMode::Json.encode(hello, &mut self.out.buf);
+        let _ = codec::encode(hello, &mut self.out.buf);
         self.sync_buffered();
     }
 
@@ -1210,8 +1155,6 @@ impl RemoteServer {
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             handshake_rejects: AtomicU64::new(0),
-            json_connections: AtomicU64::new(0),
-            binary_connections: AtomicU64::new(0),
         });
         let acceptor = Acceptor {
             shared: Arc::clone(&shared),
@@ -1249,8 +1192,6 @@ impl RemoteServer {
             requests: self.shared.requests.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
             handshake_rejects: self.shared.handshake_rejects.load(Ordering::Relaxed),
-            json_connections: self.shared.json_connections.load(Ordering::Relaxed),
-            binary_connections: self.shared.binary_connections.load(Ordering::Relaxed),
         }
     }
 

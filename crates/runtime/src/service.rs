@@ -95,7 +95,7 @@ pub struct AdmissionRequest {
     /// Causal span context minted at the outermost layer that saw the
     /// request (the remote client); layers derive child spans
     /// from it. Trailing `skip_none` field: requests to and from peers
-    /// that predate spans interop byte-identically on both codecs.
+    /// that predate spans interop byte-identically.
     #[serde(skip_none)]
     pub span: Option<SpanContext>,
 }
@@ -233,10 +233,6 @@ pub enum ServiceError {
     UnknownDomain(usize),
     /// The service was stopped before deciding.
     Stopped,
-    /// A submission queue was full. No layer in this crate produces it;
-    /// it keeps its wire form ([`WireFault`](crate::remote::WireFault))
-    /// so a far end that answers it still maps to a typed error.
-    QueueFull,
     /// The configuration or an artefact was unusable (parse failures, …).
     Config(String),
     /// The underlying analysis failed; no decision was computed.
@@ -254,7 +250,6 @@ impl fmt::Display for ServiceError {
             ServiceError::UnknownResident(r) => write!(f, "resident #{r} is not live"),
             ServiceError::UnknownDomain(d) => write!(f, "admission domain {d} out of range"),
             ServiceError::Stopped => write!(f, "service is stopped"),
-            ServiceError::QueueFull => write!(f, "submission queue is full"),
             ServiceError::Config(e) => write!(f, "service configuration error: {e}"),
             ServiceError::Analysis(e) => write!(f, "analysis failure: {e}"),
             ServiceError::Transport(e) => write!(f, "transport failure: {e}"),

@@ -516,7 +516,7 @@ pub struct TraceEvent {
     /// Remote client identity active when the event was recorded.
     pub client: Option<String>,
     /// Trace this event's span belongs to. Trailing `skip_none` fields:
-    /// events from builds without spans parse unchanged on both codecs.
+    /// events from builds without spans parse unchanged.
     #[serde(skip_none)]
     pub trace_id: Option<u64>,
     /// The event's own span id within the trace.
@@ -1080,6 +1080,16 @@ pub fn render_chrome_trace(events: &[TraceEvent], anchor_micros: u64) -> String 
     out
 }
 
+/// Named rows a [`Traced`] layer keeps in its per-tenant table. Decisions
+/// by any client id first seen after the table is full are counted in one
+/// more row, labelled [`OVERFLOW_TENANT`], so the table stays bounded
+/// whatever ids clients announce.
+pub const MAX_TENANT_ROWS: usize = 64;
+
+/// The client label of the per-tenant row that counts every tenant past
+/// [`MAX_TENANT_ROWS`] (and a client that announces this label itself).
+pub const OVERFLOW_TENANT: &str = "(other tenants)";
+
 /// Tracing middleware: records every decision flowing through the
 /// wrapped service into a shared [`TraceRecorder`].
 ///
@@ -1092,8 +1102,9 @@ pub struct Traced<S> {
     inner: S,
     recorder: Arc<TraceRecorder>,
     /// Per-tenant outcome counters + admit latency, keyed by the ambient
-    /// [`ClientScope`]. Only decisions attributed to a client touch this
-    /// map — anonymous local traffic pays no lock here.
+    /// [`ClientScope`], at most [`MAX_TENANT_ROWS`] named rows plus the
+    /// [`OVERFLOW_TENANT`] row. Only decisions attributed to a client
+    /// touch this map — anonymous local traffic pays no lock here.
     tenants: Mutex<BTreeMap<String, TenantCounters>>,
 }
 
@@ -1144,7 +1155,7 @@ impl<S: AdmissionService> Traced<S> {
             return;
         };
         let mut tenants = self.tenants.lock().expect("tenant map poisoned");
-        let counters = tenants.entry(client).or_default();
+        let counters = tenant_row(&mut tenants, client);
         match decision {
             AdmissionDecision::Admitted { .. } => counters.admitted += 1,
             AdmissionDecision::Rejected { .. } => counters.rejected += 1,
@@ -1207,7 +1218,7 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
             );
             if let Some(client) = ClientScope::current() {
                 let mut tenants = self.tenants.lock().expect("tenant map poisoned");
-                tenants.entry(client).or_default().released += 1;
+                tenant_row(&mut tenants, client).released += 1;
             }
         }
         result
@@ -1238,9 +1249,14 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
         telemetry.trace = self.recorder.stats();
         let tenants = self.tenants.lock().expect("tenant map poisoned");
         if !tenants.is_empty() {
+            // Named rows in id order, the overflow row last.
+            let (overflow, named): (Vec<_>, Vec<_>) = tenants
+                .iter()
+                .partition(|(client, _)| client.as_str() == OVERFLOW_TENANT);
             telemetry.tenants = Some(
-                tenants
-                    .iter()
+                named
+                    .into_iter()
+                    .chain(overflow)
                     .map(|(client, counters)| TenantBreakdown {
                         client: client.clone(),
                         admitted: counters.admitted,
@@ -1262,6 +1278,22 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
     fn trace_recorder(&self) -> Option<Arc<TraceRecorder>> {
         Some(Arc::clone(&self.recorder))
     }
+}
+
+/// The row of `tenants` that counts `client`'s decisions: its own while
+/// fewer than [`MAX_TENANT_ROWS`] named rows exist, the
+/// [`OVERFLOW_TENANT`] row after that.
+fn tenant_row(
+    tenants: &mut BTreeMap<String, TenantCounters>,
+    client: String,
+) -> &mut TenantCounters {
+    let named = tenants.len() - usize::from(tenants.contains_key(OVERFLOW_TENANT));
+    let key = if named < MAX_TENANT_ROWS || tenants.contains_key(&client) {
+        client
+    } else {
+        OVERFLOW_TENANT.to_string()
+    };
+    tenants.entry(key).or_default()
 }
 
 /// Full latency distribution of one operation class on one layer.
@@ -1293,7 +1325,8 @@ pub struct TraceStats {
 
 /// Per-tenant admission breakdown, keyed by the
 /// [`ClientScope`] identity decisions were made
-/// under — one row per remote client seen by the [`Traced`] layer.
+/// under — one row per remote client seen by the [`Traced`] layer, up to
+/// [`MAX_TENANT_ROWS`], then one [`OVERFLOW_TENANT`] row for the rest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantBreakdown {
     /// Client identity (from the connection handshake).
@@ -1317,8 +1350,6 @@ pub struct ConnectionStats {
     pub token: u64,
     /// Client identity from the handshake, once seen.
     pub client: Option<String>,
-    /// Negotiated wire mode (`"json"` / `"binary"`).
-    pub wire: String,
     /// Request frames decoded off this connection.
     pub frames_in: u64,
     /// Response frames queued to this connection.
@@ -1471,10 +1502,9 @@ impl TelemetrySnapshot {
         if let Some(connections) = &self.connections {
             let _ = writeln!(
                 out,
-                "{:<6} {:<16} {:<7} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>7}",
+                "{:<6} {:<16} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>7}",
                 "conn",
                 "client",
-                "wire",
                 "frames_in",
                 "frames_out",
                 "bytes_in",
@@ -1486,10 +1516,9 @@ impl TelemetrySnapshot {
             for conn in connections {
                 let _ = writeln!(
                     out,
-                    "{:<6} {:<16} {:<7} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>7}",
+                    "{:<6} {:<16} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>7}",
                     conn.token,
                     conn.client.as_deref().unwrap_or("-"),
-                    conn.wire,
                     conn.frames_in,
                     conn.frames_out,
                     conn.bytes_in,

@@ -56,10 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let client = RemoteClient::connect(&client_addr).map_err(|e| e.to_string())?;
         let spec = client.workload().ok_or("no workload in handshake")?;
         println!(
-            "client connected: {} applications, {} domains, {} frames",
+            "client connected: {} applications, {} domains",
             spec.application_count(),
             client.domains(),
-            client.wire_mode(),
         );
 
         // Pipeline a burst of admissions without waiting in between.

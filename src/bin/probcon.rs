@@ -6,7 +6,7 @@
 //! probcon estimate --seed 2007 --apps 10 --use-case 1023 [--method order-2]
 //! probcon simulate --seed 2007 --apps 10 --use-case 1023 [--horizon 500000]
 //! probcon fleet-bench --requests 1000 [--groups 4] [--journal fleet.jsonl]
-//! probcon serve    --listen unix:/tmp/probcon.sock [--once] [--wire json|binary]
+//! probcon serve    --listen unix:/tmp/probcon.sock [--once]
 //! probcon fleet-bench --connect unix:/tmp/probcon.sock --requests 1000 [--connections 64]
 //! probcon top      [--connect unix:/tmp/probcon.sock] [--watch 2] [--prometheus] [--connections]
 //! probcon trace    [--connect unix:/tmp/probcon.sock] [--tail 20] [--json] [--chrome out.json]
@@ -61,7 +61,7 @@ USAGE:
                       [--telemetry <file.json>] [--telemetry-interval <ms>]
                       [--autoscale <policy.json>] [--autoscale-interval <ms>]
                       [--connect tcp:HOST:PORT|unix:PATH] [--client NAME]
-                      [--wire json|binary] [--connections <n>]
+                      [--connections <n>]
       Drive a metered + cached service stack over a multi-group fleet manager
       with a seeded admit/release/rebalance/estimate stream, print per-group
       utilisation and per-layer service metrics, optionally pre-warm the
@@ -70,9 +70,10 @@ USAGE:
       checksummed journal. With --connect, drive a fleet served by `probcon
       serve` in another process instead: the workload spec arrives in the
       handshake, and --journal fetches the server-side decision journal for
-      local replay. --client NAME announces an identity in the handshake:
-      the server stamps it into every journaled decision this run drives,
-      so multi-client recordings split per client (`probcon journal split`).
+      local replay. --client NAME (at most 64 bytes) announces an identity
+      in the handshake: the server stamps it into every journaled decision
+      this run drives, so multi-client recordings split per client
+      (`probcon journal split`).
       --journal-dir records into a segmented write-ahead log directory
       instead of memory: appends stream to disk with bounded RSS, --fsync
       picks the durability policy (default every-256) and
@@ -88,9 +89,7 @@ USAGE:
       duration of the run, ticking every --autoscale-interval ms (default
       50); every resize it makes is journaled alongside the admissions,
       so the recording replays and plans like any other. Local only — a
-      remote fleet's shape is the server's to scale. --wire picks the
-      frame encoding requested at handshake (default binary; json for
-      greppable debug frames — either way the granted mode is printed).
+      remote fleet's shape is the server's to scale.
       --connections opens <n> client connections to the one
       server and round-robins the request stream across them — the fan-in
       shape the readiness-loop server serves at flat memory.
@@ -102,9 +101,9 @@ USAGE:
                 [--journal-dir <dir>] [--fsync always|every-N|on-rotate]
                 [--segment-entries <n>] [--checkpoint-every <n>]
                 [--autoscale <policy.json>] [--autoscale-interval <ms>]
-                [--wire json|binary]
       Serve a traced + metered + estimate-cached multi-group fleet manager
-      over the remote admission protocol (TCP or Unix domain socket). Every
+      over the remote admission protocol (version 5: binary frames from
+      the hello on, over TCP or a Unix domain socket). Every
       decision lands in the fleet's header-stamped journal, served to
       clients over the wire, and in a --trace-event flight recorder
       (default 4096) that `probcon trace --connect` tails live. --once
@@ -136,31 +135,28 @@ USAGE:
       groups when configured), and journals every resize as a first-class
       decision — an autoscaled run replays outcome-for-outcome and
       `probcon top --connect` shows the controller's live status line.
-      --wire json forces greppable JSON-lines debug frames on every
-      connection; the default grants each client the frames it requests
-      (compact binary unless it asks for JSON).
 
   probcon top [--connect tcp:HOST:PORT|unix:PATH] [--watch <secs>] [--prometheus]
-              [--connections] [--wire json|binary] [--seed <u64>] [--requests <n>]
+              [--connections] [--seed <u64>] [--requests <n>]
       Live telemetry of an admission stack: per-layer operation latency
       distributions (count, ops/s, p50/p90/p99/p999), fleet utilisation,
-      flight-recorder counters, per-tenant admit/reject breakdowns and —
-      from a served stack — per-connection transport counters plus
-      event-loop health (poll ticks, tick duration percentiles, ready-set
-      sizes). With --connect, polls a `probcon serve` process over the
+      flight-recorder counters, per-tenant admit/reject breakdowns (64
+      named rows; tenants seen after that share one \"(other tenants)\"
+      row) and — from a served stack — per-connection transport counters
+      plus event-loop health (poll ticks, tick duration percentiles,
+      ready-set sizes). With --connect, polls a `probcon serve` process over the
       wire without disturbing it; --watch re-renders every <secs> seconds
       (default 2) until interrupted. Without --connect, drives a seeded
       local demo stack (--seed, default 2007; --requests, default 400) and
       renders its telemetry once. --prometheus emits the Prometheus text
       exposition format instead of the human table.
       --connections (needs --connect) renders only the transport view:
-      one row per live connection (client, wire mode, frames/bytes each
-      way, write-buffer depth, in-flight requests, backpressure pauses)
-      and the event-loop line.
+      one row per live connection (client, frames/bytes each way,
+      write-buffer depth, in-flight requests, backpressure pauses) and the
+      event-loop line.
 
   probcon trace [--connect tcp:HOST:PORT|unix:PATH] [--tail <n>] [--json]
-                [--chrome <file.json>] [--wire json|binary]
-                [--seed <u64>] [--requests <n>]
+                [--chrome <file.json>] [--seed <u64>] [--requests <n>]
       The newest <n> (default 20) structured decision events from a stack's
       flight recorder, oldest first: admit/reject/saturate/release/estimate
       with request ids, groups, durations, cache hit/miss attribution,
@@ -256,18 +252,15 @@ const FLAGS: &[(&str, &str)] = &[
         "fleet-bench",
         "requests threads seed apps actors groups shards capacity policy journal \
          journal-dir warm-cache fsync segment-entries telemetry telemetry-interval \
-         autoscale autoscale-interval connect client wire connections",
+         autoscale autoscale-interval connect client connections",
     ),
     (
         "serve",
         "listen seed apps actors groups shards capacity policy cache trace once journal \
-         journal-dir fsync segment-entries checkpoint-every autoscale autoscale-interval wire",
+         journal-dir fsync segment-entries checkpoint-every autoscale autoscale-interval",
     ),
-    (
-        "top",
-        "connect watch prometheus connections wire seed requests",
-    ),
-    ("trace", "connect tail json chrome wire seed requests"),
+    ("top", "connect watch prometheus connections seed requests"),
+    ("trace", "connect tail json chrome seed requests"),
     ("replay", ""),
     (
         "plan",
@@ -641,12 +634,8 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
                 .into(),
         );
     }
-    for flag in ["wire", "connections"] {
-        if options.contains_key(flag) {
-            return Err(format!(
-                "--{flag} shapes the remote transport and needs --connect"
-            ));
-        }
+    if options.contains_key("connections") {
+        return Err("--connections shapes the remote transport and needs --connect".into());
     }
 
     let requests = require_u64(options, "requests")? as usize;
@@ -885,7 +874,7 @@ impl runtime::AdmissionService for FanInClient {
 fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
         run_requests, seeded_fleet_requests, AdmissionService, ClientConfig, ConnectionPoint,
-        Endpoint, Metered, RemoteClient, WireMode,
+        Endpoint, Metered, RemoteClient,
     };
 
     // Fleet shape, workload and journal durability are the server's to
@@ -920,10 +909,6 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
         return Err("--threads must be positive".into());
     }
     let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let wire = match options.get("wire") {
-        Some(&mode) => mode.parse::<WireMode>()?,
-        None => WireMode::Binary,
-    };
     let connections = opt_u64(options, "connections")?.unwrap_or(1) as usize;
     if connections == 0 {
         return Err("--connections must be positive".into());
@@ -935,7 +920,6 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
             &addr,
             ClientConfig {
                 client: options.get("client").map(|&name| name.to_string()),
-                wire,
                 ..ClientConfig::default()
             },
         )
@@ -951,9 +935,8 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
     let groups = clients[0].domains();
     println!(
         "fleet-bench: {} applications across {groups} remote domains at {addr} \
-         ({connections} connection(s), {} frames)",
+         ({connections} connection(s))",
         spec.application_count(),
-        clients[0].wire_mode(),
     );
 
     let stream = seeded_fleet_requests(&spec, groups, requests, seed);
@@ -1007,7 +990,7 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
 fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
         Cached, Endpoint, FleetManager, Journal, Metered, RemoteServer, RemoteServerConfig,
-        TraceRecorder, Traced, WireMode, WirePolicy,
+        TraceRecorder, Traced,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1016,15 +999,6 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         .get("listen")
         .ok_or("missing required option --listen")?;
     let addr: Endpoint = listen.parse()?;
-    // --wire json forces greppable JSON-lines frames on every connection;
-    // the default negotiates binary with any client that asks for it.
-    let wire = match options.get("wire") {
-        Some(&mode) => match mode.parse::<WireMode>()? {
-            WireMode::Json => WirePolicy::JsonOnly,
-            WireMode::Binary => WirePolicy::Auto,
-        },
-        None => WirePolicy::Auto,
-    };
     let cache = opt_u64(options, "cache")?.unwrap_or(256) as usize;
     if cache == 0 {
         return Err("--cache must be positive".into());
@@ -1121,7 +1095,6 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         Some(fleet.clone()),
         RemoteServerConfig {
             once: options.contains_key("once"),
-            wire,
             ..RemoteServerConfig::default()
         },
     )
@@ -1257,7 +1230,7 @@ fn demo_telemetry_stack(
 }
 
 fn cmd_top(options: &HashMap<&str, &str>) -> Result<(), String> {
-    use runtime::{AdmissionService, Endpoint};
+    use runtime::{AdmissionService, Endpoint, RemoteClient};
     use std::time::Duration;
 
     let prometheus = options.contains_key("prometheus");
@@ -1299,7 +1272,7 @@ fn cmd_top(options: &HashMap<&str, &str>) -> Result<(), String> {
     };
 
     let addr: Endpoint = addr.parse()?;
-    let client = connect_observer(&addr, options)?;
+    let client = RemoteClient::connect(&addr).map_err(|e| e.to_string())?;
     loop {
         let telemetry = client.remote_telemetry().map_err(|e| e.to_string())?;
         print!(
@@ -1320,28 +1293,8 @@ fn cmd_top(options: &HashMap<&str, &str>) -> Result<(), String> {
     Ok(())
 }
 
-/// Connects an observer command (`top`/`trace`), honouring `--wire`
-/// (binary by default — observers move bulky telemetry frames).
-fn connect_observer(
-    addr: &runtime::Endpoint,
-    options: &HashMap<&str, &str>,
-) -> Result<runtime::RemoteClient, String> {
-    let wire = match options.get("wire") {
-        Some(&mode) => mode.parse::<runtime::WireMode>()?,
-        None => runtime::WireMode::Binary,
-    };
-    runtime::RemoteClient::connect_config(
-        addr,
-        runtime::ClientConfig {
-            wire,
-            ..runtime::ClientConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())
-}
-
 fn cmd_trace(options: &HashMap<&str, &str>) -> Result<(), String> {
-    use runtime::{AdmissionService, Endpoint};
+    use runtime::{AdmissionService, Endpoint, RemoteClient};
 
     let chrome = options.get("chrome").copied();
     if chrome == Some("true") {
@@ -1360,7 +1313,7 @@ fn cmd_trace(options: &HashMap<&str, &str>) -> Result<(), String> {
     let (events, anchor) = match options.get("connect") {
         Some(&addr) => {
             let addr: Endpoint = addr.parse()?;
-            let client = connect_observer(&addr, options)?;
+            let client = RemoteClient::connect(&addr).map_err(|e| e.to_string())?;
             let events = client.remote_trace(tail).map_err(|e| e.to_string())?;
             let anchor = if chrome.is_some() {
                 let telemetry = client.remote_telemetry().map_err(|e| e.to_string())?;

@@ -334,9 +334,8 @@ fn fleet_bench_and_replay_validate_inputs() {
         // --client announces an identity to a remote server; local runs
         // have no handshake to carry it.
         vec!["fleet-bench", "--requests", "10", "--client", "alpha"],
-        // --wire and --connections shape the remote transport; without
-        // --connect there is no wire to shape.
-        vec!["fleet-bench", "--requests", "10", "--wire", "binary"],
+        // --connections shapes the remote transport; without --connect
+        // there is no wire to shape.
         vec!["fleet-bench", "--requests", "10", "--connections", "4"],
         vec!["fleet-bench", "--requests", "10", "--actors", "0"],
         vec!["serve", "--listen", &never_bound, "--actors", "0"],
@@ -884,8 +883,9 @@ fn analyze_refuses_inconsistent_graph_files_without_panicking() {
 fn serve_connect_journal_replay_roundtrip_over_uds() {
     // The full remote loop in one test: a `probcon serve --once` process
     // on a Unix domain socket, a `fleet-bench --connect` run against it
-    // that fetches the server-side journal over the wire, and a
-    // `probcon replay` verifying the fetched journal outcome-for-outcome.
+    // under the longest client id a server accepts that fetches the
+    // server-side journal over the wire, a `probcon replay` verifying the
+    // fetched journal outcome-for-outcome, and a `journal split` of it.
     let dir = std::env::temp_dir().join("probcon-cli-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let socket = dir.join(format!("serve-{}.sock", std::process::id()));
@@ -909,15 +909,29 @@ fn serve_connect_journal_replay_roundtrip_over_uds() {
     }
     assert!(socket.exists(), "server never bound {}", socket.display());
 
-    let out = probcon(&[
-        "fleet-bench",
-        "--connect",
-        &listen,
-        "--requests",
-        "200",
-        "--journal",
-        journal.to_str().expect("utf8 path"),
-    ]);
+    // One byte over the cap is refused before anything is dialed, so the
+    // one-shot server is still there for the run below.
+    let client = "c".repeat(probcon::runtime::MAX_CLIENT_ID);
+    let too_long = format!("{client}c");
+    let bench = |client: &str| {
+        probcon(&[
+            "fleet-bench",
+            "--connect",
+            &listen,
+            "--requests",
+            "200",
+            "--client",
+            client,
+            "--journal",
+            journal.to_str().expect("utf8 path"),
+        ])
+    };
+    let out = bench(&too_long);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("client id of 65 bytes"), "{stderr}");
+
+    let out = bench(&client);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
@@ -942,6 +956,25 @@ fn serve_connect_journal_replay_roundtrip_over_uds() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("EQUIVALENT"), "{stdout}");
     assert!(stdout.contains("0 diverged"), "{stdout}");
+
+    // Every decision carries the id, and a split names its file after it.
+    let parts = dir.join(format!("remote-{}-parts", std::process::id()));
+    let _ = std::fs::remove_dir_all(&parts);
+    let out = probcon(&[
+        "journal",
+        "split",
+        journal.to_str().expect("utf8 path"),
+        "--out-dir",
+        parts.to_str().expect("utf8 path"),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1 client(s)"), "{stdout}");
+    let part = parts.join(format!(
+        "remote-{}.client-{client}.jsonl",
+        std::process::id()
+    ));
+    assert!(part.exists(), "{stdout}");
 }
 
 /// A `serve --journal-dir` restart takes its workload and shape from the
@@ -1064,22 +1097,20 @@ fn fleet_bench_connect_rejects_local_fleet_flags_and_dead_endpoints() {
             "--requests",
             "10",
         ],
-        // An unknown wire mode fails before any connection is attempted.
-        vec![
-            "fleet-bench",
-            "--connect",
-            "unix:/tmp/x.sock",
-            "--requests",
-            "10",
-            "--wire",
-            "bogus",
-        ],
         vec!["serve"],
         vec!["serve", "--listen", "bogus-address"],
-        vec!["serve", "--listen", "tcp:127.0.0.1:0", "--wire", "bogus"],
     ] {
         assert_rejected(&bad);
     }
+    // The wire has one codec, so there is no codec to pick: --wire is an
+    // unknown option, refused before anything binds.
+    let out = probcon(&["serve", "--listen", "tcp:127.0.0.1:0", "--wire", "json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown option --wire for serve"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! Byte-identity oracle: the wire frames of both codecs, a journal text,
-//! a checkpoint with an added group and a pretty-printed CLI document,
-//! recorded into `tests/fixtures/` by earlier builds, must be reproduced
-//! byte for byte, decode back to equal messages, and (for the journal and
-//! the checkpoint) verify every checksum. A change that moves one byte of
+//! Byte-identity oracle: the wire frames, a journal text, a checkpoint
+//! with an added group and a pretty-printed CLI document, recorded into
+//! `tests/fixtures/` by earlier builds, must be reproduced byte for byte,
+//! decode back to equal messages, and (for the journal and the
+//! checkpoint) verify every checksum. A change that moves one byte of
 //! any wire frame, journal line or checksum fails here.
 
 use contention::{Estimate, Method, Violation};
 use platform::{AppId, Application, Mapping, SystemSpec, UseCase};
-use runtime::remote::codec::{encode_frame, WireMode, MAX_FRAME};
+use runtime::remote::codec::{decode, encode_frame, MAX_FRAME};
 use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
 };
@@ -23,7 +23,6 @@ use sdf::{figure2_graphs, generate_graph, GeneratorConfig, Rational, SdfGraph};
 use std::sync::Arc;
 
 const WIRE_BINARY: &[u8] = include_bytes!("fixtures/wire_frames.bin");
-const WIRE_JSON: &[u8] = include_bytes!("fixtures/wire_frames.jsonl");
 const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
 const PRETTY: &str = include_str!("fixtures/generate_seed7.json");
 const ADDED_GROUP_CHECKPOINT: &str = include_str!("fixtures/checkpoint_added_group.json");
@@ -138,7 +137,6 @@ fn telemetry_full() -> TelemetrySnapshot {
         ConnectionStats {
             token: 1,
             client: Some("bench-7".to_string()),
-            wire: "binary".to_string(),
             frames_in: 20,
             frames_out: 20,
             bytes_in: 1200,
@@ -150,7 +148,6 @@ fn telemetry_full() -> TelemetrySnapshot {
         ConnectionStats {
             token: 2,
             client: None,
-            wire: "json".to_string(),
             frames_in: 1,
             frames_out: 1,
             bytes_in: 90,
@@ -236,38 +233,34 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             "client-hello",
             Golden::ClientHello(ClientHello {
                 magic: "probcon-remote".to_string(),
-                version: 4,
+                version: 5,
                 client: Some("bench-7".to_string()),
-                wire: Some("binary".to_string()),
             }),
         ),
         (
             "client-hello-bare",
             Golden::ClientHello(ClientHello {
                 magic: "probcon-remote".to_string(),
-                version: 4,
+                version: 5,
                 client: None,
-                wire: None,
             }),
         ),
         (
             "server-hello",
             Golden::ServerHello(ServerHello {
                 magic: "probcon-remote".to_string(),
-                version: 4,
+                version: 5,
                 workload: Some(spec.clone()),
                 domains: 3,
-                wire: Some("binary".to_string()),
             }),
         ),
         (
             "server-hello-refusal",
             Golden::ServerHello(ServerHello {
                 magic: "probcon-remote".to_string(),
-                version: 4,
+                version: 5,
                 workload: None,
                 domains: 1,
-                wire: None,
             }),
         ),
         (
@@ -428,10 +421,6 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
         (
             "error-stopped",
             response(15, WireBody::Error(WireFault::Stopped)),
-        ),
-        (
-            "error-queue-full",
-            response(16, WireBody::Error(WireFault::QueueFull)),
         ),
         (
             "error-config",
@@ -717,68 +706,61 @@ fn pretty_document() -> String {
 // The checks.
 // ---------------------------------------------------------------------------
 
-fn encode(wire: WireMode, msg: &Golden) -> Vec<u8> {
+fn encode(msg: &Golden) -> Vec<u8> {
     match msg {
-        Golden::ClientHello(m) => encode_frame(wire, m),
-        Golden::ServerHello(m) => encode_frame(wire, m),
-        Golden::Request(m) => encode_frame(wire, m),
-        Golden::Response(m) => encode_frame(wire, m),
+        Golden::ClientHello(m) => encode_frame(m),
+        Golden::ServerHello(m) => encode_frame(m),
+        Golden::Request(m) => encode_frame(m),
+        Golden::Response(m) => encode_frame(m),
     }
     .expect("encodes")
 }
 
 /// Decodes the frame at the front of `bytes` as `like`'s message type,
 /// returning it and the frame's length.
-fn decode(wire: WireMode, like: &Golden, bytes: &[u8]) -> (Golden, usize) {
-    fn one<T: serde::Deserialize>(wire: WireMode, bytes: &[u8]) -> (T, usize) {
-        wire.decode(bytes, MAX_FRAME)
+fn decode_like(like: &Golden, bytes: &[u8]) -> (Golden, usize) {
+    fn one<T: serde::Deserialize>(bytes: &[u8]) -> (T, usize) {
+        decode(bytes, MAX_FRAME)
             .expect("decodes")
             .expect("complete")
     }
     match like {
         Golden::ClientHello(_) => {
-            let (m, n) = one(wire, bytes);
+            let (m, n) = one(bytes);
             (Golden::ClientHello(m), n)
         }
         Golden::ServerHello(_) => {
-            let (m, n) = one(wire, bytes);
+            let (m, n) = one(bytes);
             (Golden::ServerHello(m), n)
         }
         Golden::Request(_) => {
-            let (m, n) = one(wire, bytes);
+            let (m, n) = one(bytes);
             (Golden::Request(m), n)
         }
         Golden::Response(_) => {
-            let (m, n) = one(wire, bytes);
+            let (m, n) = one(bytes);
             (Golden::Response(m), n)
         }
     }
 }
 
 #[test]
-fn wire_frames_reproduce_the_fixtures_byte_for_byte_in_both_codecs() {
-    let messages = golden_messages();
-    for (wire, fixture) in [(WireMode::Binary, WIRE_BINARY), (WireMode::Json, WIRE_JSON)] {
-        let mut rest = fixture;
-        for (name, msg) in &messages {
-            let bytes = encode(wire, msg);
-            assert!(
-                rest.starts_with(&bytes),
-                "{wire} frame `{name}` differs from the fixture:\n  now:   {:?}\n  fixed: {:?}",
-                String::from_utf8_lossy(&bytes),
-                String::from_utf8_lossy(&rest[..bytes.len().min(rest.len())]),
-            );
-            let (back, consumed) = decode(wire, msg, rest);
-            assert_eq!(consumed, bytes.len(), "{wire} `{name}`: frame length");
-            assert_eq!(&back, msg, "{wire} `{name}`: decodes to an equal message");
-            rest = &rest[consumed..];
-        }
+fn wire_frames_reproduce_the_fixture_byte_for_byte() {
+    let mut rest = WIRE_BINARY;
+    for (name, msg) in &golden_messages() {
+        let bytes = encode(msg);
         assert!(
-            rest.is_empty(),
-            "{wire}: {} fixture bytes left over",
-            rest.len()
+            rest.starts_with(&bytes),
+            "frame `{name}` differs from the fixture:\n  now:   {:?}\n  fixed: {:?}",
+            String::from_utf8_lossy(&bytes),
+            String::from_utf8_lossy(&rest[..bytes.len().min(rest.len())]),
         );
+        let (back, consumed) = decode_like(msg, rest);
+        assert_eq!(consumed, bytes.len(), "`{name}`: frame length");
+        assert_eq!(&back, msg, "`{name}`: decodes to an equal message");
+        rest = &rest[consumed..];
     }
+    assert!(rest.is_empty(), "{} fixture bytes left over", rest.len());
 }
 
 #[test]

@@ -1,20 +1,27 @@
 //! Failure-mode tests of the `runtime::remote` transport: truncated
-//! frames, malformed JSON, protocol-version mismatches and mid-flight
-//! disconnects. The invariant under test throughout: **client completions
-//! resolve with typed errors, they never hang** — every scenario runs
-//! under the same watchdog the runtime stress tests use, so a wedged
-//! transport fails the suite instead of freezing it.
+//! frames, malformed payloads, protocol-version mismatches, peers that
+//! speak the retired JSON-lines frames and mid-flight disconnects. The
+//! invariant under test throughout: **client completions resolve with
+//! typed errors, they never hang** — every scenario runs under the same
+//! watchdog the runtime stress tests use, so a wedged transport fails the
+//! suite instead of freezing it. The last test holds the wire to the
+//! decisions of the same stack driven in process.
 
+use experiments::workload::workload_with;
 use platform::{Application, Mapping, SystemSpec};
-use runtime::remote::codec::encode_frame;
-use runtime::remote::{WireBody, WireFault, WireOp, WireRequest, WireResponse};
+use runtime::remote::codec::{decode, encode_frame};
+use runtime::remote::{
+    ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
+};
 use runtime::{
-    AdmissionDecision, AdmissionRequest, AdmissionService, ClientConfig, Completion, Endpoint,
-    FleetConfig, FleetManager, JournalReplayer, RemoteClient, RemoteServer, RemoteServerConfig,
-    RoutingPolicy, ServiceError, ServiceSnapshot, WireMode, EVENT_LOOPS, MAX_FRAME,
+    run_requests, seeded_fleet_requests, AdmissionDecision, AdmissionRequest, AdmissionService,
+    Cached, ClientConfig, Completion, DecisionEvent, Endpoint, FleetConfig, FleetManager,
+    JournalOutcome, JournalReplayer, Metered, RemoteClient, RemoteServer, RemoteServerConfig,
+    RoutingPolicy, ServiceError, ServiceSnapshot, Traced, EVENT_LOOPS, MAX_CLIENT_ID, MAX_FRAME,
     MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
 };
-use sdf::{figure2_graphs, Rational};
+use sdf::{figure2_graphs, GeneratorConfig, Rational};
+use serde::Deserialize;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,46 +77,81 @@ fn serve(groups: usize, capacity: usize) -> RemoteServer {
     .expect("server binds")
 }
 
+/// A client hello frame naming `version` and, optionally, a client id.
+fn client_hello(version: u64, client: Option<&str>) -> Vec<u8> {
+    encode_frame(&ClientHello {
+        magic: "probcon-remote".to_string(),
+        version,
+        client: client.map(str::to_string),
+    })
+    .expect("hello encodes")
+}
+
+/// A server hello frame naming `version` and `domains`, with no workload.
+fn server_hello(version: u64, domains: u64) -> Vec<u8> {
+    encode_frame(&ServerHello {
+        magic: "probcon-remote".to_string(),
+        version,
+        workload: None,
+        domains,
+    })
+    .expect("hello encodes")
+}
+
+/// The retired JSON-lines framing (`LEN JSON\n`) of `json`, as a peer of
+/// protocol v4 and earlier wrote every hello.
+fn json_line(json: &str) -> Vec<u8> {
+    format!("{} {json}\n", json.len()).into_bytes()
+}
+
 /// Raw TCP connection to a server, for speaking the protocol incorrectly
-/// on purpose. Performs a valid handshake first (the failure under test
-/// comes after it): `Some(mode)` asks for that wire mode, `None` sends a
-/// hello naming no mode, which the server must grant as JSON.
-fn raw_handshaken(server: &RemoteServer, wire: Option<&str>) -> TcpStream {
+/// on purpose.
+fn raw_connect(server: &RemoteServer) -> TcpStream {
     let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
         panic!("tcp server expected");
     };
-    let mut conn = TcpStream::connect(hostport.as_str()).expect("connects");
+    let conn = TcpStream::connect(hostport.as_str()).expect("connects");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout set");
-    let hello = match wire {
-        Some(wire) => format!(
-            "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\"wire\":\"{wire}\"}}"
-        ),
-        None => format!("{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION}}}"),
-    };
-    writeln!(conn, "{} {hello}", hello.len()).expect("hello frame");
-    read_one_frame(&mut conn).expect("server hello arrives");
     conn
 }
 
-/// Reads one `LEN JSON\n` frame, returning its payload (None on EOF).
-fn read_one_frame(conn: &mut TcpStream) -> Option<String> {
-    let mut prefix = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        if conn.read(&mut byte).ok()? == 0 {
-            return None;
-        }
-        if byte[0] == b' ' {
-            break;
-        }
-        prefix.push(byte[0]);
+/// [`raw_connect`], then a valid handshake announcing `client` (the
+/// failure under test comes after it).
+fn raw_handshaken(server: &RemoteServer, client: Option<&str>) -> TcpStream {
+    let mut conn = raw_connect(server);
+    conn.write_all(&client_hello(REMOTE_PROTOCOL_VERSION, client))
+        .expect("hello frame");
+    let hello: ServerHello = read_one_frame(&mut conn).expect("server hello arrives");
+    assert!(hello.workload.is_some(), "the hello was accepted");
+    conn
+}
+
+/// Reads one frame and decodes it as a `T` — `None` on EOF, a length past
+/// [`MAX_FRAME`] or a frame that is not a `T`.
+fn read_one_frame<T: Deserialize>(conn: &mut TcpStream) -> Option<T> {
+    let mut frame = vec![0u8; 4];
+    conn.read_exact(&mut frame).ok()?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    if len > MAX_FRAME {
+        return None;
     }
-    let len: usize = String::from_utf8(prefix).ok()?.parse().ok()?;
-    let mut payload = vec![0u8; len + 1]; // + newline
-    conn.read_exact(&mut payload).ok()?;
-    payload.pop();
-    String::from_utf8(payload).ok()
+    frame.resize(4 + len, 0);
+    conn.read_exact(&mut frame[4..]).ok()?;
+    let (msg, _) = decode::<T>(&frame, MAX_FRAME).ok()??;
+    Some(msg)
+}
+
+/// Reads to EOF and decodes the one frame the server answered before
+/// closing.
+fn read_last_answer(conn: &mut TcpStream) -> WireResponse {
+    let mut reply = Vec::new();
+    conn.read_to_end(&mut reply).expect("answered and closed");
+    let (response, consumed) = decode::<WireResponse>(&reply, MAX_FRAME)
+        .expect("a well-formed response frame")
+        .expect("complete reply");
+    assert_eq!(consumed, reply.len(), "one frame, then EOF");
+    response
 }
 
 /// A fake "server" accepting one connection and running `script` on it —
@@ -133,7 +175,7 @@ where
 fn consume_client_hello(conn: &mut TcpStream) {
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
-    let _ = read_one_frame(conn).expect("client hello arrives");
+    let _: ClientHello = read_one_frame(conn).expect("client hello arrives");
 }
 
 // ---------------------------------------------------------------------------
@@ -148,7 +190,14 @@ fn server_survives_truncated_frame_and_keeps_serving() {
         // A frame whose declared length exceeds what is ever sent, then
         // silence: the server must cut the connection as truncated ...
         let mut evil = raw_handshaken(&server, None);
-        evil.write_all(b"400 {\"id\":1,").expect("partial frame");
+        let request = encode_frame(&WireRequest {
+            id: 1,
+            op: WireOp::Snapshot,
+        })
+        .expect("request encodes");
+        evil.write_all(&400u32.to_le_bytes())
+            .expect("length prefix");
+        evil.write_all(&request[4..]).expect("partial frame");
         evil.flush().expect("flush");
         let mut rest = Vec::new();
         let _ = evil.read_to_end(&mut rest); // server answers an error frame and/or closes
@@ -172,15 +221,13 @@ fn client_resolves_on_truncated_response() {
     with_watchdog(|| {
         let addr = fake_server(|mut conn| {
             consume_client_hello(&mut conn);
-            let hello = format!(
-                "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
-                 \"workload\":null,\"domains\":1}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+            conn.write_all(&server_hello(REMOTE_PROTOCOL_VERSION, 1))
+                .expect("server hello");
             // Read the admit request, answer with a truncated frame, die.
-            let _ = read_one_frame(&mut conn);
-            conn.write_all(b"999 {\"id\":1,\"body\"")
-                .expect("truncated");
+            let _: Option<WireRequest> = read_one_frame(&mut conn);
+            conn.write_all(&999u32.to_le_bytes())
+                .expect("length prefix");
+            conn.write_all(&[0, 2]).expect("truncated");
             conn.flush().expect("flush");
             // Connection drops here.
         });
@@ -198,7 +245,7 @@ fn client_resolves_on_truncated_response() {
 }
 
 // ---------------------------------------------------------------------------
-// Malformed JSON.
+// Malformed payloads.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -206,14 +253,21 @@ fn server_answers_malformed_json_with_typed_error() {
     with_watchdog(|| {
         let server = serve(1, 2);
         let mut evil = raw_handshaken(&server, None);
-        // Correct framing (16 payload bytes declared and sent), garbage
-        // payload — this must reach the serde branch, not the framing one.
-        evil.write_all(b"16 this is not json\n").expect("bad frame");
+        // Correct framing (16 payload bytes declared and sent), a payload
+        // of text where a binary payload belongs — this must reach the
+        // payload decoder, not the framing checks.
+        evil.write_all(&16u32.to_le_bytes()).expect("length prefix");
+        evil.write_all(b"this is not json").expect("bad payload");
         evil.flush().expect("flush");
-        let reply = read_one_frame(&mut evil).expect("server answers before closing");
+        let reply: WireResponse = read_one_frame(&mut evil).expect("server answers before closing");
+        assert_eq!(reply.id, 0, "uncorrelated: no request was read");
         assert!(
-            reply.contains("Error") && reply.contains("\"id\":0"),
-            "expected an uncorrelated error frame, got: {reply}"
+            matches!(
+                &reply.body,
+                WireBody::Error(WireFault::Transport(msg)) if msg.starts_with("malformed frame")
+            ),
+            "expected a typed malformed-frame error, got {:?}",
+            reply.body
         );
         // Handlers are joined by shutdown; only then is the stat reliable.
         server.shutdown();
@@ -225,25 +279,25 @@ fn server_answers_malformed_json_with_typed_error() {
 fn a_deeply_nested_hello_is_refused_and_the_server_keeps_serving() {
     with_watchdog(|| {
         let server = serve(1, 2);
-        let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
-            panic!("tcp server expected");
-        };
-        let mut evil = TcpStream::connect(hostport.as_str()).expect("connects");
-        evil.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout set");
-        // 30,000 nested arrays in one 30 KB pre-handshake frame: under
+        let mut evil = raw_connect(&server);
+        // 30,000 nested arrays in one 60 KB pre-handshake frame: under
         // MAX_REQUEST_FRAME, and deep enough to overflow a loop thread's
         // stack in a parser without a nesting cap.
-        let hello = "[".repeat(30_000);
-        writeln!(evil, "{} {hello}", hello.len()).expect("deep hello");
+        let mut body = vec![0u8];
+        for _ in 0..30_000 {
+            body.extend_from_slice(&[6, 1]); // an array of one element ...
+        }
+        body.push(0); // ... around a null
+        evil.write_all(&(body.len() as u32).to_le_bytes())
+            .expect("length prefix");
+        evil.write_all(&body).expect("deep hello");
         evil.flush().expect("flush");
         // The server answers with a typed error, or closes this one
         // connection.
         let mut reply = Vec::new();
         let _ = evil.read_to_end(&mut reply);
         if !reply.is_empty() {
-            let (response, _) = WireMode::Json
-                .decode::<WireResponse>(&reply, MAX_FRAME)
+            let (response, _) = decode::<WireResponse>(&reply, MAX_FRAME)
                 .expect("a well-formed response frame")
                 .expect("complete reply");
             assert!(
@@ -275,32 +329,25 @@ fn server_refuses_an_over_cap_frame_from_its_length_prefix() {
     with_watchdog(|| {
         let server = serve(1, 2);
         let over = MAX_REQUEST_FRAME + 1;
-        for mode in [WireMode::Json, WireMode::Binary] {
-            let wire = mode.name();
-            // Announce one byte over the cap and send no payload: the
-            // server must answer from the length prefix alone, then close.
-            let mut evil = raw_handshaken(&server, Some(wire));
-            if wire == "json" {
-                write!(evil, "{over} ").expect("json prefix");
-            } else {
-                evil.write_all(&(over as u32).to_le_bytes())
-                    .expect("binary prefix");
-            }
+        // Announce one byte over the cap and send no payload — and, as a
+        // peer of the retired JSON-lines framing would, a decimal prefix,
+        // whose digits read as hundreds of megabytes. The server must
+        // answer from the four prefix bytes alone, then close.
+        for prefix in [
+            (over as u32).to_le_bytes().to_vec(),
+            format!("{over} ").into_bytes(),
+        ] {
+            let mut evil = raw_handshaken(&server, None);
+            evil.write_all(&prefix).expect("length prefix");
             evil.flush().expect("flush");
-            let mut reply = Vec::new();
-            evil.read_to_end(&mut reply)
-                .expect("answered and closed without waiting for the payload");
-            let (response, _) = mode
-                .decode::<WireResponse>(&reply, MAX_FRAME)
-                .expect("a well-formed response frame")
-                .expect("complete reply");
+            let response = read_last_answer(&mut evil);
             assert_eq!(response.id, 0, "uncorrelated: no request was read");
             assert!(
                 matches!(
                     &response.body,
                     WireBody::Error(WireFault::Transport(msg)) if msg.contains("exceeds maximum")
                 ),
-                "{wire}: expected a typed malformed-frame error, got {:?}",
+                "{prefix:?}: expected a typed malformed-frame error, got {:?}",
                 response.body
             );
         }
@@ -322,13 +369,11 @@ fn client_fails_pending_on_malformed_response() {
     with_watchdog(|| {
         let addr = fake_server(|mut conn| {
             consume_client_hello(&mut conn);
-            let hello = format!(
-                "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
-                 \"workload\":null,\"domains\":1}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
-            let _ = read_one_frame(&mut conn);
-            conn.write_all(b"9 not-json!\n").expect("garbage");
+            conn.write_all(&server_hello(REMOTE_PROTOCOL_VERSION, 1))
+                .expect("server hello");
+            let _: Option<WireRequest> = read_one_frame(&mut conn);
+            conn.write_all(&9u32.to_le_bytes()).expect("length prefix");
+            conn.write_all(b"not-json!").expect("garbage");
             conn.flush().expect("flush");
             std::thread::sleep(Duration::from_millis(200));
         });
@@ -365,7 +410,7 @@ fn set_everywhere(tree: &mut serde::Value, key: &str, value: &serde::Value) {
 }
 
 #[test]
-fn a_non_canonical_contract_is_a_malformed_request_in_both_codecs() {
+fn a_non_canonical_contract_is_a_malformed_request() {
     // A contract of 10⁻⁶ sent as -1/-1000000 used to decode as written,
     // and `Ord` (which assumes a positive denominator) then rejected the
     // admission. It is malformed: the server answers its typed fault and
@@ -388,24 +433,15 @@ fn a_non_canonical_contract_is_a_malformed_request_in_both_codecs() {
         hostile.insert("denom", serde::Value::Int(-1_000_000));
         set_everywhere(&mut request, "required_throughput", &hostile);
 
-        for wire in [WireMode::Json, WireMode::Binary] {
-            let mut conn = raw_handshaken(&server, Some(wire.name()));
-            conn.write_all(&encode_frame(wire, &request).expect("encodes"))
-                .expect("request frame");
-            let mut reply = Vec::new();
-            conn.read_to_end(&mut reply)
-                .expect("the server closes the connection");
-            let (response, _) = wire
-                .decode::<WireResponse>(&reply, MAX_FRAME)
-                .expect("a well-formed answer")
-                .expect("one whole frame");
-            match response.body {
-                WireBody::Error(WireFault::Transport(msg)) => assert!(
-                    msg.contains("malformed request") && msg.contains("lowest terms"),
-                    "{wire}: {msg}"
-                ),
-                other => panic!("{wire}: expected the malformed-request fault, got {other:?}"),
-            }
+        let mut conn = raw_handshaken(&server, None);
+        conn.write_all(&encode_frame(&request).expect("encodes"))
+            .expect("request frame");
+        match read_last_answer(&mut conn).body {
+            WireBody::Error(WireFault::Transport(msg)) => assert!(
+                msg.contains("malformed request") && msg.contains("lowest terms"),
+                "{msg}"
+            ),
+            other => panic!("expected the malformed-request fault, got {other:?}"),
         }
         let snapshot = fleet.snapshot();
         assert_eq!(
@@ -422,7 +458,7 @@ fn a_non_canonical_contract_is_a_malformed_request_in_both_codecs() {
         assert!(decision.is_admitted(), "{decision:?}");
         client.close();
         server.shutdown();
-        assert_eq!(server.stats().protocol_errors, 2);
+        assert_eq!(server.stats().protocol_errors, 1);
     });
 }
 
@@ -434,12 +470,16 @@ fn a_server_hello_advertising_an_empty_spec_fails_the_connect() {
     with_watchdog(|| {
         let addr = fake_server(|mut conn| {
             consume_client_hello(&mut conn);
-            let hello = format!(
+            // No `SystemSpec` holds zero applications, so the hello is
+            // built as a value tree.
+            let hello: serde::Value = serde_json::from_str(&format!(
                 "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
                  \"workload\":{{\"applications\":[],\"mapping\":{{\"ByActorIndex\":\
                  {{\"node_count\":3}}}},\"node_count\":3}},\"domains\":1}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+            ))
+            .expect("hello tree");
+            conn.write_all(&encode_frame(&hello).expect("hello encodes"))
+                .expect("server hello");
             std::thread::sleep(Duration::from_millis(200));
         });
         match RemoteClient::connect(&addr) {
@@ -463,17 +503,14 @@ fn client_rejects_future_server_version_naming_both() {
         // There is one protocol version: an older server and a future one
         // fail the connect alike, and the client never redials at the
         // server's version.
-        for server_version in [3, REMOTE_PROTOCOL_VERSION + 41] {
+        for server_version in [REMOTE_PROTOCOL_VERSION - 1, REMOTE_PROTOCOL_VERSION + 41] {
             let listener = TcpListener::bind("127.0.0.1:0").expect("fake server binds");
             let addr = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
             let fake = std::thread::spawn(move || {
                 let (mut conn, _) = listener.accept().expect("first connection");
                 consume_client_hello(&mut conn);
-                let hello = format!(
-                    "{{\"magic\":\"probcon-remote\",\"version\":{server_version},\
-                     \"workload\":null,\"domains\":1}}"
-                );
-                writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+                conn.write_all(&server_hello(server_version, 1))
+                    .expect("server hello");
                 listener
             });
             match RemoteClient::connect(&addr) {
@@ -502,21 +539,14 @@ fn client_rejects_future_server_version_naming_both() {
 fn server_rejects_stale_client_version_but_keeps_serving() {
     with_watchdog(|| {
         let server = serve(1, 2);
-        let Endpoint::Tcp(hostport) = server.local_addr().clone() else {
-            panic!("tcp server expected");
-        };
-        let mut stale = TcpStream::connect(hostport.as_str()).expect("connects");
+        let mut stale = raw_connect(&server);
         stale
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let hello = "{\"magic\":\"probcon-remote\",\"version\":99}";
-        writeln!(stale, "{} {hello}", hello.len()).expect("stale hello");
+            .write_all(&client_hello(99, None))
+            .expect("stale hello");
         // The server answers naming its own version, then closes.
-        let reply = read_one_frame(&mut stale).expect("server answers");
-        assert!(
-            reply.contains(&format!("\"version\":{REMOTE_PROTOCOL_VERSION}")),
-            "reply must name the server version: {reply}"
-        );
+        let reply: ServerHello = read_one_frame(&mut stale).expect("server answers");
+        assert_eq!(reply.version, REMOTE_PROTOCOL_VERSION, "{reply:?}");
+        assert!(reply.workload.is_none(), "no spec for refused clients");
         let mut rest = Vec::new();
         assert_eq!(stale.read_to_end(&mut rest).unwrap_or(0), 0, "then EOF");
 
@@ -525,6 +555,137 @@ fn server_rejects_stale_client_version_but_keeps_serving() {
         assert!(client.admit(&AdmissionRequest::new(0)).is_ok());
         client.close();
         // Handlers are joined by shutdown; only then are stats reliable.
+        server.shutdown();
+        assert_eq!(server.stats().handshake_rejects, 1);
+    });
+}
+
+#[test]
+fn a_v4_json_hello_is_refused_and_the_server_keeps_serving() {
+    with_watchdog(|| {
+        let server = serve(1, 2);
+        // A peer of protocol v4 opens with a JSON-lines hello: ASCII digits
+        // where the length prefix belongs, which read as a length past
+        // MAX_REQUEST_FRAME. The server refuses the frame from those four
+        // bytes with a typed error, then closes.
+        let mut old = raw_connect(&server);
+        old.write_all(&json_line(
+            "{\"magic\":\"probcon-remote\",\"version\":4,\"wire\":\"binary\"}",
+        ))
+        .expect("v4 hello");
+        let response = read_last_answer(&mut old);
+        assert!(
+            matches!(
+                &response.body,
+                WireBody::Error(WireFault::Transport(msg)) if msg.contains("exceeds maximum")
+            ),
+            "expected a typed malformed-frame error, got {:?}",
+            response.body
+        );
+
+        // Current clients are unaffected.
+        let client = RemoteClient::connect(server.local_addr()).expect("connects");
+        assert!(client
+            .admit(&AdmissionRequest::new(0))
+            .expect("decides")
+            .is_admitted());
+        client.close();
+        server.shutdown();
+        // A connection cut before its handshake counts as a reject.
+        assert_eq!(server.stats().handshake_rejects, 1);
+        assert_eq!(server.stats().protocol_errors, 0);
+    });
+}
+
+#[test]
+fn a_client_fails_typed_against_a_json_lines_server() {
+    with_watchdog(|| {
+        // A server of protocol v4 answers in JSON lines: an error frame
+        // when it cannot read the binary hello, or its own hello. Either
+        // way the client reads its digits as a length past MAX_FRAME and
+        // fails the connect at once.
+        let answers = [
+            "{\"id\":0,\"body\":{\"Error\":{\"Transport\":\"malformed frame: bad length prefix\"}}}",
+            "{\"magic\":\"probcon-remote\",\"version\":4,\"workload\":null,\"domains\":1,\"wire\":\"binary\"}",
+        ];
+        for answer in answers {
+            let addr = fake_server(move |mut conn| {
+                consume_client_hello(&mut conn);
+                conn.write_all(&json_line(answer)).expect("json answer");
+                // Stay connected: the client must fail on the bytes, not
+                // on EOF.
+                std::thread::sleep(Duration::from_secs(2));
+            });
+            match RemoteClient::connect(&addr) {
+                Err(ServiceError::Transport(msg)) => {
+                    assert!(msg.contains("exceeds maximum"), "{answer}: {msg}");
+                }
+                Ok(_) => panic!("a JSON-lines peer was accepted"),
+                Err(other) => panic!("expected a transport error, got {other:?}"),
+            }
+        }
+    });
+}
+
+#[test]
+fn an_over_long_client_id_is_refused_by_the_client_and_by_the_server() {
+    with_watchdog(|| {
+        let longest = "c".repeat(MAX_CLIENT_ID);
+        let too_long = format!("{longest}c");
+        let config = |client: &str| ClientConfig {
+            client: Some(client.to_string()),
+            ..ClientConfig::default()
+        };
+
+        // The client refuses before it dials: nothing reaches the listener.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("listener binds");
+        let addr = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+        match RemoteClient::connect_config(&addr, config(&too_long)) {
+            Err(ServiceError::Config(msg)) => {
+                assert!(msg.contains(&(MAX_CLIENT_ID + 1).to_string()), "{msg}");
+            }
+            Ok(_) => panic!("an over-long client id was sent"),
+            Err(other) => panic!("expected a config error, got {other:?}"),
+        }
+        listener.set_nonblocking(true).expect("non-blocking accept");
+        assert!(
+            matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "the client dialed"
+        );
+
+        // A server refuses such a hello from any peer: a refusal hello,
+        // then EOF, and no tenant row.
+        let server = RemoteServer::bind_with(
+            &"tcp:127.0.0.1:0".parse().expect("addr"),
+            Arc::new(Traced::new(fleet(1, 2), 64)),
+            None,
+            RemoteServerConfig::default(),
+        )
+        .expect("server binds");
+        let mut raw = raw_connect(&server);
+        raw.write_all(&client_hello(REMOTE_PROTOCOL_VERSION, Some(&too_long)))
+            .expect("hello");
+        let reply: ServerHello = read_one_frame(&mut raw).expect("server answers");
+        assert_eq!(reply.version, REMOTE_PROTOCOL_VERSION);
+        assert!(reply.workload.is_none(), "no spec for refused clients");
+        let mut rest = Vec::new();
+        assert_eq!(raw.read_to_end(&mut rest).unwrap_or(0), 0, "then EOF");
+
+        // The longest id is served and names the stack's one tenant row.
+        let client =
+            RemoteClient::connect_config(server.local_addr(), config(&longest)).expect("connects");
+        assert!(client
+            .admit(&AdmissionRequest::new(0))
+            .expect("decides")
+            .is_admitted());
+        let tenants = client
+            .remote_telemetry()
+            .expect("telemetry")
+            .tenants
+            .expect("a tenant table");
+        let rows: Vec<&str> = tenants.iter().map(|row| row.client.as_str()).collect();
+        assert_eq!(rows, [longest.as_str()]);
+        client.close();
         server.shutdown();
         assert_eq!(server.stats().handshake_rejects, 1);
     });
@@ -541,13 +702,10 @@ fn mid_flight_disconnect_resolves_every_completion() {
         // with admissions still in flight.
         let addr = fake_server(|mut conn| {
             consume_client_hello(&mut conn);
-            let hello = format!(
-                "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
-                 \"workload\":null,\"domains\":2}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+            conn.write_all(&server_hello(REMOTE_PROTOCOL_VERSION, 2))
+                .expect("server hello");
             for _ in 0..3 {
-                let _ = read_one_frame(&mut conn);
+                let _: Option<WireRequest> = read_one_frame(&mut conn);
             }
             // Dies without answering anything.
         });
@@ -577,11 +735,8 @@ fn wedged_server_fails_completions_at_the_response_deadline() {
         // the connection never closes.
         let addr = fake_server(|mut conn| {
             consume_client_hello(&mut conn);
-            let hello = format!(
-                "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
-                 \"workload\":null,\"domains\":1}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+            conn.write_all(&server_hello(REMOTE_PROTOCOL_VERSION, 1))
+                .expect("server hello");
             std::thread::sleep(Duration::from_secs(30)); // wedged
         });
         let client = RemoteClient::connect_config(
@@ -768,24 +923,21 @@ fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
         let _fillers: Vec<RemoteClient> = (1..EVENT_LOOPS)
             .map(|_| RemoteClient::connect(server.local_addr()).expect("filler connects"))
             .collect();
-        let mut c = raw_handshaken(&server, None);
-        let frame = encode_frame(
-            WireMode::Json,
-            &WireRequest {
-                id: 7,
-                op: WireOp::Snapshot,
-            },
-        )
+        let mut c = raw_handshaken(&server, Some("c"));
+        let frame = encode_frame(&WireRequest {
+            id: 7,
+            op: WireOp::Snapshot,
+        })
         .expect("request encodes");
         let (head, tail) = frame.split_at(frame.len() / 2);
-        // C is the one JSON connection; A speaks binary.
+        // C is the one connection that announced a client id.
         let c_bytes_in = || {
             a.remote_telemetry()
                 .expect("telemetry")
                 .connections
                 .expect("live connections")
                 .iter()
-                .find(|conn| conn.wire == "json")
+                .find(|conn| conn.client.as_deref() == Some("c"))
                 .expect("c is live")
                 .bytes_in
         };
@@ -805,10 +957,10 @@ fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
         c.write_all(tail).expect("second half");
         proceed.send(()).expect("a's admit still waits");
         assert!(slow.wait().expect("a's admit is decided").is_admitted());
-        let reply = read_one_frame(&mut c).expect("c is answered, not cut");
+        let reply: WireResponse = read_one_frame(&mut c).expect("c is answered, not cut");
         assert!(
-            reply.contains("\"id\":7") && reply.contains("Snapshot") && !reply.contains("Error"),
-            "expected c's snapshot, got: {reply}"
+            reply.id == 7 && matches!(reply.body, WireBody::Snapshot(_)),
+            "expected c's snapshot, got: {reply:?}"
         );
         a.close();
         server.shutdown();
@@ -830,11 +982,8 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
         // completion must resolve with a typed transport error.
         let addr = fake_server(|mut conn| {
             consume_client_hello(&mut conn);
-            let hello = format!(
-                "{{\"magic\":\"probcon-remote\",\"version\":{REMOTE_PROTOCOL_VERSION},\
-                 \"workload\":null,\"domains\":1}}"
-            );
-            writeln!(conn, "{} {hello}", hello.len()).expect("server hello");
+            conn.write_all(&server_hello(REMOTE_PROTOCOL_VERSION, 1))
+                .expect("server hello");
             let mut sink = [0u8; 4096];
             while matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
         });
@@ -925,5 +1074,68 @@ fn a_journal_fetch_survives_compactions_between_its_pages() {
         assert!(compactor.join().expect("compactor") > 0);
         client.close();
         server.shutdown();
+    });
+}
+
+// ---------------------------------------------------------------------------
+// The wire never changes a decision.
+// ---------------------------------------------------------------------------
+
+/// One seeded request stream, single-threaded, through a client of a
+/// served `Metered<Cached<FleetManager>>` and through an identical stack in
+/// this process. Neither run is handed its fleet, so rebalances are
+/// snapshot probes on both sides, and the two journals must hold the same
+/// decisions at the same sequence numbers: a codec that mis-decoded a
+/// request field would still replay its own recording, but not match this.
+#[test]
+fn a_served_stack_journals_the_decisions_of_the_same_stack_in_process() {
+    with_watchdog(|| {
+        const GROUPS: usize = 3;
+        let spec = workload_with(2007, 4, &GeneratorConfig::with_actors(4)).expect("workload");
+        let config = FleetConfig::uniform(GROUPS, 1, 3, RoutingPolicy::LeastUtilised);
+        let served = FleetManager::new(spec.clone(), config.clone()).expect("valid fleet");
+        let local = FleetManager::new(spec.clone(), config).expect("valid fleet");
+        let stack = |fleet: &FleetManager| Metered::new(Cached::new(fleet.clone(), 256));
+        let stream = seeded_fleet_requests(&spec, GROUPS, 2000, 2007);
+
+        let server = RemoteServer::bind_with(
+            &"tcp:127.0.0.1:0".parse().expect("addr"),
+            Arc::new(stack(&served)),
+            None,
+            RemoteServerConfig::default(),
+        )
+        .expect("server binds");
+        let client = RemoteClient::connect(server.local_addr()).expect("connects");
+        run_requests(&client, None, stream.clone(), 1, None, None);
+        client.close();
+        server.shutdown();
+        run_requests(&stack(&local), None, stream, 1, None, None);
+
+        let decisions = |fleet: &FleetManager| -> Vec<(u64, DecisionEvent)> {
+            let entries = fleet.journal().try_entries().expect("journal reads");
+            entries.into_iter().map(|e| (e.seq, e.event)).collect()
+        };
+        let (remote, in_process) = (decisions(&served), decisions(&local));
+        // The stream reaches every field the wire carries: contracts,
+        // affinities, and outcomes of every kind.
+        let admits = || {
+            in_process.iter().filter_map(|(_, event)| match event {
+                DecisionEvent::Admit {
+                    required_throughput,
+                    affinity,
+                    outcome,
+                    ..
+                } => Some((required_throughput, affinity, outcome)),
+                _ => None,
+            })
+        };
+        assert!(admits().any(|(contract, _, _)| contract.is_some()));
+        assert!(admits().any(|(_, affinity, _)| affinity.is_some()));
+        assert!(admits().any(|(_, _, o)| matches!(o, JournalOutcome::Admitted { .. })));
+        assert!(admits().any(|(_, _, o)| !matches!(o, JournalOutcome::Admitted { .. })));
+        for (wire, local) in remote.iter().zip(&in_process) {
+            assert_eq!(wire, local, "the served stack decided differently");
+        }
+        assert_eq!(remote.len(), in_process.len(), "journal lengths");
     });
 }

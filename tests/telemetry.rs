@@ -229,8 +229,8 @@ fn recorder_snapshot_is_bounded_and_faithful() {
 /// The `autoscaler` status is a trailing skip-none field of
 /// `TelemetrySnapshot`: a controller-less snapshot serializes WITHOUT it
 /// (so historical consumers and recordings see identical bytes), an
-/// autoscaled one round-trips it through the wire JSON, and old-format
-/// JSON missing the field still parses.
+/// autoscaled one round-trips it through JSON, and old-format JSON
+/// missing the field still parses.
 #[test]
 fn telemetry_snapshot_autoscaler_field_is_wire_compatible() {
     use runtime::{Autoscaled, Autoscaler, ScalePolicy, TelemetrySnapshot};
@@ -266,6 +266,45 @@ fn telemetry_snapshot_autoscaler_field_is_wire_compatible() {
     let roundtrip: TelemetrySnapshot = serde_json::from_str(&json_with).expect("parses");
     assert_eq!(roundtrip, with);
     assert!(roundtrip.render().contains("autoscaler["));
+}
+
+/// However many client ids a stack meets, its tenant table keeps at most
+/// `MAX_TENANT_ROWS` named rows plus one overflow row, and counts every
+/// decision in exactly one of them.
+#[test]
+fn tenant_table_is_bounded_and_counts_every_decision() {
+    use runtime::{ClientScope, MAX_TENANT_ROWS, OVERFLOW_TENANT};
+
+    let traced = Traced::new(fleet(), 64);
+    let decide = |client: String, app: usize| {
+        let _scope = ClientScope::enter(client);
+        let decision = traced.admit(&AdmissionRequest::new(app)).expect("decides");
+        if let Some(resident) = decision.resident() {
+            traced.release(resident).expect("releases");
+        }
+        decision.is_admitted()
+    };
+    let ids = 200;
+    let mut admitted = 0;
+    for id in 0..ids {
+        admitted += u64::from(decide(format!("tenant-{id:03}"), id % 2));
+    }
+    // An id seen before the table filled keeps counting in its own row.
+    admitted += u64::from(decide("tenant-000".to_string(), 0));
+
+    let telemetry = traced.telemetry();
+    let rows = telemetry.tenants.as_ref().expect("a tenant table");
+    assert_eq!(rows.len(), MAX_TENANT_ROWS + 1);
+    let decided = |row: &runtime::TenantBreakdown| row.admitted + row.rejected + row.saturated;
+    assert_eq!(rows.iter().map(decided).sum::<u64>(), ids as u64 + 1);
+    assert_eq!(rows.iter().map(|row| row.released).sum::<u64>(), admitted);
+    assert_eq!(rows[0].client, "tenant-000");
+    assert_eq!(decided(&rows[0]), 2);
+    let overflow = rows.last().expect("rows");
+    assert_eq!(overflow.client, OVERFLOW_TENANT, "the overflow row is last");
+    assert_eq!(decided(overflow), (ids - MAX_TENANT_ROWS) as u64);
+    // `probcon top` labels the overflow row as such.
+    assert!(telemetry.render().contains(OVERFLOW_TENANT));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,23 +1,26 @@
-//! Codec equivalence properties of the remote transport: every wire
-//! message round-trips **byte-exactly** through the binary codec and
-//! decodes to the identical value tree through the JSON-lines codec —
-//! so a `--wire json` debug session observes exactly what a binary
-//! session ships, and the negotiated mode can never change a decision.
+//! Codec properties of the remote transport: every wire message
+//! round-trips **byte-exactly** through the binary codec, and the frame
+//! carries exactly the value tree of the reference path
+//! (`serde::to_value` / `serde::from_value`) — the two codecs the
+//! equivalence tests below hold against each other. The hostile-input
+//! tests hold the wire codec and the JSON parser that journal files
+//! arrive through to the same standard: a message, an incomplete frame
+//! or a typed error, never a panic.
 
 use platform::{Application, Mapping, SystemSpec, UseCase};
 use proptest::prelude::*;
-use runtime::remote::codec::{encode_frame, WireMode, MAX_FRAME, MAX_REQUEST_FRAME};
+use runtime::remote::codec::{decode, encode_frame, MAX_FRAME, MAX_REQUEST_FRAME};
 use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
 };
 use runtime::{
-    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Metered, RoutingPolicy,
-    TraceRecorder, Traced,
+    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Journal, Metered,
+    RoutingPolicy, TraceRecorder, Traced,
 };
 use sdf::{figure2_graphs, Rational};
 use serde::de::IgnoredAny;
 use serde::{Deserialize, Serialize, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn spec() -> SystemSpec {
     let (a, b) = figure2_graphs();
@@ -30,53 +33,35 @@ fn spec() -> SystemSpec {
 }
 
 /// The equivalence under test, for one message:
-/// 1. binary encode → decode consumes the whole frame and yields the
-///    serialized value tree;
-/// 2. re-encoding the decoded tree reproduces the identical bytes
-///    (byte-exact round-trip — the codec is deterministic);
-/// 3. the JSON-lines twin decodes to the identical tree;
-/// 4. both trees parse back into a message equal to the original, and so
-///    does the typed decode straight off each frame.
+/// 1. encode → decode consumes the whole frame and yields the reference
+///    value tree (`serde::to_value`);
+/// 2. re-encoding the message, or the decoded tree, reproduces the
+///    identical bytes (byte-exact round-trip — the codec is deterministic);
+/// 3. the tree parses back into a message equal to the original, and so
+///    does the typed decode straight off the frame.
 fn assert_codecs_agree<T>(msg: &T)
 where
     T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
 {
     let value = serde::to_value(msg);
 
-    let bin = encode_frame(WireMode::Binary, msg).expect("binary encodes");
-    let (bin_tree, consumed) = WireMode::Binary
-        .decode::<Value>(&bin, MAX_FRAME)
-        .expect("binary frame decodes")
-        .expect("binary frame is complete");
-    assert_eq!(consumed, bin.len(), "binary decode must consume the frame");
-    assert_eq!(bin_tree, value, "binary must carry the exact value tree");
-    let reencoded = encode_frame(WireMode::Binary, msg).expect("binary re-encodes");
-    assert_eq!(reencoded, bin, "binary encoding must be deterministic");
-    let from_tree = encode_frame(WireMode::Binary, &bin_tree).expect("decoded tree re-encodes");
+    let bin = encode_frame(msg).expect("encodes");
+    let (tree, consumed) = decode::<Value>(&bin, MAX_FRAME)
+        .expect("frame decodes")
+        .expect("frame is complete");
+    assert_eq!(consumed, bin.len(), "decode must consume the frame");
+    assert_eq!(tree, value, "the frame must carry the exact value tree");
+    let reencoded = encode_frame(msg).expect("re-encodes");
+    assert_eq!(reencoded, bin, "encoding must be deterministic");
+    let from_tree = encode_frame(&tree).expect("decoded tree re-encodes");
     assert_eq!(from_tree, bin, "decode→encode must be byte-exact");
 
-    let json = encode_frame(WireMode::Json, msg).expect("json encodes");
-    let (json_tree, json_consumed) = WireMode::Json
-        .decode::<Value>(&json, MAX_FRAME)
-        .expect("json frame decodes")
-        .expect("json frame is complete");
-    assert_eq!(json_consumed, json.len());
-    assert_eq!(
-        json_tree, bin_tree,
-        "JSON and binary twins must decode identically"
-    );
-
-    let from_bin: T = serde::from_value(&bin_tree).expect("typed decode from binary tree");
-    let from_json: T = serde::from_value(&json_tree).expect("typed decode from json tree");
-    assert_eq!(&from_bin, msg);
-    assert_eq!(&from_json, msg);
-    for (wire, frame) in [(WireMode::Binary, &bin), (WireMode::Json, &json)] {
-        let (direct, _) = wire
-            .decode::<T>(frame, MAX_FRAME)
-            .expect("typed decode")
-            .expect("complete");
-        assert_eq!(&direct, msg, "{wire}: typed decode straight off the frame");
-    }
+    let from_tree: T = serde::from_value(&tree).expect("typed decode from the tree");
+    assert_eq!(&from_tree, msg);
+    let (direct, _) = decode::<T>(&bin, MAX_FRAME)
+        .expect("typed decode")
+        .expect("complete");
+    assert_eq!(&direct, msg, "typed decode straight off the frame");
 }
 
 // ---------------------------------------------------------------------------
@@ -134,7 +119,7 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
     let page = journal.render_page(0, 2).expect("page");
     let mut telemetry = stack.telemetry();
     // The trailing-Option field, populated: an elastic controller's
-    // status must survive both codecs (and its absence must too — the
+    // status must survive the codec (and its absence must too — the
     // bare telemetry() above starts as None and is covered below).
     telemetry.autoscaler = Some(runtime::AutoscalerStatus {
         policy: "target-band".to_string(),
@@ -161,7 +146,6 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
         WireBody::Error(WireFault::UnknownResident(42)),
         WireBody::Error(WireFault::UnknownDomain(7)),
         WireBody::Error(WireFault::Stopped),
-        WireBody::Error(WireFault::QueueFull),
         WireBody::Error(WireFault::Config("no journal".to_string())),
         WireBody::Error(WireFault::Analysis("period diverged".to_string())),
         WireBody::Error(WireFault::Transport("truncated frame".to_string())),
@@ -173,22 +157,22 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
 
 #[test]
 fn hellos_cross_both_codecs_identically() {
-    // Hellos are JSON-framed on the wire, but the codec equivalence must
-    // hold for them regardless — including the skip_none `wire` field in
-    // both states and a populated workload spec.
-    for wire in [None, Some("binary".to_string()), Some("json".to_string())] {
+    // The hellos open every connection in the same binary frames as the
+    // requests after them: with and without a client id, with a populated
+    // workload spec and without one (a refusal).
+    for client in [None, Some("bench-7".to_string())] {
         assert_codecs_agree(&ClientHello {
             magic: "probcon-remote".to_string(),
-            version: 4,
-            client: Some("bench-7".to_string()),
-            wire: wire.clone(),
+            version: 5,
+            client,
         });
+    }
+    for workload in [None, Some(spec())] {
         assert_codecs_agree(&ServerHello {
             magic: "probcon-remote".to_string(),
-            version: 4,
-            workload: Some(spec()),
+            version: 5,
+            workload,
             domains: 3,
-            wire,
         });
     }
 }
@@ -216,7 +200,7 @@ proptest! {
     ) {
         let mut request = AdmissionRequest::new(app);
         if with_contract {
-            // Exact rational contracts: the binary codec must carry the
+            // Exact rational contracts: the codec must carry the
             // reduced numerator/denominator without quantisation.
             request = request.with_contract(Rational::new(num, den));
         }
@@ -250,40 +234,37 @@ proptest! {
 
 /// The `span` field of [`AdmissionRequest`] is trailing and skip-none: a
 /// peer that predates spans ships frames without the key, and those
-/// frames round-trip unchanged on both codecs — span propagation never
-/// changes the bytes of an untraced request.
+/// frames round-trip unchanged — span propagation never changes the bytes
+/// of an untraced request.
 #[test]
 fn span_context_field_is_wire_backward_compatible() {
     use runtime::SpanContext;
 
     // A span-less request serializes WITHOUT the key — byte-identical to
-    // what a pre-span peer ships.
+    // what a pre-span peer ships. Keys cross as text in the frame's key
+    // table, so a frame with the key holds its bytes.
     let bare = AdmissionRequest::new(3)
         .with_contract(Rational::new(1, 300))
         .with_affinity("edge-7");
     assert!(bare.span.is_none());
-    let json = encode_frame(
-        WireMode::Json,
-        &WireRequest {
-            id: 9,
-            op: WireOp::Admit(bare.clone()),
-        },
-    )
+    let frame = encode_frame(&WireRequest {
+        id: 9,
+        op: WireOp::Admit(bare.clone()),
+    })
     .expect("encodes");
-    let text = String::from_utf8(json).expect("json frames are utf-8");
     assert!(
-        !text.contains("span"),
-        "span-less requests must omit the field entirely: {text}"
+        !frame.windows(4).any(|w| w == b"span"),
+        "span-less requests must omit the field entirely: {frame:?}"
     );
 
     // A frame missing the key (as an old peer would send it) decodes to
-    // span: None and re-encodes byte-identically, through both codecs.
+    // span: None and re-encodes byte-identically.
     assert_codecs_agree(&WireRequest {
         id: 9,
         op: WireOp::Admit(bare),
     });
 
-    // And a span-carrying request survives both codecs with its causal
+    // And a span-carrying request survives the codec with its causal
     // identity intact — including the nested skip-none parent id in both
     // states (a root has no parent; a child does).
     let root = SpanContext::root();
@@ -295,9 +276,8 @@ fn span_context_field_is_wire_backward_compatible() {
             op: WireOp::Admit(traced),
         };
         assert_codecs_agree(&request);
-        let bytes = encode_frame(WireMode::Binary, &request).expect("encodes");
-        let (back, _) = WireMode::Binary
-            .decode::<WireRequest>(&bytes, MAX_FRAME)
+        let bytes = encode_frame(&request).expect("encodes");
+        let (back, _) = decode::<WireRequest>(&bytes, MAX_FRAME)
             .expect("decodes")
             .expect("complete");
         match back.op {
@@ -313,77 +293,82 @@ fn span_context_field_is_wire_backward_compatible() {
 // does not bound.
 // ---------------------------------------------------------------------------
 
-/// The golden frames recorded for `tests/golden_bytes.rs`, one codec's
-/// worth, split at their frame boundaries.
-fn golden_frames(wire: WireMode) -> Vec<&'static [u8]> {
-    let mut rest: &'static [u8] = match wire {
-        WireMode::Binary => include_bytes!("fixtures/wire_frames.bin"),
-        WireMode::Json => include_bytes!("fixtures/wire_frames.jsonl"),
-    };
+/// The golden frames recorded for `tests/golden_bytes.rs`, split at their
+/// frame boundaries.
+fn golden_frames() -> Vec<&'static [u8]> {
+    let mut rest: &'static [u8] = include_bytes!("fixtures/wire_frames.bin");
     let mut frames = Vec::new();
     while !rest.is_empty() {
-        let (_, len) = wire
-            .decode::<IgnoredAny>(rest, MAX_FRAME)
+        let (_, len) = decode::<IgnoredAny>(rest, MAX_FRAME)
             .expect("golden frames are well-formed")
             .expect("golden frames are complete");
         frames.push(&rest[..len]);
         rest = &rest[len..];
     }
-    assert!(frames.len() > 30, "{wire}: {} golden frames", frames.len());
+    assert!(frames.len() > 30, "{} golden frames", frames.len());
     frames
 }
 
-/// Decodes `bytes` as every message type a peer may be sent, plus the
-/// hello parser: the property is that none of them panics. Returns
-/// whether the bytes hold a well-formed frame.
-fn decode_every_way(wire: WireMode, bytes: &[u8]) -> bool {
-    let _ = wire.decode::<WireRequest>(bytes, MAX_REQUEST_FRAME);
-    let _ = wire.decode::<WireResponse>(bytes, MAX_FRAME);
-    let _ = wire.decode::<ServerHello>(bytes, MAX_FRAME);
-    let _ = wire.decode::<Value>(bytes, MAX_FRAME);
-    // Hellos are always JSON-framed: the server parses every first frame
-    // this way, whatever the connection later speaks.
-    let _ = WireMode::Json.decode::<ClientHello>(bytes, MAX_REQUEST_FRAME);
-    matches!(wire.decode::<IgnoredAny>(bytes, MAX_FRAME), Ok(Some(_)))
+/// Decodes `bytes` as every message type a peer may be sent, the hellos
+/// included: the property is that none of them panics. Returns whether
+/// the bytes hold a well-formed frame.
+fn decode_every_way(bytes: &[u8]) -> bool {
+    let _ = decode::<ClientHello>(bytes, MAX_REQUEST_FRAME);
+    let _ = decode::<WireRequest>(bytes, MAX_REQUEST_FRAME);
+    let _ = decode::<WireResponse>(bytes, MAX_FRAME);
+    let _ = decode::<ServerHello>(bytes, MAX_FRAME);
+    let _ = decode::<Value>(bytes, MAX_FRAME);
+    matches!(decode::<IgnoredAny>(bytes, MAX_FRAME), Ok(Some(_)))
+}
+
+/// The header line of an empty journal, so hostile text can reach the
+/// journal parser's entry lines as well as its header.
+fn journal_header_line() -> &'static str {
+    static HEADER: OnceLock<String> = OnceLock::new();
+    HEADER.get_or_init(|| {
+        let fleet = FleetManager::new(
+            spec(),
+            FleetConfig::uniform(1, 1, 3, RoutingPolicy::LeastUtilised),
+        )
+        .expect("valid fleet");
+        let text = fleet.journal().render().expect("renders");
+        text.lines().next().expect("a header line").to_string()
+    })
 }
 
 #[test]
 fn every_strict_prefix_of_a_golden_frame_is_incomplete() {
-    for wire in [WireMode::Binary, WireMode::Json] {
-        for frame in golden_frames(wire) {
-            for cut in 0..frame.len() {
-                let decoded = wire.decode::<Value>(&frame[..cut], MAX_FRAME);
-                assert!(
-                    matches!(decoded, Ok(None)),
-                    "{wire}: a {cut}-byte prefix of a {}-byte frame must be incomplete, got {decoded:?}",
-                    frame.len()
-                );
-            }
+    for frame in golden_frames() {
+        for cut in 0..frame.len() {
+            let decoded = decode::<Value>(&frame[..cut], MAX_FRAME);
+            assert!(
+                matches!(decoded, Ok(None)),
+                "a {cut}-byte prefix of a {}-byte frame must be incomplete, got {decoded:?}",
+                frame.len()
+            );
         }
     }
 }
 
 #[test]
 fn single_byte_mutations_of_golden_frames_never_panic() {
-    for wire in [WireMode::Binary, WireMode::Json] {
-        let mut decoded = 0usize;
-        for frame in golden_frames(wire) {
-            let mut mutant = frame.to_vec();
-            for i in 0..frame.len() {
-                // One mutation per byte, cycling through flips, nudges,
-                // tag and varint bytes and an opening bracket.
-                let byte = frame[i];
-                mutant[i] = [byte ^ 0xff, byte.wrapping_add(1), 0x00, 0x80, b'['][i % 5];
-                if decode_every_way(wire, &mutant) {
-                    decoded += 1;
-                }
-                mutant[i] = byte;
+    let mut decoded = 0usize;
+    for frame in golden_frames() {
+        let mut mutant = frame.to_vec();
+        for i in 0..frame.len() {
+            // One mutation per byte, cycling through flips, nudges, tag and
+            // varint bytes and an opening bracket.
+            let byte = frame[i];
+            mutant[i] = [byte ^ 0xff, byte.wrapping_add(1), 0x00, 0x80, b'['][i % 5];
+            if decode_every_way(&mutant) {
+                decoded += 1;
             }
+            mutant[i] = byte;
         }
-        // Many mutations still leave a frame the codec reads (an id, a
-        // count, a character changed): the bytes reach the decoders.
-        assert!(decoded > 500, "{wire}: {decoded} mutants decoded");
     }
+    // Many mutations still leave a frame the codec reads (an id, a count,
+    // a character changed): the bytes reach the decoders.
+    assert!(decoded > 500, "{decoded} mutants decoded");
 }
 
 #[test]
@@ -405,55 +390,64 @@ fn declared_lengths_past_the_payload_fail_before_allocating() {
         assert!(bytes.len() <= 12, "{what}: a {}-byte frame", bytes.len());
         // Allocating 2^40 elements would abort the test process; a typed
         // error comes back instead.
-        let err = WireMode::Binary
-            .decode::<Value>(&bytes, MAX_FRAME)
-            .expect_err(what);
+        let err = decode::<Value>(&bytes, MAX_FRAME).expect_err(what);
         assert!(err.starts_with("malformed frame"), "{what}: {err}");
-        assert!(!decode_every_way(WireMode::Binary, &bytes), "{what}");
+        assert!(!decode_every_way(&bytes), "{what}");
     }
-    // The JSON codec never trusts a count: the text is the only length.
-    let err = WireMode::Json
-        .decode::<Value>(b"8 [1,2,3,4\n", MAX_FRAME)
-        .expect_err("an unterminated array");
-    assert!(err.starts_with("malformed frame payload"), "{err}");
+    // Journal files carry no counts: their JSON text is the only length,
+    // and an unterminated array in it is a typed error.
+    let text = format!("{}\n[1,2,3,4\n", journal_header_line());
+    assert!(Journal::parse(&text).is_err(), "an unterminated array");
 }
 
 #[test]
 fn deep_nesting_is_a_typed_error_in_both_codecs() {
+    // The wire codec, on a hello-sized frame: 30,000 arrays of one
+    // element around a null.
     let depth = 30_000;
-    let json = "[".repeat(depth);
-    let json_frame = format!("{} {json}\n", json.len());
     let mut body = vec![0u8];
     for _ in 0..depth {
-        body.extend_from_slice(&[6, 1]); // an array of one element ...
+        body.extend_from_slice(&[6, 1]);
     }
-    body.push(0); // ... around a null
-    let mut binary_frame = (body.len() as u32).to_le_bytes().to_vec();
-    binary_frame.extend_from_slice(&body);
-    let err = WireMode::Json
-        .decode::<ClientHello>(json_frame.as_bytes(), MAX_REQUEST_FRAME)
-        .expect_err("too deep");
-    assert!(err.contains("nesting deeper than"), "{err}");
-    let err = WireMode::Binary
-        .decode::<Value>(&binary_frame, MAX_FRAME)
-        .expect_err("too deep");
+    body.push(0);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    assert!(frame.len() <= MAX_REQUEST_FRAME + 4);
+    let err = decode::<ClientHello>(&frame, MAX_REQUEST_FRAME).expect_err("too deep");
     assert!(err.contains("nesting too deep"), "{err}");
+    let err = decode::<Value>(&frame, MAX_FRAME).expect_err("too deep");
+    assert!(err.contains("nesting too deep"), "{err}");
+    // The JSON parser journal files arrive through, on a header line and
+    // on an entry line.
+    let deep = "[".repeat(depth);
+    for text in [deep.clone(), format!("{}\n{deep}", journal_header_line())] {
+        let err = Journal::parse(&text).expect_err("too deep").to_string();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
 }
 
 #[test]
 fn rationals_decode_only_in_canonical_form_in_both_codecs() {
+    // Rationals arrive from outside in wire frames and in journal files'
+    // JSON; both decoders refuse every non-canonical form.
     let pair = |numer: i128, denom: i128| {
         let mut tree = Value::object();
         tree.insert("numer", Value::Int(numer));
         tree.insert("denom", Value::Int(denom));
         tree
     };
-    for wire in [WireMode::Binary, WireMode::Json] {
-        let decode = |tree: &Value| {
-            let frame = encode_frame(wire, tree).expect("encodes");
-            wire.decode::<Rational>(&frame, MAX_FRAME)
-                .map(|decoded| decoded.expect("complete frame").0)
-        };
+    let wire = |tree: &Value| {
+        let frame = encode_frame(tree).expect("encodes");
+        decode::<Rational>(&frame, MAX_FRAME).map(|decoded| decoded.expect("complete frame").0)
+    };
+    let json = |tree: &Value| {
+        let text = serde_json::to_string(tree).expect("serializes");
+        serde_json::from_str::<Rational>(&text).map_err(|e| e.to_string())
+    };
+    for (name, decode) in [
+        ("wire", &wire as &dyn Fn(&Value) -> Result<Rational, String>),
+        ("json", &json),
+    ] {
         for r in [
             Rational::new(1, 1_000_000),
             Rational::new(-7, 3),
@@ -461,7 +455,7 @@ fn rationals_decode_only_in_canonical_form_in_both_codecs() {
             Rational::integer(i128::MAX),
             Rational::new(1, i128::MAX),
         ] {
-            assert_eq!(decode(&serde::to_value(&r)), Ok(r), "{wire}: {r}");
+            assert_eq!(decode(&serde::to_value(&r)), Ok(r), "{name}: {r}");
         }
         for (numer, denom) in [
             (-1, -1_000_000),
@@ -475,7 +469,7 @@ fn rationals_decode_only_in_canonical_form_in_both_codecs() {
             let err = decode(&pair(numer, denom)).expect_err("non-canonical");
             assert!(
                 err.contains("lowest terms"),
-                "{wire}: {numer}/{denom}: {err}"
+                "{name}: {numer}/{denom}: {err}"
             );
         }
     }
@@ -486,30 +480,30 @@ proptest! {
     fn random_bytes_never_panic_either_codec(
         bytes in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
     ) {
-        for wire in [WireMode::Binary, WireMode::Json] {
-            let _ = decode_every_way(wire, &bytes);
-        }
+        let _ = decode_every_way(&bytes);
         // The same bytes as a correctly framed payload, so they reach the
         // payload decoders rather than the length prefix checks.
-        let mut binary = (bytes.len() as u32).to_le_bytes().to_vec();
-        binary.extend_from_slice(&bytes);
-        let _ = decode_every_way(WireMode::Binary, &binary);
-        let mut json = format!("{} ", bytes.len()).into_bytes();
-        json.extend_from_slice(&bytes);
-        json.push(b'\n');
-        let _ = decode_every_way(WireMode::Json, &json);
+        let mut framed = (bytes.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&bytes);
+        let _ = decode_every_way(&framed);
+        // And as the text of a journal file, alone and after a header.
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = Journal::parse(&text);
+        let _ = Journal::parse(&format!("{}\n{text}", journal_header_line()));
     }
 
     #[test]
     fn random_json_like_text_never_panics(
         picks in prop::collection::vec(0usize..16, 0..200),
     ) {
+        // Journal files are the JSON that arrives from outside: the text
+        // as a header line, and as an entry line after a valid header.
         const PIECES: [&str; 16] = [
-            "{", "}", "[", "]", ",", ":", "\"id\"", "\"op\"", "\"Admit\"", "1", "-7",
+            "{", "}", "[", "]", ",", ":", "\"seq\"", "\"event\"", "\"Admit\"", "1", "-7",
             "2.5e3", "null", "true", "\"\\u00e9\\n\"", " ",
         ];
         let text: String = picks.iter().map(|&i| PIECES[i]).collect();
-        let frame = format!("{} {text}\n", text.len());
-        let _ = decode_every_way(WireMode::Json, frame.as_bytes());
+        let _ = Journal::parse(&text);
+        let _ = Journal::parse(&format!("{}\n{text}", journal_header_line()));
     }
 }
