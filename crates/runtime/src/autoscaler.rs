@@ -648,10 +648,6 @@ impl<S: crate::service::AdmissionService> crate::service::AdmissionService for A
         self.inner.release(resident)
     }
 
-    fn snapshot(&self) -> crate::service::ServiceSnapshot {
-        self.inner.snapshot()
-    }
-
     fn workload(&self) -> Option<&platform::SystemSpec> {
         self.inner.workload()
     }

@@ -12,7 +12,7 @@
 //! a recorded journal always ends on an empty fleet.
 
 use crate::cache::lock;
-use crate::fleet::{FleetManager, FleetSnapshot};
+use crate::fleet::FleetManager;
 use crate::service::{AdmissionDecision, AdmissionRequest, AdmissionService, ServiceSnapshot};
 use contention::Method;
 use platform::{AppId, SystemSpec, UseCase};
@@ -106,7 +106,7 @@ pub fn seeded_fleet_requests(
         .collect()
 }
 
-/// Outcome counts and fleet state of one executed request stream.
+/// Outcome counts and stack state of one executed request stream.
 #[derive(Debug, Clone)]
 pub struct FleetBenchReport {
     /// Requests executed.
@@ -117,17 +117,11 @@ pub struct FleetBenchReport {
     pub wall: Duration,
     /// Residents still held when the stream ended (before the drain).
     pub residents_at_end: usize,
-    /// Fleet state after the final drain (journal totals include the drain
-    /// releases). `None` when the run drove a service with no local fleet
-    /// — e.g. a [`RemoteClient`](crate::RemoteClient), whose fleet lives in
-    /// another process and shows up in [`stack`](Self::stack) instead.
-    pub snapshot: Option<FleetSnapshot>,
-    /// Final service-stack snapshot with per-layer metrics (cache hits,
-    /// journal length, latency rows, queue depth — whatever the layers in
-    /// the driven stack surface).
+    /// The driven stack's totals and per-layer metrics after the final
+    /// drain (fleet and per-group counters, journal length, cache hits,
+    /// latency rows — whatever the layers in the stack surface), local or
+    /// remote alike.
     pub stack: ServiceSnapshot,
-    /// Journal entries recorded by the run.
-    pub journal_len: usize,
 }
 
 impl FleetBenchReport {
@@ -141,26 +135,17 @@ impl FleetBenchReport {
     }
 
     /// Renders the metrics block printed by `probcon fleet-bench`: the
-    /// per-group fleet table followed by the per-layer service table.
+    /// run line followed by the stack's per-layer table.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{} requests on {} threads in {:.3?}  ({:.1} req/s), \
-             {} residents at end, {} journal entries",
+        format!(
+            "{} requests on {} threads in {:.3?}  ({:.1} req/s), {} residents at end\n{}",
             self.requests,
             self.threads,
             self.wall,
             self.throughput(),
             self.residents_at_end,
-            self.journal_len,
-        );
-        if let Some(snapshot) = &self.snapshot {
-            out.push_str(&snapshot.render());
-        }
-        out.push_str(&self.stack.render());
-        out
+            self.stack.render(),
+        )
     }
 }
 
@@ -262,12 +247,10 @@ impl TelemetryPoint {
 ///
 /// * `fleet` is the [`FleetManager`] the stack is layered over, when it
 ///   lives in this process: rebalance passes go to it directly
-///   (rebalancing is a fleet operation, not a service one) and the report
-///   carries its [`snapshot`](FleetBenchReport::snapshot). With `None` —
+///   (rebalancing is a fleet operation, not a service one). With `None` —
 ///   a [`RemoteClient`](crate::RemoteClient) or any other stack whose
-///   fleet lives elsewhere — rebalance passes become snapshot probes, the
-///   report's snapshot is `None`, and the journal length is read from the
-///   stack's `fleet` layer.
+///   fleet lives elsewhere — rebalance requests are skipped; they still
+///   count in the report's request total, the stream's length.
 /// * `sample_every` runs a side thread that samples the stack's live
 ///   [`telemetry`](AdmissionService::telemetry) — the surface
 ///   `probcon top` polls — into [`TelemetryPoint`]s at that interval,
@@ -357,17 +340,11 @@ pub fn run_requests(
                                 let _ = service.release(resident);
                             }
                         }
-                        FleetRequest::Rebalance => match fleet {
-                            Some(fleet) => {
+                        FleetRequest::Rebalance => {
+                            if let Some(fleet) = fleet {
                                 fleet.rebalance();
                             }
-                            // No local fleet: keep the stream shape by probing
-                            // the stack instead (a cheap read, like rebalance
-                            // evaluation on an already-balanced fleet).
-                            None => {
-                                let _ = service.snapshot();
-                            }
-                        },
+                        }
                         FleetRequest::Estimate { use_case, method } => {
                             let _ = service.estimate(use_case, method);
                         }
@@ -391,21 +368,12 @@ pub fn run_requests(
         let _ = service.release(resident);
     }
 
-    let stack = service.snapshot();
-    let journal_len = match fleet {
-        Some(fleet) => fleet.journal().len(),
-        // Remote stacks surface the served fleet's journal length through
-        // its layer counter instead.
-        None => stack.counter("fleet", "journal_entries").unwrap_or(0) as usize,
-    };
     let report = FleetBenchReport {
         requests: total,
         threads,
         wall,
         residents_at_end,
-        snapshot: fleet.map(FleetManager::snapshot),
-        stack,
-        journal_len,
+        stack: service.snapshot(),
     };
     (report, points.into_inner().unwrap_or_default())
 }
@@ -481,17 +449,17 @@ mod tests {
         );
         assert!(points.is_empty(), "no sampler without an interval");
         assert_eq!(report.requests, 120);
-        assert!(
-            report.snapshot.as_ref().is_some_and(|s| s.admitted > 0),
-            "{report:?}"
-        );
+        assert!(report.stack.admitted > 0, "{report:?}");
         // Fully drained after the run; admits and releases balance.
         assert_eq!(fleet.resident_count(), 0);
-        let snap = fleet.snapshot();
-        assert_eq!(snap.admitted, snap.released);
-        assert_eq!(report.journal_len, fleet.journal().len());
+        assert_eq!(report.stack.residents, 0);
+        assert_eq!(report.stack.admitted, report.stack.released);
+        assert_eq!(
+            report.stack.counter("fleet", "journal_entries"),
+            Some(fleet.journal().len() as u64)
+        );
         let text = report.render();
-        for needle in ["req/s", "journal entries", "fleet:", "admitted", "service:"] {
+        for needle in ["req/s", "journal_entries", "group0_admitted", "service:"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }
@@ -554,7 +522,11 @@ mod tests {
         assert_eq!(journaled(fleet.journal()), journaled(bare.journal()));
         // ... and the stack surfaced cache + latency metrics.
         assert!(report.stack.counter("cached", "misses").unwrap_or(0) > 0);
-        assert!(report.stack.counter("metered", "operations").unwrap_or(0) > 0);
+        assert!(report
+            .stack
+            .layers
+            .iter()
+            .any(|layer| layer.layer == "metered" && !layer.ops.is_empty()));
         let text = report.render();
         for needle in ["cached", "metered", "hits"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");

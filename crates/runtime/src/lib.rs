@@ -33,10 +33,11 @@
 //!   every frame on the thread that read it (see [`remote`]);
 //! * [`Traced`] / [`TraceRecorder`] / [`TelemetrySnapshot`] — the
 //!   telemetry subsystem: a fixed-capacity flight recorder of structured
-//!   decision events, bounded HDR-style [`LatencyHistogram`]s, and a
-//!   wire-exposed live-metrics surface with Prometheus-style rendering
-//!   (see [`telemetry`], the engine behind `probcon top` /
-//!   `probcon trace`);
+//!   decision events, bounded HDR-style [`LatencyHistogram`]s, and the
+//!   one observation surface, [`AdmissionService::telemetry`], through
+//!   which every layer reports itself once, served over the wire and
+//!   rendered as a table or Prometheus-style text (see [`telemetry`],
+//!   the engine behind `probcon top` / `probcon trace`);
 //! * [`PlanRun`] / [`PlanSweep`] — the offline capacity planner: replay
 //!   any recorded journal against hypothetical [`FleetConfig`]s (scaled
 //!   capacities, added groups, swapped policies) and report which

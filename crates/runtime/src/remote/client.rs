@@ -68,7 +68,6 @@ impl Default for ClientConfig {
 enum PendingOp {
     Admit(Completer<AdmissionDecision>),
     Release(Completer<()>),
-    Snapshot(Completer<ServiceSnapshot>),
     Estimate(Completer<Arc<Estimate>>),
     JournalPage(Completer<JournalPage>),
     Telemetry(Completer<TelemetrySnapshot>),
@@ -80,7 +79,6 @@ impl PendingOp {
         match self {
             PendingOp::Admit(c) => c.complete(Err(error)),
             PendingOp::Release(c) => c.complete(Err(error)),
-            PendingOp::Snapshot(c) => c.complete(Err(error)),
             PendingOp::Estimate(c) => c.complete(Err(error)),
             PendingOp::JournalPage(c) => c.complete(Err(error)),
             PendingOp::Telemetry(c) => c.complete(Err(error)),
@@ -98,7 +96,6 @@ impl PendingOp {
         match (self, body) {
             (PendingOp::Admit(c), WireBody::Decision(decision)) => c.complete(Ok(decision)),
             (PendingOp::Release(c), WireBody::Released) => c.complete(Ok(())),
-            (PendingOp::Snapshot(c), WireBody::Snapshot(snapshot)) => c.complete(Ok(snapshot)),
             (PendingOp::Estimate(c), WireBody::Estimate(estimate)) => c.complete(Ok(estimate)),
             (PendingOp::JournalPage(c), WireBody::JournalPage(page)) => c.complete(Ok(page)),
             (PendingOp::Telemetry(c), WireBody::Telemetry(telemetry)) => {
@@ -261,10 +258,10 @@ impl ClientShared {
 }
 
 /// A point-in-time view of one client connection's request traffic —
-/// the counters behind the `"remote"` layer of
-/// [`RemoteClient::snapshot`], exposed directly so drivers (e.g.
-/// `fleet-bench --connections`) can sample per-connection fan-in
-/// without parsing layer metrics.
+/// the counters behind the `"remote"` layer of the client's
+/// [`telemetry`](AdmissionService::telemetry), exposed directly so load
+/// generators (e.g. `fleet-bench --connections`) can sample
+/// per-connection fan-in without parsing layer metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RemoteClientStats {
     /// Request frames successfully written to the socket.
@@ -476,24 +473,10 @@ impl RemoteClient {
         completion
     }
 
-    /// Fetches the served stack's snapshot as a `Result` (the trait's
-    /// [`snapshot`](AdmissionService::snapshot) swallows transport errors
-    /// into an empty snapshot, since it is infallible by signature).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Transport`] when the connection failed.
-    pub fn remote_snapshot(&self) -> Result<ServiceSnapshot, ServiceError> {
-        let (completer, completion) = Completion::pending();
-        self.shared
-            .send(WireOp::Snapshot, PendingOp::Snapshot(completer));
-        completion.wait()
-    }
-
     /// Fetches the served stack's live telemetry as a `Result` (the
     /// trait's [`telemetry`](AdmissionService::telemetry) swallows
-    /// transport errors into a local degraded snapshot, since it is
-    /// infallible by signature). The returned snapshot carries every
+    /// transport errors into a degraded view, since it is infallible by
+    /// signature). The returned snapshot carries every
     /// server-side layer's histograms plus the server's own
     /// `remote-server` frame-latency distribution.
     ///
@@ -630,23 +613,6 @@ impl AdmissionService for RemoteClient {
         self.submit_release(resident).wait()
     }
 
-    /// The far end's snapshot with this client's `"remote"` layer
-    /// appended; a failed transport yields an all-zero snapshot whose
-    /// `remote` layer records the failure (`broken` = 1).
-    fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.remote_snapshot().unwrap_or(ServiceSnapshot {
-            residents: 0,
-            capacity: 0,
-            admitted: 0,
-            rejected: 0,
-            saturated: 0,
-            released: 0,
-            layers: Vec::new(),
-        });
-        snapshot.layers.push(self.client_layer());
-        snapshot
-    }
-
     /// The workload spec the server advertised at handshake.
     fn workload(&self) -> Option<&SystemSpec> {
         self.shared.workload.as_ref()
@@ -667,19 +633,17 @@ impl AdmissionService for RemoteClient {
         completion.wait()
     }
 
-    /// The far end's full telemetry (per-layer histograms, trace counters,
-    /// server frame latency) with this client's `"remote"` layer appended;
-    /// a failed transport degrades to a telemetry view of the local
-    /// [`snapshot`](AdmissionService::snapshot) (whose `remote` layer
-    /// records the failure).
+    /// The far end's full telemetry (totals, per-layer counters and
+    /// histograms, trace counters, server frame latency) with this
+    /// client's `"remote"` layer appended. A failed fetch degrades to zero
+    /// totals and that layer alone, whose `broken` counter reads 1 once
+    /// the transport has failed.
     fn telemetry(&self) -> TelemetrySnapshot {
-        match self.remote_telemetry() {
-            Ok(mut telemetry) => {
-                telemetry.service.layers.push(self.client_layer());
-                telemetry
-            }
-            Err(_) => TelemetrySnapshot::from_service(self.snapshot()),
-        }
+        let mut telemetry = self
+            .remote_telemetry()
+            .unwrap_or_else(|_| TelemetrySnapshot::from_service(ServiceSnapshot::default()));
+        telemetry.service.layers.push(self.client_layer());
+        telemetry
     }
 
     /// The server-side flight recorder's tail; empty when the transport

@@ -16,7 +16,7 @@
 //!   zero changes, and [pipelines](RemoteClient::submit) many admissions
 //!   on one connection.
 //!
-//! # Wire format (protocol v5)
+//! # Wire format (protocol v6)
 //!
 //! Every frame on a connection, from the first hello on, is one compact
 //! length-prefixed binary frame (see [`codec`] for the layout). The codec
@@ -43,6 +43,13 @@
 //! connection, and responses are matched back to their
 //! [`Completion`](crate::Completion)s by id — responses may arrive in any
 //! order.
+//!
+//! A connection observes the served stack through one op,
+//! [`WireOp::Telemetry`]: the stack's totals, each layer's counters, op
+//! rates and histograms, and the server's own transport view. Answering it
+//! changes no layer of the served stack (only the server's own
+//! `remote-server frame` row counts it, as it counts every request), so
+//! an observer such as `probcon top` never shows up in the stack's rates.
 //!
 //! # One server, thousands of connections
 //!
@@ -120,7 +127,7 @@ pub use endpoint::Endpoint;
 pub use server::{RemoteServer, RemoteServerConfig, RemoteServerStats, EVENT_LOOPS};
 
 use crate::journal::JournalPage;
-use crate::service::{AdmissionDecision, AdmissionRequest, ServiceError, ServiceSnapshot};
+use crate::service::{AdmissionDecision, AdmissionRequest, ServiceError};
 use crate::telemetry::{TelemetrySnapshot, TraceEvent};
 use contention::{Estimate, Method};
 use platform::SystemSpec;
@@ -130,7 +137,7 @@ use std::sync::Arc;
 /// The remote-protocol version this build speaks — the only one. Both
 /// ends must name it in their hellos; a server refuses any other version
 /// and a client fails its connect on one.
-pub const REMOTE_PROTOCOL_VERSION: u64 = 5;
+pub const REMOTE_PROTOCOL_VERSION: u64 = 6;
 
 /// Longest client id, in bytes, a hello may announce. The id names the
 /// tenant's row in the served stack's telemetry and, after `probcon journal
@@ -194,8 +201,6 @@ pub enum WireOp {
     Admit(AdmissionRequest),
     /// Release a resident by id.
     Release(u64),
-    /// Snapshot the served stack (with per-layer metrics).
-    Snapshot,
     /// Estimate all periods of the use-case with the given mask.
     Estimate {
         /// Active-application mask
@@ -212,8 +217,10 @@ pub enum WireOp {
         /// First entry sequence number of the requested page.
         from_seq: u64,
     },
-    /// Collect the served stack's live telemetry (per-layer histograms,
-    /// trace counters, server frame latency).
+    /// Collect the served stack's live telemetry — the protocol's one
+    /// observation: totals, per-layer counters and histograms, trace
+    /// counters, server frame latency. No layer of the served stack
+    /// meters it.
     Telemetry,
     /// Fetch the newest trace events from the served stack's flight
     /// recorder, oldest first.
@@ -241,8 +248,6 @@ pub enum WireBody {
     Decision(AdmissionDecision),
     /// The release succeeded.
     Released,
-    /// The served stack's snapshot.
-    Snapshot(ServiceSnapshot),
     /// The computed estimate — shared with the cache that holds it, so
     /// serving a cached estimate copies nothing before it is encoded.
     Estimate(Arc<Estimate>),
@@ -616,13 +621,13 @@ mod tests {
             residents.extend(completion.wait().unwrap().resident());
         }
         assert_eq!(residents.len(), 12);
-        // Releases interleave with a snapshot request on the same pipe.
+        // Releases interleave with a telemetry request on the same pipe.
         let releases: Vec<Completion<()>> = residents
             .iter()
             .map(|&r| client.submit_release(r))
             .collect();
-        let snapshot = client.remote_snapshot().unwrap();
-        assert_eq!(snapshot.admitted, 12);
+        let telemetry = client.remote_telemetry().unwrap();
+        assert_eq!(telemetry.service.admitted, 12);
         for release in releases {
             release.wait().unwrap();
         }
@@ -856,10 +861,23 @@ mod tests {
             client.admit(&AdmissionRequest::new(0)).unwrap_err(),
             ServiceError::Transport(_)
         ));
-        // The infallible snapshot degrades to the zeroed form, flagged.
+        // The infallible telemetry degrades to zero totals plus the
+        // client's own layer, flagged broken, and so does its snapshot
+        // projection.
+        let telemetry = AdmissionService::telemetry(&client);
+        assert_eq!(telemetry.service.capacity, 0);
+        assert_eq!(telemetry.service.admitted, 0);
+        assert!(telemetry.histograms.is_empty());
+        let layers: Vec<&str> = telemetry
+            .service
+            .layers
+            .iter()
+            .map(|layer| layer.layer.as_str())
+            .collect();
+        assert_eq!(layers, ["remote"]);
+        assert_eq!(telemetry.service.counter("remote", "broken"), Some(1));
         let snapshot = AdmissionService::snapshot(&client);
-        assert_eq!(snapshot.capacity, 0);
-        assert_eq!(snapshot.counter("remote", "broken"), Some(1));
+        assert_eq!(snapshot, telemetry.service);
         server.shutdown();
     }
 }

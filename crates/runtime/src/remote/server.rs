@@ -32,8 +32,8 @@ use crate::fleet::FleetManager;
 use crate::journal::ClientScope;
 use crate::service::{AdmissionService, LayerMetrics, ServiceError};
 use crate::telemetry::{
-    op_rate, ConnectionStats, EventLoopStats, HistogramRecorder, SpanScope, TraceEvent, TraceKind,
-    TraceRecorder,
+    op_rate, ConnectionStats, EventLoopStats, HistogramRecorder, LatencyHistogram, SpanScope,
+    TraceEvent, TraceKind, TraceRecorder,
 };
 use platform::UseCase;
 use std::collections::{BTreeMap, HashMap};
@@ -304,7 +304,6 @@ impl ServerShared {
                 Ok(()) => WireBody::Released,
                 Err(e) => WireBody::Error(WireFault::from(&e)),
             },
-            WireOp::Snapshot => WireBody::Snapshot(self.service.snapshot()),
             WireOp::Estimate { mask, method } => {
                 match self.service.estimate(UseCase::from_mask(mask), method) {
                     Ok(estimate) => WireBody::Estimate(estimate),
@@ -322,8 +321,9 @@ impl ServerShared {
             },
             WireOp::Telemetry => {
                 let mut telemetry = self.service.telemetry();
-                telemetry.service.layers.push(self.server_layer());
-                telemetry.push_histogram("remote-server", "frame", self.frame_latency.snapshot());
+                let frame = self.frame_latency.snapshot();
+                telemetry.service.layers.push(self.server_layer(&frame));
+                telemetry.push_histogram("remote-server", "frame", frame);
                 let connections = self.connection_stats();
                 if !connections.is_empty() {
                     telemetry.connections = Some(connections);
@@ -366,14 +366,13 @@ impl ServerShared {
         }
     }
 
-    /// This server's own telemetry layer: connection/request counters plus
-    /// the frame-latency distribution.
-    fn server_layer(&self) -> LayerMetrics {
-        let frame = self.frame_latency.snapshot();
+    /// This server's own telemetry layer: connection and fault counters
+    /// plus the row of `frame`, the frame-latency distribution, whose count
+    /// is the requests served.
+    fn server_layer(&self, frame: &LatencyHistogram) -> LayerMetrics {
         let mut layer = LayerMetrics::new("remote-server")
             .counter("connections", self.connections.load(Ordering::Relaxed))
             .counter("active", self.active.load(Ordering::Relaxed))
-            .counter("requests", self.requests.load(Ordering::Relaxed))
             .counter(
                 "protocol_errors",
                 self.protocol_errors.load(Ordering::Relaxed),
@@ -383,7 +382,7 @@ impl ServerShared {
                 self.handshake_rejects.load(Ordering::Relaxed),
             );
         if frame.count() > 0 {
-            layer = layer.op_rate(op_rate("frame", &frame, self.started.elapsed()));
+            layer = layer.op_rate(op_rate("frame", frame, self.started.elapsed()));
         }
         layer
     }

@@ -57,8 +57,8 @@
 use crate::cache::{lock, CacheKey, EstimateCache};
 use crate::fleet::{FleetError, FleetManager};
 use crate::telemetry::{
-    HistogramRecorder, LatencyHistogram, SpanContext, SpanScope, TelemetrySnapshot, TraceEvent,
-    TraceKind, TraceRecorder,
+    op_rate, HistogramRecorder, LatencyHistogram, SpanContext, SpanScope, TelemetrySnapshot,
+    TraceEvent, TraceKind, TraceRecorder,
 };
 use contention::{ContentionError, Estimate, Method, Violation};
 use experiments::signoff::SignOffReport;
@@ -281,9 +281,7 @@ pub struct OpRate {
     pub op: String,
     /// Operations recorded.
     pub count: u64,
-    /// Operations per second over the layer's measurement window
-    /// (since the previous snapshot for [`Metered`], since start-up
-    /// otherwise), rounded.
+    /// Operations per second since the layer started, rounded.
     pub ops_per_sec: u64,
     /// Mean latency in microseconds.
     pub mean_us: u64,
@@ -300,7 +298,7 @@ pub struct OpRate {
 }
 
 /// One middleware layer's own counters, surfaced through
-/// [`AdmissionService::snapshot`].
+/// [`AdmissionService::telemetry`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerMetrics {
     /// Layer name (`"fleet"`, `"cached"`, `"metered"`, `"traced"`,
@@ -466,10 +464,6 @@ pub trait AdmissionService: Send + Sync {
     /// [`ServiceError::UnknownResident`] when not (or no longer) live.
     fn release(&self, resident: u64) -> Result<(), ServiceError>;
 
-    /// Point-in-time utilisation/outcome summary of the whole stack, with
-    /// per-layer metrics appended by every middleware layer.
-    fn snapshot(&self) -> ServiceSnapshot;
-
     /// The workload spec requests index into (`None` when unbound).
     fn workload(&self) -> Option<&SystemSpec>;
 
@@ -486,16 +480,22 @@ pub trait AdmissionService: Send + Sync {
         Ok(Arc::new(contention::estimate(spec, use_case, method)?))
     }
 
-    /// Live telemetry for the whole stack: the layered snapshot plus full
-    /// per-op latency distributions and flight-recorder stats.
+    /// Live telemetry for the whole stack — the one way a layer reports
+    /// itself: the base service's totals, one [`LayerMetrics`] row per
+    /// layer (innermost first), full per-op latency distributions and
+    /// flight-recorder stats.
     ///
-    /// The default implementation wraps [`snapshot`](Self::snapshot) with
-    /// no distributions; instrumented layers ([`Metered`],
-    /// [`Traced`](crate::Traced)) append their histograms, and a
-    /// [`RemoteClient`](crate::RemoteClient) forwards the request over
-    /// the wire.
-    fn telemetry(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot::from_service(self.snapshot())
+    /// Each layer calls its inner service's `telemetry()` and adds its own
+    /// facts once; a [`RemoteClient`](crate::RemoteClient) fetches the far
+    /// end's view over the wire. Observing has no side effects: two calls
+    /// in a row report the same counts, and no layer meters the call.
+    fn telemetry(&self) -> TelemetrySnapshot;
+
+    /// The layered totals and counters of [`telemetry`](Self::telemetry),
+    /// without its distributions or flight-recorder stats. Layers report
+    /// through `telemetry` alone and keep this provided body.
+    fn snapshot(&self) -> ServiceSnapshot {
+        self.telemetry().service
     }
 
     /// Up to the last `limit` flight-recorder events, oldest first.
@@ -524,10 +524,6 @@ impl<S: AdmissionService + ?Sized> AdmissionService for Arc<S> {
 
     fn release(&self, resident: u64) -> Result<(), ServiceError> {
         (**self).release(resident)
-    }
-
-    fn snapshot(&self) -> ServiceSnapshot {
-        (**self).snapshot()
     }
 
     fn workload(&self) -> Option<&SystemSpec> {
@@ -722,49 +718,47 @@ impl AdmissionService for FleetManager {
         }
     }
 
-    fn snapshot(&self) -> ServiceSnapshot {
+    fn workload(&self) -> Option<&SystemSpec> {
+        Some(self.spec())
+    }
+
+    /// The fleet's totals, a `"fleet"` layer of fleet-wide counters and a
+    /// `"fleet-groups"` layer carrying each group's residents, capacity,
+    /// utilisation, outcome counts and retired flag.
+    fn telemetry(&self) -> TelemetrySnapshot {
         let snapshot = FleetManager::snapshot(self);
         let kernel = self.kernel_counters();
-        ServiceSnapshot {
+        let mut groups = LayerMetrics::new("fleet-groups");
+        for group in &snapshot.groups {
+            let name = &group.name;
+            groups = groups
+                .counter(format!("{name}_residents"), group.residents as u64)
+                .counter(format!("{name}_capacity"), group.capacity as u64)
+                .counter(format!("{name}_util_percent"), group.utilisation_percent())
+                .counter(format!("{name}_admitted"), group.admitted)
+                .counter(format!("{name}_rejected"), group.rejected)
+                .counter(format!("{name}_saturated"), group.saturated)
+                .counter(format!("{name}_retired"), u64::from(group.retired));
+        }
+        TelemetrySnapshot::from_service(ServiceSnapshot {
             residents: snapshot.residents,
             capacity: snapshot.capacity,
             admitted: snapshot.admitted,
             rejected: snapshot.rejected,
             saturated: snapshot.saturated,
             released: snapshot.released,
-            layers: vec![LayerMetrics::new("fleet")
-                .counter("groups", self.group_count() as u64)
-                .counter("rebalances", snapshot.rebalances)
-                .counter("resizes", snapshot.resizes)
-                .counter("resize_refusals", snapshot.resize_refusals)
-                .counter("journal_entries", self.journal().len() as u64)
-                .counter("period_analyses", kernel.period_analyses)
-                .counter("contract_free_skipped", kernel.contract_free_skipped)],
-        }
-    }
-
-    fn workload(&self) -> Option<&SystemSpec> {
-        Some(self.spec())
-    }
-
-    /// The base telemetry view plus a `"fleet-groups"` layer carrying each
-    /// group's residents, capacity and utilisation — the per-group detail
-    /// `probcon top` renders that the aggregate snapshot flattens away.
-    fn telemetry(&self) -> TelemetrySnapshot {
-        let mut telemetry = TelemetrySnapshot::from_service(AdmissionService::snapshot(self));
-        let snapshot = FleetManager::snapshot(self);
-        let mut groups = LayerMetrics::new("fleet-groups");
-        for group in &snapshot.groups {
-            groups = groups
-                .counter(format!("{}_residents", group.name), group.residents as u64)
-                .counter(format!("{}_capacity", group.name), group.capacity as u64)
-                .counter(
-                    format!("{}_util_percent", group.name),
-                    group.utilisation_percent(),
-                );
-        }
-        telemetry.service.layers.push(groups);
-        telemetry
+            layers: vec![
+                LayerMetrics::new("fleet")
+                    .counter("groups", self.group_count() as u64)
+                    .counter("rebalances", snapshot.rebalances)
+                    .counter("resizes", snapshot.resizes)
+                    .counter("resize_refusals", snapshot.resize_refusals)
+                    .counter("journal_entries", self.journal().len() as u64)
+                    .counter("period_analyses", kernel.period_analyses)
+                    .counter("contract_free_skipped", kernel.contract_free_skipped),
+                groups,
+            ],
+        })
     }
 
     fn trace_recorder(&self) -> Option<Arc<TraceRecorder>> {
@@ -783,7 +777,7 @@ impl AdmissionService for FleetManager {
 /// layer order.
 ///
 /// The layer surfaces its own hit/miss/entry counters through
-/// [`snapshot`](AdmissionService::snapshot) under the `"cached"` layer, and
+/// [`telemetry`](AdmissionService::telemetry) under the `"cached"` layer, and
 /// can be pre-populated from a sign-off artefact with
 /// [`warm_from_signoff`](Cached::warm_from_signoff).
 #[derive(Debug)]
@@ -877,15 +871,6 @@ impl<S: AdmissionService> Cached<S> {
         Ok(warmed)
     }
 
-    fn layer(&self) -> LayerMetrics {
-        LayerMetrics::new("cached")
-            .counter("hits", self.cache.hits())
-            .counter("misses", self.cache.misses())
-            .counter("entries", self.cache.len() as u64)
-            .counter("capacity", self.cache.capacity() as u64)
-            .counter("warmed", self.warmed())
-    }
-
     fn trace_estimate(&self, hit: bool, start: Instant) {
         if let Some(recorder) = self.trace.get() {
             recorder.record(
@@ -904,12 +889,6 @@ impl<S: AdmissionService> AdmissionService for Cached<S> {
 
     fn release(&self, resident: u64) -> Result<(), ServiceError> {
         self.inner.release(resident)
-    }
-
-    fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.inner.snapshot();
-        snapshot.layers.push(self.layer());
-        snapshot
     }
 
     fn workload(&self) -> Option<&SystemSpec> {
@@ -938,7 +917,14 @@ impl<S: AdmissionService> AdmissionService for Cached<S> {
 
     fn telemetry(&self) -> TelemetrySnapshot {
         let mut telemetry = self.inner.telemetry();
-        telemetry.service.layers.push(self.layer());
+        telemetry.service.layers.push(
+            LayerMetrics::new("cached")
+                .counter("hits", self.cache.hits())
+                .counter("misses", self.cache.misses())
+                .counter("entries", self.cache.len() as u64)
+                .counter("capacity", self.cache.capacity() as u64)
+                .counter("warmed", self.warmed()),
+        );
         telemetry
     }
 
@@ -960,16 +946,9 @@ pub enum ServiceOp {
     Release,
     /// [`AdmissionService::estimate`] calls.
     Estimate,
-    /// [`AdmissionService::snapshot`] calls (the cheap read probe).
-    Snapshot,
 }
 
-const SERVICE_OPS: [ServiceOp; 4] = [
-    ServiceOp::Admit,
-    ServiceOp::Release,
-    ServiceOp::Estimate,
-    ServiceOp::Snapshot,
-];
+const SERVICE_OPS: [ServiceOp; 3] = [ServiceOp::Admit, ServiceOp::Release, ServiceOp::Estimate];
 
 impl ServiceOp {
     fn index(self) -> usize {
@@ -982,7 +961,6 @@ impl ServiceOp {
             ServiceOp::Admit => "admit",
             ServiceOp::Release => "release",
             ServiceOp::Estimate => "estimate",
-            ServiceOp::Snapshot => "snapshot",
         }
     }
 }
@@ -995,22 +973,17 @@ impl ServiceOp {
 #[derive(Debug)]
 pub struct Metered<S> {
     inner: S,
-    stats: [HistogramRecorder; 4],
+    stats: [HistogramRecorder; 3],
     started: Instant,
-    /// Interval window backing the per-op `ops/s since last snapshot`
-    /// rates: instant and per-op counts at the previous `snapshot()`.
-    probe: Mutex<(Instant, [u64; 4])>,
 }
 
 impl<S: AdmissionService> Metered<S> {
     /// Metering layer over `inner`.
     pub fn new(inner: S) -> Metered<S> {
-        let started = Instant::now();
         Metered {
             inner,
             stats: Default::default(),
-            started,
-            probe: Mutex::new((started, [0; 4])),
+            started: Instant::now(),
         }
     }
 
@@ -1026,68 +999,11 @@ impl<S: AdmissionService> Metered<S> {
         self.stats[op.index()].snapshot()
     }
 
-    /// Operations sampled across all classes.
-    pub fn operations(&self) -> u64 {
-        self.stats.iter().map(HistogramRecorder::count).sum()
-    }
-
-    /// Operations per second since the layer was created.
-    pub fn throughput(&self) -> f64 {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        if elapsed == 0.0 {
-            0.0
-        } else {
-            self.operations() as f64 / elapsed
-        }
-    }
-
     fn record<T>(&self, op: ServiceOp, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let result = f();
         self.stats[op.index()].record_duration(start.elapsed());
         result
-    }
-
-    /// The `"metered"` layer row: O(1) aggregate counters plus one
-    /// [`OpRate`] per active class — the one place a class's count, mean
-    /// and quantiles are rendered — whose `ops_per_sec` covers the window
-    /// since the previous snapshot (advancing the window).
-    fn layer(&self) -> LayerMetrics {
-        let now = Instant::now();
-        let counts: [u64; 4] = std::array::from_fn(|i| self.stats[i].count());
-        let (last_instant, last_counts) = {
-            let mut probe = lock(&self.probe);
-            std::mem::replace(&mut *probe, (now, counts))
-        };
-        let window = now.saturating_duration_since(last_instant).as_secs_f64();
-        let mut layer = LayerMetrics::new("metered")
-            .counter("operations", counts.iter().sum())
-            .counter("ops_per_sec", self.throughput() as u64);
-        for op in SERVICE_OPS {
-            let count = counts[op.index()];
-            if count == 0 {
-                continue;
-            }
-            let delta = count.saturating_sub(last_counts[op.index()]);
-            let rate = if window > 0.0 {
-                (delta as f64 / window).round() as u64
-            } else {
-                0
-            };
-            let hist = self.stats[op.index()].snapshot();
-            layer = layer.op_rate(OpRate {
-                op: op.name().to_string(),
-                count,
-                ops_per_sec: rate,
-                mean_us: hist.mean_micros(),
-                p50_us: hist.p50(),
-                p90_us: hist.p90(),
-                p99_us: hist.p99(),
-                p999_us: hist.p999(),
-                max_us: hist.max_micros(),
-            });
-        }
-        layer
     }
 }
 
@@ -1100,12 +1016,6 @@ impl<S: AdmissionService> AdmissionService for Metered<S> {
         self.record(ServiceOp::Release, || self.inner.release(resident))
     }
 
-    fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.record(ServiceOp::Snapshot, || self.inner.snapshot());
-        snapshot.layers.push(self.layer());
-        snapshot
-    }
-
     fn workload(&self) -> Option<&SystemSpec> {
         self.inner.workload()
     }
@@ -1116,15 +1026,22 @@ impl<S: AdmissionService> AdmissionService for Metered<S> {
         })
     }
 
+    /// The inner view plus a `"metered"` layer with one [`OpRate`] row
+    /// per active class — the one place a class's count, rate, mean and
+    /// quantiles are rendered; its `ops_per_sec` is the rate since the
+    /// layer started — and each class's full distribution.
     fn telemetry(&self) -> TelemetrySnapshot {
         let mut telemetry = self.inner.telemetry();
-        telemetry.service.layers.push(self.layer());
+        let elapsed = self.started.elapsed();
+        let mut layer = LayerMetrics::new("metered");
         for op in SERVICE_OPS {
             let hist = self.histogram(op);
             if !hist.is_empty() {
+                layer = layer.op_rate(op_rate(op.name(), &hist, elapsed));
                 telemetry.push_histogram("metered", op.name(), hist);
             }
         }
+        telemetry.service.layers.push(layer);
         telemetry
     }
 
@@ -1269,22 +1186,23 @@ mod tests {
         metered
             .estimate(UseCase::full(2), Method::Composability)
             .unwrap();
+        // Observing is not traffic: no layer meters the read.
         let _probe = metered.snapshot();
         metered.release(decision.resident().unwrap()).unwrap();
         assert_eq!(metered.histogram(ServiceOp::Admit).count(), 1);
         assert_eq!(metered.histogram(ServiceOp::Estimate).count(), 1);
         assert_eq!(metered.histogram(ServiceOp::Release).count(), 1);
-        assert!(metered.histogram(ServiceOp::Snapshot).count() >= 1);
-        assert!(metered.operations() >= 4);
-        assert!(!metered.histogram(ServiceOp::Admit).is_empty());
         let snapshot = metered.snapshot();
-        // Every active class surfaces one OpRate row and no per-op
-        // counters: the row is the one rendering of the class.
+        // Every active class surfaces one OpRate row and no counters:
+        // the row is the one rendering of the class.
         let metered_layer = snapshot
             .layers
             .iter()
             .find(|l| l.layer == "metered")
             .unwrap();
+        let ops: Vec<&str> = metered_layer.ops.iter().map(|r| r.op.as_str()).collect();
+        assert_eq!(ops, ["admit", "release", "estimate"]);
+        assert!(metered_layer.counters.is_empty());
         let admit = metered_layer.ops.iter().find(|r| r.op == "admit").unwrap();
         assert_eq!(admit.count, 1);
         assert!(admit.mean_us <= admit.max_us);
@@ -1315,26 +1233,25 @@ mod tests {
             released: 116,
             layers: vec![
                 LayerMetrics::new("fleet").counter("groups", 2),
-                LayerMetrics::new("metered")
-                    .counter("operations", 242)
-                    .op_rate(OpRate {
-                        op: "admit".to_string(),
-                        count: 120,
-                        ops_per_sec: 40,
-                        mean_us: 236,
-                        p50_us: 210,
-                        p90_us: 300,
-                        p99_us: 480,
-                        p999_us: 1200,
-                        max_us: 1500,
-                    }),
+                LayerMetrics::new("cached").counter("hits", 242),
+                LayerMetrics::new("metered").op_rate(OpRate {
+                    op: "admit".to_string(),
+                    count: 120,
+                    ops_per_sec: 40,
+                    mean_us: 236,
+                    p50_us: 210,
+                    p90_us: 300,
+                    p99_us: 480,
+                    p999_us: 1200,
+                    max_us: 1500,
+                }),
             ],
         };
         let expected = "\
 service: 4/8 residents (50% util), 120 admitted, 5 rejected, 2 saturated, 116 released
 layer        metric                              value
 fleet        groups                                  2
-metered      operations                            242
+cached       hits                                  242
 layer        op              count    ops/s  mean_us   p50_us   p90_us   p99_us  p999_us   max_us
 metered      admit             120       40      236      210      300      480     1200     1500
 ";

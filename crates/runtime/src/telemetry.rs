@@ -16,14 +16,15 @@
 //!   [`Cached`](crate::Cached) / [`Metered`](crate::Metered)), by the
 //!   fleet's innermost admit span, and by instrumentation points in the
 //!   remote server.
-//! * [`TelemetrySnapshot`] — the exposition surface aggregating the
-//!   [`ServiceSnapshot`] of every layer plus full latency distributions
-//!   and flight-recorder stats, answered by every
+//! * [`TelemetrySnapshot`] — the one observation surface: the stack's
+//!   totals, one row of counters and op rates per layer, full latency
+//!   distributions and flight-recorder stats, answered by every
 //!   [`AdmissionService`] via
-//!   [`telemetry`](crate::AdmissionService::telemetry), forwarded
+//!   [`telemetry`](crate::AdmissionService::telemetry) (each layer adds
+//!   its own facts once, and reading changes nothing), forwarded
 //!   transparently over the wire, and renderable as a human table
 //!   ([`TelemetrySnapshot::render`]) or Prometheus-style text
-//!   ([`TelemetrySnapshot::render_prometheus`]).
+//!   ([`TelemetrySnapshot::render_prometheus`]), each fact once.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -37,8 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::journal::ClientScope;
 use crate::service::{
-    AdmissionDecision, AdmissionRequest, AdmissionService, LayerMetrics, OpRate, ServiceError,
-    ServiceSnapshot,
+    AdmissionDecision, AdmissionRequest, AdmissionService, OpRate, ServiceError, ServiceSnapshot,
 };
 
 /// Number of linear sub-buckets per power-of-two octave (16 → worst-case
@@ -1143,13 +1143,6 @@ impl<S: AdmissionService> Traced<S> {
         &self.inner
     }
 
-    fn layer(&self) -> LayerMetrics {
-        LayerMetrics::new("traced")
-            .counter("events", self.recorder.recorded())
-            .counter("dropped", self.recorder.dropped())
-            .counter("capacity", self.recorder.capacity() as u64)
-    }
-
     fn account_tenant(&self, decision: &AdmissionDecision, elapsed: Duration) {
         let Some(client) = ClientScope::current() else {
             return;
@@ -1224,12 +1217,6 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
         result
     }
 
-    fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.inner.snapshot();
-        snapshot.layers.push(self.layer());
-        snapshot
-    }
-
     fn workload(&self) -> Option<&SystemSpec> {
         self.inner.workload()
     }
@@ -1245,7 +1232,6 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
 
     fn telemetry(&self) -> TelemetrySnapshot {
         let mut telemetry = self.inner.telemetry();
-        telemetry.service.layers.push(self.layer());
         telemetry.trace = self.recorder.stats();
         let tenants = self.tenants.lock().expect("tenant map poisoned");
         if !tenants.is_empty() {
@@ -1383,8 +1369,8 @@ pub struct EventLoopStats {
 /// and flight-recorder stats.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
-    /// Layered counters and op rates (same shape as
-    /// [`AdmissionService::snapshot`]).
+    /// The base service's totals and every layer's counters and op
+    /// rates ([`AdmissionService::snapshot`] returns this part alone).
     pub service: ServiceSnapshot,
     /// Full latency distributions per layer and operation class.
     pub histograms: Vec<OpHistogram>,
@@ -1412,7 +1398,7 @@ pub struct TelemetrySnapshot {
 
 impl TelemetrySnapshot {
     /// Wraps a bare [`ServiceSnapshot`] (no distributions, no trace) —
-    /// the default for services without telemetry instrumentation.
+    /// the view a base service reports before any layer adds to it.
     pub fn from_service(service: ServiceSnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
             service,

@@ -32,6 +32,23 @@ use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
 
+// `print!`/`println!` that drop a failed write instead of panicking: a
+// closed stdout (`probcon … | head`) ends the printing, not the command,
+// which still finishes its work and exits with the status that work earns.
+macro_rules! print {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 const USAGE: &str = "\
 probcon — probabilistic resource-contention performance estimation (DAC 2007 reproduction)
 
@@ -102,7 +119,7 @@ USAGE:
                 [--segment-entries <n>] [--checkpoint-every <n>]
                 [--autoscale <policy.json>] [--autoscale-interval <ms>]
       Serve a traced + metered + estimate-cached multi-group fleet manager
-      over the remote admission protocol (version 5: binary frames from
+      over the remote admission protocol (version 6: binary frames from
       the hello on, over TCP or a Unix domain socket). Every
       decision lands in the fleet's header-stamped journal, served to
       clients over the wire, and in a --trace-event flight recorder
@@ -139,7 +156,8 @@ USAGE:
   probcon top [--connect tcp:HOST:PORT|unix:PATH] [--watch <secs>] [--prometheus]
               [--connections] [--seed <u64>] [--requests <n>]
       Live telemetry of an admission stack: per-layer operation latency
-      distributions (count, ops/s, p50/p90/p99/p999), fleet utilisation,
+      distributions (count, ops/s since the layer started,
+      p50/p90/p99/p999), fleet utilisation,
       flight-recorder counters, per-tenant admit/reject breakdowns (64
       named rows; tenants seen after that share one \"(other tenants)\"
       row) and — from a served stack — per-connection transport counters
@@ -844,10 +862,6 @@ impl runtime::AdmissionService for FanInClient {
 
     fn release(&self, resident: u64) -> Result<(), runtime::ServiceError> {
         self.pick().release(resident)
-    }
-
-    fn snapshot(&self) -> runtime::ServiceSnapshot {
-        self.clients[0].snapshot()
     }
 
     fn workload(&self) -> Option<&platform::SystemSpec> {

@@ -278,7 +278,7 @@ fn fleet_bench_records_journal_and_replay_verifies_it() {
         "fleet-bench",
         "affinity routing",
         "req/s",
-        "journal entries",
+        "journal_entries",
         "group0",
         "admitted",
         "rebalances",
@@ -303,6 +303,39 @@ fn fleet_bench_records_journal_and_replay_verifies_it() {
     assert!(!out.status.success(), "tampered journal must be rejected");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("checksum"), "{stderr}");
+}
+
+/// A closed stdout ends the printing, not the command: with the read end
+/// of its stdout pipe dropped before it prints, `fleet-bench --journal`
+/// still records the run, writes the journal and exits 0, and the journal
+/// replays EQUIVALENT.
+#[test]
+fn fleet_bench_finishes_its_work_when_stdout_is_closed() {
+    let dir = std::env::temp_dir().join("probcon-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let journal = dir.join(format!("closed-stdout-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_probcon"))
+        .args([
+            "fleet-bench",
+            "--requests",
+            "3000",
+            "--journal",
+            journal.to_str().expect("utf8 path"),
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("waits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let out = probcon(&["replay", journal.to_str().expect("utf8 path")]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("EQUIVALENT"), "{stdout}");
 }
 
 #[test]
@@ -975,6 +1008,80 @@ fn serve_connect_journal_replay_roundtrip_over_uds() {
         std::process::id()
     ));
     assert!(part.exists(), "{stdout}");
+}
+
+/// `fleet-bench` renders each fact once and prints the same fleet tables
+/// locally and over `--connect`: one `service:` line with the five
+/// totals, no second `fleet:` totals line, and the same `fleet` and
+/// `fleet-groups` rows (per-group outcomes included) either way.
+#[cfg(unix)]
+#[test]
+fn fleet_bench_renders_each_fact_once_locally_and_over_connect() {
+    let dir = std::env::temp_dir().join("probcon-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let socket = dir.join(format!("once-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let listen = format!("unix:{}", socket.display());
+    let shape = ["--apps", "3", "--actors", "4", "--groups", "2"];
+
+    let mut server = Command::new(env!("CARGO_BIN_EXE_probcon"))
+        .args(["serve", "--listen", &listen, "--once"])
+        .args(shape)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("server starts");
+    for _ in 0..200 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    assert!(socket.exists(), "server never bound {}", socket.display());
+    let remote = probcon(&["fleet-bench", "--connect", &listen, "--requests", "300"]);
+    assert!(remote.status.success(), "{remote:?}");
+    assert!(server.wait().expect("server exits").success());
+    let local = probcon(&[&["fleet-bench", "--requests", "300"][..], &shape[..]].concat());
+    assert!(local.status.success(), "{local:?}");
+
+    let fleet_rows = |out: &std::process::Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert!(
+            !lines.iter().any(|line| line.starts_with("fleet:")),
+            "{stdout}"
+        );
+        let totals: Vec<&&str> = lines
+            .iter()
+            .filter(|line| {
+                ["residents", "admitted", "rejected", "saturated", "released"]
+                    .iter()
+                    .all(|word| line.contains(word))
+            })
+            .collect();
+        assert_eq!(totals.len(), 1, "{stdout}");
+        assert!(totals[0].starts_with("service:"), "{stdout}");
+        let rows: Vec<(String, String)> = lines
+            .iter()
+            .filter_map(|line| {
+                let mut words = line.split_whitespace();
+                let layer = words.next()?;
+                let metric = words.next()?;
+                ["fleet", "fleet-groups"]
+                    .contains(&layer)
+                    .then(|| (layer.to_string(), metric.to_string()))
+            })
+            .collect();
+        assert!(
+            rows.iter().any(|(_, metric)| metric == "journal_entries"),
+            "{stdout}"
+        );
+        assert!(
+            rows.iter().any(|(_, metric)| metric == "group1_saturated"),
+            "{stdout}"
+        );
+        rows
+    };
+    assert_eq!(fleet_rows(&local), fleet_rows(&remote));
 }
 
 /// A `serve --journal-dir` restart takes its workload and shape from the

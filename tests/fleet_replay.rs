@@ -49,10 +49,10 @@ fn record() -> Journal {
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED);
     let (report, _) = run_requests(&fleet, Some(&fleet), stream, 1, None, None);
-    let snapshot = report.snapshot.as_ref().expect("local fleet run");
-    assert!(snapshot.admitted > 0, "workload admits: {report:?}");
+    let totals = &report.stack;
+    assert!(totals.admitted > 0, "workload admits: {report:?}");
     assert!(
-        snapshot.rejected + snapshot.saturated > 0,
+        totals.rejected + totals.saturated > 0,
         "workload must exercise rejections or saturation: {report:?}"
     );
     assert!(

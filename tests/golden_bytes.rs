@@ -233,7 +233,7 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             "client-hello",
             Golden::ClientHello(ClientHello {
                 magic: "probcon-remote".to_string(),
-                version: 5,
+                version: 6,
                 client: Some("bench-7".to_string()),
             }),
         ),
@@ -241,7 +241,7 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             "client-hello-bare",
             Golden::ClientHello(ClientHello {
                 magic: "probcon-remote".to_string(),
-                version: 5,
+                version: 6,
                 client: None,
             }),
         ),
@@ -249,7 +249,7 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             "server-hello",
             Golden::ServerHello(ServerHello {
                 magic: "probcon-remote".to_string(),
-                version: 5,
+                version: 6,
                 workload: Some(spec.clone()),
                 domains: 3,
             }),
@@ -258,7 +258,7 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             "server-hello-refusal",
             Golden::ServerHello(ServerHello {
                 magic: "probcon-remote".to_string(),
-                version: 5,
+                version: 6,
                 workload: None,
                 domains: 1,
             }),
@@ -306,7 +306,6 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             ),
         ),
         ("release", request(5, WireOp::Release(u64::MAX))),
-        ("snapshot", request(6, WireOp::Snapshot)),
         (
             "estimate-composability",
             request(
@@ -362,7 +361,6 @@ fn golden_messages() -> Vec<(&'static str, Golden)> {
             ),
         ),
         ("released", response(5, WireBody::Released)),
-        ("snapshot-body", response(6, WireBody::Snapshot(snapshot()))),
         (
             "estimate-body-composability",
             response(7, WireBody::Estimate(estimate_body(composability))),

@@ -17,7 +17,7 @@ use runtime::{
     run_requests, seeded_fleet_requests, AdmissionDecision, AdmissionRequest, AdmissionService,
     Cached, ClientConfig, Completion, DecisionEvent, Endpoint, FleetConfig, FleetManager,
     JournalOutcome, JournalReplayer, Metered, RemoteClient, RemoteServer, RemoteServerConfig,
-    RoutingPolicy, ServiceError, ServiceSnapshot, Traced, EVENT_LOOPS, MAX_CLIENT_ID, MAX_FRAME,
+    RoutingPolicy, ServiceError, TelemetrySnapshot, Traced, EVENT_LOOPS, MAX_CLIENT_ID, MAX_FRAME,
     MAX_REQUEST_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 use sdf::{figure2_graphs, GeneratorConfig, Rational};
@@ -192,7 +192,7 @@ fn server_survives_truncated_frame_and_keeps_serving() {
         let mut evil = raw_handshaken(&server, None);
         let request = encode_frame(&WireRequest {
             id: 1,
-            op: WireOp::Snapshot,
+            op: WireOp::Telemetry,
         })
         .expect("request encodes");
         evil.write_all(&400u32.to_le_bytes())
@@ -539,16 +539,19 @@ fn client_rejects_future_server_version_naming_both() {
 fn server_rejects_stale_client_version_but_keeps_serving() {
     with_watchdog(|| {
         let server = serve(1, 2);
-        let mut stale = raw_connect(&server);
-        stale
-            .write_all(&client_hello(99, None))
-            .expect("stale hello");
-        // The server answers naming its own version, then closes.
-        let reply: ServerHello = read_one_frame(&mut stale).expect("server answers");
-        assert_eq!(reply.version, REMOTE_PROTOCOL_VERSION, "{reply:?}");
-        assert!(reply.workload.is_none(), "no spec for refused clients");
-        let mut rest = Vec::new();
-        assert_eq!(stale.read_to_end(&mut rest).unwrap_or(0), 0, "then EOF");
+        // Version 5 is the protocol that still carried a `Snapshot` op.
+        for version in [5, 99] {
+            let mut stale = raw_connect(&server);
+            stale
+                .write_all(&client_hello(version, None))
+                .expect("stale hello");
+            // The server answers naming its own version, then closes.
+            let reply: ServerHello = read_one_frame(&mut stale).expect("server answers");
+            assert_eq!(reply.version, REMOTE_PROTOCOL_VERSION, "{reply:?}");
+            assert!(reply.workload.is_none(), "no spec for refused clients");
+            let mut rest = Vec::new();
+            assert_eq!(stale.read_to_end(&mut rest).unwrap_or(0), 0, "then EOF");
+        }
 
         // Compatible clients are unaffected.
         let client = RemoteClient::connect(server.local_addr()).expect("connects");
@@ -556,7 +559,7 @@ fn server_rejects_stale_client_version_but_keeps_serving() {
         client.close();
         // Handlers are joined by shutdown; only then are stats reliable.
         server.shutdown();
-        assert_eq!(server.stats().handshake_rejects, 1);
+        assert_eq!(server.stats().handshake_rejects, 2);
     });
 }
 
@@ -817,8 +820,8 @@ impl AdmissionService for Gated {
         AdmissionService::release(&self.fleet, resident)
     }
 
-    fn snapshot(&self) -> ServiceSnapshot {
-        AdmissionService::snapshot(&self.fleet)
+    fn telemetry(&self) -> TelemetrySnapshot {
+        AdmissionService::telemetry(&self.fleet)
     }
 
     fn workload(&self) -> Option<&SystemSpec> {
@@ -926,7 +929,7 @@ fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
         let mut c = raw_handshaken(&server, Some("c"));
         let frame = encode_frame(&WireRequest {
             id: 7,
-            op: WireOp::Snapshot,
+            op: WireOp::Telemetry,
         })
         .expect("request encodes");
         let (head, tail) = frame.split_at(frame.len() / 2);
@@ -959,8 +962,8 @@ fn bytes_that_arrive_while_a_loop_decides_are_not_a_stall() {
         assert!(slow.wait().expect("a's admit is decided").is_admitted());
         let reply: WireResponse = read_one_frame(&mut c).expect("c is answered, not cut");
         assert!(
-            reply.id == 7 && matches!(reply.body, WireBody::Snapshot(_)),
-            "expected c's snapshot, got: {reply:?}"
+            reply.id == 7 && matches!(reply.body, WireBody::Telemetry(_)),
+            "expected c's telemetry, got: {reply:?}"
         );
         a.close();
         server.shutdown();

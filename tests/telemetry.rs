@@ -12,8 +12,8 @@ use runtime::telemetry::BUCKET_COUNT;
 use runtime::{
     build_span_trees, run_requests, seeded_fleet_requests, AdmissionRequest, AdmissionService,
     Cached, FleetConfig, FleetManager, HistogramRecorder, Journal, LatencyHistogram, Metered,
-    RemoteClient, RemoteServer, RoutingPolicy, ServiceOp, SpanContext, SpanNode, TraceEvent,
-    TraceKind, TraceRecorder, Traced,
+    RemoteClient, RemoteServer, RoutingPolicy, ServiceOp, ServiceSnapshot, SpanContext, SpanNode,
+    TraceEvent, TraceKind, TraceRecorder, Traced,
 };
 use sdf::figure2_graphs;
 use std::sync::Arc;
@@ -161,7 +161,7 @@ fn telemetry_render_shows_one_row_per_metered_op() {
     let stack = Traced::new(Metered::new(Cached::new(fleet.clone(), 16)), 256);
     drive(&stack, &fleet);
     let text = stack.telemetry().render();
-    for op in ["admit", "release", "estimate", "snapshot"] {
+    for op in ["admit", "release", "estimate"] {
         let rows = text
             .lines()
             .filter(|line| {
@@ -174,6 +174,93 @@ fn telemetry_render_shows_one_row_per_metered_op() {
     for column in ["mean_us", "p999_us"] {
         assert!(text.contains(column), "missing {column} in:\n{text}");
     }
+}
+
+/// Observing changes nothing: two `telemetry()` reads in a row, with a
+/// `snapshot()` between them, agree on every count, and every active
+/// `metered` row reports a since-start rate above zero in both — no read
+/// is metered, and none resets a rate window the next read depends on.
+#[test]
+fn observing_twice_reports_the_same_counts_and_live_rates() {
+    let fleet = fleet();
+    let stack = Traced::new(Metered::new(Cached::new(fleet.clone(), 16)), 256);
+    drive(&stack, &fleet);
+    let counts = |service: &ServiceSnapshot| {
+        let rows: Vec<(String, String, u64)> = service
+            .layers
+            .iter()
+            .flat_map(|layer| {
+                layer
+                    .ops
+                    .iter()
+                    .map(|row| (layer.layer.clone(), row.op.clone(), row.count))
+            })
+            .collect();
+        let counters: Vec<_> = service.layers.iter().map(|l| l.counters.clone()).collect();
+        (service.admitted, service.released, rows, counters)
+    };
+    let first = stack.telemetry();
+    let between = stack.snapshot();
+    let second = stack.telemetry();
+    assert_eq!(counts(&first.service), counts(&between));
+    assert_eq!(counts(&first.service), counts(&second.service));
+    assert_eq!(first.trace, second.trace, "observing records no event");
+    for telemetry in [&first, &second] {
+        let metered = telemetry
+            .service
+            .layers
+            .iter()
+            .find(|layer| layer.layer == "metered")
+            .expect("metered layer");
+        let ops: Vec<&str> = metered.ops.iter().map(|row| row.op.as_str()).collect();
+        assert_eq!(ops, ["admit", "release", "estimate"]);
+        for row in &metered.ops {
+            assert!(row.count > 0 && row.ops_per_sec > 0, "{row:?}");
+        }
+    }
+}
+
+/// `top` and `top --prometheus` render each fact once: the flight
+/// recorder's counters appear as the `trace:` line and the
+/// `probcon_trace_*` families only, and no layer row repeats a sum of
+/// the per-op rows.
+#[test]
+fn telemetry_renders_each_fact_once() {
+    let fleet = fleet();
+    let stack = Traced::new(Metered::new(Cached::new(fleet.clone(), 16)), 256);
+    drive(&stack, &fleet);
+    let telemetry = stack.telemetry();
+    let text = telemetry.render();
+    let first_words: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert!(!first_words.contains(&"traced"), "{text}");
+    assert_eq!(
+        first_words.iter().filter(|&&w| w == "trace:").count(),
+        1,
+        "{text}"
+    );
+    for repeated in ["operations", "ops_per_sec"] {
+        assert!(
+            !text.lines().any(|line| line.starts_with("metered")
+                && line.split_whitespace().nth(1) == Some(repeated)),
+            "{text}"
+        );
+    }
+    let prometheus = telemetry.render_prometheus();
+    assert!(
+        !prometheus.contains("probcon_layer{layer=\"traced\""),
+        "{prometheus}"
+    );
+    assert_eq!(
+        prometheus
+            .lines()
+            .filter(|line| line.starts_with("probcon_trace_events_total "))
+            .count(),
+        1,
+        "{prometheus}"
+    );
 }
 
 /// Over a connection, a sampled run's admit quantiles are what the driving

@@ -79,7 +79,6 @@ fn every_wire_op_variant_crosses_both_codecs_identically() {
         ),
         WireOp::Admit(AdmissionRequest::new(0)),
         WireOp::Release(u64::MAX),
-        WireOp::Snapshot,
         WireOp::Estimate {
             mask: 0b11,
             method: "order-2".parse().expect("method"),
@@ -136,7 +135,6 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
     let bodies = vec![
         WireBody::Decision(decision),
         WireBody::Released,
-        WireBody::Snapshot(stack.snapshot()),
         WireBody::Estimate(estimate),
         WireBody::JournalPage(page),
         WireBody::Telemetry(Box::new(telemetry)),
